@@ -14,7 +14,7 @@ performance notes).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -206,6 +206,21 @@ class LinearForwardingTable:
             )
         self._ensure_capacity((block + 1) * LFT_BLOCK_SIZE - 1)
         self._ports[block * LFT_BLOCK_SIZE : (block + 1) * LFT_BLOCK_SIZE] = entries
+
+    def load_blocks(self, blocks: Sequence[int], entries: np.ndarray) -> None:
+        """Overwrite block ``blocks[i]`` with row ``entries[i]``.
+
+        The effect of one :meth:`load_block` per row, in order (a block
+        named twice keeps its last row), applied in one assignment.
+        """
+        if entries.shape != (len(blocks), LFT_BLOCK_SIZE):
+            raise TopologyError(
+                f"LFT block payload must have {LFT_BLOCK_SIZE} entries"
+            )
+        if len(blocks):
+            index = np.asarray(blocks, dtype=np.intp)
+            self._ensure_capacity((int(index.max()) + 1) * LFT_BLOCK_SIZE - 1)
+            self._ports.reshape(-1, LFT_BLOCK_SIZE)[index] = entries
 
     def get_block(self, block: int) -> np.ndarray:
         """Copy of one 64-entry block (what a SubnGet LFT SMP returns)."""

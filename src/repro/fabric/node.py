@@ -126,11 +126,14 @@ class Node:
         self.counters: Dict[int, "PortCounters"] = {}
 
     def port_counters(self, port: int) -> "PortCounters":
-        """Counters for one port (created on first touch)."""
-        low = 0 if self.is_switch else 1
-        if not low <= port <= self.num_ports:
-            raise TopologyError(f"{self.name!r} has no port {port}")
-        return self.counters.setdefault(port, PortCounters())
+        """Counters for one port (validated and created on first touch)."""
+        counters = self.counters.get(port)
+        if counters is None:
+            low = 0 if self.is_switch else 1
+            if not low <= port <= self.num_ports:
+                raise TopologyError(f"{self.name!r} has no port {port}")
+            counters = self.counters[port] = PortCounters()
+        return counters
 
     @property
     def num_ports(self) -> int:

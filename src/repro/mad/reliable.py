@@ -27,7 +27,9 @@ get their own ``smp_retry`` span and the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Sequence
+
+import numpy as np
 
 from repro.errors import (
     FaultInjectionError,
@@ -138,15 +140,39 @@ class ReliableSmpSender:
         caller must re-run the SMInfo comparison), and lets
         :class:`~repro.errors.UnreachableTargetError` propagate untouched.
         """
-        if (
-            self.generation is not None
-            and smp.generation is None
-            and smp.is_fenced_write
-        ):
-            smp.generation = self.generation
-        result = self.transport.send(smp)
-        if result.ok:
-            return result
+        return self.send_run((smp,))[0]
+
+    def send_run(self, smps: Sequence[Smp]) -> List[SmpResult]:
+        """Deliver a run (see :meth:`SmpTransport.send_run`), each packet
+        under the contract of :meth:`send`: a lost packet is recovered —
+        or the run aborted — before the next one leaves."""
+        if self.generation is not None:
+            for smp in smps:
+                if smp.generation is None and smp.is_fenced_write:
+                    smp.generation = self.generation
+        return self.transport.send_run(smps, on_loss=self._recover)
+
+    def send_lft_run(
+        self,
+        target: str,
+        blocks: Sequence[int],
+        entries: np.ndarray,
+        *,
+        directed: bool = True,
+    ) -> None:
+        """One SubnSet(LFT) per block to one switch (see
+        :meth:`SmpTransport.send_lft_run`), stamped with this sender's
+        generation and recovered packet by packet like :meth:`send`."""
+        self.transport.send_lft_run(
+            target,
+            blocks,
+            entries,
+            directed=directed,
+            generation=self.generation,
+            on_loss=self._recover,
+        )
+
+    def _recover(self, smp: Smp, result: SmpResult) -> SmpResult:
         if result.status is SmpStatus.STALE_GENERATION:
             raise self._stale(smp)
         return self._retry(smp)

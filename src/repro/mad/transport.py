@@ -18,17 +18,28 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import TopologyError, UnreachableTargetError
+from repro.constants import LFT_BLOCK_SIZE
+from repro.errors import (
+    TopologyError,
+    TransportError,
+    UnreachableTargetError,
+)
 from repro.fabric.graph import bfs_distances
 from repro.fabric.node import HCA, Node, Switch
 from repro.fabric.topology import Topology
-from repro.mad.smp import Smp, SmpKind, SmpMethod, SmpResult, SmpStatus
-from repro.obs.flight import SmpFlightEvent
-from repro.obs.hub import get_hub
+from repro.mad.smp import (
+    Smp,
+    SmpKind,
+    SmpMethod,
+    SmpResult,
+    SmpStatus,
+    make_set_lft_block,
+)
+from repro.obs.hub import ObsHub, get_hub
 from repro.obs.spans import current_span
 
 __all__ = ["TransportStats", "SmpTransport", "MAD_BYTES"]
@@ -169,6 +180,43 @@ class TransportStats:
         )
 
 
+class _Run:
+    """What the SMPs of one run share, worked out once per run.
+
+    A run is consecutive SMPs to one target in one routing mode: the
+    resolved target, the hop count, the wire latency (``k``, plus ``r``
+    per hop when directed) and the observability handles are the same
+    for every packet. ``rx`` (the target's endpoint counters) is filled
+    by the first packet that arrives, so a run that is dropped whole
+    leaves the target's counters untouched; ``kind``/``kind_label``/
+    ``series`` are the kind last accounted, its label and its
+    ``repro_smp_total`` counter, reused while the kind stays the same.
+    """
+
+    __slots__ = (
+        "target", "directed", "hops", "latency", "hub", "rx",
+        "kind", "kind_label", "series",
+    )
+
+    def __init__(
+        self,
+        target: Node,
+        directed: bool,
+        hops: int,
+        latency: float,
+        hub: ObsHub,
+    ) -> None:
+        self.target = target
+        self.directed = directed
+        self.hops = hops
+        self.latency = latency
+        self.hub = hub
+        self.rx = None
+        self.kind: Optional[SmpKind] = None
+        self.kind_label = ""
+        self.series = None
+
+
 class SmpTransport:
     """Delivers SMPs from the SM to fabric nodes, applying their effects.
 
@@ -280,7 +328,10 @@ class SmpTransport:
         node = self.sm_node
         if isinstance(node, Switch):
             return node
-        assert isinstance(node, HCA)
+        if not isinstance(node, HCA):
+            raise TopologyError(
+                f"SM host {node.name!r} is neither a switch nor an HCA"
+            )
         up = node.uplink_switch()
         if up is None:
             raise TopologyError(f"SM host {node.name!r} is not cabled to a switch")
@@ -314,7 +365,10 @@ class SmpTransport:
             if target is self.sm_node:
                 return 0
             return base + d
-        assert isinstance(target, HCA)
+        if not isinstance(target, HCA):
+            raise TopologyError(
+                f"SMP target {target.name!r} is neither a switch nor an HCA"
+            )
         if target is self.sm_node:
             return 0
         up = target.uplink_switch()
@@ -328,7 +382,22 @@ class SmpTransport:
     # -- delivery ------------------------------------------------------------
 
     def send(self, smp: Smp) -> SmpResult:
-        """Deliver one SMP: apply its effect, account for it, and time it.
+        """Deliver one SMP: the run of length one (see :meth:`send_run`)."""
+        return self.send_run((smp,))[0]
+
+    def send_run(
+        self,
+        smps: Sequence[Smp],
+        *,
+        on_loss: Optional[Callable[[Smp, SmpResult], SmpResult]] = None,
+    ) -> List[SmpResult]:
+        """Deliver a run of SMPs: apply, account for and time each in order.
+
+        A *run* is consecutive SMPs to one target in one routing mode
+        (anything else raises :class:`~repro.errors.TransportError`), so
+        the target, its liveness, the hop count and the ``k``/``r``
+        latency are worked out once. The result is bit for bit that of
+        one :meth:`send` per packet.
 
         Beyond the transport's own counters, every delivery advances the
         observability hub's sim clock, lands one structured event in the
@@ -336,16 +405,116 @@ class SmpTransport:
         ``repro_smp_total`` counter, and — when a span is open in this
         context — attaches a per-SMP event to it.
 
-        With a fault injector attached the delivery may be dropped
+        With a fault injector attached a delivery may be dropped
         (returned ``status`` is :attr:`~repro.mad.smp.SmpStatus.TIMEOUT`
         and the effect is *not* applied), silently corrupted (SET-LFT
         payload damaged in flight and applied damaged), or delayed. A
         target that does not exist or has no live path from the SM raises
-        :class:`~repro.errors.UnreachableTargetError` — distinguishable
-        from a timeout, so retry layers do not burn their budget on a
-        dead node.
+        :class:`~repro.errors.UnreachableTargetError` before any packet
+        leaves — distinguishable from a timeout, so retry layers do not
+        burn their budget on a dead node.
+
+        *on_loss*, when given, is called with each packet that comes back
+        not delivered and its result, before the next packet of the run
+        leaves; what it returns replaces the result (this is where
+        :class:`~repro.mad.reliable.ReliableSmpSender` retransmits).
         """
-        target = self._resolve_target(smp)
+        if not smps:
+            return []
+        head = smps[0]
+        for smp in smps:
+            if smp.target != head.target or smp.directed != head.directed:
+                raise TransportError(
+                    "a run of SMPs must address one target in one routing"
+                    f" mode, got {smp.target!r} after {head.target!r}"
+                )
+        run = self._open_run(head.target, head.directed)
+        # PMA accounting: a MAD leaves through the SM host's endpoint
+        # port whatever happens to it on the wire; arrival is counted in
+        # :meth:`_deliver` so dropped packets never show up as received.
+        tx = self._endpoint_counters(self.sm_node)
+        results: List[SmpResult] = []
+        for smp in smps:
+            tx.xmit_packets += 1
+            tx.xmit_data += MAD_BYTES
+            if self._injector is None and smp.kind is not SmpKind.SM_INFO:
+                latency = run.latency
+                data, status, fault = self._deliver(run, smp, "delivered")
+            else:
+                data, status, fault, latency = self._deliver_lossy(run, smp)
+            self._account(run, smp.kind, smp.method, latency, fault)
+            result = SmpResult(smp, run.hops, latency, data, status)
+            if on_loss is not None and status is not SmpStatus.DELIVERED:
+                result = on_loss(smp, result)
+            results.append(result)
+        return results
+
+    def send_lft_run(
+        self,
+        target: str,
+        blocks: Sequence[int],
+        entries: np.ndarray,
+        *,
+        directed: bool = True,
+        generation: Optional[int] = None,
+        on_loss: Optional[Callable[[Smp, SmpResult], SmpResult]] = None,
+    ) -> None:
+        """Deliver one SubnSet(LFT) SMP per block to the switch *target*.
+
+        Row ``entries[i]`` is the 64-entry payload of block ``blocks[i]``;
+        *generation* is the fence stamp of every packet (``None`` sends
+        unfenced). Equivalent to :meth:`send_run` over the
+        :func:`~repro.mad.smp.make_set_lft_block` packets, which is what
+        happens whenever a packet of the run can come back lost or
+        rejected — a fault injector is attached, or the generation is
+        behind the fabric's. Otherwise all packets are alike but for
+        their payload and their place in time, so the blocks are loaded
+        at once and the run is accounted as a whole. A missing,
+        unreachable or non-switch target and a malformed payload raise
+        before any packet leaves.
+        """
+        n = len(blocks)
+        if not n:
+            return
+        entries = np.asarray(entries, dtype=np.int16)
+        if entries.shape != (n, LFT_BLOCK_SIZE):
+            raise TopologyError(
+                f"an LFT run of {n} blocks needs a ({n}, {LFT_BLOCK_SIZE})"
+                f" payload, got {entries.shape}"
+            )
+        run = self._open_run(target, directed)
+        switch = run.target
+        if not isinstance(switch, Switch):
+            raise TopologyError(
+                f"LFT SMP addressed to non-switch {switch.name!r}"
+            )
+        if self._injector is not None or (
+            generation is not None and generation < self._fabric_generation
+        ):
+            smps = [
+                make_set_lft_block(target, block, row, directed=directed)
+                for block, row in zip(blocks, entries)
+            ]
+            for smp in smps:
+                smp.generation = generation
+            self.send_run(smps, on_loss=on_loss)
+            return
+        switch.lft.load_blocks(blocks, entries)
+        if generation is not None:
+            self._fabric_generation = generation
+        tx = self._endpoint_counters(self.sm_node)
+        tx.xmit_packets += n
+        tx.xmit_data += n * MAD_BYTES
+        rx = self._endpoint_counters(switch)
+        rx.rcv_packets += n
+        rx.rcv_data += n * MAD_BYTES
+        self._account(
+            run, SmpKind.LFT_BLOCK, SmpMethod.SET, run.latency, "delivered", n
+        )
+
+    def _open_run(self, name: str, directed: bool) -> "_Run":
+        """Resolve a run's target and work out what its packets share."""
+        target = self._resolve_target(name, directed)
         try:
             hops = self.hops_to(target)
         except UnreachableTargetError:
@@ -355,46 +524,72 @@ class SmpTransport:
             # timeout; retry layers must not retransmit into it.
             raise UnreachableTargetError(str(exc)) from None
         latency = hops * self.hop_latency
-        if smp.directed:
+        if directed:
             latency += hops * self.dr_overhead
+        return _Run(target, directed, hops, latency, get_hub())
 
-        # PMA accounting: the MAD leaves through the SM host's endpoint
-        # port whatever happens to it on the wire; arrival is counted in
-        # :meth:`_deliver` so dropped packets never show up as received.
-        tx = self._endpoint_counters(self.sm_node)
-        tx.xmit_packets += 1
-        tx.xmit_data += MAD_BYTES
+    @staticmethod
+    def _endpoint_counters(node: Node):
+        """PMA counters of a node's MAD endpoint (switch port 0, HCA port 1).
 
-        status = SmpStatus.DELIVERED
-        fault = "delivered"
-        data: Optional[Dict[str, object]] = None
+        Management traffic terminates at the endpoint — port 0 is the
+        switch management port, not a transit port — so MAD accounting
+        never perturbs the transit-port xmit==rcv conservation invariant.
+        """
+        return node.port_counters(0 if isinstance(node, Switch) else 1)
+
+    def _deliver(self, run: "_Run", smp: Smp, fault: str):
+        """Apply one SMP that survived the wire, enforcing the fence.
+
+        A fenced write (SET LFT/PortInfo carrying a generation) older
+        than the fabric's generation is rejected without effect — the
+        switch answers with a bad status instead of applying it, which is
+        exactly how a stale master re-emerging after a partition heal is
+        stopped from corrupting routing state.
+        """
+        rx = run.rx
+        if rx is None:
+            rx = run.rx = self._endpoint_counters(run.target)
+        rx.rcv_packets += 1
+        rx.rcv_data += MAD_BYTES
+        if smp.generation is not None and smp.is_fenced_write:
+            if smp.generation < self._fabric_generation:
+                self.stats.stale_rejected += 1
+                run.hub.metrics.counter(
+                    "repro_sm_stale_writes_rejected_total",
+                    kind=smp.kind.name.lower(),
+                ).add(1)
+                return None, SmpStatus.STALE_GENERATION, "stale-rejected"
+            self._fabric_generation = smp.generation
+        return self._apply(smp, run.target), SmpStatus.DELIVERED, fault
+
+    def _deliver_lossy(self, run: "_Run", smp: Smp):
+        """One SMP's fate where it may be lost: an SMInfo whose far-end SM
+        agent may be dead, or a wire with a fault injector on it (drop,
+        silent corruption, delay). Returns
+        ``(data, status, fault, latency)``."""
         st = self.stats
         if (
             smp.kind is SmpKind.SM_INFO
-            and smp.target in self._dead_sm_nodes
+            and run.target.name in self._dead_sm_nodes
         ):
             # The node's port is up but its SM agent is dead: the MAD
             # arrives and nothing answers. No injector RNG is consumed,
             # so SM death events never shift the SMP fault sequence.
-            status = SmpStatus.TIMEOUT
             st.timeouts += 1
-            fault = "no-response"
-            decision = None
-        else:
-            decision = (
-                self._injector.decide(smp, now=get_hub().now())
-                if self._injector is not None
-                else None
+            return None, SmpStatus.TIMEOUT, "no-response", run.latency
+        if self._injector is None:
+            return *self._deliver(run, smp, "delivered"), run.latency
+        decision = self._injector.decide(smp, now=run.hub.now())
+        action = decision.action.value
+        if action == "deliver":
+            return *self._deliver(run, smp, "delivered"), run.latency
+        if action == "delay":
+            return (
+                *self._deliver(run, smp, "delayed"),
+                run.latency + decision.delay_seconds,
             )
-        if fault == "no-response":
-            pass
-        elif decision is None or decision.action.value == "deliver":
-            data, status, fault = self._deliver(smp, target, status, fault)
-        elif decision.action.value == "delay":
-            latency += decision.delay_seconds
-            fault = "delayed"
-            data, status, fault = self._deliver(smp, target, status, fault)
-        elif decision.action.value == "corrupt":
+        if action == "corrupt":
             # The damaged payload is applied — a *silent* failure only a
             # read-back (transactional distribution) can catch.
             damaged = Smp(
@@ -410,78 +605,18 @@ class SmpTransport:
                 directed=smp.directed,
                 generation=smp.generation,
             )
-            data, status, fault = self._deliver(
-                damaged, target, status, fault
-            )
+            data, status, fault = self._deliver(run, damaged, "delivered")
             if status is SmpStatus.DELIVERED:
                 st.corrupted += 1
                 fault = "corrupt"
                 # The receiving port accepted damaged symbols.
-                self._endpoint_counters(target).symbol_errors += 1
-        else:  # drop: the packet dies on the wire, the sender times out
-            status = SmpStatus.TIMEOUT
-            st.timeouts += 1
-            fault = "dropped"
+                run.rx.symbol_errors += 1
+            return data, status, fault, run.latency
+        # drop: the packet dies on the wire, the sender times out
+        st.timeouts += 1
+        return None, SmpStatus.TIMEOUT, "dropped", run.latency
 
-        st.total_smps += 1
-        st.total_hops += hops
-        st.serial_time += latency
-        if latency > st.max_latency:
-            st.max_latency = latency
-        if st.record_samples:
-            st.latencies.append(latency)
-            st.hops.append(hops)
-            st.directed_flags.append(smp.directed)
-        st.by_kind[smp.kind] += 1
-        st.by_target[smp.target] += 1
-        if smp.directed:
-            st.directed_smps += 1
-        else:
-            st.destination_routed_smps += 1
-        if smp.is_lft_update:
-            st.lft_update_smps += 1
-
-        self._observe(smp, hops, latency, fault=fault)
-        return SmpResult(
-            smp=smp, hops=hops, latency=latency, data=data, status=status
-        )
-
-    @staticmethod
-    def _endpoint_counters(node: Node):
-        """PMA counters of a node's MAD endpoint (switch port 0, HCA port 1).
-
-        Management traffic terminates at the endpoint — port 0 is the
-        switch management port, not a transit port — so MAD accounting
-        never perturbs the transit-port xmit==rcv conservation invariant.
-        """
-        return node.port_counters(0 if isinstance(node, Switch) else 1)
-
-    def _deliver(
-        self, smp: Smp, target: Node, status: SmpStatus, fault: str
-    ):
-        """Apply one SMP that survived the wire, enforcing the fence.
-
-        A fenced write (SET LFT/PortInfo carrying a generation) older
-        than the fabric's generation is rejected without effect — the
-        switch answers with a bad status instead of applying it, which is
-        exactly how a stale master re-emerging after a partition heal is
-        stopped from corrupting routing state.
-        """
-        rx = self._endpoint_counters(target)
-        rx.rcv_packets += 1
-        rx.rcv_data += MAD_BYTES
-        if smp.generation is not None and smp.is_fenced_write:
-            if smp.generation < self._fabric_generation:
-                self.stats.stale_rejected += 1
-                get_hub().metrics.counter(
-                    "repro_sm_stale_writes_rejected_total",
-                    kind=smp.kind.name.lower(),
-                ).add(1)
-                return None, SmpStatus.STALE_GENERATION, "stale-rejected"
-            self._fabric_generation = smp.generation
-        return self._apply(smp, target), status, fault
-
-    def _resolve_target(self, smp: Smp) -> Node:
+    def _resolve_target(self, name: str, directed: bool) -> Node:
         """Look the target up and validate its liveness.
 
         Destination-routed SMPs additionally need the target to hold a
@@ -492,16 +627,16 @@ class SmpTransport:
         modeling convenience (and directed routing is what discovery
         actually uses there, as on real fabrics).
         """
-        if smp.target not in self.topology:
+        if name not in self.topology:
             raise UnreachableTargetError(
-                f"SMP target {smp.target!r} does not exist in the subnet"
+                f"SMP target {name!r} does not exist in the subnet"
             )
-        target = self.topology.node(smp.target)
-        if not smp.directed and self.topology.num_lids:
+        target = self.topology.node(name)
+        if not directed and self.topology.num_lids:
             lid = target.lid
             if lid is None or self.topology.port_of_lid(lid) is None:
                 raise UnreachableTargetError(
-                    f"SMP target {smp.target!r} has no live LID for"
+                    f"SMP target {name!r} has no live LID for"
                     " destination routing"
                 )
         return target
@@ -520,48 +655,93 @@ class SmpTransport:
         self.stats.retry_wait_seconds += seconds
         get_hub().advance(seconds)
 
-    def _observe(
-        self, smp: Smp, hops: int, latency: float, *, fault: str = "delivered"
+    def _account(
+        self,
+        run: "_Run",
+        kind: SmpKind,
+        method: SmpMethod,
+        latency: float,
+        fault: str,
+        n: int = 1,
     ) -> None:
-        """Feed the observability layer (flight recorder, span, metrics)."""
-        hub = get_hub()
-        now = hub.advance(latency)
-        kind = smp.kind.name.lower()
-        hub.flight.record(
-            SmpFlightEvent(
-                time=now,
-                kind=kind,
-                method=smp.method.name.lower(),
-                target=smp.target,
-                hops=hops,
-                directed=smp.directed,
-                latency=latency,
-                lft_update=smp.is_lft_update,
-                status=fault,
+        """Book *n* packets of *run* that are alike but for their place in
+        time: the transport's counters, then the observability layer
+        (sim clock, flight recorder, span, metrics)."""
+        st = self.stats
+        name = run.target.name
+        lft_update = kind is SmpKind.LFT_BLOCK and method is SmpMethod.SET
+        st.total_smps += n
+        st.total_hops += n * run.hops
+        if latency > st.max_latency:
+            st.max_latency = latency
+        if st.record_samples:
+            st.latencies.extend([latency] * n)
+            st.hops.extend([run.hops] * n)
+            st.directed_flags.extend([run.directed] * n)
+        st.by_kind[kind] += n
+        st.by_target[name] += n
+        if run.directed:
+            st.directed_smps += n
+        else:
+            st.destination_routed_smps += n
+        if lft_update:
+            st.lft_update_smps += n
+
+        # One float add per packet and per clock, in packet order:
+        # ``n * latency`` rounds differently from n single sends, and the
+        # pinned sim-second figures are compared bit for bit.
+        hub = run.hub
+        serial = st.serial_time
+        times = []
+        for _ in range(n):
+            serial += latency
+            times.append(hub.advance(latency))
+        st.serial_time = serial
+
+        if kind is not run.kind:
+            run.kind = kind
+            run.kind_label = kind.name.lower()
+            run.series = hub.metrics.counter(
+                "repro_smp_total",
+                kind=run.kind_label,
+                routed="directed" if run.directed else "destination",
             )
+        kind_label = run.kind_label
+        hub.flight.record_run(
+            times,
+            (
+                kind_label,
+                method.name.lower(),
+                name,
+                run.hops,
+                run.directed,
+                latency,
+                lft_update,
+                fault,
+            ),
         )
         sp = current_span()
         if sp is not None:
-            sp.record_smp(
-                now,
-                kind=kind,
-                target=smp.target,
-                hops=hops,
-                directed=smp.directed,
-                latency=latency,
-                lft_update=smp.is_lft_update,
+            sp.record_smps(
+                times,
+                {
+                    "kind": kind_label,
+                    "target": name,
+                    "hops": run.hops,
+                    "directed": run.directed,
+                    "latency": latency,
+                    "lft_update": lft_update,
+                },
             )
-        hub.metrics.counter(
-            "repro_smp_total",
-            kind=kind,
-            routed="directed" if smp.directed else "destination",
-        ).add(1)
+        run.series.add(n)
         if fault in ("dropped", "corrupt", "delayed"):
             hub.metrics.counter(
                 "repro_faults_injected_total", action=fault
-            ).add(1)
+            ).add(n)
         if fault in ("dropped", "no-response"):
-            hub.metrics.counter("repro_smp_timeouts_total", kind=kind).add(1)
+            hub.metrics.counter(
+                "repro_smp_timeouts_total", kind=kind_label
+            ).add(n)
 
     def _apply(self, smp: Smp, target: Node) -> Optional[Dict[str, object]]:
         """Execute the management operation on the target node."""

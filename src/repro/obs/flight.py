@@ -13,7 +13,9 @@ import json
 from collections import Counter, deque
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Deque, Iterator, List, Optional, Union
+from typing import Deque, Iterator, List, Optional, Sequence, Union
+
+from repro.errors import ReproError
 
 __all__ = ["SmpFlightEvent", "FlightRecorder", "DEFAULT_FLIGHT_CAPACITY"]
 
@@ -49,7 +51,7 @@ class FlightRecorder:
 
     def __init__(self, capacity: int = DEFAULT_FLIGHT_CAPACITY) -> None:
         if capacity < 0:
-            raise ValueError(f"capacity must be >= 0, got {capacity}")
+            raise ReproError(f"capacity must be >= 0, got {capacity}")
         self.capacity = capacity
         self._ring: Optional[Deque[SmpFlightEvent]] = (
             deque(maxlen=capacity) if capacity else None
@@ -74,6 +76,23 @@ class FlightRecorder:
             return
         self.seen += 1
         self._ring.append(event)
+
+    def record_run(self, times: Sequence[float], fields: tuple) -> None:
+        """Append one event per entry of *times*, oldest first.
+
+        The events of a run of like SMPs differ only in their time;
+        *fields* holds the rest, in :class:`SmpFlightEvent` order
+        (``kind`` … ``status``). A run longer than the ring would evict
+        its own head, so only the tail that survives is built — ``seen``
+        and ``dropped`` count every packet regardless.
+        """
+        if self._ring is None:
+            return
+        n = len(times)
+        self.seen += n
+        if n > self.capacity:
+            times = times[n - self.capacity :]
+        self._ring.extend([SmpFlightEvent(time, *fields) for time in times])
 
     def clear(self) -> None:
         """Forget everything recorded so far."""

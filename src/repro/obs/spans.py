@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 __all__ = ["SpanEvent", "Span", "current_span", "MAX_EVENTS_PER_SPAN"]
 
@@ -73,15 +73,26 @@ class Span:
         self.events.append(SpanEvent(time=time, name=name, attributes=attrs))
 
     def record_smp(self, time: float, **attrs: Any) -> None:
-        """Record one SMP delivery under this span.
+        """Record one SMP delivery under this span."""
+        self.record_smps((time,), attrs)
 
-        The exact counters are bumped unconditionally; the discrete event
-        obeys the per-span cap.
+    def record_smps(self, times: Sequence[float], attrs: Dict[str, Any]) -> None:
+        """Record one SMP delivery per entry of *times*, all with *attrs*.
+
+        The exact counters are bumped unconditionally; the discrete
+        events obey the per-span cap, and past the cap nothing is built.
         """
-        self.smp_count += 1
+        n = len(times)
+        self.smp_count += n
         if attrs.get("lft_update"):
-            self.lft_smp_count += 1
-        self.add_event("smp", time, **attrs)
+            self.lft_smp_count += n
+        room = MAX_EVENTS_PER_SPAN - len(self.events)
+        if room < n:
+            room = max(room, 0)
+            self.events_dropped += n - room
+            times = times[:room]
+        for time in times:
+            self.events.append(SpanEvent(time, "smp", dict(attrs)))
 
     def end(self, time: float) -> None:
         """Close the span at *time*."""

@@ -232,12 +232,18 @@ class MetricRegistry:
     def counter(self, name: str, **labels: Any) -> Counter:
         """Get or create a counter (one series per label set)."""
         key = (name, _labels_key(labels))
-        return self._counters.setdefault(key, Counter(name))
+        counter = self._counters.get(key)
+        if counter is None:
+            counter = self._counters[key] = Counter(name)
+        return counter
 
     def gauge(self, name: str, **labels: Any) -> Gauge:
         """Get or create a gauge (one series per label set)."""
         key = (name, _labels_key(labels))
-        return self._gauges.setdefault(key, Gauge(name))
+        gauge = self._gauges.get(key)
+        if gauge is None:
+            gauge = self._gauges[key] = Gauge(name)
+        return gauge
 
     def timer(self, name: str) -> Timer:
         """Get or create a timer."""

@@ -12,6 +12,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import List, Set
 
+from repro.errors import TopologyError
 from repro.fabric.node import Node, Switch
 from repro.fabric.topology import Topology
 from repro.mad.smp import Smp, SmpKind, SmpMethod
@@ -47,15 +48,15 @@ def discover_subnet(
     queue: deque = deque([start])
     while queue:
         node = queue.popleft()
-        transport.send(
-            Smp(SmpMethod.GET, SmpKind.NODE_INFO, node.name, directed=True)
-        )
         if isinstance(node, Switch):
             report.switches.append(node.name)
         else:
             report.hcas.append(node.name)
+        # One run per node: its NodeInfo, then the PortInfo of each
+        # connected port.
+        gets = [Smp(SmpMethod.GET, SmpKind.NODE_INFO, node.name, directed=True)]
         for port in node.connected_ports():
-            transport.send(
+            gets.append(
                 Smp(
                     SmpMethod.GET,
                     SmpKind.PORT_INFO,
@@ -65,10 +66,15 @@ def discover_subnet(
                 )
             )
             peer = port.remote
-            assert peer is not None
+            if peer is None:
+                raise TopologyError(
+                    f"port {port.num} of {node.name!r} reports a link"
+                    " with no far end"
+                )
             if peer.node.name not in seen:
                 seen.add(peer.node.name)
                 queue.append(peer.node)
+        transport.send_run(gets)
 
     delta = transport.stats.delta_since(before)
     report.smps_sent = delta.total_smps

@@ -190,21 +190,16 @@ class LftDistributor:
             for sw, blocks, row in plan:
                 report.switches_updated += 1
                 report.blocks_per_switch[sw.name] = len(blocks)
-                drow = desired[row]
-                for block in blocks.tolist():
-                    entries = drow[
-                        block * LFT_BLOCK_SIZE : (block + 1) * LFT_BLOCK_SIZE
-                    ]
-                    if self.transactional:
+                rows = desired[row].reshape(-1, LFT_BLOCK_SIZE)
+                if self.transactional:
+                    for block in blocks.tolist():
                         self._write_block_verified(
-                            sw, block, entries, report, undo
+                            sw, block, rows[block], report, undo
                         )
-                    else:
-                        self.sender.send(
-                            make_set_lft_block(
-                                sw.name, block, entries, directed=self.directed
-                            )
-                        )
+                else:
+                    self.sender.send_lft_run(
+                        sw.name, blocks, rows[blocks], directed=self.directed
+                    )
         except (TransportError, DistributionError) as exc:
             self._rollback(undo)
             report.rolled_back = True
@@ -270,20 +265,14 @@ class LftDistributor:
     ) -> None:
         """Restore the pre-image of every applied write, newest first.
 
-        In transactional mode the restores themselves are read-back
+        Only verified writes are logged, so *undo* is empty outside
+        transactional mode; the restores themselves are read-back
         verified — a rollback write silently corrupted in flight would
         otherwise leave a third state neither old nor new.
         """
         for sw, block, pre in reversed(undo):
             try:
-                if self.transactional:
-                    self._restore_block_verified(sw, block, pre)
-                else:
-                    self.sender.send(
-                        make_set_lft_block(
-                            sw.name, block, pre, directed=self.directed
-                        )
-                    )
+                self._restore_block_verified(sw, block, pre)
             except TransportError as exc:
                 raise DistributionError(
                     f"rollback of switch {sw.name!r} block {block} failed;"

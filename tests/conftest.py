@@ -6,7 +6,7 @@ import pytest
 
 from repro.fabric.builders.generic import build_ring, build_single_switch
 from repro.fabric.presets import scaled_fattree
-from repro.obs import reset_hub
+from repro.obs import DEFAULT_FLIGHT_CAPACITY, reset_hub
 from repro.sm.routing.base import RoutingRequest
 from repro.sm.subnet_manager import SubnetManager
 from repro.virt.cloud import CloudManager
@@ -14,10 +14,11 @@ from repro.virt.cloud import CloudManager
 
 @pytest.fixture(autouse=True)
 def fresh_obs_hub():
-    """Every test starts with an empty observability hub."""
-    reset_hub()
+    """Every test starts with an empty observability hub (and the default
+    flight ring, whatever size the previous test left behind)."""
+    reset_hub(flight_capacity=DEFAULT_FLIGHT_CAPACITY)
     yield
-    reset_hub()
+    reset_hub(flight_capacity=DEFAULT_FLIGHT_CAPACITY)
 
 
 @pytest.fixture

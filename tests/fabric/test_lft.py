@@ -185,6 +185,26 @@ class TestBlocksAndDiff:
         with pytest.raises(TopologyError):
             lft.load_block(0, np.zeros(10, dtype=np.int16))
 
+    def test_load_blocks_is_load_block_per_row_in_order(self):
+        rows = np.arange(4 * LFT_BLOCK_SIZE, dtype=np.int16).reshape(4, -1) % 7
+        blocks = [5, 0, 2, 5]  # grows the table; block 5 keeps its last row
+        one_by_one = LinearForwardingTable(top_lid=100)
+        for block, row in zip(blocks, rows):
+            one_by_one.load_block(block, row)
+        at_once = LinearForwardingTable(top_lid=100)
+        at_once.load_blocks(blocks, rows)
+        assert at_once == one_by_one
+        assert at_once.top_lid == one_by_one.top_lid
+        assert np.array_equal(at_once.get_block(5), rows[3])
+        at_once.load_blocks([], np.empty((0, LFT_BLOCK_SIZE), dtype=np.int16))
+        assert at_once == one_by_one
+
+    def test_load_blocks_wrong_shape_rejected(self):
+        lft = LinearForwardingTable()
+        for bad in (np.zeros((2, 10)), np.zeros((1, LFT_BLOCK_SIZE)), np.zeros(LFT_BLOCK_SIZE)):
+            with pytest.raises(TopologyError):
+                lft.load_blocks([0, 1], bad.astype(np.int16))
+
     def test_diff_blocks_counts_changed_blocks_only(self):
         a = LinearForwardingTable(top_lid=300)
         b = a.clone()

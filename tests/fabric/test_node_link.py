@@ -28,6 +28,15 @@ class TestSwitch:
         assert sw.port(1).num == 1
         assert sw.port(4).num == 4
 
+    def test_port_counters_created_once_and_validated(self):
+        sw, hca = Switch("sw", 4), HCA("h")
+        assert sw.port_counters(0) is sw.port_counters(0)
+        assert sorted(sw.counters) == [0]
+        for node, port in ((sw, 5), (sw, -1), (hca, 0), (hca, 2)):
+            with pytest.raises(TopologyError):
+                node.port_counters(port)
+            assert port not in node.counters
+
     def test_bad_port_raises(self):
         sw = Switch("sw", 4)
         with pytest.raises(TopologyError):

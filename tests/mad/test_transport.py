@@ -1,13 +1,32 @@
 """Tests for SMP transport: hop counting, latency, accounting, application."""
 
+import dataclasses
+import random
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.constants import LFT_BLOCK_SIZE
-from repro.errors import TopologyError
+from repro.errors import (
+    ReproError,
+    SmpTimeoutError,
+    StaleGenerationError,
+    TopologyError,
+    TransportError,
+    UnreachableTargetError,
+)
+from repro.fabric.builders import build_ring, build_two_level_fattree
+from repro.fabric.node import Node, NodeType
 from repro.fabric.topology import Topology
-from repro.mad.smp import Smp, SmpKind, SmpMethod, make_set_lft_block
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan, ScriptedFault
+from repro.mad.reliable import ReliableSmpSender, RetryPolicy
+from repro.mad.smp import Smp, SmpKind, SmpMethod, SmpStatus, make_set_lft_block
 from repro.mad.transport import SmpTransport
+from repro.obs import get_hub, reset_hub, span
+from repro.sm.subnet_manager import SubnetManager
 
 
 def line_topology():
@@ -215,3 +234,456 @@ class TestApplication:
             )
         )
         assert res.data == {"vf": 1, "vguid": 0xBEEF}
+
+
+# -- runs: one delivery path, bit-identical to packet-by-packet -------------
+
+FLIGHT_CAPACITY = 8
+SPAN_CAP = 5
+FENCE = 2
+
+
+def build_world(fabric, size, *, lids):
+    """A fresh fabric + transport (+ LIDs so destination routing is checked)."""
+    if fabric == "ring":
+        built = build_ring(size, 1)
+    else:
+        built = build_two_level_fattree(
+            size, 2, 2, switch_radix=size + 4
+        )
+    sm = SubnetManager(built.topology, engine="minhop", built=built)
+    if lids:
+        sm.assign_lids()
+    # Raise the fence to FENCE on every switch's behalf, so generation-0
+    # runs are stale and generation-4 runs are current.
+    fence = make_set_lft_block(
+        built.topology.switches[0].name, 0, np.ones(LFT_BLOCK_SIZE)
+    )
+    fence.generation = FENCE
+    sm.transport.send(fence)
+    return built.topology, sm.transport
+
+
+def snapshot(topo, tr, sp):
+    """Everything a delivery may touch, in comparable (==) form."""
+    hub = get_hub()
+    stats = dataclasses.asdict(tr.stats)
+    stats["by_kind"] = dict(tr.stats.by_kind)
+    stats["by_target"] = dict(tr.stats.by_target)
+    return {
+        "stats": stats,
+        "clock": hub.now(),
+        "flight": (hub.flight.events(), hub.flight.seen, hub.flight.dropped),
+        "span": (
+            sp.smp_count, sp.lft_smp_count, sp.events, sp.events_dropped,
+            [(c.name, c.attributes, c.events) for c in sp.children],
+        ),
+        "metrics": hub.metrics.render_prometheus(),
+        "pma": {
+            node.name: {n: c.as_dict() for n, c in sorted(node.counters.items())}
+            for node in list(topo.switches) + list(topo.hcas)
+        },
+        "lfts": {sw.name: sw.lft.as_array().tobytes() for sw in topo.switches},
+        "generation": tr.fabric_generation,
+    }
+
+
+def outcome_of(results):
+    return [
+        (
+            r.hops, r.latency, r.status,
+            None if r.data is None else {
+                k: v.tolist() if isinstance(v, np.ndarray) else v
+                for k, v in r.data.items()
+            },
+        )
+        for r in results
+    ]
+
+
+def play(world, act, monkeypatch):
+    """Run *act(topo, tr)* in a fresh world under one span; return what it
+    left behind, what it returned, and what it raised."""
+    monkeypatch.setattr("repro.obs.spans.MAX_EVENTS_PER_SPAN", SPAN_CAP)
+    reset_hub(flight_capacity=FLIGHT_CAPACITY)
+    topo, tr = world()
+    raised = None
+    out = None
+    with span("op") as sp:
+        try:
+            out = act(topo, tr)
+        except ReproError as exc:
+            raised = (type(exc), str(exc))
+    return snapshot(topo, tr, sp), out, raised
+
+
+def mixed_packets(rng, target, n, *, directed, generation, lft_ok):
+    """n packets of assorted kinds for one target."""
+    packets = []
+    for _ in range(n):
+        pick = rng.randrange(4 if lft_ok else 2)
+        if pick == 0:
+            packets.append(Smp(SmpMethod.GET, SmpKind.NODE_INFO, target, directed=directed))
+        elif pick == 1:
+            packets.append(
+                Smp(SmpMethod.GET, SmpKind.PORT_INFO, target,
+                    payload={"port": 1}, directed=directed)
+            )
+        elif pick == 2:
+            smp = make_set_lft_block(
+                target, rng.randrange(3),
+                np.array([rng.randrange(1, 4) for _ in range(LFT_BLOCK_SIZE)]),
+                directed=directed,
+            )
+            smp.generation = generation
+            packets.append(smp)
+        else:
+            packets.append(
+                Smp(SmpMethod.GET, SmpKind.LFT_BLOCK, target,
+                    payload={"block": rng.randrange(3)}, directed=directed)
+            )
+    return packets
+
+
+RUN_LENGTHS = st.sampled_from([0, 1, 2, 5, FLIGHT_CAPACITY + 3, 2 * FLIGHT_CAPACITY + 1])
+
+run_case = dict(
+    fabric=st.sampled_from(["ring", "fattree"]),
+    size=st.integers(min_value=3, max_value=5),
+    lids=st.booleans(),
+    pick=st.integers(min_value=0, max_value=10**6),
+    n=RUN_LENGTHS,
+    directed=st.booleans(),
+    generation=st.sampled_from([None, 0, 4]),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+run_settings = settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+
+
+class TestRunEquivalence:
+    """A run leaves exactly what its packets, sent one by one, leave."""
+
+    @run_settings
+    @given(**run_case)
+    def test_mixed_run_matches_single_sends(
+        self, monkeypatch, fabric, size, lids, pick, n, directed, generation, seed
+    ):
+        def world():
+            return build_world(fabric, size, lids=lids)
+
+        def packets(topo):
+            nodes = list(topo.switches) + list(topo.hcas)
+            node = nodes[pick % len(nodes)]
+            return mixed_packets(
+                random.Random(seed), node.name, n, directed=directed,
+                generation=generation, lft_ok=node.is_switch,
+            )
+
+        as_run = play(
+            world, lambda topo, tr: outcome_of(tr.send_run(packets(topo))),
+            monkeypatch,
+        )
+        one_by_one = play(
+            world,
+            lambda topo, tr: outcome_of([tr.send(s) for s in packets(topo)]),
+            monkeypatch,
+        )
+        assert as_run == one_by_one
+        assert as_run[0]["stats"]["total_smps"] == n + 1
+        assert as_run[0]["flight"][1] == n + 1
+
+    @run_settings
+    @given(**run_case)
+    def test_lft_run_matches_single_sends(
+        self, monkeypatch, fabric, size, lids, pick, n, directed, generation, seed
+    ):
+        rng = random.Random(seed)
+        blocks = [rng.randrange(4) for _ in range(n)]
+        entries = np.array(
+            [[rng.randrange(1, 4) for _ in range(LFT_BLOCK_SIZE)] for _ in blocks],
+            dtype=np.int16,
+        ).reshape(n, LFT_BLOCK_SIZE)
+
+        def world():
+            return build_world(fabric, size, lids=lids)
+
+        def as_run(topo, tr):
+            sw = topo.switches[pick % len(topo.switches)]
+            tr.send_lft_run(
+                sw.name, blocks, entries, directed=directed, generation=generation
+            )
+
+        def one_by_one(topo, tr):
+            sw = topo.switches[pick % len(topo.switches)]
+            for block, row in zip(blocks, entries):
+                smp = make_set_lft_block(sw.name, block, row, directed=directed)
+                smp.generation = generation
+                tr.send(smp)
+
+        ran = play(world, as_run, monkeypatch)
+        assert ran == play(world, one_by_one, monkeypatch)
+        assert ran[0]["stats"]["lft_update_smps"] == n + 1
+        assert ran[0]["span"][0] == n
+        assert ran[0]["stats"]["stale_rejected"] == (n if generation == 0 else 0)
+
+    @run_settings
+    @given(
+        **run_case,
+        drop=st.sampled_from([0.0, 0.3]),
+        corrupt=st.sampled_from([0.0, 0.3]),
+        delay=st.sampled_from([0.0, 0.3]),
+        reliable=st.booleans(),
+    )
+    def test_faulty_lft_run_matches_single_sends(
+        self, monkeypatch, fabric, size, lids, pick, n, directed, generation,
+        seed, drop, corrupt, delay, reliable,
+    ):
+        rng = random.Random(seed)
+        blocks = [rng.randrange(4) for _ in range(n)]
+        entries = np.array(
+            [[rng.randrange(1, 4) for _ in range(LFT_BLOCK_SIZE)] for _ in blocks],
+            dtype=np.int16,
+        ).reshape(n, LFT_BLOCK_SIZE)
+        injectors = []
+
+        def world():
+            topo, tr = build_world(fabric, size, lids=lids)
+            injectors.append(
+                FaultInjector(
+                    FaultPlan(
+                        seed=seed,
+                        smp_drop_rate=drop,
+                        smp_corrupt_rate=corrupt,
+                        smp_delay_rate=delay,
+                        smp_delay_seconds=2e-6,
+                        scripted=(
+                            ScriptedFault(action="drop", kind="lft_block", nth=2),
+                        ),
+                    )
+                )
+            )
+            tr.set_fault_injector(injectors[-1])
+            return topo, tr
+
+        def sender_of(tr):
+            if not reliable:
+                return tr
+            return ReliableSmpSender(
+                tr, RetryPolicy(retries=2), generation=generation
+            )
+
+        def as_run(topo, tr):
+            sw = topo.switches[pick % len(topo.switches)]
+            if reliable:
+                sender_of(tr).send_lft_run(sw.name, blocks, entries, directed=directed)
+            else:
+                tr.send_lft_run(
+                    sw.name, blocks, entries, directed=directed, generation=generation
+                )
+
+        def one_by_one(topo, tr):
+            sw = topo.switches[pick % len(topo.switches)]
+            sender = sender_of(tr)
+            for block, row in zip(blocks, entries):
+                smp = make_set_lft_block(sw.name, block, row, directed=directed)
+                if not reliable:
+                    smp.generation = generation
+                sender.send(smp)
+
+        ran = play(world, as_run, monkeypatch)
+        assert ran == play(world, one_by_one, monkeypatch)
+        assert injectors[0].counts == injectors[1].counts
+        assert sum(injectors[0].counts.values()) == ran[0]["stats"]["total_smps"] - 1
+
+    @run_settings
+    @given(**run_case, reliable=st.booleans())
+    def test_faulty_mixed_run_matches_single_sends(
+        self, monkeypatch, fabric, size, lids, pick, n, directed, generation,
+        seed, reliable,
+    ):
+        def world():
+            topo, tr = build_world(fabric, size, lids=lids)
+            tr.set_fault_injector(
+                FaultInjector(
+                    FaultPlan(
+                        seed=seed, smp_drop_rate=0.25, smp_corrupt_rate=0.2,
+                        smp_delay_rate=0.2, smp_delay_seconds=1e-6,
+                    )
+                )
+            )
+            return topo, tr
+
+        def packets(topo):
+            nodes = list(topo.switches) + list(topo.hcas)
+            node = nodes[pick % len(nodes)]
+            return mixed_packets(
+                random.Random(seed), node.name, n, directed=directed,
+                generation=generation, lft_ok=node.is_switch,
+            )
+
+        def sender_of(tr):
+            return ReliableSmpSender(tr, RetryPolicy(retries=1)) if reliable else tr
+
+        as_run = play(
+            world,
+            lambda topo, tr: outcome_of(sender_of(tr).send_run(packets(topo))),
+            monkeypatch,
+        )
+        one_by_one = play(
+            world,
+            lambda topo, tr: outcome_of(
+                [sender_of(tr).send(s) for s in [*packets(topo)]]
+            ),
+            monkeypatch,
+        )
+        assert as_run == one_by_one
+
+
+class TestRunContract:
+    def test_span_cap_and_ring_are_respected_by_a_long_run(self, monkeypatch):
+        n = 3 * FLIGHT_CAPACITY
+
+        def act(topo, tr):
+            tr.send_lft_run(
+                "s1", list(range(n)), np.ones((n, LFT_BLOCK_SIZE), dtype=np.int16)
+            )
+
+        monkeypatch.setattr("repro.obs.spans.MAX_EVENTS_PER_SPAN", SPAN_CAP)
+        reset_hub(flight_capacity=FLIGHT_CAPACITY)
+        topo = line_topology()
+        tr = SmpTransport(topo)
+        with span("op") as sp:
+            act(topo, tr)
+        hub = get_hub()
+        assert (hub.flight.seen, hub.flight.dropped, len(hub.flight)) == (
+            n, n - FLIGHT_CAPACITY, FLIGHT_CAPACITY,
+        )
+        assert (sp.smp_count, sp.lft_smp_count) == (n, n)
+        assert (len(sp.events), sp.events_dropped) == (SPAN_CAP, n - SPAN_CAP)
+        # The ring holds the run's tail, the span its head.
+        assert hub.flight.events()[-1].time == hub.now()
+        assert sp.events[0].time == hub.flight.events()[0].latency
+
+    def test_empty_runs_touch_nothing(self):
+        topo = line_topology()
+        tr = SmpTransport(topo)
+        assert tr.send_run([]) == []
+        tr.send_lft_run("nowhere", [], np.empty((0, LFT_BLOCK_SIZE), dtype=np.int16))
+        assert tr.stats.total_smps == 0
+        assert all(not node.counters for node in topo.switches + topo.hcas)
+
+    def test_run_must_keep_one_target_and_mode(self):
+        topo = line_topology()
+        tr = SmpTransport(topo)
+        for other in (
+            Smp(SmpMethod.GET, SmpKind.NODE_INFO, "s2"),
+            Smp(SmpMethod.GET, SmpKind.NODE_INFO, "s1", directed=False),
+        ):
+            with pytest.raises(TransportError):
+                tr.send_run([Smp(SmpMethod.GET, SmpKind.NODE_INFO, "s1"), other])
+        assert tr.stats.total_smps == 0
+
+    @pytest.mark.parametrize("target", ["ghost", "h2"])
+    def test_bad_target_raises_what_a_single_send_raises_before_accounting(
+        self, target
+    ):
+        entries = np.ones((2, LFT_BLOCK_SIZE), dtype=np.int16)
+        errors = []
+        for bulk in (True, False):
+            topo = line_topology()
+            tr = SmpTransport(topo)
+            with pytest.raises(TopologyError) as info:
+                if bulk:
+                    tr.send_lft_run(target, [0, 1], entries)
+                else:
+                    tr.send(make_set_lft_block(target, 0, entries[0]))
+            errors.append((info.type, str(info.value)))
+            if bulk:
+                assert tr.stats.total_smps == 0
+                assert all(not n.counters for n in topo.switches + topo.hcas)
+        assert errors[0] == errors[1]
+
+    def test_unreachable_target_fails_the_run_before_any_packet(self):
+        topo = line_topology()
+        tr = SmpTransport(topo)
+        tr.hops_to(topo.node("s2"))  # warm the distance cache, then cut s2 off
+        topo.remove_link(topo.node("s1").port(2).link)
+        run = [Smp(SmpMethod.GET, SmpKind.NODE_INFO, "s2") for _ in range(3)]
+        with pytest.raises(UnreachableTargetError) as as_run:
+            tr.send_run(run)
+        with pytest.raises(UnreachableTargetError) as single:
+            tr.send(run[0])
+        assert str(as_run.value) == str(single.value)
+        assert tr.stats.total_smps == 0
+
+    @pytest.mark.parametrize("shape", [(2, 63), (1, LFT_BLOCK_SIZE), (3, LFT_BLOCK_SIZE)])
+    @pytest.mark.parametrize("lossy", [False, True])
+    def test_malformed_lft_payload_is_rejected_before_accounting(self, shape, lossy):
+        topo = line_topology()
+        tr = SmpTransport(topo)
+        if lossy:
+            tr.set_fault_injector(FaultInjector(FaultPlan(seed=1, smp_drop_rate=0.5)))
+        with pytest.raises(TopologyError):
+            tr.send_lft_run("s1", [0, 1], np.ones(shape, dtype=np.int16))
+        assert tr.stats.total_smps == 0
+        assert not topo.node("s1").counters
+
+    def test_stale_run_is_rejected_whole_and_counted_per_packet(self):
+        topo = line_topology()
+        tr = SmpTransport(topo)
+        old = np.full((3, LFT_BLOCK_SIZE), 2, dtype=np.int16)
+        tr.send_lft_run("s1", [0, 1, 2], old, generation=5)
+        assert tr.fabric_generation == 5
+        new = np.full((3, LFT_BLOCK_SIZE), 3, dtype=np.int16)
+        tr.send_lft_run("s1", [0, 1, 2], new, generation=4)
+        assert tr.stats.stale_rejected == 3
+        assert tr.stats.lft_update_smps == 6  # sent and accounted, not applied
+        assert topo.node("s1").lft.get(10) == 2
+        assert tr.fabric_generation == 5
+
+    def test_reliable_sender_aborts_a_stale_run_at_its_first_packet(self):
+        topo = line_topology()
+        tr = SmpTransport(topo)
+        entries = np.full((3, LFT_BLOCK_SIZE), 2, dtype=np.int16)
+        ReliableSmpSender(tr, generation=5).send_lft_run("s1", [0, 1, 2], entries)
+        stale = ReliableSmpSender(tr, generation=4)
+        with pytest.raises(StaleGenerationError):
+            stale.send_lft_run("s1", [0, 1, 2], entries + 1)
+        assert tr.stats.stale_rejected == 1
+        assert tr.stats.total_smps == 4
+
+    def test_dropped_run_never_touches_the_target_counters(self):
+        topo = line_topology()
+        tr = SmpTransport(topo)
+        tr.set_fault_injector(FaultInjector(FaultPlan(seed=1, smp_drop_rate=1.0)))
+        results = tr.send_run(
+            [Smp(SmpMethod.GET, SmpKind.NODE_INFO, "s1") for _ in range(4)]
+        )
+        assert [r.status for r in results] == [SmpStatus.TIMEOUT] * 4
+        assert not topo.node("s1").counters
+        assert topo.node("h0").port_counters(1).xmit_packets == 4
+
+    def test_dead_sm_agent_times_out_sminfo_runs_without_an_injector(self):
+        topo = line_topology()
+        tr = SmpTransport(topo)
+        tr.mark_sm_dead("h2")
+        run = [Smp(SmpMethod.GET, SmpKind.SM_INFO, "h2") for _ in range(2)]
+        assert [r.status for r in tr.send_run(run)] == [SmpStatus.TIMEOUT] * 2
+        assert tr.stats.timeouts == 2
+        with pytest.raises(SmpTimeoutError):
+            ReliableSmpSender(tr, RetryPolicy(retries=1)).send_run(run)
+        # first packet + one retransmission, then the run is abandoned
+        assert tr.stats.total_smps == 4
+        assert tr.stats.retransmissions == 1
+
+    def test_neither_switch_nor_hca_is_a_typed_error(self):
+        topo = line_topology()
+        stray = Node("stray", NodeType.CA, 1)
+        with pytest.raises(TopologyError, match="SM host 'stray'"):
+            SmpTransport(topo, sm_node=stray).hops_to(topo.node("s1"))
+        with pytest.raises(TopologyError, match="target 'stray'"):
+            SmpTransport(topo).hops_to(stray)

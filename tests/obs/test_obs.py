@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.errors import ReproError
 from repro.mad.smp import Smp, SmpKind, SmpMethod
 from repro.mad.transport import SmpTransport
 from repro.obs import (
     MAX_EVENTS_PER_SPAN,
     FlightRecorder,
     SmpFlightEvent,
+    SpanEvent,
     current_span,
     get_hub,
     reset_hub,
@@ -75,6 +77,23 @@ class TestSpans:
         assert sp.events_dropped == 5
         assert sp.lft_smp_count == (MAX_EVENTS_PER_SPAN + 5 + 1) // 2
 
+    def test_nothing_is_built_past_the_event_cap(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(
+            "repro.obs.spans.SpanEvent",
+            lambda *a: built.append(a) or SpanEvent(*a),
+        )
+        with span("big") as sp:
+            sp.record_smps([0.0] * (MAX_EVENTS_PER_SPAN - 1), {"lft_update": True})
+            sp.record_smps([1.0, 2.0, 3.0], {"lft_update": True})
+            sp.record_smp(4.0, lft_update=False)
+        assert len(built) == len(sp.events) == MAX_EVENTS_PER_SPAN
+        assert sp.events[-1].time == 1.0
+        assert sp.events_dropped == 3
+        assert (sp.smp_count, sp.lft_smp_count) == (
+            MAX_EVENTS_PER_SPAN + 3, MAX_EVENTS_PER_SPAN + 2,
+        )
+
     def test_subtree_totals(self):
         with span("root") as root:
             root.record_smp(0.0, lft_update=False)
@@ -115,6 +134,31 @@ class TestFlightRecorder:
         assert len(rec) == 0
         assert rec.seen == 0
         assert rec.dropped == 0
+
+    def test_negative_capacity_is_a_typed_error(self):
+        with pytest.raises(ReproError, match="capacity"):
+            FlightRecorder(capacity=-1)
+
+    def test_run_longer_than_the_ring_builds_only_its_tail(self, monkeypatch):
+        one_by_one = FlightRecorder(capacity=3)
+        for i in range(7):
+            one_by_one.record(_event(i, target="s"))
+        built = []
+        monkeypatch.setattr(
+            "repro.obs.flight.SmpFlightEvent",
+            lambda *a: built.append(a) or SmpFlightEvent(*a),
+        )
+        as_run = FlightRecorder(capacity=3)
+        as_run.record_run(
+            [float(i) for i in range(7)],
+            ("lft_block", "set", "s", 2, True, 1e-6, True, "delivered"),
+        )
+        assert list(as_run) == list(one_by_one)
+        assert (as_run.seen, as_run.dropped) == (one_by_one.seen, one_by_one.dropped)
+        assert len(built) == 3
+        off = FlightRecorder(capacity=0)
+        off.record_run([1.0], ("lft_block", "set", "s", 2, True, 1e-6, True, "delivered"))
+        assert (off.seen, len(off), len(built)) == (0, 0, 3)
 
     def test_filters(self):
         rec = FlightRecorder(capacity=16)

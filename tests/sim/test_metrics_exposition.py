@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.metrics import Gauge, Histogram, MetricRegistry, Timer
+from repro.sim.metrics import Counter, Gauge, Histogram, MetricRegistry, Timer
 
 
 class TestLabeledSeries:
@@ -23,6 +23,22 @@ class TestLabeledSeries:
         reg = MetricRegistry()
         reg.counter("x", a=1, b=2).add()
         assert reg.counter("x", b=2, a=1).value == 1
+
+    def test_lookups_build_a_series_only_once(self, monkeypatch):
+        built = []
+        for cls in (Counter, Gauge):
+            init = cls.__init__
+            monkeypatch.setattr(
+                cls, "__init__",
+                lambda self, name, init=init: built.append(name) or init(self, name),
+            )
+        reg = MetricRegistry()
+        first = reg.counter("c", kind="a")
+        level = reg.gauge("g")
+        for _ in range(3):
+            assert reg.counter("c", kind="a") is first
+            assert reg.gauge("g") is level
+        assert built == ["c", "g"]
 
     def test_gauge_set_add_and_nan(self):
         g = Gauge("g")

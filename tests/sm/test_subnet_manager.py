@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import AddressingError, RoutingError, TopologyError
 from repro.fabric.builders.generic import build_single_switch
-from repro.fabric.presets import scaled_fattree
+from repro.fabric.presets import paper_fattree, scaled_fattree
 from repro.fabric.lft import min_blocks_for_lid_count
 from repro.mad.transport import SmpTransport
 from repro.sm.discovery import discover_subnet
@@ -30,6 +30,35 @@ class TestDiscovery:
         assert report.smps_sent == nodes + ports
         assert tr.stats.total_smps == report.smps_sent
         assert report.serial_time > 0
+
+
+class TestPaper648Pins:
+    """SMP counts and sim seconds of the paper's 648-node bring-up, as the
+    packet-by-packet transport produced them — bit for bit, because runs
+    must accumulate their float sums in the same order."""
+
+    def test_discovery_and_full_distribution(self):
+        built = paper_fattree(648)
+        sm = SubnetManager(built.topology, engine="ftree", built=built)
+        discovery = sm.initial_configure(with_discovery=True).discovery
+        assert discovery.smps_sent == 3294
+        assert discovery.serial_time == 0.004662899999999945
+        assert discovery.switches == sorted(s.name for s in built.topology.switches)
+        assert discovery.hcas == sorted(h.name for h in built.topology.hcas)
+        assert (len(discovery.switches), len(discovery.hcas)) == (54, 648)
+
+        full = sm.distribute(force_full=True)
+        assert (full.smps_sent, full.switches_updated) == (594, 54)
+        assert full.blocks_per_switch == {
+            s.name: 11 for s in built.topology.switches
+        }
+        assert full.serial_time == 0.0007028999999998901
+        assert full.pipelined_time == 8.786249999998626e-05
+
+        stats = sm.transport.stats
+        assert (stats.total_smps, stats.total_hops) == (4482, 13486)
+        assert stats.serial_time == float.fromhex("0x1.8db7e4077be17p-8")
+        assert stats.max_latency == float.fromhex("0x1.e32f0ee144531p-20")
 
 
 class TestLidManager:

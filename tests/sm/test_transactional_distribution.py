@@ -1,5 +1,7 @@
 """Transactional LFT distribution: read-back verification and rollback."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.fabric.presets import scaled_fattree
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, ScriptedFault
 from repro.mad.reliable import ReliableSmpSender, RetryPolicy
+from repro.obs import get_hub
 from repro.sm.subnet_manager import SubnetManager
 
 
@@ -114,6 +117,25 @@ class TestRollback:
             sm.distribute()
         sm.transport.set_fault_injector(None)
         assert lfts_equal(before, lft_snapshot(sm))
+
+    def test_rollback_restores_through_verified_block_writes(self):
+        sm = fresh_sm(retries=1)
+        sm.assign_lids()
+        sm.compute_routing()
+        victim = sm.topology.switches[-1].name
+        sm.transport.set_fault_injector(
+            FaultInjector(FaultPlan(seed=3, per_target_drop={victim: 1.0}))
+        )
+        with pytest.raises(DistributionError) as failed:
+            sm.distribute()
+        applied = int(re.search(r"rolled back (\d+) applied", str(failed.value))[1])
+        events = get_hub().flight.of_kind("lft_block")
+        healthy = [e.method for e in events if e.target != victim]
+        # Forward writes and their restores alike go block by block: one
+        # SET, then its GET read-back.
+        assert applied > 0
+        assert healthy == ["set", "get"] * (2 * applied)
+        assert {e.status for e in events if e.target == victim} == {"dropped"}
 
     def test_rolled_back_flag_set(self):
         sm = fresh_sm(retries=1)
