@@ -72,7 +72,7 @@ def main() -> None:
     print(
         f"spine {spine.name} failed: removed, rerouted"
         f" ({reaction.lft_smps} SMPs); subnet audit:"
-        f" {'OK' if audit.ok else audit.failures[:2]}"
+        f" {'OK' if audit.ok else audit.problems()[:2]}"
     )
 
     # 4. Safe (partially-static) swap vs plain swap.

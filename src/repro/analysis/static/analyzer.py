@@ -21,6 +21,7 @@ CI run of ``repro check-fabric`` and an in-test
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -101,6 +102,7 @@ def analyze_fabric(
     topology: Topology,
     *,
     ports: Optional[np.ndarray] = None,
+    snapshot: Optional[FabricSnapshot] = None,
     engine: Optional[str] = None,
     metadata: Optional[dict] = None,
     hints: Optional[dict] = None,
@@ -116,7 +118,9 @@ def analyze_fabric(
     """Run every applicable static check over one fabric state.
 
     ``ports`` defaults to the switches' hardware LFTs; pass an engine's
-    ``RoutingTables.ports`` to analyse intent instead. ``engine`` selects
+    ``RoutingTables.ports`` to analyse intent instead. A caller that
+    already holds the :class:`FabricSnapshot` of that state passes it as
+    ``snapshot`` and nothing is re-read from the switches. ``engine`` selects
     the extra legality checks (``"updn"`` -> UPDN001, ``"dor"`` ->
     DOR001); ``metadata``/``hints`` supply their rank and grid inputs.
 
@@ -129,7 +133,10 @@ def analyze_fabric(
     metadata = metadata or {}
     hints = hints or {}
     vl = VlAssignment.from_metadata(metadata)
-    snap = FabricSnapshot.from_topology(topology, ports, vl=vl)
+    if snapshot is None:
+        snap = FabricSnapshot.from_topology(topology, ports, vl=vl)
+    else:
+        snap = replace(snapshot, vl=vl)
     report = StaticAnalysisReport(
         fabric=fabric or topology.name,
         lids_analyzed=int(snap.lids.size),
@@ -195,6 +202,7 @@ def analyze_subnet(
     sm: object,
     *,
     source: str = "hardware",
+    snapshot: Optional[FabricSnapshot] = None,
     vswitches: Sequence[object] = (),
     scheme: Optional[str] = None,
     skylines: Sequence[object] = (),
@@ -209,7 +217,8 @@ def analyze_subnet(
     ``"recorded"`` reads the SM's last computed
     :class:`~repro.sm.routing.base.RoutingTables`. Either way the SM's
     recorded metadata supplies the VL assignment, so VL-routed fabrics
-    get the per-VL deadlock rules.
+    get the per-VL deadlock rules. ``snapshot`` is an already-built
+    snapshot of the selected source (see :func:`analyze_fabric`).
     """
     from repro.errors import StaticAnalysisError
 
@@ -234,6 +243,7 @@ def analyze_subnet(
     return analyze_fabric(
         sm.topology,
         ports=ports,
+        snapshot=snapshot,
         engine=engine,
         metadata=metadata,
         hints=hints,

@@ -10,13 +10,15 @@ repeated composition (``succ = succ[succ]``), so after ``ceil(log2 n)``
 doublings every packet has either been absorbed (delivered, black-holed,
 misdelivered) or is provably on a forwarding loop. One pass classifies
 all ``n * |LIDs|`` (source, destination) pairs with NumPy gathers; no
-per-path Python walk happens (contrast
-:func:`repro.analysis.verification.verify_delivery`, the slow runtime
-walker this module statically subsumes).
+per-path Python walk happens. This pass *is* the delivery half of
+:func:`repro.analysis.verification.verify_subnet` (the per-path walker it
+replaced is the oracle ``tests/oracles/delivery.py``).
 
 The deadlock checks extract the channel dependency set with the same
-successor matrices and reuse the cycle finder of
-:class:`repro.sm.deadlock.ChannelDependencyGraph`. By convention the CDG
+successor matrices, as one sorted key array
+(:func:`repro.sm.deadlock.dependency_keys`), and hand it to the Kahn
+peel of :mod:`repro.sm.routing.cdg_array`; channels are decoded to
+``(a, b)`` switch pairs only to render a finding. By convention the CDG
 checks cover **terminal (endpoint) LIDs only**: traffic to switch
 management LIDs travels on VL15, which has dedicated buffering and so
 cannot participate in a data-VL credit cycle.
@@ -31,8 +33,10 @@ import numpy as np
 
 from repro.constants import LFT_UNSET
 from repro.errors import StaticAnalysisError
+from repro.fabric.graph import port_to_peer
 from repro.fabric.topology import SwitchFabricView, Topology
-from repro.sm.deadlock import Channel, ChannelDependencyGraph
+from repro.sm.deadlock import dependency_keys
+from repro.sm.routing.cdg_array import find_cycle
 from repro.sm.routing.vl import VlAssignment
 from repro.analysis.static.findings import Finding
 
@@ -159,13 +163,7 @@ class FabricSnapshot:
     def port_to_peer(self) -> np.ndarray:
         """Dense ``(n, 256)`` matrix: out-port -> neighbour switch (-1 exit)."""
         if self._p2p is None:
-            view = self.view
-            n = view.num_switches
-            p2p = np.full((n, 256), -1, dtype=np.int32)
-            degrees = np.diff(view.indptr)
-            edge_src = np.repeat(np.arange(n, dtype=np.int64), degrees)
-            p2p[edge_src, view.out_port] = view.peer
-            self._p2p = p2p
+            self._p2p = port_to_peer(self.view)
         return self._p2p
 
     def select_lids(self, lids: Optional[Sequence[int]]) -> np.ndarray:
@@ -210,7 +208,7 @@ def _successor_matrices(
     # Destination-switch overrides: reaching the destination terminates the
     # walk. A terminal LID must exit through its exact attachment port; a
     # switch self-LID is delivered by arrival (port 0 is the management
-    # port, same convention as verify_delivery).
+    # port, same convention as the walker oracle).
     ds = snap.dest_switch[cols]  # (k,)
     dp = snap.dest_port[cols]
     at_dest = np.arange(n)[:, None] == ds[None, :]
@@ -296,12 +294,18 @@ def check_reachability(
     rows = np.arange(n)[:, None]
     non_dest = rows != ds[None, :]
     failing = (looping | blackholed | misdelivered) & non_dest
-    bad_cols = np.flatnonzero(failing.any(axis=0))
+    # The destination switch's own delivery entry: with other switches
+    # around, a fault there fails every one of them (LFT004 below); on a
+    # single-switch fabric it is the only place a fault can show.
+    at_dest_fault = (blackholed | misdelivered) & ~non_dest
+    bad_cols = np.flatnonzero((failing | at_dest_fault).any(axis=0))
     for j in bad_cols:
         lid = int(cols[j])
         dest = int(ds[j])
         fail_sources = np.flatnonzero(failing[:, j])
-        if fail_sources.size == np.count_nonzero(non_dest[:, j]):
+        if fail_sources.size and fail_sources.size == np.count_nonzero(
+            non_dest[:, j]
+        ):
             causes = []
             for mask, label in (
                 (looping[:, j], "looping"),
@@ -359,9 +363,7 @@ def check_reachability(
                 )
             )
         if blackholed[:, j].any():
-            direct = np.flatnonzero(
-                (succ[:, j] == n + _BLACKHOLE) & non_dest[:, j]
-            )
+            direct = np.flatnonzero(succ[:, j] == n + _BLACKHOLE)
             site = int(direct[0]) if direct.size else int(
                 np.flatnonzero(blackholed[:, j])[0]
             )
@@ -433,50 +435,37 @@ def check_reachability(
     return findings
 
 
-def _dependency_pairs(
-    snap: FabricSnapshot, cols: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Unique channel-dependency pairs induced by the selected columns.
+def _dependency_pairs(snap: FabricSnapshot, cols: np.ndarray) -> np.ndarray:
+    """Sorted unique dependency keys induced by the selected columns.
 
-    Channels are encoded ``a * n + b``; a dependency exists whenever some
-    destination routes ``a -> b`` then ``b -> c``. Fully vectorized over
-    the successor matrices.
+    Channels are encoded ``a * n + b`` and a dependency ``from * n² + to``;
+    one exists whenever some destination routes ``a -> b`` then ``b -> c``.
     """
-    n = snap.num_switches
-    _, nxt = _successor_matrices(snap, cols)
-    col = np.arange(cols.size, dtype=np.int64)[None, :]
-    b = nxt  # (n, k)
-    c = np.where(b >= 0, nxt[np.clip(b, 0, None), col], -1)
-    mask = (b >= 0) & (c >= 0)
-    if not mask.any():
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    a_idx = np.broadcast_to(np.arange(n, dtype=np.int64)[:, None], b.shape)
-    from_ch = (a_idx * n + b)[mask]
-    to_ch = (b * n + c)[mask]
-    pairs = np.unique(np.stack([from_ch, to_ch], axis=1), axis=0)
-    return pairs[:, 0], pairs[:, 1]
-
-
-def _decode(channel: int, n: int) -> Channel:
-    return (channel // n, channel % n)
+    return dependency_keys(_successor_matrices(snap, cols)[1])
 
 
 def _cycle_finding(
     snap: FabricSnapshot,
-    from_ch: np.ndarray,
-    to_ch: np.ndarray,
+    keys: np.ndarray,
     *,
     rule: str,
     context: str,
+    table: Optional[np.ndarray] = None,
 ) -> List[Finding]:
-    """Run cycle detection over encoded dependency pairs."""
+    """Peel the dependency set; render one cycle if any is left.
+
+    *keys* are sorted unique ``from * C + to``. Without *table* the
+    channel ids are the ``a * n + b`` codes themselves (``C = n²``); with
+    it they index that sorted code table (``C = len(table)``).
+    """
     n = snap.num_switches
-    cdg = ChannelDependencyGraph()
-    for f, t in zip(from_ch.tolist(), to_ch.tolist()):
-        cdg.add_dependency((_decode(f, n), _decode(t, n)))
-    cycle = cdg.find_cycle()
-    if cycle is None:
+    c = n * n if table is None else len(table)
+    ids = find_cycle(keys, c)
+    if ids is None:
         return []
+    codes = ids if table is None else table[ids].tolist()
+    cycle = [(code // n, code % n) for code in codes]
+    channels = np.unique(np.concatenate([keys // c, keys % c])).size
     rendered = " -> ".join(f"({a}->{b})" for a, b in cycle)
     anchor = cycle[0][0]
     return [
@@ -486,8 +475,8 @@ def _cycle_finding(
             switch_name=snap.name_of(anchor),
             message=(
                 f"{context}: channel dependency cycle {rendered}"
-                f" ({cdg.num_channels} channels,"
-                f" {cdg.num_dependencies} dependencies analysed)"
+                f" ({channels} channels,"
+                f" {keys.size} dependencies analysed)"
             ),
             detail={"cycle": [list(ch) for ch in cycle]},
         )
@@ -507,9 +496,11 @@ def check_deadlock_freedom(
     )
     if cols.size == 0:
         return []
-    from_ch, to_ch = _dependency_pairs(snap, cols)
     return _cycle_finding(
-        snap, from_ch, to_ch, rule="CDG001", context="routing is deadlock-prone"
+        snap,
+        _dependency_pairs(snap, cols),
+        rule="CDG001",
+        context="routing is deadlock-prone",
     )
 
 
@@ -535,12 +526,11 @@ def check_transition_deadlock(
     cols_new = (
         new.select_lids(lids) if lids is not None else new.terminal_lids
     )
-    f1, t1 = _dependency_pairs(old, cols_old)
-    f2, t2 = _dependency_pairs(new, cols_new)
     return _cycle_finding(
         new,
-        np.concatenate([f1, f2]),
-        np.concatenate([t1, t2]),
+        np.union1d(
+            _dependency_pairs(old, cols_old), _dependency_pairs(new, cols_new)
+        ),
         rule="CDG002",
         context="reconfiguration transition is deadlock-prone",
     )

@@ -24,10 +24,10 @@ Construction rides the same machinery as the reachability checks: one
 :func:`~repro.analysis.static.checks._successor_matrices` pass (CSR
 kernels underneath), channel ids via the sorted
 :func:`~repro.sm.routing.cdg_array.channel_table`, and acyclicity via
-the frontier-vectorized Kahn kernel that powers
-:class:`~repro.sm.routing.cdg_array.ArrayCdg`. The only Python loop is
-per *destination switch* (pair-keyed assignments) — never per edge — and
-that loop shards over worker processes exactly like
+the Kahn peel of :mod:`repro.sm.routing.cdg_array` — the same kernel
+that powers :class:`~repro.sm.routing.cdg_array.ArrayCdg`. The only
+Python loop is per *destination switch* (pair-keyed assignments) — never
+per edge — and that loop shards over worker processes exactly like
 :class:`~repro.sm.routing.parallel.ParallelRouter`, with a byte-identical
 serial fallback.
 """
@@ -40,11 +40,7 @@ from typing import Any, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import StaticAnalysisError
-from repro.sm.routing.cdg_array import (
-    _kahn_acyclic,
-    channel_ids,
-    channel_table,
-)
+from repro.sm.routing.cdg_array import channel_ids, channel_table
 from repro.sm.routing.vl import MANAGEMENT_VL, VlAssignment
 from repro.analysis.static.checks import (
     MAX_FINDINGS_PER_RULE,
@@ -396,22 +392,14 @@ def check_vl_deadlock_freedom(
     )
     findings: List[Finding] = []
     for v, keys in enumerate(pv.keys_by_vl):
-        if keys.size == 0:
-            continue
-        if _kahn_acyclic(keys, pv.num_channels):
-            continue
-        # Failure path only: decode dense ids back to switch pairs and
-        # let the tuple CDG extract a concrete cycle for the finding.
-        from_ch = pv.channel_tbl[keys // np.int64(pv.num_channels)]
-        to_ch = pv.channel_tbl[keys % np.int64(pv.num_channels)]
         findings.extend(
             _with_vl_detail(
                 _cycle_finding(
                     snap,
-                    from_ch,
-                    to_ch,
+                    keys,
                     rule="VLC001",
                     context=f"data VL {v} is deadlock-prone",
+                    table=pv.channel_tbl,
                 ),
                 v,
             )
@@ -638,24 +626,24 @@ def check_vl_capacity(snap: FabricSnapshot) -> List[Finding]:
 def _per_vl_dep_pairs(
     snap: FabricSnapshot, *, workers: int = 1
 ) -> List[np.ndarray]:
-    """Per-lane dependency sets in global ``(a*n+b)`` channel encoding.
+    """Per-lane dependency keys in the global ``from * n² + to`` encoding
+    over ``a * n + b`` channel codes (old and new sides of a transition
+    need not share a cable table).
 
     A snapshot without a VL assignment contributes its whole (single-VL)
     dependency set on lane 0 — the conservative model for transitions
     between a single-VL and a VL-routed configuration.
     """
-    n = snap.num_switches
-    n2 = np.int64(n) * np.int64(n)
     if snap.vl is None:
-        f, t = _dependency_pairs(snap, snap.terminal_lids)
-        return [f * n2 + t]
+        return [_dependency_pairs(snap, snap.terminal_lids)]
+    n2 = np.int64(snap.num_switches) ** 2
     pv = build_per_vl_dependencies(snap, workers=workers)
-    out: List[np.ndarray] = []
-    for keys in pv.keys_by_vl:
-        from_ch = pv.channel_tbl[keys // np.int64(pv.num_channels)]
-        to_ch = pv.channel_tbl[keys % np.int64(pv.num_channels)]
-        out.append(from_ch * n2 + to_ch)
-    return out
+    c = np.int64(pv.num_channels)
+    # The cable table is sorted, so the re-encoded keys stay sorted.
+    return [
+        pv.channel_tbl[keys // c] * n2 + pv.channel_tbl[keys % c]
+        for keys in pv.keys_by_vl
+    ]
 
 
 def check_vl_transition_deadlock(
@@ -677,35 +665,20 @@ def check_vl_transition_deadlock(
         raise StaticAnalysisError(
             "transition analysis needs snapshots of the same switch graph"
         )
-    n = new.num_switches
-    n2 = np.int64(n) * np.int64(n)
     old_sets = _per_vl_dep_pairs(old, workers=workers)
     new_sets = _per_vl_dep_pairs(new, workers=workers)
+    none = np.empty(0, dtype=np.int64)
     findings: List[Finding] = []
     for v in range(max(len(old_sets), len(new_sets))):
-        parts = []
-        if v < len(old_sets):
-            parts.append(old_sets[v])
-        if v < len(new_sets):
-            parts.append(new_sets[v])
-        union = np.unique(np.concatenate(parts))
-        if union.size == 0:
-            continue
-        from_ch = union // n2
-        to_ch = union % n2
-        chans = np.unique(np.concatenate([from_ch, to_ch]))
-        keys = np.unique(
-            np.searchsorted(chans, from_ch) * np.int64(chans.size)
-            + np.searchsorted(chans, to_ch)
+        union = np.union1d(
+            old_sets[v] if v < len(old_sets) else none,
+            new_sets[v] if v < len(new_sets) else none,
         )
-        if _kahn_acyclic(keys, int(chans.size)):
-            continue
         findings.extend(
             _with_vl_detail(
                 _cycle_finding(
                     new,
-                    from_ch,
-                    to_ch,
+                    union,
                     rule="VLC004",
                     context=(
                         f"reconfiguration transition on data VL {v} is"

@@ -2,31 +2,43 @@
 
 Downstream users (and this repository's own integration tests) need to
 answer "is this subnet actually correct right now?" after arbitrary
-sequences of migrations, reconfigurations and failures. The checks here
-operate on the *switches' LFT contents* — the hardware truth — rather than
-any controller bookkeeping:
+sequences of migrations, reconfigurations and failures. The audit operates
+on the *switches' LFT contents* — the hardware truth — rather than any
+controller bookkeeping, and reads them exactly once: one
+:class:`~repro.analysis.static.FabricSnapshot` of the hardware feeds
 
-* every bound LID is deliverable from every switch (loop-free, correct
-  final port);
-* the hardware LFTs agree with the SM's recorded routing function;
-* the full :mod:`repro.analysis.static` pass — CDG deadlock-freedom,
-  vectorized reachability, and any engine-specific legality checks —
-  whose structured findings ride along in :attr:`VerificationReport
-  .findings` and surface through :meth:`VerificationReport
-  .raise_if_failed` with per-switch detail.
+* **delivery** — every bound LID from every switch, loop-free and out of
+  the right final port: the successor-matrix classifier
+  :func:`~repro.analysis.static.check_reachability`, whose LFT001–LFT004
+  findings are the delivery faults;
+* **consistency** — the hardware LFTs equal the SM's recorded routing
+  function on every bound LID: one array comparison, reported in
+  :attr:`VerificationReport.failures`;
+* **the rest of the static pass** (:mod:`repro.analysis.static`) — CDG
+  deadlock-freedom, per-VL rules and engine-specific legality checks —
+  whose structured findings ride along in
+  :attr:`VerificationReport.findings` and surface through
+  :meth:`VerificationReport.raise_if_failed` with per-switch detail.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List
+
+import numpy as np
 
 from repro.constants import LFT_UNSET
-from repro.errors import ReproError
-from repro.fabric.node import Switch
+from repro.errors import StaticAnalysisError
 from repro.fabric.topology import Topology
+from repro.sm.routing.base import RoutingTables
 from repro.sm.subnet_manager import SubnetManager
-from repro.analysis.static import Finding, analyze_subnet
+from repro.analysis.static import (
+    FabricSnapshot,
+    Finding,
+    analyze_subnet,
+    check_reachability,
+)
 
 __all__ = ["VerificationReport", "verify_delivery", "verify_sm_consistency", "verify_subnet"]
 
@@ -37,8 +49,9 @@ class VerificationReport:
 
     lids_checked: int = 0
     switches_checked: int = 0
+    #: Hardware/SM divergences, one string per differing LFT cell.
     failures: List[str] = field(default_factory=list)
-    #: Structured static-analysis findings (CDG cycles, loops, legality).
+    #: Structured findings (delivery faults, CDG cycles, legality).
     findings: List[Finding] = field(default_factory=list)
 
     @property
@@ -47,90 +60,67 @@ class VerificationReport:
         return not self.failures and not self.findings
 
     def problems(self) -> List[str]:
-        """Every failure as a string — walk failures plus rendered findings
+        """Every failure as a string — divergences plus rendered findings
         (``CDG001 [sw 3/leaf-1, lid 42] ...``, per-switch detail included)."""
         return self.failures + [f.render() for f in self.findings]
 
     def raise_if_failed(self) -> None:
-        """Raise :class:`~repro.errors.ReproError` listing the failures."""
+        """Raise :class:`~repro.errors.StaticAnalysisError` listing the
+        failures."""
         problems = self.problems()
         if problems:
-            raise ReproError(
+            raise StaticAnalysisError(
                 f"subnet verification failed ({len(problems)} problems):"
                 f" {problems[:5]}"
             )
 
 
-def _delivery_map(topology: Topology) -> Dict[int, Tuple[int, int]]:
-    """LID -> (destination switch index, delivery port [0 = self])."""
-    out: Dict[int, Tuple[int, int]] = {}
-    for lid in topology.bound_lids():
-        port = topology.port_of_lid(lid)
-        assert port is not None
-        if isinstance(port.node, Switch) and port.num == 0:
-            out[lid] = (port.node.index, 0)
-        else:
-            attach = port.remote
-            if attach is None or not isinstance(attach.node, Switch):
-                raise ReproError(f"LID {lid} bound to an unattached port")
-            out[lid] = (attach.node.index, attach.num)
-    return out
+def _divergences(snap: FabricSnapshot, tables: RoutingTables) -> List[str]:
+    """Cells where the hardware snapshot differs from the recorded tables,
+    over every bound LID (a LID beyond the recorded width reads unset)."""
+    lids = snap.lids
+    recorded = np.full((snap.num_switches, lids.size), LFT_UNSET, dtype=np.int64)
+    inside = lids < tables.ports.shape[1]
+    recorded[:, inside] = tables.ports[:, lids[inside]]
+    hardware = snap.ports[:, lids]
+    rows, cols = np.nonzero(hardware != recorded)
+    return [
+        f"LID {lids[j]} at {snap.name_of(s)}:"
+        f" hardware={hardware[s, j]} recorded={recorded[s, j]}"
+        for s, j in zip(rows.tolist(), cols.tolist())
+    ]
 
 
-def verify_delivery(
-    topology: Topology, *, sample_every: int = 1
-) -> VerificationReport:
-    """Walk the hardware LFTs: every bound LID from every switch.
-
-    ``sample_every`` > 1 checks only every n-th source switch (for large
-    fabrics); destinations are always all checked.
-    """
-    if sample_every < 1:
-        raise ReproError("sample_every must be >= 1")
-    report = VerificationReport()
-    switches = topology.switches
-    p2p: Dict[Tuple[int, int], int] = {}
-    for sw in switches:
-        for port in sw.connected_ports():
-            peer = port.remote
-            assert peer is not None
-            if isinstance(peer.node, Switch):
-                p2p[(sw.index, port.num)] = peer.node.index
-    targets = _delivery_map(topology)
-    sources = switches[::sample_every]
-    report.switches_checked = len(sources)
-    for lid, (dest_sw, dest_port) in targets.items():
-        report.lids_checked += 1
-        for start in sources:
-            cur = start
-            hops = 0
-            while True:
-                if cur.index == dest_sw:
-                    if dest_port != 0 and cur.lft.get(lid) != dest_port:
-                        report.failures.append(
-                            f"LID {lid}: wrong delivery port at {cur.name}"
-                        )
-                    break
-                out = cur.lft.get(lid)
-                if out == LFT_UNSET:
-                    report.failures.append(
-                        f"LID {lid}: unroutable at {cur.name}"
-                    )
-                    break
-                nxt = p2p.get((cur.index, out))
-                if nxt is None:
-                    report.failures.append(
-                        f"LID {lid}: misdelivered off-fabric at {cur.name}"
-                    )
-                    break
-                cur = switches[nxt]
-                hops += 1
-                if hops > len(switches):
-                    report.failures.append(
-                        f"LID {lid}: forwarding loop from {start.name}"
-                    )
-                    break
+def _audit(sm: SubnetManager, *, delivery: bool, static: bool) -> VerificationReport:
+    """One pass over one hardware snapshot; see the module docstring."""
+    snap = FabricSnapshot.from_topology(sm.topology)
+    report = VerificationReport(
+        lids_checked=int(snap.lids.size), switches_checked=snap.num_switches
+    )
+    tables = sm.current_tables
+    if tables is None:
+        report.failures.append("SM has no recorded routing")
+    else:
+        report.failures.extend(_divergences(snap, tables))
+    if static and tables is not None:
+        # Reachability is the static pass's first check. Faults only: META
+        # notices (e.g. "CDG001 superseded by per-VL checks" on
+        # LASH/DFSSSP fabrics) are context, not failures.
+        report.findings.extend(analyze_subnet(sm, snapshot=snap).faults)
+    elif delivery:
+        report.findings.extend(check_reachability(snap))
     return report
+
+
+def verify_delivery(topology: Topology) -> VerificationReport:
+    """Every bound LID is deliverable from every switch of the hardware
+    LFTs; faults are LFT001–LFT004 findings."""
+    snap = FabricSnapshot.from_topology(topology)
+    return VerificationReport(
+        lids_checked=int(snap.lids.size),
+        switches_checked=snap.num_switches,
+        findings=check_reachability(snap),
+    )
 
 
 def verify_sm_consistency(
@@ -140,43 +130,15 @@ def verify_sm_consistency(
 
     With ``static=True`` (the default) the full
     :func:`~repro.analysis.static.analyze_subnet` pass also runs over the
-    hardware LFTs, attaching its CDG/loop/legality findings to the report.
+    same hardware snapshot, attaching its findings to the report.
     """
-    report = VerificationReport()
-    tables = sm.current_tables
-    if tables is None:
-        report.failures.append("SM has no recorded routing")
-        return report
-    lids = sm.topology.bound_lids()
-    report.lids_checked = len(lids)
-    report.switches_checked = sm.topology.num_switches
-    for sw in sm.topology.switches:
-        for lid in lids:
-            hw = sw.lft.get(lid)
-            soft = tables.port_for(sw.index, lid)
-            if hw != soft:
-                report.failures.append(
-                    f"LID {lid} at {sw.name}: hardware={hw} recorded={soft}"
-                )
-    if static:
-        # Faults only: META notices (e.g. "CDG001 superseded by per-VL
-        # checks" on LASH/DFSSSP fabrics) are context, not failures.
-        report.findings.extend(
-            analyze_subnet(sm, source="hardware").faults
-        )
-    return report
+    return _audit(sm, delivery=False, static=static)
 
 
-def verify_subnet(
-    sm: SubnetManager, *, sample_every: int = 1, static: bool = True
-) -> VerificationReport:
-    """Full audit: delivery walk, SM/hardware consistency, static analysis."""
-    delivery = verify_delivery(sm.topology, sample_every=sample_every)
-    consistency = verify_sm_consistency(sm, static=static)
-    merged = VerificationReport(
-        lids_checked=delivery.lids_checked,
-        switches_checked=delivery.switches_checked,
-        failures=delivery.failures + consistency.failures,
-        findings=consistency.findings,
-    )
-    return merged
+def verify_subnet(sm: SubnetManager, *, static: bool = True) -> VerificationReport:
+    """Full audit: delivery, SM/hardware consistency, static analysis.
+
+    ``static=False`` keeps delivery and consistency and skips the CDG and
+    legality rules.
+    """
+    return _audit(sm, delivery=True, static=static)

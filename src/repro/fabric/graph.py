@@ -29,6 +29,7 @@ __all__ = [
     "equal_cost_candidates",
     "equal_cost_candidates_batch",
     "edge_sources",
+    "port_to_peer",
     "link_failure_affected_sources",
     "switch_removal_affected_sources",
     "link_addition_affected_sources",
@@ -135,6 +136,14 @@ def edge_sources(view: SwitchFabricView) -> np.ndarray:
     """Source switch index of every CSR edge (the implicit row index)."""
     degrees = np.diff(view.indptr)
     return np.repeat(np.arange(view.num_switches, dtype=np.int64), degrees)
+
+
+def port_to_peer(view: SwitchFabricView) -> np.ndarray:
+    """Dense ``(n, 256)`` matrix: out-port -> neighbour switch (-1 = the
+    port leaves the switch graph)."""
+    p2p = np.full((view.num_switches, 256), -1, dtype=np.int32)
+    p2p[edge_sources(view), view.out_port] = view.peer
+    return p2p
 
 
 def equal_cost_candidates(

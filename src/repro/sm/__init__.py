@@ -2,7 +2,6 @@
 deadlock analysis."""
 
 from repro.sm.deadlock import (
-    ChannelDependencyGraph,
     find_cycle,
     is_deadlock_free,
     routing_dependencies,
@@ -17,7 +16,6 @@ from repro.sm.subnet_manager import ConfigureReport, SubnetManager
 from repro.sm.traps import FabricEventManager, TrapRecord, TrapType
 
 __all__ = [
-    "ChannelDependencyGraph",
     "routing_dependencies",
     "is_deadlock_free",
     "transition_is_deadlock_free",

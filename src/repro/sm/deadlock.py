@@ -11,22 +11,29 @@ R_old and R_new are in effect, so the *union* CDG is what must be acyclic.
 :func:`transition_is_deadlock_free` checks exactly that, and the tests use
 it to reproduce the paper's observation that LID swapping may transiently
 admit cycles (resolved in practice by IB timeouts).
+
+A dependency set is one sorted ``int64`` array of keys ``from * n² + to``
+over channel codes ``a * n + b`` (:func:`dependency_keys`), extracted from
+the port matrix with array gathers and judged by the Kahn peel of
+:mod:`repro.sm.routing.cdg_array`. The tuple forms (:data:`Channel`,
+:data:`Dependency`) exist only at this module's public boundary.
 """
 
 from __future__ import annotations
 
-import weakref
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.constants import LFT_UNSET
-from repro.errors import DeadlockError
+from repro.fabric.graph import port_to_peer
+from repro.fabric.topology import SwitchFabricView
+from repro.sm.routing import cdg_array
 
 __all__ = [
     "Channel",
     "Dependency",
-    "ChannelDependencyGraph",
+    "dependency_keys",
     "routing_dependencies",
     "is_deadlock_free",
     "transition_is_deadlock_free",
@@ -39,128 +46,60 @@ Channel = Tuple[int, int]
 Dependency = Tuple[Channel, Channel]
 
 
-class ChannelDependencyGraph:
-    """A mutable CDG with transactional (all-or-nothing) inserts."""
+def dependency_keys(nxt: np.ndarray) -> np.ndarray:
+    """Sorted unique dependency keys of a next-switch matrix.
 
-    def __init__(self) -> None:
-        self._succ: Dict[Channel, Set[Channel]] = {}
-
-    @property
-    def num_channels(self) -> int:
-        """Channels mentioned so far."""
-        return len(self._succ)
-
-    @property
-    def num_dependencies(self) -> int:
-        """Dependency edge count."""
-        return sum(len(s) for s in self._succ.values())
-
-    def add_dependency(self, dep: Dependency) -> None:
-        """Insert one dependency (no cycle check)."""
-        a, b = dep
-        if a[1] != b[0]:
-            raise DeadlockError(f"non-consecutive channels in dependency {dep}")
-        self._succ.setdefault(a, set()).add(b)
-        self._succ.setdefault(b, set())
-
-    def try_add_dependencies(self, deps: Iterable[Dependency]) -> bool:
-        """Insert *deps* if the graph stays acyclic; rollback otherwise."""
-        added: List[Dependency] = []
-        created: List[Channel] = []
-        for dep in deps:
-            a, b = dep
-            for ch in (a, b):
-                if ch not in self._succ:
-                    self._succ[ch] = set()
-                    created.append(ch)
-            if b not in self._succ[a]:
-                self._succ[a].add(b)
-                added.append(dep)
-        if self.is_acyclic():
-            return True
-        for a, b in added:
-            self._succ[a].discard(b)
-        for ch in created:
-            if not self._succ[ch] and not any(
-                ch in s for s in self._succ.values()
-            ):
-                del self._succ[ch]
-        return False
-
-    def is_acyclic(self) -> bool:
-        """True iff no dependency cycle exists (iterative colour DFS)."""
-        return self.find_cycle() is None
-
-    def find_cycle(self) -> Optional[List[Channel]]:
-        """Return one cycle as a channel list, or None if acyclic."""
-        WHITE, GREY, BLACK = 0, 1, 2
-        colour: Dict[Channel, int] = {ch: WHITE for ch in self._succ}
-        parent: Dict[Channel, Optional[Channel]] = {}
-        for root in self._succ:
-            if colour[root] != WHITE:
-                continue
-            stack: List[Tuple[Channel, Iterable[Channel]]] = [
-                (root, iter(self._succ[root]))
-            ]
-            colour[root] = GREY
-            parent[root] = None
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    if colour[nxt] == WHITE:
-                        colour[nxt] = GREY
-                        parent[nxt] = node
-                        stack.append((nxt, iter(self._succ[nxt])))
-                        advanced = True
-                        break
-                    if colour[nxt] == GREY:
-                        # Reconstruct the cycle nxt -> ... -> node -> nxt.
-                        cycle = [node]
-                        cur = node
-                        while cur != nxt:
-                            cur = parent[cur]  # type: ignore[assignment]
-                            cycle.append(cur)
-                        cycle.reverse()
-                        return cycle
-                if not advanced:
-                    colour[node] = BLACK
-                    stack.pop()
-        return None
-
-
-#: Memoized (switch, out_port) -> peer maps, keyed by view identity. Views
-#: are frozen snapshots (a topology mutation builds a new one), so a map
-#: stays valid for the view's whole lifetime; the finalizer drops the entry
-#: when the view is collected, keeping the cache from pinning dead fabrics.
-_P2P_CACHE: Dict[int, Dict[Tuple[int, int], int]] = {}
-
-
-def _port_to_peer(view) -> Dict[Tuple[int, int], int]:
-    """(switch, out_port) -> neighbour switch, for inter-switch ports only.
-
-    Rebuilding this E-sized dict per call dominated deadlock validation and
-    path tracing at 11664 nodes (one rebuild per traced path); it is now
-    built once per fabric view.
+    ``nxt[s, j]`` is the switch a packet for destination column ``j``
+    moves to from switch ``s`` (-1 when it leaves the switch graph). Every
+    two consecutive hops ``a -> b -> c`` of some column yield the key
+    ``(a*n + b) * n² + (b*n + c)``.
     """
-    key = id(view)
-    hit = _P2P_CACHE.get(key)
-    if hit is not None:
-        return hit
-    degrees = np.diff(view.indptr)
-    edge_src = np.repeat(np.arange(view.num_switches, dtype=np.int64), degrees)
-    mapping = {
-        (int(edge_src[k]), int(view.out_port[k])): int(view.peer[k])
-        for k in range(len(view.peer))
-    }
-    _P2P_CACHE[key] = mapping
-    weakref.finalize(view, _P2P_CACHE.pop, key, None)
-    return mapping
+    n = np.int64(nxt.shape[0])
+    col = np.arange(nxt.shape[1], dtype=np.int64)[None, :]
+    b = nxt
+    c = np.where(b >= 0, nxt[np.clip(b, 0, None), col], -1)
+    mask = (b >= 0) & (c >= 0)
+    a = np.broadcast_to(np.arange(n, dtype=np.int64)[:, None], b.shape)
+    # (a*n + b) * n² + (b*n + c), on the masked cells only.
+    a, b, c = a[mask], b[mask], c[mask]
+    return np.unique(((a * n + b) * n + b) * n + c)
+
+
+def _next_switch(
+    ports: np.ndarray,
+    view: SwitchFabricView,
+    lids: Optional[Sequence[int]],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(cols, nxt)``: the selected LID columns of *ports* (default: every
+    column with a programmed entry) and their next-switch matrix."""
+    cols = (
+        np.asarray(lids, dtype=np.int64)
+        if lids is not None
+        else np.flatnonzero((ports != LFT_UNSET).any(axis=0))
+    )
+    sub = ports[:, cols].astype(np.int64)
+    valid = sub != LFT_UNSET
+    rows = np.arange(ports.shape[0])[:, None]
+    peer = port_to_peer(view)[rows, np.where(valid, sub, 0)]
+    return cols, np.where(valid, peer, -1).astype(np.int64)
+
+
+def _dependency_keys(
+    ports: np.ndarray,
+    view: SwitchFabricView,
+    lids: Optional[Sequence[int]],
+) -> np.ndarray:
+    """Dependency keys induced by the selected LID columns of *ports*."""
+    return dependency_keys(_next_switch(ports, view, lids)[1])
+
+
+def _channel(code: int, n: int) -> Channel:
+    return (code // n, code % n)
 
 
 def routing_dependencies(
     ports: np.ndarray,
-    view,
+    view: SwitchFabricView,
     lids: Optional[Sequence[int]] = None,
 ) -> Set[Dependency]:
     """All channel dependencies induced by a routing table matrix.
@@ -169,36 +108,17 @@ def routing_dependencies(
     :class:`~repro.sm.routing.base.RoutingTables`. Only hops between
     switches create dependencies; delivery ports (to HCAs) terminate chains.
     """
-    p2p = _port_to_peer(view)
-    n, width = ports.shape
-    lid_list = (
-        list(lids)
-        if lids is not None
-        else [l for l in range(width) if (ports[:, l] != LFT_UNSET).any()]
-    )
-    deps: Set[Dependency] = set()
-    for lid in lid_list:
-        col = ports[:, lid]
-        for s in range(n):
-            out = int(col[s])
-            if out == LFT_UNSET:
-                continue
-            b = p2p.get((s, out))
-            if b is None:
-                continue  # delivered off-fabric (or port 0 self)
-            out2 = int(col[b])
-            if out2 == LFT_UNSET:
-                continue
-            c = p2p.get((b, out2))
-            if c is None:
-                continue
-            deps.add(((s, b), (b, c)))
-    return deps
+    n = view.num_switches
+    keys = _dependency_keys(ports, view, lids)
+    return {
+        (_channel(f, n), _channel(t, n))
+        for f, t in zip((keys // (n * n)).tolist(), (keys % (n * n)).tolist())
+    }
 
 
 def is_deadlock_free(
     ports: np.ndarray,
-    view,
+    view: SwitchFabricView,
     *,
     lid_to_vl: Optional[Dict[int, int]] = None,
     lids: Optional[Sequence[int]] = None,
@@ -210,33 +130,21 @@ def is_deadlock_free(
     independently (this is how DFSSSP/LASH are deadlock free despite cyclic
     single-layer dependencies).
     """
+    channels = view.num_switches**2
+    cols, nxt = _next_switch(ports, view, lids)
     if lid_to_vl is None:
-        cdg = ChannelDependencyGraph()
-        for dep in routing_dependencies(ports, view, lids):
-            cdg.add_dependency(dep)
-        return cdg.is_acyclic()
-    layers: Dict[int, List[int]] = {}
-    width = ports.shape[1]
-    universe = (
-        list(lids)
-        if lids is not None
-        else [l for l in range(width) if (ports[:, l] != LFT_UNSET).any()]
+        return cdg_array.acyclic(dependency_keys(nxt), channels)
+    lane = np.asarray([lid_to_vl.get(lid, 0) for lid in cols.tolist()])
+    return all(
+        cdg_array.acyclic(dependency_keys(nxt[:, lane == v]), channels)
+        for v in np.unique(lane)
     )
-    for lid in universe:
-        layers.setdefault(lid_to_vl.get(lid, 0), []).append(lid)
-    for vl_lids in layers.values():
-        cdg = ChannelDependencyGraph()
-        for dep in routing_dependencies(ports, view, vl_lids):
-            cdg.add_dependency(dep)
-        if not cdg.is_acyclic():
-            return False
-    return True
 
 
 def transition_is_deadlock_free(
     old_ports: np.ndarray,
     new_ports: np.ndarray,
-    view,
+    view: SwitchFabricView,
     *,
     lids: Optional[Sequence[int]] = None,
 ) -> bool:
@@ -248,17 +156,17 @@ def transition_is_deadlock_free(
     swapping may violate this and relies on IB timeouts; this function makes
     that risk measurable.
     """
-    cdg = ChannelDependencyGraph()
-    for dep in routing_dependencies(old_ports, view, lids):
-        cdg.add_dependency(dep)
-    for dep in routing_dependencies(new_ports, view, lids):
-        cdg.add_dependency(dep)
-    return cdg.is_acyclic()
+    union = np.union1d(
+        _dependency_keys(old_ports, view, lids),
+        _dependency_keys(new_ports, view, lids),
+    )
+    return cdg_array.acyclic(union, view.num_switches**2)
 
 
-def find_cycle(ports: np.ndarray, view) -> Optional[List[Channel]]:
+def find_cycle(
+    ports: np.ndarray, view: SwitchFabricView
+) -> Optional[List[Channel]]:
     """Convenience: one dependency cycle of a routing, or None."""
-    cdg = ChannelDependencyGraph()
-    for dep in routing_dependencies(ports, view):
-        cdg.add_dependency(dep)
-    return cdg.find_cycle()
+    n = view.num_switches
+    cycle = cdg_array.find_cycle(_dependency_keys(ports, view, None), n * n)
+    return None if cycle is None else [_channel(code, n) for code in cycle]

@@ -1,20 +1,24 @@
-"""Array-backed channel-dependency graph for the vectorized engines.
+"""Array-backed channel-dependency graphs: the one acyclicity kernel.
 
-:class:`~repro.sm.deadlock.ChannelDependencyGraph` keys channels by
-``(switch, switch)`` tuples and re-runs a full DFS cycle check per inserted
-dependency — fine for the protocol-level checker, hopeless inside LASH and
-DFSSSP at paper scale where one Fig. 7 run ingests millions of
-dependencies. :class:`ArrayCdg` keeps the *same acceptance semantics*
-(``try_add`` commits a batch of dependencies iff the graph stays acyclic,
-else leaves the layer untouched) on integer arrays:
+A dependency set is one sorted ``int64`` key array (``src * C + dst`` over
+channel ids ``0..C-1``). Everything that asks "is this CDG acyclic?" —
+the LASH/DFSSSP layer search, :mod:`repro.sm.deadlock`, the CDG/VLC rules
+of :mod:`repro.analysis.static` — goes through the same frontier Kahn
+peel (:func:`_peel`): :func:`acyclic` reads its verdict,
+:func:`find_cycle` walks predecessors inside what the peel leaves over.
+The dict/DFS graph this replaced is the test oracle
+(``tests/oracles/cdg.py``).
+
+:class:`ArrayCdg` is a mutable layer on top, with the acceptance
+semantics of that oracle (``try_add`` commits a batch of dependencies iff
+the graph stays acyclic, else leaves the layer untouched):
 
 * channels are dense integers from :func:`channel_table` (one id per
   directed switch pair that is an actual cable, deduplicated with
   ``np.unique`` — parallel cables share a channel, exactly like the tuple
   CDG);
-* committed dependencies live in one sorted ``int64`` key array
-  (``src * C + dst``), so batch dedupe is a ``searchsorted`` and commits
-  are a vectorized sorted-merge ``np.insert``;
+* batch dedupe is a ``searchsorted`` against the committed keys and
+  commits are a vectorized sorted-merge ``np.insert``;
 * two acyclicity detectors with the paper's two cost models.
   ``mode="levels"`` (DFSSSP) is *incremental*, mirroring the incremental
   cycle checking of Domke et al.: a longest-path level array keeps
@@ -23,11 +27,10 @@ else leaves the layer untouched) on integer arrays:
   localized relabel of the affected cone (levels in an acyclic graph are
   bounded by the channel count, so a relabel pushing past ``C`` has proven
   a cycle and rolls every touched level back). ``mode="kahn"`` (LASH) runs
-  a *full* frontier-vectorized Kahn toposort on every attempt — the
-  published LASH performs a whole-CDG acyclicity test per switch pair,
-  which is exactly what makes it the slowest engine of Fig. 7, so the
-  LASH layer keeps that O(pairs x CDG) shape and only moves the test
-  itself onto arrays.
+  the *full* peel on every attempt — the published LASH performs a
+  whole-CDG acyclicity test per switch pair, which is exactly what makes
+  it the slowest engine of Fig. 7, so the LASH layer keeps that
+  O(pairs x CDG) shape.
 
 Because acceptance depends only on acyclicity — a property of the
 dependency *graph*, not of the detector — a layer fed the same batches in
@@ -37,14 +40,19 @@ byte-identity tests assert.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.errors import RoutingError
 from repro.fabric.graph import edge_sources
 from repro.fabric.topology import SwitchFabricView
 
-__all__ = ["ArrayCdg", "channel_table", "channel_ids"]
+__all__ = ["ArrayCdg", "acyclic", "find_cycle", "channel_table", "channel_ids"]
+
+#: A dependency set as a graph: ``(active, indptr, dst, indeg)`` — see
+#: :func:`_csr`.
+_Csr = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def channel_table(view: SwitchFabricView) -> np.ndarray:
@@ -64,12 +72,98 @@ def channel_ids(
     return np.searchsorted(table, keys)
 
 
+def _expand(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated index ranges ``lo[i] .. lo[i] + counts[i]``."""
+    total = int(counts.sum())
+    offsets = np.repeat(np.cumsum(counts) - counts, counts)
+    return np.repeat(lo, counts) + (np.arange(total) - offsets)
+
+
+def _csr(keys: np.ndarray, num_channels: int) -> _Csr:
+    """CSR out-adjacency and in-degrees of a sorted dependency key array,
+    over the *active* channels — those some dependency mentions (the dict
+    CDG's DFS walks exactly that set). Node ``i`` is channel
+    ``active[i]``; routed CDGs touch a small share of a fabric's channels
+    and a vanishing share of the ``n²`` channel codes, so nothing here is
+    sized by *num_channels*."""
+    c = np.int64(num_channels)
+    active, node = np.unique(
+        np.concatenate([keys // c, keys % c]), return_inverse=True
+    )
+    # Keys are sorted by (src, dst) and the renumbering is monotone, so
+    # dst stays grouped by src.
+    src, dst = node[: keys.size], node[keys.size :]
+    indptr = np.zeros(active.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=active.size), out=indptr[1:])
+    return active, indptr, dst, np.bincount(dst, minlength=active.size)
+
+
+def _peel(csr: _Csr) -> np.ndarray:
+    """Frontier-vectorized Kahn peel; returns the residual in-degrees.
+
+    Each round removes every node whose in-degree reached zero and parks
+    it at -1: in a DAG no edge can point at an already-removed node (its
+    predecessors were removed first), so parked nodes never return to
+    zero. What stays positive is the residue — the channels on, or
+    downstream of, a cycle — and each of them keeps at least one
+    predecessor inside the residue. No residue means acyclic.
+    """
+    _, indptr, dst, indeg = csr
+    indeg = indeg.copy()
+    remaining = indeg.size
+    frontier = np.flatnonzero(indeg == 0)
+    while frontier.size:
+        indeg[frontier] = -1
+        remaining -= frontier.size
+        if not remaining:
+            break
+        lo = indptr[frontier]
+        idx = _expand(lo, indptr[frontier + 1] - lo)
+        indeg -= np.bincount(dst[idx], minlength=indeg.size)
+        frontier = np.flatnonzero(indeg == 0)
+    return indeg
+
+
+def acyclic(keys: np.ndarray, num_channels: int) -> bool:
+    """True iff the dependency set is acyclic.
+
+    *keys* is the sorted unique dependency array (``src * C + dst``).
+    """
+    return not (_peel(_csr(keys, num_channels)) > 0).any()
+
+
+def find_cycle(keys: np.ndarray, num_channels: int) -> Optional[List[int]]:
+    """One dependency cycle as channel ids in edge order, or ``None``.
+
+    Consecutive entries (and last -> first) are dependencies of *keys*.
+    Which cycle is returned is unspecified.
+    """
+    csr = _csr(keys, num_channels)
+    residue = _peel(csr) > 0
+    if not residue.any():
+        return None
+    active, indptr, dst, _ = csr
+    src = np.repeat(np.arange(active.size), np.diff(indptr))
+    inside = residue[src] & residue[dst]
+    pred = np.full(active.size, -1, dtype=np.int64)
+    pred[dst[inside]] = src[inside]  # any one residue predecessor each
+    seen: Dict[int, int] = {}
+    walk: List[int] = []
+    cur = int(np.flatnonzero(residue)[0])
+    while cur not in seen:
+        seen[cur] = len(walk)
+        walk.append(cur)
+        cur = int(pred[cur])
+    # The walk ran against the edges; reversed, the loop reads forward.
+    return active[walk[seen[cur] :][::-1]].tolist()
+
+
 class ArrayCdg:
     """One virtual layer's dependency graph over dense channel ids."""
 
     def __init__(self, num_channels: int, *, mode: str = "levels") -> None:
         if mode not in ("levels", "kahn"):
-            raise ValueError(f"unknown ArrayCdg mode {mode!r}")
+            raise RoutingError(f"unknown ArrayCdg mode {mode!r}")
         self.num_channels = int(num_channels)
         self.mode = mode
         #: Sorted committed dependency keys ``src * C + dst``.
@@ -80,23 +174,10 @@ class ArrayCdg:
         self._tail = np.empty(0, dtype=np.int64)
         #: Longest-path level per channel ("levels" mode); invariant:
         #: ``level[src] < level[dst]`` for every committed dependency.
-        self._levels = (
-            np.zeros(self.num_channels, dtype=np.int64)
-            if mode == "levels"
-            else None
-        )
-        if mode == "kahn":
-            # CSR out-adjacency and base in-degrees of the *committed*
-            # graph over a compact "active channel" universe (channels
-            # mentioned by some dependency — the reference CDG's DFS walks
-            # exactly that set). Rebuilt on commit (rare after warm-up) so
-            # the full per-attempt toposort reads O(1)-lookup arrays
-            # instead of binary-searching the key array every round.
-            self._num_active = 0
-            self._csr_indptr = np.zeros(1, dtype=np.int64)
-            self._csr_dst = np.empty(0, dtype=np.int64)
-            self._indeg0 = np.empty(0, dtype=np.int64)
-            self._zero0 = np.empty(0, dtype=np.int64)
+        self._levels = np.zeros(self.num_channels, dtype=np.int64)
+        #: CSR of the committed graph ("kahn" mode). A candidate graph's
+        #: CSR is built once for its test and kept if it is accepted.
+        self._csr = _csr(self._keys, self.num_channels)
 
     @property
     def num_dependencies(self) -> int:
@@ -134,19 +215,17 @@ class ArrayCdg:
         else:
             new = np.empty(0, dtype=np.int64)
         if self.mode == "kahn":
-            # Full whole-graph test per attempt, like the reference CDG
-            # (and the published LASH): the committed graph alone is
-            # acyclic by invariant, but the test still runs so the engine
-            # keeps its O(pairs x CDG) cost profile.
-            if new.size == 0:
-                return self._kahn_committed()
-            merged = np.insert(
-                self._keys, np.searchsorted(self._keys, new), new
-            )
-            if not _kahn_acyclic(merged, self.num_channels):
+            # Full whole-graph test per attempt, like the dict CDG (and the
+            # published LASH): the committed graph alone is acyclic by
+            # invariant, but the test still runs so the engine keeps its
+            # O(pairs x CDG) cost profile.
+            keys, csr = self._keys, self._csr
+            if new.size:
+                keys = np.insert(keys, np.searchsorted(keys, new), new)
+                csr = _csr(keys, self.num_channels)
+            if (_peel(csr) > 0).any():
                 return False
-            self._keys = merged
-            self._rebuild_csr()
+            self._keys, self._csr = keys, csr
             return True
         if new.size == 0:
             return True
@@ -162,56 +241,7 @@ class ArrayCdg:
             self._flush_tail()
         return True
 
-    # -- full toposort ("kahn" mode) ----------------------------------------
-
-    def _rebuild_csr(self) -> None:
-        c = np.int64(self.num_channels)
-        src = self._keys // c
-        dst = self._keys % c
-        active = np.unique(np.concatenate([src, dst]))
-        amap = np.full(self.num_channels, -1, dtype=np.int64)
-        amap[active] = np.arange(active.size, dtype=np.int64)
-        # Keys are sorted by (src, dst) and amap is monotone on active
-        # channels, so the remapped dst stays grouped by remapped src.
-        self._num_active = int(active.size)
-        self._csr_dst = amap[dst]
-        counts = np.bincount(amap[src], minlength=active.size)
-        self._csr_indptr = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(counts)]
-        )
-        self._indeg0 = np.bincount(self._csr_dst, minlength=active.size)
-        self._zero0 = np.flatnonzero(self._indeg0 == 0)
-
-    def _kahn_committed(self) -> bool:
-        """Full Kahn toposort of the committed graph (always True by the
-        acyclicity invariant — the *work* is the point, see class doc)."""
-        if self._num_active == 0:
-            return True
-        indeg = self._indeg0.copy()
-        frontier = self._zero0
-        remaining = self._num_active - int(frontier.size)
-        # Removed nodes are parked at -1: in a DAG no edge can point at an
-        # already-removed node (its predecessors were removed first), so
-        # they never return to zero; in a cyclic graph the cycle members
-        # never reach zero at all and `remaining` stays positive.
-        indeg[frontier] = -1
-        while frontier.size and remaining:
-            lo = self._csr_indptr[frontier]
-            counts = self._csr_indptr[frontier + 1] - lo
-            total = int(counts.sum())
-            if total == 0:
-                break
-            offsets = np.repeat(np.cumsum(counts) - counts, counts)
-            idx = np.repeat(lo, counts) + (np.arange(total) - offsets)
-            indeg -= np.bincount(
-                self._csr_dst[idx], minlength=self._num_active
-            )
-            frontier = np.flatnonzero(indeg == 0)
-            indeg[frontier] = -1
-            remaining -= int(frontier.size)
-        return remaining == 0
-
-    # -- incremental acyclicity ---------------------------------------------
+    # -- incremental acyclicity ("levels" mode) ------------------------------
 
     def _relabel(self, nsrc: np.ndarray, ndst: np.ndarray) -> bool:
         """Raise levels to absorb the pending edges; False (and a full
@@ -246,17 +276,9 @@ class ArrayCdg:
             # [u*C, (u+1)*C) in the sorted dependency array.
             lo = np.searchsorted(self._keys, uniq * c)
             hi = np.searchsorted(self._keys, (uniq + 1) * c)
-            counts = hi - lo
-            total = int(counts.sum())
-            if total:
-                offsets = np.repeat(np.cumsum(counts) - counts, counts)
-                idx = np.repeat(lo, counts) + (np.arange(total) - offsets)
-                ekeys = self._keys[idx]
-                esrc = ekeys // c
-                edst = ekeys % c
-            else:
-                esrc = np.empty(0, dtype=np.int64)
-                edst = np.empty(0, dtype=np.int64)
+            ekeys = self._keys[_expand(lo, hi - lo)]
+            esrc = ekeys // c
+            edst = ekeys % c
             # Pending (uncommitted) edges constrain the fixpoint too.
             pending = np.isin(nsrc, uniq)
             if pending.any():
@@ -267,31 +289,3 @@ class ArrayCdg:
             frontier = edst[push]
             flevel = need_next[push]
         return True
-
-
-def _kahn_acyclic(keys: np.ndarray, num_channels: int) -> bool:
-    """Frontier-vectorized Kahn toposort: True iff the edge set is acyclic.
-
-    *keys* is the sorted dependency array (``src * C + dst``); channels
-    without edges count as trivially sorted.
-    """
-    c = np.int64(num_channels)
-    indeg = np.bincount(keys % c, minlength=num_channels)
-    done = indeg == 0
-    frontier = np.flatnonzero(done)
-    remaining = num_channels - int(frontier.size)
-    while frontier.size and remaining:
-        lo = np.searchsorted(keys, frontier * c)
-        hi = np.searchsorted(keys, (frontier + 1) * c)
-        counts = hi - lo
-        total = int(counts.sum())
-        if total == 0:
-            break
-        offsets = np.repeat(np.cumsum(counts) - counts, counts)
-        idx = np.repeat(lo, counts) + (np.arange(total) - offsets)
-        indeg -= np.bincount(keys[idx] % c, minlength=num_channels)
-        ready = (indeg == 0) & ~done
-        frontier = np.flatnonzero(ready)
-        done |= ready
-        remaining -= int(frontier.size)
-    return remaining == 0

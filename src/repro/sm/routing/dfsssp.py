@@ -18,28 +18,26 @@ Per-destination Dijkstra plus incremental cycle checking is what makes
 DFSSSP markedly slower than MinHop while staying far below LASH — the
 ordering Fig. 7 shows.
 
-Two implementations share this class. The default (``vectorized=True``)
-exploits that the metric is lexicographic (hop count first): every
-shortest-path tree is level-structured by the destination's BFS
-distances, so the Dijkstra relaxation collapses into one edge-array sweep
-per hop level with an ``np.lexsort`` winner selection that reproduces the
-reference heap's ``(hops, dist, node)`` pop order bit-for-bit. Subtree
-sizes, weight updates and CDG ingestion run on the same arrays
-(:class:`~repro.sm.routing.cdg_array.ArrayCdg`). ``vectorized=False`` is
-the original heapq implementation; the two produce byte-identical tables,
-VL assignments and edge weights (tests/sm/test_vectorized_identity.py).
+The implementation exploits that the metric is lexicographic (hop count
+first): every shortest-path tree is level-structured by the destination's
+BFS distances, so the Dijkstra relaxation collapses into one edge-array
+sweep per hop level whose winner selection reproduces a
+``(hops, dist, node)`` heap's pop order bit-for-bit. Subtree sizes,
+weight updates and CDG ingestion run on the same arrays
+(:class:`~repro.sm.routing.cdg_array.ArrayCdg`). The original heapq
+engine is the byte-identity oracle ``tests/oracles/dfsssp.py``: same
+tables, VL assignments and edge weights
+(tests/sm/test_vectorized_identity.py).
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import RoutingError
 from repro.fabric.graph import edge_sources
-from repro.sm.deadlock import ChannelDependencyGraph
 from repro.sm.routing.base import (
     RoutingAlgorithm,
     RoutingRequest,
@@ -56,11 +54,10 @@ class DFSSSPRouting(RoutingAlgorithm):
 
     name = "dfsssp"
 
-    def __init__(self, max_vls: int = 8, *, vectorized: bool = True) -> None:
+    def __init__(self, max_vls: int = 8) -> None:
         if max_vls < 1:
             raise RoutingError("need at least one virtual lane")
         self.max_vls = max_vls
-        self.vectorized = vectorized
 
     def compute(self, request: RoutingRequest) -> RoutingTables:
         view = request.view
@@ -89,40 +86,21 @@ class DFSSSPRouting(RoutingAlgorithm):
         lid_to_vl: Dict[int, int] = {}
         num_vls_used = 1
 
-        if self.vectorized:
-            esrc = edge_sources(view)
-            table = channel_table(view)
-            cid_edge = channel_ids(table, esrc, view.peer, n)
-            layers_v = [ArrayCdg(len(table)) for _ in range(self.max_vls)]
-            sweep = _LevelSweep(request, esrc)
-            for lid, dest_sw in dests:
-                parent_edge = sweep.tree(weights, dest_sw)
-                self._apply_tree(
-                    request, view, ports, lid, dest_sw, parent_edge
-                )
-                sweep.update_weights(weights, rev, dest_sw, parent_edge)
-                if lid in terminal_lids:
-                    vl = self._assign_layer_vec(
-                        layers_v, esrc, cid_edge, rev, parent_edge
-                    )
-                    lid_to_vl[lid] = vl
-                    num_vls_used = max(num_vls_used, vl + 1)
-                else:
-                    lid_to_vl[lid] = MANAGEMENT_VL
-        else:
-            layers = [ChannelDependencyGraph() for _ in range(self.max_vls)]
-            for lid, dest_sw in dests:
-                parent_edge = self._dijkstra_tree(view, weights, dest_sw)
-                self._apply_tree(
-                    request, view, ports, lid, dest_sw, parent_edge
-                )
-                self._update_weights(view, weights, rev, dest_sw, parent_edge)
-                if lid in terminal_lids:
-                    vl = self._assign_layer(view, layers, dest_sw, parent_edge)
-                    lid_to_vl[lid] = vl
-                    num_vls_used = max(num_vls_used, vl + 1)
-                else:
-                    lid_to_vl[lid] = MANAGEMENT_VL
+        esrc = edge_sources(view)
+        table = channel_table(view)
+        cid_edge = channel_ids(table, esrc, view.peer, n)
+        layers = [ArrayCdg(len(table)) for _ in range(self.max_vls)]
+        sweep = _LevelSweep(request, esrc)
+        for lid, dest_sw in dests:
+            parent_edge = sweep.tree(weights, dest_sw)
+            self._apply_tree(request, view, ports, lid, dest_sw, parent_edge)
+            sweep.update_weights(weights, rev, dest_sw, parent_edge)
+            if lid in terminal_lids:
+                vl = self._assign_layer(layers, esrc, cid_edge, rev, parent_edge)
+                lid_to_vl[lid] = vl
+                num_vls_used = max(num_vls_used, vl + 1)
+            else:
+                lid_to_vl[lid] = MANAGEMENT_VL
 
         return RoutingTables(
             algorithm=self.name,
@@ -140,55 +118,6 @@ class DFSSSPRouting(RoutingAlgorithm):
             },
         )
 
-    # -- phase 1: weighted SSSP --------------------------------------------
-
-    @staticmethod
-    def _dijkstra_tree(
-        view, weights: np.ndarray, dest: int
-    ) -> np.ndarray:
-        """Shortest-path in-tree toward *dest* (reference implementation).
-
-        Returns ``parent_edge``: for each switch, the CSR index of the edge
-        (next hop -> switch) on its shortest path to *dest* (-1 at *dest*).
-        Run *from* the destination over the reversed graph — identical
-        because the graph is symmetric.
-
-        The metric is lexicographic (hop count, accumulated weight): paths
-        stay *minimal in hops* and the balancing weights only break ties
-        among minimal paths. This is what keeps per-destination trees
-        up/down-shaped on fat-trees (few virtual layers) while still
-        spreading load — longer detours would both lengthen paths and
-        manufacture avoidable dependency cycles.
-        """
-        n = view.num_switches
-        hops = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-        dist = np.full(n, np.inf)
-        parent_edge = np.full(n, -1, dtype=np.int64)
-        hops[dest] = 0
-        dist[dest] = 0.0
-        heap: List[Tuple[int, float, int]] = [(0, 0.0, dest)]
-        done = np.zeros(n, dtype=bool)
-        while heap:
-            h, d, cur = heapq.heappop(heap)
-            if done[cur]:
-                continue
-            done[cur] = True
-            lo, hi = view.indptr[cur], view.indptr[cur + 1]
-            for k in range(lo, hi):
-                nb = int(view.peer[k])
-                if done[nb]:
-                    continue
-                # Relax the edge nb -> cur (the forward edge out of nb).
-                nh, nd = h + 1, d + weights[k]
-                if nh < hops[nb] or (nh == hops[nb] and nd < dist[nb]):
-                    hops[nb] = nh
-                    dist[nb] = nd
-                    parent_edge[nb] = k
-                    heapq.heappush(heap, (nh, nd, nb))
-        if (~done).any():
-            raise RoutingError("switch graph is disconnected")
-        return parent_edge
-
     def _apply_tree(
         self,
         request: RoutingRequest,
@@ -205,48 +134,9 @@ class DFSSSPRouting(RoutingAlgorithm):
         rows = np.flatnonzero(parent_edge >= 0)
         ports[rows, lid] = view.in_port[parent_edge[rows]]
 
-    @staticmethod
-    def _update_weights(
-        view, weights: np.ndarray, rev: np.ndarray, dest_sw: int,
-        parent_edge: np.ndarray,
-    ) -> None:
-        """Add each tree edge's traffic share (its subtree size) to both
-        directions of the cable."""
-        n = view.num_switches
-        # Subtree sizes via reverse topological accumulation: children count
-        # into parents. Order switches by decreasing distance is implicit in
-        # repeated passes; a simple child->parent accumulation works because
-        # parent pointers form a DAG toward dest.
-        size = np.ones(n, dtype=np.int64)
-        order = _tree_order(view, parent_edge, dest_sw)
-        for s in order:  # leaves of the tree first
-            k = parent_edge[s]
-            if k < 0:
-                continue
-            parent = int(view.peer[rev[k]])  # forward edge s->parent
-            size[parent] += size[s]
-            weights[rev[k]] += size[s]
-            weights[k] += size[s]
-
-    # -- phase 2: virtual-layer assignment ----------------------------------
+    # -- virtual-layer assignment --------------------------------------------
 
     def _assign_layer(
-        self,
-        view,
-        layers: List[ChannelDependencyGraph],
-        dest_sw: int,
-        parent_edge: np.ndarray,
-    ) -> int:
-        """First layer that stays acyclic with this destination's deps."""
-        deps = self._tree_dependencies(view, parent_edge)
-        for vl, cdg in enumerate(layers):
-            if cdg.try_add_dependencies(deps):
-                return vl
-        raise RoutingError(
-            f"DFSSSP exceeded {self.max_vls} virtual lanes; fabric too twisted"
-        )
-
-    def _assign_layer_vec(
         self,
         layers: List[ArrayCdg],
         esrc: np.ndarray,
@@ -254,7 +144,7 @@ class DFSSSPRouting(RoutingAlgorithm):
         rev: np.ndarray,
         parent_edge: np.ndarray,
     ) -> int:
-        """Array form of :meth:`_assign_layer` over the same dependency set.
+        """First layer that stays acyclic with this destination's deps.
 
         The forward hop out of switch ``s`` is the reverse of
         ``parent_edge[s]``; consecutive hops ``s -> b -> c`` yield the
@@ -277,33 +167,6 @@ class DFSSSPRouting(RoutingAlgorithm):
             f"DFSSSP exceeded {self.max_vls} virtual lanes; fabric too twisted"
         )
 
-    @staticmethod
-    def _tree_dependencies(
-        view, parent_edge: np.ndarray
-    ) -> List[Tuple[Tuple[int, int], Tuple[int, int]]]:
-        """Channel dependencies ((a,b) -> (b,c)) induced by the in-tree.
-
-        ``parent_edge[s]`` encodes the edge parent->s discovered by the
-        reverse Dijkstra, so the forward next hop of ``s`` is that edge's
-        CSR source switch.
-        """
-        n = view.num_switches
-        nxt = np.full(n, -1, dtype=np.int64)
-        for s in range(n):
-            k = parent_edge[s]
-            if k >= 0:
-                nxt[s] = _edge_source(view, k)
-        out: List[Tuple[Tuple[int, int], Tuple[int, int]]] = []
-        for s in range(n):
-            b = int(nxt[s])
-            if b < 0:
-                continue
-            c = int(nxt[b])
-            if c < 0:
-                continue
-            out.append(((s, b), (b, c)))
-        return out
-
 
 class _LevelSweep:
     """Level-synchronous shortest-path trees for one compute() run.
@@ -313,7 +176,7 @@ class _LevelSweep:
     level ``h-1`` to ``h``, and all level-``h-1`` labels are final before
     any level-``h`` switch is settled. One pass per level then selects, for
     every level-``h`` switch, the candidate edge minimizing
-    ``(dist, parent dist, edge index)`` — exactly the order the reference
+    ``(dist, parent dist, edge index)`` — exactly the order the oracle's
     heap pops and relaxes, so the chosen ``parent_edge`` is bit-identical.
 
     Distances are sums of edge weights, weights start at one and only ever
@@ -448,12 +311,13 @@ class _LevelSweep:
         dest_sw: int,
         parent_edge: np.ndarray,
     ) -> None:
-        """Array form of :meth:`DFSSSPRouting._update_weights`.
+        """Add each tree edge's traffic share (its subtree size) to both
+        directions of the cable.
 
         Levels are processed deepest-first, so every subtree size is final
         when added to its parent and to both cable directions; the sums are
         integers in float64, making the result independent of the in-level
-        accumulation order and byte-identical to the reference.
+        accumulation order and byte-identical to the oracle's.
         """
         n = self.view.num_switches
         part = self._partition(dest_sw)
@@ -477,12 +341,7 @@ class _LevelSweep:
             weights[ke] += fcontrib
             weights[kr] += fcontrib
         # Levels partition the switches, so every tree edge was visited
-        # exactly once — same single symmetric increment as the reference.
-
-
-def _edge_source(view, edge_idx: int) -> int:
-    """The source switch of CSR edge *edge_idx* (binary search on indptr)."""
-    return int(np.searchsorted(view.indptr, edge_idx, side="right") - 1)
+        # exactly once — same single symmetric increment as the oracle's.
 
 
 def _reverse_edge_index(view) -> np.ndarray:
@@ -502,24 +361,3 @@ def _reverse_edge_index(view) -> np.ndarray:
     rev_key = view.peer.astype(np.int64) * port_span + in_port
     order = np.argsort(fwd_key)
     return order[np.searchsorted(fwd_key[order], rev_key)]
-
-
-def _tree_order(view, parent_edge: np.ndarray, dest: int) -> List[int]:
-    """Switches ordered children-before-parents along the in-tree."""
-    n = view.num_switches
-    children: List[List[int]] = [[] for _ in range(n)]
-    for s in range(n):
-        k = parent_edge[s]
-        if k >= 0:
-            children[_edge_source(view, k)].append(s)
-    # children[] is keyed by... the edge source is the *parent* (edge
-    # parent->s). Post-order from dest gives parents last; reverse for
-    # children-first.
-    order: List[int] = []
-    stack = [dest]
-    while stack:
-        cur = stack.pop()
-        order.append(cur)
-        stack.extend(children[cur])
-    order.reverse()
-    return order

@@ -13,27 +13,24 @@ an in-tree, so we derive per-destination BFS trees first and the pair
 (s, t) path is the tree path — exactly how OpenSM's LASH keeps LFT
 consistency.
 
-Two implementations share this class. The default (``vectorized=True``)
-computes the in-trees with the frontier-vectorized
-:func:`repro.fabric.graph.bfs_tree` kernel and runs the per-pair layer
-search against :class:`~repro.sm.routing.cdg_array.ArrayCdg` — the
+The in-trees come from the frontier-vectorized
+:func:`repro.fabric.graph.bfs_tree` kernel and the per-pair layer search
+runs against :class:`~repro.sm.routing.cdg_array.ArrayCdg` — the
 pair-by-pair structure (the paper's LASH cost model) is preserved, only
-the per-pair acyclicity bookkeeping moves from tuple dicts + DFS onto
-integer arrays. ``vectorized=False`` is the original pure-Python
-reference; the two produce byte-identical tables and VL assignments
+the per-pair acyclicity bookkeeping lives on integer arrays. The original
+pure-Python engine (deque BFS, tuple dicts + DFS) is the byte-identity
+oracle ``tests/oracles/lash.py``: same tables, same VL assignments
 (asserted by tests/sm/test_vectorized_identity.py).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.errors import RoutingError
 from repro.fabric.graph import bfs_tree
-from repro.sm.deadlock import ChannelDependencyGraph, Dependency
 from repro.sm.routing.base import (
     RoutingAlgorithm,
     RoutingRequest,
@@ -50,15 +47,12 @@ class LashRouting(RoutingAlgorithm):
 
     name = "lash"
 
-    def __init__(self, max_vls: int = 8, *, vectorized: bool = True) -> None:
+    def __init__(self, max_vls: int = 8) -> None:
         if max_vls < 1:
             raise RoutingError("need at least one virtual lane")
         self.max_vls = max_vls
-        self.vectorized = vectorized
 
     def compute(self, request: RoutingRequest) -> RoutingTables:
-        if not self.vectorized:
-            return self._compute_reference(request)
         view = request.view
         n = request.num_switches
         ports = self._empty_tables(request)
@@ -67,7 +61,7 @@ class LashRouting(RoutingAlgorithm):
         dest_groups = request.dest_groups()
 
         # Per-destination-switch BFS in-trees (CSR kernel, parent choice
-        # identical to the reference deque BFS): nxt[t][s] = next-hop
+        # identical to the oracle's deque BFS): nxt[t][s] = next-hop
         # switch, port_to[t][s] = out port at s.
         trees: Dict[int, np.ndarray] = {}
         for t in dest_groups:
@@ -138,98 +132,3 @@ class LashRouting(RoutingAlgorithm):
                 ),
             },
         )
-
-    # -- reference implementation -------------------------------------------
-
-    def _compute_reference(self, request: RoutingRequest) -> RoutingTables:
-        """Original pure-Python LASH; kept as the byte-identity oracle."""
-        view = request.view
-        ports = self._empty_tables(request)
-        self._program_local_entries(ports, request)
-
-        # Destination switch -> LIDs terminating there.
-        dest_groups: Dict[int, List[int]] = {}
-        for t in request.terminals:
-            dest_groups.setdefault(t.switch_index, []).append(t.lid)
-        for lid, sw in request.switch_lids.items():
-            dest_groups.setdefault(sw, []).append(lid)
-
-        trees: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        for t in dest_groups:
-            trees[t] = self._bfs_tree(view, t)
-            nxt, port_arr = trees[t]
-            for lid in dest_groups[t]:
-                mask = nxt >= 0
-                ports[mask, lid] = port_arr[mask]
-
-        terminal_switches = sorted({t.switch_index for t in request.terminals})
-        layers = [ChannelDependencyGraph() for _ in range(self.max_vls)]
-        pair_to_vl: Dict[Tuple[int, int], int] = {}
-        num_vls_used = 1
-        for t in terminal_switches:
-            nxt, _ = trees[t]
-            for s in terminal_switches:
-                if s == t:
-                    continue
-                deps = self._path_dependencies(nxt, s, t)
-                for vl, cdg in enumerate(layers):
-                    if cdg.try_add_dependencies(deps):
-                        pair_to_vl[(s, t)] = vl
-                        num_vls_used = max(num_vls_used, vl + 1)
-                        break
-                else:
-                    raise RoutingError(
-                        f"LASH exceeded {self.max_vls} layers at pair {(s, t)}"
-                    )
-
-        return RoutingTables(
-            algorithm=self.name,
-            ports=ports,
-            num_vls=num_vls_used,
-            metadata={
-                "pair_to_vl": pair_to_vl,
-                "vl": VlAssignment(
-                    kind="pair",
-                    num_vls=num_vls_used,
-                    max_vls=self.max_vls,
-                    pair_to_vl=pair_to_vl,
-                ),
-            },
-        )
-
-    @staticmethod
-    def _bfs_tree(view, dest: int) -> Tuple[np.ndarray, np.ndarray]:
-        """BFS in-tree toward *dest*: (next_hop_switch, out_port) per switch."""
-        n = view.num_switches
-        nxt = np.full(n, -1, dtype=np.int64)
-        port = np.full(n, -1, dtype=np.int32)
-        dist = np.full(n, -1, dtype=np.int64)
-        dist[dest] = 0
-        q = deque([dest])
-        while q:
-            cur = q.popleft()
-            lo, hi = view.indptr[cur], view.indptr[cur + 1]
-            for k in range(lo, hi):
-                nb = int(view.peer[k])
-                if dist[nb] < 0:
-                    dist[nb] = dist[cur] + 1
-                    nxt[nb] = cur
-                    # Forward edge nb->cur uses the reverse port of cur->nb.
-                    port[nb] = int(view.in_port[k])
-                    q.append(nb)
-        if (dist < 0).any():
-            raise RoutingError("switch graph is disconnected")
-        return nxt, port
-
-    @staticmethod
-    def _path_dependencies(
-        nxt: np.ndarray, src: int, dest: int
-    ) -> List[Dependency]:
-        """Dependencies of the tree path src -> dest."""
-        chans: List[Tuple[int, int]] = []
-        cur = src
-        while cur != dest:
-            b = int(nxt[cur])
-            chans.append((cur, b))
-            cur = b
-        return [(chans[i], chans[i + 1]) for i in range(len(chans) - 1)]

@@ -1,0 +1,16 @@
+"""Reference implementations the test suites compare ``src/repro`` against.
+
+Each module here is the slow, obviously-correct form of one idea whose
+array implementation lives in ``src/repro``:
+
+* :mod:`tests.oracles.cdg` — the dict/DFS channel dependency graph
+  (oracle for :mod:`repro.sm.routing.cdg_array` and the helpers of
+  :mod:`repro.sm.deadlock`);
+* :mod:`tests.oracles.lash`, :mod:`tests.oracles.dfsssp` — the
+  pure-Python LASH and DFSSSP engines (byte-identity oracles for the
+  engines of :mod:`repro.sm.routing`);
+* :mod:`tests.oracles.delivery` — the per-path LFT walker (oracle for
+  the delivery half of :func:`repro.analysis.verification.verify_subnet`).
+
+Nothing under ``src/`` may import from here (CI greps for it).
+"""

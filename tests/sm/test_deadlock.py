@@ -6,7 +6,6 @@ from repro.errors import DeadlockError
 from repro.fabric.builders.generic import build_ring
 from repro.fabric.presets import scaled_fattree
 from repro.sm.deadlock import (
-    ChannelDependencyGraph,
     find_cycle,
     is_deadlock_free,
     routing_dependencies,
@@ -15,6 +14,7 @@ from repro.sm.deadlock import (
 from repro.sm.routing.base import RoutingRequest
 from repro.sm.routing.registry import create_engine
 from repro.sm.subnet_manager import SubnetManager
+from tests.oracles.cdg import ChannelDependencyGraph
 
 
 def request_for(built):

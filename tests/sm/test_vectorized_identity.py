@@ -2,10 +2,11 @@
 
 Three equivalences, each load-bearing for the Fig. 7 reproduction:
 
-* vectorized LASH/DFSSSP == the pure-Python reference engines — same LFT
-  bytes, same VL assignments, same metadata — on rings, tori, fat-trees
-  and hypothesis-sampled random regular graphs (rings/tori exercise the
-  multi-VL cyclic paths: relabel, rollback and layer rejection);
+* LASH/DFSSSP == the pure-Python reference engines of ``tests/oracles``
+  — same LFT bytes, same VL assignments, same metadata — on rings, tori,
+  fat-trees and hypothesis-sampled random regular graphs (rings/tori
+  exercise the multi-VL cyclic paths: relabel, rollback and layer
+  rejection);
 * sharded all-pairs computation (``workers > 1``) == the serial loop;
 * the stacked numpy LFT block diff == the old per-switch block diff.
 """
@@ -31,6 +32,14 @@ from repro.sm.routing.lash import LashRouting
 import repro.sm.routing.parallel as parallel_mod
 from repro.sm.routing.parallel import ParallelRouter
 from repro.sm.subnet_manager import SubnetManager
+from tests.oracles.dfsssp import ReferenceDFSSSPRouting
+from tests.oracles.lash import ReferenceLashRouting
+
+#: Engine under test -> its oracle.
+REFERENCE = {
+    LashRouting: ReferenceLashRouting,
+    DFSSSPRouting: ReferenceDFSSSPRouting,
+}
 
 _settings = settings(
     max_examples=8,
@@ -71,8 +80,8 @@ class TestVectorizedEngineIdentity:
     @pytest.mark.parametrize("engine_cls", [LashRouting, DFSSSPRouting])
     def test_identity_on_presets(self, preset, engine_cls):
         request = request_for(PRESETS[preset]())
-        fast = engine_cls(vectorized=True).compute(request)
-        ref = engine_cls(vectorized=False).compute(request)
+        fast = engine_cls().compute(request)
+        ref = REFERENCE[engine_cls]().compute(request)
         assert_tables_identical(fast, ref, (preset, engine_cls.__name__))
 
     @_settings
@@ -85,8 +94,8 @@ class TestVectorizedEngineIdentity:
         built = build_random_regular(2 * half_n, 3, 1, seed=seed)
         request = request_for(built)
         for engine_cls in (LashRouting, DFSSSPRouting):
-            fast = engine_cls(vectorized=True).compute(request)
-            ref = engine_cls(vectorized=False).compute(request)
+            fast = engine_cls().compute(request)
+            ref = REFERENCE[engine_cls]().compute(request)
             assert_tables_identical(fast, ref, (seed, engine_cls.__name__))
 
 

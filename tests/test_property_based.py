@@ -12,7 +12,7 @@ from repro.fabric.lft import (
     min_blocks_for_lid_count,
 )
 from repro.sim.engine import replay_smp_pipeline
-from repro.sm.deadlock import ChannelDependencyGraph
+from tests.oracles.cdg import ChannelDependencyGraph
 
 lids = st.integers(min_value=1, max_value=2000)
 ports = st.integers(min_value=0, max_value=254)
