@@ -16,18 +16,19 @@ docs/PERFORMANCE.md for the argument).
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.constants import LFT_UNSET
+from repro.errors import RoutingError
 from repro.fabric.topology import SwitchFabricView
 
 __all__ = [
     "bfs_distances",
     "bfs_tree",
     "all_pairs_switch_distances",
-    "equal_cost_candidates",
-    "equal_cost_candidates_batch",
+    "candidate_table",
     "edge_sources",
     "port_to_peer",
     "link_failure_affected_sources",
@@ -35,10 +36,6 @@ __all__ = [
     "link_addition_affected_sources",
     "switch_addition_affected_sources",
 ]
-
-#: Upper bound on the (edges x destinations) scratch matrix one batched
-#: candidate pass may allocate; larger requests are processed in chunks.
-_BATCH_CELL_BUDGET = 4_000_000
 
 
 def bfs_distances(view: SwitchFabricView, source: int) -> np.ndarray:
@@ -146,86 +143,61 @@ def port_to_peer(view: SwitchFabricView) -> np.ndarray:
     return p2p
 
 
-def equal_cost_candidates(
-    view: SwitchFabricView, dist_to_dest: np.ndarray
+def candidate_table(
+    view: SwitchFabricView,
+    cols: np.ndarray,
+    *,
+    switches: Optional[Sequence[int]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-switch minimal next-hop ports toward one destination switch.
-
-    Given the distance column ``dist_to_dest`` (hops from every switch to
-    the destination), returns ``(cand_ports, cand_counts)`` where row ``s``
-    of ``cand_ports`` holds the output ports of all neighbours one hop
-    closer to the destination (padded with -1) and ``cand_counts[s]`` how
-    many there are. The destination switch itself has zero candidates.
-
-    Fully vectorized over the CSR edge arrays.
-    """
-    n = view.num_switches
-    edge_src = edge_sources(view)
-    good = dist_to_dest[view.peer] == dist_to_dest[edge_src] - 1
-    good &= dist_to_dest[edge_src] > 0
-    idx = np.nonzero(good)[0]  # ascending => grouped by source switch
-    srcs = edge_src[idx]
-    counts = np.bincount(srcs, minlength=n)
-    maxc = int(counts.max()) if idx.size else 0
-    cand = np.full((n, max(maxc, 1)), -1, dtype=np.int32)
-    if idx.size:
-        first = np.cumsum(counts) - counts
-        pos = np.arange(idx.size) - first[srcs]
-        cand[srcs, pos] = view.out_port[idx]
-    return cand, counts.astype(np.int32)
-
-
-def equal_cost_candidates_batch(
-    view: SwitchFabricView, cols: np.ndarray
-) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Equal-cost candidates for many destinations in one CSR pass.
+    """Equal-cost next-hop ports of every switch toward many destinations.
 
     ``cols`` has shape ``(n, k)``: column ``j`` holds the hop distance of
-    every switch to destination ``j``. Returns one ``(cand, counts)`` pair
-    per column, identical to calling :func:`equal_cost_candidates` per
-    destination but with the edge comparisons and the candidate packing
-    batched over all destinations of a chunk (chunks bound peak memory to
-    roughly ``_BATCH_CELL_BUDGET`` cells).
+    every switch to destination ``j``. Returns ``(cand, cnt)``:
+    ``cand[i, j, :cnt[i, j]]`` are the output ports of switch
+    ``switches[i]`` (every switch, in index order, by default) toward its
+    neighbours one hop closer to destination ``j``, **in the switch's CSR
+    row order**; the remaining slots hold :data:`LFT_UNSET`. The slot
+    width is the view's maximum switch degree, whatever *switches* selects,
+    so partial builds can be written into a full table. A destination
+    switch itself, and a switch that cannot reach it, has zero candidates.
+
+    Works switch-major: one ``(degree, k)`` comparison, rank and scatter
+    per switch, so the scratch never exceeds one switch's plane.
     """
-    n = view.num_switches
-    num_edges = int(view.peer.shape[0])
+    if view.out_port.max(initial=0) >= LFT_UNSET:
+        raise RoutingError(
+            f"out port {int(view.out_port.max())} does not fit a uint8"
+            " candidate table"
+        )
+    bounds = view.indptr.tolist()
+    width = max(int(np.diff(view.indptr).max(initial=0)), 1)
+    out_port = view.out_port.astype(np.uint8)
+    rows = range(view.num_switches) if switches is None else switches
     k = cols.shape[1]
-    edge_src = edge_sources(view)
-    out: List[Tuple[np.ndarray, np.ndarray]] = []
-    chunk = max(1, _BATCH_CELL_BUDGET // max(num_edges, 1))
-    for lo in range(0, k, chunk):
-        sub = cols[:, lo : lo + chunk]
-        c = sub.shape[1]
-        dist_src = sub[edge_src]  # (E, c)
-        good = (sub[view.peer] == dist_src - 1) & (dist_src > 0)
-        # Flat pack: nonzero over the transposed mask yields pairs sorted
-        # by (column, edge index); edge index ascending => grouped by
-        # source switch, so one bincount + cumsum places every candidate.
-        col_idx, eidx = np.nonzero(good.T)
-        srcs = edge_src[eidx]
-        key = col_idx * n + srcs
-        counts_flat = np.bincount(key, minlength=c * n)
-        counts2d = counts_flat.reshape(c, n)
-        maxc_per = counts2d.max(axis=1) if c else np.zeros(0, dtype=np.int64)
-        maxc = int(maxc_per.max()) if c else 0
-        cand3d = np.full((c, n, max(maxc, 1)), -1, dtype=np.int32)
-        if eidx.size:
-            first = np.cumsum(counts_flat) - counts_flat
-            pos = np.arange(eidx.size) - first[key]
-            cand3d[col_idx, srcs, pos] = view.out_port[eidx]
-        for j in range(c):
-            width = max(int(maxc_per[j]), 1) if c else 1
-            out.append(
-                (cand3d[j, :, :width].copy(), counts2d[j].astype(np.int32))
-            )
-    return out
+    cand = np.full((len(rows), k, width), LFT_UNSET, dtype=np.uint8)
+    cnt = np.zeros((len(rows), k), dtype=np.uint8)
+    # Flat slot of (destination j, rank r) inside one switch's plane.
+    base = np.arange(k, dtype=np.int32) * width - 1
+    for i, s in enumerate(rows):
+        lo, hi = bounds[s], bounds[s + 1]
+        if lo == hi:
+            continue
+        own = cols[s]
+        good = cols[view.peer[lo:hi]] == own - 1
+        good &= own > 0
+        rank = np.cumsum(good, axis=0, dtype=np.int32)
+        cnt[i] = rank[-1]
+        rank += base
+        ports = np.broadcast_to(out_port[lo:hi, None], good.shape)
+        cand[i].reshape(-1)[rank[good]] = ports[good]
+    return cand, cnt
 
 
 def link_failure_affected_sources(
     dist: np.ndarray,
     u: int,
     v: int,
-    view: SwitchFabricView = None,
+    view: Optional[SwitchFabricView] = None,
 ) -> np.ndarray:
     """Boolean mask of BFS sources whose tree may change when cable
     ``(u, v)`` is removed.

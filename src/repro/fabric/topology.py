@@ -447,37 +447,27 @@ class Topology:
         self._touch_switch_graph()
 
     def _build_fabric_view(self) -> SwitchFabricView:
-        n = len(self._switches)
-        adj: List[List[Tuple[int, int, int, float]]] = [[] for _ in range(n)]
+        # (peer index, out port, in port, latency) of every inter-switch
+        # cable end, grouped by switch in index order == CSR order.
+        edges: List[Tuple[int, int, int, float]] = []
+        indptr = [0]
         for sw in self._switches:
             for port in sw.connected_ports():
                 peer = port.remote
                 assert peer is not None and port.link is not None
                 if isinstance(peer.node, Switch):
-                    adj[sw.index].append(
+                    edges.append(
                         (peer.node.index, port.num, peer.num, port.link.latency)
                     )
-        counts = [len(a) for a in adj]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        total = int(indptr[-1])
-        peer = np.empty(total, dtype=np.int32)
-        out_port = np.empty(total, dtype=np.int32)
-        in_port = np.empty(total, dtype=np.int32)
-        latency = np.empty(total, dtype=np.float64)
-        pos = 0
-        for a in adj:
-            for pr, op, ip, lat in a:
-                peer[pos], out_port[pos], in_port[pos] = pr, op, ip
-                latency[pos] = lat
-                pos += 1
+            indptr.append(len(edges))
+        peers, out_ports, in_ports, latencies = zip(*edges) if edges else ((),) * 4
         return SwitchFabricView(
-            num_switches=n,
-            indptr=indptr,
-            peer=peer,
-            out_port=out_port,
-            in_port=in_port,
-            link_latency=latency,
+            num_switches=len(self._switches),
+            indptr=np.array(indptr, dtype=np.int64),
+            peer=np.array(peers, dtype=np.int32),
+            out_port=np.array(out_ports, dtype=np.int32),
+            in_port=np.array(in_ports, dtype=np.int32),
+            link_latency=np.array(latencies, dtype=np.float64),
         )
 
     def terminals(self) -> List[Terminal]:

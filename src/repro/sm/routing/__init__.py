@@ -7,8 +7,7 @@ from repro.sm.routing.base import (
     RoutingTables,
     all_pairs_switch_distances,
     bfs_distances,
-    equal_cost_candidates,
-    equal_cost_candidates_batch,
+    candidate_table,
 )
 from repro.sm.routing.cache import RoutingCacheStats, RoutingState
 from repro.sm.routing.dfsssp import DFSSSPRouting
@@ -25,8 +24,7 @@ __all__ = [
     "RoutingTables",
     "bfs_distances",
     "all_pairs_switch_distances",
-    "equal_cost_candidates",
-    "equal_cost_candidates_batch",
+    "candidate_table",
     "RoutingState",
     "RoutingCacheStats",
     "MinHopRouting",

@@ -24,8 +24,7 @@ from repro.errors import RoutingError, UnreachableLidError
 from repro.fabric.graph import (
     all_pairs_switch_distances,
     bfs_distances,
-    equal_cost_candidates,
-    equal_cost_candidates_batch,
+    candidate_table,
 )
 from repro.fabric.topology import SwitchFabricView, Terminal, Topology
 from repro.sm.routing.cache import RoutingState
@@ -37,8 +36,7 @@ __all__ = [
     "RoutingAlgorithm",
     "bfs_distances",
     "all_pairs_switch_distances",
-    "equal_cost_candidates",
-    "equal_cost_candidates_batch",
+    "candidate_table",
 ]
 
 
@@ -169,21 +167,11 @@ class RoutingRequest:
             return self.state.row(source)
         return bfs_distances(self.view, source)
 
-    def candidates(self, dest: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Equal-cost candidates toward one destination switch."""
+    def candidate_table(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Equal-cost candidates of every switch toward every switch."""
         if self.state is not None:
-            return self.state.candidates(dest)
-        return equal_cost_candidates(self.view, self.bfs_row(dest))
-
-    def prefetch_candidates(
-        self, dests: List[int]
-    ) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
-        """Candidate arrays for many destinations in one batched CSR pass."""
-        if self.state is not None:
-            return self.state.prefetch_candidates(dests)
-        dist = self.switch_distances()
-        pairs = equal_cost_candidates_batch(self.view, dist[:, dests].copy())
-        return dict(zip(dests, pairs))
+            return self.state.candidate_table()
+        return candidate_table(self.view, self.switch_distances())
 
     # -- cached lookup structures -------------------------------------------
 
@@ -204,6 +192,20 @@ class RoutingRequest:
             )
             self._terminal_arrays = (lids, sws, prts)
         return self._terminal_arrays
+
+    def lid_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(lids, dest_switch)`` of every LID: the terminals in
+        :meth:`terminal_arrays` order, then the switch self-LIDs."""
+        lids, sws, _ = self.terminal_arrays()
+        count = len(self.switch_lids)
+        return (
+            np.concatenate(
+                [lids, np.fromiter(self.switch_lids, np.int64, count)]
+            ),
+            np.concatenate(
+                [sws, np.fromiter(self.switch_lids.values(), np.int64, count)]
+            ),
+        )
 
     def terminal_map(self) -> Dict[Tuple[int, int], frozenset]:
         """``(switch_index, switch_port) -> {LIDs delivered there}``.
@@ -404,18 +406,33 @@ class RoutingAlgorithm(abc.ABC):
         """
         lids, sws, prts = request.terminal_arrays()
         ports[sws, lids] = prts
-        if request.switch_lids:
-            sl = np.fromiter(
-                request.switch_lids, dtype=np.int64,
-                count=len(request.switch_lids),
-            )
-            si = np.fromiter(
-                request.switch_lids.values(), dtype=np.int64,
-                count=len(request.switch_lids),
-            )
-            ports[si, sl] = 0
+        lids, dest = request.lid_arrays()
+        ports[dest[len(prts):], lids[len(prts):]] = 0
+
+    @staticmethod
+    def _assign_lid_mod(
+        ports: np.ndarray,
+        table: Tuple[np.ndarray, np.ndarray],
+        lids: np.ndarray,
+        planes: np.ndarray,
+    ) -> None:
+        """Destination-indexed spreading over a candidate table.
+
+        ``ports[s, lids[i]] = cand[s, planes[i], lids[i] % cnt[s, planes[i]]]``
+        for every switch ``s`` with candidates toward ``planes[i]``; cells
+        without any (the destination switch itself) keep what they hold.
+        Candidates stand in CSR row order, so the choice depends on the LID
+        and the cabling alone.
+        """
+        cand, cnt = table
+        count = cnt[:, planes]
+        pick = lids.astype(np.int32) % np.maximum(count, 1)
+        rows = np.arange(cand.shape[0])[:, None]
+        block = ports[:, lids]
+        np.copyto(block, cand[rows, planes, pick], where=count > 0)
+        ports[:, lids] = block
 
 
-# bfs_distances / all_pairs_switch_distances / equal_cost_candidates /
-# equal_cost_candidates_batch live in repro.fabric.graph (shared with the
-# SMP transport and the routing cache) and are re-exported above.
+# bfs_distances / all_pairs_switch_distances / candidate_table live in
+# repro.fabric.graph (shared with the SMP transport and the routing cache)
+# and are re-exported above.

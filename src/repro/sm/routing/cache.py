@@ -6,10 +6,11 @@ sweep even when nothing about the *switch graph* had changed (VM churn,
 migrations, incremental reroutes). :class:`RoutingState` removes that cost:
 
 * **versioned caching** — the all-pairs switch distance matrix, single BFS
-  rows, per-destination equal-cost candidate arrays and the port lookup
-  maps are all keyed by :attr:`repro.fabric.topology.Topology.version`,
-  which only switch-graph mutations bump. On an unchanged graph a repeat
-  ``compute_routing`` performs **zero** BFS sweeps.
+  rows, the equal-cost candidate table and the port lookup maps are all
+  keyed by :attr:`repro.fabric.topology.Topology.version`, which only
+  switch-graph mutations bump. On an unchanged graph a repeat
+  ``compute_routing`` performs **zero** BFS sweeps and builds no
+  candidate row.
 
 * **incremental repair** — after a link or switch failure the subnet
   manager records a :class:`RepairEvent`; on the next access the cache
@@ -19,7 +20,9 @@ migrations, incremental reroutes). :class:`RoutingState` removes that cost:
   :func:`~repro.fabric.graph.switch_removal_affected_sources`) instead of
   all ``n`` sources. Repaired matrices are *exactly* equal to a
   from-scratch recomputation, so the routing tables built from them are
-  byte-identical — the property-based tests assert this.
+  byte-identical — the property-based tests assert this. The candidate
+  table is repaired with the matrix: only the destination planes of the
+  re-swept sources and the rows of the touched cables' ends are rebuilt.
 
 All activity is counted in :class:`RoutingCacheStats`; the subnet manager
 exposes the counters as ``repro_routing_cache_*`` metrics and span
@@ -29,29 +32,25 @@ attributes so PCt savings are observable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from repro.constants import LFT_UNSET
+from repro.errors import RoutingError
 from repro.fabric.graph import (
     bfs_distances,
+    candidate_table,
     edge_sources,
-    equal_cost_candidates,
-    equal_cost_candidates_batch,
     link_addition_affected_sources,
     link_failure_affected_sources,
     switch_addition_affected_sources,
     switch_removal_affected_sources,
 )
-from repro.fabric.topology import Topology
+from repro.fabric.topology import SwitchFabricView, Topology
 from repro.sm.routing.parallel import ParallelRouter
 
 __all__ = ["RoutingCacheStats", "RepairEvent", "RoutingState"]
-
-#: Above this switch count, per-destination candidate arrays are computed
-#: transiently (still batched) instead of being kept in the cache, bounding
-#: the cache's memory to O(n^2) at paper scale.
-DEFAULT_CANDIDATE_CACHE_LIMIT = 512
 
 
 @dataclass
@@ -70,9 +69,9 @@ class RoutingCacheStats:
     sources_repaired: int = 0
     #: Full matrix recomputations (same events as ``misses``).
     full_recomputes: int = 0
-    #: Candidate-array requests served from cache.
+    #: Candidate-table requests served from cache (incl. right after repair).
     candidate_hits: int = 0
-    #: Candidate-array requests that had to be (re)computed.
+    #: Candidate-table requests that had to build the whole table.
     candidate_misses: int = 0
 
     def snapshot(self) -> "RoutingCacheStats":
@@ -110,23 +109,16 @@ class RoutingState:
     """Version-keyed routing caches for one topology.
 
     One instance is shared by the subnet manager (all-pairs distances and
-    candidate arrays for the routing engines) and the SMP transport (the
+    the candidate table for the routing engines) and the SMP transport (the
     single BFS row from the SM's root switch). Every public accessor first
     synchronizes with ``topology.version``: unchanged -> serve cached
     arrays; a chain of recorded :class:`RepairEvent`\\ s -> incremental
     repair; anything else -> drop and recompute lazily.
     """
 
-    def __init__(
-        self,
-        topology: Topology,
-        *,
-        candidate_cache_limit: int = DEFAULT_CANDIDATE_CACHE_LIMIT,
-        workers: int = 1,
-    ) -> None:
+    def __init__(self, topology: Topology, *, workers: int = 1) -> None:
         self.topology = topology
         self.stats = RoutingCacheStats()
-        self.candidate_cache_limit = candidate_cache_limit
         #: Sharded full recomputes (``workers > 1``); repairs stay serial —
         #: they resweep only a handful of sources by design.
         self.router = ParallelRouter(workers)
@@ -134,7 +126,11 @@ class RoutingState:
         self._pending: List[RepairEvent] = []
         self._dist: Optional[np.ndarray] = None
         self._rows: Dict[int, np.ndarray] = {}
-        self._cand: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        #: ``(cand, cnt)`` of :func:`~repro.fabric.graph.candidate_table`
+        #: over the whole matrix; exists only beside ``_dist`` and is
+        #: patched in place by repairs, so it is never handed out in
+        #: ``RoutingTables.metadata``.
+        self._cand: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._port_maps: Optional[Tuple[dict, dict]] = None
 
     # -- failure notifications ------------------------------------------------
@@ -234,48 +230,20 @@ class RoutingState:
         self._rows[source] = row
         return row
 
-    def candidates(self, dest: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Equal-cost candidate ports toward one destination switch."""
-        self._sync()
-        hit = self._cand.get(dest)
-        if hit is not None:
-            self.stats.candidate_hits += 1
-            return hit
-        self.stats.candidate_misses += 1
-        pair = equal_cost_candidates(
-            self.topology.fabric_view(), self.row(dest)
-        )
-        if self._cacheable():
-            self._cand[dest] = pair
-        return pair
+    def candidate_table(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(cand, cnt)``: equal-cost ports of every switch toward every
+        destination switch (see :func:`repro.fabric.graph.candidate_table`).
 
-    def prefetch_candidates(
-        self, dests: Sequence[int]
-    ) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
-        """Candidate arrays for many destinations, batched in one CSR pass."""
-        self._sync()
-        out: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        missing: List[int] = []
-        for d in dests:
-            hit = self._cand.get(d)
-            if hit is not None:
-                self.stats.candidate_hits += 1
-                out[d] = hit
-            else:
-                missing.append(d)
-        if missing:
-            self.stats.candidate_misses += len(missing)
-            dist = self.distances()
-            cols = dist[:, missing].copy()
-            pairs = equal_cost_candidates_batch(
-                self.topology.fabric_view(), cols
-            )
-            cache = self._cacheable()
-            for d, pair in zip(missing, pairs):
-                out[d] = pair
-                if cache:
-                    self._cand[d] = pair
-        return out
+        Built from :meth:`distances` on a miss, repaired with them after a
+        recorded mutation. Callers must treat both arrays as read-only.
+        """
+        dist = self.distances()
+        if self._cand is None:
+            self.stats.candidate_misses += 1
+            self._cand = candidate_table(self.topology.fabric_view(), dist)
+        else:
+            self.stats.candidate_hits += 1
+        return self._cand
 
     def port_maps(self) -> Tuple[dict, dict]:
         """``(port_to_neighbor, neighbor_via_port)`` lookup dicts.
@@ -301,16 +269,13 @@ class RoutingState:
 
     # -- synchronization --------------------------------------------------------
 
-    def _cacheable(self) -> bool:
-        return self.topology.num_switches <= self.candidate_cache_limit
-
     def _drop_derived(self) -> None:
         self._rows.clear()
-        self._cand.clear()
         self._port_maps = None
 
     def _invalidate(self) -> None:
         self._dist = None
+        self._cand = None
         self._drop_derived()
 
     def _sync(self) -> None:
@@ -348,7 +313,8 @@ class RoutingState:
             not events or events[-1].version != target
         ):
             return False
-        assert self._dist is not None
+        if self._dist is None:
+            raise RoutingError("no cached distance matrix to repair")
         # Copy-on-write: previously returned matrices (engines keep one in
         # RoutingTables.metadata) must stay frozen snapshots.
         dist = self._dist.copy()
@@ -449,7 +415,52 @@ class RoutingState:
         for w in dirty:
             dist[:, w] = dist[w, :]
         self._dist = dist
+        self._repair_candidates(events, view, dist, srcs)
         self.stats.bfs_sweeps += len(srcs)
         self.stats.sources_repaired += len(srcs)
         self.stats.repairs += 1
         return True
+
+    def _repair_candidates(
+        self,
+        events: List[RepairEvent],
+        view: SwitchFabricView,
+        dist: np.ndarray,
+        srcs: np.ndarray,
+    ) -> None:
+        """Bring the candidate table in line with the repaired *dist*.
+
+        Distances are symmetric, so the re-swept rows *srcs* are exactly
+        the destination columns that changed: their planes are rebuilt for
+        every switch. Both ends of every removed or added cable are
+        rebuilt for every destination — a column whose distances did not
+        move still loses or gains the cable as a candidate there. A chain
+        that re-indexed switches, or a table narrower than the new maximum
+        degree, drops the table for a lazy rebuild.
+        """
+        if self._cand is None:
+            return
+        if any(ev.kind in ("switch", "switch_add") for ev in events):
+            self._cand = None
+            return
+        ends = sorted(
+            {s for ev in events if ev.kind != "noop" for s in (ev.a, ev.b)}
+        )
+        if not ends:
+            return  # only noops: no cable moved, no source was re-swept
+        cand, cnt = self._cand
+        rows, row_cnt = candidate_table(view, dist, switches=ends)
+        width = rows.shape[2]
+        if width > cand.shape[2]:
+            self._cand = None
+            return
+        if len(srcs):
+            cand[:, srcs, :width], cnt[:, srcs] = candidate_table(
+                view, dist[:, srcs]
+            )
+        # The kernel pads to the view's maximum degree; a table built
+        # before that degree shrank is wider. Only a switch that lost a
+        # cable can hold ports in the slots beyond, so only the end rows
+        # need the rest padded by hand.
+        cand[ends, :, width:] = LFT_UNSET
+        cand[ends, :, :width], cnt[ends] = rows, row_cnt

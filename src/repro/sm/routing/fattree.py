@@ -21,6 +21,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.errors import RoutingError
+from repro.fabric.graph import candidate_table, edge_sources
 from repro.sm.routing.base import (
     RoutingAlgorithm,
     RoutingRequest,
@@ -50,30 +51,24 @@ class FatTreeRouting(RoutingAlgorithm):
             raise RoutingError("every switch needs a level for ftree")
 
         ports = self._empty_tables(request)
-        self._program_local_entries(ports, request)
 
         # Per-switch up ports (to any higher-level neighbour), sorted for
         # determinism; up_adj additionally keeps (peer, reverse port) pairs
         # so the per-leaf ancestor walks touch only up edges.
         up_ports: List[List[int]] = [[] for _ in range(n)]
         up_adj: List[List[tuple]] = [[] for _ in range(n)]
-        degrees = np.diff(view.indptr)
-        edge_src = np.repeat(np.arange(n, dtype=np.int64), degrees)
+        edge_src = edge_sources(view)
         going_up = level[view.peer] > level[edge_src]
-        for k in np.nonzero(going_up)[0]:
-            s = int(edge_src[k])
-            up_ports[s].append(int(view.out_port[k]))
-            up_adj[s].append((int(view.peer[k]), int(view.in_port[k])))
-        for lst in up_ports:
-            lst.sort()
-        max_up = max((len(u) for u in up_ports), default=0)
-        up_matrix = np.full((n, max(max_up, 1)), -1, dtype=np.int32)
-        up_counts = np.zeros(n, dtype=np.int32)
-        for s, lst in enumerate(up_ports):
-            up_counts[s] = len(lst)
-            up_matrix[s, : len(lst)] = lst
+        for s, port, peer, rev in zip(
+            edge_src[going_up].tolist(),
+            view.out_port[going_up].tolist(),
+            view.peer[going_up].tolist(),
+            view.in_port[going_up].tolist(),
+        ):
+            up_ports[s].append(port)
+            up_adj[s].append((peer, rev))
+        no_up = np.array([not lst for lst in up_ports])
 
-        rows = np.arange(n)
         # LIDs handled structurally, grouped by destination leaf: every
         # terminal, plus the self-LIDs of level-0 switches (routing toward a
         # leaf switch is identical to routing toward a host below it — the
@@ -81,51 +76,52 @@ class FatTreeRouting(RoutingAlgorithm):
         leaf_groups: Dict[int, List[int]] = {}
         for t in request.terminals:
             leaf_groups.setdefault(t.switch_index, []).append(t.lid)
-        upper_switch_lids: Dict[int, List[int]] = {}
         for lid, dest_sw in request.switch_lids.items():
             if level[dest_sw] == 0:
                 leaf_groups.setdefault(dest_sw, []).append(lid)
-            else:
-                upper_switch_lids.setdefault(dest_sw, []).append(lid)
 
+        # Up entries do not depend on the destination leaf: every switch
+        # with up ports spreads all of these LIDs by lid % up_count, one
+        # 1-D gather per switch ...
+        leaf_lids = np.array(
+            [lid for group in leaf_groups.values() for lid in group],
+            dtype=np.int64,
+        )
+        for s, lst in enumerate(up_ports):
+            if lst:
+                ports[s, leaf_lids] = np.array(sorted(lst))[leaf_lids % len(lst)]
+        # ... then each leaf's ancestors take the LID-independent down port
+        # instead (its own row is programmed last, with the local entries).
         for leaf_idx, lid_list in leaf_groups.items():
-            down_col = self._down_ports_toward(up_adj, n, leaf_idx)
-            down_mask = down_col >= 0
-            up_mask = ~down_mask & (up_counts > 0) & (rows != leaf_idx)
-            bad = ~down_mask & (up_counts == 0) & (rows != leaf_idx)
+            down = self._down_ports_toward(up_adj, leaf_idx)
+            dr = np.fromiter(down, dtype=np.int64, count=len(down))
+            bad = no_up.copy()
+            bad[dr] = bad[leaf_idx] = False
             if bad.any():
                 raise RoutingError(
                     f"switch {int(np.nonzero(bad)[0][0])} can reach leaf"
                     f" {leaf_idx} neither up nor down; not a fat-tree?"
                 )
-            ur = rows[up_mask]
-            dr = rows[down_mask]
-            lids = np.array(lid_list, dtype=np.int64)
-            # All of this leaf's LIDs in one 2D fancy-index per direction:
-            # down entries are LID-independent; up entries spread by
-            # lid % up_count per switch.
-            if dr.size:
-                ports[np.ix_(dr, lids)] = down_col[dr][:, None]
-            if ur.size:
-                sel = lids[None, :] % up_counts[ur][:, None]
-                ports[np.ix_(ur, lids)] = up_matrix[ur[:, None], sel]
+            ports[np.ix_(dr, lid_list)] = np.fromiter(
+                down.values(), dtype=np.int16, count=len(down)
+            )[:, None]
 
-        # Upper-level switch self-LIDs: equal-cost BFS columns (management
-        # traffic is not bandwidth critical). Only aggregation/core switches
-        # need a BFS — this is where ftree undercuts MinHop's all-pairs —
-        # and both the BFS row and the candidate arrays come from the
-        # shared cache when one is attached.
-        for dest_sw, lids in upper_switch_lids.items():
-            dist = request.bfs_row(dest_sw)
-            if (dist < 0).any():
+        # Upper-level switch self-LIDs: equal-cost min-hop columns
+        # (management traffic is not bandwidth critical); their candidates
+        # are one kernel call and one gather.
+        lids, dest = (
+            a[len(request.terminals):] for a in request.lid_arrays()
+        )
+        upper = level[dest] > 0
+        if upper.any():
+            dests, planes = np.unique(dest[upper], return_inverse=True)
+            cols = self._columns_toward(request, level, dests)
+            if (cols < 0).any():
                 raise RoutingError("switch graph is disconnected")
-            cand, counts = request.candidates(dest_sw)
-            mask = counts > 0
-            sel = rows[mask]
-            cnt = counts[mask]
-            lid_arr = np.asarray(lids, dtype=np.int64)
-            pick = lid_arr[None, :] % cnt[:, None]
-            ports[np.ix_(sel, lid_arr)] = cand[sel[:, None], pick]
+            self._assign_lid_mod(
+                ports, candidate_table(view, cols), lids[upper], planes
+            )
+        self._program_local_entries(ports, request)
 
         return RoutingTables(
             algorithm=self.name,
@@ -134,21 +130,49 @@ class FatTreeRouting(RoutingAlgorithm):
         )
 
     @staticmethod
-    def _down_ports_toward(
-        up_adj: List[List[tuple]], n: int, leaf_idx: int
+    def _columns_toward(
+        request: RoutingRequest, level: np.ndarray, dests: np.ndarray
     ) -> np.ndarray:
+        """Hop distance of every switch to each of *dests*, one column each.
+
+        Every path to a switch ends at one of its neighbours, so a
+        destination whose neighbours all have a column already needs no
+        sweep of its own: its column is their minimum plus one. Taking the
+        destinations level by level, that is every level cabled only to
+        the one below it (the cores of a 3-level tree); the others cost
+        one BFS row each, from the shared cache when one is attached —
+        this is where ftree undercuts MinHop's all-pairs.
+        """
+        view = request.view
+        cols = np.empty((view.num_switches, len(dests)), dtype=np.int32)
+        plane = np.full(view.num_switches, -1)
+        for j in np.argsort(level[dests], kind="stable").tolist():
+            d = int(dests[j])
+            known = plane[view.peer[view.indptr[d] : view.indptr[d + 1]]]
+            if known.size and (known >= 0).all():
+                cols[:, j] = cols[:, known].min(axis=1) + 1
+                cols[d, j] = 0
+            else:
+                cols[:, j] = request.bfs_row(d)
+            plane[d] = j
+        return cols
+
+    @staticmethod
+    def _down_ports_toward(
+        up_adj: List[List[tuple]], leaf_idx: int
+    ) -> Dict[int, int]:
         """For every ancestor of *leaf_idx*, the down port toward it.
 
         Walks up from the leaf along the precomputed up-edge adjacency;
         each newly reached higher-level switch records the (reverse) port
-        through which it was reached. Non-ancestors keep -1.
+        through which it was reached.
         """
-        down = np.full(n, -1, dtype=np.int32)
+        down: Dict[int, int] = {}
         q = deque([leaf_idx])
         while q:
             cur = q.popleft()
             for nb, in_port in up_adj[cur]:
-                if down[nb] < 0:
+                if nb not in down:
                     down[nb] = in_port
                     q.append(nb)
         return down

@@ -51,43 +51,24 @@ class MinHopRouting(RoutingAlgorithm):
             raise RoutingError("switch graph is disconnected")
         ports = self._empty_tables(request)
         self._program_local_entries(ports, request)
-
-        # Destination switch index -> LIDs that terminate there (or at an
-        # endpoint hanging off it).
-        dest_groups = request.dest_groups()
-
         if self.balance == "lid-mod":
-            self._assign_lid_mod(request, dist, ports, dest_groups)
+            # One gather over the cached candidate table, redone on every
+            # compute: LID churn can never stale it.
+            self._assign_lid_mod(
+                ports, request.candidate_table(), *request.lid_arrays()
+            )
         else:
-            self._assign_least_loaded(request, dist, ports, dest_groups)
+            # Destination switch index -> LIDs that terminate there (or at
+            # an endpoint hanging off it).
+            self._assign_least_loaded(
+                request, dist, ports, request.dest_groups()
+            )
 
         return RoutingTables(
             algorithm=self.name,
             ports=ports,
             metadata={"switch_distances": dist, "balance": self.balance},
         )
-
-    def _assign_lid_mod(
-        self,
-        request: RoutingRequest,
-        dist: np.ndarray,
-        ports: np.ndarray,
-        dest_groups: Dict[int, List[int]],
-    ) -> None:
-        n = request.num_switches
-        rows = np.arange(n)
-        # One batched CSR pass produces every destination's candidate
-        # arrays; the per-destination fill is a single 2D fancy-indexed
-        # scatter over all of its LIDs (no scalar LID loop).
-        cand_map = request.prefetch_candidates(sorted(dest_groups))
-        for dest_sw, lids in dest_groups.items():
-            cand, counts = cand_map[dest_sw]
-            mask = counts > 0
-            sel_rows = rows[mask]
-            sel_counts = counts[mask]
-            lid_arr = np.asarray(lids, dtype=np.int64)
-            sel = lid_arr[None, :] % sel_counts[:, None]
-            ports[np.ix_(sel_rows, lid_arr)] = cand[sel_rows[:, None], sel]
 
     def _assign_least_loaded(
         self,

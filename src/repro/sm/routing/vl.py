@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.errors import RoutingError
+
 __all__ = [
     "MANAGEMENT_VL",
     "VlAssignment",
@@ -52,11 +54,11 @@ class VlAssignment:
 
     def __post_init__(self) -> None:
         if self.kind not in ("pair", "dest"):
-            raise ValueError(f"unknown VL assignment kind {self.kind!r}")
+            raise RoutingError(f"unknown VL assignment kind {self.kind!r}")
         if self.kind == "pair" and self.pair_to_vl is None:
-            raise ValueError("pair-keyed assignment needs pair_to_vl")
+            raise RoutingError("pair-keyed assignment needs pair_to_vl")
         if self.kind == "dest" and self.lid_to_vl is None:
-            raise ValueError("dest-keyed assignment needs lid_to_vl")
+            raise RoutingError("dest-keyed assignment needs lid_to_vl")
 
     # -- deterministic iteration --------------------------------------------
 
@@ -173,7 +175,7 @@ def corrupt_assignment(
     """
     entries = vl.data_items()
     if not entries:
-        raise ValueError("assignment has no data-VL entries to corrupt")
+        raise RoutingError("assignment has no data-VL entries to corrupt")
     backing: Dict[Any, int]
     if vl.kind == "pair":
         assert vl.pair_to_vl is not None
@@ -193,4 +195,4 @@ def corrupt_assignment(
         for k, _ in entries:
             backing[k] = 0
         return f"collapsed {len(entries)} assignments onto VL 0"
-    raise ValueError(f"unknown corruption mode {mode!r}")
+    raise RoutingError(f"unknown corruption mode {mode!r}")

@@ -124,7 +124,7 @@ class SubnetManager:
         #: :class:`~repro.mad.reliable.ReliableSmpSender`.
         self.smp_sender = self.transport
         #: Shared versioned routing cache: the engines' all-pairs distances
-        #: and candidate arrays, the transport's SM-root BFS row, and the
+        #: and candidate table, the transport's SM-root BFS row, and the
         #: incremental post-failure repair state all live here.
         self.routing_state = RoutingState(topology, workers=workers)
         self.transport.set_distance_source(self.routing_state)

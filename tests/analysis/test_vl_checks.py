@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import StaticAnalysisError
+from repro.errors import RoutingError, StaticAnalysisError
 from repro.fabric.builders.generic import build_random_regular
 from repro.obs import get_hub, reset_hub
 from repro.sm.deadlock import is_deadlock_free
@@ -101,8 +101,19 @@ class TestVlExport:
         desc = corrupt_assignment(clone, "remap", index=7)
         assert "nonexistent" in desc
         assert vl.lid_to_vl == {1: 0, 2: 1}  # original untouched
-        with pytest.raises(ValueError):
+        with pytest.raises(RoutingError):
             corrupt_assignment(clone, "telepathy")
+
+    def test_malformed_assignments_are_routing_errors(self):
+        with pytest.raises(RoutingError):
+            VlAssignment(kind="bogus", num_vls=1, max_vls=8)
+        with pytest.raises(RoutingError):
+            VlAssignment(kind="pair", num_vls=1, max_vls=8)
+        with pytest.raises(RoutingError):
+            VlAssignment(kind="dest", num_vls=1, max_vls=8)
+        empty = VlAssignment(kind="dest", num_vls=1, max_vls=8, lid_to_vl={})
+        with pytest.raises(RoutingError):
+            corrupt_assignment(empty)
 
 
 class TestBuildPerVlDependencies:

@@ -10,7 +10,9 @@ array implementation lives in ``src/repro``:
   pure-Python LASH and DFSSSP engines (byte-identity oracles for the
   engines of :mod:`repro.sm.routing`);
 * :mod:`tests.oracles.delivery` — the per-path LFT walker (oracle for
-  the delivery half of :func:`repro.analysis.verification.verify_subnet`).
+  the delivery half of :func:`repro.analysis.verification.verify_subnet`);
+* :mod:`tests.oracles.candidates` — the per-destination equal-cost
+  candidate pass (oracle for :func:`repro.fabric.graph.candidate_table`).
 
 Nothing under ``src/`` may import from here (CI greps for it).
 """

@@ -159,13 +159,15 @@ class TestWarmCache:
         assert delta["bfs_sweeps"] == 0
         assert delta["misses"] == 0
 
-    def test_candidate_arrays_cached(self):
+    def test_candidate_table_cached(self):
         _, sm = make_sm("minhop")
+        table = sm.routing_state.candidate_table()
         before = sm.routing_state.stats.snapshot()
         sm.compute_routing()
         delta = sm.routing_state.stats.delta_since(before)
         assert delta["candidate_misses"] == 0
         assert delta["candidate_hits"] > 0
+        assert sm.routing_state.candidate_table() is table
 
 
 class TestIncrementalRepair:

@@ -21,7 +21,7 @@ from repro.sm.routing.base import (
     RoutingRequest,
     all_pairs_switch_distances,
     bfs_distances,
-    equal_cost_candidates,
+    candidate_table,
 )
 from repro.sm.routing.registry import available_engines, create_engine, register_engine
 from repro.sm.subnet_manager import SubnetManager
@@ -274,14 +274,16 @@ class TestGraphHelpers:
         assert (dist == dist.T).all()
         assert (np.diag(dist) == 0).all()
 
-    def test_equal_cost_candidates_counts(self):
+    def test_candidate_table_counts(self):
         built = build_ring(4, 1)
         view = built.topology.fabric_view()
         dist = bfs_distances(view, 0)
-        cand, counts = equal_cost_candidates(view, dist)
+        cand, cnt = candidate_table(view, dist[:, None])
+        counts = cnt[:, 0]
         assert counts[0] == 0  # destination itself
         assert counts[1] == 1 and counts[3] == 1
         assert counts[2] == 2  # two equal-cost ways around the ring
+        assert (cand[0, 0] == LFT_UNSET).all()
 
     def test_timed_compute_stamps_pct(self, ft_request):
         tables = create_engine("minhop").timed_compute(ft_request)
