@@ -170,7 +170,7 @@ class LiveMigrationOrchestrator:
             dest_port=destination.uplink_port,
         )
 
-        run_before = self.sm.transport.stats.snapshot()
+        run_before = self.sm.transport.stats.mark()
         with span(
             "migration",
             vm=vm.name,
@@ -199,7 +199,7 @@ class LiveMigrationOrchestrator:
                 # the participating hypervisors' VF addresses — one SMP
                 # each, plus the vGUID transfer to the destination
                 # (sections V-C(a), VII-B step 3).
-                before = self.sm.transport.stats.snapshot()
+                before = self.sm.transport.stats.total_smps
                 with span("address_update"):
                     self._send_checked(
                         Smp(
@@ -237,8 +237,7 @@ class LiveMigrationOrchestrator:
                 destination.vswitch.set_vguid(dest_vf, result.data["vguid"])
                 vguid_programmed = True
                 address_update_smps = (
-                    self.sm.transport.stats.snapshot().total_smps
-                    - before.total_smps
+                    self.sm.transport.stats.total_smps - before
                 )
 
                 # Step 3b: the LFT updates (UPDATELFTBLOCKSONALLSWITCHES),
@@ -296,7 +295,7 @@ class LiveMigrationOrchestrator:
                 vm.state = VmState.RUNNING
                 vm.migrations += 1
 
-            run_delta = self.sm.transport.stats.delta_since(run_before)
+            run_delta = self.sm.transport.stats.since(run_before)
             if outcome == "completed":
                 downtime = (
                     self.timing.vf_detach_seconds

@@ -17,19 +17,27 @@ destination-based routing, dropping the per-hop directed-routing overhead
 ``r`` (equation (5)).
 
 Path computation time is zero by construction — the headline result.
+
+Every operation here is one **column edit**: "these LID columns take
+these per-switch ports". One kernel (:meth:`VSwitchReconfigurer._edit`)
+compares the affected entries, keeps the ``n'`` switches where they
+differ, builds only the changed 64-entry blocks and hands them to the
+transport as one multi-target sweep
+(:meth:`repro.mad.transport.SmpTransport.send_lft_sweep`).
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.constants import LFT_BLOCK_SIZE, LFT_DROP_PORT
+from repro.constants import LFT_BLOCK_SIZE, LFT_DROP_PORT, LFT_UNSET
 from repro.errors import ReconfigError, ReconfigRollbackError, TransportError
 from repro.fabric.lft import lft_block_of
-from repro.mad.smp import Smp, SmpKind, SmpMethod, make_set_lft_block
+from repro.fabric.node import Switch
 from repro.obs.hub import get_hub, span
 from repro.sm.subnet_manager import SubnetManager
 
@@ -95,37 +103,20 @@ class VSwitchReconfigurer:
         """Prepopulated-LIDs migration: swap two LID entries on all switches.
 
         Implements UPDATELFTBLOCKSONALLSWITCHES of Algorithm 1 for the
-        swapping variant: iterate every LFT block of every switch, send an
-        SMP only where the block actually changes.
+        swapping variant: an SMP goes only where a block actually changes.
 
         ``limit_switches`` restricts the update to a skyline subset (the
         section VI-D minimal reconfiguration). Only safe when every LID
         involved attaches *within* the limited region — the intra-leaf
         special case — which is validated here.
         """
-        if lid_a == lid_b:
-            raise ReconfigError("cannot swap a LID with itself")
-        self._check_lid_known(lid_a)
-        self._check_lid_known(lid_b)
-        if limit_switches is not None:
-            self._check_limit_safe((lid_a, lid_b), limit_switches)
-        report = ReconfigReport(mode="swap")
-        before = self.sm.transport.stats.snapshot()
-        undo: List[Tuple] = []
-        with span("lft_swap", lid_a=lid_a, lid_b=lid_b):
-            try:
-                for sw in self._switch_sweep(limit_switches):
-                    pa, pb = sw.lft.get(lid_a), sw.lft.get(lid_b)
-                    if pa == pb:
-                        continue  # same forwarding port: switch keeps balance
-                    blocks = sorted({lft_block_of(lid_a), lft_block_of(lid_b)})
-                    desired = sw.lft.clone()
-                    desired.swap(lid_a, lid_b)
-                    self._send_blocks(sw, desired, blocks, report, undo)
-            except TransportError:
-                self._rollback_blocks(undo)
-                raise
-            self._finish(report, before)
+        lids = self._check_swap(lid_a, lid_b, limit_switches)
+        with self._reconfiguration(
+            "swap", "lft_swap", lid_a=lid_a, lid_b=lid_b
+        ) as (report, undo):
+            switches = self._switch_sweep(limit_switches)
+            have = self._entries(switches, lids)
+            self._edit(switches, lids, have, have[:, ::-1], report, undo)
         self._record_swap(lid_a, lid_b, limit_switches)
         return report
 
@@ -143,30 +134,10 @@ class VSwitchReconfigurer:
         about to host) the VM. At most one block per switch changes.
         ``limit_switches`` as in :meth:`swap_lids`.
         """
-        if template_lid == target_lid:
-            raise ReconfigError("template and target LIDs must differ")
-        self._check_lid_known(template_lid)
-        if limit_switches is not None:
-            self._check_limit_safe((template_lid,), limit_switches)
-        report = ReconfigReport(mode="copy")
-        before = self.sm.transport.stats.snapshot()
-        block = lft_block_of(target_lid)
-        undo: List[Tuple] = []
-        with span("lft_copy", template_lid=template_lid, target_lid=target_lid):
-            try:
-                for sw in self._switch_sweep(limit_switches):
-                    src_port = sw.lft.get(template_lid)
-                    if sw.lft.get(target_lid) == src_port:
-                        continue
-                    desired = sw.lft.clone()
-                    desired.copy_entry(template_lid, target_lid)
-                    self._send_blocks(sw, desired, [block], report, undo)
-            except TransportError:
-                self._rollback_blocks(undo)
-                raise
-            self._finish(report, before)
-        self._record_copy(template_lid, target_lid, limit_switches)
-        return report
+        return self._copy(
+            [(template_lid, target_lid)], limit_switches, "copy", "lft_copy",
+            {"template_lid": template_lid, "target_lid": target_lid},
+        )
 
     def copy_paths(
         self,
@@ -182,49 +153,16 @@ class VSwitchReconfigurer:
         on each switch many of them land in the same 64-entry LFT block
         and one ``SubnSet(LFT)`` carries all of their entries at once.
         All-or-nothing like the single-copy path: a transport failure
-        rolls every applied block back and re-raises.
+        rolls every applied block back and re-raises. Every template is
+        read before any target is written, so a target may not double
+        as a template.
         """
         if not pairs:
             return ReconfigReport(mode="copy-batch")
-        seen: Set[int] = set()
-        for template_lid, target_lid in pairs:
-            if template_lid == target_lid:
-                raise ReconfigError("template and target LIDs must differ")
-            if target_lid in seen:
-                raise ReconfigError(
-                    f"target LID {target_lid} appears twice in the batch"
-                )
-            seen.add(target_lid)
-            self._check_lid_known(template_lid)
-        if limit_switches is not None:
-            self._check_limit_safe(
-                tuple(t for t, _ in pairs), limit_switches
-            )
-        report = ReconfigReport(mode="copy-batch")
-        before = self.sm.transport.stats.snapshot()
-        undo: List[Tuple] = []
-        with span("lft_copy_batch", pairs=len(pairs)):
-            try:
-                for sw in self._switch_sweep(limit_switches):
-                    changed = [
-                        (tpl, tgt)
-                        for tpl, tgt in pairs
-                        if sw.lft.get(tgt) != sw.lft.get(tpl)
-                    ]
-                    if not changed:
-                        continue
-                    desired = sw.lft.clone()
-                    for tpl, tgt in changed:
-                        desired.copy_entry(tpl, tgt)
-                    blocks = sorted({lft_block_of(tgt) for _, tgt in changed})
-                    self._send_blocks(sw, desired, blocks, report, undo)
-            except TransportError:
-                self._rollback_blocks(undo)
-                raise
-            self._finish(report, before)
-        for template_lid, target_lid in pairs:
-            self._record_copy(template_lid, target_lid, limit_switches)
-        return report
+        return self._copy(
+            pairs, limit_switches, "copy-batch", "lft_copy_batch",
+            {"pairs": len(pairs)},
+        )
 
     def safe_swap_lids(
         self,
@@ -244,58 +182,33 @@ class VSwitchReconfigurer:
         before the actual reconfiguration)" the paper prices in — here one
         invalidation SMP per affected (switch, changed block).
         """
-        if lid_a == lid_b:
-            raise ReconfigError("cannot swap a LID with itself")
-        self._check_lid_known(lid_a)
-        self._check_lid_known(lid_b)
-        if limit_switches is not None:
-            self._check_limit_safe((lid_a, lid_b), limit_switches)
-        report = ReconfigReport(mode="safe-swap")
-        before = self.sm.transport.stats.snapshot()
-        undo: List[Tuple] = []
-        with span("lft_safe_swap", lid_a=lid_a, lid_b=lid_b):
-            affected = [
-                sw
-                for sw in self._switch_sweep(limit_switches)
-                if sw.lft.get(lid_a) != sw.lft.get(lid_b)
-            ]
-            try:
-                # Phase 1: invalidate the moving LIDs on the affected
-                # switches.
-                with span("invalidate_phase"):
-                    for sw in affected:
-                        desired = sw.lft.clone()
-                        desired.drop(lid_a)
-                        desired.drop(lid_b)
-                        blocks = sorted(
-                            {lft_block_of(lid_a), lft_block_of(lid_b)}
-                        )
-                        self._send_blocks(sw, desired, blocks, report, undo)
-                # Phase 2: program the swapped entries (recomputed per switch
-                # from the pre-invalidation ports captured in the SM's
-                # tables).
-                tbl = self.sm.current_tables
-                with span("swap_phase"):
-                    for sw in affected:
-                        desired = sw.lft.clone()
-                        if tbl is not None and max(lid_a, lid_b) <= tbl.top_lid:
-                            pa = tbl.port_for(sw.index, lid_a)
-                            pb = tbl.port_for(sw.index, lid_b)
-                        else:  # pragma: no cover - tables always exist
-                            pa, pb = desired.get(lid_a), desired.get(lid_b)
-                        desired.set(lid_a, pb)
-                        desired.set(lid_b, pa)
-                        blocks = sorted(
-                            {lft_block_of(lid_a), lft_block_of(lid_b)}
-                        )
-                        self._send_blocks(sw, desired, blocks, report, undo)
-            except TransportError:
-                self._rollback_blocks(undo)
-                raise
+        lids = self._check_swap(lid_a, lid_b, limit_switches)
+        with self._reconfiguration(
+            "safe-swap", "lft_safe_swap", lid_a=lid_a, lid_b=lid_b
+        ) as (report, undo):
+            switches = self._switch_sweep(limit_switches)
+            have = self._entries(switches, lids)
+            differ = have[:, 0] != have[:, 1]
+            affected = [sw for sw, hit in zip(switches, differ) if hit]
+            ports = have[differ]
+            # Phase 1: invalidate the moving LIDs on the affected switches.
+            with span("invalidate_phase"):
+                dropped = np.full_like(ports, LFT_DROP_PORT)
+                self._edit(affected, lids, ports, dropped, report, undo)
+            # Phase 2: program the swapped entries — the pre-invalidation
+            # ports as the SM's tables recorded them.
+            tbl = self.sm.current_tables
+            if tbl is not None and max(lids) <= tbl.top_lid:
+                index = [sw.index for sw in affected]
+                ports = tbl.ports[index][:, list(lids)]
+            with span("swap_phase"):
+                self._edit(
+                    affected, lids, self._entries(affected, lids),
+                    ports[:, ::-1], report, undo,
+                )
             # blocks_per_switch was incremented per phase; n' is the number of
             # distinct switches, not phase-entries.
             report.switches_updated = len(affected)
-            self._finish(report, before)
         self._record_swap(lid_a, lid_b, limit_switches)
         return report
 
@@ -303,52 +216,201 @@ class VSwitchReconfigurer:
         """Partially-static pre-step (section VI-C): forward *lid* to port
         255 on every switch so in-flight traffic toward the migrating VM is
         dropped rather than risking a transition deadlock."""
-        report = ReconfigReport(mode="invalidate")
-        before = self.sm.transport.stats.snapshot()
-        block = lft_block_of(lid)
-        undo: List[Tuple] = []
-        with span("lft_invalidate", lid=lid):
-            try:
-                for sw in self.sm.topology.switches:
-                    if sw.lft.get(lid) == LFT_DROP_PORT:
-                        continue
-                    desired = sw.lft.clone()
-                    desired.drop(lid)
-                    self._send_blocks(sw, desired, [block], report, undo)
-            except TransportError:
-                self._rollback_blocks(undo)
-                raise
-            self._finish(report, before)
-        if self.sm.current_tables is not None:
-            tbl = self.sm.current_tables
-            if lid <= tbl.top_lid:
-                tbl.ports[:, lid] = LFT_DROP_PORT
-                if self.sm.ha is not None:
-                    self.sm.ha.note_vswitch({"op": "invalidate", "lid": lid})
+        with self._reconfiguration(
+            "invalidate", "lft_invalidate", lid=lid
+        ) as (report, undo):
+            switches = self.sm.topology.switches
+            have = self._entries(switches, (lid,))
+            dropped = np.full_like(have, LFT_DROP_PORT)
+            self._edit(switches, (lid,), have, dropped, report, undo)
+        tbl = self.sm.current_tables
+        if tbl is not None and lid <= tbl.top_lid:
+            tbl.ports[:, lid] = LFT_DROP_PORT
+            if self.sm.ha is not None:
+                self.sm.ha.note_vswitch({"op": "invalidate", "lid": lid})
         return report
 
     # -- prediction (no mutation) -----------------------------------------------
 
     def predict_swap(self, lid_a: int, lid_b: int) -> Tuple[int, int]:
         """(n', total SMPs) a swap would cost, without performing it."""
-        n_prime = 0
-        smps = 0
-        blocks = {lft_block_of(lid_a), lft_block_of(lid_b)}
-        for sw in self.sm.topology.switches:
-            if sw.lft.get(lid_a) != sw.lft.get(lid_b):
-                n_prime += 1
-                smps += len(blocks)
-        return n_prime, smps
+        switches = self.sm.topology.switches
+        have = self._entries(switches, (lid_a, lid_b))
+        return self._edit(switches, (lid_a, lid_b), have, have[:, ::-1])
 
     def predict_copy(self, template_lid: int, target_lid: int) -> Tuple[int, int]:
         """(n', total SMPs) a copy would cost, without performing it."""
-        n_prime = 0
-        for sw in self.sm.topology.switches:
-            if sw.lft.get(template_lid) != sw.lft.get(target_lid):
-                n_prime += 1
-        return n_prime, n_prime
+        switches = self.sm.topology.switches
+        return self._edit(
+            switches,
+            (target_lid,),
+            self._entries(switches, (target_lid,)),
+            self._entries(switches, (template_lid,)),
+        )
+
+    # -- the column-edit kernel ------------------------------------------------------
+
+    @staticmethod
+    def _entries(switches: Sequence[Switch], lids: Sequence[int]) -> np.ndarray:
+        """The hardware LFT entries ``[switch, lid]`` of a sweep."""
+        return np.array(
+            [[sw.lft.get(lid) for lid in lids] for sw in switches],
+            dtype=np.int16,
+        ).reshape(len(switches), len(lids))
+
+    def _edit(
+        self,
+        switches: Sequence[Switch],
+        lids: Sequence[int],
+        have: np.ndarray,
+        want: np.ndarray,
+        report: Optional[ReconfigReport] = None,
+        undo: Optional[List[Tuple[Switch, int, np.ndarray]]] = None,
+    ) -> Tuple[int, int]:
+        """The LFT columns *lids* take the per-switch ports *want*.
+
+        ``have[s, l]`` is what ``switches[s]`` forwards ``lids[l]`` to now.
+        Only where it differs from ``want[s, l]`` does anything happen:
+        the ``n'`` switches with a difference each get one
+        ``SubnSet(LFT)`` per 64-entry block that holds one, in switch
+        order and ascending blocks. Returns ``(n', SMPs)``; without a
+        *report* nothing is sent (the prediction). Otherwise the blocks
+        go out as one sweep — or, when the SM runs transactionally, as
+        verified writes block by block — *report* is charged, and the
+        pre-image of every delivered block lands in *undo*, also when
+        the sweep dies half-way with a transport error.
+        """
+        at_switch, at_lid = np.nonzero(have != want)
+        if not at_switch.size:
+            return 0, 0
+        at_block, at_offset = np.divmod(np.asarray(lids)[at_lid], LFT_BLOCK_SIZE)
+        n_blocks = int(at_block.max()) + 1
+        # One row per distinct (switch, block) that holds a difference.
+        keys, row_of = np.unique(
+            at_switch * n_blocks + at_block, return_inverse=True
+        )
+        owners, blocks = np.divmod(keys, n_blocks)
+        per_switch = np.bincount(owners, minlength=len(switches))
+        hit = np.flatnonzero(per_switch)
+        if report is None:
+            return hit.size, keys.size
+        for i in hit.tolist():
+            name = switches[i].name
+            report.switches_updated += 1
+            report.blocks_per_switch[name] = report.blocks_per_switch.get(
+                name, 0
+            ) + int(per_switch[i])
+        targets = [switches[i] for i in owners.tolist()]
+        blocks = blocks.tolist()
+        pre = np.array(
+            [sw.lft.get_block(block) for sw, block in zip(targets, blocks)]
+        )
+        entries = pre.copy()
+        entries[row_of, at_offset] = want[at_switch, at_lid]
+        self._write(targets, blocks, entries, pre, undo)
+        return hit.size, keys.size
+
+    def _write(
+        self,
+        targets: List[Switch],
+        blocks: List[int],
+        entries: np.ndarray,
+        pre: np.ndarray,
+        undo: List[Tuple[Switch, int, np.ndarray]],
+    ) -> None:
+        # Read the resilience state off the SM at send time: a later
+        # enable_resilience() call upgrades reconfigurers that already
+        # exist (the cloud layer builds them at scheme construction).
+        distributor = self.sm.distributor
+        directed = not self.destination_routed
+        if distributor.transactional:
+            for sw, block, row in zip(targets, blocks, entries):
+                distributor.write_block_verified(
+                    sw, block, row, directed=directed, undo=undo
+                )
+            return
+        applied: List[int] = []
+        try:
+            distributor.sender.send_lft_sweep(
+                [sw.name for sw in targets], blocks, entries,
+                directed=directed, applied=applied,
+            )
+        finally:
+            undo.extend((targets[i], blocks[i], pre[i]) for i in applied)
+
+    @contextmanager
+    def _reconfiguration(
+        self, mode: str, name: str, **attributes: int
+    ) -> Iterator[Tuple[ReconfigReport, List[Tuple[Switch, int, np.ndarray]]]]:
+        """The shell every operation shares: a span *name*, an undo log
+        that turns a mid-flight transport failure into a clean "nothing
+        happened" (the caller sees the original :class:`TransportError`
+        and every switch holds its pre-reconfiguration entries;
+        :class:`ReconfigRollbackError` if the restores themselves fail),
+        and a report priced from the transport's counters."""
+        report = ReconfigReport(mode=mode)
+        undo: List[Tuple[Switch, int, np.ndarray]] = []
+        mark = self.sm.transport.stats.mark()
+        with span(name, **attributes):
+            try:
+                yield report, undo
+            except TransportError:
+                self.sm.distributor.rollback(
+                    undo,
+                    directed=not self.destination_routed,
+                    error=ReconfigRollbackError,
+                )
+                raise
+            self._finish(report, mark)
 
     # -- internals ------------------------------------------------------------------
+
+    def _check_swap(
+        self, lid_a: int, lid_b: int, limit_switches: Optional[Set[int]]
+    ) -> Tuple[int, int]:
+        if lid_a == lid_b:
+            raise ReconfigError("cannot swap a LID with itself")
+        self._check_lid_known(lid_a)
+        self._check_lid_known(lid_b)
+        if limit_switches is not None:
+            self._check_limit_safe((lid_a, lid_b), limit_switches)
+        return lid_a, lid_b
+
+    def _copy(
+        self,
+        pairs: List[Tuple[int, int]],
+        limit_switches: Optional[Set[int]],
+        mode: str,
+        name: str,
+        attributes: Dict[str, int],
+    ) -> ReconfigReport:
+        templates = [template for template, _ in pairs]
+        targets = [target for _, target in pairs]
+        sources, seen = set(templates), set()
+        for template_lid, target_lid in pairs:
+            if target_lid in sources:
+                raise ReconfigError("template and target LIDs must differ")
+            if target_lid in seen:
+                raise ReconfigError(
+                    f"target LID {target_lid} appears twice in the batch"
+                )
+            seen.add(target_lid)
+            self._check_lid_known(template_lid)
+        if limit_switches is not None:
+            self._check_limit_safe(templates, limit_switches)
+        with self._reconfiguration(mode, name, **attributes) as (report, undo):
+            switches = self._switch_sweep(limit_switches)
+            self._edit(
+                switches,
+                targets,
+                self._entries(switches, targets),
+                self._entries(switches, templates),
+                report,
+                undo,
+            )
+        for template_lid, target_lid in pairs:
+            self._record_copy(template_lid, target_lid, limit_switches)
+        return report
 
     def _check_lid_known(self, lid: int) -> None:
         if self.sm.topology.port_of_lid(lid) is None:
@@ -370,135 +432,15 @@ class VSwitchReconfigurer:
         That is guaranteed for the intra-leaf case (both hypervisors behind
         one leaf), which is what we validate."""
         for lid in lids:
-            port = self.sm.topology.port_of_lid(lid)
-            if port is None:
-                raise ReconfigError(f"LID {lid} is not bound")
-            attach = port.remote
+            attach = self.sm.topology.port_of_lid(lid).remote
             if attach is None or attach.node.index not in limit_switches:
                 raise ReconfigError(
                     f"LID {lid} does not attach within the limited switch"
                     " set; a restricted update would strand traffic"
                 )
 
-    def _send_blocks(
-        self,
-        sw,
-        desired,
-        blocks: List[int],
-        report: ReconfigReport,
-        undo: Optional[List[Tuple]] = None,
-    ) -> None:
-        sent = 0
-        # Read the resilience state off the SM at send time: a later
-        # enable_resilience() call upgrades reconfigurers that already
-        # exist (the cloud layer builds them at scheme construction).
-        verified = self.sm.distributor.transactional
-        for block in blocks:
-            pre = np.array(sw.lft.get_block(block), dtype=np.int16, copy=True)
-            entries = desired.get_block(block)
-            if np.array_equal(pre, entries):
-                continue
-            if verified:
-                self._write_block_verified(sw, block, entries, pre, undo)
-            else:
-                result = self.sm.smp_sender.send(
-                    make_set_lft_block(
-                        sw.name,
-                        block,
-                        entries,
-                        directed=not self.destination_routed,
-                    )
-                )
-                if undo is not None and result.ok:
-                    undo.append((sw, block, pre))
-            sent += 1
-        if sent:
-            report.switches_updated += 1
-            report.blocks_per_switch[sw.name] = (
-                report.blocks_per_switch.get(sw.name, 0) + sent
-            )
-
-    #: Read-back rounds per block when the SM runs transactionally.
-    VERIFY_ATTEMPTS = 3
-
-    def _write_block_verified(
-        self, sw, block: int, entries, pre, undo: Optional[List[Tuple]]
-    ) -> None:
-        """Write one block and prove it landed intact.
-
-        Mirrors the distributor's transactional mode for the migration
-        fast path: a SubnGet(LFT) read-back compares the switch's block
-        against the desired entries, and a mismatch — an in-flight
-        corruption silently applied — is re-synced. Exhausting the
-        attempts raises :class:`TransportError` so the caller's undo-log
-        rollback fires and the migration state machine compensates.
-        """
-        directed = not self.destination_routed
-        recorded = False
-        for attempt in range(self.VERIFY_ATTEMPTS):
-            result = self.sm.smp_sender.send(
-                make_set_lft_block(sw.name, block, entries, directed=directed)
-            )
-            if result.ok and not recorded and undo is not None:
-                undo.append((sw, block, pre))
-                recorded = True
-            readback = self.sm.smp_sender.send(
-                Smp(
-                    SmpMethod.GET,
-                    SmpKind.LFT_BLOCK,
-                    sw.name,
-                    payload={"block": block},
-                    directed=directed,
-                )
-            )
-            if (
-                readback.ok
-                and readback.data is not None
-                and np.array_equal(
-                    np.asarray(readback.data["entries"], dtype=np.int16),
-                    np.asarray(entries, dtype=np.int16),
-                )
-            ):
-                return
-        raise TransportError(
-            f"switch {sw.name!r} block {block} failed read-back"
-            f" verification after {self.VERIFY_ATTEMPTS} attempts"
-        )
-
-    def _rollback_blocks(self, undo: List[Tuple]) -> None:
-        """Restore the pre-image of every applied block write, newest first.
-
-        Turns a mid-flight transport failure into a clean "nothing
-        happened": the caller sees the original :class:`TransportError`
-        and every switch holds its pre-reconfiguration entries. If the
-        rollback writes themselves fail, the subnet is genuinely
-        inconsistent and :class:`ReconfigRollbackError` says so.
-        """
-        verified = self.sm.distributor.transactional
-        for sw, block, pre in reversed(undo):
-            try:
-                if verified:
-                    # Restores are read-back verified too: a rollback
-                    # write silently corrupted in flight would otherwise
-                    # leave a state neither old nor new.
-                    self._write_block_verified(sw, block, pre, pre, None)
-                else:
-                    self.sm.smp_sender.send(
-                        make_set_lft_block(
-                            sw.name,
-                            block,
-                            pre,
-                            directed=not self.destination_routed,
-                        )
-                    )
-            except TransportError as exc:
-                raise ReconfigRollbackError(
-                    f"rollback of switch {sw.name!r} block {block} failed;"
-                    " subnet may be inconsistent"
-                ) from exc
-
-    def _finish(self, report: ReconfigReport, before) -> None:
-        delta = self.sm.transport.stats.delta_since(before)
+    def _finish(self, report: ReconfigReport, mark) -> None:
+        delta = self.sm.transport.stats.since(mark)
         report.lft_smps = delta.lft_update_smps
         report.serial_time = delta.serial_time
         report.pipelined_time = delta.pipelined_time(self.pipeline_window)
@@ -527,32 +469,13 @@ class VSwitchReconfigurer:
     ) -> None:
         """Keep the SM's recorded routing function in sync."""
         tbl = self.sm.current_tables
-        if tbl is None:
+        if tbl is None or max(lid_a, lid_b) > tbl.top_lid:
             return
-        top = max(lid_a, lid_b)
-        if top > tbl.top_lid:
-            return
-        rows = (
-            slice(None)
-            if limit_switches is None
-            else sorted(limit_switches)
-        )
+        rows = slice(None) if limit_switches is None else sorted(limit_switches)
         col_a = tbl.ports[rows, lid_a].copy()
         tbl.ports[rows, lid_a] = tbl.ports[rows, lid_b]
         tbl.ports[rows, lid_b] = col_a
-        if self.sm.ha is not None:
-            self.sm.ha.note_vswitch(
-                {
-                    "op": "swap",
-                    "lid_a": lid_a,
-                    "lid_b": lid_b,
-                    "switches": (
-                        None
-                        if limit_switches is None
-                        else sorted(limit_switches)
-                    ),
-                }
-            )
+        self._note(limit_switches, op="swap", lid_a=lid_a, lid_b=lid_b)
 
     def _record_copy(
         self,
@@ -563,41 +486,27 @@ class VSwitchReconfigurer:
         tbl = self.sm.current_tables
         if tbl is None:
             return
-        if max(template_lid, target_lid) > tbl.top_lid:
-            self._grow_tables(target_lid)
-            tbl = self.sm.current_tables
-            assert tbl is not None
-        rows = (
-            slice(None)
-            if limit_switches is None
-            else sorted(limit_switches)
-        )
-        tbl.ports[rows, target_lid] = tbl.ports[rows, template_lid]
-        if self.sm.ha is not None:
-            self.sm.ha.note_vswitch(
-                {
-                    "op": "copy",
-                    "template_lid": template_lid,
-                    "target_lid": target_lid,
-                    "switches": (
-                        None
-                        if limit_switches is None
-                        else sorted(limit_switches)
-                    ),
-                }
+        top = max(template_lid, target_lid)
+        if top > tbl.top_lid:
+            width = (lft_block_of(top) + 1) * LFT_BLOCK_SIZE
+            grown = np.full(
+                (tbl.ports.shape[0], width), LFT_UNSET, dtype=tbl.ports.dtype
             )
-
-    def _grow_tables(self, lid: int) -> None:
-        tbl = self.sm.current_tables
-        assert tbl is not None
-        if lid <= tbl.top_lid:
-            return
-        from repro.constants import LFT_UNSET
-
-        n_blocks = lft_block_of(lid) + 1
-        width = n_blocks * LFT_BLOCK_SIZE
-        grown = np.full(
-            (tbl.ports.shape[0], width), LFT_UNSET, dtype=tbl.ports.dtype
+            grown[:, : tbl.ports.shape[1]] = tbl.ports
+            tbl.ports = grown
+        rows = slice(None) if limit_switches is None else sorted(limit_switches)
+        tbl.ports[rows, target_lid] = tbl.ports[rows, template_lid]
+        self._note(
+            limit_switches,
+            op="copy",
+            template_lid=template_lid,
+            target_lid=target_lid,
         )
-        grown[:, : tbl.ports.shape[1]] = tbl.ports
-        tbl.ports = grown
+
+    def _note(self, limit_switches: Optional[Set[int]], **update: object) -> None:
+        """Replicate a table update to the standby SMs."""
+        if self.sm.ha is not None:
+            update["switches"] = (
+                None if limit_switches is None else sorted(limit_switches)
+            )
+            self.sm.ha.note_vswitch(update)

@@ -211,23 +211,30 @@ class LinearForwardingTable:
         """Overwrite block ``blocks[i]`` with row ``entries[i]``.
 
         The effect of one :meth:`load_block` per row, in order (a block
-        named twice keeps its last row), applied in one assignment.
+        named twice keeps its last row). That is also how a few rows are
+        applied — the ``m' <= 2`` of a vSwitch reconfiguration — because
+        setting up one indexed assignment costs as much as four slice
+        copies; more rows (a distribution's ``m``) go in one assignment.
         """
         if entries.shape != (len(blocks), LFT_BLOCK_SIZE):
             raise TopologyError(
                 f"LFT block payload must have {LFT_BLOCK_SIZE} entries"
             )
-        if len(blocks):
+        if len(blocks) < 4:
+            for block, row in zip(blocks, entries):
+                self.load_block(block, row)
+        else:
             index = np.asarray(blocks, dtype=np.intp)
             self._ensure_capacity((int(index.max()) + 1) * LFT_BLOCK_SIZE - 1)
             self._ports.reshape(-1, LFT_BLOCK_SIZE)[index] = entries
 
     def get_block(self, block: int) -> np.ndarray:
-        """Copy of one 64-entry block (what a SubnGet LFT SMP returns)."""
-        self._ensure_capacity((block + 1) * LFT_BLOCK_SIZE - 1)
-        return self._ports[
-            block * LFT_BLOCK_SIZE : (block + 1) * LFT_BLOCK_SIZE
-        ].copy()
+        """Copy of one 64-entry block (what a SubnGet LFT SMP returns); a
+        block beyond the table reads as unprogrammed."""
+        ports = self._ports[block * LFT_BLOCK_SIZE : (block + 1) * LFT_BLOCK_SIZE]
+        if not len(ports):
+            return np.full(LFT_BLOCK_SIZE, LFT_UNSET, dtype=np.int16)
+        return ports.copy()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinearForwardingTable):

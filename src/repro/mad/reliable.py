@@ -152,24 +152,26 @@ class ReliableSmpSender:
                     smp.generation = self.generation
         return self.transport.send_run(smps, on_loss=self._recover)
 
-    def send_lft_run(
+    def send_lft_sweep(
         self,
-        target: str,
+        targets: Sequence[str],
         blocks: Sequence[int],
         entries: np.ndarray,
         *,
         directed: bool = True,
+        applied: Optional[List[int]] = None,
     ) -> None:
-        """One SubnSet(LFT) per block to one switch (see
-        :meth:`SmpTransport.send_lft_run`), stamped with this sender's
+        """One SubnSet(LFT) per row (see
+        :meth:`SmpTransport.send_lft_sweep`), stamped with this sender's
         generation and recovered packet by packet like :meth:`send`."""
-        self.transport.send_lft_run(
-            target,
+        self.transport.send_lft_sweep(
+            targets,
             blocks,
             entries,
             directed=directed,
             generation=self.generation,
             on_loss=self._recover,
+            applied=applied,
         )
 
     def _recover(self, smp: Smp, result: SmpResult) -> SmpResult:

@@ -17,8 +17,8 @@ pipelining (section VI-B: "In practice, pipelining is used by OpenSM").
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -120,64 +120,62 @@ class TransportStats:
 
     def snapshot(self) -> "TransportStats":
         """A frozen copy, so callers can diff before/after an operation."""
-        out = TransportStats(
-            total_smps=self.total_smps,
-            lft_update_smps=self.lft_update_smps,
-            directed_smps=self.directed_smps,
-            destination_routed_smps=self.destination_routed_smps,
-            total_hops=self.total_hops,
-            serial_time=self.serial_time,
-            timeouts=self.timeouts,
-            stale_rejected=self.stale_rejected,
-            retransmissions=self.retransmissions,
-            corrupted=self.corrupted,
-            retry_wait_seconds=self.retry_wait_seconds,
-            max_latency=self.max_latency,
+        return replace(
+            self,
             by_kind=Counter(self.by_kind),
             by_target=Counter(self.by_target),
-            record_samples=self.record_samples,
             latencies=list(self.latencies),
             hops=list(self.hops),
             directed_flags=list(self.directed_flags),
         )
-        return out
 
-    def delta_since(self, before: "TransportStats") -> "TransportStats":
-        """Stats accumulated since *before* was snapshot."""
-        serial = self.serial_time - before.serial_time
-        delta_latencies = self.latencies[len(before.latencies):]
-        if delta_latencies:
-            max_lat = max(delta_latencies)
-        else:
+    def mark(self) -> Tuple[Any, ...]:
+        """The counted scalars now (and how many samples there are): all
+        :meth:`since` needs, without copying the per-kind and per-target
+        tallies a :meth:`snapshot` carries."""
+        return (
+            *[getattr(self, name) for name in _COUNTED],
+            len(self.latencies),
+        )
+
+    def since(self, mark: Tuple[Any, ...]) -> "TransportStats":
+        """The scalars accumulated since *mark* — what an operation cost.
+
+        ``by_kind``, ``by_target`` and the sample lists stay empty (see
+        :meth:`delta_since`); ``max_latency`` is set so that
+        :meth:`pipelined_time` keeps its lower bound.
+        """
+        out = TransportStats(record_samples=self.record_samples)
+        for name, was in zip(_COUNTED, mark):
+            setattr(out, name, getattr(self, name) - was)
+        recent = self.latencies[mark[-1]:]
+        if recent:
+            out.max_latency = max(recent)
+        elif out.serial_time > 0:
             # Without samples the slowest packet *of this window* is
             # unknowable; the overall maximum capped by the window's serial
             # sum is a tight, invariant-preserving bound (pipelined never
             # exceeds serial).
-            max_lat = min(self.max_latency, serial) if serial > 0 else 0.0
-        return TransportStats(
-            total_smps=self.total_smps - before.total_smps,
-            lft_update_smps=self.lft_update_smps - before.lft_update_smps,
-            directed_smps=self.directed_smps - before.directed_smps,
-            destination_routed_smps=(
-                self.destination_routed_smps - before.destination_routed_smps
-            ),
-            total_hops=self.total_hops - before.total_hops,
-            serial_time=serial,
-            timeouts=self.timeouts - before.timeouts,
-            stale_rejected=self.stale_rejected - before.stale_rejected,
-            retransmissions=self.retransmissions - before.retransmissions,
-            corrupted=self.corrupted - before.corrupted,
-            retry_wait_seconds=(
-                self.retry_wait_seconds - before.retry_wait_seconds
-            ),
-            max_latency=max_lat,
-            by_kind=self.by_kind - before.by_kind,
-            by_target=self.by_target - before.by_target,
-            record_samples=self.record_samples,
-            latencies=delta_latencies,
-            hops=self.hops[len(before.hops):],
-            directed_flags=self.directed_flags[len(before.directed_flags):],
-        )
+            out.max_latency = min(self.max_latency, out.serial_time)
+        return out
+
+    def delta_since(self, before: "TransportStats") -> "TransportStats":
+        """Stats accumulated since *before* was snapshot."""
+        out = self.since(before.mark())
+        out.by_kind = self.by_kind - before.by_kind
+        out.by_target = self.by_target - before.by_target
+        out.latencies = self.latencies[len(before.latencies):]
+        out.hops = self.hops[len(before.hops):]
+        out.directed_flags = self.directed_flags[len(before.directed_flags):]
+        return out
+
+
+#: The fields of :class:`TransportStats` that only ever count up.
+_COUNTED = (
+    "total_smps", "lft_update_smps", "directed_smps",
+    "destination_routed_smps", "total_hops", "serial_time", "timeouts",
+    "stale_rejected", "retransmissions", "corrupted", "retry_wait_seconds",
+)
 
 
 class _Run:
@@ -459,58 +457,141 @@ class SmpTransport:
         generation: Optional[int] = None,
         on_loss: Optional[Callable[[Smp, SmpResult], SmpResult]] = None,
     ) -> None:
-        """Deliver one SubnSet(LFT) SMP per block to the switch *target*.
+        """Deliver one SubnSet(LFT) SMP per block to the switch *target*:
+        the one-target :meth:`send_lft_sweep`."""
+        self.send_lft_sweep(
+            [target] * len(blocks),
+            blocks,
+            entries,
+            directed=directed,
+            generation=generation,
+            on_loss=on_loss,
+        )
 
-        Row ``entries[i]`` is the 64-entry payload of block ``blocks[i]``;
-        *generation* is the fence stamp of every packet (``None`` sends
-        unfenced). Equivalent to :meth:`send_run` over the
-        :func:`~repro.mad.smp.make_set_lft_block` packets, which is what
-        happens whenever a packet of the run can come back lost or
-        rejected — a fault injector is attached, or the generation is
-        behind the fabric's. Otherwise all packets are alike but for
-        their payload and their place in time, so the blocks are loaded
-        at once and the run is accounted as a whole. A missing,
-        unreachable or non-switch target and a malformed payload raise
-        before any packet leaves.
+    def send_lft_sweep(
+        self,
+        targets: Sequence[str],
+        blocks: Sequence[int],
+        entries: np.ndarray,
+        *,
+        directed: bool = True,
+        generation: Optional[int] = None,
+        on_loss: Optional[Callable[[Smp, SmpResult], SmpResult]] = None,
+        applied: Optional[List[int]] = None,
+    ) -> None:
+        """Deliver one SubnSet(LFT) SMP per row, in row order.
+
+        Row ``i`` writes the 64-entry payload ``entries[i]`` into block
+        ``blocks[i]`` of the switch ``targets[i]``; *generation* is the
+        fence stamp of every packet (``None`` sends unfenced). Equivalent
+        to one :meth:`send` of the :func:`~repro.mad.smp.make_set_lft_block`
+        packet per row, which is what happens whenever a packet can come
+        back lost or rejected — a fault injector is attached, or the
+        generation is behind the fabric's. Otherwise the packets are
+        alike but for their target, their payload and their place in
+        time: consecutive rows to one switch are resolved, checked for
+        reachability and loaded as one run, the clocks take one add per
+        packet in row order, and what has no order (the SM-side endpoint
+        counters, the per-kind and per-mode tallies, the
+        ``repro_smp_total`` series) is booked once for the sweep.
+
+        A missing, unreachable or non-switch target raises when its turn
+        comes: the rows before it are delivered and accounted, its own
+        are not. The index of every row whose packet was delivered is
+        appended to *applied* (when given) as the sweep proceeds, so a
+        caller that keeps an undo log knows what to restore after such
+        an error. A malformed payload raises before any packet leaves.
         """
-        n = len(blocks)
+        n = len(targets)
         if not n:
             return
         entries = np.asarray(entries, dtype=np.int16)
-        if entries.shape != (n, LFT_BLOCK_SIZE):
+        if len(blocks) != n or entries.shape != (n, LFT_BLOCK_SIZE):
             raise TopologyError(
-                f"an LFT run of {n} blocks needs a ({n}, {LFT_BLOCK_SIZE})"
-                f" payload, got {entries.shape}"
-            )
-        run = self._open_run(target, directed)
-        switch = run.target
-        if not isinstance(switch, Switch):
-            raise TopologyError(
-                f"LFT SMP addressed to non-switch {switch.name!r}"
+                f"an LFT sweep of {n} rows needs {n} blocks and a"
+                f" ({n}, {LFT_BLOCK_SIZE}) payload, got {len(blocks)}"
+                f" and {entries.shape}"
             )
         if self._injector is not None or (
             generation is not None and generation < self._fabric_generation
         ):
-            smps = [
-                make_set_lft_block(target, block, row, directed=directed)
-                for block, row in zip(blocks, entries)
-            ]
-            for smp in smps:
+            for i in range(n):
+                smp = make_set_lft_block(
+                    targets[i], blocks[i], entries[i], directed=directed
+                )
                 smp.generation = generation
-            self.send_run(smps, on_loss=on_loss)
+                result = self.send_run((smp,), on_loss=on_loss)[0]
+                if applied is not None and result.ok:
+                    applied.append(i)
             return
-        switch.lft.load_blocks(blocks, entries)
-        if generation is not None:
-            self._fabric_generation = generation
-        tx = self._endpoint_counters(self.sm_node)
-        tx.xmit_packets += n
-        tx.xmit_data += n * MAD_BYTES
-        rx = self._endpoint_counters(switch)
-        rx.rcv_packets += n
-        rx.rcv_data += n * MAD_BYTES
-        self._account(
-            run, SmpKind.LFT_BLOCK, SmpMethod.SET, run.latency, "delivered", n
-        )
+
+        st = self.stats
+        hub = get_hub()
+        advance = hub.advance
+        sp = current_span()
+        kind = SmpKind.LFT_BLOCK.name.lower()
+        method = SmpMethod.SET.name.lower()
+        serial = st.serial_time
+        sent = 0
+        try:
+            while sent < n:
+                name = targets[sent]
+                end = sent + 1
+                while end < n and targets[end] == name:
+                    end += 1
+                run = self._open_run(name, directed)
+                switch = run.target
+                if not isinstance(switch, Switch):
+                    raise TopologyError(
+                        f"LFT SMP addressed to non-switch {name!r}"
+                    )
+                count = end - sent
+                switch.lft.load_blocks(blocks[sent:end], entries[sent:end])
+                if generation is not None:
+                    self._fabric_generation = generation
+                if applied is not None:
+                    applied.extend(range(sent, end))
+                rx = self._endpoint_counters(switch)
+                rx.rcv_packets += count
+                rx.rcv_data += count * MAD_BYTES
+                latency = run.latency
+                st.total_hops += count * run.hops
+                if latency > st.max_latency:
+                    st.max_latency = latency
+                if st.record_samples:
+                    st.latencies.extend([latency] * count)
+                    st.hops.extend([run.hops] * count)
+                    st.directed_flags.extend([directed] * count)
+                st.by_target[name] += count
+                # One float add per packet and per clock, in packet order:
+                # ``count * latency`` rounds differently from single sends,
+                # and the pinned sim-second figures are compared bit for bit.
+                times = []
+                for _ in range(count):
+                    serial += latency
+                    times.append(advance(latency))
+                self._observe(
+                    run, sp, times, kind, method, latency, True, "delivered"
+                )
+                sent = end
+        finally:
+            st.serial_time = serial
+            if sent:
+                tx = self._endpoint_counters(self.sm_node)
+                tx.xmit_packets += sent
+                tx.xmit_data += sent * MAD_BYTES
+                st.total_smps += sent
+                st.lft_update_smps += sent
+                st.by_kind[SmpKind.LFT_BLOCK] += sent
+                if directed:
+                    st.directed_smps += sent
+                else:
+                    st.destination_routed_smps += sent
+                hub.metrics.counter(
+                    "repro_smp_total",
+                    kind=kind,
+                    routed="directed" if directed else "destination",
+                ).add(sent)
 
     def _open_run(self, name: str, directed: bool) -> "_Run":
         """Resolve a run's target and work out what its packets share."""
@@ -662,42 +743,30 @@ class SmpTransport:
         method: SmpMethod,
         latency: float,
         fault: str,
-        n: int = 1,
     ) -> None:
-        """Book *n* packets of *run* that are alike but for their place in
-        time: the transport's counters, then the observability layer
-        (sim clock, flight recorder, span, metrics)."""
+        """Book one packet of *run*: the transport's counters, then the
+        observability layer (sim clock, flight recorder, span, metrics)."""
         st = self.stats
-        name = run.target.name
         lft_update = kind is SmpKind.LFT_BLOCK and method is SmpMethod.SET
-        st.total_smps += n
-        st.total_hops += n * run.hops
+        st.total_smps += 1
+        st.total_hops += run.hops
         if latency > st.max_latency:
             st.max_latency = latency
         if st.record_samples:
-            st.latencies.extend([latency] * n)
-            st.hops.extend([run.hops] * n)
-            st.directed_flags.extend([run.directed] * n)
-        st.by_kind[kind] += n
-        st.by_target[name] += n
+            st.latencies.append(latency)
+            st.hops.append(run.hops)
+            st.directed_flags.append(run.directed)
+        st.by_kind[kind] += 1
+        st.by_target[run.target.name] += 1
         if run.directed:
-            st.directed_smps += n
+            st.directed_smps += 1
         else:
-            st.destination_routed_smps += n
+            st.destination_routed_smps += 1
         if lft_update:
-            st.lft_update_smps += n
+            st.lft_update_smps += 1
+        st.serial_time += latency
 
-        # One float add per packet and per clock, in packet order:
-        # ``n * latency`` rounds differently from n single sends, and the
-        # pinned sim-second figures are compared bit for bit.
         hub = run.hub
-        serial = st.serial_time
-        times = []
-        for _ in range(n):
-            serial += latency
-            times.append(hub.advance(latency))
-        st.serial_time = serial
-
         if kind is not run.kind:
             run.kind = kind
             run.kind_label = kind.name.lower()
@@ -706,26 +775,43 @@ class SmpTransport:
                 kind=run.kind_label,
                 routed="directed" if run.directed else "destination",
             )
-        kind_label = run.kind_label
-        hub.flight.record_run(
-            times,
-            (
-                kind_label,
-                method.name.lower(),
-                name,
-                run.hops,
-                run.directed,
-                latency,
-                lft_update,
-                fault,
-            ),
+        self._observe(
+            run, current_span(), (hub.advance(latency),), run.kind_label,
+            method.name.lower(), latency, lft_update, fault,
         )
-        sp = current_span()
+        run.series.add(1)
+        if fault in ("dropped", "corrupt", "delayed"):
+            hub.metrics.counter(
+                "repro_faults_injected_total", action=fault
+            ).add(1)
+        if fault in ("dropped", "no-response"):
+            hub.metrics.counter(
+                "repro_smp_timeouts_total", kind=run.kind_label
+            ).add(1)
+
+    @staticmethod
+    def _observe(
+        run: "_Run",
+        sp,
+        times: Sequence[float],
+        kind: str,
+        method: str,
+        latency: float,
+        lft_update: bool,
+        fault: str,
+    ) -> None:
+        """One flight event per entry of *times* and, under the open span
+        *sp*, one span event: packets of *run* alike but for their time."""
+        name = run.target.name
+        run.hub.flight.record_run(
+            times,
+            (kind, method, name, run.hops, run.directed, latency, lft_update, fault),
+        )
         if sp is not None:
             sp.record_smps(
                 times,
                 {
-                    "kind": kind_label,
+                    "kind": kind,
                     "target": name,
                     "hops": run.hops,
                     "directed": run.directed,
@@ -733,15 +819,6 @@ class SmpTransport:
                     "lft_update": lft_update,
                 },
             )
-        run.series.add(n)
-        if fault in ("dropped", "corrupt", "delayed"):
-            hub.metrics.counter(
-                "repro_faults_injected_total", action=fault
-            ).add(n)
-        if fault in ("dropped", "no-response"):
-            hub.metrics.counter(
-                "repro_smp_timeouts_total", kind=kind_label
-            ).add(n)
 
     def _apply(self, smp: Smp, target: Node) -> Optional[Dict[str, object]]:
         """Execute the management operation on the target node."""

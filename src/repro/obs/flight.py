@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from collections import Counter, deque
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Deque, Iterator, List, Optional, Sequence, Union
 
@@ -53,7 +54,9 @@ class FlightRecorder:
         if capacity < 0:
             raise ReproError(f"capacity must be >= 0, got {capacity}")
         self.capacity = capacity
-        self._ring: Optional[Deque[SmpFlightEvent]] = (
+        #: Events, or — from :meth:`record_run` — ``(time, fields)`` pairs
+        #: that become events when somebody looks (most never are).
+        self._ring: Optional[Deque[Union[SmpFlightEvent, tuple]]] = (
             deque(maxlen=capacity) if capacity else None
         )
         self.seen = 0
@@ -83,7 +86,7 @@ class FlightRecorder:
         The events of a run of like SMPs differ only in their time;
         *fields* holds the rest, in :class:`SmpFlightEvent` order
         (``kind`` … ``status``). A run longer than the ring would evict
-        its own head, so only the tail that survives is built — ``seen``
+        its own head, so only the tail that survives is kept — ``seen``
         and ``dropped`` count every packet regardless.
         """
         if self._ring is None:
@@ -92,7 +95,7 @@ class FlightRecorder:
         self.seen += n
         if n > self.capacity:
             times = times[n - self.capacity :]
-        self._ring.extend([SmpFlightEvent(time, *fields) for time in times])
+        self._ring.extend(zip(times, repeat(fields)))
 
     def clear(self) -> None:
         """Forget everything recorded so far."""
@@ -104,11 +107,15 @@ class FlightRecorder:
         return len(self._ring) if self._ring is not None else 0
 
     def __iter__(self) -> Iterator[SmpFlightEvent]:
-        return iter(self._ring or ())
+        for item in self._ring or ():
+            if type(item) is tuple:
+                yield SmpFlightEvent(item[0], *item[1])
+            else:
+                yield item
 
     def events(self) -> List[SmpFlightEvent]:
         """The retained events, oldest first."""
-        return list(self._ring or ())
+        return list(self)
 
     def of_kind(self, kind: str) -> List[SmpFlightEvent]:
         """Retained events of one SMP kind."""

@@ -76,7 +76,8 @@ def audit_cloud(cloud: CloudManager) -> List[str]:
     Returns human-readable problems (empty = clean): attached VFs must
     belong to exactly one registered VM and vice versa; every extra LID
     bound to a hypervisor uplink must be held by the PF or an attached
-    VF (dynamic scheme) or any VF (prepopulated); no VM without a VF.
+    VF (dynamic scheme) or any VF (prepopulated); no VM without a VF;
+    the cloud's running-VM count equals a scan of the VMs.
     """
     problems: List[str] = []
     vms_by_vf: Dict[str, str] = {}
@@ -91,6 +92,13 @@ def audit_cloud(cloud: CloudManager) -> List[str]:
                 f"VM {name} holds {vm.vf.name} but the VF records"
                 f" {vm.vf.vm_name!r}"
             )
+    running = sum(vm.is_running for vm in cloud.vms.values())
+    if running != cloud.running_vm_count:
+        problems.append(
+            f"{running} VMs are running but the cloud counts"
+            f" {cloud.running_vm_count}"
+        )
+    lids_by_port = cloud.sm.lid_manager.lids_by_port()
     for hyp_name in sorted(cloud.hypervisors):
         hyp = cloud.hypervisors[hyp_name]
         vsw = hyp.vswitch
@@ -104,7 +112,7 @@ def audit_cloud(cloud: CloudManager) -> List[str]:
         held = {vsw.pf.lid} | {
             vf.lid for vf in vsw.vfs if vf.lid is not None
         }
-        for lid in cloud.sm.lid_manager.lids_on_port(vsw.uplink_port):
+        for lid in lids_by_port.get(vsw.uplink_port, ()):
             if lid not in held:
                 problems.append(
                     f"leaked LID {lid} on {hyp_name}: bound to the"

@@ -25,12 +25,17 @@ new routing or the old one, never in between.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple, Type
 
 import numpy as np
 
 from repro.constants import LFT_BLOCK_SIZE, LFT_UNSET
-from repro.errors import DistributionError, RoutingError, TransportError
+from repro.errors import (
+    DistributionError,
+    ReproError,
+    RoutingError,
+    TransportError,
+)
 from repro.fabric.lft import lft_block_of
 from repro.fabric.node import Switch
 from repro.fabric.topology import Topology
@@ -106,18 +111,14 @@ class LftDistributor:
         against the switches' current LFTs.
         """
         report = DistributionReport()
-        before = self.transport.stats.snapshot()
-        top_lid = tables.top_lid
-        n_blocks = lft_block_of(top_lid) + 1
-        width = n_blocks * LFT_BLOCK_SIZE
-
+        mark = self.transport.stats.mark()
         with span(
             "lft_distribution",
             mode="full" if force_full else "diff",
             switches=self.topology.num_switches,
         ) as sp:
-            self._distribute_blocks(tables, report, force_full, width)
-            delta = self.transport.stats.delta_since(before)
+            self._distribute_blocks(tables, report, force_full)
+            delta = self.transport.stats.since(mark)
             report.smps_sent = delta.total_smps
             report.serial_time = delta.serial_time
             report.pipelined_time = delta.pipelined_time(self.pipeline_window)
@@ -135,24 +136,25 @@ class LftDistributor:
         return report
 
     def _diff_plan(
-        self, tables: RoutingTables, force_full: bool, width: int
-    ) -> Tuple[List[Tuple[Switch, np.ndarray, int]], np.ndarray]:
-        """Per-switch block send lists, from one stacked block compare.
+        self, tables: RoutingTables, force_full: bool
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Which blocks to send, from one stacked block compare.
 
-        Returns ``(plan, desired)``: ``plan`` is ``[(switch, blocks, row)]``
-        in switch order and ``desired`` the stacked (num_switches, width)
-        target LFT matrix. The whole diff is three array ops — stack, block
-        reshape, ``any`` reduction — instead of a per-switch/per-block
-        Python loop. Computing the plan up front is equivalent to the old
-        interleaved diff-while-sending: a switch's LFT is only mutated by
-        its *own* sends, so the pre-send state each old diff read is
-        exactly the state read here.
+        Returns ``(send, desired)``: ``send[i, b]`` says whether block
+        ``b`` goes to the ``i``-th switch and ``desired`` is the stacked
+        (num_switches, n_blocks, 64) target LFT matrix. The whole diff is
+        three array ops — stack, block reshape, ``any`` reduction —
+        instead of a per-switch/per-block Python loop. Computing the plan
+        up front is equivalent to the old interleaved diff-while-sending:
+        a switch's LFT is only mutated by its *own* sends, so the pre-send
+        state each old diff read is exactly the state read here.
         """
         switches = self.topology.switches
         # Widen to whichever is larger: the new routing or the largest
         # existing table — stale entries above the new top LID must be
         # cleared, not silently kept.
         currents = [sw.lft.as_array() for sw in switches]
+        width = (lft_block_of(tables.top_lid) + 1) * LFT_BLOCK_SIZE
         full_width = max([width] + [len(c) for c in currents])
         n_blocks = full_width // LFT_BLOCK_SIZE
         s = len(switches)
@@ -161,77 +163,85 @@ class LftDistributor:
         row_width = min(tables.ports.shape[1], full_width)
         desired[:, :row_width] = tables.ports[idx, :row_width]
         if force_full:
-            send = (desired != LFT_UNSET).reshape(s, n_blocks, LFT_BLOCK_SIZE)
+            send = desired != LFT_UNSET
         else:
             cur = np.full((s, full_width), LFT_UNSET, dtype=np.int16)
             for i, c in enumerate(currents):
                 cur[i, : len(c)] = c
-            send = (cur != desired).reshape(s, n_blocks, LFT_BLOCK_SIZE)
-        send_blocks = send.any(axis=2)  # (num_switches, n_blocks)
-        plan: List[Tuple[Switch, np.ndarray, int]] = []
-        for i, sw in enumerate(switches):
-            blocks = np.flatnonzero(send_blocks[i])
-            if blocks.size:
-                plan.append((sw, blocks, i))
-        return plan, desired
+            send = cur != desired
+        shape = (s, n_blocks, LFT_BLOCK_SIZE)
+        return send.reshape(shape).any(axis=2), desired.reshape(shape)
 
     def _distribute_blocks(
         self,
         tables: RoutingTables,
         report: DistributionReport,
         force_full: bool,
-        width: int,
     ) -> None:
         #: (switch, block, pre-image) of every write actually applied, so
         #: a failed transactional pass can be unwound.
         undo: List[Tuple[Switch, int, np.ndarray]] = []
-        plan, desired = self._diff_plan(tables, force_full, width)
-        try:
-            for sw, blocks, row in plan:
+        send, desired = self._diff_plan(tables, force_full)
+        switches = self.topology.switches
+        for i, count in enumerate(send.sum(axis=1).tolist()):
+            if count:
                 report.switches_updated += 1
-                report.blocks_per_switch[sw.name] = len(blocks)
-                rows = desired[row].reshape(-1, LFT_BLOCK_SIZE)
-                if self.transactional:
-                    for block in blocks.tolist():
-                        self._write_block_verified(
-                            sw, block, rows[block], report, undo
-                        )
-                else:
-                    self.sender.send_lft_run(
-                        sw.name, blocks, rows[blocks], directed=self.directed
+                report.blocks_per_switch[switches[i].name] = count
+        # Row-major: switch order, and within a switch ascending blocks.
+        rows, blocks = np.nonzero(send)
+        # A plan that sends every block needs no gather, and a copy of
+        # exactly the matrix's size made malloc's trim-or-keep of the freed
+        # pair (so peak RSS and later page faults) differ run to run.
+        full = desired.reshape(-1, LFT_BLOCK_SIZE)
+        entries = full if send.all() else desired[rows, blocks]
+        targets = [switches[i] for i in rows.tolist()]
+        try:
+            if self.transactional:
+                for sw, block, row in zip(targets, blocks.tolist(), entries):
+                    self.write_block_verified(
+                        sw, block, row, directed=self.directed,
+                        undo=undo, report=report,
                     )
-        except (TransportError, DistributionError) as exc:
-            self._rollback(undo)
+            else:
+                self.sender.send_lft_sweep(
+                    [sw.name for sw in targets], blocks, entries,
+                    directed=self.directed,
+                )
+        except TransportError as exc:
+            self.rollback(undo, directed=self.directed)
             report.rolled_back = True
             raise DistributionError(
                 f"LFT distribution aborted ({exc}); rolled back"
                 f" {len(undo)} applied block writes"
             ) from exc
 
-    def _write_block_verified(
+    def write_block_verified(
         self,
         sw: Switch,
         block: int,
         entries: np.ndarray,
-        report: DistributionReport,
-        undo: List[Tuple[Switch, int, np.ndarray]],
+        *,
+        directed: bool,
+        undo: Optional[List[Tuple[Switch, int, np.ndarray]]] = None,
+        report: Optional[DistributionReport] = None,
     ) -> None:
         """Write one block and prove it landed intact.
 
         A SubnGet(LFT) read-back compares the switch's block against the
-        shadow copy being distributed; a mismatch (dropped SET without a
+        shadow copy being written; a mismatch (dropped SET without a
         reliable sender, or silent in-flight corruption) re-syncs the block
-        from the shadow, up to :attr:`verify_attempts` rounds.
+        from the shadow, up to :attr:`verify_attempts` rounds, after which
+        :class:`~repro.errors.TransportError` is raised. The block's
+        pre-image is logged in *undo* once a SET was delivered; *report*
+        counts the verified blocks and the re-syncs.
         """
-        pre = np.array(sw.lft.get_block(block), dtype=np.int16, copy=True)
-        recorded = False
+        pre = sw.lft.get_block(block)
+        recorded = undo is None
         for attempt in range(self.verify_attempts):
-            if attempt:
+            if attempt and report is not None:
                 report.resyncs += 1
             result = self.sender.send(
-                make_set_lft_block(
-                    sw.name, block, entries, directed=self.directed
-                )
+                make_set_lft_block(sw.name, block, entries, directed=directed)
             )
             if result.ok and not recorded:
                 undo.append((sw, block, pre))
@@ -242,7 +252,7 @@ class LftDistributor:
                     SmpKind.LFT_BLOCK,
                     sw.name,
                     payload={"block": block},
-                    directed=self.directed,
+                    directed=directed,
                 )
             )
             if (
@@ -253,63 +263,42 @@ class LftDistributor:
                     np.asarray(entries, dtype=np.int16),
                 )
             ):
-                report.verified_blocks += 1
+                if report is not None:
+                    report.verified_blocks += 1
                 return
-        raise DistributionError(
+        raise TransportError(
             f"switch {sw.name!r} block {block} failed read-back"
             f" verification after {self.verify_attempts} attempts"
         )
 
-    def _rollback(
-        self, undo: List[Tuple[Switch, int, np.ndarray]]
+    def rollback(
+        self,
+        undo: List[Tuple[Switch, int, np.ndarray]],
+        *,
+        directed: bool,
+        error: Type[ReproError] = DistributionError,
     ) -> None:
         """Restore the pre-image of every applied write, newest first.
 
-        Only verified writes are logged, so *undo* is empty outside
-        transactional mode; the restores themselves are read-back
+        In transactional mode the restores themselves are read-back
         verified — a rollback write silently corrupted in flight would
-        otherwise leave a third state neither old nor new.
+        otherwise leave a third state neither old nor new. A restore that
+        fails raises *error* naming the block: the subnet is then
+        genuinely inconsistent.
         """
         for sw, block, pre in reversed(undo):
             try:
-                self._restore_block_verified(sw, block, pre)
+                if self.transactional:
+                    self.write_block_verified(sw, block, pre, directed=directed)
+                else:
+                    self.sender.send(
+                        make_set_lft_block(sw.name, block, pre, directed=directed)
+                    )
             except TransportError as exc:
-                raise DistributionError(
+                raise error(
                     f"rollback of switch {sw.name!r} block {block} failed;"
                     " subnet may be inconsistent"
                 ) from exc
-
-    def _restore_block_verified(
-        self, sw: Switch, block: int, pre: np.ndarray
-    ) -> None:
-        for _ in range(self.verify_attempts):
-            self.sender.send(
-                make_set_lft_block(
-                    sw.name, block, pre, directed=self.directed
-                )
-            )
-            readback = self.sender.send(
-                Smp(
-                    SmpMethod.GET,
-                    SmpKind.LFT_BLOCK,
-                    sw.name,
-                    payload={"block": block},
-                    directed=self.directed,
-                )
-            )
-            if (
-                readback.ok
-                and readback.data is not None
-                and np.array_equal(
-                    np.asarray(readback.data["entries"], dtype=np.int16),
-                    np.asarray(pre, dtype=np.int16),
-                )
-            ):
-                return
-        raise TransportError(
-            f"restore of switch {sw.name!r} block {block} failed read-back"
-            f" verification after {self.verify_attempts} attempts"
-        )
 
     def pending_blocks(self, tables: RoutingTables) -> int:
         """Count the block writes a diff distribution of *tables* would
@@ -319,19 +308,4 @@ class LftDistributor:
         block writes against this figure: a successor whose journal was
         current must never program more than the pending diff.
         """
-        top_lid = tables.top_lid
-        width = (lft_block_of(top_lid) + 1) * LFT_BLOCK_SIZE
-        plan, _ = self._diff_plan(tables, False, width)
-        return sum(len(blocks) for _, blocks, _ in plan)
-
-    @staticmethod
-    def _used_blocks(desired: np.ndarray) -> List[int]:
-        mask = (desired != LFT_UNSET).reshape(-1, LFT_BLOCK_SIZE)
-        return np.nonzero(mask.any(axis=1))[0].tolist()
-
-    @staticmethod
-    def _changed_blocks(current: np.ndarray, desired: np.ndarray) -> List[int]:
-        cur = np.full(len(desired), LFT_UNSET, dtype=np.int16)
-        cur[: len(current)] = current
-        mask = (cur != desired).reshape(-1, LFT_BLOCK_SIZE)
-        return np.nonzero(mask.any(axis=1))[0].tolist()
+        return int(self._diff_plan(tables, False)[0].sum())

@@ -126,10 +126,16 @@ class LidManager:
         """Number of LIDs currently assigned (Table I "LIDs" column)."""
         return self.allocator.allocated_count
 
+    def lids_by_port(self) -> Dict[Port, List[int]]:
+        """Every bound LID grouped by the port it is bound to, ascending
+        per port: one pass over the registry for callers that ask about
+        many ports."""
+        groups: Dict[Port, List[int]] = {}
+        port_of_lid = self.topology.port_of_lid
+        for lid in self.topology.bound_lids():
+            groups.setdefault(port_of_lid(lid), []).append(lid)
+        return groups
+
     def lids_on_port(self, port: Port) -> List[int]:
         """All LIDs bound to one port, ascending."""
-        return [
-            lid
-            for lid in self.topology.bound_lids()
-            if self.topology.port_of_lid(lid) is port
-        ]
+        return self.lids_by_port().get(port, [])

@@ -1,6 +1,5 @@
 """Tests for SMP transport: hop counting, latency, accounting, application."""
 
-import dataclasses
 import random
 
 import numpy as np
@@ -27,6 +26,7 @@ from repro.mad.smp import Smp, SmpKind, SmpMethod, SmpStatus, make_set_lft_block
 from repro.mad.transport import SmpTransport
 from repro.obs import get_hub, reset_hub, span
 from repro.sm.subnet_manager import SubnetManager
+from tests.oracles.observe import observed
 
 
 def line_topology():
@@ -121,6 +121,29 @@ class TestAccounting:
         delta = tr.stats.delta_since(before)
         assert delta.total_smps == 2
         assert len(delta.latencies) == 2
+
+    @pytest.mark.parametrize("samples", [False, True])
+    def test_scalar_mark_prices_what_a_snapshot_delta_prices(self, samples):
+        topo = line_topology()
+        tr = SmpTransport(topo, record_samples=samples)
+        tr.send(Smp(SmpMethod.GET, SmpKind.NODE_INFO, "s2"))
+        before, mark = tr.stats.snapshot(), tr.stats.mark()
+        assert tr.stats.since(mark) == tr.stats.delta_since(before)
+        tr.send(make_set_lft_block("s1", 0, np.zeros(LFT_BLOCK_SIZE)))
+        tr.send(Smp(SmpMethod.GET, SmpKind.NODE_INFO, "s0", directed=False))
+        tr.charge_wait(1e-3)
+        since, delta = tr.stats.since(mark), tr.stats.delta_since(before)
+        assert since.pipelined_time(2) == delta.pipelined_time(2)
+        assert since.max_latency == delta.max_latency
+        assert not since.by_kind and not since.latencies
+        assert delta.by_target == {"s1": 1, "s0": 1}
+        assert len(delta.latencies) == (2 if samples else 0)
+        for name in (
+            "total_smps", "lft_update_smps", "directed_smps",
+            "destination_routed_smps", "total_hops", "serial_time",
+            "retry_wait_seconds",
+        ):
+            assert getattr(since, name) == getattr(delta, name) != 0
 
     def test_mean_k(self):
         topo = line_topology()
@@ -264,30 +287,6 @@ def build_world(fabric, size, *, lids):
     return built.topology, sm.transport
 
 
-def snapshot(topo, tr, sp):
-    """Everything a delivery may touch, in comparable (==) form."""
-    hub = get_hub()
-    stats = dataclasses.asdict(tr.stats)
-    stats["by_kind"] = dict(tr.stats.by_kind)
-    stats["by_target"] = dict(tr.stats.by_target)
-    return {
-        "stats": stats,
-        "clock": hub.now(),
-        "flight": (hub.flight.events(), hub.flight.seen, hub.flight.dropped),
-        "span": (
-            sp.smp_count, sp.lft_smp_count, sp.events, sp.events_dropped,
-            [(c.name, c.attributes, c.events) for c in sp.children],
-        ),
-        "metrics": hub.metrics.render_prometheus(),
-        "pma": {
-            node.name: {n: c.as_dict() for n, c in sorted(node.counters.items())}
-            for node in list(topo.switches) + list(topo.hcas)
-        },
-        "lfts": {sw.name: sw.lft.as_array().tobytes() for sw in topo.switches},
-        "generation": tr.fabric_generation,
-    }
-
-
 def outcome_of(results):
     return [
         (
@@ -314,7 +313,7 @@ def play(world, act, monkeypatch):
             out = act(topo, tr)
         except ReproError as exc:
             raised = (type(exc), str(exc))
-    return snapshot(topo, tr, sp), out, raised
+    return observed(topo, tr, sp), out, raised
 
 
 def mixed_packets(rng, target, n, *, directed, generation, lft_ok):
@@ -427,7 +426,7 @@ class TestRunEquivalence:
         ran = play(world, as_run, monkeypatch)
         assert ran == play(world, one_by_one, monkeypatch)
         assert ran[0]["stats"]["lft_update_smps"] == n + 1
-        assert ran[0]["span"][0] == n
+        assert ran[0]["spans"][0]["smps"] == (n, n)
         assert ran[0]["stats"]["stale_rejected"] == (n if generation == 0 else 0)
 
     @run_settings
@@ -479,7 +478,9 @@ class TestRunEquivalence:
         def as_run(topo, tr):
             sw = topo.switches[pick % len(topo.switches)]
             if reliable:
-                sender_of(tr).send_lft_run(sw.name, blocks, entries, directed=directed)
+                sender_of(tr).send_lft_sweep(
+                    [sw.name] * n, blocks, entries, directed=directed
+                )
             else:
                 tr.send_lft_run(
                     sw.name, blocks, entries, directed=directed, generation=generation
@@ -541,6 +542,180 @@ class TestRunEquivalence:
             monkeypatch,
         )
         assert as_run == one_by_one
+
+
+def isolate(topo, switch):
+    """Unplug every cable of *switch*: nothing can reach it any more."""
+    for port in list(switch.connected_ports()):
+        topo.remove_link(port.link)
+
+
+def sweep_rows(topo, groups, seed):
+    """Rows of a sweep: per ``(pick, length)`` group, *length* consecutive
+    rows to one switch (groups may repeat or adjoin a switch)."""
+    rng = random.Random(seed)
+    targets, blocks = [], []
+    for pick, length in groups:
+        targets += [topo.switches[pick % len(topo.switches)].name] * length
+        blocks += [rng.randrange(4) for _ in range(length)]
+    entries = np.array(
+        [[rng.randrange(1, 4) for _ in range(LFT_BLOCK_SIZE)] for _ in blocks],
+        dtype=np.int16,
+    ).reshape(len(blocks), LFT_BLOCK_SIZE)
+    return targets, blocks, entries
+
+
+sweep_case = dict(
+    fabric=st.sampled_from(["ring", "fattree"]),
+    size=st.integers(min_value=3, max_value=5),
+    lids=st.booleans(),
+    groups=st.lists(
+        st.tuples(st.integers(0, 10**6), st.integers(1, 4)), max_size=7
+    ),
+    cut=st.none() | st.integers(0, 10**6),
+    directed=st.booleans(),
+    generation=st.sampled_from([None, 0, 4]),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+
+
+class TestSweepEquivalence:
+    """A multi-target sweep leaves exactly what its packets, sent one by
+    one, leave — also when a target in the middle cannot be reached."""
+
+    @staticmethod
+    def both_ways(world, sender_of, groups, seed, directed, stamp, monkeypatch):
+        applied = []
+
+        def as_sweep(topo, tr):
+            applied.append([])
+            sender_of(tr).send_lft_sweep(
+                *sweep_rows(topo, groups, seed), directed=directed,
+                applied=applied[-1], **stamp,
+            )
+
+        def one_by_one(topo, tr):
+            applied.append([])
+            sender = sender_of(tr)
+            for i, (target, block, row) in enumerate(
+                zip(*sweep_rows(topo, groups, seed))
+            ):
+                smp = make_set_lft_block(target, block, row, directed=directed)
+                smp.generation = stamp.get("generation")
+                if sender.send(smp).ok:
+                    applied[-1].append(i)
+
+        swept = play(world, as_sweep, monkeypatch)
+        assert swept == play(world, one_by_one, monkeypatch)
+        assert applied[0] == applied[1]
+        return swept, applied[0]
+
+    @run_settings
+    @given(**sweep_case)
+    def test_sweep_matches_single_sends(
+        self, monkeypatch, fabric, size, lids, groups, cut, directed,
+        generation, seed,
+    ):
+        def world():
+            topo, tr = build_world(fabric, size, lids=lids)
+            if cut is not None:
+                isolate(topo, topo.switches[cut % len(topo.switches)])
+            return topo, tr
+
+        (state, _, raised), applied = self.both_ways(
+            world, lambda tr: tr, groups, seed, directed,
+            {"generation": generation}, monkeypatch,
+        )
+        n = sum(length for _, length in groups)
+        if cut is None:
+            assert raised is None
+            assert applied == ([] if generation == 0 else list(range(n)))
+            assert state["stats"]["lft_update_smps"] == n + 1
+            assert state["flight"][1] == n + 1
+        else:
+            assert raised is None or raised[0] is UnreachableTargetError
+        # What left the SM is what the sweep reports delivered (plus the
+        # fence packet of build_world), whether or not it died half-way.
+        if generation != 0:
+            assert state["stats"]["lft_update_smps"] == len(applied) + 1
+
+    @run_settings
+    @given(
+        **sweep_case,
+        drop=st.sampled_from([0.0, 0.3]),
+        corrupt=st.sampled_from([0.0, 0.3]),
+        delay=st.sampled_from([0.0, 0.3]),
+        reliable=st.booleans(),
+    )
+    def test_faulty_sweep_matches_single_sends(
+        self, monkeypatch, fabric, size, lids, groups, cut, directed,
+        generation, seed, drop, corrupt, delay, reliable,
+    ):
+        injectors = []
+
+        def world():
+            topo, tr = build_world(fabric, size, lids=lids)
+            if cut is not None:
+                isolate(topo, topo.switches[cut % len(topo.switches)])
+            injectors.append(
+                FaultInjector(
+                    FaultPlan(
+                        seed=seed,
+                        smp_drop_rate=drop,
+                        smp_corrupt_rate=corrupt,
+                        smp_delay_rate=delay,
+                        smp_delay_seconds=2e-6,
+                        scripted=(
+                            ScriptedFault(action="drop", kind="lft_block", nth=2),
+                        ),
+                    )
+                )
+            )
+            tr.set_fault_injector(injectors[-1])
+            return topo, tr
+
+        def sender_of(tr):
+            if not reliable:
+                return tr
+            return ReliableSmpSender(
+                tr, RetryPolicy(retries=2), generation=generation
+            )
+
+        self.both_ways(
+            world, sender_of, groups, seed, directed,
+            {} if reliable else {"generation": generation}, monkeypatch,
+        )
+        assert injectors[0].counts == injectors[1].counts
+
+    def test_unreachable_target_stops_the_sweep_where_it_stands(self):
+        topo = line_topology()
+        tr = SmpTransport(topo)
+        tr.hops_to(topo.node("s2"))  # warm the distance cache, then cut s2 off
+        topo.remove_link(topo.node("s1").port(2).link)
+        entries = np.full((4, LFT_BLOCK_SIZE), 3, dtype=np.int16)
+        applied = []
+        with pytest.raises(UnreachableTargetError):
+            tr.send_lft_sweep(
+                ["s0", "s1", "s2", "s0"], [0, 1, 0, 2], entries, applied=applied
+            )
+        assert applied == [0, 1]
+        assert tr.stats.total_smps == tr.stats.lft_update_smps == 2
+        assert tr.stats.by_target == {"s0": 1, "s1": 1}
+        assert topo.node("h0").port_counters(1).xmit_packets == 2
+        assert topo.node("s0").lft.get(2 * LFT_BLOCK_SIZE) != 3
+        assert not topo.node("s2").counters
+
+    @pytest.mark.parametrize("lossy", [False, True])
+    def test_sweep_needs_one_block_and_one_payload_per_row(self, lossy):
+        topo = line_topology()
+        tr = SmpTransport(topo)
+        if lossy:
+            tr.set_fault_injector(FaultInjector(FaultPlan(seed=1, smp_drop_rate=0.5)))
+        entries = np.ones((2, LFT_BLOCK_SIZE), dtype=np.int16)
+        for blocks, payload in (([0], entries), ([0, 1], entries[:1])):
+            with pytest.raises(TopologyError):
+                tr.send_lft_sweep(["s0", "s1"], blocks, payload)
+        assert tr.stats.total_smps == 0
 
 
 class TestRunContract:
@@ -649,10 +824,10 @@ class TestRunContract:
         topo = line_topology()
         tr = SmpTransport(topo)
         entries = np.full((3, LFT_BLOCK_SIZE), 2, dtype=np.int16)
-        ReliableSmpSender(tr, generation=5).send_lft_run("s1", [0, 1, 2], entries)
+        ReliableSmpSender(tr, generation=5).send_lft_sweep(["s1"] * 3, [0, 1, 2], entries)
         stale = ReliableSmpSender(tr, generation=4)
         with pytest.raises(StaleGenerationError):
-            stale.send_lft_run("s1", [0, 1, 2], entries + 1)
+            stale.send_lft_sweep(["s1"] * 3, [0, 1, 2], entries + 1)
         assert tr.stats.stale_rejected == 1
         assert tr.stats.total_smps == 4
 

@@ -12,7 +12,14 @@ array implementation lives in ``src/repro``:
 * :mod:`tests.oracles.delivery` — the per-path LFT walker (oracle for
   the delivery half of :func:`repro.analysis.verification.verify_subnet`);
 * :mod:`tests.oracles.candidates` — the per-destination equal-cost
-  candidate pass (oracle for :func:`repro.fabric.graph.candidate_table`).
+  candidate pass (oracle for :func:`repro.fabric.graph.candidate_table`);
+* :mod:`tests.oracles.reconfig` — the clone → diff → one-send-per-block
+  vSwitch reconfigurer (oracle for the column-edit kernel of
+  :mod:`repro.core.reconfig` and, through it, for
+  :meth:`repro.mad.transport.SmpTransport.send_lft_sweep`).
+
+:mod:`tests.oracles.observe` is what the oracle suites compare: everything
+an SMP delivery may leave behind, in ``==`` form.
 
 Nothing under ``src/`` may import from here (CI greps for it).
 """

@@ -89,6 +89,20 @@ class TestLidManager:
         assert topo.port_of_lid(extra) is port
         assert sorted(lm.lids_on_port(port)) == sorted([port.lid, extra])
 
+    def test_lids_by_port_groups_the_whole_registry(self, small_fattree):
+        topo = small_fattree.topology
+        lm = LidManager(topo)
+        lm.assign_base_lids()
+        for host in topo.hcas[:3]:
+            lm.assign_extra_lid(host.port(1), lid=100 - host.port(1).lid)
+        groups = lm.lids_by_port()
+        assert sorted(lid for lids in groups.values() for lid in lids) == topo.bound_lids()
+        for port, lids in groups.items():
+            assert lids == sorted(lids)
+            assert lids == lm.lids_on_port(port)
+            assert all(topo.port_of_lid(lid) is port for lid in lids)
+        assert lm.lids_on_port(topo.switches[0].port(1)) == []
+
     def test_extra_specific_lid(self, small_fattree):
         topo = small_fattree.topology
         lm = LidManager(topo)

@@ -146,8 +146,12 @@ class TestLftDiffEquivalence:
         distributor = sm.distributor
         top_lid = tables.top_lid
         width = (lft_block_of(top_lid) + 1) * LFT_BLOCK_SIZE
-        plan, _ = distributor._diff_plan(tables, force_full, width)
-        got = {sw.name: blocks.tolist() for sw, blocks, _ in plan}
+        send, _ = distributor._diff_plan(tables, force_full)
+        got = {
+            sw.name: np.flatnonzero(row).tolist()
+            for sw, row in zip(sm.topology.switches, send)
+            if row.any()
+        }
         expected = {}
         for sw in sm.topology.switches:
             current = sw.lft.as_array()
@@ -156,9 +160,14 @@ class TestLftDiffEquivalence:
             row = tables.ports[sw.index]
             desired[: len(row)] = row
             if force_full:
-                blocks = distributor._used_blocks(desired)
+                differs = desired != LFT_UNSET
             else:
-                blocks = distributor._changed_blocks(current, desired)
+                cur = np.full(len(desired), LFT_UNSET, dtype=np.int16)
+                cur[: len(current)] = current
+                differs = cur != desired
+            blocks = np.flatnonzero(
+                differs.reshape(-1, LFT_BLOCK_SIZE).any(axis=1)
+            ).tolist()
             if blocks:
                 expected[sw.name] = blocks
         assert got == expected

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import VirtError
 from repro.fabric.addressing import GuidAllocator
 from repro.fabric.node import HCA
+from repro.service.recovery import audit_cloud
 from repro.sriov.vswitch import VSwitchHCA
 from repro.virt.cloud import CloudManager, PlacementPolicy
 from repro.virt.hypervisor import Hypervisor
@@ -116,6 +117,22 @@ class TestCloudManager:
         cloud.stop_vm(vm.name)
         assert cloud.running_vm_count == 0
         assert vm.name not in cloud.vms
+
+    def test_running_count_is_kept_not_scanned(self, dynamic_cloud):
+        cloud = dynamic_cloud
+
+        def scan():
+            return sum(vm.is_running for vm in cloud.vms.values())
+
+        vms, _ = cloud.boot_vms_batch([(None, "l0h0", None), (None, "l1h1", None)])
+        vm = cloud.boot_vm(on="l2h2")
+        assert cloud.running_vm_count == scan() == 3
+        cloud.live_migrate(vm.name, "l3h3")
+        cloud.stop_vm(vms[0].name)
+        assert cloud.running_vm_count == scan() == 2
+        assert audit_cloud(cloud) == []
+        cloud._running_vms += 1
+        assert audit_cloud(cloud) == ["2 VMs are running but the cloud counts 3"]
 
     def test_boot_on_specific_node(self, prepopulated_cloud):
         vm = prepopulated_cloud.boot_vm(on="l2h2")
