@@ -2,7 +2,7 @@
 
 Puts the paper's central comparison in operational context: what the SM
 pays for the events that *legitimately* need reconfiguration (cable and
-switch failures, SM handover) versus the near-free vSwitch migration.
+switch failures, SM failover) versus the near-free vSwitch migration.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import pytest
 from repro.analysis.tables import render_table
 from repro.fabric.node import Switch
 from repro.fabric.presets import scaled_fattree
-from repro.sm.handover import SmRedundancyManager
+from repro.sm.ha import HighAvailabilityManager, SmHaState
 from repro.sm.subnet_manager import SubnetManager
 from repro.virt.cloud import CloudManager
 
@@ -26,43 +26,51 @@ def fresh_sm():
     return built, sm
 
 
-def test_handover_state_sharing(benchmark):
-    """Standby takeover with shared state: discovery only."""
+def fresh_ha():
     built, sm = fresh_sm()
-    mgr = SmRedundancyManager(sm)
+    ha = HighAvailabilityManager(sm)
     for i, hca in enumerate(built.topology.hcas[:3]):
-        mgr.register(hca.name, guid=i + 1, priority=1)
-    mgr.elect()
+        ha.register(hca.name, guid=i + 1, priority=1)
+    ha.bootstrap()
+    return built, ha
+
+
+def test_handover_state_sharing(benchmark):
+    """Standby takeover from a current replica: handshake + discovery only."""
+    built, ha = fresh_ha()
 
     def takeover():
-        mgr.kill_master()
-        report = mgr.handover(resweep=False)
-        # Revive everyone for the next round.
-        for cand in mgr.candidates():
-            cand.alive = True
+        old = ha.master
+        ha.kill_master()
+        report = ha.failover(old)
+        # Revive the dead SM as a synced standby for the next round.
+        old.alive = True
+        old.state = SmHaState.STANDBY
+        ha.transport.mark_sm_alive(old.node_name)
+        ha.resync_standby(old.node_name)
         return report
 
-    report = benchmark(takeover)
+    report = benchmark.pedantic(takeover, rounds=5, iterations=1)
+    assert report.sweep_mode == "light"
     assert report.path_compute_seconds == 0.0
     assert report.lft_smps == 0
 
 
 def test_handover_resweep(benchmark):
     """Naive restart-style takeover: pays PCt, distributes nothing new."""
-    built, sm = fresh_sm()
-    mgr = SmRedundancyManager(sm)
-    for i, hca in enumerate(built.topology.hcas[:3]):
-        mgr.register(hca.name, guid=i + 1, priority=1)
-    mgr.elect()
+    built, ha = fresh_ha()
+    late_joiners = iter(built.topology.hcas[3:])
 
     def takeover():
-        mgr.kill_master()
-        report = mgr.handover(resweep=True)
-        for cand in mgr.candidates():
-            cand.alive = True
-        return report
+        # The successor joined after the journal was seeded and never
+        # received it: it must rediscover and recompute.
+        ha.register(next(late_joiners).name, guid=99, priority=2)
+        old = ha.master
+        ha.kill_master()
+        return ha.failover(old)
 
     report = benchmark.pedantic(takeover, rounds=3, iterations=1)
+    assert report.sweep_mode == "heavy"
     assert report.path_compute_seconds > 0
     assert report.lft_smps == 0
 

@@ -3,8 +3,9 @@
 
 A tour of the management-plane machinery around the paper's contribution:
 
-1. SM election and handover (the ref-[10] prototype restarted the SM; a
-   state-sharing standby takes over for free);
+1. SM election and failover (the ref-[10] prototype restarted the SM; a
+   standby holding a current replica takes over with zero PCt and zero
+   LFT SMPs — it pays only the handshake and a verification sweep);
 2. a cable failure: traps from both ends, recompute + diff distribution —
    the *legitimate* expensive reconfiguration, vs migrations at zero PCt;
 3. a spine switch failure: removed, rerouted, audited;
@@ -18,7 +19,7 @@ from repro.analysis.verification import verify_subnet
 from repro.core.reconfig import VSwitchReconfigurer
 from repro.fabric.node import Switch
 from repro.fabric.presets import scaled_fattree
-from repro.sm.handover import SmRedundancyManager
+from repro.sm.ha import HighAvailabilityManager
 from repro.sm.subnet_manager import SubnetManager
 from repro.sm.traps import FabricEventManager, TrapType
 
@@ -34,19 +35,22 @@ def main() -> None:
         f" {report.lft_smps} LFT SMPs, PCt={report.path_compute_seconds * 1e3:.1f}ms"
     )
 
-    # 1. SM redundancy.
-    redundancy = SmRedundancyManager(sm)
+    # 1. SM redundancy: leases, missed heartbeats, takeover.
+    ha = HighAvailabilityManager(sm)
     hcas = built.topology.hcas
-    redundancy.register(hcas[0].name, guid=0x10, priority=3)
-    redundancy.register(hcas[1].name, guid=0x20, priority=3)
-    master = redundancy.elect()
+    ha.register(hcas[0].name, guid=0x10, priority=3)
+    ha.register(hcas[1].name, guid=0x20, priority=3)
+    master = ha.bootstrap()
     print(f"\nSM master: {master.node_name} (priority {master.priority})")
-    redundancy.kill_master()
-    takeover = redundancy.handover(resweep=False)
+    ha.kill_master()
+    takeover = None
+    while takeover is None:  # standbys notice through missed leases
+        takeover = ha.tick()
     print(
-        f"master died; {redundancy.master.node_name} took over with"
-        f" {takeover.lft_smps} LFT SMPs and PCt={takeover.path_compute_seconds}s"
-        " (state-sharing handover is free)"
+        f"master died; {ha.master.node_name} took over ({takeover.sweep_mode}"
+        f" sweep) with {takeover.lft_smps} LFT SMPs and"
+        f" PCt={takeover.path_compute_seconds}s — {takeover.control_smps}"
+        " handshake + discovery SMPs is all a state-sharing failover costs"
     )
 
     # 2. A cable fails.

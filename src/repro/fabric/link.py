@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.errors import TopologyError
-from repro.fabric.node import Port
+from repro.fabric.node import Port, Switch
 
 __all__ = ["Link"]
 
@@ -49,6 +49,12 @@ class Link:
     def ends(self) -> Tuple[Port, Port]:
         """Both ends, in creation order."""
         return (self.a, self.b)
+
+    @property
+    def switch_ends(self) -> Tuple[int, int]:
+        """Dense switch indices of both ends (-1 for an HCA end)."""
+        a, b = (p.node.index if isinstance(p.node, Switch) else -1 for p in self.ends)
+        return a, b
 
     def disconnect(self) -> None:
         """Unplug the cable from both ports."""

@@ -74,6 +74,20 @@ class TopologyMutation:
                 self, "cables", tuple(tuple(c) for c in self.cables)
             )
 
+    @classmethod
+    def cable(cls, kind: str, link: Link) -> "TopologyMutation":
+        """The link-kind mutation naming *link*'s ends and latency (a
+        removed :class:`~repro.fabric.link.Link` still remembers them)."""
+        end_a, end_b = link.ends
+        return cls(
+            kind=kind,
+            a=end_a.node.name,
+            port_a=end_a.num,
+            b=end_b.node.name,
+            port_b=end_b.num,
+            latency=link.latency,
+        )
+
     def as_dict(self) -> Dict[str, Any]:
         """Wire/journal form (plain JSON-able types only)."""
         return {
@@ -161,6 +175,36 @@ class SwitchFabricView:
         """Number of inter-switch cables on this switch."""
         return int(self.indptr[switch_index + 1] - self.indptr[switch_index])
 
+    def unreached(
+        self,
+        *,
+        without_switch: int = -1,
+        without_link: Optional[Tuple[int, int]] = None,
+    ) -> List[int]:
+        """Switch indices a walk from the first switch does not reach.
+
+        Empty means connected. ``without_switch`` asks about the graph
+        with that switch gone (it is left out of the answer too),
+        ``without_link=(u, v)`` with one cable between ``u`` and ``v``
+        cut — a parallel cable keeps the pair adjacent. The one
+        connectivity check behind :meth:`Topology.validate`, the subnet
+        manager's refusal of a cut-vertex removal and the chaos pools.
+        """
+        n = self.num_switches
+        src = np.repeat(np.arange(n), np.diff(self.indptr))
+        keep = (src != without_switch) & (self.peer != without_switch)
+        if without_link is not None:
+            for u, v in (without_link, without_link[::-1]):
+                keep[np.flatnonzero((src == u) & (self.peer == v))[:1]] = False
+        src, dst = src[keep], self.peer[keep]
+        seen = np.arange(n) == without_switch
+        seen[np.flatnonzero(~seen)[:1]] = True
+        reached = 0
+        while reached != seen.sum():  # one hop further per pass
+            reached = seen.sum()
+            seen[dst[seen[src]]] = True
+        return np.flatnonzero(~seen).tolist()
+
 
 class Topology:
     """A mutable IB subnet: nodes, links, and the LID binding registry."""
@@ -244,10 +288,9 @@ class Topology:
     ) -> Link:
         """Runtime-add a cable (mutation-first alias of :meth:`connect`).
 
-        Switch-to-switch cables bump :attr:`version` exactly once; record
-        the matching
-        :meth:`repro.sm.routing.cache.RoutingState.note_link_addition`
-        right after this call to keep the repair chain unbroken.
+        Switch-to-switch cables bump :attr:`version` exactly once; the
+        subnet manager's state kernel records the matching routing-cache
+        repair event right after this call, keeping the chain unbroken.
         """
         return self.connect(a, port_a, b, port_b, latency=latency)
 
@@ -516,23 +559,12 @@ class Topology:
         for hca in self._hcas:
             if not any(p.is_connected for p in hca.ports.values()):
                 raise TopologyError(f"HCA {hca.name!r} has no cable")
-        if self._switches:
-            seen = {0}
-            stack = [0]
-            view = self.fabric_view()
-            while stack:
-                cur = stack.pop()
-                for nb, _ in view.neighbors(cur):
-                    if nb not in seen:
-                        seen.add(nb)
-                        stack.append(nb)
-            if len(seen) != len(self._switches):
-                missing = [
-                    sw.name for sw in self._switches if sw.index not in seen
-                ]
-                raise TopologyError(
-                    f"switch fabric is disconnected; unreachable: {missing[:5]}"
-                )
+        missing = self.fabric_view().unreached()
+        if missing:
+            names = [self._switches[i].name for i in missing[:5]]
+            raise TopologyError(
+                f"switch fabric is disconnected; unreachable: {names}"
+            )
         for lid, port in self._lid_to_port.items():
             if isinstance(port.node, Switch) and port.num == 0:
                 continue

@@ -8,7 +8,6 @@ from repro.sm.deadlock import (
     transition_is_deadlock_free,
 )
 from repro.sm.discovery import DiscoveryReport, discover_subnet
-from repro.sm.handover import SmCandidate, SmRedundancyManager, SmState
 from repro.sm.lft_distribution import DistributionReport, LftDistributor
 from repro.sm.lid_manager import LidManager
 from repro.sm.perfmgt import LinkUtilization, PerformanceManager
@@ -29,9 +28,6 @@ __all__ = [
     "LinkUtilization",
     "ConfigureReport",
     "SubnetManager",
-    "SmCandidate",
-    "SmRedundancyManager",
-    "SmState",
     "FabricEventManager",
     "TrapRecord",
     "TrapType",

@@ -34,6 +34,7 @@ from typing import Any, Deque, Dict, List, Optional
 import numpy as np
 
 from repro.constants import LFT_BLOCK_SIZE, LFT_DROP_PORT, LFT_UNSET
+from repro.errors import HighAvailabilityError
 from repro.fabric.lft import lft_block_of
 from repro.sm.routing.base import RoutingTables
 
@@ -61,7 +62,7 @@ class ReplicationJournal:
 
     def __init__(self, capacity: int = 2048) -> None:
         if capacity < 1:
-            raise ValueError("journal capacity must be >= 1")
+            raise HighAvailabilityError("journal capacity must be >= 1")
         self.capacity = capacity
         self._entries: Deque[JournalEntry] = deque(maxlen=capacity)
         self._next_seq = 1
@@ -69,7 +70,7 @@ class ReplicationJournal:
     def append(self, kind: str, payload: Dict[str, Any]) -> JournalEntry:
         """Record one state change and return its entry."""
         if kind not in ENTRY_KINDS:
-            raise ValueError(f"unknown journal entry kind {kind!r}")
+            raise HighAvailabilityError(f"unknown journal entry kind {kind!r}")
         entry = JournalEntry(self._next_seq, kind, payload)
         self._next_seq += 1
         self._entries.append(entry)

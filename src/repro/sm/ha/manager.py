@@ -33,11 +33,9 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.errors import (
-    DistributionError,
     HighAvailabilityError,
     SmpTimeoutError,
     StaleGenerationError,
-    TransportError,
     UnreachableTargetError,
 )
 from repro.fabric.addressing import GUID
@@ -89,8 +87,6 @@ class HighAvailabilityManager:
         #: or partitioned master stays believed until its lease expires.
         self._believed_master: Optional[str] = None
         self.failovers = 0
-        #: Compat counter (mirrors the old redundancy manager's name).
-        self.handovers = 0
         self.demotions = 0
         self.replication_failures = 0
         self.fence_arm_failures = 0
@@ -582,7 +578,6 @@ class HighAvailabilityManager:
             self._arm_fence(winner)
             handshake = self.transport.stats.delta_since(before)
             self.failovers += 1
-            self.handovers += 1
             metrics.counter("repro_sm_failovers_total").add(1)
 
             replica = self._replicas.get(winner.node_name)
@@ -591,14 +586,33 @@ class HighAvailabilityManager:
                 and replica.is_current(self.journal)
                 and replica.tables_payload is not None
             )
-            sp.set_attributes(
-                sweep="light" if light else "heavy",
-                handshake_smps=handshake.total_smps,
-            )
+            mode = "light" if light else "heavy"
+            sp.set_attributes(sweep=mode, handshake_smps=handshake.total_smps)
             if light:
-                report = self._light_sweep(replica)
+                # Verify sweep + finish the pending distribution from the
+                # journal: LIDs and paths are inherited from the replica
+                # (zero path computation) and the diff programs at most
+                # the blocks the dying master had left pending.
+                tables = replica.routing_tables()
+                self.last_failover_pending_blocks = (
+                    self.sm.distributor.pending_blocks(tables)
+                )
+                report = self.sm._converge(
+                    "ha_light_sweep",
+                    tables=tables,
+                    replica_seq=replica.applied_seq,
+                )
             else:
-                report = self._heavy_sweep()
+                # Stale replica: full rediscovery + recompute.
+                report = self.sm._converge("ha_heavy_sweep")
+            report.sweep_mode = mode
+            self.last_failover_distributed_blocks = sum(
+                report.distribution.blocks_per_switch.values()
+            )
+            if not light:  # its pending diff is whatever it programmed
+                self.last_failover_pending_blocks = (
+                    self.last_failover_distributed_blocks
+                )
             report.handshake_smps = handshake.total_smps
             report.handshake_seconds = handshake.serial_time
             report.journal_entries_replayed = (
@@ -615,46 +629,6 @@ class HighAvailabilityManager:
                         peer.node_name, StandbyReplica(peer.node_name)
                     )
         self.last_failover_report = report
-        return report
-
-    def _light_sweep(self, replica: StandbyReplica) -> ConfigureReport:
-        """Verify sweep + finish the pending distribution from the journal.
-
-        The successor inherits LIDs and paths from its replica: zero path
-        computation, and the diff distribution programs at most the
-        blocks the dying master had left pending.
-        """
-        report = ConfigureReport()
-        report.sweep_mode = "light"
-        with span("ha_light_sweep", replica_seq=replica.applied_seq):
-            report.discovery = self.sm.discover()
-            tables = replica.routing_tables()
-            if tables is not None:
-                self.sm.current_tables = tables
-                self.last_failover_pending_blocks = (
-                    self.sm.distributor.pending_blocks(tables)
-                )
-                report.distribution = self.sm.distribute()
-                self.last_failover_distributed_blocks = sum(
-                    report.distribution.blocks_per_switch.values()
-                )
-        return report
-
-    def _heavy_sweep(self) -> ConfigureReport:
-        """Full rediscovery + recompute: the stale-replica fallback."""
-        report = ConfigureReport()
-        report.sweep_mode = "heavy"
-        with span("ha_heavy_sweep"):
-            report.discovery = self.sm.discover()
-            tables = self.sm.compute_routing()
-            report.path_compute_seconds = tables.compute_seconds
-            self.last_failover_pending_blocks = (
-                self.sm.distributor.pending_blocks(tables)
-            )
-            report.distribution = self.sm.distribute()
-            self.last_failover_distributed_blocks = sum(
-                report.distribution.blocks_per_switch.values()
-            )
         return report
 
     # -- split-brain resolution ----------------------------------------------
@@ -710,28 +684,3 @@ class HighAvailabilityManager:
         except (SmpTimeoutError, UnreachableTargetError):
             return "unreachable"
         return "still-master"
-
-    # -- compatibility shims (the old SmRedundancyManager surface) ------------
-
-    def elect(self) -> SmParticipant:
-        """Compat: bootstrap if never elected, else return the master."""
-        if self.master is None:
-            return self.bootstrap()
-        return self.master
-
-    def handover(self, *, resweep: bool = False) -> ConfigureReport:
-        """Compat: an explicit takeover (``resweep`` forces the heavy path)."""
-        old = self.master
-        if resweep:
-            # Invalidate the successor's replica so the heavy sweep runs.
-            for part in self.participants():
-                if part is not old:
-                    self._replicas.pop(part.node_name, None)
-        return self.failover(old)
-
-    def distribution_error_repair(self) -> None:
-        """Re-drive a distribution after a transient failure (compat hook)."""
-        try:
-            self.sm.distribute()
-        except (TransportError, DistributionError):
-            pass

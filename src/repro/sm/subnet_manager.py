@@ -13,10 +13,12 @@ tables.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from typing import Callable, Dict, Optional, Union
 
 from repro.errors import RoutingError, TopologyError
+from repro.fabric.link import Link
 from repro.fabric.node import Switch
 from repro.fabric.topology import Topology, TopologyMutation
 from repro.mad.transport import SmpTransport
@@ -25,7 +27,7 @@ from repro.sm.discovery import DiscoveryReport, discover_subnet
 from repro.sm.lft_distribution import DistributionReport, LftDistributor
 from repro.sm.lid_manager import LidManager
 from repro.sm.routing.base import RoutingAlgorithm, RoutingRequest, RoutingTables
-from repro.sm.routing.cache import RoutingState
+from repro.sm.routing.cache import RoutingCacheStats, RoutingState
 from repro.sm.routing.registry import create_engine
 
 __all__ = ["ConfigureReport", "SubnetManager"]
@@ -200,33 +202,28 @@ class SubnetManager:
                 tables = self.fallback_engine.timed_compute(request)
                 tables.metadata["fallback_from"] = self.engine.name
                 sp.set_attribute("fallback_to", self.fallback_engine.name)
-            sp.set_attribute("seconds", tables.compute_seconds)
             delta = self.routing_state.stats.delta_since(cache_before)
-            sp.set_attribute("cache_hit", delta["misses"] == 0)
-            sp.set_attribute("bfs_sweeps", delta["bfs_sweeps"])
-            sp.set_attribute("sources_repaired", delta["sources_repaired"])
-            sp.set_attribute("workers", self.routing_state.router.workers)
-            sp.set_attribute(
-                "compute_mode", self.routing_state.router.last_mode
+            sp.set_attributes(
+                seconds=tables.compute_seconds,
+                cache_hit=delta["misses"] == 0,
+                bfs_sweeps=delta["bfs_sweeps"],
+                sources_repaired=delta["sources_repaired"],
+                workers=self.routing_state.router.workers,
+                compute_mode=self.routing_state.router.last_mode,
             )
         metrics = get_hub().metrics
         metrics.counter("repro_path_computations_total").add(1)
         metrics.gauge(
             "repro_path_compute_seconds", engine=self.engine.name
         ).set(tables.compute_seconds)
-        metrics.counter("repro_routing_cache_hits_total").add(delta["hits"])
-        metrics.counter("repro_routing_cache_misses_total").add(
-            delta["misses"]
-        )
-        metrics.counter("repro_routing_cache_repairs_total").add(
-            delta["repairs"]
-        )
-        metrics.counter("repro_routing_bfs_sweeps_total").add(
-            delta["bfs_sweeps"]
-        )
-        metrics.counter("repro_routing_repair_sources_total").add(
-            delta["sources_repaired"]
-        )
+        for series, key in (
+            ("repro_routing_cache_hits_total", "hits"),
+            ("repro_routing_cache_misses_total", "misses"),
+            ("repro_routing_cache_repairs_total", "repairs"),
+            ("repro_routing_bfs_sweeps_total", "bfs_sweeps"),
+            ("repro_routing_repair_sources_total", "sources_repaired"),
+        ):
+            metrics.counter(series).add(delta[key])
         self.current_tables = tables
         self.last_request = request
         if self.ha is not None:
@@ -244,20 +241,176 @@ class SubnetManager:
             self.ha.note_distribution(self.current_tables, report)
         return report
 
+    # -- the two primitives: event -> kernel -> converge ------------------------
+
+    def _mutate(self, mutation: TopologyMutation):
+        """One mutation applied to topology, cache notes, LIDs and levels.
+
+        A mutation that names nothing applicable raises before anything
+        changes — as does a switch removal that would cut the fabric in
+        two, which no inverse undoes (a re-added switch is re-indexed and
+        comes back with empty LFTs).
+        """
+        topology, state, kind = self.topology, self.routing_state, mutation.kind
+        level = getattr(self.built, "level", None)
+        if kind in ("add_link", "restore_link"):
+            link = topology.add_link(
+                mutation.a,
+                mutation.port_a,
+                mutation.b,
+                mutation.port_b,
+                latency=mutation.latency,
+            )
+            restored = kind == "restore_link"
+            note = state.note_link_restored if restored else state.note_link_addition
+            note(*link.switch_ends)  # a cable with an HCA end records nothing
+            return link
+        if kind == "remove_link":
+            link = topology.node(mutation.a).port(mutation.port_a).link
+            if link is None:
+                raise TopologyError(
+                    f"no cable at {mutation.a}:{mutation.port_a} to remove"
+                )
+            topology.remove_link(link)
+            # The cache repairs only the BFS trees that could have crossed
+            # this cable; an HCA cable leaves the switch graph (and it) warm.
+            u, v = link.switch_ends
+            if u >= 0 and v >= 0:
+                state.note_link_failure(u, v)
+            return link
+        if kind == "add_switch":
+            sw = topology.add_switch(mutation.a, mutation.num_ports)
+            state.note_switch_addition(sw.index)
+            try:
+                for local_port, peer_name, peer_port in mutation.cables:
+                    link = topology.add_link(sw, local_port, peer_name, peer_port)
+                    state.note_link_addition(*link.switch_ends)
+            except TopologyError:
+                self._mutate(TopologyMutation(kind="remove_switch", a=sw.name))
+                raise
+            if mutation.level >= 0 and isinstance(level, dict):
+                level[sw.name] = mutation.level
+            self.assign_lids()
+            return sw
+        sw = topology.node(mutation.a)
+        if not isinstance(sw, Switch):
+            raise TopologyError(f"{mutation.a!r} is not a switch")
+        if sw.attached_hcas():
+            raise TopologyError(
+                f"{sw.name!r} still has HCAs attached; evacuate them first"
+            )
+        if topology.fabric_view().unreached(without_switch=sw.index):
+            raise TopologyError(
+                f"removing {sw.name!r} would disconnect the switch fabric"
+            )
+        if sw.lid is not None and topology.port_of_lid(sw.lid):
+            self.lid_manager.release_lid(sw.lid)
+            sw.lid = None
+        removed_index = sw.index
+        topology.remove_switch(sw)
+        state.note_switch_removal(removed_index)
+        if isinstance(level, dict):
+            level.pop(sw.name, None)
+        return sw
+
+    def _apply(self, mutation: TopologyMutation):
+        """The state kernel: apply one topology event, or refuse it whole.
+
+        Every cable/switch event — planned mutation, failure, trap —
+        changes SM state here and nowhere else: :meth:`_mutate`, the
+        transport's distance row, then :meth:`Topology.validate`. An
+        event the fabric cannot absorb (a stranded HCA, a cut switch
+        graph) is undone by its inverse — the cache notes of the pair
+        chain into a cheap repair — and the ``TopologyError`` re-raised:
+        a refused event leaves the subnet as it was. Sends no SMP.
+        """
+        result = self._mutate(mutation)
+        self.transport.invalidate_distances()
+        try:
+            self.topology.validate()
+        except TopologyError:
+            if isinstance(result, Link):
+                back = "restore_link" if mutation.kind == "remove_link" else "remove_link"
+                self._mutate(TopologyMutation.cable(back, result))
+            elif mutation.kind == "add_switch":
+                self._mutate(TopologyMutation(kind="remove_switch", a=mutation.a))
+            # (_mutate refuses a cut-vertex switch removal before it starts.)
+            self.transport.invalidate_distances()
+            raise
+        return result
+
+    def _converge(
+        self,
+        name: Optional[str] = None,
+        *,
+        phase: Optional[str] = None,
+        discover: bool = True,
+        assign: Optional[Callable[[], object]] = None,
+        tables: Optional[RoutingTables] = None,
+        force_full: bool = False,
+        repaired_since: Optional[RoutingCacheStats] = None,
+        **attributes,
+    ) -> ConfigureReport:
+        """The converge step: discover -> route -> distribute, once.
+
+        Every sweep that answers an event — the SM's own flows, the trap
+        pump, an HA successor, the cloud bring-up — is this sequence; the
+        parameters select steps. *name*/*attributes* open the caller's
+        span, *phase* publishes the ``repro_reconfig_*`` gauges, *assign*
+        is a bring-up's LID assignment, *tables* are adopted instead of
+        computed (a light failover: PCt = 0), *repaired_since* (cache
+        stats from before the event) classifies how the routing cache
+        absorbed it. Trap-scoped discovery hooks in at ``discover``.
+        """
+        report = ConfigureReport()
+        with span(name, **attributes) if name else nullcontext() as sp:
+            if discover:
+                report.discovery = self.discover()
+            if assign is not None:
+                assign()
+            if tables is None:
+                tables = self.compute_routing()
+                report.path_compute_seconds = tables.compute_seconds
+            else:
+                self.current_tables = tables
+            report.distribution = self.distribute(force_full=force_full)
+            if repaired_since is not None:
+                delta = self.routing_state.stats.delta_since(repaired_since)
+                report.repair_mode = (
+                    "full"
+                    if delta["full_recomputes"]
+                    else "incremental" if delta["repairs"] else "warm"
+                )
+                report.sources_repaired = delta["sources_repaired"]
+                sp.set_attribute("repair_mode", report.repair_mode)
+                sp.set_attribute("sources_repaired", report.sources_repaired)
+        metrics = get_hub().metrics
+        if repaired_since is not None:
+            metrics.counter(
+                "repro_routing_repair_mode_total", mode=report.repair_mode
+            ).add(1)
+        if phase is not None:  # the cost breakdown as labeled gauges
+            for series, value in (
+                ("repro_reconfig_lft_smps", report.lft_smps),
+                ("repro_reconfig_switches_updated", report.distribution.switches_updated),
+                ("repro_reconfig_path_compute_seconds", report.path_compute_seconds),
+                ("repro_reconfig_serial_seconds", report.total_seconds_serial),
+                ("repro_reconfig_pipelined_seconds", report.total_seconds_pipelined),
+            ):
+                metrics.gauge(series, phase=phase).set(value)
+        return report
+
     # -- high-level flows -------------------------------------------------------
+
+    def _reconfigure(self, name: str, **steps) -> ConfigureReport:
+        """A sweep no event asked for: span and gauge phase are both *name*."""
+        return self._converge(name, phase=name, engine=self.engine.name, **steps)
 
     def initial_configure(self, *, with_discovery: bool = True) -> ConfigureReport:
         """Bring a fresh subnet up: discover, assign LIDs, route, distribute."""
-        report = ConfigureReport()
-        with span("initial_configure", engine=self.engine.name):
-            if with_discovery:
-                report.discovery = self.discover()
-            self.assign_lids()
-            tables = self.compute_routing()
-            report.path_compute_seconds = tables.compute_seconds
-            report.distribution = self.distribute()
-        self._expose(report, phase="initial_configure")
-        return report
+        return self._reconfigure(
+            "initial_configure", discover=with_discovery, assign=self.assign_lids
+        )
 
     def full_reconfigure(self) -> ConfigureReport:
         """The traditional baseline: recompute everything, resend every block.
@@ -266,172 +419,53 @@ class SubnetManager:
         mechanism — the several-minutes path the vSwitch reconfiguration
         eliminates.
         """
-        report = ConfigureReport()
-        with span("full_reconfigure", engine=self.engine.name):
-            tables = self.compute_routing()
-            report.path_compute_seconds = tables.compute_seconds
-            report.distribution = self.distribute(force_full=True)
-        self._expose(report, phase="full_reconfigure")
-        return report
+        return self._reconfigure("full_reconfigure", discover=False, force_full=True)
 
     def incremental_reroute(self) -> ConfigureReport:
         """Recompute paths but send only changed blocks (diff distribution)."""
-        report = ConfigureReport()
-        with span("incremental_reroute", engine=self.engine.name):
-            tables = self.compute_routing()
-            report.path_compute_seconds = tables.compute_seconds
-            report.distribution = self.distribute(force_full=False)
-        self._expose(report, phase="incremental_reroute")
-        return report
+        return self._reconfigure("incremental_reroute", discover=False)
 
-    def handle_link_failure(self, link) -> ConfigureReport:
-        """React to a failed inter-switch cable.
+    def handle_link_failure(self, link: Link) -> ConfigureReport:
+        """React to a failed cable: unplug, re-sweep, reroute, send the diff.
 
-        The SM unplugs the cable, re-sweeps (heavy-sweep style), recomputes
-        paths and distributes only the changed LFT blocks. This is the
-        *legitimate* use of reconfiguration the paper contrasts with VM
-        migration: a topology change genuinely requires path recomputation,
-        a moved LID does not.
-
-        Raises :class:`~repro.errors.TopologyError` (from validation) if
-        the failure partitions the switch fabric.
+        This is the *legitimate* use of reconfiguration the paper
+        contrasts with VM migration: a topology change genuinely requires
+        path recomputation, a moved LID does not. Raises
+        :class:`~repro.errors.TopologyError` — with the cable back in
+        place — if the failure would partition the switch fabric.
         """
-        # Capture the endpoint switch indices before unplugging: the
-        # routing cache repairs only the BFS trees whose shortest paths
-        # could have crossed this cable.
-        end_a, end_b = link.ends
-        u = end_a.node.index if isinstance(end_a.node, Switch) else -1
-        v = end_b.node.index if isinstance(end_b.node, Switch) else -1
-        # remove_link bumps the version exactly once (sw-sw cables only),
-        # so the note below completes an unbroken repair chain; an HCA
-        # cable failure leaves the switch graph — and the cache — warm.
-        self.topology.remove_link(link)
-        self.transport.invalidate_distances()
-        if u >= 0 and v >= 0:
-            self.routing_state.note_link_failure(u, v)
-        self.topology.validate()
-        report = ConfigureReport()
-        with span("link_failure_reroute"):
-            report.discovery = self.discover()
-            tables = self.compute_routing()
-            report.path_compute_seconds = tables.compute_seconds
-            report.distribution = self.distribute()
-        self._expose(report, phase="link_failure")
-        return report
+        self._apply(TopologyMutation.cable("remove_link", link))
+        return self._converge("link_failure_reroute", phase="link_failure")
 
-    def handle_switch_failure(self, switch) -> ConfigureReport:
+    def handle_switch_failure(self, switch: Switch) -> ConfigureReport:
         """React to a dead (non-leaf) switch: remove it and reroute.
 
-        The switch's LID is released, its cables unplugged, the remaining
-        fabric validated (a partition aborts), and a fresh routing
-        distributed. Raises :class:`~repro.errors.TopologyError` if the
-        switch hosts HCAs (leaf failures strand hosts — a virtualization-
-        layer problem, not a routing one).
+        Its LID is released, its cables unplugged, a fresh routing
+        distributed. Raises :class:`~repro.errors.TopologyError`, with
+        nothing changed, if the switch hosts HCAs (a dead leaf strands
+        hosts — the virtualization layer's problem) or is a cut vertex.
         """
-        if switch.lid is not None and self.topology.port_of_lid(switch.lid):
-            self.lid_manager.release_lid(switch.lid)
-            switch.lid = None
-        failed_index = switch.index
-        self.topology.remove_switch(switch)
-        self.routing_state.note_switch_removal(failed_index)
-        self.transport.invalidate_distances()
-        self.topology.validate()
-        report = ConfigureReport()
-        with span("switch_failure_reroute", switch=switch.name):
-            report.discovery = self.discover()
-            tables = self.compute_routing()
-            report.path_compute_seconds = tables.compute_seconds
-            report.distribution = self.distribute()
-        self._expose(report, phase="switch_failure")
-        return report
+        self._apply(TopologyMutation(kind="remove_switch", a=switch.name))
+        return self._converge(
+            "switch_failure_reroute",
+            phase="switch_failure",
+            switch=switch.name,
+        )
 
     # -- live topology mutation --------------------------------------------------
 
     def apply_topology_mutation(self, mutation: TopologyMutation):
         """Apply one planned topology change to the subnet state.
 
-        Mutates the topology, records the matching routing-cache repair
-        event(s), assigns LIDs to new elements, keeps the builder's level
-        metadata total, journals the mutation for hot standbys and counts
-        it in ``repro_topology_mutations_total``. Returns the affected
-        :class:`~repro.fabric.link.Link` or
-        :class:`~repro.fabric.node.Switch`.
-
-        This is the *state* half only — no SMPs are sent. Use
-        :meth:`handle_topology_change` for the full converge-and-verify
-        flow, or call this from a deferred trap pipeline and reroute in a
-        batch later.
+        The state kernel (:meth:`_apply`: applied and validated, or
+        refused with everything as it was) plus the *announcement* of a
+        planned change — counted in ``repro_topology_mutations_total``
+        and journaled for hot standbys. No SMPs are sent: reroute later
+        (a deferred trap pipeline batches), or use
+        :meth:`handle_topology_change` for the converge-and-verify flow.
+        Returns the affected link or switch.
         """
-        topology = self.topology
-        result: object
-        if mutation.kind in ("add_link", "restore_link"):
-            node_a = topology.node(mutation.a)
-            node_b = topology.node(mutation.b)
-            result = topology.add_link(
-                node_a,
-                mutation.port_a,
-                node_b,
-                mutation.port_b,
-                latency=mutation.latency,
-            )
-            if isinstance(node_a, Switch) and isinstance(node_b, Switch):
-                if mutation.kind == "restore_link":
-                    self.routing_state.note_link_restored(
-                        node_a.index, node_b.index
-                    )
-                else:
-                    self.routing_state.note_link_addition(
-                        node_a.index, node_b.index
-                    )
-        elif mutation.kind == "remove_link":
-            port = topology.node(mutation.a).port(mutation.port_a)
-            link = port.link
-            if link is None:
-                raise TopologyError(
-                    f"no cable at {mutation.a}:{mutation.port_a} to remove"
-                )
-            end_a, end_b = link.ends
-            u = end_a.node.index if isinstance(end_a.node, Switch) else -1
-            v = end_b.node.index if isinstance(end_b.node, Switch) else -1
-            result = topology.remove_link(link)
-            if u >= 0 and v >= 0:
-                self.routing_state.note_link_failure(u, v)
-        elif mutation.kind == "add_switch":
-            sw = topology.add_switch(mutation.a, mutation.num_ports)
-            self.routing_state.note_switch_addition(sw.index)
-            for local_port, peer_name, peer_port in mutation.cables:
-                peer = topology.node(peer_name)
-                topology.add_link(sw, local_port, peer, peer_port)
-                if isinstance(peer, Switch):
-                    self.routing_state.note_link_addition(
-                        sw.index, peer.index
-                    )
-            level = getattr(self.built, "level", None)
-            if mutation.level >= 0 and isinstance(level, dict):
-                level[sw.name] = mutation.level
-            self.assign_lids()
-            result = sw
-        elif mutation.kind == "remove_switch":
-            sw = topology.node(mutation.a)
-            if not isinstance(sw, Switch):
-                raise TopologyError(f"{mutation.a!r} is not a switch")
-            if sw.attached_hcas():
-                raise TopologyError(
-                    f"{sw.name!r} still has HCAs attached;"
-                    " evacuate them first"
-                )
-            if sw.lid is not None and topology.port_of_lid(sw.lid):
-                self.lid_manager.release_lid(sw.lid)
-                sw.lid = None
-            removed_index = sw.index
-            topology.remove_switch(sw)
-            self.routing_state.note_switch_removal(removed_index)
-            level = getattr(self.built, "level", None)
-            if isinstance(level, dict):
-                level.pop(sw.name, None)
-            result = sw
-        else:  # pragma: no cover - TopologyMutation validates kinds
-            raise TopologyError(f"unknown mutation kind {mutation.kind!r}")
+        result = self._apply(mutation)
         get_hub().metrics.counter(
             "repro_topology_mutations_total", kind=mutation.kind
         ).add(1)
@@ -456,28 +490,12 @@ class SubnetManager:
         # the mutation is applied already pull repaired distances.
         before = self.routing_state.stats.snapshot()
         self.apply_topology_mutation(mutation)
-        self.transport.invalidate_distances()
-        self.topology.validate()
-        report = ConfigureReport()
-        with span("topology_change", kind=mutation.kind) as sp:
-            report.discovery = self.discover()
-            tables = self.compute_routing()
-            report.path_compute_seconds = tables.compute_seconds
-            report.distribution = self.distribute()
-            delta = self.routing_state.stats.delta_since(before)
-            if delta["full_recomputes"]:
-                report.repair_mode = "full"
-            elif delta["repairs"]:
-                report.repair_mode = "incremental"
-            else:
-                report.repair_mode = "warm"
-            report.sources_repaired = delta["sources_repaired"]
-            sp.set_attribute("repair_mode", report.repair_mode)
-            sp.set_attribute("sources_repaired", report.sources_repaired)
-        get_hub().metrics.counter(
-            "repro_routing_repair_mode_total", mode=report.repair_mode
-        ).add(1)
-        self._expose(report, phase="topology_change")
+        report = self._converge(
+            "topology_change",
+            phase="topology_change",
+            repaired_since=before,
+            kind=mutation.kind,
+        )
         if verify:
             # Function-local import: analysis.verification imports this
             # module at load time.
@@ -485,25 +503,6 @@ class SubnetManager:
 
             verify_subnet(self).raise_if_failed()
         return report
-
-    def _expose(self, report: ConfigureReport, *, phase: str) -> None:
-        """Publish one reconfiguration's cost breakdown as labeled gauges."""
-        metrics = get_hub().metrics
-        metrics.gauge("repro_reconfig_lft_smps", phase=phase).set(
-            report.lft_smps
-        )
-        metrics.gauge("repro_reconfig_switches_updated", phase=phase).set(
-            report.distribution.switches_updated
-        )
-        metrics.gauge(
-            "repro_reconfig_path_compute_seconds", phase=phase
-        ).set(report.path_compute_seconds)
-        metrics.gauge("repro_reconfig_serial_seconds", phase=phase).set(
-            report.total_seconds_serial
-        )
-        metrics.gauge("repro_reconfig_pipelined_seconds", phase=phase).set(
-            report.total_seconds_pipelined
-        )
 
     # -- introspection ------------------------------------------------------------
 

@@ -30,12 +30,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import ReproError, TopologyError
+from repro.errors import ReproError
 from repro.fabric.link import Link
 from repro.fabric.node import Switch
 from repro.fabric.topology import TopologyMutation
 from repro.mad.smp import Smp, SmpKind, SmpMethod
-from repro.obs.hub import get_hub, span
+from repro.obs.hub import get_hub
 from repro.sm.subnet_manager import ConfigureReport, SubnetManager
 
 __all__ = ["TrapType", "TrapRecord", "PendingEvent", "FabricEventManager"]
@@ -180,9 +180,8 @@ class FabricEventManager:
     def link_down(self, link: Link) -> ConfigureReport:
         """A cable died: both switch ends trap, the SM reroutes once.
 
-        Raises :class:`~repro.errors.TopologyError` if the failure would
-        partition the switch fabric (the SM refuses and the cable must be
-        fixed instead).
+        Raises :class:`~repro.errors.TopologyError`, with the cable back
+        in place, if the failure would partition the switch fabric.
         """
         ends = [p for p in link.ends if isinstance(p.node, Switch)]
         if not ends:
@@ -193,28 +192,29 @@ class FabricEventManager:
         self.reactions.append(report)
         return report
 
+    def _plug(self, a, port_a: int, b, port_b: int) -> Link:
+        """Re-cable two ports (nodes or names) through the SM's kernel."""
+        name_a = a if isinstance(a, str) else a.name
+        name_b = b if isinstance(b, str) else b.name
+        return self.sm._apply(
+            TopologyMutation(
+                kind="restore_link",
+                a=name_a,
+                port_a=port_a,
+                b=name_b,
+                port_b=port_b,
+            )
+        )
+
     def link_up(self, a, port_a: int, b, port_b: int) -> ConfigureReport:
         """A cable was (re)connected: traps, then re-sweep and reroute."""
-        link = self.sm.topology.connect(a, port_a, b, port_b)
+        link = self._plug(a, port_a, b, port_b)
         for port in link.ends:
             if isinstance(port.node, Switch):
                 self._record(
                     TrapType.LINK_STATE_UP, port.node.name, port.num
                 )
-        end_a, end_b = link.ends
-        if isinstance(end_a.node, Switch) and isinstance(end_b.node, Switch):
-            # The connect bumped the version once; this note completes
-            # the repair chain so a heal costs an incremental repair, not
-            # a full recompute.
-            self.sm.routing_state.note_link_restored(
-                end_a.node.index, end_b.node.index
-            )
-        self.sm.transport.invalidate_distances()
-        report = ConfigureReport()
-        report.discovery = self.sm.discover()
-        tables = self.sm.compute_routing()
-        report.path_compute_seconds = tables.compute_seconds
-        report.distribution = self.sm.distribute()
+        report = self.sm._converge()
         self.reactions.append(report)
         return report
 
@@ -291,31 +291,12 @@ class FabricEventManager:
             raise ReproError(
                 "report_link_down models inter-switch cables only"
             )
-        end_a, end_b = link.ends
-        a, pa = end_a.node, end_a.num
-        b, pb = end_b.node, end_b.num
-        u = a.index if isinstance(a, Switch) else -1
-        v = b.index if isinstance(b, Switch) else -1
-        self.sm.topology.remove_link(link)
-        self.sm.transport.invalidate_distances()
-        if u >= 0 and v >= 0:
-            self.sm.routing_state.note_link_failure(u, v)
-        try:
-            self.sm.topology.validate()
-        except TopologyError:
-            # The cut would partition the fabric: refuse, replug. The
-            # restore note pairs with the failure note above, so the two
-            # events chain into a (cheap) no-op repair.
-            self.sm.topology.connect(a, pa, b, pb)
-            self.sm.transport.invalidate_distances()
-            if u >= 0 and v >= 0:
-                self.sm.routing_state.note_link_restored(u, v)
-            raise
+        self.sm._apply(TopologyMutation.cable("remove_link", link))
         for port in ends:
             self._notice(TrapType.LINK_STATE_DOWN, port.node.name, port.num)
         self._enqueue(
             PendingEvent(
-                key=self._link_key(a.name, b.name),
+                key=self._link_key(link.a.node.name, link.b.node.name),
                 kind=TrapType.LINK_STATE_DOWN,
             )
         )
@@ -327,20 +308,13 @@ class FabricEventManager:
         link's DOWN event is still pending, the pair coalesces away — the
         flap costs zero reroutes, only the trap traffic.
         """
-        link = self.sm.topology.connect(a, port_a, b, port_b)
-        self.sm.transport.invalidate_distances()
-        end_a, end_b = link.ends
-        if isinstance(end_a.node, Switch) and isinstance(end_b.node, Switch):
-            self.sm.routing_state.note_link_restored(
-                end_a.node.index, end_b.node.index
-            )
+        link = self._plug(a, port_a, b, port_b)
         for port in link.ends:
             if isinstance(port.node, Switch):
                 self._notice(
                     TrapType.LINK_STATE_UP, port.node.name, port.num
                 )
-        name_a = a if isinstance(a, str) else a.name
-        name_b = b if isinstance(b, str) else b.name
+        name_a, name_b = link.a.node.name, link.b.node.name
         self._enqueue(
             PendingEvent(
                 key=self._link_key(name_a, name_b),
@@ -358,47 +332,14 @@ class FabricEventManager:
         mutation journaled); the reroute waits for the next :meth:`pump`.
         IN_SERVICE/OUT_OF_SERVICE notices (IBA traps 64/65) ride VL15
         into the queue and an add/remove pair for the same element
-        coalesces away like a link flap. A removal that would partition
-        the switch fabric is refused: the inverse mutation is applied
-        (element re-added with its original cables) and the
-        :class:`~repro.errors.TopologyError` re-raised. Returns the
+        coalesces away like a link flap. A change the fabric cannot
+        absorb is refused by the SM's kernel: the
+        :class:`~repro.errors.TopologyError` propagates with the subnet
+        as it was, nothing announced and nothing queued. Returns the
         affected :class:`~repro.fabric.link.Link` or
         :class:`~repro.fabric.node.Switch`.
         """
-        inverse: Optional[TopologyMutation] = None
-        if mutation.kind == "remove_link":
-            inverse = TopologyMutation(
-                kind="restore_link",
-                a=mutation.a,
-                port_a=mutation.port_a,
-                b=mutation.b,
-                port_b=mutation.port_b,
-            )
-        elif mutation.kind == "remove_switch":
-            sw = self.sm.topology.node(mutation.a)
-            level = getattr(self.sm.built, "level", None)
-            inverse = TopologyMutation(
-                kind="add_switch",
-                a=sw.name,
-                num_ports=sw.num_ports,
-                level=(
-                    level.get(sw.name, -1) if isinstance(level, dict) else -1
-                ),
-                cables=tuple(
-                    (p.num, p.remote.node.name, p.remote.num)
-                    for p in sw.connected_ports()
-                    if p.remote is not None
-                ),
-            )
         result = self.sm.apply_topology_mutation(mutation)
-        self.sm.transport.invalidate_distances()
-        if inverse is not None:
-            try:
-                self.sm.topology.validate()
-            except TopologyError:
-                self.sm.apply_topology_mutation(inverse)
-                self.sm.transport.invalidate_distances()
-                raise
         joined = mutation.kind in ("add_link", "restore_link", "add_switch")
         trap = TrapType.IN_SERVICE if joined else TrapType.OUT_OF_SERVICE
         if mutation.kind in ("add_link", "remove_link", "restore_link"):
@@ -452,17 +393,13 @@ class FabricEventManager:
             return None
         sweep = self.needs_full_sweep
         self.needs_full_sweep = False
-        report = ConfigureReport()
-        with span(
+        report = self.sm._converge(
             "trap_pump",
+            force_full=sweep,
             events=len(ready),
             full_sweep=sweep,
             forced=force,
-        ):
-            report.discovery = self.sm.discover()
-            tables = self.sm.compute_routing()
-            report.path_compute_seconds = tables.compute_seconds
-            report.distribution = self.sm.distribute(force_full=sweep)
+        )
         self.reactions.append(report)
         get_hub().metrics.counter("repro_trap_pumps_total").add(1)
         return report

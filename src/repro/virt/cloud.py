@@ -160,19 +160,17 @@ class CloudManager:
 
     def bring_up_subnet(self) -> ConfigureReport:
         """Full subnet bring-up: LIDs (base + scheme), routing, LFTs."""
-        report = ConfigureReport()
-        with span(
-            "bring_up_subnet",
-            scheme=self.scheme.name,
-            hypervisors=len(self.hypervisors),
-        ):
-            report.discovery = self.sm.discover()
+
+        def assign() -> None:
             self.sm.assign_lids()
             self.scheme.initialize()
-            tables = self.sm.compute_routing()
-            report.path_compute_seconds = tables.compute_seconds
-            report.distribution = self.sm.distribute()
-        return report
+
+        return self.sm._converge(
+            "bring_up_subnet",
+            assign=assign,
+            scheme=self.scheme.name,
+            hypervisors=len(self.hypervisors),
+        )
 
     # -- VM lifecycle -------------------------------------------------------------
 

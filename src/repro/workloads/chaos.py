@@ -28,7 +28,7 @@ bit-identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import (
@@ -371,8 +371,6 @@ class ChaosRunner:
         self.injector = FaultInjector(plan)
         self.events = FabricEventManager(self.sm)
         self.ha = HighAvailabilityManager(self.sm)
-        #: Compat alias — callers used to reach the redundancy stub here.
-        self.redundancy = self.ha
         self.migrate_probability = migrate_probability
         #: Reused for its boot/stop mechanics and failure accounting; the
         #: chaos runner makes the per-step decisions itself.
@@ -601,11 +599,7 @@ class ChaosRunner:
 
     def _link_flap(self, report: ChaosReport) -> None:
         frng = self.injector.fabric_rng
-        links = [
-            link
-            for link in self.sm.topology.links
-            if all(isinstance(p.node, Switch) for p in link.ends)
-        ]
+        links = self._fabric_cables()
         if not links:
             return
         link = frng.choice(links)
@@ -621,9 +615,8 @@ class ChaosRunner:
                 self.events.link_down(link)
             except TopologyError:
                 # The cut would have partitioned the fabric: the SM
-                # refuses; replug the cable and re-converge.
+                # refused it and the cable is back in place.
                 sp.set_attribute("refused", True)
-                self._recover(report, lambda: self.events.link_up(a, pa, b, pb))
                 report.refused_link_flaps += 1
                 return
             except (TransportError, DistributionError) as exc:
@@ -792,56 +785,27 @@ class ChaosRunner:
         report.reroute_smps += delta.lft_update_smps
         get_hub().metrics.counter("repro_chaos_switch_failures_total").add(1)
 
+    def _fabric_cables(self) -> list:
+        """Inter-switch cables in registry order — the flap/rewire pool."""
+        return [
+            link
+            for link in self.sm.topology.links
+            if min(link.switch_ends) >= 0
+        ]
+
     def _would_partition(self, dead: Switch) -> bool:
         """Whether removing *dead* disconnects the remaining switch graph."""
-        remaining = [
-            sw for sw in self.sm.topology.switches if sw is not dead
-        ]
-        if not remaining:
-            return True
-        adjacency: Dict[str, set] = {sw.name: set() for sw in remaining}
-        for link in self.sm.topology.links:
-            end_a, end_b = link.ends
-            if (
-                isinstance(end_a.node, Switch)
-                and isinstance(end_b.node, Switch)
-                and end_a.node is not dead
-                and end_b.node is not dead
-            ):
-                adjacency[end_a.node.name].add(end_b.node.name)
-                adjacency[end_b.node.name].add(end_a.node.name)
-        seen = {remaining[0].name}
-        stack = [remaining[0].name]
-        while stack:
-            for peer in adjacency[stack.pop()]:
-                if peer not in seen:
-                    seen.add(peer)
-                    stack.append(peer)
-        return len(seen) != len(remaining)
+        view = self.sm.topology.fabric_view()
+        return view.num_switches < 2 or bool(
+            view.unreached(without_switch=dead.index)
+        )
 
     def _link_would_partition(self, link) -> bool:
         """Whether cutting *link* disconnects the switch graph."""
-        switches = self.sm.topology.switches
-        if len(switches) < 2:
-            return True
-        adjacency: Dict[str, set] = {sw.name: set() for sw in switches}
-        for other in self.sm.topology.links:
-            if other is link:
-                continue
-            end_a, end_b = other.ends
-            if isinstance(end_a.node, Switch) and isinstance(
-                end_b.node, Switch
-            ):
-                adjacency[end_a.node.name].add(end_b.node.name)
-                adjacency[end_b.node.name].add(end_a.node.name)
-        seen = {switches[0].name}
-        stack = [switches[0].name]
-        while stack:
-            for peer in adjacency[stack.pop()]:
-                if peer not in seen:
-                    seen.add(peer)
-                    stack.append(peer)
-        return len(seen) != len(switches)
+        view = self.sm.topology.fabric_view()
+        return view.num_switches < 2 or bool(
+            view.unreached(without_link=link.switch_ends)
+        )
 
     # -- live rewiring (the rewire knob) --------------------------------------
 
@@ -907,15 +871,7 @@ class ChaosRunner:
     def _note_rewire_pools(self, mutation: TopologyMutation) -> None:
         """Track inverse-operation candidates for later rewires."""
         if mutation.kind == "remove_link":
-            self._removed_cables.append(
-                TopologyMutation(
-                    kind="restore_link",
-                    a=mutation.a,
-                    port_a=mutation.port_a,
-                    b=mutation.b,
-                    port_b=mutation.port_b,
-                )
-            )
+            self._removed_cables.append(replace(mutation, kind="restore_link"))
         elif mutation.kind == "add_switch":
             self._added_switches.append(mutation.a)
         elif mutation.kind == "remove_switch":
@@ -947,14 +903,10 @@ class ChaosRunner:
     def _plan_add_link(self) -> Optional[TopologyMutation]:
         """A new cable between two non-adjacent switches with free ports."""
         topology = self.sm.topology
-        adjacent = set()
-        for link in topology.links:
-            end_a, end_b = link.ends
-            if isinstance(end_a.node, Switch) and isinstance(
-                end_b.node, Switch
-            ):
-                pair = tuple(sorted((end_a.node.name, end_b.node.name)))
-                adjacent.add(pair)
+        adjacent = {
+            tuple(sorted((link.a.node.name, link.b.node.name)))
+            for link in self._fabric_cables()
+        }
         open_switches = [
             sw
             for sw in topology.switches
@@ -981,20 +933,13 @@ class ChaosRunner:
         """A removable inter-switch cable (no partition, ends keep >1 cable)."""
         candidates = [
             link
-            for link in self.sm.topology.links
-            if all(isinstance(p.node, Switch) for p in link.ends)
-            and not self._link_would_partition(link)
+            for link in self._fabric_cables()
+            if not self._link_would_partition(link)
         ]
         if not candidates:
             return None
-        link = self.injector.fabric_rng.choice(candidates)
-        end_a, end_b = link.ends
-        return TopologyMutation(
-            kind="remove_link",
-            a=end_a.node.name,
-            port_a=end_a.num,
-            b=end_b.node.name,
-            port_b=end_b.num,
+        return TopologyMutation.cable(
+            "remove_link", self.injector.fabric_rng.choice(candidates)
         )
 
     def _plan_restore_link(self) -> Optional[TopologyMutation]:
@@ -1171,11 +1116,7 @@ class ChaosRunner:
         reconfiguration per event on the legacy synchronous path.
         """
         frng = self.injector.fabric_rng
-        links = [
-            link
-            for link in self.sm.topology.links
-            if all(isinstance(p.node, Switch) for p in link.ends)
-        ]
+        links = self._fabric_cables()
         if not links:
             return
         link = frng.choice(links)

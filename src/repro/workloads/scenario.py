@@ -15,6 +15,7 @@ from typing import Dict, List
 
 from repro.errors import TopologyError
 from repro.fabric.node import Switch
+from repro.fabric.topology import TopologyMutation
 from repro.obs.hub import span
 from repro.sim.trace import Trace
 from repro.virt.cloud import CloudManager
@@ -61,7 +62,7 @@ class Scenario:
         self.summary = ScenarioSummary()
         self._planner = MigrationPlanner(cloud, built, seed=seed)
         self._clock = 0.0
-        self._downed: List[tuple] = []
+        self._downed: List[TopologyMutation] = []
 
     def _tick(self) -> float:
         self._clock += 1.0
@@ -124,15 +125,11 @@ class Scenario:
         ]
         self.rng.shuffle(links)
         for link in links:
-            spec = (link.a.node, link.a.num, link.b.node, link.b.num)
+            spec = TopologyMutation.cable("restore_link", link)
             try:
                 report = self.cloud.sm.handle_link_failure(link)
             except TopologyError:
-                # Would partition: plug it back and try another.
-                self.cloud.topology.connect(*spec)
-                self.cloud.topology.invalidate_fabric_view()
-                self.cloud.sm.transport.invalidate_distances()
-                continue
+                continue  # would partition: refused, cable still in place
             self._downed.append(spec)
             self.summary.failures += 1
             self.summary.failure_lft_smps += report.lft_smps
@@ -140,8 +137,8 @@ class Scenario:
             self.trace.emit(
                 self._tick(),
                 "link-failure",
-                a=spec[0].name,
-                b=spec[2].name,
+                a=spec.a,
+                b=spec.b,
                 smps=report.lft_smps,
             )
             return True
@@ -151,15 +148,15 @@ class Scenario:
         """Re-cable everything that failed; returns repairs performed."""
         repaired = 0
         while self._downed:
-            a, pa, b, pb = self._downed.pop()
-            self.cloud.topology.connect(a, pa, b, pb)
-            self.cloud.topology.invalidate_fabric_view()
-            self.cloud.sm.transport.invalidate_distances()
+            spec = self._downed.pop()
+            # Through the SM's kernel, so the routing cache repairs the
+            # heal incrementally instead of recomputing all pairs.
+            self.cloud.sm.apply_topology_mutation(spec)
             report = self.cloud.sm.incremental_reroute()
             self.summary.repairs += 1
             self.summary.path_computations += 1
             self.trace.emit(
-                self._tick(), "link-repair", a=a.name, b=b.name,
+                self._tick(), "link-repair", a=spec.a, b=spec.b,
                 smps=report.lft_smps,
             )
             repaired += 1

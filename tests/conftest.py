@@ -56,6 +56,28 @@ def routed_fattree(small_fattree):
     return small_fattree, sm, request
 
 
+def subnet_fingerprint(sm):
+    """What a refused topology event must leave exactly as it was: cables,
+    switch order, LID bindings, builder levels, the SM's tables — and the
+    SMP count, since a refusal sends nothing."""
+    topo = sm.topology
+    return {
+        "links": sorted(
+            sorted((p.node.name, p.num) for p in link.ends)
+            for link in topo.links
+        ),
+        "switches": [sw.name for sw in topo.switches],
+        "lids": {
+            lid: (topo.port_of_lid(lid).node.name, topo.port_of_lid(lid).num)
+            for lid in topo.bound_lids()
+        },
+        "lids_consumed": sm.lids_consumed,
+        "level": dict(getattr(sm.built, "level", None) or {}),
+        "tables": sm.current_tables.ports.tobytes(),
+        "smps": sm.transport.stats.total_smps,
+    }
+
+
 def make_cloud(built, *, lid_scheme="prepopulated", num_vfs=4, **kw):
     """Cloud on *built*, all HCAs adopted, subnet brought up."""
     cloud = CloudManager(

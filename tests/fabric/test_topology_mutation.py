@@ -146,14 +146,18 @@ class TestRemoveReAddRoundTrip:
             (p.num, p.remote.node.name, p.remote.num)
             for p in victim.connected_ports()
         ]
+        # A switch death drops the switch's level entry like a planned
+        # removal does (one state kernel), so note it beforehand.
+        level = built.level.get(victim.name, -1)
         sm.handle_switch_failure(victim)
         assert victim.index == -1
+        assert victim.name not in built.level
 
         re_add = TopologyMutation(
             kind="add_switch",
             a=victim.name,
             num_ports=victim.num_ports,
-            level=built.level.get(victim.name, -1),
+            level=level,
             cables=tuple(cables),
         )
         # verify=True runs the full delivery + SM-consistency audit, so

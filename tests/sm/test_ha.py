@@ -153,6 +153,14 @@ class TestReplication:
         assert journal.entries_since(2) is None
         assert [e.seq for e in journal.entries_since(6)] == [7, 8]
 
+    def test_journal_misuse_raises_typed_errors(self):
+        with pytest.raises(HighAvailabilityError, match="capacity"):
+            ReplicationJournal(capacity=0)
+        journal = ReplicationJournal()
+        with pytest.raises(HighAvailabilityError, match="unknown journal entry"):
+            journal.append("bogus", {})
+        assert len(journal) == 0 and journal.head_seq == 0
+
     def test_replica_refuses_gaps(self):
         replica = StandbyReplica("h")
         replica.apply([{"seq": 1, "kind": "lid", "payload": {"a": 1}}])

@@ -5,7 +5,10 @@ applied one at a time through the deferred trap pipeline, each followed
 by a reroute — the warm (incrementally repaired) routing tables are
 byte-identical to a cold recompute on the final topology, for the
 vectorized minhop engine and for the structured ftree engine, with and
-without sharded path-computation workers.
+without sharded path-computation workers. Events the SM must *refuse*
+(a bridge cable or cut-vertex switch dying, an HCA's only cable, a leaf
+with hosts) are interleaved through every entry point: each raises,
+leaves the subnet exactly as it was, and the chain carries on.
 """
 
 from __future__ import annotations
@@ -23,10 +26,13 @@ from repro.sm.routing.base import RoutingRequest
 from repro.sm.routing.registry import create_engine
 from repro.sm.subnet_manager import SubnetManager
 from repro.sm.traps import FabricEventManager
+from tests.conftest import subnet_fingerprint as fingerprint
 
 # Op codes the hypothesis sequence draws from; the interpreter skips any
 # op that is not viable in the current state, so every sequence is legal.
 REMOVE_LINK, RESTORE_LINK, ADD_LINK, ADD_SWITCH, REMOVE_SWITCH = range(5)
+# ... and two that pick an event the SM has to refuse.
+REFUSED_LINK, REFUSED_SWITCH = 5, 6
 
 
 def switch_links(topo):
@@ -178,12 +184,63 @@ def removal_ok_for_switch(topo, sw):
     return len(seen) == len(names)
 
 
+def refused_event(sm, events, code, pick):
+    """A callable carrying an event the SM must refuse, through an entry
+    point chosen by *pick*."""
+    topo = sm.topology
+    if code == REFUSED_LINK:
+        bridges = [
+            link
+            for link in switch_links(topo)
+            if not removal_keeps_connected(topo, link)
+        ]
+        # No bridge around: an HCA's only cable is always there to strand.
+        link = (
+            bridges[pick % len(bridges)]
+            if bridges
+            else topo.hcas[pick % topo.num_hcas].port(1).link
+        )
+        mutation = TopologyMutation.cable("remove_link", link)
+        entries = [
+            lambda: sm.handle_link_failure(link),
+            lambda: sm.handle_topology_change(mutation, verify=False),
+            lambda: events.report_topology_change(mutation),
+        ]
+        if bridges:  # the trap paths model inter-switch cables only
+            entries += [
+                lambda: events.link_down(link),
+                lambda: events.report_link_down(link),
+            ]
+    else:
+        doomed = [
+            sw
+            for sw in topo.switches
+            if sw.attached_hcas() or not removal_ok_for_switch(topo, sw)
+        ]
+        sw = doomed[pick % len(doomed)]
+        mutation = TopologyMutation(kind="remove_switch", a=sw.name)
+        entries = [
+            lambda: sm.handle_switch_failure(sw),
+            lambda: sm.handle_topology_change(mutation, verify=False),
+            lambda: events.report_topology_change(mutation),
+        ]
+    return entries[(pick // 8) % len(entries)]
+
+
 def run_sequence(sm, engine, ops, *, link_ops_only=False):
     events = FabricEventManager(sm)
     removed = []
     grown = []
     performed = 0
     for code, pick in ops:
+        if code in (REFUSED_LINK, REFUSED_SWITCH):
+            attempt = refused_event(sm, events, code, pick)
+            before = fingerprint(sm)
+            with pytest.raises(TopologyError):
+                attempt()
+            assert fingerprint(sm) == before
+            assert events.pending_events == 0
+            continue
         mutation = plan_op(
             sm, code, pick, removed, grown, link_ops_only=link_ops_only
         )
@@ -216,7 +273,7 @@ def run_sequence(sm, engine, ops, *, link_ops_only=False):
 
 
 ops_strategy = st.lists(
-    st.tuples(st.integers(0, 4), st.integers(0, 63)),
+    st.tuples(st.integers(0, 6), st.integers(0, 63)),
     min_size=1,
     max_size=6,
 )

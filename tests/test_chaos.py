@@ -79,10 +79,10 @@ class TestChaosRunner:
     def test_sm_death_elects_successor_that_finishes(self):
         cloud = make_cloud(scaled_fattree("2l-small"))
         runner = ChaosRunner(cloud, FaultPlan(seed=4, sm_death_step=2))
-        old_master = runner.redundancy.master.node_name
+        old_master = runner.ha.master.node_name
         report = runner.run(6)
         assert report.sm_failovers == 1
-        new_master = runner.redundancy.master
+        new_master = runner.ha.master
         assert new_master is not None
         assert new_master.node_name != old_master
         assert cloud.sm.transport.sm_node.name == new_master.node_name

@@ -156,3 +156,42 @@ class TestCheckFabric:
         prom = (rec / "metrics.prom").read_text(encoding="utf-8")
         assert "repro_static_checks_total" in prom
         assert "repro_static_fabric_ok" in prom
+
+
+#: The CI smoke command lines, pinned byte for byte. Everything they print
+#: is sim-time or counts, so the text is the cross-commit oracle for any
+#: refactor of the event -> sweep path (and of the runners themselves).
+#: All but ``chaos_failure`` were generated at the commit *before* the
+#: event kernel / converge step landed; ``chaos_failure`` (refused flaps
+#: and switch deaths) is pinned from that commit on, because a refused
+#: flap no longer pays a re-sweep there.
+GOLDEN_RUNS = {
+    "chaos_smp_loss": "chaos --inject smp-drop=0.1,link-flap=0.05,sm-death=10"
+    " --steps 30 --seed 3",
+    "chaos_rewire": "chaos --inject rewire=6,link-flap=0.05 --steps 30 --seed 3",
+    "chaos_rewire_wide": "chaos --profile 2l-wide --inject rewire=4"
+    " --steps 20 --seed 5",
+    "chaos_ha": "chaos --inject sm-death=2,partition=6,heal-after=3,"
+    "flap-storm=11,storm-size=6 --steps 14 --seed 7",
+    "chaos_ha_lossy_wide": "chaos --profile 2l-wide --inject smp-drop=0.05,"
+    "sm-death=3,partition=8,heal-after=3,flap-storm=13,storm-size=6"
+    " --steps 18 --seed 11",
+    "perf_sweeps": "perf --profile 2l-small --hosts 12 --sweeps 3 --drop 0.01",
+    "chaos_telemetry": "chaos --telemetry --inject smp-drop=0.01,link-flap=0.3"
+    " --steps 12 --seed 1",
+    "serve_kill": "serve --chaos kill-service --steps 24 --seed 0",
+    "serve_kill_storm": "serve --chaos kill-service=10,tenant-storm=6,"
+    "storm-factor=20,smp-drop=0.05 --steps 24 --seed 3",
+    "chaos_failure": "chaos --inject switch-fail=0.3,link-flap=0.5,smp-drop=0.05"
+    " --steps 60 --seed 2",
+}
+
+
+class TestGoldenRuns:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_smoke_command_output_is_pinned(self, capsys, name):
+        from pathlib import Path
+
+        golden = Path(__file__).parent / "golden" / f"{name}.txt"
+        assert main(GOLDEN_RUNS[name].split()) == 0
+        assert capsys.readouterr().out == golden.read_text()

@@ -45,6 +45,45 @@ class TestPrimitives:
         assert scenario.repair_links() == 1
         assert scenario.summary.repairs == 1
 
+    def test_repair_is_an_incremental_cache_repair(self, scenario):
+        # Failure and repair both go through the SM's state kernel, so
+        # the routing cache sees an unbroken event chain: no all-pairs
+        # recompute is paid, and the tables equal a cold recompute.
+        from repro.sm.routing.base import RoutingRequest
+        from repro.sm.routing.registry import create_engine
+
+        sm = scenario.cloud.sm
+        scenario.boot(count=4)
+        before = sm.routing_state.stats.snapshot()
+        assert scenario.fail_random_link()
+        assert scenario.repair_links() == 1
+        delta = sm.routing_state.stats.delta_since(before)
+        assert delta["full_recomputes"] == 0
+        assert delta["repairs"] == 2
+        request = RoutingRequest.from_topology(sm.topology, built=sm.built)
+        cold = create_engine("minhop").compute(request)
+        assert sm.current_tables.ports.tobytes() == cold.ports.tobytes()
+
+    def test_refused_cut_is_skipped_with_the_cable_in_place(self, scenario):
+        # Degrade leaf0 to a single uplink: that bridge is shuffled into
+        # the candidates, refused by the SM, and the next cable is cut.
+        from repro.fabric.node import Switch
+
+        topo = scenario.cloud.topology
+        leaf = topo.node("leaf0")
+        uplinks = [
+            p.link
+            for p in leaf.connected_ports()
+            if isinstance(p.remote.node, Switch)
+        ]
+        for link in uplinks[1:]:
+            scenario.cloud.sm.handle_link_failure(link)
+        for _ in range(6):
+            assert scenario.fail_random_link()
+            assert all(p.is_connected for p in uplinks[0].ends)
+            topo.validate()
+            scenario.repair_links()
+
     def test_trace_times_monotone(self, scenario):
         scenario.boot(count=3)
         scenario.migrate(count=1)
