@@ -17,7 +17,7 @@ from repro.analysis.figures import PAPER_FIG7_SECONDS, render_fig7
 from repro.analysis.tables import render_table, render_table1
 from repro.core.cost_model import improvement_percent, paper_table1
 from repro.fabric.presets import scaled_fattree
-from repro.virt.cloud import CloudManager
+from repro.virt.cloud import build_cloud
 from repro.virt.connections import ConnectionManager
 from repro.virt.shared_port_fleet import SharedPortFleet
 
@@ -59,12 +59,7 @@ def _section_fig7(out: io.StringIO, *, paper_scale: bool) -> None:
 
 
 def _section_migrations(out: io.StringIO) -> None:
-    built = scaled_fattree("2l-wide")
-    cloud = CloudManager(
-        built.topology, built=built, lid_scheme="prepopulated", num_vfs=4
-    )
-    cloud.adopt_all_hcas()
-    cloud.bring_up_subnet()
+    cloud = build_cloud({"profile": "2l-wide"})
     vm = cloud.boot_vm(on="l0h0")
     inter = cloud.live_migrate(vm.name, "l11h5")
     intra = cloud.live_migrate(vm.name, "l11h4")
@@ -87,7 +82,7 @@ def _section_migrations(out: io.StringIO) -> None:
                 (
                     "traditional full RC",
                     full.lft_smps,
-                    built.topology.num_switches,
+                    cloud.topology.num_switches,
                     f"{full.path_compute_seconds:.4f}s",
                 ),
             ],
@@ -111,12 +106,7 @@ def _section_motivation(out: io.StringIO) -> None:
     sp_broken = cm.audit().broken_count
     sp_queries = cm.repair()
     # vSwitch.
-    built2 = scaled_fattree("2l-small")
-    cloud = CloudManager(
-        built2.topology, built=built2, lid_scheme="prepopulated", num_vfs=4
-    )
-    cloud.adopt_all_hcas()
-    cloud.bring_up_subnet()
+    cloud = build_cloud({"profile": "2l-small"})
     vvm = cloud.boot_vm(on="l0h0")
     vcm = ConnectionManager(cloud.sa)
     for i in range(1, peers + 1):

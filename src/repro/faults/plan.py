@@ -10,11 +10,11 @@ enough to log, compare and rebuild — and can be parsed from the compact
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import FaultInjectionError
 
-__all__ = ["ScriptedFault", "FaultPlan"]
+__all__ = ["ScriptedFault", "FaultPlan", "spec_fields"]
 
 #: ``--inject`` spec keys understood by :meth:`FaultPlan.from_spec`.
 _SPEC_KEYS = {
@@ -37,6 +37,26 @@ _INT_SPEC_KEYS = {
     "tenant-storm": "tenant_storm_step",
     "storm-factor": "tenant_storm_factor",
 }
+
+
+def _spec_items(spec: str) -> Iterator[Tuple[str, str]]:
+    """The ``(key, value)`` pairs of a ``key=value[,key=value...]`` spec."""
+    for item in spec.split(","):
+        item = item.strip()
+        if not item:
+            continue
+        if "=" not in item:
+            raise FaultInjectionError(
+                f"bad --inject item {item!r} (expected key=value)"
+            )
+        key, _, value = item.partition("=")
+        yield key.strip(), value
+
+
+def spec_fields(spec: str) -> Dict[str, str]:
+    """``{key: FaultPlan field}`` for every known key *spec* names."""
+    known = {**_SPEC_KEYS, **_INT_SPEC_KEYS}
+    return {key: known[key] for key, _ in _spec_items(spec) if key in known}
 
 
 @dataclass(frozen=True)
@@ -177,16 +197,7 @@ class FaultPlan:
     def from_spec(cls, spec: str, *, seed: int = 0, **extra) -> "FaultPlan":
         """Parse ``smp-drop=0.1,smp-corrupt=0.01,sm-death=5`` into a plan."""
         kwargs: Dict[str, object] = dict(extra)
-        for item in spec.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            if "=" not in item:
-                raise FaultInjectionError(
-                    f"bad --inject item {item!r} (expected key=value)"
-                )
-            key, _, value = item.partition("=")
-            key = key.strip()
+        for key, value in _spec_items(spec):
             if key in _INT_SPEC_KEYS:
                 try:
                     kwargs[_INT_SPEC_KEYS[key]] = int(value)

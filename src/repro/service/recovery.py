@@ -35,7 +35,7 @@ from repro.obs.hub import get_hub, span
 from repro.service.journal import IntentJournal
 from repro.service.records import ServiceResponse, TenantRequest
 from repro.service.service import ControlPlaneService
-from repro.virt.cloud import CloudManager
+from repro.virt.cloud import CloudManager, build_cloud
 
 __all__ = [
     "RecoveryReport",
@@ -331,7 +331,7 @@ def _finish_applied(
 def rebuild_from_journal(
     journal: IntentJournal,
     *,
-    build_cloud: Optional[Callable[[Dict[str, object]], CloudManager]] = None,
+    build_cloud: Callable[[Dict[str, object]], CloudManager] = build_cloud,
     **service_kwargs: object,
 ) -> Tuple[CloudManager, ControlPlaneService, RecoveryReport]:
     """Cold rebuild: fresh fabric from genesis + full journal replay."""
@@ -342,7 +342,7 @@ def rebuild_from_journal(
         )
     report = RecoveryReport(mode="cold", journal_entries=journal.head_seq)
     with span("service_recover", mode="cold"):
-        cloud = (build_cloud or _build_cloud_from_genesis)(genesis)
+        cloud = build_cloud(genesis)
         folded = journal.requests()
         ordered = sorted(
             (int(state["applied_seq"]), request_id)  # type: ignore[arg-type]
@@ -380,24 +380,6 @@ def rebuild_from_journal(
         "repro_service_recoveries_total", mode="cold"
     ).add(1)
     return cloud, service, report
-
-
-def _build_cloud_from_genesis(genesis: Dict[str, object]) -> CloudManager:
-    """Reconstruct the fabric exactly as ``repro serve`` built it."""
-    from repro.fabric.presets import scaled_fattree
-
-    built = scaled_fattree(str(genesis["profile"]))
-    cloud = CloudManager(
-        built.topology,
-        built=built,
-        lid_scheme=str(genesis.get("scheme", "prepopulated")),
-        routing_engine=str(genesis.get("engine", "minhop")),
-        num_vfs=int(genesis.get("num_vfs", 4)),  # type: ignore[arg-type]
-        placement=str(genesis.get("placement", "first-fit")),
-    )
-    cloud.adopt_all_hcas()
-    cloud.bring_up_subnet()
-    return cloud
 
 
 def _replay_applied(

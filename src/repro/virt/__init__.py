@@ -11,7 +11,7 @@ from repro.virt.sa_cache import (
 )
 from repro.virt.connections import AuditReport, Connection, ConnectionManager
 from repro.virt.shared_port_fleet import SharedPortFleet, SharedPortMigrationOutcome
-from repro.virt.cloud import CloudManager, PlacementPolicy
+from repro.virt.cloud import CloudManager, PlacementPolicy, build_cloud
 
 __all__ = [
     "VirtualMachine",
@@ -28,4 +28,5 @@ __all__ = [
     "SharedPortMigrationOutcome",
     "CloudManager",
     "PlacementPolicy",
+    "build_cloud",
 ]

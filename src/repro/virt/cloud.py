@@ -11,7 +11,7 @@ executed ...").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import (
     CapacityError,
@@ -22,6 +22,7 @@ from repro.errors import (
 )
 from repro.fabric.addressing import GuidAllocator
 from repro.fabric.node import HCA
+from repro.fabric.presets import scaled_fattree
 from repro.fabric.topology import Topology
 from repro.obs.hub import get_hub, span
 from repro.sm.subnet_manager import ConfigureReport, SubnetManager
@@ -30,7 +31,7 @@ from repro.virt.hypervisor import Hypervisor
 from repro.virt.sa_cache import SubnetAdministrator
 from repro.virt.vm import VirtualMachine, VmState
 
-__all__ = ["CloudManager", "PlacementPolicy"]
+__all__ = ["CloudManager", "PlacementPolicy", "build_cloud"]
 
 
 @dataclass
@@ -401,3 +402,26 @@ class CloudManager:
                 if h.free_vf_count > 0:
                     partial += 1
         return partial / used if used else 0.0
+
+
+def build_cloud(recipe: Mapping[str, object]) -> CloudManager:
+    """A brought-up cloud on a preset fabric, from a *recipe* dict.
+
+    The recipe (``profile`` plus optional ``scheme``, ``engine``,
+    ``num_vfs``, ``placement``) is both the constructor input and the
+    genesis record ``repro serve`` journals, so a cold
+    :func:`~repro.service.recovery.rebuild_from_journal` reconstructs the
+    fabric exactly as the original run built it.
+    """
+    built = scaled_fattree(str(recipe["profile"]))
+    cloud = CloudManager(
+        built.topology,
+        built=built,
+        lid_scheme=str(recipe.get("scheme", "prepopulated")),
+        routing_engine=str(recipe.get("engine", "minhop")),
+        num_vfs=int(recipe.get("num_vfs", 4)),  # type: ignore[call-overload]
+        placement=str(recipe.get("placement", "first-fit")),
+    )
+    cloud.adopt_all_hcas()
+    cloud.bring_up_subnet()
+    return cloud

@@ -10,6 +10,7 @@ from repro.workloads.migration_patterns import (
     MigrationPlanner,
 )
 from repro.workloads.scenario import Scenario, ScenarioSummary
+from repro.workloads.serve import ServiceChaosReport, ServiceChaosRunner
 from repro.workloads.traffic import LinkLoadReport, all_to_all_flows, link_loads
 
 __all__ = [
@@ -24,6 +25,8 @@ __all__ = [
     "ANY",
     "Scenario",
     "ScenarioSummary",
+    "ServiceChaosReport",
+    "ServiceChaosRunner",
     "LinkLoadReport",
     "all_to_all_flows",
     "link_loads",

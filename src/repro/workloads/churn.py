@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, NamedTuple, Optional
 
+from repro.core.migration import MigrationReport
 from repro.errors import TransportError, VirtError
 from repro.virt.cloud import CloudManager
 
-__all__ = ["ChurnReport", "ChurnWorkload"]
+__all__ = ["ChurnReport", "ChurnWorkload", "MigrationStep"]
 
 
 @dataclass
@@ -58,6 +59,16 @@ class ChurnReport:
         )
 
 
+class MigrationStep(NamedTuple):
+    """What one churn step's live migration cost."""
+
+    report: MigrationReport
+    #: LFT SMPs a lossless fabric needs for it (the predictors' n'·m').
+    ideal_lft_smps: int
+    #: LFT SMPs actually sent, retransmissions included.
+    lft_smps: int
+
+
 class ChurnWorkload:
     """Random boot/stop driver with a target utilization."""
 
@@ -82,28 +93,34 @@ class ChurnWorkload:
         self.migrate_probability = migrate_probability
 
     def run(self, steps: int) -> ChurnReport:
-        """Perform *steps* boot-or-stop (or migrate) events.
+        """Perform *steps* boot-or-stop (or migrate) events."""
+        report = ChurnReport()
+        for _ in range(steps):
+            self.step(report)
+        return report
+
+    def step(self, report: ChurnReport) -> Optional[MigrationStep]:
+        """One boot-or-stop (or migrate) decision, booked into *report*.
 
         Boots are favoured below the target utilization, stops above it, so
         the cloud hovers around the target while continuously churning.
+        Returns what the step's migration cost, or None when the step
+        booted, stopped or found nothing to move.
         """
-        report = ChurnReport()
-        for _ in range(steps):
-            if (
-                self.migrate_probability
-                and self.rng.random() < self.migrate_probability
-            ):
-                self._migrate(report)
-                continue
-            cap = self.cloud.total_capacity
-            running = self.cloud.running_vm_count
-            utilization = running / cap if cap else 1.0
-            boot_bias = 0.9 if utilization < self.target_utilization else 0.1
-            if running == 0 or self.rng.random() < boot_bias:
-                self._boot(report)
-            else:
-                self._stop(report)
-        return report
+        if (
+            self.migrate_probability
+            and self.rng.random() < self.migrate_probability
+        ):
+            return self._migrate(report)
+        cap = self.cloud.total_capacity
+        running = self.cloud.running_vm_count
+        utilization = running / cap if cap else 1.0
+        boot_bias = 0.9 if utilization < self.target_utilization else 0.1
+        if running == 0 or self.rng.random() < boot_bias:
+            self._boot(report)
+        else:
+            self._stop(report)
+        return None
 
     def _boot(self, report: ChurnReport) -> None:
         candidates = [
@@ -124,10 +141,10 @@ class ChurnWorkload:
         report.boots += 1
         report.boot_lft_smps.append(after - before)
 
-    def _migrate(self, report: ChurnReport) -> None:
+    def _migrate(self, report: ChurnReport) -> Optional[MigrationStep]:
         running = [vm for vm in self.cloud.vms.values() if vm.is_running]
         if not running:
-            return
+            return None
         vm = self.rng.choice(running)
         candidates = [
             h
@@ -135,14 +152,30 @@ class ChurnWorkload:
             if h.name != vm.hypervisor_name and h.has_capacity()
         ]
         if not candidates:
-            return
+            return None
         dest = self.rng.choice(candidates)
-        outcome = self.cloud.live_migrate(vm.name, dest.name).outcome
+        ideal = self._predict_lft_smps(vm, dest)
+        stats = self.cloud.sm.transport.stats
+        before = stats.lft_update_smps
+        outcome = self.cloud.live_migrate(vm.name, dest.name)
         report.migrations += 1
-        if outcome == "rolled_back":
+        if outcome.outcome == "rolled_back":
             report.rolled_back_migrations += 1
-        elif outcome == "failed":
+        elif outcome.outcome == "failed":
             report.failed_migrations += 1
+        return MigrationStep(outcome, ideal, stats.lft_update_smps - before)
+
+    def _predict_lft_smps(self, vm, dest) -> int:
+        """The lossless n'·m' cost of the migration about to run."""
+        reconfigurer = self.cloud.scheme.reconfigurer
+        if self.cloud.scheme.name == "prepopulated":
+            dest_lid = dest.vswitch.first_free_vf().lid
+            if dest_lid is None:
+                return 0
+            return reconfigurer.predict_swap(vm.vf.lid, dest_lid)[1]
+        if dest.vswitch.pf_lid is None:
+            return 0
+        return reconfigurer.predict_copy(dest.vswitch.pf_lid, vm.vf.lid)[1]
 
     def _stop(self, report: ChurnReport) -> None:
         names = [

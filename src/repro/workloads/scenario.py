@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.errors import TopologyError
-from repro.fabric.node import Switch
 from repro.fabric.topology import TopologyMutation
 from repro.obs.hub import span
 from repro.sim.trace import Trace
 from repro.virt.cloud import CloudManager
 from repro.workloads.migration_patterns import ANY, MigrationPlanner
+from repro.workloads.rewire import fabric_cables
 
 __all__ = ["ScenarioSummary", "Scenario"]
 
@@ -118,11 +118,7 @@ class Scenario:
 
         Returns True when a failure was injected.
         """
-        links = [
-            l
-            for l in self.cloud.topology.links
-            if isinstance(l.a.node, Switch) and isinstance(l.b.node, Switch)
-        ]
+        links = fabric_cables(self.cloud.topology)
         self.rng.shuffle(links)
         for link in links:
             spec = TopologyMutation.cable("restore_link", link)

@@ -184,6 +184,11 @@ GOLDEN_RUNS = {
     "storm-factor=20,smp-drop=0.05 --steps 24 --seed 3",
     "chaos_failure": "chaos --inject switch-fail=0.3,link-flap=0.5,smp-drop=0.05"
     " --steps 60 --seed 2",
+    # Every chaos action kind in one run (pinned at the commit before the
+    # run engine replaced the two hand-written step loops).
+    "chaos_all_knobs": "chaos --telemetry --inject rewire=3,switch-fail=0.1,"
+    "link-flap=0.2,sm-death=4,partition=9,heal-after=2,flap-storm=14,"
+    "storm-size=4,smp-drop=0.02 --steps 20 --seed 4",
 }
 
 
@@ -195,3 +200,83 @@ class TestGoldenRuns:
         golden = Path(__file__).parent / "golden" / f"{name}.txt"
         assert main(GOLDEN_RUNS[name].split()) == 0
         assert capsys.readouterr().out == golden.read_text()
+
+
+class TestFaultKnobOwnership:
+    """A knob is honoured by the command whose rule table has a rule for
+    it and rejected — not silently ignored — by the other."""
+
+    def test_chaos_rejects_service_knobs(self, capsys):
+        rc = main(["chaos", "--inject", "kill-service=3,tenant-storm=2"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "'kill-service'" in err and "'repro serve' honours it" in err
+
+    def test_serve_rejects_fabric_knobs(self, capsys):
+        rc = main(["serve", "--chaos", "link-flap=0.9,sm-death=2,rewire=3"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "'link-flap'" in err and "'repro chaos' honours it" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chaos", "--inject", "smp-drop=0.05,link-flap=0.1", "--steps", "4"],
+            ["serve", "--chaos", "smp-drop=0.05,kill-service", "--steps", "4"],
+        ],
+    )
+    def test_smp_knobs_compose_with_both(self, capsys, argv):
+        assert main(argv) == 0
+        assert "verification: clean" in capsys.readouterr().out
+
+    def test_every_knob_has_exactly_one_owner(self):
+        from repro.faults.plan import _INT_SPEC_KEYS, _SPEC_KEYS
+        from repro.workloads import ChaosRunner, ServiceChaosRunner
+        from repro.workloads.engine import consumed_fields
+
+        chaos = consumed_fields(ChaosRunner.RULES)
+        serve = consumed_fields(ServiceChaosRunner.RULES)
+        assert not chaos & serve
+        knobs = set(_INT_SPEC_KEYS.values()) | {
+            field
+            for field in _SPEC_KEYS.values()
+            if not field.startswith("smp_")
+        }
+        assert knobs == chaos | serve
+
+
+class TestServeGenesis:
+    def test_journaled_genesis_is_how_serve_built_the_cloud(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """Cold rebuild from the journal ``repro serve`` wrote reproduces
+        the live cloud of that run: the recipe is the genesis record."""
+        import repro.cli.serve as serve_cmd
+        from repro.service import (
+            IntentJournal,
+            audit_cloud,
+            cloud_fingerprint,
+            rebuild_from_journal,
+        )
+
+        live = []
+        bring_up = serve_cmd.bring_up_cloud
+        monkeypatch.setattr(
+            serve_cmd,
+            "bring_up_cloud",
+            lambda recipe: live.append(bring_up(recipe)) or live[-1],
+        )
+        journal = tmp_path / "intents.jsonl"
+        argv = ["serve", "--chaos", "kill-service", "--steps", "12"]
+        assert main([*argv, "--journal", str(journal)]) == 0
+        capsys.readouterr()
+        rebuilt, _, report = rebuild_from_journal(
+            IntentJournal.from_jsonl(journal)
+        )
+        assert report.replayed > 0
+        assert audit_cloud(rebuilt) == []
+        assert cloud_fingerprint(rebuilt) == cloud_fingerprint(live[0])
+        genesis = IntentJournal.from_jsonl(journal).genesis()
+        assert genesis == serve_cmd.cloud_recipe(
+            build_parser().parse_args(argv)
+        )
