@@ -34,9 +34,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.constants import LFT_BLOCK_SIZE, LFT_DROP_PORT, LFT_UNSET
+from repro.constants import LFT_BLOCK_SIZE, LFT_DROP_PORT
 from repro.errors import ReconfigError, ReconfigRollbackError, TransportError
-from repro.fabric.lft import lft_block_of
+from repro.fabric.lft import apply_column_op
 from repro.fabric.node import Switch
 from repro.obs.hub import get_hub, span
 from repro.sm.subnet_manager import SubnetManager
@@ -117,7 +117,7 @@ class VSwitchReconfigurer:
             switches = self._switch_sweep(limit_switches)
             have = self._entries(switches, lids)
             self._edit(switches, lids, have, have[:, ::-1], report, undo)
-        self._record_swap(lid_a, lid_b, limit_switches)
+        self._record(limit_switches, op="swap", lid_a=lid_a, lid_b=lid_b)
         return report
 
     def copy_path(
@@ -209,7 +209,7 @@ class VSwitchReconfigurer:
             # blocks_per_switch was incremented per phase; n' is the number of
             # distinct switches, not phase-entries.
             report.switches_updated = len(affected)
-        self._record_swap(lid_a, lid_b, limit_switches)
+        self._record(limit_switches, op="swap", lid_a=lid_a, lid_b=lid_b)
         return report
 
     def invalidate_lid(self, lid: int) -> ReconfigReport:
@@ -223,11 +223,7 @@ class VSwitchReconfigurer:
             have = self._entries(switches, (lid,))
             dropped = np.full_like(have, LFT_DROP_PORT)
             self._edit(switches, (lid,), have, dropped, report, undo)
-        tbl = self.sm.current_tables
-        if tbl is not None and lid <= tbl.top_lid:
-            tbl.ports[:, lid] = LFT_DROP_PORT
-            if self.sm.ha is not None:
-                self.sm.ha.note_vswitch({"op": "invalidate", "lid": lid})
+        self._record(None, op="invalidate", lid=lid)
         return report
 
     # -- prediction (no mutation) -----------------------------------------------
@@ -409,7 +405,12 @@ class VSwitchReconfigurer:
                 undo,
             )
         for template_lid, target_lid in pairs:
-            self._record_copy(template_lid, target_lid, limit_switches)
+            self._record(
+                limit_switches,
+                op="copy",
+                template_lid=template_lid,
+                target_lid=target_lid,
+            )
         return report
 
     def _check_lid_known(self, lid: int) -> None:
@@ -461,52 +462,22 @@ class VSwitchReconfigurer:
             report.pipelined_time
         )
 
-    def _record_swap(
-        self,
-        lid_a: int,
-        lid_b: int,
-        limit_switches: Optional[Set[int]] = None,
-    ) -> None:
-        """Keep the SM's recorded routing function in sync."""
-        tbl = self.sm.current_tables
-        if tbl is None or max(lid_a, lid_b) > tbl.top_lid:
-            return
-        rows = slice(None) if limit_switches is None else sorted(limit_switches)
-        col_a = tbl.ports[rows, lid_a].copy()
-        tbl.ports[rows, lid_a] = tbl.ports[rows, lid_b]
-        tbl.ports[rows, lid_b] = col_a
-        self._note(limit_switches, op="swap", lid_a=lid_a, lid_b=lid_b)
-
-    def _record_copy(
-        self,
-        template_lid: int,
-        target_lid: int,
-        limit_switches: Optional[Set[int]] = None,
-    ) -> None:
+    def _record(self, limit_switches: Optional[Set[int]], **op: object) -> None:
+        """Land the edit the switches just took on the SM's recorded
+        routing function and hand the same record to the standby SMs —
+        both through :func:`~repro.fabric.lft.apply_column_op`, so the
+        replicas hold what the master holds. A skyline-limited edit
+        carries its switch rows; an edit beyond the recorded matrix that
+        does not grow it is neither recorded nor replicated."""
         tbl = self.sm.current_tables
         if tbl is None:
             return
-        top = max(template_lid, target_lid)
-        if top > tbl.top_lid:
-            width = (lft_block_of(top) + 1) * LFT_BLOCK_SIZE
-            grown = np.full(
-                (tbl.ports.shape[0], width), LFT_UNSET, dtype=tbl.ports.dtype
-            )
-            grown[:, : tbl.ports.shape[1]] = tbl.ports
-            tbl.ports = grown
-        rows = slice(None) if limit_switches is None else sorted(limit_switches)
-        tbl.ports[rows, target_lid] = tbl.ports[rows, template_lid]
-        self._note(
-            limit_switches,
-            op="copy",
-            template_lid=template_lid,
-            target_lid=target_lid,
+        op["switches"] = (
+            None if limit_switches is None else sorted(limit_switches)
         )
-
-    def _note(self, limit_switches: Optional[Set[int]], **update: object) -> None:
-        """Replicate a table update to the standby SMs."""
+        ports = apply_column_op(tbl.ports, op)
+        if ports is None:
+            return
+        tbl.ports = ports
         if self.sm.ha is not None:
-            update["switches"] = (
-                None if limit_switches is None else sorted(limit_switches)
-            )
-            self.sm.ha.note_vswitch(update)
+            self.sm.ha.note_vswitch(op)

@@ -151,3 +151,8 @@ class ServiceKilled(ServiceError):
     Callers (the chaos runner, the crash/replay property tests) catch it
     and drive recovery.
     """
+
+
+class SequenceError(ReproError):
+    """A record was appended to a sequenced log under the wrong number
+    (see :mod:`repro.util.seqlog`)."""

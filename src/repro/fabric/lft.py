@@ -14,7 +14,7 @@ performance notes).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Any, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from repro.errors import TopologyError
 
 __all__ = [
     "LinearForwardingTable",
+    "apply_column_op",
     "lft_block_of",
     "blocks_covering",
     "min_blocks_for_lid_count",
@@ -60,6 +61,58 @@ def min_blocks_for_lid_count(num_lids: int) -> int:
         return 0
     topmost = num_lids  # LIDs 1..num_lids, LID 0 reserved.
     return lft_block_of(topmost) + 1
+
+
+def apply_column_op(
+    ports: np.ndarray, op: Mapping[str, Any]
+) -> Optional[np.ndarray]:
+    """Land one vSwitch column edit on a recorded ``ports[switch, lid]``.
+
+    *op* is the record the SM master journals for its standbys, and the
+    master's own ``current_tables`` take the edit through this function
+    too, so a replica that applied every record holds the master's
+    matrix. ``op["op"]`` names the edit of Algorithm 1:
+
+    * ``"swap"`` exchanges columns ``lid_a`` and ``lid_b``;
+    * ``"copy"`` gives ``target_lid`` the column of ``template_lid``,
+      first widening the matrix (whole 64-LID blocks of
+      :data:`~repro.constants.LFT_UNSET`) when either LID lies beyond it;
+    * ``"invalidate"`` points column ``lid`` at the drop port.
+
+    ``op.get("switches")`` limits the edit to those switch rows (the
+    section VI-D skyline); absent or ``None`` means every switch. The
+    edit is made in place and the matrix returned — a new, wider one
+    after growth — or ``None`` when a swap or invalidate names a LID
+    beyond the matrix, in which case nothing was touched.
+    """
+    kind = op["op"]
+    switches = op.get("switches")
+    rows = slice(None) if switches is None else list(switches)
+    if kind == "copy":
+        template, target = int(op["template_lid"]), int(op["target_lid"])
+        top = max(template, target)
+        if top >= ports.shape[1]:
+            width = (lft_block_of(top) + 1) * LFT_BLOCK_SIZE
+            grown = np.full((ports.shape[0], width), LFT_UNSET, dtype=ports.dtype)
+            grown[:, : ports.shape[1]] = ports
+            ports = grown
+        ports[rows, target] = ports[rows, template]
+        return ports
+    if kind == "swap":
+        lid_a, lid_b = int(op["lid_a"]), int(op["lid_b"])
+        if max(lid_a, lid_b) >= ports.shape[1]:
+            return None
+        col_a = ports[rows, lid_a].copy()
+        ports[rows, lid_a] = ports[rows, lid_b]
+        ports[rows, lid_b] = col_a
+        return ports
+    if kind == "invalidate":
+        lid = int(op["lid"])
+        if lid >= ports.shape[1]:
+            return None
+        ports[rows, lid] = LFT_DROP_PORT
+        return ports
+    raise TopologyError(f"unknown LFT column op {kind!r}")
 
 
 class LinearForwardingTable:

@@ -1,14 +1,15 @@
 """The write-ahead intent journal — the service's only durable state.
 
-Same sequence/replay idiom as
-:class:`~repro.sm.ha.journal.ReplicationJournal` (monotonic seqs from 1,
-strictly ordered replay), but unbounded and phase-structured: every
-tenant request appends an ``intent`` entry *before* anything touches the
-fabric, an ``applied`` entry once the cloud operation finished (with its
-observable effects in the payload), and a ``completed`` entry when the
-response is final. ``aborted`` marks terminal failures. A ``genesis``
-entry at seq 1 pins the cloud configuration so a cold rebuild can
-reconstruct the fabric from nothing but the journal.
+A record schema over :class:`~repro.util.seqlog.SequencedLog` (seqs from
+1, strictly ordered replay — the core the SM's
+:class:`~repro.sm.ha.journal.ReplicationJournal` shares), unbounded and
+phase-structured: every tenant request appends an ``intent`` entry
+*before* anything touches the fabric, an ``applied`` entry once the cloud
+operation finished (with its observable effects in the payload), and a
+``completed`` entry when the response is final. ``aborted`` marks
+terminal failures. A ``genesis`` entry at seq 1 pins the cloud
+configuration so a cold rebuild can reconstruct the fabric from nothing
+but the journal.
 
 Appends are atomic: a crash (the chaos ``kill-service`` knob, modelled by
 :meth:`IntentJournal.arm_crash`) happens *between* appends — either right
@@ -25,9 +26,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import ServiceError, ServiceKilled
+from repro.errors import SequenceError, ServiceError, ServiceKilled
+from repro.util.seqlog import SequencedLog
 
-__all__ = ["ENTRY_PHASES", "IntentJournal", "ServiceJournalEntry"]
+__all__ = [
+    "ENTRY_PHASES",
+    "IntentJournal",
+    "RequestState",
+    "ServiceJournalEntry",
+]
 
 #: Legal entry phases, in lifecycle order where applicable.
 ENTRY_PHASES = ("genesis", "intent", "applied", "completed", "aborted")
@@ -51,8 +58,50 @@ class ServiceJournalEntry:
             "payload": self.payload,
         }
 
+    @classmethod
+    def from_line(cls, line: str) -> "ServiceJournalEntry":
+        """Inverse of the JSONL line form; :class:`ServiceError` says
+        what is wrong with a line that is not one."""
+        try:
+            data = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ServiceError(f"not JSON (a torn write?): {exc.msg}") from exc
+        if not isinstance(data, dict):
+            raise ServiceError(
+                f"expected a JSON object, found {type(data).__name__}"
+            )
+        try:
+            return cls(
+                seq=int(data["seq"]),
+                phase=str(data["phase"]),
+                request_id=str(data["request_id"]),
+                payload=dict(data.get("payload") or {}),
+            )
+        except KeyError as exc:
+            raise ServiceError(f"missing field {exc.args[0]!r}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ServiceError(f"malformed field: {exc}") from exc
 
-class IntentJournal:
+
+@dataclass
+class RequestState:
+    """One request's journaled life, folded (see
+    :meth:`IntentJournal.requests`)."""
+
+    #: The ``intent`` payload (a :class:`TenantRequest` as a dict).
+    intent: Dict[str, object]
+    #: The last phase journaled for the request.
+    phase: str = "intent"
+    #: The ``applied`` payload and its seq, once the op ran.
+    applied: Optional[Dict[str, object]] = None
+    applied_seq: Optional[int] = None
+    #: The ``completed``/``aborted`` payload: lets recovery rebuild the
+    #: idempotency table so a client retrying a finished request gets its
+    #: original answer instead of a double execution.
+    terminal: Optional[Dict[str, object]] = None
+
+
+class IntentJournal(SequencedLog[ServiceJournalEntry]):
     """Append-only, seq-numbered WAL with optional JSONL durability.
 
     ``sink`` (a file path) makes every append durable immediately — the
@@ -62,7 +111,7 @@ class IntentJournal:
     """
 
     def __init__(self, sink: Optional[Path] = None) -> None:
-        self.entries: List[ServiceJournalEntry] = []
+        super().__init__()
         self.sink = Path(sink) if sink is not None else None
         #: Armed crash point: ``(seq, before)``. ``before=False`` kills
         #: the worker right after entry *seq* is appended; ``before=True``
@@ -81,15 +130,16 @@ class IntentJournal:
         at an armed crash point (chaos / property tests)."""
         if phase not in ENTRY_PHASES:
             raise ServiceError(f"unknown journal phase {phase!r}")
-        seq = self.head_seq + 1
+        seq = self.next_seq
         if self._crash is not None and self._crash == (seq, True):
             self._crash = None
             raise ServiceKilled(
                 f"service worker killed before journal seq {seq}"
                 f" ({phase} for {request_id!r} lost)"
             )
-        entry = ServiceJournalEntry(seq, phase, request_id, payload or {})
-        self.entries.append(entry)
+        entry = self.append_entry(
+            ServiceJournalEntry(seq, phase, request_id, payload or {})
+        )
         if self.sink is not None:
             with self.sink.open("a", encoding="utf-8") as fh:
                 fh.write(json.dumps(entry.as_dict(), sort_keys=True) + "\n")
@@ -108,15 +158,6 @@ class IntentJournal:
 
     # -- reading -----------------------------------------------------------
 
-    @property
-    def head_seq(self) -> int:
-        """Seq of the newest entry (0 when empty)."""
-        return self.entries[-1].seq if self.entries else 0
-
-    def entries_since(self, seq: int) -> List[ServiceJournalEntry]:
-        """All entries with ``entry.seq > seq``, in order."""
-        return [e for e in self.entries if e.seq > seq]
-
     def genesis(self) -> Optional[Dict[str, object]]:
         """The genesis payload (cloud build recipe), if journaled."""
         for entry in self.entries:
@@ -124,24 +165,10 @@ class IntentJournal:
                 return entry.payload
         return None
 
-    def phases_of(self, request_id: str) -> List[str]:
-        """The phases recorded for one request, in append order."""
-        return [
-            e.phase for e in self.entries if e.request_id == request_id
-        ]
-
-    def requests(self) -> "Dict[str, Dict[str, object]]":
-        """Fold the journal into per-request state, in intent order.
-
-        Returns ``request_id -> {"intent": payload, "phase": last phase,
-        "applied": payload or None, "applied_seq": int or None,
-        "terminal": payload or None}``. The dict preserves intent order,
-        which is the order pending requests must be re-executed in; the
-        terminal payload lets recovery rebuild the idempotency table so
-        a client retrying a finished request gets its original answer
-        instead of a double execution.
-        """
-        folded: Dict[str, Dict[str, object]] = {}
+    def requests(self) -> Dict[str, RequestState]:
+        """Fold the journal into per-request state, in intent order —
+        the order pending requests must be re-executed in."""
+        folded: Dict[str, RequestState] = {}
         for entry in self.entries:
             if entry.phase == "genesis":
                 continue
@@ -151,13 +178,7 @@ class IntentJournal:
                         f"duplicate intent for {entry.request_id!r}"
                         f" at seq {entry.seq}"
                     )
-                folded[entry.request_id] = {
-                    "intent": entry.payload,
-                    "phase": "intent",
-                    "applied": None,
-                    "applied_seq": None,
-                    "terminal": None,
-                }
+                folded[entry.request_id] = RequestState(entry.payload)
                 continue
             state = folded.get(entry.request_id)
             if state is None:
@@ -165,12 +186,12 @@ class IntentJournal:
                     f"{entry.phase} without intent for"
                     f" {entry.request_id!r} at seq {entry.seq}"
                 )
-            state["phase"] = entry.phase
+            state.phase = entry.phase
             if entry.phase == "applied":
-                state["applied"] = entry.payload
-                state["applied_seq"] = entry.seq
+                state.applied = entry.payload
+                state.applied_seq = entry.seq
             elif entry.phase in ("completed", "aborted"):
-                state["terminal"] = entry.payload
+                state.terminal = entry.payload
         return folded
 
     # -- durability --------------------------------------------------------
@@ -179,29 +200,29 @@ class IntentJournal:
         """A new in-memory journal holding only entries up to *seq* — what
         a recovering worker reads after a crash at that offset."""
         clone = IntentJournal()
-        clone.entries = [e for e in self.entries if e.seq <= seq]
+        for entry in self.entries:
+            if entry.seq <= seq:
+                clone.append_entry(entry)
         return clone
 
     @classmethod
     def from_jsonl(cls, path: Path) -> "IntentJournal":
-        """Load a journal previously written through a ``sink``."""
+        """Load a journal previously written through a ``sink``.
+
+        A line that is not a journal record, or is out of sequence, is a
+        :class:`ServiceError` naming its 1-based line number.
+        """
         journal = cls()
-        expected = 1
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        for number, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
-            data = json.loads(line)
-            entry = ServiceJournalEntry(
-                seq=int(data["seq"]),
-                phase=str(data["phase"]),
-                request_id=str(data["request_id"]),
-                payload=dict(data.get("payload") or {}),
-            )
-            if entry.seq != expected:
+            try:
+                journal.append_entry(ServiceJournalEntry.from_line(line))
+            except SequenceError as exc:
                 raise ServiceError(
-                    f"journal gap: expected seq {expected},"
-                    f" found {entry.seq}"
-                )
-            journal.entries.append(entry)
-            expected += 1
+                    f"{path}: line {number}: journal gap: {exc}"
+                ) from exc
+            except ServiceError as exc:
+                raise ServiceError(f"{path}: line {number}: {exc}") from exc
         return journal

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.errors import AdmissionError
+from repro.service.ops import REQUEST_OPS
 
 __all__ = [
     "RECORD_VERSION",
@@ -25,9 +26,6 @@ __all__ = [
 
 #: Journal record schema version (bump on incompatible layout changes).
 RECORD_VERSION = 1
-
-#: Operations the control plane accepts.
-REQUEST_OPS = ("boot", "stop", "migrate", "evacuate")
 
 #: Response statuses a submitted request can end in. Every submitted
 #: request reaches exactly one of these — there is no silent drop.
@@ -46,10 +44,9 @@ RESPONSE_STATUSES = (
 class TenantRequest:
     """One tenant intent, as journaled.
 
-    ``params`` is op-specific: ``boot`` carries the service-assigned
-    ``name`` (assigned at admission so replay is deterministic) and an
-    optional ``on``; ``stop`` carries ``name``; ``migrate`` carries
-    ``name`` and optional ``dest``; ``evacuate`` carries ``hypervisor``.
+    ``op`` is one of :data:`~repro.service.ops.REQUEST_OPS`; ``params``
+    is op-specific, as the op's ``bind`` handler left it at admission
+    (e.g. the service-assigned VM name, so replay is deterministic).
     """
 
     request_id: str

@@ -28,12 +28,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.errors import RecoveryError, ReproError
 from repro.obs.hub import get_hub, span
-from repro.service.journal import IntentJournal
-from repro.service.records import ServiceResponse, TenantRequest
+from repro.service.journal import IntentJournal, RequestState
+from repro.service.ops import OPS
+from repro.service.records import TenantRequest
 from repro.service.service import ControlPlaneService
 from repro.virt.cloud import CloudManager, build_cloud
 
@@ -138,10 +139,14 @@ def cloud_fingerprint(cloud: CloudManager) -> str:
     deliberately excluded (a recovered run retries more, but must land
     in the same state).
     """
-    state: Dict[str, object] = {"vms": [], "hypervisors": [], "lids": []}
-    for name in sorted(cloud.vms):
-        vm = cloud.vms[name]
-        state["vms"].append(  # type: ignore[union-attr]
+    topology = cloud.sm.topology
+    lids: List[Dict[str, object]] = []
+    for lid in topology.bound_lids():
+        port = topology.port_of_lid(lid)
+        label = None if port is None else f"{port.node.name}:{port.num}"
+        lids.append({"lid": lid, "port": label})
+    state = {
+        "vms": [
             {
                 "name": name,
                 "tenant": vm.tenant,
@@ -150,68 +155,99 @@ def cloud_fingerprint(cloud: CloudManager) -> str:
                 "vf": vm.vf.name if vm.vf is not None else None,
                 "lid": vm.lid,
             }
-        )
-    for hyp_name in sorted(cloud.hypervisors):
-        hyp = cloud.hypervisors[hyp_name]
-        state["hypervisors"].append(  # type: ignore[union-attr]
+            for name, vm in sorted(cloud.vms.items())
+        ],
+        "hypervisors": [
             {
                 "name": hyp_name,
                 "free_vfs": hyp.free_vf_count,
                 "vf_lids": [vf.lid for vf in hyp.vswitch.vfs],
             }
-        )
-    for lid in cloud.sm.topology.bound_lids():
-        port = cloud.sm.topology.port_of_lid(lid)
-        state["lids"].append(  # type: ignore[union-attr]
-            {
-                "lid": lid,
-                "port": (
-                    f"{port.node.name}:{port.num}"
-                    if port is not None
-                    else None
-                ),
-            }
-        )
+            for hyp_name, hyp in sorted(cloud.hypervisors.items())
+        ],
+        "lids": lids,
+    }
     digest = hashlib.sha256(
         json.dumps(state, sort_keys=True).encode("utf-8")
     )
-    for sw in cloud.sm.topology.switches:
+    for sw in topology.switches:
         digest.update(sw.name.encode("utf-8"))
         digest.update(sw.lft.as_array().tobytes())
     return digest.hexdigest()
 
 
-# -- warm recovery ---------------------------------------------------------
+# -- the one recovery ------------------------------------------------------
 
 
 def recover_service(
     journal: IntentJournal,
     cloud: CloudManager,
-    **service_kwargs: object,
+    **service_kwargs: Any,
 ) -> Tuple[ControlPlaneService, RecoveryReport]:
     """Warm recovery: a new worker over the surviving cloud."""
-    report = RecoveryReport(
-        mode="warm", journal_entries=journal.head_seq
+    _, service, report = _recover(
+        journal, lambda: cloud, service_kwargs, fresh=False
     )
-    with span("service_recover", mode="warm"):
-        service = ControlPlaneService(
-            cloud, journal=journal, **service_kwargs  # type: ignore[arg-type]
+    return service, report
+
+
+def rebuild_from_journal(
+    journal: IntentJournal,
+    *,
+    build_cloud: Callable[[Dict[str, object]], CloudManager] = build_cloud,
+    **service_kwargs: Any,
+) -> Tuple[CloudManager, ControlPlaneService, RecoveryReport]:
+    """Cold rebuild: fresh fabric from genesis + full journal replay."""
+    genesis = journal.genesis()
+    if genesis is None:
+        raise RecoveryError(
+            "cold rebuild needs a genesis entry; this journal has none"
         )
+    return _recover(
+        journal, lambda: build_cloud(genesis), service_kwargs, fresh=True
+    )
+
+
+def _recover(
+    journal: IntentJournal,
+    cloud_of: Callable[[], CloudManager],
+    service_kwargs: Dict[str, Any],
+    *,
+    fresh: bool,
+) -> Tuple[CloudManager, ControlPlaneService, RecoveryReport]:
+    """Fold the journal, then restore every request from its last phase.
+
+    Warm, the cloud survived and a pending intent may already have run on
+    it (the worker died before journaling ``applied``), so the fabric is
+    inspected and such an intent reconciled — never re-executed. Cold,
+    the cloud is *fresh* from genesis: the journaled ``applied`` ops are
+    replayed onto it in applied order first, and an unjournaled effect
+    cannot exist.
+    """
+    mode = "cold" if fresh else "warm"
+    report = RecoveryReport(mode=mode, journal_entries=journal.head_seq)
+    with span("service_recover", mode=mode):
+        cloud = cloud_of()
         folded = journal.requests()
+        if fresh:
+            _replay(cloud, folded, report)
+        # The recovered journal IS the new service's journal; the worker
+        # keeps appending where the dead one stopped.
+        service = ControlPlaneService(
+            cloud, journal=journal, **service_kwargs
+        )
         for request_id, state in folded.items():
-            phase = str(state["phase"])
-            request = TenantRequest.from_dict(state["intent"])  # type: ignore[arg-type]
-            if phase in ("completed", "aborted"):
-                _restore_response(service, request, state["terminal"])  # type: ignore[arg-type]
+            request = TenantRequest.from_dict(state.intent)
+            op = OPS[request.op]
+            if state.phase in ("completed", "aborted"):
+                _restore_response(service, request, state.terminal or {})
                 report.terminal_requests += 1
-                continue
-            if phase == "applied":
-                _finish_applied(service, request, state["applied"])  # type: ignore[arg-type]
+            elif state.applied is not None:
+                _finish_applied(service, request, state.applied)
                 report.finished += 1
-                continue
-            # Intent only: did the op's effects reach the fabric?
-            if _effects_present(cloud, request):
-                payload = _reconstruct_applied(cloud, request)
+            elif not fresh and op.effects_present(cloud, request):
+                payload = op.applied_from_fabric(cloud, request)
+                payload["reconciled"] = True
                 service._journal("applied", request_id, payload)
                 _finish_applied(service, request, payload)
                 report.reconciled += 1
@@ -220,85 +256,51 @@ def recover_service(
                 report.requeued += 1
         service.stats.recoveries += 1
         service.stats.recovered_requests = (
-            report.finished + report.reconciled + report.requeued
+            report.finished
+            + report.reconciled
+            + report.requeued
+            + report.replayed
         )
         report.problems = audit_cloud(cloud)
     get_hub().metrics.counter(
-        "repro_service_recoveries_total", mode="warm"
+        "repro_service_recoveries_total", mode=mode
     ).add(1)
-    return service, report
+    return cloud, service, report
 
 
-def _effects_present(cloud: CloudManager, request: TenantRequest) -> bool:
-    """Whether a pending intent's operation already ran (worker died
-    between applying and journaling ``applied``)."""
-    params = request.params
-    if request.op == "boot":
-        return params["name"] in cloud.vms
-    if request.op == "stop":
-        return params["name"] not in cloud.vms
-    if request.op == "migrate":
-        vm = cloud.vms.get(params["name"] or "")
-        dest = params.get("dest")
-        if vm is None or dest is None:
-            return False
-        return vm.hypervisor_name == dest
-    if request.op == "evacuate":
-        hyp = cloud.hypervisors.get(params["hypervisor"] or "")
-        if hyp is None:
-            return False
-        return not list(hyp.running_vms())
-    raise RecoveryError(f"unknown op {request.op!r} in journal")
-
-
-def _reconstruct_applied(
-    cloud: CloudManager, request: TenantRequest
-) -> Dict[str, object]:
-    """The ``applied`` payload a lost append would have carried, read
-    back off the fabric."""
-    params = request.params
-    if request.op == "boot":
-        vm = cloud.vms[params["name"]]
-        return {
-            "op": "boot",
-            "vm": vm.name,
-            "hypervisor": vm.hypervisor_name,
-            "vf": vm.vf.name if vm.vf is not None else None,
-            "lid": vm.lid,
-            "reconciled": True,
-        }
-    if request.op == "stop":
-        return {"op": "stop", "vm": params["name"], "reconciled": True}
-    if request.op == "migrate":
-        return {
-            "op": "migrate",
-            "vm": params["name"],
-            "dest": params.get("dest"),
-            "outcome": "completed",
-            "reconciled": True,
-        }
-    return {
-        "op": "evacuate",
-        "hypervisor": params["hypervisor"],
-        "migrations": [],
-        "remaining": 0,
-        "reconciled": True,
-    }
+def _replay(
+    cloud: CloudManager,
+    folded: Dict[str, RequestState],
+    report: RecoveryReport,
+) -> None:
+    """Re-execute every applied operation on the rebuilt fabric, in
+    ``applied`` order, with its recorded placement so the rebuilt state
+    cannot diverge."""
+    ran = [s for s in folded.values() if s.applied_seq is not None]
+    for state in sorted(ran, key=lambda s: s.applied_seq or 0):
+        request = TenantRequest.from_dict(state.intent)
+        try:
+            OPS[request.op].replay(cloud, request, state.applied or {})
+        except ReproError as exc:
+            raise RecoveryError(
+                f"replay of {request.request_id!r} ({request.op}) failed:"
+                f" {exc}"
+            ) from exc
+        report.replayed += 1
 
 
 def _restore_response(
     service: ControlPlaneService,
     request: TenantRequest,
-    terminal: Optional[Dict[str, object]],
+    terminal: Dict[str, object],
 ) -> None:
     """Rebuild the idempotency table for an already-terminal request so
     a client retrying it after the crash gets the original answer back
     instead of a second execution."""
-    terminal = terminal or {}
-    service._responses[request.request_id] = ServiceResponse(
-        request_id=request.request_id,
-        status=str(terminal.get("status") or "completed"),
-        detail=str(terminal.get("detail") or "recovered terminal"),
+    service._responses[request.request_id] = service.respond(
+        request,
+        str(terminal.get("status") or "completed"),
+        str(terminal.get("detail") or "recovered terminal"),
     )
 
 
@@ -310,113 +312,15 @@ def _finish_applied(
     """Close out a request whose op ran but whose terminal journal entry
     (and tenant response) was lost in the crash."""
     outcome = str(applied.get("outcome", "completed"))
-    status = "completed" if outcome == "completed" else "failed"
     service._finish(
         request,
-        ServiceResponse(
-            request_id=request.request_id,
-            status=status,
-            detail=f"recovered: {outcome}",
+        service.respond(
+            request,
+            "completed" if outcome == "completed" else "failed",
+            f"recovered: {outcome}",
         ),
         applied=True,
     )
     # The response was minted by recovery, not admission; account the
     # submission so the no-silent-drop ledger still balances.
     service.stats.submitted += 1
-
-
-# -- cold rebuild ----------------------------------------------------------
-
-
-def rebuild_from_journal(
-    journal: IntentJournal,
-    *,
-    build_cloud: Callable[[Dict[str, object]], CloudManager] = build_cloud,
-    **service_kwargs: object,
-) -> Tuple[CloudManager, ControlPlaneService, RecoveryReport]:
-    """Cold rebuild: fresh fabric from genesis + full journal replay."""
-    genesis = journal.genesis()
-    if genesis is None:
-        raise RecoveryError(
-            "cold rebuild needs a genesis entry; this journal has none"
-        )
-    report = RecoveryReport(mode="cold", journal_entries=journal.head_seq)
-    with span("service_recover", mode="cold"):
-        cloud = build_cloud(genesis)
-        folded = journal.requests()
-        ordered = sorted(
-            (int(state["applied_seq"]), request_id)  # type: ignore[arg-type]
-            for request_id, state in folded.items()
-            if state["applied_seq"] is not None
-        )
-        for _, request_id in ordered:
-            state = folded[request_id]
-            request = TenantRequest.from_dict(state["intent"])  # type: ignore[arg-type]
-            _replay_applied(cloud, request, state["applied"])  # type: ignore[arg-type]
-            report.replayed += 1
-        # The replayed journal IS the new service's journal; a recovered
-        # worker keeps appending where the dead one stopped.
-        service = ControlPlaneService(
-            cloud, journal=journal, **service_kwargs  # type: ignore[arg-type]
-        )
-        for request_id, state in folded.items():
-            phase = str(state["phase"])
-            request = TenantRequest.from_dict(state["intent"])  # type: ignore[arg-type]
-            if phase in ("completed", "aborted"):
-                _restore_response(service, request, state["terminal"])  # type: ignore[arg-type]
-                report.terminal_requests += 1
-            elif phase == "applied":
-                _finish_applied(service, request, state["applied"])  # type: ignore[arg-type]
-                report.finished += 1
-            else:
-                service.enqueue_recovered(request)
-                report.requeued += 1
-        service.stats.recoveries += 1
-        service.stats.recovered_requests = (
-            report.finished + report.requeued + report.replayed
-        )
-        report.problems = audit_cloud(cloud)
-    get_hub().metrics.counter(
-        "repro_service_recoveries_total", mode="cold"
-    ).add(1)
-    return cloud, service, report
-
-
-def _replay_applied(
-    cloud: CloudManager,
-    request: TenantRequest,
-    applied: Dict[str, object],
-) -> None:
-    """Re-execute one applied operation on the rebuilt fabric.
-
-    Operations that ended rolled-back or failed left no state in the
-    original run (the PR 4 compensating-action guarantee) and are
-    skipped; completed ones re-run with their recorded placement so the
-    rebuilt state cannot diverge.
-    """
-    params = request.params
-    try:
-        if request.op == "boot":
-            cloud.boot_vm(
-                params["name"],
-                on=str(applied.get("hypervisor")),
-                tenant=request.tenant,
-            )
-        elif request.op == "stop":
-            cloud.stop_vm(params["name"])
-        elif request.op == "migrate":
-            if applied.get("outcome") == "completed":
-                dest = applied.get("dest") or params.get("dest")
-                cloud.live_migrate(params["name"], str(dest))
-        elif request.op == "evacuate":
-            migrations = applied.get("migrations") or []
-            for move in migrations:  # type: ignore[union-attr]
-                if move.get("outcome") == "completed":  # type: ignore[union-attr]
-                    cloud.live_migrate(
-                        str(move["vm"]), str(move["dest"])  # type: ignore[index]
-                    )
-    except ReproError as exc:
-        raise RecoveryError(
-            f"replay of {request.request_id!r} ({request.op}) failed:"
-            f" {exc}"
-        ) from exc

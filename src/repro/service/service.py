@@ -27,7 +27,7 @@ Crash safety lives in the journal (see :mod:`repro.service.journal`) and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import (
@@ -43,6 +43,7 @@ from repro.errors import (
 from repro.mad.reliable import RetryPolicy
 from repro.obs.hub import get_hub, span
 from repro.service.journal import IntentJournal
+from repro.service.ops import OPS, TenantOp
 from repro.service.records import (
     ServiceResponse,
     TenantQuota,
@@ -190,7 +191,8 @@ class ControlPlaneService:
             self.stats.submitted += 1
             if request_id is None:
                 request_id = self._next_request_id(tenant, op)
-            rejection = self._admission_check(tenant, op)
+            kind = OPS.get(op)  # an unknown op is TenantRequest's to refuse
+            rejection = self._admission_check(tenant, kind)
             if rejection is not None:
                 response = ServiceResponse(
                     request_id=request_id,
@@ -200,11 +202,18 @@ class ControlPlaneService:
                 )
                 self._finish(None, response, terminal_journal=False)
                 return response
+            bound = {
+                key: value
+                for key, value in sorted(params.items())
+                if value is not None
+            }
+            if kind is not None:
+                kind.bind(self, tenant, bound)
             request = TenantRequest(
                 request_id=request_id,
                 tenant=tenant,
                 op=op,
-                params=self._bind_params(tenant, op, params),
+                params=bound,
                 submitted_at=hub.now(),
                 deadline=hub.now() + self.request_timeout_s,
             )
@@ -240,11 +249,16 @@ class ControlPlaneService:
             del self._queue[: len(batch)]
             if batch:
                 self.stats.sweeps += 1
-                boots = [r for r in batch if r.op == "boot"]
-                others = [r for r in batch if r.op != "boot"]
-                self._apply_boots(boots, report)
-                for request in others:
-                    self._apply_one(request, report)
+                # Ops that can share one LFT pass go first, one pass per
+                # kind; the rest apply one by one in queue order.
+                for op in OPS.values():
+                    if op.batched:
+                        self._apply_batch(
+                            op, [r for r in batch if r.op == op.name], report
+                        )
+                for request in batch:
+                    if not OPS[request.op].batched:
+                        self._apply_one(request, report)
                 hub.advance(self.sweep_cost_s)
             self.last_sweep_latency_s = hub.now() - started
             report.latency_s = self.last_sweep_latency_s
@@ -340,15 +354,16 @@ class ControlPlaneService:
         """Recover per-tenant serials from journaled intents so a
         restarted worker never reuses a request id or VM name."""
         for state in self.journal.requests().values():
-            intent = state["intent"]
-            tenant = str(intent["tenant"])  # type: ignore[index]
-            tail = str(intent["request_id"]).rsplit("/", 1)[-1]  # type: ignore[index]
+            intent = state.intent
+            tenant = str(intent["tenant"])
+            tail = str(intent["request_id"]).rsplit("/", 1)[-1]
             if tail.isdigit():
                 self._serials[tenant] = max(
                     self._serials.get(tenant, 0), int(tail)
                 )
-            if str(intent["op"]) == "boot":  # type: ignore[index]
-                name = dict(intent.get("params") or {}).get("name") or ""  # type: ignore[union-attr]
+            params = intent.get("params")
+            if OPS[str(intent["op"])].creates_vm and isinstance(params, dict):
+                name = str(params.get("name") or "")
                 prefix = f"{tenant}-vm"
                 if name.startswith(prefix) and name[len(prefix):].isdigit():
                     self._name_serials[tenant] = max(
@@ -356,32 +371,33 @@ class ControlPlaneService:
                         int(name[len(prefix):]),
                     )
 
+    def mint_vm_name(self, tenant: str) -> str:
+        """The next service-assigned VM name for *tenant* (bound at
+        admission, so a journal replay boots the same VM)."""
+        serial = self._name_serials.get(tenant, 0) + 1
+        self._name_serials[tenant] = serial
+        return f"{tenant}-vm{serial}"
+
     def quota_for(self, tenant: str) -> TenantQuota:
         """The effective quota for *tenant*."""
         return self.quotas.get(tenant, self.default_quota)
 
     def _tenant_usage(self, tenant: str) -> Tuple[int, int]:
         """(vms, migrations_in_flight): live cloud state + the queue."""
+        queued = [OPS[r.op] for r in self._queue if r.tenant == tenant]
         vms = len(self.cloud.vms_of_tenant(tenant))
-        queued_boots = sum(
-            1
-            for r in self._queue
-            if r.tenant == tenant and r.op == "boot"
+        return (
+            vms + sum(op.creates_vm for op in queued),
+            sum(op.moves_vms for op in queued),
         )
-        migrations = sum(
-            1
-            for r in self._queue
-            if r.tenant == tenant and r.op in ("migrate", "evacuate")
-        )
-        return vms + queued_boots, migrations
 
     def _admission_check(
-        self, tenant: str, op: str
+        self, tenant: str, kind: Optional[TenantOp]
     ) -> Optional[Tuple[str, str]]:
         """None to admit, else (status, detail)."""
         quota = self.quota_for(tenant)
         vms, migrations = self._tenant_usage(tenant)
-        if op == "boot":
+        if kind is not None and kind.creates_vm:
             ceiling = min(quota.max_vms, quota.max_vfs)
             if vms + 1 > ceiling:
                 self._count_rejection("quota")
@@ -389,7 +405,7 @@ class ControlPlaneService:
                     "rejected_quota",
                     f"{tenant} at {vms}/{ceiling} VMs",
                 )
-        if op in ("migrate", "evacuate"):
+        if kind is not None and kind.moves_vms:
             if migrations + 1 > quota.max_migrations_in_flight:
                 self._count_rejection("quota")
                 return (
@@ -429,47 +445,6 @@ class ControlPlaneService:
         )
         return sweeps_needed * per_sweep
 
-    def _bind_params(
-        self, tenant: str, op: str, params: Dict[str, Optional[str]]
-    ) -> Dict[str, Optional[str]]:
-        """Pin everything replay needs at admission time — most notably
-        the VM name, so a journal replay boots the same VM."""
-        bound = {
-            key: value
-            for key, value in sorted(params.items())
-            if value is not None
-        }
-        if op == "boot" and "name" not in bound:
-            serial = self._name_serials.get(tenant, 0) + 1
-            self._name_serials[tenant] = serial
-            bound["name"] = f"{tenant}-vm{serial}"
-        if op == "stop" and "name" not in bound:
-            raise ServiceError("stop requests must name a VM")
-        if op == "migrate" and "name" not in bound:
-            raise ServiceError("migrate requests must name a VM")
-        if op == "migrate" and "dest" not in bound:
-            # Bind the destination now so warm recovery can tell an
-            # applied-but-unjournaled migration apart from a pending one
-            # (the VM sitting at its bound dest IS the evidence). Unknown
-            # VMs and zero-capacity fabrics stay unbound; the apply path
-            # maps those errors precisely.
-            vm = self.cloud.vms.get(bound.get("name") or "")
-            if vm is not None:
-                candidates = [
-                    h
-                    for h in self.cloud.hypervisors.values()
-                    if h.name != vm.hypervisor_name and h.has_capacity()
-                ]
-                try:
-                    bound["dest"] = self.cloud.placement.choose(
-                        candidates
-                    ).name
-                except CapacityError:
-                    pass
-        if op == "evacuate" and "hypervisor" not in bound:
-            raise ServiceError("evacuate requests must name a hypervisor")
-        return bound
-
     # -- internals: applying ----------------------------------------------
 
     def _expire_queued(self, report: SweepReport) -> None:
@@ -479,49 +454,37 @@ class ControlPlaneService:
         alive: List[TenantRequest] = []
         for request in self._queue:
             if request.deadline is not None and now > request.deadline:
-                report.timed_out += 1
-                self._finish(
-                    request,
-                    ServiceResponse(
-                        request_id=request.request_id,
-                        status="timed_out",
-                        detail="deadline passed while queued",
-                        retry_after_s=self._retry_after(),
-                    ),
-                )
+                self._time_out(request, report, "deadline passed while queued")
             else:
                 alive.append(request)
         self._queue = alive
 
-    def _apply_boots(
-        self, boots: List[TenantRequest], report: SweepReport
+    def _apply_batch(
+        self, op: TenantOp, requests: List[TenantRequest], report: SweepReport
     ) -> None:
-        """Apply the sweep's boots as one coalesced batch.
+        """Apply the sweep's requests of one kind as one coalesced batch.
 
         The fallback ladder keeps one poisoned request from starving the
         batch: transport faults retry the whole batch with backoff, then
         anything still failing is applied (and error-mapped) one by one.
         """
-        if not boots:
+        if not requests:
             return
-        specs = [
-            (r.params["name"], r.params.get("on"), r.tenant) for r in boots
-        ]
         waits = list(self.retry_policy.waits())
         for attempt in range(len(waits) + 1):
             try:
-                vms, batch = self.cloud.boot_vms_batch(specs)
+                outcomes, batch = op.execute_batch(self, requests)
             except TransportError:
                 if attempt < len(waits):
                     self._charge_wait(waits[attempt])
                     continue
-                for request in boots:
+                for request in requests:
                     self._apply_one(request, report, retries=False)
                 return
             except VirtError:
                 # Capacity / duplicate problems are per-request; let the
                 # individual path map each one precisely.
-                for request in boots:
+                for request in requests:
                     self._apply_one(request, report, retries=True)
                 return
             break
@@ -529,29 +492,12 @@ class ControlPlaneService:
         report.ideal_lft_smps += batch.ideal_lft_smps
         self.stats.lft_smps += batch.lft_smps
         self.stats.ideal_lft_smps += batch.ideal_lft_smps
-        for request, vm, boot in zip(boots, vms, batch.boots):
-            self._journal(
-                "applied",
-                request.request_id,
-                {
-                    "op": "boot",
-                    "vm": vm.name,
-                    "hypervisor": vm.hypervisor_name,
-                    "vf": boot.vf_name,
-                    "lid": boot.lid,
-                },
-            )
+        for request, (payload, response) in zip(requests, outcomes):
+            self._journal("applied", request.request_id, payload)
             report.applied += 1
             report.completed += 1
             self.stats.applied_requests += 1
-            self._finish(
-                request,
-                ServiceResponse(
-                    request_id=request.request_id,
-                    status="completed",
-                    detail=f"{vm.name} on {vm.hypervisor_name}",
-                ),
-            )
+            self._finish(request, response)
 
     def _apply_one(
         self,
@@ -564,20 +510,11 @@ class ControlPlaneService:
         waits = list(self.retry_policy.waits()) if retries else []
         now = get_hub().now()
         if request.deadline is not None and now > request.deadline:
-            report.timed_out += 1
-            self._finish(
-                request,
-                ServiceResponse(
-                    request_id=request.request_id,
-                    status="timed_out",
-                    detail="deadline passed before apply",
-                    retry_after_s=self._retry_after(),
-                ),
-            )
+            self._time_out(request, report, "deadline passed before apply")
             return
         for attempt in range(len(waits) + 1):
             try:
-                payload, response = self._execute(request)
+                payload, response = OPS[request.op].execute(self, request)
             except TransportError as exc:
                 deadline_ok = (
                     request.deadline is None
@@ -586,23 +523,11 @@ class ControlPlaneService:
                 if attempt < len(waits) and deadline_ok:
                     self._charge_wait(waits[attempt])
                     continue
-                report.timed_out += 1
-                self._finish(
-                    request,
-                    ServiceResponse(
-                        request_id=request.request_id,
-                        status="timed_out",
-                        detail=f"transport: {exc}",
-                        retry_after_s=self._retry_after(),
-                    ),
-                )
+                self._time_out(request, report, f"transport: {exc}")
                 return
             except ReproError as exc:
                 report.failed += 1
-                self._finish(
-                    request,
-                    self._map_failure(request, exc),
-                )
+                self._finish(request, self._map_failure(request, exc))
                 return
             break
         self._journal("applied", request.request_id, payload)
@@ -614,137 +539,45 @@ class ControlPlaneService:
             report.failed += 1
         self._finish(request, response, applied=True)
 
-    def _execute(
-        self, request: TenantRequest
-    ) -> Tuple[Dict[str, object], ServiceResponse]:
-        """Run one op against the cloud; returns (applied payload,
-        terminal response). Raises on transport/validation errors."""
-        params = request.params
-        rid = request.request_id
-        if request.op == "boot":
-            vm = self.cloud.boot_vm(
-                params["name"], on=params.get("on"), tenant=request.tenant
-            )
-            payload = {
-                "op": "boot",
-                "vm": vm.name,
-                "hypervisor": vm.hypervisor_name,
-                "vf": vm.vf.name if vm.vf is not None else None,
-                "lid": vm.lid,
-            }
-            return payload, ServiceResponse(
-                request_id=rid,
-                status="completed",
-                detail=f"{vm.name} on {vm.hypervisor_name}",
-            )
-        if request.op == "stop":
-            name = params["name"]
-            self._check_owner(request, name)
-            self.cloud.stop_vm(name)
-            return (
-                {"op": "stop", "vm": name},
-                ServiceResponse(
-                    request_id=rid, status="completed", detail=name
-                ),
-            )
-        if request.op == "migrate":
-            name = params["name"]
-            self._check_owner(request, name)
-            dest = params.get("dest")
-            if dest is None:
-                vm = self.cloud.vms[name]
-                candidates = [
-                    h
-                    for h in self.cloud.hypervisors.values()
-                    if h.name != vm.hypervisor_name and h.has_capacity()
-                ]
-                dest = self.cloud.placement.choose(candidates).name
-            result = self.cloud.live_migrate(name, dest)
-            payload = {
-                "op": "migrate",
-                "vm": name,
-                "dest": dest,
-                "outcome": result.outcome,
-            }
-            if result.outcome == "completed":
-                return payload, ServiceResponse(
-                    request_id=rid,
-                    status="completed",
-                    detail=f"{name} -> {dest}",
-                )
-            return payload, ServiceResponse(
-                request_id=rid,
-                status="failed",
-                detail=f"migration {result.outcome}: {result.failure}",
-                retry_after_s=(
-                    self._retry_after()
-                    if result.outcome == "rolled_back"
-                    else None
-                ),
-            )
-        if request.op == "evacuate":
-            hyp_name = params["hypervisor"]
-            results = self.cloud.evacuate(hyp_name)
-            moved = [
-                {"vm": r.vm_name, "dest": r.destination, "outcome": r.outcome}
-                for r in results
-            ]
-            remaining = len(
-                list(self.cloud.hypervisors[hyp_name].running_vms())
-            )
-            payload = {
-                "op": "evacuate",
-                "hypervisor": hyp_name,
-                "migrations": moved,
-                "remaining": remaining,
-            }
-            if remaining:
-                return payload, ServiceResponse(
-                    request_id=rid,
-                    status="failed",
-                    detail=(
-                        f"partial drain: {remaining} VMs still on"
-                        f" {hyp_name} (no capacity)"
-                    ),
-                    retry_after_s=self._retry_after(),
-                )
-            return payload, ServiceResponse(
-                request_id=rid,
-                status="completed",
-                detail=f"{hyp_name} drained ({len(moved)} migrations)",
-            )
-        raise ServiceError(f"unknown op {request.op!r}")
-
-    def _check_owner(self, request: TenantRequest, vm_name: str) -> None:
-        """Tenant isolation: operating on another tenant's VM is an
-        unknown-resource error, indistinguishable from absence."""
-        vm = self.cloud.vms.get(vm_name)
-        if vm is None or vm.tenant != request.tenant:
-            raise UnknownResourceError(
-                f"unknown VM {vm_name!r} for tenant {request.tenant!r}"
-            )
+    def _time_out(
+        self, request: TenantRequest, report: SweepReport, detail: str
+    ) -> None:
+        """The explicit end of a request the fabric could not serve in
+        time: a terminal response with a retry hint, never a silent drop."""
+        report.timed_out += 1
+        self._finish(
+            request, self.respond(request, "timed_out", detail, retry=True)
+        )
 
     def _map_failure(
         self, request: TenantRequest, exc: ReproError
     ) -> ServiceResponse:
         """Deterministic failure taxonomy: retryable vs permanent."""
         if isinstance(exc, CapacityError):
-            return ServiceResponse(
-                request_id=request.request_id,
-                status="failed",
-                detail=f"capacity: {exc}",
-                retry_after_s=self._retry_after(),
+            return self.respond(
+                request, "failed", f"capacity: {exc}", retry=True
             )
         if isinstance(exc, (UnknownResourceError, MigrationError)):
-            return ServiceResponse(
-                request_id=request.request_id,
-                status="failed",
-                detail=str(exc),
-            )
+            return self.respond(request, "failed", str(exc))
+        return self.respond(
+            request, "failed", f"{type(exc).__name__}: {exc}"
+        )
+
+    def respond(
+        self,
+        request: TenantRequest,
+        status: str,
+        detail: str = "",
+        *,
+        retry: bool = False,
+    ) -> ServiceResponse:
+        """A response to *request*; *retry* attaches the deterministic
+        retry-after hint (time to drain the current queue)."""
         return ServiceResponse(
             request_id=request.request_id,
-            status="failed",
-            detail=f"{type(exc).__name__}: {exc}",
+            status=status,
+            detail=detail,
+            retry_after_s=self._retry_after() if retry else None,
         )
 
     def _charge_wait(self, wait: float) -> None:

@@ -23,20 +23,23 @@ failover report surfaces.
 The journal is bounded: entries older than the capacity are truncated,
 so a standby that fell far enough behind can never catch up and is
 permanently stale until the next failover re-seeds it.
+
+Numbering, truncation and in-order application are
+:mod:`repro.util.seqlog`'s; this module adds the record schema (entry
+kinds) and what each kind does to a replica.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.constants import LFT_BLOCK_SIZE, LFT_DROP_PORT, LFT_UNSET
 from repro.errors import HighAvailabilityError
-from repro.fabric.lft import lft_block_of
+from repro.fabric.lft import apply_column_op
 from repro.sm.routing.base import RoutingTables
+from repro.util.seqlog import InOrderConsumer, SequencedLog
 
 __all__ = ["JournalEntry", "ReplicationJournal", "StandbyReplica"]
 
@@ -57,52 +60,22 @@ class JournalEntry:
         return {"seq": self.seq, "kind": self.kind, "payload": self.payload}
 
 
-class ReplicationJournal:
+class ReplicationJournal(SequencedLog[JournalEntry]):
     """Bounded, sequence-numbered log of the master's state changes."""
 
     def __init__(self, capacity: int = 2048) -> None:
         if capacity < 1:
             raise HighAvailabilityError("journal capacity must be >= 1")
-        self.capacity = capacity
-        self._entries: Deque[JournalEntry] = deque(maxlen=capacity)
-        self._next_seq = 1
+        super().__init__(capacity)
 
     def append(self, kind: str, payload: Dict[str, Any]) -> JournalEntry:
         """Record one state change and return its entry."""
         if kind not in ENTRY_KINDS:
             raise HighAvailabilityError(f"unknown journal entry kind {kind!r}")
-        entry = JournalEntry(self._next_seq, kind, payload)
-        self._next_seq += 1
-        self._entries.append(entry)
-        return entry
-
-    @property
-    def head_seq(self) -> int:
-        """Sequence number of the newest entry (0 when empty)."""
-        return self._next_seq - 1
-
-    @property
-    def oldest_seq(self) -> int:
-        """Oldest retained sequence number (0 when empty)."""
-        return self._entries[0].seq if self._entries else 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def entries_since(self, seq: int) -> Optional[List[JournalEntry]]:
-        """Entries with sequence number > *seq*, oldest first.
-
-        Returns ``None`` when the journal has truncated past *seq* — the
-        requester can never catch up incrementally and must resync.
-        """
-        if seq >= self.head_seq:
-            return []
-        if self._entries and seq + 1 < self._entries[0].seq:
-            return None
-        return [e for e in self._entries if e.seq > seq]
+        return self.append_entry(JournalEntry(self.next_seq, kind, payload))
 
 
-class StandbyReplica:
+class StandbyReplica(InOrderConsumer):
     """One standby's view of the replicated SM state.
 
     Applies journal batches strictly in order: a gap (lost batch) stops
@@ -110,11 +83,8 @@ class StandbyReplica:
     """
 
     def __init__(self, node_name: str) -> None:
+        super().__init__()
         self.node_name = node_name
-        self.applied_seq = 0
-        self.applied_count = 0
-        #: Entries refused because of a sequence gap.
-        self.gaps = 0
         self.lids: Dict[str, int] = {}
         self.tables_payload: Optional[Dict[str, Any]] = None
         #: Per-switch block counts of the last distribution the master
@@ -130,19 +100,11 @@ class StandbyReplica:
     def apply(self, entries: List[Dict[str, Any]]) -> int:
         """Apply one delivered batch of serialized entries; return how
         many were applied (duplicates skipped, gaps refused)."""
-        applied = 0
-        for raw in entries:
-            seq = int(raw["seq"])
-            if seq <= self.applied_seq:
-                continue  # duplicate delivery
-            if seq != self.applied_seq + 1:
-                self.gaps += 1
-                break  # a batch was lost before this one: stale from here
-            self._apply_one(raw["kind"], raw["payload"])
-            self.applied_seq = seq
-            self.applied_count += 1
-            applied += 1
-        return applied
+        return self.consume(
+            entries,
+            lambda raw: int(raw["seq"]),
+            lambda raw: self._apply_one(raw["kind"], raw["payload"]),
+        )
 
     def _apply_one(self, kind: str, payload: Dict[str, Any]) -> None:
         if kind == "lid":
@@ -158,55 +120,17 @@ class StandbyReplica:
         elif kind == "lft":
             self.lft_blocks = dict(payload.get("blocks", {}))
         elif kind == "vswitch":
+            # The master's reconfigurer landed this same op on its live
+            # ``current_tables``; a replica that skipped it would hand the
+            # successor pre-migration routing and the light sweep would
+            # *revert* the moves.
             self.vswitch = payload
-            self._apply_vswitch(payload)
+            if self.tables_payload is not None:
+                ports = apply_column_op(self.tables_payload["ports"], payload)
+                if ports is not None:
+                    self.tables_payload["ports"] = ports
         elif kind == "topology":
             self.topology_mutations.append(dict(payload))
-
-    def _apply_vswitch(self, payload: Dict[str, Any]) -> None:
-        """Mirror a vSwitch table update onto the replicated tables.
-
-        The master's reconfigurer keeps its live ``current_tables`` in
-        sync after every LID migration; a replica that skipped this
-        would hand the successor pre-migration routing and the light
-        sweep would *revert* the moves.
-        """
-        if self.tables_payload is None:
-            return
-        ports = self.tables_payload["ports"]
-        op = payload.get("op")
-        switches = payload.get("switches")
-        rows = slice(None) if switches is None else list(switches)
-        if op == "swap":
-            lid_a, lid_b = int(payload["lid_a"]), int(payload["lid_b"])
-            if max(lid_a, lid_b) >= ports.shape[1]:
-                return
-            col_a = ports[rows, lid_a].copy()
-            ports[rows, lid_a] = ports[rows, lid_b]
-            ports[rows, lid_b] = col_a
-        elif op == "copy":
-            template, target = (
-                int(payload["template_lid"]),
-                int(payload["target_lid"]),
-            )
-            top = max(template, target)
-            if top >= ports.shape[1]:
-                width = (lft_block_of(top) + 1) * LFT_BLOCK_SIZE
-                grown = np.full(
-                    (ports.shape[0], width), LFT_UNSET, dtype=ports.dtype
-                )
-                grown[:, : ports.shape[1]] = ports
-                ports = grown
-                self.tables_payload["ports"] = ports
-            ports[rows, target] = ports[rows, template]
-        elif op == "invalidate":
-            lid = int(payload["lid"])
-            if lid < ports.shape[1]:
-                ports[:, lid] = LFT_DROP_PORT
-
-    def is_current(self, journal: ReplicationJournal) -> bool:
-        """Whether this replica has applied everything the master logged."""
-        return self.applied_seq == journal.head_seq
 
     def routing_tables(self) -> Optional[RoutingTables]:
         """Reconstruct the last replicated routing intent.

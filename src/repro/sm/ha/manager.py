@@ -55,6 +55,16 @@ DEFAULT_HEARTBEAT_POLICY = RetryPolicy(
 )
 
 
+def _try_send(sender, smp: Smp):
+    """Send one HA MAD; ``None`` when it timed out after the sender's
+    retries or its target is unreachable — to the protocol the same
+    verdict (a missed lease, a stale standby, a peer that never heard)."""
+    try:
+        return sender.send(smp)
+    except (SmpTimeoutError, UnreachableTargetError):
+        return None
+
+
 class HighAvailabilityManager:
     """Runs the SM HA protocol over one subnet manager's transport."""
 
@@ -227,19 +237,21 @@ class HighAvailabilityManager:
         ``fabric_generation`` at the old master's value — and the stale
         master's writes would still be accepted after a partition heal.
         """
-        try:
-            self.sm.smp_sender.send(
-                Smp(
-                    SmpMethod.SET,
-                    SmpKind.PORT_INFO,
-                    master.node_name,
-                    payload={},
-                )
-            )
-        except (SmpTimeoutError, UnreachableTargetError):
+        fence = Smp(
+            SmpMethod.SET, SmpKind.PORT_INFO, master.node_name, payload={}
+        )
+        if _try_send(self.sm.smp_sender, fence) is None:
             # The successor's first LFT write will arm the fence instead;
             # only an empty-diff failover is briefly unfenced.
             self.fence_arm_failures += 1
+
+    @staticmethod
+    def _set_sminfo(sender, target: str, payload: Dict[str, Any]) -> bool:
+        """One SubnSet(SMInfo) to the SM agent on *target* — the only
+        place a handshake or replication MAD is built. False when it was
+        lost (after the sender's retries) or *target* is unreachable."""
+        smp = Smp(SmpMethod.SET, SmpKind.SM_INFO, target, payload=payload)
+        return _try_send(sender, smp) is not None
 
     # -- SMInfo agent (called by the transport on SMInfo MAD delivery) --------
 
@@ -352,16 +364,13 @@ class HighAvailabilityManager:
     def _replicate(self, entry: JournalEntry) -> None:
         """Stream one journal entry to every alive standby.
 
-        Uses the master's sender, so replication MADs are retried,
-        accounted and fault-injectable like all other control traffic. A
-        batch lost after retries leaves that standby's replica stale —
+        A batch lost after retries leaves that standby's replica stale —
         detected at failover, answered with the heavy sweep.
         """
         metrics = get_hub().metrics
         metrics.counter("repro_sm_journal_entries_total", kind=entry.kind).add(1)
         master = self.master
         master_name = master.node_name if master else None
-        batch = [entry.as_dict()]
         for part in self.participants():
             if (
                 not part.alive
@@ -369,59 +378,57 @@ class HighAvailabilityManager:
                 or part.node_name == master_name
             ):
                 continue
-            try:
-                self.sm.smp_sender.send(
-                    Smp(
-                        SmpMethod.SET,
-                        SmpKind.SM_INFO,
-                        part.node_name,
-                        payload={
-                            "replicate": batch,
-                            "from": master_name,
-                            "generation": self._generation,
-                        },
-                    )
-                )
+            if self._send_batch(part.node_name, [entry], master_name):
                 metrics.counter("repro_sm_replication_batches_total").add(1)
-            except (SmpTimeoutError, UnreachableTargetError):
-                self.replication_failures += 1
+            else:
                 metrics.counter("repro_sm_replication_failures_total").add(1)
 
-    def resync_standby(self, node_name: str) -> int:
+    def _send_batch(
+        self,
+        node_name: str,
+        entries: List[JournalEntry],
+        master_name: Optional[str],
+    ) -> bool:
+        """Send one replication batch to one standby.
+
+        Uses the master's sender, so replication MADs are retried,
+        accounted and fault-injectable like all other control traffic.
+        """
+        sent = self._set_sminfo(
+            self.sm.smp_sender,
+            node_name,
+            {
+                "replicate": [e.as_dict() for e in entries],
+                "from": master_name,
+                "generation": self._generation,
+            },
+        )
+        if not sent:
+            self.replication_failures += 1
+        return sent
+
+    def resync_standby(self, node_name: str) -> Optional[int]:
         """Stream the journal tail a standby is missing, in batches.
 
-        Returns the number of entries sent. A standby the journal has
-        truncated past cannot be resynced incrementally and keeps its
+        Returns the number of entries sent — 0 when it is missing
+        nothing — or ``None`` when the journal has truncated past the
+        standby: it cannot be resynced incrementally and keeps its
         (stale) replica until the next failover re-seeds it.
         """
         replica = self._replicas.setdefault(
             node_name, StandbyReplica(node_name)
         )
         missing = self.journal.entries_since(replica.applied_seq)
-        if not missing:
-            return 0
+        if missing is None:
+            return None
+        master = self.master
+        master_name = master.node_name if master else None
         sent = 0
         for start in range(0, len(missing), self.replication_batch):
-            batch = [
-                e.as_dict()
-                for e in missing[start : start + self.replication_batch]
-            ]
-            try:
-                self.sm.smp_sender.send(
-                    Smp(
-                        SmpMethod.SET,
-                        SmpKind.SM_INFO,
-                        node_name,
-                        payload={
-                            "replicate": batch,
-                            "generation": self._generation,
-                        },
-                    )
-                )
-                sent += len(batch)
-            except (SmpTimeoutError, UnreachableTargetError):
-                self.replication_failures += 1
+            batch = missing[start : start + self.replication_batch]
+            if not self._send_batch(node_name, batch, master_name):
                 break
+            sent += len(batch)
         return sent
 
     # -- liveness -------------------------------------------------------------
@@ -450,14 +457,11 @@ class HighAvailabilityManager:
         target = self.believed_master
         if target is None:
             return False
-        sender = self._heartbeat_sender(standby.node_name)
-        try:
-            result = sender.send(
-                Smp(SmpMethod.GET, SmpKind.SM_INFO, target.node_name)
-            )
-        except (SmpTimeoutError, UnreachableTargetError):
-            return False
-        return result.ok
+        result = _try_send(
+            self._heartbeat_sender(standby.node_name),
+            Smp(SmpMethod.GET, SmpKind.SM_INFO, target.node_name),
+        )
+        return result is not None and result.ok
 
     def tick(self) -> Optional[ConfigureReport]:
         """One HA protocol round: heartbeats, lease expiry, takeover.
@@ -538,42 +542,25 @@ class HighAvailabilityManager:
             before = self.transport.stats.snapshot()
             handshake_gen = self._generation + 1
             hs_sender = self._heartbeat_sender(winner.node_name)
+
+            def shake(peer: SmParticipant, mod: SmInfoAttrMod) -> None:
+                self._set_sminfo(
+                    hs_sender,
+                    peer.node_name,
+                    {
+                        "attr_mod": int(mod),
+                        "from": winner.node_name,
+                        "generation": handshake_gen,
+                    },
+                )
+
             if old_master is not None:
-                try:
-                    hs_sender.send(
-                        Smp(
-                            SmpMethod.SET,
-                            SmpKind.SM_INFO,
-                            old_master.node_name,
-                            payload={
-                                "attr_mod": int(SmInfoAttrMod.HANDOVER),
-                                "from": winner.node_name,
-                                "generation": handshake_gen,
-                            },
-                        )
-                    )
-                except (SmpTimeoutError, UnreachableTargetError):
-                    # Dead or partitioned: it never hears the HANDOVER and
-                    # may keep believing MASTER — the fence handles it.
-                    pass
+                # Dead or partitioned, it never hears the HANDOVER and may
+                # keep believing MASTER — the fence handles it.
+                shake(old_master, SmInfoAttrMod.HANDOVER)
             for peer in self.participants():
-                if peer is winner or peer is old_master or not peer.alive:
-                    continue
-                try:
-                    hs_sender.send(
-                        Smp(
-                            SmpMethod.SET,
-                            SmpKind.SM_INFO,
-                            peer.node_name,
-                            payload={
-                                "attr_mod": int(SmInfoAttrMod.STANDBY),
-                                "from": winner.node_name,
-                                "generation": handshake_gen,
-                            },
-                        )
-                    )
-                except (SmpTimeoutError, UnreachableTargetError):
-                    pass
+                if peer is not winner and peer is not old_master and peer.alive:
+                    shake(peer, SmInfoAttrMod.STANDBY)
             self._promote(winner)
             self._arm_fence(winner)
             handshake = self.transport.stats.delta_since(before)
@@ -663,16 +650,10 @@ class HighAvailabilityManager:
             # comparison against it and yield.
             legit = self.master
             if legit is not None and legit is not part:
-                try:
-                    stale_sender.send(
-                        Smp(
-                            SmpMethod.GET,
-                            SmpKind.SM_INFO,
-                            legit.node_name,
-                        )
-                    )
-                except (SmpTimeoutError, UnreachableTargetError):
-                    pass
+                _try_send(
+                    stale_sender,
+                    Smp(SmpMethod.GET, SmpKind.SM_INFO, legit.node_name),
+                )
             part.state = SmHaState.STANDBY
             part.missed_leases = 0
             self.demotions += 1

@@ -12,6 +12,7 @@ from repro.constants import (
 from repro.errors import TopologyError
 from repro.fabric.lft import (
     LinearForwardingTable,
+    apply_column_op,
     blocks_covering,
     lft_block_of,
     min_blocks_for_lid_count,
@@ -243,3 +244,66 @@ class TestBlocksAndDiff:
         arr = lft.as_array()
         with pytest.raises(ValueError):
             arr[1] = 5
+
+
+class TestApplyColumnOp:
+    """The one Algorithm-1 edit of a recorded ``ports[switch, lid]``."""
+
+    @staticmethod
+    def matrix():
+        return np.arange(12, dtype=np.int16).reshape(3, 4)
+
+    def test_swap_exchanges_two_columns_in_place(self):
+        ports = self.matrix()
+        out = apply_column_op(ports, {"op": "swap", "lid_a": 1, "lid_b": 2})
+        assert out is ports
+        assert ports[:, 1].tolist() == [2, 6, 10]
+        assert ports[:, 2].tolist() == [1, 5, 9]
+
+    def test_switch_rows_limit_the_edit(self):
+        ports = self.matrix()
+        apply_column_op(
+            ports, {"op": "swap", "lid_a": 1, "lid_b": 2, "switches": [0, 2]}
+        )
+        assert ports[:, 1].tolist() == [2, 5, 10]
+        assert ports[:, 2].tolist() == [1, 6, 9]
+
+    def test_copy_within_the_matrix(self):
+        ports = self.matrix()
+        op = {"op": "copy", "template_lid": 3, "target_lid": 0, "switches": None}
+        assert apply_column_op(ports, op) is ports
+        assert ports[:, 0].tolist() == [3, 7, 11]
+
+    def test_copy_beyond_the_matrix_grows_it_in_unset_blocks(self):
+        ports = self.matrix()
+        grown = apply_column_op(
+            ports, {"op": "copy", "template_lid": 1, "target_lid": 70}
+        )
+        assert grown is not ports and grown.dtype == ports.dtype
+        assert grown.shape == (3, 2 * LFT_BLOCK_SIZE)
+        assert np.array_equal(grown[:, :4], self.matrix())
+        assert grown[:, 70].tolist() == [1, 5, 9]
+        rest = np.delete(grown[:, 4:], 70 - 4, axis=1)
+        assert (rest == LFT_UNSET).all()
+
+    def test_invalidate_points_the_column_at_the_drop_port(self):
+        ports = self.matrix()
+        apply_column_op(ports, {"op": "invalidate", "lid": 2})
+        assert (ports[:, 2] == LFT_DROP_PORT).all()
+        assert ports[:, 1].tolist() == [1, 5, 9]
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            {"op": "swap", "lid_a": 1, "lid_b": 4},
+            {"op": "invalidate", "lid": 4},
+        ],
+    )
+    def test_swap_and_invalidate_beyond_the_matrix_touch_nothing(self, op):
+        ports = self.matrix()
+        assert apply_column_op(ports, op) is None
+        assert np.array_equal(ports, self.matrix())
+
+    def test_unknown_op_is_a_typed_error(self):
+        with pytest.raises(TopologyError, match="unknown LFT column op"):
+            apply_column_op(self.matrix(), {"op": "rotate"})

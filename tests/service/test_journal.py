@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ServiceError, ServiceKilled
 from repro.service import IntentJournal
+from repro.service.journal import RequestState
 
 
 class TestAppend:
@@ -70,12 +71,15 @@ class TestFolding:
         j.append("completed", "a", {"status": "completed"})
         folded = j.requests()
         assert list(folded) == ["a", "b"]  # intent order preserved
-        assert folded["a"]["phase"] == "completed"
-        assert folded["a"]["applied"] == {"vm": "t-vm1"}
-        assert folded["a"]["applied_seq"] == 4
-        assert folded["a"]["terminal"] == {"status": "completed"}
-        assert folded["b"]["phase"] == "intent"
-        assert folded["b"]["applied"] is None
+        assert folded["a"] == RequestState(
+            intent={"op": "boot"},
+            phase="completed",
+            applied={"vm": "t-vm1"},
+            applied_seq=4,
+            terminal={"status": "completed"},
+        )
+        assert folded["b"].phase == "intent"
+        assert folded["b"].applied is None
 
     def test_duplicate_intent_rejected(self):
         j = IntentJournal()
@@ -118,7 +122,7 @@ class TestDurability:
         j.append("intent", "b")
         lines = sink.read_text(encoding="utf-8").splitlines()
         sink.write_text(lines[1] + "\n", encoding="utf-8")  # drop seq 1
-        with pytest.raises(ServiceError, match="journal gap"):
+        with pytest.raises(ServiceError, match="line 1: journal gap"):
             IntentJournal.from_jsonl(sink)
 
     def test_crash_before_write_leaves_sink_clean(self, tmp_path):
@@ -130,3 +134,28 @@ class TestDurability:
             j.append("applied", "a")
         loaded = IntentJournal.from_jsonl(sink)
         assert loaded.head_seq == 1
+
+    def test_torn_tail_is_a_typed_error_naming_the_line(self, tmp_path):
+        """A crash mid-write leaves half a line; loading says where."""
+        sink = tmp_path / "journal.jsonl"
+        j = IntentJournal(sink)
+        j.append("intent", "a")
+        j.append("applied", "a", {"lid": 41})
+        text = sink.read_text(encoding="utf-8")
+        sink.write_text(text[: len(text) - 9], encoding="utf-8")
+        with pytest.raises(ServiceError, match=r"line 2: not JSON"):
+            IntentJournal.from_jsonl(sink)
+
+    def test_missing_field_is_a_typed_error_naming_the_line(self, tmp_path):
+        sink = tmp_path / "journal.jsonl"
+        IntentJournal(sink).append("intent", "a")
+        with sink.open("a", encoding="utf-8") as fh:
+            fh.write('{"phase": "applied", "request_id": "a"}\n')
+        with pytest.raises(ServiceError, match=r"line 2: missing field 'seq'"):
+            IntentJournal.from_jsonl(sink)
+
+    def test_non_object_line_is_a_typed_error_naming_the_line(self, tmp_path):
+        sink = tmp_path / "journal.jsonl"
+        sink.write_text("[1, 2, 3]\n", encoding="utf-8")
+        with pytest.raises(ServiceError, match=r"line 1: expected a JSON object"):
+            IntentJournal.from_jsonl(sink)

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.verification import verify_sm_consistency
+from repro.analysis.verification import verify_sm_consistency, verify_subnet
+from repro.core.reconfig import VSwitchReconfigurer
 from repro.errors import DistributionError, HighAvailabilityError
 from repro.fabric.node import Switch
 from repro.fabric.presets import scaled_fattree
@@ -38,13 +39,15 @@ def lfts_equal(a, b):
     )
 
 
-def build_ha_sm(*, retries=1, lease_misses=2):
+def build_ha_sm(*, retries=1, lease_misses=2, journal_capacity=2048):
     """Configured fat-tree SM with three registered HA participants."""
     built = scaled_fattree("2l-small")
     sm = SubnetManager(built.topology, engine="minhop", built=built)
     sm.enable_resilience(RetryPolicy(retries=retries), transactional=True)
     sm.initial_configure(with_discovery=False)
-    ha = HighAvailabilityManager(sm, lease_misses=lease_misses)
+    ha = HighAvailabilityManager(
+        sm, lease_misses=lease_misses, journal_capacity=journal_capacity
+    )
     hcas = built.topology.hcas
     ha.register(hcas[0].name, guid=10, priority=10)
     ha.register(hcas[1].name, guid=20, priority=5)
@@ -58,6 +61,14 @@ def first_interswitch_link(sm):
         if all(isinstance(p.node, Switch) for p in link.ends):
             return link
     raise AssertionError("no inter-switch link")
+
+
+#: One Algorithm-1 edit: (kind, HCA index, HCA index).
+vswitch_op = st.tuples(
+    st.sampled_from(["swap", "copy", "invalidate", "skyline-swap"]),
+    st.integers(min_value=0, max_value=11),
+    st.integers(min_value=0, max_value=11),
+)
 
 
 class TestMembershipAndBootstrap:
@@ -172,33 +183,88 @@ class TestReplication:
         assert replica.gaps == 1
         assert replica.applied_seq == 1
 
-    def test_replica_mirrors_vswitch_ops(self):
-        replica = StandbyReplica("h")
-        ports = np.arange(12, dtype=np.int16).reshape(3, 4)
-        replica.apply(
-            [
-                {
-                    "seq": 1,
-                    "kind": "tables",
-                    "payload": {"algorithm": "minhop", "ports": ports},
-                },
-                {
-                    "seq": 2,
-                    "kind": "vswitch",
-                    "payload": {
-                        "op": "swap",
-                        "lid_a": 1,
-                        "lid_b": 2,
-                        "switches": None,
-                    },
-                },
-            ]
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(ops=st.lists(vswitch_op, min_size=1, max_size=6))
+    def test_replica_mirrors_vswitch_ops(self, ops):
+        """master == replica == hardware after every Algorithm-1 edit:
+        the SM's recorded tables and a standby's replica take the same
+        column op through the same function, and both agree with the
+        switches' LFTs on every column touched so far."""
+        sm, ha = build_ha_sm()
+        reconfigurer = VSwitchReconfigurer(sm)
+        standby = next(
+            p for p in ha.participants() if p.state is SmHaState.STANDBY
         )
-        got = replica.tables_payload["ports"]
-        assert list(got[:, 1]) == [2, 6, 10]
-        assert list(got[:, 2]) == [1, 5, 9]
-        # The journal's own payload is untouched (replicas deep-copy).
-        assert list(ports[:, 1]) == [1, 5, 9]
+        hcas = sm.topology.hcas
+        leaf = hcas[0].ports[1].remote.node
+        same_leaf = [
+            h.lid for h in hcas if h.ports[1].remote.node is leaf
+        ]
+        far = sm.current_tables.top_lid + 70  # beyond the recorded matrix
+        touched = set()
+        for kind, i, j in ops:
+            a, b = hcas[i].lid, hcas[j].lid
+            if kind == "swap" and a != b:
+                reconfigurer.swap_lids(a, b)
+                touched |= {a, b}
+            elif kind == "copy":
+                reconfigurer.copy_path(a, far + j)  # grows on first use
+                touched |= {a, far + j}
+            elif kind == "invalidate":
+                reconfigurer.invalidate_lid(a)
+                touched.add(a)
+            elif kind == "skyline-swap":
+                a, b = same_leaf[i % 2], same_leaf[2 + j % 2]
+                reconfigurer.swap_lids(a, b, limit_switches={leaf.index})
+                touched |= {a, b}
+            recorded = sm.current_tables.ports
+            replica = ha.replica(standby.node_name)
+            assert replica.is_current(ha.journal)
+            assert np.array_equal(replica.routing_tables().ports, recorded)
+            for sw in sm.topology.switches:
+                for lid in touched:
+                    assert sw.lft.get(lid) == recorded[sw.index, lid]
+
+    def test_standby_the_ring_truncated_past_pays_the_heavy_sweep(self):
+        """A standby that fell further behind than the journal's ring
+        keeps can never be caught up from it: resync says so (``None``,
+        not ``0``) and sends nothing, and a failover onto that standby is
+        the heavy sweep — after which the fabric verifies clean and the
+        surviving standby holds a current replica of the new master."""
+        sm, ha = build_ha_sm(journal_capacity=4)
+        injector = FaultInjector(FaultPlan(seed=5))
+        sm.transport.set_fault_injector(injector)
+        successor, survivor = sorted(
+            (p for p in ha.participants() if not p.is_master),
+            key=lambda p: p.election_key(),
+        )
+        replica = ha.replica(successor.node_name)
+        assert replica.applied_seq == 2  # the bootstrap seed: LIDs, tables
+        injector.isolate([successor.node_name])
+        for i in range(6):
+            ha.note_lids({f"extra-{i}": 900 + i})
+        injector.heal()
+        assert ha.journal.head_seq >= 8 and ha.journal.oldest_seq > 3
+        before = sm.transport.stats.snapshot()
+        assert ha.resync_standby(successor.node_name) is None
+        assert sm.transport.stats.delta_since(before).total_smps == 0
+        assert ha.replica(successor.node_name) is replica
+        assert replica.applied_seq == 2 and "extra-0" not in replica.lids
+        assert not replica.is_current(ha.journal)
+        ha.kill_master()
+        report = None
+        while report is None:
+            report = ha.tick()
+        assert ha.master is successor
+        assert report.sweep_mode == "heavy"
+        assert report.path_compute_seconds > 0
+        assert verify_subnet(sm).ok
+        assert ha.replica(successor.node_name) is None  # it is the master now
+        assert ha.replica(survivor.node_name).is_current(ha.journal)
 
     def test_resync_catches_a_standby_up(self):
         sm, ha = build_ha_sm()
