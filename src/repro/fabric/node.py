@@ -98,6 +98,11 @@ class Port:
             return None
         return self.link.other_end(self)
 
+    def no_far_end(self) -> TopologyError:
+        """What a walk raises at this port when its cable ends nowhere."""
+        where = f"port {self.num} of {self.node.name!r}"
+        return TopologyError(f"{where} reports a link with no far end")
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Port {self.node.name}:{self.num}>"
 
@@ -291,7 +296,8 @@ class Switch(Node):
         out: List[HCA] = []
         for port in self.connected_ports():
             peer = port.remote
-            assert peer is not None
+            if peer is None:
+                raise port.no_far_end()
             if isinstance(peer.node, HCA):
                 out.append(peer.node)
         return out

@@ -365,7 +365,8 @@ class Topology:
             )
         for port in list(node.connected_ports()):
             link = port.link
-            assert link is not None
+            if link is None:
+                raise port.no_far_end()
             link.disconnect()
             self._links.remove(link)
         self._switches.remove(node)
@@ -496,11 +497,12 @@ class Topology:
         indptr = [0]
         for sw in self._switches:
             for port in sw.connected_ports():
-                peer = port.remote
-                assert peer is not None and port.link is not None
+                link, peer = port.link, port.remote
+                if link is None or peer is None:
+                    raise port.no_far_end()
                 if isinstance(peer.node, Switch):
                     edges.append(
-                        (peer.node.index, port.num, peer.num, port.link.latency)
+                        (peer.node.index, port.num, peer.num, link.latency)
                     )
             indptr.append(len(edges))
         peers, out_ports, in_ports, latencies = zip(*edges) if edges else ((),) * 4

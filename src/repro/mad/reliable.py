@@ -26,7 +26,7 @@ get their own ``smp_retry`` span and the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -36,7 +36,7 @@ from repro.errors import (
     SmpTimeoutError,
     StaleGenerationError,
 )
-from repro.mad.smp import Smp, SmpResult, SmpStatus
+from repro.mad.smp import Smp, SmpPlan, SmpResult, SmpStatus
 from repro.mad.transport import SmpTransport
 from repro.obs.hub import get_hub
 
@@ -173,6 +173,13 @@ class ReliableSmpSender:
             on_loss=self._recover,
             applied=applied,
         )
+
+    def deliver(self, plan: SmpPlan, *, applied: Optional[List[int]] = None) -> None:
+        """:meth:`SmpTransport.deliver` of *plan*, stamped with this sender's
+        generation unless it has its own, each packet recovered like :meth:`send`."""
+        if plan.generation is None:
+            plan = replace(plan, generation=self.generation)
+        self.transport.deliver(plan, on_loss=self._recover, applied=applied)
 
     def _recover(self, smp: Smp, result: SmpResult) -> SmpResult:
         if result.status is SmpStatus.STALE_GENERATION:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +33,7 @@ __all__ = [
     "SmInfoAttrMod",
     "Smp",
     "SmpResult",
+    "SmpPlan",
     "make_set_lft_block",
 ]
 
@@ -154,6 +155,57 @@ class SmpResult:
     def ok(self) -> bool:
         """True iff the SMP was delivered (and answered, for GETs)."""
         return self.status is SmpStatus.DELIVERED
+
+
+@dataclass
+class SmpPlan:
+    """SMPs to deliver in order, as a struct of arrays.
+
+    Row ``i`` is ``counts[i]`` consecutive packets of kind ``kinds[i]``
+    to the node ``targets[i]`` — SubnSet for an LFT block, SubnGet for
+    anything else — all in one routing mode and under one fence stamp
+    (*generation*, ``None`` for unfenced). Packet ``p``, rows laid end to
+    end, carries ``args[p]``: the port of a PortInfo, or the block of an
+    LFT write whose 64-entry payload is ``entries[p]``.
+    """
+
+    targets: Sequence[str]
+    kinds: Sequence[SmpKind]
+    counts: Sequence[int]
+    args: Sequence[int]
+    entries: Optional[np.ndarray] = None
+    directed: bool = True
+    generation: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        n = len(self.args)
+        shape = None if self.entries is None else self.entries.shape
+        lft = shape is not None or SmpKind.LFT_BLOCK in self.kinds
+        if sum(self.counts) != n or (lft and shape != (n, LFT_BLOCK_SIZE)):
+            raise TopologyError(
+                f"a plan of {sum(self.counts)} SMPs got {n} arguments and LFT"
+                f" payloads of shape {shape}, not ({n}, {LFT_BLOCK_SIZE})"
+            )
+
+    @staticmethod
+    def method_of(kind: SmpKind) -> SmpMethod:
+        """The method of a row of *kind*."""
+        return SmpMethod.SET if kind is SmpKind.LFT_BLOCK else SmpMethod.GET
+
+    def packets(self) -> Iterator[Smp]:
+        """The plan packet by packet, as :meth:`SmpTransport.send` takes them."""
+        rows = zip(self.targets, self.kinds, self.counts)
+        heads = ((name, kind) for name, kind, count in rows for _ in range(count))
+        for p, (name, kind) in enumerate(heads):
+            payload: Dict[str, Any] = {}
+            if kind is SmpKind.LFT_BLOCK:
+                payload = {"block": int(self.args[p]), "entries": self.entries[p]}
+            elif kind is SmpKind.PORT_INFO:
+                payload = {"port": self.args[p]}
+            yield Smp(
+                self.method_of(kind), kind, name, payload,
+                self.directed, self.generation,
+            )
 
 
 def make_set_lft_block(

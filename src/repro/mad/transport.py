@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.constants import LFT_BLOCK_SIZE
 from repro.errors import (
     TopologyError,
     TransportError,
@@ -35,14 +35,14 @@ from repro.mad.smp import (
     Smp,
     SmpKind,
     SmpMethod,
+    SmpPlan,
     SmpResult,
     SmpStatus,
-    make_set_lft_block,
 )
-from repro.obs.hub import ObsHub, get_hub
+from repro.obs.hub import get_hub
 from repro.obs.spans import current_span
 
-__all__ = ["TransportStats", "SmpTransport", "MAD_BYTES"]
+__all__ = ["TransportStats", "SmpPlan", "SmpTransport", "MAD_BYTES"]
 
 #: Default per-hop wire+forwarding latency (the building block of ``k``).
 DEFAULT_HOP_LATENCY = 200e-9
@@ -182,33 +182,27 @@ class _Run:
     """What the SMPs of one run share, worked out once per run.
 
     A run is consecutive SMPs to one target in one routing mode: the
-    resolved target, the hop count, the wire latency (``k``, plus ``r``
-    per hop when directed) and the observability handles are the same
-    for every packet. ``rx`` (the target's endpoint counters) is filled
-    by the first packet that arrives, so a run that is dropped whole
-    leaves the target's counters untouched; ``kind``/``kind_label``/
-    ``series`` are the kind last accounted, its label and its
-    ``repro_smp_total`` counter, reused while the kind stays the same.
+    resolved target, the hop count and the wire latency (``k``, plus
+    ``r`` per hop when directed) are the same for every packet. ``rx``
+    (the target's endpoint counters) is filled by the first packet that
+    arrives, so a run that is dropped whole leaves the target's counters
+    untouched; ``kind``/``kind_label``/``series`` are the kind last
+    accounted, its label and its ``repro_smp_total`` counter, reused
+    while the kind stays the same.
     """
 
     __slots__ = (
-        "target", "directed", "hops", "latency", "hub", "rx",
+        "target", "directed", "hops", "latency", "rx",
         "kind", "kind_label", "series",
     )
 
     def __init__(
-        self,
-        target: Node,
-        directed: bool,
-        hops: int,
-        latency: float,
-        hub: ObsHub,
+        self, target: Node, directed: bool, hops: int, latency: float
     ) -> None:
         self.target = target
         self.directed = directed
         self.hops = hops
         self.latency = latency
-        self.hub = hub
         self.rx = None
         self.kind: Optional[SmpKind] = None
         self.kind_label = ""
@@ -435,11 +429,7 @@ class SmpTransport:
         for smp in smps:
             tx.xmit_packets += 1
             tx.xmit_data += MAD_BYTES
-            if self._injector is None and smp.kind is not SmpKind.SM_INFO:
-                latency = run.latency
-                data, status, fault = self._deliver(run, smp, "delivered")
-            else:
-                data, status, fault, latency = self._deliver_lossy(run, smp)
+            data, status, fault, latency = self._on_the_wire(run, smp)
             self._account(run, smp.kind, smp.method, latency, fault)
             result = SmpResult(smp, run.hops, latency, data, status)
             if on_loss is not None and status is not SmpStatus.DELIVERED:
@@ -455,17 +445,11 @@ class SmpTransport:
         *,
         directed: bool = True,
         generation: Optional[int] = None,
-        on_loss: Optional[Callable[[Smp, SmpResult], SmpResult]] = None,
     ) -> None:
-        """Deliver one SubnSet(LFT) SMP per block to the switch *target*:
-        the one-target :meth:`send_lft_sweep`."""
+        """The one-target :meth:`send_lft_sweep`: one SubnSet(LFT) per block."""
         self.send_lft_sweep(
-            [target] * len(blocks),
-            blocks,
-            entries,
-            directed=directed,
-            generation=generation,
-            on_loss=on_loss,
+            [target] * len(blocks), blocks, entries,
+            directed=directed, generation=generation,
         )
 
     def send_lft_sweep(
@@ -483,123 +467,150 @@ class SmpTransport:
 
         Row ``i`` writes the 64-entry payload ``entries[i]`` into block
         ``blocks[i]`` of the switch ``targets[i]``; *generation* is the
-        fence stamp of every packet (``None`` sends unfenced). Equivalent
-        to one :meth:`send` of the :func:`~repro.mad.smp.make_set_lft_block`
-        packet per row, which is what happens whenever a packet can come
-        back lost or rejected — a fault injector is attached, or the
-        generation is behind the fabric's. Otherwise the packets are
-        alike but for their target, their payload and their place in
-        time: consecutive rows to one switch are resolved, checked for
-        reachability and loaded as one run, the clocks take one add per
-        packet in row order, and what has no order (the SM-side endpoint
-        counters, the per-kind and per-mode tallies, the
-        ``repro_smp_total`` series) is booked once for the sweep.
-
-        A missing, unreachable or non-switch target raises when its turn
-        comes: the rows before it are delivered and accounted, its own
-        are not. The index of every row whose packet was delivered is
-        appended to *applied* (when given) as the sweep proceeds, so a
-        caller that keeps an undo log knows what to restore after such
-        an error. A malformed payload raises before any packet leaves.
+        fence stamp of every packet (``None`` sends unfenced). This is
+        :meth:`deliver` of the plan with one row per stretch of
+        consecutive packets to one switch.
         """
-        n = len(targets)
-        if not n:
-            return
-        entries = np.asarray(entries, dtype=np.int16)
-        if len(blocks) != n or entries.shape != (n, LFT_BLOCK_SIZE):
-            raise TopologyError(
-                f"an LFT sweep of {n} rows needs {n} blocks and a"
-                f" ({n}, {LFT_BLOCK_SIZE}) payload, got {len(blocks)}"
-                f" and {entries.shape}"
-            )
-        if self._injector is not None or (
-            generation is not None and generation < self._fabric_generation
+        names: List[str] = []
+        counts: List[int] = []
+        for name in targets:
+            if names and name == names[-1]:
+                counts[-1] += 1
+            else:
+                names.append(name)
+                counts.append(1)
+        plan = SmpPlan(
+            names, [SmpKind.LFT_BLOCK] * len(names), counts, blocks,
+            np.asarray(entries, dtype=np.int16), directed, generation,
+        )
+        self.deliver(plan, on_loss=on_loss, applied=applied)
+
+    def deliver(
+        self,
+        plan: SmpPlan,
+        *,
+        on_loss: Optional[Callable[[Smp, SmpResult], SmpResult]] = None,
+        applied: Optional[List[int]] = None,
+    ) -> None:
+        """Deliver the packets of *plan* in order, dropping the replies.
+
+        Equivalent to one :meth:`send` per packet of ``plan.packets()``
+        (*on_loss* as in :meth:`send_run`), which is what happens whenever
+        a packet can come back lost or rejected: a fault injector is
+        attached, the plan's generation is behind the fabric's, or a row
+        is an SMInfo. Otherwise the plan is *booked*: each row is
+        resolved, checked for reachability and applied in order, both
+        clocks take one add per packet in packet order, and what has no
+        order (SM-side endpoint counters, per-kind and per-mode tallies,
+        ``repro_smp_total`` series) is booked once.
+
+        A row that cannot be delivered — its target missing or
+        unreachable, an LFT block for a non-switch, the PortInfo of a port
+        the node does not have — raises when its turn comes: the rows
+        before it are delivered and accounted, its own are not. The index
+        of every packet delivered is appended to *applied* (when given) as
+        the plan proceeds, so a caller with an undo log knows what to
+        restore after such an error.
+        """
+        generation = plan.generation
+        if (
+            self._injector is not None
+            or (generation is not None and generation < self._fabric_generation)
+            or SmpKind.SM_INFO in plan.kinds
         ):
-            for i in range(n):
-                smp = make_set_lft_block(
-                    targets[i], blocks[i], entries[i], directed=directed
-                )
-                smp.generation = generation
-                result = self.send_run((smp,), on_loss=on_loss)[0]
-                if applied is not None and result.ok:
+            for i, smp in enumerate(plan.packets()):
+                if self.send_run((smp,), on_loss=on_loss)[0].ok and applied is not None:
                     applied.append(i)
             return
 
         st = self.stats
-        hub = get_hub()
-        advance = hub.advance
-        sp = current_span()
-        kind = SmpKind.LFT_BLOCK.name.lower()
-        method = SmpMethod.SET.name.lower()
-        serial = st.serial_time
+        directed = plan.directed
+        #: Per kind, first seen first: [label, method label, SET LFT?, packets].
+        kinds: Dict[SmpKind, List[Any]] = {}
+        rows: List[Tuple[_Run, List[Any], int, int]] = []
+        latencies: List[float] = []
+        run = last = None
         sent = 0
         try:
-            while sent < n:
-                name = targets[sent]
-                end = sent + 1
-                while end < n and targets[end] == name:
-                    end += 1
-                run = self._open_run(name, directed)
-                switch = run.target
-                if not isinstance(switch, Switch):
-                    raise TopologyError(
-                        f"LFT SMP addressed to non-switch {name!r}"
-                    )
-                count = end - sent
-                switch.lft.load_blocks(blocks[sent:end], entries[sent:end])
-                if generation is not None:
-                    self._fabric_generation = generation
+            for name, kind, count in zip(plan.targets, plan.kinds, plan.counts):
+                if not count:
+                    continue
+                if run is None or name != run.target.name:
+                    run = self._open_run(name, directed)
+                target = run.target
+                args = plan.args[sent : sent + count]
+                if kind is SmpKind.LFT_BLOCK:
+                    if not isinstance(target, Switch):
+                        raise TopologyError(
+                            f"LFT SMP addressed to non-switch {name!r}"
+                        )
+                    target.lft.load_blocks(args, plan.entries[sent : sent + count])
+                    if generation is not None:
+                        self._fabric_generation = generation
+                elif kind is SmpKind.PORT_INFO:
+                    for num in args:
+                        if num or not isinstance(target, Switch):
+                            target.port(num)
                 if applied is not None:
-                    applied.extend(range(sent, end))
-                rx = self._endpoint_counters(switch)
+                    applied.extend(range(sent, sent + count))
+                rx = self._endpoint_counters(target)
                 rx.rcv_packets += count
                 rx.rcv_data += count * MAD_BYTES
-                latency = run.latency
-                st.total_hops += count * run.hops
-                if latency > st.max_latency:
-                    st.max_latency = latency
-                if st.record_samples:
-                    st.latencies.extend([latency] * count)
-                    st.hops.extend([run.hops] * count)
-                    st.directed_flags.extend([directed] * count)
                 st.by_target[name] += count
-                # One float add per packet and per clock, in packet order:
-                # ``count * latency`` rounds differently from single sends,
-                # and the pinned sim-second figures are compared bit for bit.
-                times = []
-                for _ in range(count):
-                    serial += latency
-                    times.append(advance(latency))
-                self._observe(
-                    run, sp, times, kind, method, latency, True, "delivered"
-                )
-                sent = end
+                if kind is not last:
+                    last, booked = kind, kinds.get(kind)
+                    if booked is None:
+                        booked = kinds[kind] = [
+                            kind.name.lower(), plan.method_of(kind).name.lower(),
+                            kind is SmpKind.LFT_BLOCK, 0,
+                        ]
+                booked[3] += count
+                rows.append((run, booked, sent, count))
+                latencies += [run.latency] * count
+                sent += count
         finally:
-            st.serial_time = serial
             if sent:
+                hub = get_hub()
+                # One float add per packet and per clock, in packet order:
+                # ``count * latency`` or any other summation rounds differently,
+                # and the pinned sim-second figures are compared bit for bit.
+                *_, st.serial_time = accumulate(latencies, initial=st.serial_time)
+                times = list(accumulate(latencies, initial=hub.now()))[1:]
+                hub.advance_to(times[-1])
+                sp = current_span()
+                for run, (label, method, lft_update, _), at, count in rows:
+                    self._observe(
+                        run, sp, times[at : at + count], label, method,
+                        run.latency, lft_update, "delivered",
+                    )
+                    st.total_hops += count * run.hops
+                    if st.record_samples:
+                        st.hops.extend([run.hops] * count)
+                st.max_latency = max(st.max_latency, max(latencies))
+                if st.record_samples:
+                    st.latencies.extend(latencies)
+                    st.directed_flags.extend([directed] * sent)
                 tx = self._endpoint_counters(self.sm_node)
                 tx.xmit_packets += sent
                 tx.xmit_data += sent * MAD_BYTES
                 st.total_smps += sent
-                st.lft_update_smps += sent
-                st.by_kind[SmpKind.LFT_BLOCK] += sent
                 if directed:
                     st.directed_smps += sent
                 else:
                     st.destination_routed_smps += sent
-                hub.metrics.counter(
-                    "repro_smp_total",
-                    kind=kind,
-                    routed="directed" if directed else "destination",
-                ).add(sent)
+                routed = "directed" if directed else "destination"
+                for kind, (label, _, lft_update, count) in kinds.items():
+                    st.by_kind[kind] += count
+                    st.lft_update_smps += count * lft_update
+                    hub.metrics.counter(
+                        "repro_smp_total", kind=label, routed=routed
+                    ).add(count)
 
     def _open_run(self, name: str, directed: bool) -> "_Run":
         """Resolve a run's target and work out what its packets share."""
         target = self._resolve_target(name, directed)
         try:
             hops = self.hops_to(target)
-        except UnreachableTargetError:
-            raise
         except TopologyError as exc:
             # "unreachable from SM" / "not cabled" — a dead path, not a
             # timeout; retry layers must not retransmit into it.
@@ -607,7 +618,7 @@ class SmpTransport:
         latency = hops * self.hop_latency
         if directed:
             latency += hops * self.dr_overhead
-        return _Run(target, directed, hops, latency, get_hub())
+        return _Run(target, directed, hops, latency)
 
     @staticmethod
     def _endpoint_counters(node: Node):
@@ -636,7 +647,7 @@ class SmpTransport:
         if smp.generation is not None and smp.is_fenced_write:
             if smp.generation < self._fabric_generation:
                 self.stats.stale_rejected += 1
-                run.hub.metrics.counter(
+                get_hub().metrics.counter(
                     "repro_sm_stale_writes_rejected_total",
                     kind=smp.kind.name.lower(),
                 ).add(1)
@@ -644,24 +655,19 @@ class SmpTransport:
             self._fabric_generation = smp.generation
         return self._apply(smp, run.target), SmpStatus.DELIVERED, fault
 
-    def _deliver_lossy(self, run: "_Run", smp: Smp):
-        """One SMP's fate where it may be lost: an SMInfo whose far-end SM
-        agent may be dead, or a wire with a fault injector on it (drop,
-        silent corruption, delay). Returns
-        ``(data, status, fault, latency)``."""
-        st = self.stats
-        if (
-            smp.kind is SmpKind.SM_INFO
-            and run.target.name in self._dead_sm_nodes
-        ):
+    def _on_the_wire(self, run: "_Run", smp: Smp):
+        """One SMP's fate: lost to an SMInfo's dead far-end SM agent or to
+        the fault injector on the wire (drop, silent corruption, delay),
+        delivered otherwise. Returns ``(data, status, fault, latency)``."""
+        if smp.kind is SmpKind.SM_INFO and run.target.name in self._dead_sm_nodes:
             # The node's port is up but its SM agent is dead: the MAD
             # arrives and nothing answers. No injector RNG is consumed,
             # so SM death events never shift the SMP fault sequence.
-            st.timeouts += 1
+            self.stats.timeouts += 1
             return None, SmpStatus.TIMEOUT, "no-response", run.latency
         if self._injector is None:
             return *self._deliver(run, smp, "delivered"), run.latency
-        decision = self._injector.decide(smp, now=run.hub.now())
+        decision = self._injector.decide(smp, now=get_hub().now())
         action = decision.action.value
         if action == "deliver":
             return *self._deliver(run, smp, "delivered"), run.latency
@@ -673,28 +679,17 @@ class SmpTransport:
         if action == "corrupt":
             # The damaged payload is applied — a *silent* failure only a
             # read-back (transactional distribution) can catch.
-            damaged = Smp(
-                smp.method,
-                smp.kind,
-                smp.target,
-                payload={
-                    **smp.payload,
-                    "entries": self._injector.corrupt_entries(
-                        smp.payload["entries"]
-                    ),
-                },
-                directed=smp.directed,
-                generation=smp.generation,
-            )
+            damaged = self._injector.corrupt_entries(smp.payload["entries"])
+            damaged = replace(smp, payload={**smp.payload, "entries": damaged})
             data, status, fault = self._deliver(run, damaged, "delivered")
             if status is SmpStatus.DELIVERED:
-                st.corrupted += 1
+                self.stats.corrupted += 1
                 fault = "corrupt"
                 # The receiving port accepted damaged symbols.
                 run.rx.symbol_errors += 1
             return data, status, fault, run.latency
         # drop: the packet dies on the wire, the sender times out
-        st.timeouts += 1
+        self.stats.timeouts += 1
         return None, SmpStatus.TIMEOUT, "dropped", run.latency
 
     def _resolve_target(self, name: str, directed: bool) -> Node:
@@ -766,7 +761,7 @@ class SmpTransport:
             st.lft_update_smps += 1
         st.serial_time += latency
 
-        hub = run.hub
+        hub = get_hub()
         if kind is not run.kind:
             run.kind = kind
             run.kind_label = kind.name.lower()
@@ -803,7 +798,7 @@ class SmpTransport:
         """One flight event per entry of *times* and, under the open span
         *sp*, one span event: packets of *run* alike but for their time."""
         name = run.target.name
-        run.hub.flight.record_run(
+        get_hub().flight.record_run(
             times,
             (kind, method, name, run.hops, run.directed, latency, lft_update, fault),
         )

@@ -48,6 +48,11 @@ class ObsHub:
             self._time += dt
         return self._time
 
+    def advance_to(self, time: float) -> None:
+        """Move the sim clock forward to *time* (it never runs backwards)."""
+        if time > self._time:
+            self._time = time
+
     # -- spans ---------------------------------------------------------------
 
     def start_span(self, name: str, **attributes: Any) -> Span:

@@ -11,6 +11,7 @@ to whatever operation is in flight without any parameter plumbing.
 from __future__ import annotations
 
 from contextvars import ContextVar
+from itertools import repeat
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
@@ -47,13 +48,27 @@ class Span:
     start_time: float
     end_time: Optional[float] = None
     attributes: Dict[str, Any] = field(default_factory=dict)
-    events: List[SpanEvent] = field(default_factory=list)
+    #: What :attr:`events` holds once read. Until then an SMP is kept as
+    #: ``(time, keys, values)``: a tuple of atoms leaves the cyclic GC's
+    #: books at its first collection, an event object and its dict never
+    #: do — and a run records 10^5 of them that are seldom looked at.
+    _events: List[Any] = field(default_factory=list, repr=False)
     children: List["Span"] = field(default_factory=list)
     #: Exact per-span SMP tallies, maintained even when the discrete event
     #: list is capped.
     smp_count: int = 0
     lft_smp_count: int = 0
     events_dropped: int = 0
+
+    @property
+    def events(self) -> List[SpanEvent]:
+        """The span's events, oldest first."""
+        events = self._events
+        for i, event in enumerate(events):
+            if type(event) is tuple:
+                time, keys, values = event
+                events[i] = SpanEvent(time, "smp", dict(zip(keys, values)))
+        return events
 
     # -- mutation ------------------------------------------------------------
 
@@ -67,10 +82,10 @@ class Span:
 
     def add_event(self, name: str, time: float, **attrs: Any) -> None:
         """Record one timestamped event (bounded per span)."""
-        if len(self.events) >= MAX_EVENTS_PER_SPAN:
+        if len(self._events) >= MAX_EVENTS_PER_SPAN:
             self.events_dropped += 1
             return
-        self.events.append(SpanEvent(time=time, name=name, attributes=attrs))
+        self._events.append(SpanEvent(time=time, name=name, attributes=attrs))
 
     def record_smp(self, time: float, **attrs: Any) -> None:
         """Record one SMP delivery under this span."""
@@ -86,13 +101,14 @@ class Span:
         self.smp_count += n
         if attrs.get("lft_update"):
             self.lft_smp_count += n
-        room = MAX_EVENTS_PER_SPAN - len(self.events)
+        room = MAX_EVENTS_PER_SPAN - len(self._events)
         if room < n:
             room = max(room, 0)
             self.events_dropped += n - room
             times = times[:room]
-        for time in times:
-            self.events.append(SpanEvent(time, "smp", dict(attrs)))
+        self._events.extend(
+            zip(times, repeat(tuple(attrs)), repeat(tuple(attrs.values())))
+        )
 
     def end(self, time: float) -> None:
         """Close the span at *time*."""

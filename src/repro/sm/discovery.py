@@ -12,10 +12,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import List, Set
 
-from repro.errors import TopologyError
 from repro.fabric.node import Node, Switch
 from repro.fabric.topology import Topology
-from repro.mad.smp import Smp, SmpKind, SmpMethod
+from repro.mad.smp import SmpKind, SmpPlan
 from repro.mad.transport import SmpTransport
 
 __all__ = ["DiscoveryReport", "discover_subnet"]
@@ -41,44 +40,43 @@ def discover_subnet(
 ) -> DiscoveryReport:
     """Breadth-first directed-route sweep from the SM node."""
     report = DiscoveryReport()
-    before = transport.stats.snapshot()
+    mark = transport.stats.mark()
     start: Node = transport.sm_node
 
+    # One plan per sweep, two rows per node: its NodeInfo, then the
+    # PortInfo of each connected port.
+    targets: List[str] = []
+    counts: List[int] = []
+    args: List[int] = []
     seen: Set[str] = {start.name}
     queue: deque = deque([start])
-    while queue:
-        node = queue.popleft()
-        if isinstance(node, Switch):
-            report.switches.append(node.name)
-        else:
-            report.hcas.append(node.name)
-        # One run per node: its NodeInfo, then the PortInfo of each
-        # connected port.
-        gets = [Smp(SmpMethod.GET, SmpKind.NODE_INFO, node.name, directed=True)]
-        for port in node.connected_ports():
-            gets.append(
-                Smp(
-                    SmpMethod.GET,
-                    SmpKind.PORT_INFO,
-                    node.name,
-                    payload={"port": port.num},
-                    directed=True,
-                )
-            )
-            peer = port.remote
-            if peer is None:
-                raise TopologyError(
-                    f"port {port.num} of {node.name!r} reports a link"
-                    " with no far end"
-                )
-            if peer.node.name not in seen:
-                seen.add(peer.node.name)
-                queue.append(peer.node)
-        transport.send_run(gets)
+    try:
+        while queue:
+            node = queue.popleft()
+            if isinstance(node, Switch):
+                report.switches.append(node.name)
+            else:
+                report.hcas.append(node.name)
+            ports = [0]
+            for port in node.connected_ports():
+                ports.append(port.num)
+                peer = port.remote
+                if peer is None:
+                    raise port.no_far_end()
+                if peer.node.name not in seen:
+                    seen.add(peer.node.name)
+                    queue.append(peer.node)
+            targets += (node.name, node.name)
+            counts += (1, len(ports) - 1)
+            args += ports
+    finally:
+        # A walk that fails still sent to every node before the bad one.
+        kinds = (SmpKind.NODE_INFO, SmpKind.PORT_INFO) * (len(targets) // 2)
+        transport.deliver(SmpPlan(targets, kinds, counts, args))
 
-    delta = transport.stats.delta_since(before)
-    report.smps_sent = delta.total_smps
-    report.serial_time = delta.serial_time
+    cost = transport.stats.since(mark)
+    report.smps_sent = cost.total_smps
+    report.serial_time = cost.serial_time
     report.switches.sort()
     report.hcas.sort()
     return report

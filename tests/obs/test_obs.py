@@ -87,7 +87,7 @@ class TestSpans:
             sp.record_smps([0.0] * (MAX_EVENTS_PER_SPAN - 1), {"lft_update": True})
             sp.record_smps([1.0, 2.0, 3.0], {"lft_update": True})
             sp.record_smp(4.0, lft_update=False)
-        assert len(built) == len(sp.events) == MAX_EVENTS_PER_SPAN
+        assert len(sp.events) == len(built) == MAX_EVENTS_PER_SPAN
         assert sp.events[-1].time == 1.0
         assert sp.events_dropped == 3
         assert (sp.smp_count, sp.lft_smp_count) == (

@@ -16,7 +16,11 @@ array implementation lives in ``src/repro``:
 * :mod:`tests.oracles.reconfig` — the clone → diff → one-send-per-block
   vSwitch reconfigurer (oracle for the column-edit kernel of
   :mod:`repro.core.reconfig` and, through it, for
-  :meth:`repro.mad.transport.SmpTransport.send_lft_sweep`).
+  :meth:`repro.mad.transport.SmpTransport.send_lft_sweep`);
+* :mod:`tests.oracles.discovery` — the per-node ``send_run`` discovery
+  walker (oracle for the one-plan sweep of
+  :func:`repro.sm.discovery.discover_subnet` and, through it, for
+  :meth:`repro.mad.transport.SmpTransport.deliver`).
 
 :mod:`tests.oracles.observe` is what the oracle suites compare: everything
 an SMP delivery may leave behind, in ``==`` form.

@@ -24,7 +24,8 @@ def observed(
 ) -> Dict[str, Any]:
     """The transport's stats, both clocks, the flight ring, the span tree
     under *root* (the whole forest without one), the metric exposition,
-    every PMA counter, every hardware LFT and the fence."""
+    the order in which tally keys and counter series came to be, every
+    PMA counter, every hardware LFT and the fence."""
     hub = get_hub()
     stats = dataclasses.asdict(tr.stats)
     stats["by_kind"] = dict(tr.stats.by_kind)
@@ -46,6 +47,11 @@ def observed(
             for sp in spans
         ],
         "metrics": hub.metrics.render_prometheus(),
+        "order": (
+            list(tr.stats.by_kind),
+            list(tr.stats.by_target),
+            list(hub.metrics._counters),
+        ),
         "pma": {
             node.name: {n: c.as_dict() for n, c in sorted(node.counters.items())}
             for node in list(topo.switches) + list(topo.hcas)
