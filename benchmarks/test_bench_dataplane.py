@@ -94,7 +94,7 @@ def test_migration_under_traffic(benchmark):
             sm.lid_manager.move_lid(vm_lid, target.port(1))
             state["home"] = target
 
-        sim.engine.schedule(30e-6, migrate, label="migration")
+        sim.engine.schedule(30e-6, migrate)
         return sim.run()
 
     stats = benchmark.pedantic(run, rounds=4, iterations=1)

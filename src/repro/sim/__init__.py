@@ -1,17 +1,15 @@
 """Discrete-event engine, metrics and traces."""
 
-from repro.sim.dataplane import DataPlaneSimulator, DataPlaneStats, Packet
-from repro.sim.engine import Event, SimulationEngine, replay_smp_pipeline
+from repro.sim.dataplane import DataPlaneSimulator, DataPlaneStats
+from repro.sim.engine import SimulationEngine, replay_smp_pipeline
 from repro.sim.metrics import Counter, Histogram, MetricRegistry, Timer
 from repro.sim.trace import Trace, TraceRecord
 
 __all__ = [
-    "Event",
     "SimulationEngine",
     "replay_smp_pipeline",
     "DataPlaneSimulator",
     "DataPlaneStats",
-    "Packet",
     "Counter",
     "Histogram",
     "MetricRegistry",

@@ -20,25 +20,36 @@ This simulator executes that model on the *hardware* LFTs of a topology:
 It is a flow-control-faithful, bandwidth-abstract model: serialization time
 is folded into the per-hop latency, which is all the reconfiguration
 experiments need.
+
+The kernel is struct-of-arrays: a packet is an index into parallel lists,
+a channel a dense id into another set, and each of the three fixed-delay
+event kinds (arrival from the host, arrival over a hop, HOQ expiry) rides
+one :class:`~repro.sim.engine.Lane` of the engine with one handler. The
+order of events is exactly that of one closure per event on a single heap.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.constants import LFT_DROP_PORT, LFT_UNSET
 from repro.errors import SimulationError
-from repro.fabric.node import Switch
+from repro.fabric.node import Port, PortCounters, Switch
 from repro.fabric.topology import Topology
 from repro.sim.engine import SimulationEngine
 
-__all__ = ["DataPlaneStats", "Packet", "DataPlaneSimulator"]
+__all__ = ["DataPlaneStats", "DataPlaneSimulator"]
 
-#: A directed inter-switch channel: (switch index, out port).
-ChannelId = Tuple[int, int]
+#: ``next switch`` of a channel that ends at an HCA (delivery) ...
+_HOST = -1
+#: ... and of one whose port has no live peer (a cable that died after
+#: the tables were computed).
+_DEAD = -2
+#: The counter slots of a dead channel: it transmits nothing, so they are
+#: never read (its expiry charges the switch port it points at).
+_NOWHERE = PortCounters()
 
 
 @dataclass
@@ -77,46 +88,6 @@ class DataPlaneStats:
             - self.dropped_timeout
             - self.dropped_port255
         )
-
-    @property
-    def delivery_ratio(self) -> float:
-        """Delivered fraction of injected packets."""
-        return self.delivered / self.injected if self.injected else 0.0
-
-
-class Packet:
-    """One packet in flight."""
-
-    _ids = itertools.count(1)
-
-    def __init__(self, src_lid: int, dst_lid: int, inject_time: float) -> None:
-        self.id = next(self._ids)
-        self.src_lid = src_lid
-        self.dst_lid = dst_lid
-        self.inject_time = inject_time
-        #: The (switch, port, VL) channel whose credit this packet holds
-        #: (None while still at the source host or after delivery).
-        self.held: Optional[Tuple[int, int, int]] = None
-        #: Switch index the packet currently sits at.
-        self.at_switch: Optional[int] = None
-        #: Sim time this packet joined a channel's waiter queue (None when
-        #: not blocked) — the source of the PortXmitWait counter.
-        self.wait_start: Optional[float] = None
-        self.hops = 0
-        self.dropped = False
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<Packet#{self.id} {self.src_lid}->{self.dst_lid}>"
-
-
-class _Channel:
-    """Credit state of one directed inter-switch channel."""
-
-    __slots__ = ("credits", "waiters")
-
-    def __init__(self, credits: int) -> None:
-        self.credits = credits
-        self.waiters: Deque[Packet] = deque()
 
 
 class DataPlaneSimulator:
@@ -157,224 +128,252 @@ class DataPlaneSimulator:
 
         # Static maps from the physical graph.
         self._switches = topology.switches
-        self._p2p: Dict[ChannelId, int] = {}
-        #: (switch, out port) -> in-port on the peer, for rcv counters.
-        self._peer_port: Dict[ChannelId, int] = {}
-        #: Delivery edges: (switch, out port) -> the HCA-side Port, so
-        #: delivery can feed the host port's PMA receive counters.
-        self._host_ports: Dict[ChannelId, object] = {}
+        #: A packet is dropped as a runaway loop past this many hops.
+        self._max_hops = 4 * max(len(self._switches), 1)
+        #: (switch, out port) -> (next switch or _HOST, the far Port).
+        self._peer: Dict[Tuple[int, int], Tuple[int, Port]] = {}
         for sw in self._switches:
             for port in sw.connected_ports():
                 peer = port.remote
-                assert peer is not None
-                key = (sw.index, port.num)
-                if isinstance(peer.node, Switch):
-                    self._p2p[key] = peer.node.index
-                    self._peer_port[key] = peer.num
-                else:
-                    self._host_ports[key] = peer
-        # Channels are keyed (switch, out port, VL) and created lazily:
+                if peer is None:
+                    raise port.no_far_end()
+                nxt = peer.node.index if isinstance(peer.node, Switch) else _HOST
+                self._peer[(sw.index, port.num)] = (nxt, peer)
+
+        # Channels, dense ids keyed (switch, out port, VL) on first use:
         # each VL gets its own credit pool on every physical link.
-        self._channels: Dict[Tuple[int, int, int], _Channel] = {}
+        self._channel_of: Dict[Tuple[int, int, int], int] = {}
+        self._port_of: List[int] = []
+        self._next: List[int] = []
+        self._credits: List[int] = []
+        self._waiters: List[Deque[int]] = []
+        self._egress: List[PortCounters] = []
+        self._ingress: List[PortCounters] = []
+
+        # Packets, indexed by packet id.
+        self._src: List[int] = []
+        self._dst: List[int] = []
+        self._vl: List[int] = []
+        #: (HCA port, leaf port) the packet leaves its host through.
+        self._origin: List[Tuple[Port, Port]] = []
+        self._inject_time: List[float] = []
+        self._at: List[int] = []
+        #: The channel whose credit the packet holds (-1: none — still at
+        #: the source host, or delivered).
+        self._held: List[int] = []
+        #: Sim time the packet joined a channel's waiter queue (None when
+        #: not blocked) — the source of the PortXmitWait counter.
+        self._wait_start: List[Optional[float]] = []
+        self._hops: List[int] = []
+
+        engine = self.engine
+        self._arrivals = engine.lane(self._on_arrival)
+        self._hop_arrivals = engine.lane(self._on_hop)
+        self._expiries = engine.lane(self._on_expiry)
 
     # -- injection -----------------------------------------------------------
 
-    def inject(self, src_lid: int, dst_lid: int, *, delay: float = 0.0) -> Packet:
-        """Inject one packet from the host holding *src_lid*."""
-        port = self.topology.port_of_lid(src_lid)
-        if port is None or port.remote is None:
-            raise SimulationError(f"source LID {src_lid} is not attached")
-        entry = port.remote
-        if not isinstance(entry.node, Switch):
-            raise SimulationError(f"source LID {src_lid} not behind a switch")
-        pkt = Packet(src_lid, dst_lid, 0.0)
-        self.stats.injected += 1
-        leaf = entry.node.index
-        host_port, entry_port = port, entry
-
-        def arrive() -> None:
-            pkt.inject_time = self.engine.now
-            pkt.at_switch = leaf
-            # Host edge: transmit on the HCA port, receive on the leaf.
-            hc = host_port.node.port_counters(host_port.num)
-            hc.xmit_packets += 1
-            hc.xmit_data += self.packet_bytes
-            ec = entry_port.node.port_counters(entry_port.num)
-            ec.rcv_packets += 1
-            ec.rcv_data += self.packet_bytes
-            self._forward(pkt)
-
-        self.engine.schedule(delay, arrive, label=f"inject#{pkt.id}")
-        return pkt
+    def inject(self, src_lid: int, dst_lid: int, *, delay: float = 0.0) -> int:
+        """Inject one packet from the host holding *src_lid*; returns its
+        packet index."""
+        return self._inject([(src_lid, dst_lid)], [delay])[0]
 
     def inject_flows(
         self, flows: List[Tuple[int, int]], *, spacing: float = 0.0
-    ) -> List[Packet]:
-        """Inject a list of (src_lid, dst_lid) flows, optionally staggered."""
-        return [
-            self.inject(s, d, delay=i * spacing)
-            for i, (s, d) in enumerate(flows)
-        ]
+    ) -> range:
+        """Inject a list of (src_lid, dst_lid) flows, optionally staggered;
+        returns the packet indices."""
+        if spacing < 0:
+            raise SimulationError(f"negative injection spacing {spacing}")
+        return self._inject(flows, [i * spacing for i in range(len(flows))])
+
+    def _inject(
+        self, flows: List[Tuple[int, int]], delays: Sequence[float]
+    ) -> range:
+        # Sources and delays are checked before anything is booked.
+        sources = dict.fromkeys(src for src, _ in flows)
+        edges = {src: self._edge_of(src) for src in sources}
+        first, now = len(self._dst), self.engine.now
+        packets = range(first, first + len(flows))
+        self._arrivals.extend(delays, packets)
+        self._src.extend(src for src, _ in flows)
+        self._dst.extend(dst for _, dst in flows)
+        self._vl.extend(self.lid_to_vl.get(dst, 0) for _, dst in flows)
+        self._origin.extend(edges[src] for src, _ in flows)
+        self._at.extend(edges[src][1].node.index for src, _ in flows)
+        self._inject_time.extend(now + delay for delay in delays)
+        self._held.extend([-1] * len(flows))
+        self._wait_start.extend([None] * len(flows))
+        self._hops.extend([0] * len(flows))
+        self.stats.injected += len(flows)
+        return packets
+
+    def _edge_of(self, src_lid: int) -> Tuple[Port, Port]:
+        port = self.topology.port_of_lid(src_lid)
+        if port is None or port.remote is None:
+            raise SimulationError(f"source LID {src_lid} is not attached")
+        if not isinstance(port.remote.node, Switch):
+            raise SimulationError(f"source LID {src_lid} not behind a switch")
+        return port, port.remote
 
     def run(self, *, until: Optional[float] = None) -> DataPlaneStats:
         """Run the event loop to completion (or *until*)."""
         self.engine.run(until=until)
         return self.stats
 
+    # -- events --------------------------------------------------------------
+
+    def _on_arrival(self, pkt: int) -> None:
+        """The packet left its host: count the host edge, then forward."""
+        host, entry = self._origin[pkt]
+        self._cross(
+            host.node.port_counters(host.num), entry.node.port_counters(entry.num)
+        )
+        self._forward(pkt)
+
+    def _on_hop(self, crossing: Tuple[int, int]) -> None:
+        """The packet crossed a channel: release the old one, then forward."""
+        pkt, channel = crossing
+        self._release_held(pkt)
+        self._held[pkt] = channel
+        self._at[pkt] = self._next[channel]
+        hops = self._hops[pkt] = self._hops[pkt] + 1
+        if hops > self._max_hops:
+            self._drop(pkt, "timeout", None)  # runaway loop guard
+            return
+        self._forward(pkt)
+
+    def _on_expiry(self, hold: Tuple[int, int, int]) -> None:
+        """A head-of-queue lifetime ran out: drop the packet if it is still
+        where it was (the IB timeout that resolves deadlocks)."""
+        pkt, hops, channel = hold
+        if self._hops[pkt] != hops:
+            return
+        port = self._port_of[channel]
+        if self._next[channel] == _DEAD:
+            # The port transmits nothing: the packet sat at the head of
+            # its queue for the whole lifetime — charged as xmit-wait —
+            # and is discarded as unroutable.
+            sw = self._switches[self._at[pkt]]
+            sw.port_counters(port).add_wait(self.hoq_timeout)
+            self._drop(pkt, "no_route", port)
+        elif self._wait_start[pkt] is not None:
+            self._waiters[channel].remove(pkt)
+            # The full lifetime was spent blocked on this port.
+            self._egress[channel].add_wait(self.hoq_timeout)
+            self._wait_start[pkt] = None
+            self._drop(pkt, "timeout", port)
+
     # -- movement ------------------------------------------------------------
 
-    def _forward(self, pkt: Packet) -> None:
+    def _forward(self, pkt: int) -> None:
         """Packet sits at a switch: look up the LFT and try to advance."""
-        if pkt.dropped:
-            return
-        assert pkt.at_switch is not None
-        sw = self._switches[pkt.at_switch]
-        out = sw.lft.get(pkt.dst_lid)
+        at = self._at[pkt]
+        out = self._switches[at].lft.get(self._dst[pkt])
         if out == LFT_DROP_PORT or out == LFT_UNSET:
             # Port 255 / unprogrammed: the partially-static reconfiguration
             # of section VI-C intentionally drops this traffic.
-            self._drop(
-                pkt,
-                "port255" if out == LFT_DROP_PORT else "no_route",
-                port=0,
-            )
+            self._drop(pkt, "port255" if out == LFT_DROP_PORT else "no_route", 0)
             return
-        key = (pkt.at_switch, out)
-        if key in self._host_ports:
-            self._deliver(pkt, key)
-            return
-        if key not in self._p2p:
-            # The LFT points at a port with no live peer (a cable that
-            # died after the tables were computed): the port transmits
-            # nothing, so the packet sits at the head of its queue for
-            # the HOQ lifetime — charged as xmit-wait — and is then
-            # discarded as unroutable.
-            def dead_port_drop() -> None:
-                if not pkt.dropped:
-                    sw.port_counters(out).add_wait(self.hoq_timeout)
-                    self._drop(pkt, "no_route", port=out)
-
-            self.engine.schedule(
-                self.hoq_timeout, dead_port_drop, label=f"dead#{pkt.id}"
-            )
-            return
-        vl = self.lid_to_vl.get(pkt.dst_lid, 0)
-        vkey = (key[0], key[1], vl)
-        channel = self._channels.get(vkey)
+        key = (at, out, self._vl[pkt])
+        channel = self._channel_of.get(key)
         if channel is None:
-            channel = self._channels[vkey] = _Channel(self.channel_credits)
-        if channel.credits > 0:
-            channel.credits -= 1
-            self._advance(pkt, vkey)
+            channel = self._open(key)
+        nxt = self._next[channel]
+        if nxt == _HOST:
+            self._deliver(pkt, channel)
+        elif nxt >= 0 and self._credits[channel] > 0:
+            self._credits[channel] -= 1
+            self._advance(pkt, channel)
         else:
-            channel.waiters.append(pkt)
-            pkt.wait_start = self.engine.now
-            deadline_hops = pkt.hops
+            # No credit, or a dead port: the packet holds the head of the
+            # queue until a credit comes back or its lifetime runs out.
+            if nxt >= 0:
+                self._waiters[channel].append(pkt)
+                self._wait_start[pkt] = self.engine.now
+            self._expiries.push(self.hoq_timeout, (pkt, self._hops[pkt], channel))
 
-            def maybe_timeout() -> None:
-                # Still waiting on the same channel after the head-of-queue
-                # lifetime: drop (the IB timeout that resolves deadlocks).
-                if (
-                    not pkt.dropped
-                    and pkt.hops == deadline_hops
-                    and pkt in channel.waiters
-                ):
-                    channel.waiters.remove(pkt)
-                    # The full lifetime was spent blocked on this port.
-                    sw.port_counters(out).add_wait(self.hoq_timeout)
-                    pkt.wait_start = None
-                    self._drop(pkt, "timeout", port=out)
+    def _open(self, key: Tuple[int, int, int]) -> int:
+        """Give (switch, out port, VL) a channel id. A live port's counter
+        pair is fetched now: the packet that opened it crosses at once."""
+        at, out, _ = key
+        channel = self._channel_of[key] = len(self._next)
+        peer = self._peer.get((at, out))
+        self._port_of.append(out)
+        self._credits.append(self.channel_credits)
+        self._waiters.append(deque())
+        if peer is None:
+            self._next.append(_DEAD)
+            self._egress.append(_NOWHERE)
+            self._ingress.append(_NOWHERE)
+            return channel
+        nxt, far = peer
+        self._next.append(nxt)
+        self._egress.append(self._switches[at].port_counters(out))
+        self._ingress.append(far.node.port_counters(far.num))
+        return channel
 
-            self.engine.schedule(
-                self.hoq_timeout, maybe_timeout, label=f"hoq#{pkt.id}"
-            )
-
-    def _advance(self, pkt: Packet, channel_key: Tuple[int, int, int]) -> None:
-        """Credit acquired: traverse the channel, then release the old one."""
-        phys = channel_key[:2]
-        nxt = self._p2p[phys]
-        # PMA counters: transmit on the egress, receive on the far ingress.
-        egress = self._switches[phys[0]].port_counters(phys[1])
-        if pkt.wait_start is not None:
+    def _advance(self, pkt: int, channel: int) -> None:
+        """Credit acquired: cross the channel (the old one is released on
+        arrival)."""
+        wait_start = self._wait_start[pkt]
+        if wait_start is not None:
             # The packet queued for this credit: the blocked interval is
             # the egress port's PortXmitWait.
-            egress.add_wait(self.engine.now - pkt.wait_start)
-            pkt.wait_start = None
-        egress.xmit_packets += 1
-        egress.xmit_data += self.packet_bytes
-        ingress = self._switches[nxt].port_counters(self._peer_port[phys])
-        ingress.rcv_packets += 1
-        ingress.rcv_data += self.packet_bytes
+            self._egress[channel].add_wait(self.engine.now - wait_start)
+            self._wait_start[pkt] = None
+        self._cross(self._egress[channel], self._ingress[channel])
+        self._hop_arrivals.push(self.hop_time, (pkt, channel))
 
-        def arrive() -> None:
-            if pkt.dropped:
-                self._release(channel_key)
-                return
-            self._release_held(pkt)
-            pkt.held = channel_key
-            pkt.at_switch = nxt
-            pkt.hops += 1
-            if pkt.hops > 4 * max(len(self._switches), 1):
-                self._drop(pkt, "timeout")  # runaway loop guard
-                return
-            self._forward(pkt)
+    def _cross(self, tx: PortCounters, rx: PortCounters) -> None:
+        """PMA counters of one packet on a cable: transmit, then receive."""
+        tx.xmit_packets += 1
+        tx.xmit_data += self.packet_bytes
+        rx.rcv_packets += 1
+        rx.rcv_data += self.packet_bytes
 
-        self.engine.schedule(self.hop_time, arrive, label=f"hop#{pkt.id}")
+    def _release_held(self, pkt: int) -> None:
+        if self._held[pkt] >= 0:
+            self._release(self._held[pkt])
+            self._held[pkt] = -1
 
-    def _release_held(self, pkt: Packet) -> None:
-        if pkt.held is not None:
-            self._release(pkt.held)
-            pkt.held = None
-
-    def _release(self, channel_key: Tuple[int, int, int]) -> None:
-        """Return a credit and wake the first waiter, if any."""
-        channel = self._channels[channel_key]
-        if channel.waiters:
-            waiter = channel.waiters.popleft()
-            # Credit handed directly to the waiter.
-            self._advance(waiter, channel_key)
+    def _release(self, channel: int) -> None:
+        """Return a credit, or hand it straight to the first waiter."""
+        waiters = self._waiters[channel]
+        if waiters:
+            self._advance(waiters.popleft(), channel)
         else:
-            channel.credits += 1
+            self._credits[channel] += 1
 
-    def _deliver(self, pkt: Packet, key: ChannelId) -> None:
+    def _deliver(self, pkt: int, channel: int) -> None:
         self._release_held(pkt)
         # Host edge: transmit on the leaf's port, receive on the HCA port.
-        egress = self._switches[key[0]].port_counters(key[1])
-        egress.xmit_packets += 1
-        egress.xmit_data += self.packet_bytes
-        host = self._host_ports[key]
-        hc = host.node.port_counters(host.num)  # type: ignore[attr-defined]
-        hc.rcv_packets += 1
-        hc.rcv_data += self.packet_bytes
-        self.stats.delivered += 1
-        flow = (pkt.src_lid, pkt.dst_lid)
-        self.stats.flows[flow] = self.stats.flows.get(flow, 0) + 1
-        self.stats.latencies.append(
-            self.engine.now + self.hop_time - pkt.inject_time
+        self._cross(self._egress[channel], self._ingress[channel])
+        stats = self.stats
+        stats.delivered += 1
+        flow = (self._src[pkt], self._dst[pkt])
+        stats.flows[flow] = stats.flows.get(flow, 0) + 1
+        stats.latencies.append(
+            self.engine.now + self.hop_time - self._inject_time[pkt]
         )
 
-    def _drop(
-        self, pkt: Packet, reason: str, *, port: Optional[int] = None
-    ) -> None:
-        pkt.dropped = True
-        if pkt.at_switch is not None:
-            sw = self._switches[pkt.at_switch]
-            if port is None:
-                out = sw.lft.get(pkt.dst_lid)
-                port = out if 0 <= out <= sw.num_ports else 0
-            counters = sw.port_counters(port)
-            if reason == "timeout":
-                counters.hoq_discards += 1
-            else:
-                counters.unroutable_discards += 1
-            drop_key = (sw.name, port, reason)
-            self.stats.dropped_by_port[drop_key] = (
-                self.stats.dropped_by_port.get(drop_key, 0) + 1
-            )
+    def _drop(self, pkt: int, reason: str, port: Optional[int]) -> None:
+        sw = self._switches[self._at[pkt]]
+        if port is None:
+            out = sw.lft.get(self._dst[pkt])
+            port = out if 0 <= out <= sw.num_ports else 0
+        counters = sw.port_counters(port)
+        if reason == "timeout":
+            counters.hoq_discards += 1
+        else:
+            counters.unroutable_discards += 1
+        stats = self.stats
+        drop_key = (sw.name, port, reason)
+        stats.dropped_by_port[drop_key] = stats.dropped_by_port.get(drop_key, 0) + 1
         self._release_held(pkt)
         if reason == "timeout":
-            self.stats.dropped_timeout += 1
+            stats.dropped_timeout += 1
         elif reason == "port255":
-            self.stats.dropped_port255 += 1
+            stats.dropped_port255 += 1
         else:
-            self.stats.dropped_no_route += 1
+            stats.dropped_no_route += 1

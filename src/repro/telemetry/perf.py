@@ -17,7 +17,7 @@ between consecutive sweeps, and stores them in a bounded
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.errors import ReproError, SmpTimeoutError, UnreachableTargetError
 from repro.fabric.node import PMA_COUNTER_WRAP, Node
@@ -66,10 +66,9 @@ class PerfManager:
         self.period = period
         self.include_hcas = include_hcas
         self._sender = sender
-        #: Last raw (wrapped) wire reading per series.
-        self._raw: Dict[SeriesKey, int] = {}
-        #: Reconstructed monotonic totals per series.
-        self._totals: Dict[SeriesKey, int] = {}
+        #: Per series ``[last raw (wrapped) wire reading or None,
+        #: reconstructed monotonic total, the store's ring]``.
+        self._series: Dict[SeriesKey, List[Any]] = {}
         self.reports: List[SweepReport] = []
         self._last_sweep_time: Optional[float] = None
 
@@ -103,13 +102,7 @@ class PerfManager:
                 if data is None:
                     continue
                 report.nodes_swept += 1
-                now = hub.now()
-                ports = data["ports"]
-                for pnum in sorted(ports):
-                    report.ports_seen += 1
-                    for cname, raw in ports[pnum].items():
-                        self._ingest(node.name, pnum, cname, now, raw)
-                        report.samples += 1
+                self._ingest(node.name, data["ports"], float(hub.now()), report)
         report.smps = stats.total_smps - smps_before
         report.retransmissions = stats.retransmissions - rtx_before
         self.reports.append(report)
@@ -138,25 +131,39 @@ class PerfManager:
         return result.data
 
     def _ingest(
-        self, node: str, port: int, counter: str, now: float, raw: int
+        self, node: str, ports: Dict[int, Dict[str, int]], now: float,
+        report: SweepReport,
     ) -> None:
-        """Fold one wrapped wire reading into the monotonic series."""
-        key = (node, port, counter)
-        prev = self._raw.get(key)
-        if prev is None:
-            # First observation: the counter is assumed not to have
-            # wrapped before the manager ever saw it.
-            delta = raw
-        else:
-            delta = (raw - prev) % PMA_COUNTER_WRAP
-        self._raw[key] = raw
-        total = self._totals.get(key, 0) + delta
-        self._totals[key] = total
-        self.store.append(node, port, counter, now, total)
+        """Fold one node's wrapped wire readings into the monotonic series."""
+        series, store = self._series, self.store
+        capacity = store.capacity
+        samples = evicted = 0
+        for pnum in sorted(ports):
+            report.ports_seen += 1
+            for cname, raw in ports[pnum].items():
+                key = (node, pnum, cname)
+                record = series.get(key)
+                if record is None:
+                    record = series[key] = [None, 0, store.ring(key)]
+                prev = record[0]
+                # A first observation (or the first after a reset) is
+                # assumed not to have wrapped before the manager saw it.
+                delta = raw if prev is None else (raw - prev) % PMA_COUNTER_WRAP
+                record[0] = raw
+                total = record[1] = record[1] + delta
+                ring = record[2]
+                if len(ring) == capacity:
+                    evicted += 1
+                ring.append((now, total))
+                samples += 1
+        store.samples_total += samples
+        store.evictions += evicted
+        report.samples += samples
 
     def total(self, node: str, port: int, counter: str) -> int:
         """Reconstructed monotonic total for one series (0 if never swept)."""
-        return self._totals.get((node, int(port), counter), 0)
+        record = self._series.get((node, int(port), counter))
+        return record[1] if record is not None else 0
 
     @property
     def sweeps(self) -> int:
@@ -196,9 +203,7 @@ class PerfManager:
             raise ReproError("attach needs a positive horizon")
         count = int(until / self.period)
         for i in range(1, count + 1):
-            engine.schedule(
-                i * self.period, self.sweep, label=f"perf_sweep#{i}"
-            )
+            engine.schedule(i * self.period, self.sweep)
         return count
 
     # -- counter management ---------------------------------------------------
@@ -226,5 +231,6 @@ class PerfManager:
                 continue
             if result.ok:
                 acked += 1
-        self._raw.clear()
+        for record in self._series.values():
+            record[0] = None
         return acked

@@ -39,14 +39,23 @@ class TimeSeriesStore:
 
     # -- ingestion -----------------------------------------------------------
 
+    def ring(self, key: SeriesKey) -> Deque[Tuple[float, int]]:
+        """The live sample ring of one series (*key* with an ``int`` port),
+        created empty on first use; the store keeps *key* itself.
+
+        A writer appending ``(time, value)`` to it directly books
+        ``samples_total`` and ``evictions`` itself, as :meth:`append` does.
+        """
+        ring = self._series.get(key)
+        if ring is None:
+            ring = self._series[key] = deque(maxlen=self.capacity)
+        return ring
+
     def append(
         self, node: str, port: int, counter: str, time: float, value: int
     ) -> None:
         """Record one cumulative sample for (node, port, counter)."""
-        key = (node, int(port), counter)
-        ring = self._series.get(key)
-        if ring is None:
-            ring = self._series[key] = deque(maxlen=self.capacity)
+        ring = self.ring((node, int(port), counter))
         if len(ring) == self.capacity:
             self.evictions += 1
         ring.append((float(time), int(value)))

@@ -20,7 +20,11 @@ array implementation lives in ``src/repro``:
 * :mod:`tests.oracles.discovery` — the per-node ``send_run`` discovery
   walker (oracle for the one-plan sweep of
   :func:`repro.sm.discovery.discover_subnet` and, through it, for
-  :meth:`repro.mad.transport.SmpTransport.deliver`).
+  :meth:`repro.mad.transport.SmpTransport.deliver`);
+* :mod:`tests.oracles.dataplane` — the closure-per-event data-plane
+  simulator on the engine's plain heap (oracle for the struct-of-arrays
+  kernel of :mod:`repro.sim.dataplane` and, through it, for the lane
+  merge of :class:`repro.sim.engine.SimulationEngine`).
 
 :mod:`tests.oracles.observe` is what the oracle suites compare: everything
 an SMP delivery may leave behind, in ``==`` form.

@@ -151,7 +151,7 @@ class TestMidFlightReconfiguration:
             rec.copy_path(h_new.port(1).lid, vm_lid)
             sm.lid_manager.move_lid(vm_lid, h_new.port(1))
 
-        sim.engine.schedule(22e-6, migrate, label="migration")
+        sim.engine.schedule(22e-6, migrate)
         stats = sim.run()
         # All packets delivered: early ones at the old host, late ones at
         # the new one, none lost to the reconfiguration itself.
@@ -224,9 +224,7 @@ class TestSafeSwapUnderTraffic:
 
         # Phase 1 (t=15us): invalidate — the reconfiguration window opens
         # and traffic toward the moving LID is dropped at the switches.
-        sim.engine.schedule(
-            15e-6, lambda: rec.invalidate_lid(lid_a), label="invalidate"
-        )
+        sim.engine.schedule(15e-6, lambda: rec.invalidate_lid(lid_a))
 
         # Phase 2 (t=40us): the actual swap lands and the window closes.
         def finish_swap():
@@ -239,7 +237,7 @@ class TestSafeSwapUnderTraffic:
             # step by recomputing from the SM's recorded tables).
             rec.copy_path(h_a.port(1).lid, lid_b)
 
-        sim.engine.schedule(40e-6, finish_swap, label="swap")
+        sim.engine.schedule(40e-6, finish_swap)
         stats = sim.run()
         assert stats.in_flight == 0
         assert stats.dropped_timeout == 0  # never wedged

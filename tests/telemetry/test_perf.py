@@ -1,6 +1,8 @@
 """PerfManager: costed sweeps, rollover reconstruction, faults, resets."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.fabric.builders import build_two_level_fattree
 from repro.fabric.node import PMA_COUNTER_WRAP
@@ -142,9 +144,90 @@ class TestReset:
             perf.total(sw.name, 1, "xmit_packets") >= 42
         )  # monotonic total never regresses
 
+    def test_the_reading_after_a_reset_counts_in_full(self, sm):
+        sw = sm.topology.switches[0]
+        sw.port_counters(1).xmit_packets = 42
+        perf = PerfManager(sm, include_hcas=False)
+        perf.sweep()
+        perf.reset_counters()
+        sw.port_counters(1).xmit_packets = 3
+        perf.sweep()
+        assert perf.total(sw.name, 1, "xmit_packets") == 45
+
     def test_shared_store_can_be_injected(self, sm):
         store = TimeSeriesStore(capacity=16)
         perf = PerfManager(sm, store=store, include_hcas=False)
         perf.sweep()
         assert len(store) > 0
         assert perf.store is store
+
+
+def per_sample_fold(readings, capacity):
+    """The per-sample ingest the manager replaced: two dict round-trips
+    and one ``store.append`` per sample."""
+    store, raw_of, totals = TimeSeriesStore(capacity=capacity), {}, {}
+    for entry in readings:
+        if entry == "reset":
+            raw_of.clear()
+            continue
+        node, now, ports = entry
+        for pnum in sorted(ports):
+            for cname, raw in ports[pnum].items():
+                key = (node, pnum, cname)
+                prev = raw_of.get(key)
+                delta = raw if prev is None else (raw - prev) % PMA_COUNTER_WRAP
+                raw_of[key] = raw
+                totals[key] = totals.get(key, 0) + delta
+                store.append(node, pnum, cname, now, totals[key])
+    return store, totals
+
+
+class TestIngestMatchesPerSampleFold:
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        rounds=st.lists(
+            st.tuples(
+                st.booleans(),
+                st.lists(
+                    st.tuples(
+                        st.integers(0, 50), st.integers(1, 8),
+                        st.sampled_from(["xmit_packets", "xmit_wait", "rcv_data"]),
+                        st.integers(0, 3 * PMA_COUNTER_WRAP),
+                    ),
+                    max_size=6,
+                ),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        capacity=st.sampled_from([2, 3, 512]),
+    )
+    def test_store_totals_and_reports(self, sm, monkeypatch, rounds, capacity):
+        nodes = sm.topology.switches + sm.topology.hcas
+        perf = PerfManager(sm, store=TimeSeriesStore(capacity=capacity))
+        readings = []
+        get_counters = perf._get_counters
+
+        def recorded(node, report):
+            data = get_counters(node, report)
+            if data is not None:
+                readings.append((node.name, get_hub().now(), data["ports"]))
+            return data
+
+        monkeypatch.setattr(perf, "_get_counters", recorded)
+        for reset, writes in rounds:
+            for i, port, counter, value in writes:
+                node = nodes[i % len(nodes)]
+                setattr(node.port_counters(port % node.num_ports + 1), counter, value)
+            if reset:
+                perf.reset_counters()
+                readings.append("reset")
+            perf.sweep()
+        store, totals = per_sample_fold(readings, capacity)
+        assert perf.store.to_json() == store.to_json()
+        assert {key: perf.total(*key) for key in totals} == totals
+        assert sum(r.samples for r in perf.reports) == store.samples_total
