@@ -34,11 +34,6 @@ def main() -> None:
     print("\n=== measured path computation time (PCt) ===")
     print(render_fig7(series))
 
-    from repro.analysis.plots import render_fig7_chart
-
-    print("\n=== as a (log-scale) chart ===")
-    print(render_fig7_chart(series))
-
     print("\n=== the paper's Fig. 7 values (seconds) ===")
     sizes = (324, 648, 5832, 11664)
     rows = [

@@ -16,10 +16,7 @@ from repro.analysis.experiments import (
     table1_for_topology,
 )
 from repro.analysis.figures import PAPER_FIG7_SECONDS, Fig7Series, render_fig7
-from repro.analysis.calibration import CalibratedConstants, calibrate
-from repro.analysis.plots import ascii_bars, render_fig7_chart
 from repro.analysis.report import generate_report
-from repro.analysis.sweeps import VfCapacityPoint, subnet_cost_sweep, vf_capacity_sweep
 from repro.analysis.static import (
     Finding,
     StaticAnalysisReport,
@@ -48,13 +45,6 @@ __all__ = [
     "Fig7Series",
     "render_fig7",
     "generate_report",
-    "ascii_bars",
-    "CalibratedConstants",
-    "calibrate",
-    "render_fig7_chart",
-    "VfCapacityPoint",
-    "vf_capacity_sweep",
-    "subnet_cost_sweep",
     "Finding",
     "StaticAnalysisReport",
     "analyze_fabric",

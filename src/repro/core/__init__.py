@@ -22,8 +22,6 @@ from repro.core.migration import (
     MigrationReport,
     MigrationTimingModel,
 )
-from repro.core.advisor import MigrationAdvisor, MigrationProposal
-from repro.core.parallel import ParallelMigrationExecutor, ParallelMigrationReport
 from repro.core.reconfig import ReconfigReport, VSwitchReconfigurer
 from repro.core.skyline import (
     MigrationSkyline,
@@ -56,10 +54,6 @@ __all__ = [
     "minimal_update_set",
     "is_intra_leaf",
     "admit_concurrent",
-    "MigrationAdvisor",
-    "MigrationProposal",
-    "ParallelMigrationExecutor",
-    "ParallelMigrationReport",
     "LiveMigrationOrchestrator",
     "MigrationReport",
     "MigrationTimingModel",

@@ -16,12 +16,6 @@ from repro.fabric.lft import (
     min_blocks_for_lid_count,
 )
 from repro.fabric.link import Link
-from repro.fabric.serialization import (
-    load_topology,
-    save_topology,
-    topology_from_dict,
-    topology_to_dict,
-)
 from repro.fabric.node import HCA, Node, NodeType, Port, PortCounters, QueuePair, Switch
 from repro.fabric.topology import SwitchFabricView, Terminal, Topology
 
@@ -38,10 +32,6 @@ __all__ = [
     "blocks_covering",
     "min_blocks_for_lid_count",
     "Link",
-    "topology_to_dict",
-    "topology_from_dict",
-    "save_topology",
-    "load_topology",
     "HCA",
     "Node",
     "NodeType",

@@ -1,13 +1,12 @@
-"""Topology builders: fat-trees, generic shapes, and dragonflies.
+"""Topology builders: fat-trees and generic shapes.
 
 Every builder returns a :class:`~repro.fabric.builders.fattree.BuiltTopology`
 wrapping the constructed :class:`~repro.fabric.topology.Topology` together
-with the structural metadata (tree levels, pod/group membership, grid
+with the structural metadata (tree levels, pod membership, grid
 dimensions) that structure-aware routing engines and the migration planner
 consume. Builders never assign LIDs — that is the subnet manager's job.
 """
 
-from repro.fabric.builders.dragonfly import build_dragonfly
 from repro.fabric.builders.fattree import (
     BuiltTopology,
     build_three_level_fattree,
@@ -30,5 +29,4 @@ __all__ = [
     "build_mesh_2d",
     "build_torus_2d",
     "build_random_regular",
-    "build_dragonfly",
 ]

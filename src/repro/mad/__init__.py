@@ -2,7 +2,6 @@
 
 from repro.mad.smp import Smp, SmpKind, SmpMethod, SmpPlan, SmpResult, make_set_lft_block
 from repro.mad.transport import SmpTransport, TransportStats
-from repro.mad.wire import ATTR_PAYLOAD_SIZE, MAD_SIZE, decode_smp, encode_smp
 
 __all__ = [
     "Smp",
@@ -12,9 +11,5 @@ __all__ = [
     "SmpResult",
     "make_set_lft_block",
     "SmpTransport",
-    "MAD_SIZE",
-    "ATTR_PAYLOAD_SIZE",
-    "encode_smp",
-    "decode_smp",
     "TransportStats",
 ]

@@ -57,12 +57,10 @@ MAD_BYTES = 256
 class TransportStats:
     """Aggregated accounting of everything sent through a transport.
 
-    The scalar aggregates are always maintained. The *per-SMP sample
-    lists* (``latencies``/``hops``/``directed_flags`` — the raw material
-    for :func:`repro.analysis.calibration.calibrate`) only grow when
-    ``record_samples`` is set, so million-SMP runs stay bounded; the
-    always-on per-SMP record lives in the bounded
-    :class:`repro.obs.flight.FlightRecorder` instead.
+    The scalar aggregates are always maintained. The per-SMP sample
+    list ``latencies`` only grows when ``record_samples`` is set, so
+    million-SMP runs stay bounded; the always-on per-SMP record lives in
+    the bounded :class:`repro.obs.flight.FlightRecorder` instead.
     """
 
     total_smps: int = 0
@@ -90,11 +88,6 @@ class TransportStats:
     #: Opt in via ``SmpTransport(..., record_samples=True)``.
     record_samples: bool = False
     latencies: List[float] = field(default_factory=list)
-    #: Per-SMP hop counts, aligned with ``latencies`` (and whether each
-    #: packet used directed routing) — the raw material for calibrating
-    #: the cost model's k and r from observations.
-    hops: List[int] = field(default_factory=list)
-    directed_flags: List[bool] = field(default_factory=list)
 
     def mean_k(self) -> float:
         """Average per-SMP traversal time — the paper's ``k``."""
@@ -125,8 +118,6 @@ class TransportStats:
             by_kind=Counter(self.by_kind),
             by_target=Counter(self.by_target),
             latencies=list(self.latencies),
-            hops=list(self.hops),
-            directed_flags=list(self.directed_flags),
         )
 
     def mark(self) -> Tuple[Any, ...]:
@@ -141,7 +132,7 @@ class TransportStats:
     def since(self, mark: Tuple[Any, ...]) -> "TransportStats":
         """The scalars accumulated since *mark* — what an operation cost.
 
-        ``by_kind``, ``by_target`` and the sample lists stay empty (see
+        ``by_kind``, ``by_target`` and ``latencies`` stay empty (see
         :meth:`delta_since`); ``max_latency`` is set so that
         :meth:`pipelined_time` keeps its lower bound.
         """
@@ -165,8 +156,6 @@ class TransportStats:
         out.by_kind = self.by_kind - before.by_kind
         out.by_target = self.by_target - before.by_target
         out.latencies = self.latencies[len(before.latencies):]
-        out.hops = self.hops[len(before.hops):]
-        out.directed_flags = self.directed_flags[len(before.directed_flags):]
         return out
 
 
@@ -584,12 +573,9 @@ class SmpTransport:
                         run.latency, lft_update, "delivered",
                     )
                     st.total_hops += count * run.hops
-                    if st.record_samples:
-                        st.hops.extend([run.hops] * count)
                 st.max_latency = max(st.max_latency, max(latencies))
                 if st.record_samples:
                     st.latencies.extend(latencies)
-                    st.directed_flags.extend([directed] * sent)
                 tx = self._endpoint_counters(self.sm_node)
                 tx.xmit_packets += sent
                 tx.xmit_data += sent * MAD_BYTES
@@ -749,8 +735,6 @@ class SmpTransport:
             st.max_latency = latency
         if st.record_samples:
             st.latencies.append(latency)
-            st.hops.append(run.hops)
-            st.directed_flags.append(run.directed)
         st.by_kind[kind] += 1
         st.by_target[run.target.name] += 1
         if run.directed:

@@ -116,6 +116,11 @@ class ServiceStats:
 class ControlPlaneService:
     """One multi-tenant control-plane worker (see module docstring)."""
 
+    #: A sweep slower than this (sim seconds) sheds new load.
+    SHED_SWEEP_LATENCY_S = 0.05
+    #: Fixed sim-time cost of one non-empty sweep.
+    SWEEP_COST_S = 1e-4
+
     def __init__(
         self,
         cloud: CloudManager,
@@ -128,8 +133,6 @@ class ControlPlaneService:
         request_timeout_s: float = 0.25,
         retry_policy: Optional[RetryPolicy] = None,
         shed_queue_fraction: float = 0.75,
-        shed_sweep_latency_s: float = 0.05,
-        sweep_cost_s: float = 1e-4,
         genesis: Optional[Dict[str, object]] = None,
     ) -> None:
         if max_queue_depth < 1:
@@ -147,8 +150,6 @@ class ControlPlaneService:
         self.request_timeout_s = request_timeout_s
         self.retry_policy = retry_policy or RetryPolicy()
         self.shed_queue_fraction = shed_queue_fraction
-        self.shed_sweep_latency_s = shed_sweep_latency_s
-        self.sweep_cost_s = sweep_cost_s
         self.stats = ServiceStats()
         self.last_sweep_latency_s = 0.0
         #: True once the worker died (crash point fired); every further
@@ -259,7 +260,7 @@ class ControlPlaneService:
                 for request in batch:
                     if not OPS[request.op].batched:
                         self._apply_one(request, report)
-                hub.advance(self.sweep_cost_s)
+                hub.advance(self.SWEEP_COST_S)
             self.last_sweep_latency_s = hub.now() - started
             report.latency_s = self.last_sweep_latency_s
             sp.set_attributes(
@@ -305,7 +306,7 @@ class ControlPlaneService:
         return (
             len(self._queue)
             >= self.shed_queue_fraction * self.max_queue_depth
-            or self.last_sweep_latency_s > self.shed_sweep_latency_s
+            or self.last_sweep_latency_s > self.SHED_SWEEP_LATENCY_S
         )
 
     def pending_accounted(self) -> int:
@@ -440,7 +441,7 @@ class ControlPlaneService:
         sweeps_needed = len(self._queue) // self.batch_size + 1
         per_sweep = max(
             self.last_sweep_latency_s,
-            self.sweep_cost_s,
+            self.SWEEP_COST_S,
             self.retry_policy.timeout_s,
         )
         return sweeps_needed * per_sweep

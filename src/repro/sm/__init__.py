@@ -10,7 +10,6 @@ from repro.sm.deadlock import (
 from repro.sm.discovery import DiscoveryReport, discover_subnet
 from repro.sm.lft_distribution import DistributionReport, LftDistributor
 from repro.sm.lid_manager import LidManager
-from repro.sm.perfmgt import LinkUtilization, PerformanceManager
 from repro.sm.subnet_manager import ConfigureReport, SubnetManager
 from repro.sm.traps import FabricEventManager, TrapRecord, TrapType
 
@@ -24,8 +23,6 @@ __all__ = [
     "DistributionReport",
     "LftDistributor",
     "LidManager",
-    "PerformanceManager",
-    "LinkUtilization",
     "ConfigureReport",
     "SubnetManager",
     "FabricEventManager",

@@ -48,12 +48,6 @@ from repro.sm.subnet_manager import ConfigureReport, SubnetManager
 
 __all__ = ["HighAvailabilityManager"]
 
-#: Heartbeats are short-fused: one retransmission, tight timeouts — a
-#: lease poll exists to *detect* loss quickly, not to survive it.
-DEFAULT_HEARTBEAT_POLICY = RetryPolicy(
-    retries=1, timeout_s=5e-4, backoff=2.0, max_timeout_s=1e-3
-)
-
 
 def _try_send(sender, smp: Smp):
     """Send one HA MAD; ``None`` when it timed out after the sender's
@@ -68,24 +62,26 @@ def _try_send(sender, smp: Smp):
 class HighAvailabilityManager:
     """Runs the SM HA protocol over one subnet manager's transport."""
 
+    #: Heartbeats are short-fused: one retransmission, tight timeouts — a
+    #: lease poll exists to *detect* loss quickly, not to survive it.
+    HEARTBEAT_POLICY = RetryPolicy(
+        retries=1, timeout_s=5e-4, backoff=2.0, max_timeout_s=1e-3
+    )
+    #: Journal entries shipped to a lagging standby per SubnSet(SMInfo).
+    REPLICATION_BATCH = 16
+
     def __init__(
         self,
         sm: SubnetManager,
         *,
         lease_misses: int = 2,
-        heartbeat_policy: Optional[RetryPolicy] = None,
         journal_capacity: int = 2048,
-        replication_batch: int = 16,
     ) -> None:
         if lease_misses < 1:
             raise HighAvailabilityError("lease_misses must be >= 1")
-        if replication_batch < 1:
-            raise HighAvailabilityError("replication_batch must be >= 1")
         self.sm = sm
         self.transport = sm.transport
         self.lease_misses = lease_misses
-        self.heartbeat_policy = heartbeat_policy or DEFAULT_HEARTBEAT_POLICY
-        self.replication_batch = replication_batch
         self.journal = ReplicationJournal(journal_capacity)
         self._participants: Dict[str, SmParticipant] = {}
         self._replicas: Dict[str, StandbyReplica] = {}
@@ -424,8 +420,8 @@ class HighAvailabilityManager:
         master = self.master
         master_name = master.node_name if master else None
         sent = 0
-        for start in range(0, len(missing), self.replication_batch):
-            batch = missing[start : start + self.replication_batch]
+        for start in range(0, len(missing), self.REPLICATION_BATCH):
+            batch = missing[start : start + self.REPLICATION_BATCH]
             if not self._send_batch(node_name, batch, master_name):
                 break
             sent += len(batch)
@@ -436,7 +432,7 @@ class HighAvailabilityManager:
     def _heartbeat_sender(self, node_name: str) -> ReliableSmpSender:
         sender = self._heartbeat_senders.get(node_name)
         if sender is None:
-            sender = ReliableSmpSender(self.transport, self.heartbeat_policy)
+            sender = ReliableSmpSender(self.transport, self.HEARTBEAT_POLICY)
             self._heartbeat_senders[node_name] = sender
         return sender
 
@@ -634,7 +630,7 @@ class HighAvailabilityManager:
         if not part.is_master:
             return "not-master"
         stale_sender = ReliableSmpSender(
-            self.transport, self.heartbeat_policy, generation=part.generation
+            self.transport, self.HEARTBEAT_POLICY, generation=part.generation
         )
         try:
             stale_sender.send(

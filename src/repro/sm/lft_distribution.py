@@ -72,13 +72,15 @@ class DistributionReport:
 class LftDistributor:
     """Sends LFT blocks to switches through an SMP transport."""
 
+    #: LFT SMPs travel directed-routed.
+    DIRECTED = True
+
     def __init__(
         self,
         topology: Topology,
         transport: SmpTransport,
         *,
         pipeline_window: int = 8,
-        directed: bool = True,
     ) -> None:
         if pipeline_window < 1:
             raise RoutingError("pipeline window must be >= 1")
@@ -89,7 +91,6 @@ class LftDistributor:
         #: the SM enables resilience.
         self.sender = transport
         self.pipeline_window = pipeline_window
-        self.directed = directed
         #: Verify every block write with a GetResp read-back, re-sync
         #: mismatches from the shadow copy, roll back on failure.
         self.transactional = False
@@ -199,16 +200,16 @@ class LftDistributor:
             if self.transactional:
                 for sw, block, row in zip(targets, blocks.tolist(), entries):
                     self.write_block_verified(
-                        sw, block, row, directed=self.directed,
+                        sw, block, row, directed=self.DIRECTED,
                         undo=undo, report=report,
                     )
             else:
                 self.sender.send_lft_sweep(
                     [sw.name for sw in targets], blocks, entries,
-                    directed=self.directed,
+                    directed=self.DIRECTED,
                 )
         except TransportError as exc:
-            self.rollback(undo, directed=self.directed)
+            self.rollback(undo, directed=self.DIRECTED)
             report.rolled_back = True
             raise DistributionError(
                 f"LFT distribution aborted ({exc}); rolled back"

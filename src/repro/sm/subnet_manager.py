@@ -105,7 +105,6 @@ class SubnetManager:
         built: Optional[object] = None,
         transport: Optional[SmpTransport] = None,
         pipeline_window: int = 8,
-        lft_smp_directed: bool = True,
         fallback_engine: Optional[str] = None,
         workers: int = 1,
     ) -> None:
@@ -132,10 +131,7 @@ class SubnetManager:
         self.transport.set_distance_source(self.routing_state)
         self.lid_manager = LidManager(topology)
         self.distributor = LftDistributor(
-            topology,
-            self.transport,
-            pipeline_window=pipeline_window,
-            directed=lft_smp_directed,
+            topology, self.transport, pipeline_window=pipeline_window
         )
         self.current_tables: Optional[RoutingTables] = None
         self.last_request: Optional[RoutingRequest] = None

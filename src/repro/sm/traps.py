@@ -92,17 +92,12 @@ class PendingEvent:
 class FabricEventManager:
     """Receives fabric traps and drives the SM's reaction."""
 
-    def __init__(
-        self,
-        sm: SubnetManager,
-        *,
-        queue_capacity: int = 64,
-        storm_threshold: int = 3,
-    ) -> None:
-        if queue_capacity < 1:
-            raise ReproError("trap queue capacity must be >= 1")
-        if storm_threshold < 1:
-            raise ReproError("storm threshold must be >= 1")
+    #: Pending events the bounded VL15 trap queue holds.
+    QUEUE_CAPACITY = 64
+    #: Flaps per pump interval above which a link is storming.
+    STORM_THRESHOLD = 3
+
+    def __init__(self, sm: SubnetManager) -> None:
         self.sm = sm
         self.traps: List[TrapRecord] = []
         #: Congestion threshold events (TrapType.CONGESTION), arrival order.
@@ -112,8 +107,6 @@ class FabricEventManager:
         self.reactions: List[ConfigureReport] = []
         #: Bounded VL15 trap queue, keyed by normalized link endpoints.
         #: Dict order (insertion) keeps draining deterministic.
-        self.queue_capacity = queue_capacity
-        self.storm_threshold = storm_threshold
         self._queue: Dict[Tuple[str, str], PendingEvent] = {}
         #: Raw flap count per link key since the last pump — the storm
         #: detector's signal.
@@ -270,7 +263,7 @@ class FabricEventManager:
                 metrics.counter("repro_traps_coalesced_total").add(1)
                 self.traps_coalesced += 1
             return
-        if len(self._queue) >= self.queue_capacity:
+        if len(self._queue) >= self.QUEUE_CAPACITY:
             self.overflows += 1
             self.needs_full_sweep = True
             metrics.counter("repro_trap_queue_overflows_total").add(1)
@@ -362,7 +355,7 @@ class FabricEventManager:
     def pump(self, *, force: bool = False) -> Optional[ConfigureReport]:
         """Drain the trap queue into (at most) one batched reroute.
 
-        Links that flapped more than ``storm_threshold`` times since the
+        Links that flapped more than ``STORM_THRESHOLD`` times since the
         last pump are throttled: their events stay queued for one extra
         pump (unless ``force``), so a storm settles before the SM pays a
         reroute for it. Returns the reaction report, or ``None`` when
@@ -375,7 +368,7 @@ class FabricEventManager:
             flaps = self._flap_counts.get(key, 0)
             if (
                 not force
-                and flaps > self.storm_threshold
+                and flaps > self.STORM_THRESHOLD
                 and not event.deferred
             ):
                 event.deferred = True

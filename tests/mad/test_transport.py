@@ -83,14 +83,17 @@ class TestHops:
 
 class TestLatencyModel:
     def test_directed_adds_r_per_hop(self):
+        # Section VI-A's cost model per packet: k per hop, plus the
+        # directed-routing surcharge r per hop.
         topo = line_topology()
         tr = SmpTransport(topo, hop_latency=1.0, dr_overhead=0.5)
-        res_dir = tr.send(Smp(SmpMethod.GET, SmpKind.NODE_INFO, "s1"))
-        res_dst = tr.send(
-            Smp(SmpMethod.GET, SmpKind.NODE_INFO, "s1", directed=False)
-        )
-        assert res_dir.latency == pytest.approx(2 * 1.5)
-        assert res_dst.latency == pytest.approx(2 * 1.0)
+        for name in ("s0", "s1", "s2", "h2"):
+            for directed in (True, False):
+                res = tr.send(
+                    Smp(SmpMethod.GET, SmpKind.NODE_INFO, name,
+                        directed=directed)
+                )
+                assert res.latency == res.hops * (1.0 + directed * 0.5)
 
     def test_closer_switch_cheaper(self):
         # Section VI-A footnote 4.
@@ -188,8 +191,6 @@ class TestSampleRecording:
         for _ in range(3):
             tr.send(Smp(SmpMethod.GET, SmpKind.NODE_INFO, "s1"))
         assert tr.stats.latencies == []
-        assert tr.stats.hops == []
-        assert tr.stats.directed_flags == []
         assert tr.stats.total_smps == 3
         assert tr.stats.max_latency > 0
 
@@ -207,8 +208,6 @@ class TestSampleRecording:
         tr = SmpTransport(topo, record_samples=True)
         tr.send(Smp(SmpMethod.GET, SmpKind.NODE_INFO, "s0"))
         assert len(tr.stats.latencies) == 1
-        assert len(tr.stats.hops) == 1
-        assert len(tr.stats.directed_flags) == 1
 
 
 class TestApplication:
@@ -1153,7 +1152,7 @@ class TestOneBookingLoopGuards:
         assert "transport.deliver(" in source
 
     def test_transport_does_not_grow(self):
-        assert len((MAD / "transport.py").read_text().splitlines()) <= 908
+        assert len((MAD / "transport.py").read_text().splitlines()) <= 890
 
     def test_the_per_node_walker_lives_with_the_oracles(self):
         assert (REPO / "tests" / "oracles" / "discovery.py").exists()

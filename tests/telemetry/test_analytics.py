@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.core.reconfig import VSwitchReconfigurer
 from repro.errors import ReproError
+from repro.sm.subnet_manager import SubnetManager
 from repro.telemetry import (
     LINK_BANDWIDTH_BYTES,
     CongestionDetector,
+    TelemetryHarness,
     TrafficMatrix,
     port_rates,
     top_talkers,
@@ -51,6 +54,42 @@ class TestPortRates:
     def test_top_must_be_at_least_one(self):
         with pytest.raises(ReproError, match="top"):
             top_talkers(seeded_store(), top=0)
+
+
+@pytest.fixture
+def swept(small_fattree):
+    """A routed fat-tree with one baseline PerfManager sweep taken."""
+    sm = SubnetManager(small_fattree.topology, built=small_fattree)
+    sm.initial_configure(with_discovery=False)
+    harness = TelemetryHarness(sm, max_endpoints=10, channel_credits=4)
+    harness.sweep()
+    return harness
+
+
+class TestOnASweptFabric:
+    def test_top_talkers_are_the_hottest_links(self, swept):
+        swept.burst()
+        swept.sweep()
+        rates = port_rates(swept.store)
+        hot = top_talkers(swept.store, top=len(rates))
+        assert [r.xmit_bps for r in hot] == sorted(
+            (r.xmit_bps for r in rates), reverse=True
+        )
+        assert hot[0].xmit_bps > 0
+        assert len(top_talkers(swept.store, top=3)) == 3
+
+    def test_an_invalidated_lid_shows_discards(self, swept):
+        topo = swept.sm.topology
+        victim = topo.hcas[-1].lid
+        VSwitchReconfigurer(swept.sm).invalidate_lid(victim)
+        swept.burst([(topo.hcas[0].lid, victim)])
+        swept.sweep()
+        spots = [r for r in port_rates(swept.store) if r.discard_rate > 0]
+        assert spots
+        assert all(
+            swept.perf.total(r.node, r.port, "xmit_discards") >= 1
+            for r in spots
+        )
 
 
 class _EventSink:

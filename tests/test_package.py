@@ -79,6 +79,10 @@ class TestConstants:
         assert LFT_BLOCK_SIZE == 64
         assert LFT_BLOCKS_FULL_SUBNET * LFT_BLOCK_SIZE >= MAX_UNICAST_LID + 1
         assert LFT_BLOCKS_FULL_SUBNET == 768
+        # Why LFTs move in blocks: 64 one-byte port entries fill exactly
+        # one 64-byte SMP attribute payload.
+        port_entry_bytes, smp_attribute_payload_bytes = 1, 64
+        assert LFT_BLOCK_SIZE * port_entry_bytes == smp_attribute_payload_bytes
 
     def test_drop_port(self):
         assert LFT_DROP_PORT == 255

@@ -16,6 +16,7 @@ from repro.sm.routing.registry import create_engine
 from repro.sm.subnet_manager import SubnetManager
 from repro.core.reconfig import VSwitchReconfigurer
 from repro.core.skyline import minimal_update_set
+from repro.virt.cloud import CloudManager
 
 _settings = settings(
     max_examples=10,
@@ -131,3 +132,21 @@ class TestRandomTopologies:
                 cur = switches[nxt]
                 hops += 1
                 assert hops <= len(switches)
+
+
+class TestCloudOnRandomRegular:
+    def test_migration_is_topology_agnostic(self):
+        # The paper's reconfiguration is topology agnostic: the same cloud
+        # stack migrates a VM on a Jellyfish-style graph unchanged.
+        built = build_random_regular(8, 3, 2, seed=7)
+        cloud = CloudManager(
+            built.topology, built=built, lid_scheme="prepopulated", num_vfs=2
+        )
+        cloud.adopt_all_hcas()
+        cloud.bring_up_subnet()
+        first, *_, last = sorted(cloud.hypervisors)
+        vm = cloud.boot_vm(on=first)
+        report = cloud.live_migrate(vm.name, last)
+        assert report.reconfig.path_compute_seconds == 0.0
+        assert 1 <= report.reconfig.lft_smps <= 2 * built.topology.num_switches
+        assert vm.lid == report.vm_lid
