@@ -150,10 +150,7 @@ class LiveMigrationOrchestrator:
         reconfiguration. Failures are reported, not raised, so bulk
         workloads (churn, chaos) keep going.
         """
-        self._validate(vm, source, destination)
-        vm_lid = vm.lid
-        assert vm_lid is not None  # _validate checked
-
+        vm_lid = self._validate(vm, source, destination)
         dest_vf = destination.vswitch.first_free_vf()
         mode = "swap" if self.scheme.name == "prepopulated" else "copy"
         other_lid = dest_vf.lid if mode == "swap" else destination.pf_lid
@@ -233,7 +230,11 @@ class LiveMigrationOrchestrator:
                             payload={"vf": dest_vf.index, "vguid": vm.vguid},
                         )
                     )
-                assert result.data is not None
+                if result.data is None:
+                    raise MigrationError(
+                        f"the vGUID update to {destination.hca.name!r} came"
+                        " back without its vGUID"
+                    )
                 destination.vswitch.set_vguid(dest_vf, result.data["vguid"])
                 vguid_programmed = True
                 address_update_smps = (
@@ -246,7 +247,11 @@ class LiveMigrationOrchestrator:
                 limit = None
                 if self.minimal_intra_leaf and skyline.intra_leaf:
                     leaf = source.uplink_port.remote
-                    assert leaf is not None
+                    if leaf is None:
+                        raise MigrationError(
+                            f"{source.name} lost its uplink during the"
+                            f" migration of {vm.name}"
+                        )
                     limit = {leaf.node.index}
                 reconfig = self.scheme.migrate_lid(
                     vm_lid,
@@ -439,14 +444,17 @@ class LiveMigrationOrchestrator:
     @staticmethod
     def _validate(
         vm: VirtualMachine, source: Hypervisor, destination: Hypervisor
-    ) -> None:
+    ) -> int:
+        """Refuse a migration that cannot start; return the LID that moves."""
         if source is destination:
             raise MigrationError("source and destination are the same node")
         if vm.name not in source.vms:
             raise MigrationError(f"{vm.name} does not run on {source.name}")
         if vm.state is not VmState.RUNNING:
             raise MigrationError(f"{vm.name} is {vm.state.value}, not running")
-        if vm.lid is None:
+        lid = vm.lid
+        if lid is None:
             raise MigrationError(f"{vm.name} has no LID to migrate")
         if not destination.has_capacity():
             raise MigrationError(f"{destination.name} has no free VF")
+        return lid

@@ -126,7 +126,8 @@ def minimal_update_set(
     for sw in topology.switches:
         for port in sw.connected_ports():
             peer = port.remote
-            assert peer is not None
+            if peer is None:
+                raise port.no_far_end()
             if isinstance(peer.node, Switch):
                 p2p[(sw.index, port.num)] = peer.node.index
 

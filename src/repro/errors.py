@@ -153,6 +153,10 @@ class ServiceKilled(ServiceError):
     """
 
 
+class ObservabilityError(ReproError):
+    """Misuse of the observability layer (a span ended twice, ...)."""
+
+
 class SequenceError(ReproError):
     """A record was appended to a sequenced log under the wrong number
     (see :mod:`repro.util.seqlog`)."""

@@ -18,27 +18,17 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
+from itertools import accumulate, groupby
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import (
-    TopologyError,
-    TransportError,
-    UnreachableTargetError,
-)
+from repro.errors import TopologyError, TransportError, UnreachableTargetError
 from repro.fabric.graph import bfs_distances
 from repro.fabric.node import HCA, Node, Switch
 from repro.fabric.topology import Topology
-from repro.mad.smp import (
-    Smp,
-    SmpKind,
-    SmpMethod,
-    SmpPlan,
-    SmpResult,
-    SmpStatus,
-)
+from repro.mad.smp import Smp, SmpKind, SmpMethod, SmpPlan, SmpResult, SmpStatus
 from repro.obs.hub import get_hub
 from repro.obs.spans import current_span
 
@@ -167,23 +157,25 @@ _COUNTED = (
 )
 
 
-class _Run:
-    """What the SMPs of one run share, worked out once per run.
+#: The attribute names of a span's SMP event, in the order of a route row's
+#: span values.
+_SPAN_KEYS = ("kind", "target", "hops", "directed", "latency", "lft_update")
 
-    A run is consecutive SMPs to one target in one routing mode: the
-    resolved target, the hop count and the wire latency (``k``, plus
+
+class _Route:
+    """What every SMP to one node in one routing mode shares.
+
+    The resolved target, the hop count and the wire latency (``k``, plus
     ``r`` per hop when directed) are the same for every packet. ``rx``
     (the target's endpoint counters) is filled by the first packet that
-    arrives, so a run that is dropped whole leaves the target's counters
-    untouched; ``kind``/``kind_label``/``series`` are the kind last
-    accounted, its label and its ``repro_smp_total`` counter, reused
-    while the kind stays the same.
+    arrives, so a target no packet reached keeps no counters. ``rows``
+    holds, per kind, what a booked row of that kind leaves besides its
+    times: the flight-event fields and the span-event values. A switch's
+    route is kept in :class:`SmpTransport`'s table for as long as the
+    distances it was worked out from.
     """
 
-    __slots__ = (
-        "target", "directed", "hops", "latency", "rx",
-        "kind", "kind_label", "series",
-    )
+    __slots__ = ("target", "directed", "hops", "latency", "rx", "rows")
 
     def __init__(
         self, target: Node, directed: bool, hops: int, latency: float
@@ -193,9 +185,18 @@ class _Run:
         self.hops = hops
         self.latency = latency
         self.rx = None
-        self.kind: Optional[SmpKind] = None
-        self.kind_label = ""
-        self.series = None
+        self.rows: Dict[SmpKind, Tuple[tuple, tuple]] = {}
+
+    def row(self, kind: SmpKind) -> Tuple[tuple, tuple]:
+        """Work out (and keep) the flight fields and span values of a
+        delivered row of *kind*: SubnSet for an LFT block, SubnGet else."""
+        label, lft = kind.name.lower(), kind is SmpKind.LFT_BLOCK
+        shared = (self.target.name, self.hops, self.directed, self.latency, lft)
+        method = SmpPlan.method_of(kind).name.lower()
+        row = self.rows[kind] = (
+            (label, method, *shared, "delivered"), (label, *shared),
+        )
+        return row
 
 
 class SmpTransport:
@@ -236,6 +237,9 @@ class SmpTransport:
         self._sm_agent = None
         self._dist_cache: Optional[np.ndarray] = None
         self._dist_version: int = -1
+        #: Switch routes by name, one table per routing mode (indexed by
+        #: ``directed``); emptied whenever ``_dist_cache`` is dropped.
+        self._routes: Tuple[Dict[str, _Route], Dict[str, _Route]] = ({}, {})
         #: Duck-typed shared distance cache (anything with a
         #: ``row(switch_index) -> np.ndarray`` method — in practice the
         #: subnet manager's :class:`repro.sm.routing.cache.RoutingState`).
@@ -258,16 +262,25 @@ class SmpTransport:
     def set_sm_node(self, node: Node) -> None:
         """Move the SM (invalidates the distance cache)."""
         self._sm_node = node
-        self._dist_cache = None
+        self.invalidate_distances()
 
     def set_distance_source(self, source) -> None:
         """Attach a shared distance cache (``row(index) -> distances``)."""
         self._distance_source = source
-        self._dist_cache = None
+        self.invalidate_distances()
 
     def invalidate_distances(self) -> None:
-        """Drop the BFS cache after a topology mutation."""
+        """Drop the BFS cache after a topology mutation, and with it the
+        switch routes worked out from it."""
         self._dist_cache = None
+        for table in self._routes:
+            table.clear()
+
+    def _table(self, directed: bool) -> Dict[str, _Route]:
+        """The switch routes of one routing mode, for this topology version."""
+        if self._dist_version != self.topology.version:
+            self.invalidate_distances()
+        return self._routes[directed]
 
     # -- fault injection ------------------------------------------------------
 
@@ -321,6 +334,7 @@ class SmpTransport:
     def _switch_distances(self) -> np.ndarray:
         version = self.topology.version
         if self._dist_cache is None or self._dist_version != version:
+            self.invalidate_distances()
             root = self._sm_root_switch().index
             if self._distance_source is not None:
                 self._dist_cache = self._distance_source.row(root)
@@ -460,16 +474,10 @@ class SmpTransport:
         :meth:`deliver` of the plan with one row per stretch of
         consecutive packets to one switch.
         """
-        names: List[str] = []
-        counts: List[int] = []
-        for name in targets:
-            if names and name == names[-1]:
-                counts[-1] += 1
-            else:
-                names.append(name)
-                counts.append(1)
+        runs = [(name, sum(1 for _ in run)) for name, run in groupby(targets)]
         plan = SmpPlan(
-            names, [SmpKind.LFT_BLOCK] * len(names), counts, blocks,
+            [name for name, _ in runs], [SmpKind.LFT_BLOCK] * len(runs),
+            [count for _, count in runs], blocks,
             np.asarray(entries, dtype=np.int16), directed, generation,
         )
         self.deliver(plan, on_loss=on_loss, applied=applied)
@@ -487,11 +495,12 @@ class SmpTransport:
         (*on_loss* as in :meth:`send_run`), which is what happens whenever
         a packet can come back lost or rejected: a fault injector is
         attached, the plan's generation is behind the fabric's, or a row
-        is an SMInfo. Otherwise the plan is *booked*: each row is
-        resolved, checked for reachability and applied in order, both
-        clocks take one add per packet in packet order, and what has no
-        order (SM-side endpoint counters, per-kind and per-mode tallies,
-        ``repro_smp_total`` series) is booked once.
+        is an SMInfo. Otherwise the plan is *booked*. A row does only what
+        it owns: its effect, its typed refusal, *applied* and the target's
+        endpoint counters; a switch's route (hops, ``k``/``r`` latency,
+        counters, event fields) comes from the table kept per topology
+        version. Both clocks take one add per packet in packet order; the
+        flight ring, the open span and every tally take one append per plan.
 
         A row that cannot be delivered — its target missing or
         unreachable, an LFT block for a non-switch, the PortInfo of a port
@@ -514,49 +523,57 @@ class SmpTransport:
 
         st = self.stats
         directed = plan.directed
-        #: Per kind, first seen first: [label, method label, SET LFT?, packets].
-        kinds: Dict[SmpKind, List[Any]] = {}
-        rows: List[Tuple[_Run, List[Any], int, int]] = []
+        routes = self._table(directed)
+        #: Per delivered row: its route's flight fields and span values.
+        rows: List[Tuple[tuple, tuple]] = []
+        counts: List[int] = []
         latencies: List[float] = []
-        run = last = None
-        sent = 0
+        by_target: Dict[str, int] = {}
+        kinds: Dict[SmpKind, int] = {}
+        route = None
+        hops = sent = 0
         try:
             for name, kind, count in zip(plan.targets, plan.kinds, plan.counts):
                 if not count:
                     continue
-                if run is None or name != run.target.name:
-                    run = self._open_run(name, directed)
-                target = run.target
-                args = plan.args[sent : sent + count]
+                if route is None or name != route.target.name:
+                    # A destination-routed target has its LID checked anew.
+                    route = (directed and routes.get(name)) or self._open_run(
+                        name, directed
+                    )
+                target = route.target
+                end = sent + count
                 if kind is SmpKind.LFT_BLOCK:
                     if not isinstance(target, Switch):
                         raise TopologyError(
                             f"LFT SMP addressed to non-switch {name!r}"
                         )
-                    target.lft.load_blocks(args, plan.entries[sent : sent + count])
+                    if count == 1:
+                        target.lft.load_block(plan.args[sent], plan.entries[sent])
+                    else:
+                        target.lft.load_blocks(
+                            plan.args[sent:end], plan.entries[sent:end]
+                        )
                     if generation is not None:
                         self._fabric_generation = generation
                 elif kind is SmpKind.PORT_INFO:
-                    for num in args:
+                    for num in plan.args[sent:end]:
                         if num or not isinstance(target, Switch):
                             target.port(num)
                 if applied is not None:
-                    applied.extend(range(sent, sent + count))
-                rx = self._endpoint_counters(target)
+                    applied.extend(range(sent, end))
+                rx = route.rx
+                if rx is None:
+                    rx = route.rx = self._endpoint_counters(target)
                 rx.rcv_packets += count
                 rx.rcv_data += count * MAD_BYTES
-                st.by_target[name] += count
-                if kind is not last:
-                    last, booked = kind, kinds.get(kind)
-                    if booked is None:
-                        booked = kinds[kind] = [
-                            kind.name.lower(), plan.method_of(kind).name.lower(),
-                            kind is SmpKind.LFT_BLOCK, 0,
-                        ]
-                booked[3] += count
-                rows.append((run, booked, sent, count))
-                latencies += [run.latency] * count
-                sent += count
+                rows.append(route.rows.get(kind) or route.row(kind))
+                counts.append(count)
+                latencies += [route.latency] * count
+                hops += count * route.hops
+                by_target[name] = by_target.get(name, 0) + count
+                kinds[kind] = kinds.get(kind, 0) + count
+                sent = end
         finally:
             if sent:
                 hub = get_hub()
@@ -566,16 +583,18 @@ class SmpTransport:
                 *_, st.serial_time = accumulate(latencies, initial=st.serial_time)
                 times = list(accumulate(latencies, initial=hub.now()))[1:]
                 hub.advance_to(times[-1])
+                hub.flight.record_rows(times, map(itemgetter(0), rows), counts)
                 sp = current_span()
-                for run, (label, method, lft_update, _), at, count in rows:
-                    self._observe(
-                        run, sp, times[at : at + count], label, method,
-                        run.latency, lft_update, "delivered",
+                if sp is not None:
+                    sp.record_rows(
+                        times, _SPAN_KEYS, map(itemgetter(1), rows), counts,
+                        kinds.get(SmpKind.LFT_BLOCK, 0),
                     )
-                    st.total_hops += count * run.hops
+                st.total_hops += hops
                 st.max_latency = max(st.max_latency, max(latencies))
                 if st.record_samples:
                     st.latencies.extend(latencies)
+                st.by_target.update(by_target)
                 tx = self._endpoint_counters(self.sm_node)
                 tx.xmit_packets += sent
                 tx.xmit_data += sent * MAD_BYTES
@@ -585,15 +604,28 @@ class SmpTransport:
                 else:
                     st.destination_routed_smps += sent
                 routed = "directed" if directed else "destination"
-                for kind, (label, _, lft_update, count) in kinds.items():
+                for kind, count in kinds.items():
                     st.by_kind[kind] += count
-                    st.lft_update_smps += count * lft_update
+                    if kind is SmpKind.LFT_BLOCK:
+                        st.lft_update_smps += count
                     hub.metrics.counter(
-                        "repro_smp_total", kind=label, routed=routed
+                        "repro_smp_total", kind=kind.name.lower(), routed=routed
                     ).add(count)
 
-    def _open_run(self, name: str, directed: bool) -> "_Run":
-        """Resolve a run's target and work out what its packets share."""
+    def _open_run(self, name: str, directed: bool) -> _Route:
+        """The route of a run of SMPs to *name*.
+
+        A switch's route comes from the table while the topology version
+        holds. Anything else is resolved anew, because cabling an HCA does
+        not bump the version; and a destination-routed target has its live
+        LID checked every time, because binding a LID does not either.
+        """
+        routes = self._table(directed)
+        route = routes.get(name)
+        if route is not None:
+            if not directed:
+                self._check_live_lid(route.target)
+            return route
         target = self._resolve_target(name, directed)
         try:
             hops = self.hops_to(target)
@@ -604,7 +636,10 @@ class SmpTransport:
         latency = hops * self.hop_latency
         if directed:
             latency += hops * self.dr_overhead
-        return _Run(target, directed, hops, latency)
+        route = _Route(target, directed, hops, latency)
+        if isinstance(target, Switch):
+            routes[name] = route
+        return route
 
     @staticmethod
     def _endpoint_counters(node: Node):
@@ -616,7 +651,7 @@ class SmpTransport:
         """
         return node.port_counters(0 if isinstance(node, Switch) else 1)
 
-    def _deliver(self, run: "_Run", smp: Smp, fault: str):
+    def _deliver(self, run: _Route, smp: Smp, fault: str):
         """Apply one SMP that survived the wire, enforcing the fence.
 
         A fenced write (SET LFT/PortInfo carrying a generation) older
@@ -641,7 +676,7 @@ class SmpTransport:
             self._fabric_generation = smp.generation
         return self._apply(smp, run.target), SmpStatus.DELIVERED, fault
 
-    def _on_the_wire(self, run: "_Run", smp: Smp):
+    def _on_the_wire(self, run: _Route, smp: Smp):
         """One SMP's fate: lost to an SMInfo's dead far-end SM agent or to
         the fault injector on the wire (drop, silent corruption, delay),
         delivered otherwise. Returns ``(data, status, fault, latency)``."""
@@ -694,14 +729,19 @@ class SmpTransport:
                 f"SMP target {name!r} does not exist in the subnet"
             )
         target = self.topology.node(name)
-        if not directed and self.topology.num_lids:
+        if not directed:
+            self._check_live_lid(target)
+        return target
+
+    def _check_live_lid(self, target: Node) -> None:
+        """Refuse a destination-routed target without a bound LID."""
+        if self.topology.num_lids:
             lid = target.lid
             if lid is None or self.topology.port_of_lid(lid) is None:
                 raise UnreachableTargetError(
-                    f"SMP target {name!r} has no live LID for"
+                    f"SMP target {target.name!r} has no live LID for"
                     " destination routing"
                 )
-        return target
 
     def charge_wait(self, seconds: float) -> None:
         """Account a retry-timeout wait: sim time passes, nothing is sent.
@@ -718,15 +758,11 @@ class SmpTransport:
         get_hub().advance(seconds)
 
     def _account(
-        self,
-        run: "_Run",
-        kind: SmpKind,
-        method: SmpMethod,
-        latency: float,
-        fault: str,
+        self, run: _Route, kind: SmpKind, method: SmpMethod, latency: float, fault: str
     ) -> None:
-        """Book one packet of *run*: the transport's counters, then the
-        observability layer (sim clock, flight recorder, span, metrics)."""
+        """Book one packet of *run* — the packet-by-packet path: the
+        transport's counters, then the observability layer (sim clock,
+        flight recorder, span, metrics)."""
         st = self.stats
         lft_update = kind is SmpKind.LFT_BLOCK and method is SmpMethod.SET
         st.total_smps += 1
@@ -746,58 +782,23 @@ class SmpTransport:
         st.serial_time += latency
 
         hub = get_hub()
-        if kind is not run.kind:
-            run.kind = kind
-            run.kind_label = kind.name.lower()
-            run.series = hub.metrics.counter(
-                "repro_smp_total",
-                kind=run.kind_label,
-                routed="directed" if run.directed else "destination",
-            )
-        self._observe(
-            run, current_span(), (hub.advance(latency),), run.kind_label,
-            method.name.lower(), latency, lft_update, fault,
-        )
-        run.series.add(1)
+        label = kind.name.lower()
+        time = (hub.advance(latency),)
+        shared = (run.target.name, run.hops, run.directed, latency, lft_update)
+        hub.flight.record_run(time, (label, method.name.lower(), *shared, fault))
+        sp = current_span()
+        if sp is not None:
+            sp.record_smps(time, dict(zip(_SPAN_KEYS, (label, *shared))))
+        hub.metrics.counter(
+            "repro_smp_total", kind=label,
+            routed="directed" if run.directed else "destination",
+        ).add(1)
         if fault in ("dropped", "corrupt", "delayed"):
             hub.metrics.counter(
                 "repro_faults_injected_total", action=fault
             ).add(1)
         if fault in ("dropped", "no-response"):
-            hub.metrics.counter(
-                "repro_smp_timeouts_total", kind=run.kind_label
-            ).add(1)
-
-    @staticmethod
-    def _observe(
-        run: "_Run",
-        sp,
-        times: Sequence[float],
-        kind: str,
-        method: str,
-        latency: float,
-        lft_update: bool,
-        fault: str,
-    ) -> None:
-        """One flight event per entry of *times* and, under the open span
-        *sp*, one span event: packets of *run* alike but for their time."""
-        name = run.target.name
-        get_hub().flight.record_run(
-            times,
-            (kind, method, name, run.hops, run.directed, latency, lft_update, fault),
-        )
-        if sp is not None:
-            sp.record_smps(
-                times,
-                {
-                    "kind": kind,
-                    "target": name,
-                    "hops": run.hops,
-                    "directed": run.directed,
-                    "latency": latency,
-                    "lft_update": lft_update,
-                },
-            )
+            hub.metrics.counter("repro_smp_timeouts_total", kind=label).add(1)
 
     def _apply(self, smp: Smp, target: Node) -> Optional[Dict[str, object]]:
         """Execute the management operation on the target node."""

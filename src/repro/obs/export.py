@@ -109,7 +109,7 @@ def load_run(path: Union[str, Path]) -> LoadedRun:
     roots: List[Span] = []
     for parent_id, sp in order:
         if parent_id is not None and parent_id in spans:
-            spans[parent_id].children.append(sp)
+            spans[parent_id].add_child(sp)
         else:
             roots.append(sp)
     return LoadedRun(header=header, roots=roots, smp_events=smp_events)

@@ -12,9 +12,9 @@ from __future__ import annotations
 import json
 from collections import Counter, deque
 from dataclasses import asdict, dataclass
-from itertools import repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Deque, Iterator, List, Optional, Sequence, Union
+from typing import Deque, Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro.errors import ReproError
 
@@ -54,7 +54,7 @@ class FlightRecorder:
         if capacity < 0:
             raise ReproError(f"capacity must be >= 0, got {capacity}")
         self.capacity = capacity
-        #: Events, or — from :meth:`record_run` — ``(time, fields)`` pairs
+        #: Events, or — from :meth:`record_rows` — ``(time, fields)`` pairs
         #: that become events when somebody looks (most never are).
         self._ring: Optional[Deque[Union[SmpFlightEvent, tuple]]] = (
             deque(maxlen=capacity) if capacity else None
@@ -81,21 +81,29 @@ class FlightRecorder:
         self._ring.append(event)
 
     def record_run(self, times: Sequence[float], fields: tuple) -> None:
+        """Append one event per entry of *times*, all with *fields*: the
+        one-row :meth:`record_rows`."""
+        self.record_rows(times, (fields,), (len(times),))
+
+    def record_rows(
+        self, times: Sequence[float], fields: Iterable[tuple], counts: Iterable[int]
+    ) -> None:
         """Append one event per entry of *times*, oldest first.
 
-        The events of a run of like SMPs differ only in their time;
-        *fields* holds the rest, in :class:`SmpFlightEvent` order
-        (``kind`` … ``status``). A run longer than the ring would evict
-        its own head, so only the tail that survives is kept — ``seen``
+        The events of a row of like SMPs differ only in their time: the
+        first ``counts[0]`` events share ``fields[0]``, the next
+        ``counts[1]`` share ``fields[1]``, and so on. A row's fields are
+        everything but the time, in :class:`SmpFlightEvent` order
+        (``kind`` … ``status``). Rows longer than the ring would evict
+        their own head, so only the tail that survives is kept — ``seen``
         and ``dropped`` count every packet regardless.
         """
         if self._ring is None:
             return
         n = len(times)
         self.seen += n
-        if n > self.capacity:
-            times = times[n - self.capacity :]
-        self._ring.extend(zip(times, repeat(fields)))
+        events = zip(times, chain.from_iterable(map(repeat, fields, counts)))
+        self._ring.extend(islice(events, max(n - self.capacity, 0), None))
 
     def clear(self) -> None:
         """Forget everything recorded so far."""

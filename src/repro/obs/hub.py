@@ -19,6 +19,7 @@ from contextlib import contextmanager
 from itertools import count
 from typing import Any, Iterator, List, Optional
 
+from repro.errors import ObservabilityError
 from repro.obs.flight import DEFAULT_FLIGHT_CAPACITY, FlightRecorder
 from repro.obs.spans import Span, _current
 from repro.sim.metrics import MetricRegistry
@@ -71,18 +72,29 @@ class ObsHub:
             attributes=dict(attributes),
         )
         if parent is not None:
-            parent.children.append(sp)
+            parent.add_child(sp)
         else:
             self.roots.append(sp)
-        sp._token = _current.set(sp)  # type: ignore[attr-defined]
+        sp._token = _current.set(sp)
         return sp
 
     def end_span(self, sp: Span) -> None:
-        """Close a span opened with :meth:`start_span`."""
+        """Close a span opened with :meth:`start_span`, exactly once.
+
+        The span lets go of its context-variable token, so a closed span
+        keeps nothing the cyclic GC has to visit for it; a second call
+        raises :class:`~repro.errors.ObservabilityError` instead of
+        re-stamping ``end_time``.
+        """
+        token = sp._token
+        if token is None:
+            raise ObservabilityError(
+                f"span {sp.name!r} (id {sp.span_id}) is not open: it ended"
+                " already or was not started by start_span"
+            )
+        sp._token = None
         sp.end(self.now())
-        token = getattr(sp, "_token", None)
-        if token is not None:
-            _current.reset(token)
+        _current.reset(token)
 
     @contextmanager
     def span(self, name: str, **attributes: Any) -> Iterator[Span]:

@@ -11,9 +11,9 @@ to whatever operation is in flight without any parameter plumbing.
 from __future__ import annotations
 
 from contextvars import ContextVar
-from itertools import repeat
+from itertools import chain, islice, repeat
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = ["SpanEvent", "Span", "current_span", "MAX_EVENTS_PER_SPAN"]
 
@@ -52,18 +52,26 @@ class Span:
     #: ``(time, keys, values)``: a tuple of atoms leaves the cyclic GC's
     #: books at its first collection, an event object and its dict never
     #: do — and a run records 10^5 of them that are seldom looked at.
-    _events: List[Any] = field(default_factory=list, repr=False)
-    children: List["Span"] = field(default_factory=list)
+    #: Like :attr:`children` it is the shared empty tuple until the first
+    #: append: most spans keep neither, and a list would stay on the
+    #: GC's books for the whole run.
+    _events: Sequence[Any] = field(default=(), repr=False)
+    children: Sequence["Span"] = ()
     #: Exact per-span SMP tallies, maintained even when the discrete event
     #: list is capped.
     smp_count: int = 0
     lft_smp_count: int = 0
     events_dropped: int = 0
+    #: The context-variable token of an open span (see
+    #: :meth:`repro.obs.hub.ObsHub.start_span`); ``None`` once it ended.
+    _token: Any = field(default=None, repr=False, compare=False)
 
     @property
     def events(self) -> List[SpanEvent]:
         """The span's events, oldest first."""
         events = self._events
+        if not events:
+            events = self._events = []
         for i, event in enumerate(events):
             if type(event) is tuple:
                 time, keys, values = event
@@ -80,34 +88,67 @@ class Span:
         """Attach several attributes at once."""
         self.attributes.update(attrs)
 
+    def add_child(self, child: "Span") -> None:
+        """Nest *child* under this span."""
+        if self.children:
+            self.children.append(child)  # type: ignore[attr-defined]
+        else:
+            self.children = [child]
+
     def add_event(self, name: str, time: float, **attrs: Any) -> None:
         """Record one timestamped event (bounded per span)."""
         if len(self._events) >= MAX_EVENTS_PER_SPAN:
             self.events_dropped += 1
             return
-        self._events.append(SpanEvent(time=time, name=name, attributes=attrs))
+        if not self._events:
+            self._events = []
+        self._events.append(  # type: ignore[attr-defined]
+            SpanEvent(time=time, name=name, attributes=attrs)
+        )
 
     def record_smp(self, time: float, **attrs: Any) -> None:
         """Record one SMP delivery under this span."""
         self.record_smps((time,), attrs)
 
     def record_smps(self, times: Sequence[float], attrs: Dict[str, Any]) -> None:
-        """Record one SMP delivery per entry of *times*, all with *attrs*.
+        """Record one SMP delivery per entry of *times*, all with *attrs*:
+        the one-row :meth:`record_rows`."""
+        n = len(times)
+        self.record_rows(
+            times, tuple(attrs), (tuple(attrs.values()),), (n,),
+            n if attrs.get("lft_update") else 0,
+        )
 
-        The exact counters are bumped unconditionally; the discrete
-        events obey the per-span cap, and past the cap nothing is built.
+    def record_rows(
+        self,
+        times: Sequence[float],
+        keys: Tuple[str, ...],
+        values: Iterable[Tuple[Any, ...]],
+        counts: Iterable[int],
+        lft_smps: int,
+    ) -> None:
+        """Record one SMP delivery per entry of *times*, oldest first.
+
+        The first ``counts[0]`` SMPs carry the attributes
+        ``zip(keys, values[0])``, the next ``counts[1]`` those of
+        ``values[1]``, and so on; *lft_smps* of them are LFT updates. The
+        exact counters are bumped unconditionally; the discrete events
+        obey the per-span cap, and past the cap nothing is built.
         """
         n = len(times)
         self.smp_count += n
-        if attrs.get("lft_update"):
-            self.lft_smp_count += n
+        self.lft_smp_count += lft_smps
         room = MAX_EVENTS_PER_SPAN - len(self._events)
         if room < n:
             room = max(room, 0)
             self.events_dropped += n - room
-            times = times[:room]
-        self._events.extend(
-            zip(times, repeat(tuple(attrs)), repeat(tuple(attrs.values())))
+            if not room:
+                return
+        if not self._events:
+            self._events = []
+        rows = chain.from_iterable(map(repeat, values, counts))
+        self._events.extend(  # type: ignore[attr-defined]
+            islice(zip(times, repeat(keys), rows), room)
         )
 
     def end(self, time: float) -> None:

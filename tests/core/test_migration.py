@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.migration import MigrationTimingModel
 from repro.errors import MigrationError
+from repro.mad.smp import SmpKind
 from repro.virt.vm import VmState
 
 
@@ -110,6 +111,57 @@ class TestValidation:
 
         with pytest.raises(VirtError):
             prepopulated_cloud.live_migrate("ghost", "l1h1")
+
+
+class QuietVguid:
+    """The cloud's sender, except that the vGUID update's reply carries
+    nothing and, with *unplug*, the source's uplink is pulled after it."""
+
+    def __init__(self, cloud, *, unplug=None):
+        self.sender = cloud.orchestrator.sm.smp_sender
+        self.cloud, self.unplug = cloud, unplug
+
+    def send(self, smp):
+        result = self.sender.send(smp)
+        if smp.kind is not SmpKind.VGUID:
+            return result
+        if self.unplug is None:
+            result.data = None
+        else:
+            port = self.cloud.hypervisors[self.unplug].uplink_port
+            self.cloud.topology.remove_link(port.link)
+        return result
+
+
+class TestTypedGuards:
+    """What the migration path used to ``assert`` is a typed refusal."""
+
+    def test_a_vm_without_a_lid_is_refused_before_anything_moves(
+        self, prepopulated_cloud
+    ):
+        cloud = prepopulated_cloud
+        vm = cloud.boot_vm(on="l0h0")
+        vm.vf.lid = None
+        sent = cloud.orchestrator.sm.transport.stats.total_smps
+        with pytest.raises(MigrationError, match="has no LID to migrate"):
+            cloud.live_migrate(vm.name, "l3h3")
+        assert vm.state is VmState.RUNNING
+        assert cloud.orchestrator.sm.transport.stats.total_smps == sent
+
+    def test_a_vguid_reply_without_its_vguid(self, prepopulated_cloud):
+        cloud = prepopulated_cloud
+        vm = cloud.boot_vm(on="l0h0")
+        cloud.orchestrator.sm.smp_sender = QuietVguid(cloud)
+        with pytest.raises(MigrationError, match="came back without its vGUID"):
+            cloud.live_migrate(vm.name, "l3h3")
+
+    def test_a_source_that_loses_its_uplink_mid_migration(self, prepopulated_cloud):
+        cloud = prepopulated_cloud
+        cloud.orchestrator.minimal_intra_leaf = True
+        vm = cloud.boot_vm(on="l0h0")
+        cloud.orchestrator.sm.smp_sender = QuietVguid(cloud, unplug="l0h0")
+        with pytest.raises(MigrationError, match="l0h0 lost its uplink"):
+            cloud.live_migrate(vm.name, "l0h1")
 
 
 class TestTiming:

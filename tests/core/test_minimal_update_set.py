@@ -123,3 +123,18 @@ class TestSoundness:
         cloud, _ = pod_cloud
         with pytest.raises(ReconfigError):
             minimal_update_set(cloud.topology, 1, HCA("stray").port(1))
+
+    def test_a_cable_with_no_far_end_is_a_typed_error(self, pod_cloud):
+        # The walk types the condition discovery types, instead of an assert.
+        from repro.errors import TopologyError
+        from tests.sm.test_discovery_plan import Dangling
+
+        cloud, _ = pod_cloud
+        vm = next(vm for vm in cloud.vms.values() if vm.is_running)
+        sw = next(sw for sw in cloud.topology.switches if any(sw.free_ports()))
+        bad = next(sw.free_ports())
+        bad.link = Dangling()
+        with pytest.raises(TopologyError, match=f"port {bad.num} of .*no far end"):
+            minimal_update_set(
+                cloud.topology, vm.lid, cloud.hypervisors[vm.hypervisor_name].uplink_port
+            )

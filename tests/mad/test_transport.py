@@ -1,6 +1,7 @@
 """Tests for SMP transport: hop counting, latency, accounting, application."""
 
 import ast
+import copy
 import inspect
 import json
 import random
@@ -24,6 +25,7 @@ from repro.errors import (
     UnreachableTargetError,
 )
 from repro.fabric.builders import build_ring, build_two_level_fattree
+from repro.fabric.graph import bfs_distances
 from repro.fabric.node import Node, NodeType
 from repro.fabric.topology import Topology
 from repro.faults.injector import FaultInjector
@@ -34,8 +36,13 @@ from repro.mad.smp import (
 )
 from repro.mad.transport import SmpTransport
 from repro.obs import get_hub, reset_hub, span
+from repro.sm.discovery import discover_subnet
 from repro.sm.subnet_manager import SubnetManager
 from tests.oracles.observe import observed
+from tests.sm.test_mutation_properties import (
+    ADD_SWITCH, REMOVE_LINK, REMOVE_SWITCH, RESTORE_LINK, free_switch_ports, plan_op,
+    removal_keeps_connected, switch_links,
+)
 
 
 def line_topology():
@@ -961,6 +968,279 @@ class TestPlanEquivalence:
         assert str(raised.value) == str(single.value)
 
 
+class OneByOne:
+    """The transport, but every plan goes out one :meth:`send` per packet."""
+
+    def __init__(self, tr):
+        self.tr = tr
+
+    def __getattr__(self, name):
+        return getattr(self.tr, name)
+
+    def deliver(self, plan, *, applied=None):
+        for i, smp in enumerate(plan.packets()):
+            if self.tr.send(smp).ok and applied is not None:
+                applied.append(i)
+
+
+# Step codes of the route-table property: the plans, then what may move a
+# route between two plans.
+(DISCOVER, MIXED, SWEEP, PROBE, MUTATE, OUT_OF_BAND, RECABLE_HCA, MOVE_SM,
+ DISTANCE_SOURCE, INVALIDATE, TOGGLE_LID, READ_HOPS) = range(12)
+PLANS = (DISCOVER, MIXED, SWEEP, PROBE)
+#: What the property draws steps from: the plans that reuse switch routes
+#: most, and the moves nothing else invalidates, come twice.
+STEP_MIX = PLANS + (
+    SWEEP, PROBE, MUTATE, OUT_OF_BAND, OUT_OF_BAND, RECABLE_HCA, RECABLE_HCA,
+    MOVE_SM, DISTANCE_SOURCE, INVALIDATE, TOGGLE_LID, TOGGLE_LID, READ_HOPS,
+    READ_HOPS,
+)
+
+
+def send_plan(code, rng, topo, tr, booked, grown, directed, generation):
+    """One plan of the route-table property: a discovery sweep, a mixed
+    plan, an LFT sweep, or a NodeInfo probe of every node (and of every
+    grown switch removed since)."""
+    sender = tr if booked else OneByOne(tr)
+    if code == DISCOVER:
+        discover_subnet(topo, sender)
+    elif code == MIXED:
+        rows = [
+            (rng.randrange(10**6), rng.choice([NODE, PORT, LFT]), rng.randrange(4))
+            for _ in range(rng.randrange(1, 7))
+        ]
+        plan = plan_of(
+            topo, rows, rng.random(), directed=directed, generation=generation
+        )
+        sender.deliver(plan)
+    elif code == SWEEP:
+        groups = [
+            (rng.randrange(10**6), rng.randrange(1, 4))
+            for _ in range(rng.randrange(1, 6))
+        ]
+        rows = sweep_rows(topo, groups, rng.random())
+        if booked:
+            tr.send_lft_sweep(*rows, directed=directed, generation=generation)
+            return
+        for target, block, entries in zip(*rows):
+            smp = make_set_lft_block(target, block, entries, directed=directed)
+            smp.generation = generation
+            tr.send(smp)
+    else:
+        # Switches first: an HCA row works its route out anew, and with it
+        # the distances, which would hide a stale switch route behind it.
+        names = [sw.name for sw in topo.switches]
+        rng.shuffle(names)
+        names += [hca.name for hca in topo.hcas]
+        names += [name for name in grown if name not in topo]
+        n = len(names)
+        sender.deliver(SmpPlan(names, [NODE] * n, [1] * n, [0] * n, directed=directed))
+
+
+def move_routes(code, rng, sm, tr, removed, grown, cut):
+    """One step of the route-table property that may move a route."""
+    topo = sm.topology
+    nodes = list(topo.switches) + list(topo.hcas)
+    pick = rng.randrange(10**6)
+    if code == MUTATE:
+        kind = (REMOVE_LINK, RESTORE_LINK, ADD_SWITCH, REMOVE_SWITCH)[pick % 4]
+        mutation = plan_op(sm, kind, pick // 4, removed, grown, link_ops_only=False)
+        if mutation is not None:
+            sm.handle_topology_change(mutation, verify=False)
+            if mutation.kind == "remove_link":
+                removed.append(mutation)
+    elif code == OUT_OF_BAND:
+        # A cable pulled or re-plugged behind everybody's back: the
+        # version moves, and nobody calls invalidate_distances.
+        if cut and pick % 2:
+            topo.restore_link(cut.pop())
+        else:
+            viable = [
+                link for link in switch_links(topo)
+                if removal_keeps_connected(topo, link)
+            ]
+            if viable:
+                cut.append(topo.remove_link(viable[pick % len(viable)]))
+    elif code == RECABLE_HCA:
+        # HCA cabling leaves the version where it is.
+        hca = topo.hcas[pick % len(topo.hcas)]
+        frees = free_switch_ports(topo)
+        if hca is not tr.sm_node and frees:
+            sw, num = frees[pick % len(frees)]
+            topo.remove_link(hca.port(1).link)
+            topo.connect(hca, 1, sw, num)
+    elif code == MOVE_SM:
+        hosts = [n for n in nodes if n.name not in grown]
+        tr.set_sm_node(hosts[pick % len(hosts)])
+    elif code == DISTANCE_SOURCE:
+        tr.set_distance_source(sm.routing_state if pick % 2 else None)
+    elif code == INVALIDATE:
+        tr.invalidate_distances()
+    elif code == TOGGLE_LID:
+        # Binding a LID leaves the version where it is, too.
+        sw = topo.switches[pick % len(topo.switches)]
+        if sw.lid is not None and topo.port_of_lid(sw.lid) is None:
+            topo.bind_lid(sw.lid, sw.management_port)
+        elif sw.lid is not None:
+            topo.unbind_lid(sw.lid)
+    else:  # READ_HOPS: a public read that refreshes the distances
+        tr.hops_to(nodes[pick % len(nodes)])
+
+
+def route_world(fabric, steps, booked, caps):
+    """Walk *steps* on one fabric and its one transport; return, per plan,
+    everything it left behind and what it raised.
+
+    *booked* delivers the plans as plans through a transport that keeps
+    its switch routes; otherwise they go out one send per packet through
+    a transport that resolves every route anew (``_table`` hands out an
+    empty table each time), the SM's own sweeps included.
+    """
+    reset_hub(flight_capacity=caps[0])
+    if fabric == "ring":  # distances move with every cable
+        built = build_ring(5, 1, switch_radix=6)
+    else:
+        built = build_two_level_fattree(3, 1, 2, switch_radix=6)
+    topo = built.topology
+    sm = SubnetManager(topo, engine="minhop", built=built)
+    sm.initial_configure(with_discovery=False)
+    tr = sm.transport
+    if not booked:
+        tr._table = lambda directed: {}
+    removed, grown, cut, seen = [], [], [], []
+    for code, pick, directed, generation in steps:
+        # What set-up and the SM's reconvergence timed on the wall clock
+        # (the PCt gauges) is not the transport's to match.
+        get_hub().metrics.reset()
+        rng = random.Random(pick)
+        if code not in PLANS:
+            try:
+                move_routes(code, rng, sm, tr, removed, grown, cut)
+            except ReproError:
+                pass  # refused alike in both worlds; the plans after it tell
+            continue
+        raised = None
+        with span("step") as sp:
+            try:
+                send_plan(code, rng, topo, tr, booked, grown, directed, generation)
+            except ReproError as exc:
+                raised = (type(exc), str(exc))
+        seen.append((copy.deepcopy(observed(topo, tr, sp)), raised))
+    return seen
+
+
+class TestRouteTableInvalidation:
+    """One transport keeps its switch routes across plans. Whatever moves a
+    route in between — a link or a switch coming or going, an HCA cable
+    moved, the SM moved, another distance source, an explicit
+    invalidation, a LID unbound or bound again — every plan still leaves
+    exactly what the same steps leave sent one packet at a time by a
+    transport that resolves every route anew."""
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        fabric=st.sampled_from(["ring", "fattree"]),
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(STEP_MIX), st.integers(0, 10**6), st.booleans(),
+                st.sampled_from([None, 0, 4]),
+            ),
+            min_size=1, max_size=20,
+        ),
+        caps=st.sampled_from([(FLIGHT_CAPACITY, SPAN_CAP), (65_536, 10_000)]),
+    )
+    def test_every_plan_matches_a_transport_that_keeps_no_routes(
+        self, monkeypatch, fabric, steps, caps
+    ):
+        monkeypatch.setattr("repro.obs.spans.MAX_EVENTS_PER_SPAN", caps[1])
+        booked = route_world(fabric, steps, True, caps)
+        assert booked == route_world(fabric, steps, False, caps)
+        assert len(booked) == sum(code in PLANS for code, *_ in steps)
+
+    # One test per way a kept route can go stale, so that each is caught
+    # whatever the property happens to draw.
+
+    def test_a_cable_changed_behind_its_back_moves_the_route(self):
+        topo = line_topology()
+        tr = SmpTransport(topo)
+        probe = SmpPlan(["s2"], [NODE], [1], [0])
+        tr.deliver(probe)  # s0 - s1 - s2: 3 hops
+        bypass = topo.connect(topo.node("s0"), 3, topo.node("s2"), 3)
+        tr.deliver(probe)  # the version moved: 2 hops
+        topo.remove_link(bypass)
+        assert tr.hops_to(topo.node("s2")) == 3  # a read refreshes the distances,
+        tr.deliver(probe)  # and the route goes with them
+        assert tr.stats.total_hops == 3 + 2 + 3
+
+    def test_moving_the_sm_or_its_distances_moves_the_route(self):
+        topo = line_topology()
+        tr = SmpTransport(topo)
+        probe = SmpPlan(["s2"], [NODE], [1], [0])
+        tr.deliver(probe)  # from h0: 3 hops
+        tr.set_sm_node(topo.node("h2"))
+        tr.deliver(probe)  # from h2: 1 hop
+
+        class Farther:
+            """Distances that put every switch one hop further."""
+
+            def row(self, root):
+                return bfs_distances(topo.fabric_view(), root) + 1
+
+        tr.set_distance_source(Farther())
+        tr.deliver(probe)  # 2 hops
+        h0 = topo.node("h0")
+        tr.set_sm_node(h0)
+        tr.set_distance_source(None)
+        tr.deliver(probe)  # 3 hops again
+        topo.remove_link(h0.port(1).link)
+        topo.connect(h0, 1, topo.node("s2"), 3)  # the version stays ...
+        tr.invalidate_distances()  # ... so the SM says so
+        tr.deliver(probe)  # 1 hop
+        assert tr.stats.total_hops == 3 + 1 + 2 + 3 + 1
+
+    def test_a_recabled_hca_is_worked_out_anew(self):
+        topo = line_topology()
+        tr = SmpTransport(topo)
+        probe = SmpPlan(["h2"], [NODE], [1], [0])
+        tr.deliver(probe)  # behind s2: 4 hops
+        h2 = topo.node("h2")
+        topo.remove_link(h2.port(1).link)
+        topo.connect(h2, 1, topo.node("s0"), 3)  # the version stays
+        tr.deliver(probe)
+        assert tr.stats.total_hops == 4 + 2
+
+    def test_a_removed_switch_is_not_delivered_to_from_the_table(self):
+        topo = line_topology()
+        tr = SmpTransport(topo)
+        s3 = topo.add_switch("s3", 4)
+        topo.connect(topo.node("s2"), 3, s3, 1)
+        probe = SmpPlan(["s3"], [NODE], [1], [0])
+        tr.deliver(probe)
+        assert "s3" in tr._routes[True]
+        topo.remove_switch("s3")
+        with pytest.raises(UnreachableTargetError, match="does not exist"):
+            tr.deliver(probe)
+        assert tr.stats.by_target["s3"] == 1
+
+    def test_an_unbound_lid_refuses_a_routed_row_to_a_known_switch(self):
+        built = build_two_level_fattree(3, 1, 2, switch_radix=6)
+        sm = SubnetManager(built.topology, engine="minhop", built=built)
+        sm.assign_lids()
+        tr, sw = sm.transport, built.topology.switches[1]
+        probe = SmpPlan([sw.name], [NODE], [1], [0], directed=False)
+        tr.deliver(probe)
+        built.topology.unbind_lid(sw.lid)
+        with pytest.raises(UnreachableTargetError, match="no live LID"):
+            tr.deliver(probe)
+        built.topology.bind_lid(sw.lid, sw.management_port)
+        tr.deliver(probe)
+        assert tr.stats.by_target[sw.name] == 2
+
+
 class TestRunContract:
     def test_span_cap_and_ring_are_respected_by_a_long_run(self, monkeypatch):
         n = 3 * FLIGHT_CAPACITY
@@ -1136,6 +1416,22 @@ class TestOneBookingLoopGuards:
         source = (MAD / "transport.py").read_text()
         assert source.count("accumulate(") == 2
         assert not re.search(r"cumsum|np\.sum|\.sum\(", source)
+
+    def test_a_booked_plan_takes_one_flight_and_one_span_append(self):
+        """Both appends sit in ``deliver``, once each, and ``deliver``
+        makes no per-row observe call beside them."""
+        source = (MAD / "transport.py").read_text()
+        assert source.count("flight.record_rows(") == 1
+        assert source.count("sp.record_rows(") == 1
+        bodies = dict(self.functions(MAD / "transport.py"))
+        holders = {
+            name for name, body in bodies.items()
+            if any(".record_rows(" in line for line in body)
+        }
+        assert holders == {"deliver"}
+        assert not re.search(
+            r"_observe\(|record_run\(|record_smps\(", "\n".join(bodies["deliver"])
+        )
 
     def test_no_further_send_entry_point(self):
         names = {

@@ -1,14 +1,17 @@
 """Tests for the observability core: spans, hub, flight recorder."""
 
+import gc
+
 import pytest
 
-from repro.errors import ReproError
+from repro.errors import ObservabilityError, ReproError
 from repro.mad.smp import Smp, SmpKind, SmpMethod
 from repro.mad.transport import SmpTransport
 from repro.obs import (
     MAX_EVENTS_PER_SPAN,
     FlightRecorder,
     SmpFlightEvent,
+    Span,
     SpanEvent,
     current_span,
     get_hub,
@@ -94,6 +97,22 @@ class TestSpans:
             MAX_EVENTS_PER_SPAN + 3, MAX_EVENTS_PER_SPAN + 2,
         )
 
+    def test_rows_are_smp_runs_laid_end_to_end(self, monkeypatch):
+        monkeypatch.setattr("repro.obs.spans.MAX_EVENTS_PER_SPAN", 4)
+        lft, node = ("lft_block", True), ("node_info", False)
+        with span("runs") as runs:
+            runs.record_smps([0.0, 1.0], dict(zip(("kind", "lft_update"), lft)))
+            runs.record_smps([2.0, 3.0, 4.0], dict(zip(("kind", "lft_update"), node)))
+        with span("rows") as rows:
+            rows.record_rows(
+                [0.0, 1.0, 2.0, 3.0, 4.0], ("kind", "lft_update"), [lft, node],
+                [2, 3], 2,
+            )
+        assert rows.events == runs.events
+        assert (rows.smp_count, rows.lft_smp_count, rows.events_dropped) == (
+            runs.smp_count, runs.lft_smp_count, runs.events_dropped,
+        ) == (5, 2, 1)
+
     def test_subtree_totals(self):
         with span("root") as root:
             root.record_smp(0.0, lft_update=False)
@@ -104,6 +123,33 @@ class TestSpans:
         assert root.total_lft_smp_count() == 2
         assert root.find("child") is child
         assert root.find_all("child") == [child]
+
+    def test_a_span_ends_once(self):
+        hub = get_hub()
+        sp = hub.start_span("once")
+        hub.advance(1.0)
+        hub.end_span(sp)
+        hub.advance(1.0)
+        with pytest.raises(ObservabilityError, match="'once'.*not open"):
+            hub.end_span(sp)
+        assert sp.end_time == 1.0
+        assert current_span() is None
+        # A span the hub did not start cannot be ended by it either.
+        with pytest.raises(ObservabilityError):
+            hub.end_span(Span("stray", 99, None, 0.0))
+
+    def test_a_closed_bare_span_keeps_nothing_for_the_gc(self):
+        with span("outer") as outer:
+            with span("bare") as bare:
+                pass
+            outer.record_smp(0.0, lft_update=True)
+        for sp in (outer, bare):
+            assert sp._token is None
+        assert not gc.is_tracked(bare._events)
+        assert not gc.is_tracked(bare.children)
+        assert bare.events == [] and list(bare.children) == []
+        assert [e.time for e in outer.events] == [0.0]
+        assert outer.children == [bare]
 
     def test_reset_hub_clears_everything(self):
         with span("stale"):
@@ -159,6 +205,18 @@ class TestFlightRecorder:
         off = FlightRecorder(capacity=0)
         off.record_run([1.0], ("lft_block", "set", "s", 2, True, 1e-6, True, "delivered"))
         assert (off.seen, len(off), len(built)) == (0, 0, 3)
+
+    def test_rows_are_runs_laid_end_to_end(self):
+        a = ("lft_block", "set", "s1", 2, True, 1e-6, True, "delivered")
+        b = ("node_info", "get", "s2", 3, True, 2e-6, False, "delivered")
+        times = [float(i) for i in range(7)]
+        for capacity in (0, 3, 16):
+            runs, rows = FlightRecorder(capacity), FlightRecorder(capacity)
+            runs.record_run(times[:2], a)
+            runs.record_run(times[2:], b)
+            rows.record_rows(times, [a, b], [2, 5])
+            assert list(rows) == list(runs)
+            assert (rows.seen, rows.dropped) == (runs.seen, runs.dropped)
 
     def test_filters(self):
         rec = FlightRecorder(capacity=16)
