@@ -20,6 +20,7 @@ from repro.core.cost_model import (
 )
 from repro.core.reconfig import VSwitchReconfigurer
 from repro.fabric.presets import scaled_fattree
+from repro.obs import reset_hub
 from repro.sim.engine import replay_smp_pipeline
 from repro.sm.subnet_manager import SubnetManager
 
@@ -92,16 +93,17 @@ def test_equation5_destination_routing_ablation(benchmark):
 @pytest.mark.parametrize("window", [1, 2, 4, 8, 16])
 def test_pipelining_ablation(benchmark, window):
     """Section VI-B: OpenSM pipelines LFT updates; DES replay vs analytic."""
-    from repro.mad.transport import SmpTransport
-
     built = scaled_fattree("2l-wide")
-    # Per-SMP latency samples are opt-in (they are the replay's input).
-    transport = SmpTransport(built.topology, record_samples=True)
-    sm = SubnetManager(built.topology, built=built, transport=transport)
+    flight = reset_hub().flight
+    sm = SubnetManager(built.topology, built=built)
     sm.assign_lids()
     sm.compute_routing()
     report = sm.distribute()
-    latencies = sm.transport.stats.latencies[-report.smps_sent :]
+    # The flight ring keeps every SMP's latency (the replay's input); none
+    # may have been evicted, or the list is not the whole distribution.
+    assert flight.dropped == 0
+    latencies = [e.latency for e in flight.lft_updates()[-report.smps_sent :]]
+    assert len(latencies) == report.smps_sent
 
     result = benchmark(lambda: replay_smp_pipeline(latencies, window))
     # The DES replay obeys the analytic bounds of TransportStats.

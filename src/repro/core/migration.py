@@ -167,7 +167,7 @@ class LiveMigrationOrchestrator:
             dest_port=destination.uplink_port,
         )
 
-        run_before = self.sm.transport.stats.mark()
+        run_before = self.sm.transport.stats.snapshot()
         with span(
             "migration",
             vm=vm.name,
@@ -300,7 +300,7 @@ class LiveMigrationOrchestrator:
                 vm.state = VmState.RUNNING
                 vm.migrations += 1
 
-            run_delta = self.sm.transport.stats.since(run_before)
+            run_delta = self.sm.transport.stats.delta_since(run_before)
             if outcome == "completed":
                 downtime = (
                     self.timing.vf_detach_seconds

@@ -23,7 +23,8 @@ these per-switch ports". One kernel (:meth:`VSwitchReconfigurer._edit`)
 compares the affected entries, keeps the ``n'`` switches where they
 differ, builds only the changed 64-entry blocks and hands them to the
 transport as one multi-target sweep
-(:meth:`repro.mad.transport.SmpTransport.send_lft_sweep`).
+(:meth:`repro.mad.smp.SmpPlan.lft_sweep`, delivered by
+:meth:`repro.mad.transport.SmpTransport.deliver`).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from repro.constants import LFT_BLOCK_SIZE, LFT_DROP_PORT
 from repro.errors import ReconfigError, ReconfigRollbackError, TransportError
 from repro.fabric.lft import apply_column_op
 from repro.fabric.node import Switch
+from repro.mad.smp import SmpPlan
 from repro.obs.hub import get_hub, span
 from repro.sm.subnet_manager import SubnetManager
 
@@ -327,9 +329,11 @@ class VSwitchReconfigurer:
             return
         applied: List[int] = []
         try:
-            distributor.sender.send_lft_sweep(
-                [sw.name for sw in targets], blocks, entries,
-                directed=directed, applied=applied,
+            distributor.sender.deliver(
+                SmpPlan.lft_sweep(
+                    [sw.name for sw in targets], blocks, entries, directed=directed
+                ),
+                applied=applied,
             )
         finally:
             undo.extend((targets[i], blocks[i], pre[i]) for i in applied)
@@ -346,7 +350,7 @@ class VSwitchReconfigurer:
         and a report priced from the transport's counters."""
         report = ReconfigReport(mode=mode)
         undo: List[Tuple[Switch, int, np.ndarray]] = []
-        mark = self.sm.transport.stats.mark()
+        before = self.sm.transport.stats.snapshot()
         with span(name, **attributes):
             try:
                 yield report, undo
@@ -357,7 +361,7 @@ class VSwitchReconfigurer:
                     error=ReconfigRollbackError,
                 )
                 raise
-            self._finish(report, mark)
+            self._finish(report, before)
 
     # -- internals ------------------------------------------------------------------
 
@@ -440,8 +444,8 @@ class VSwitchReconfigurer:
                     " set; a restricted update would strand traffic"
                 )
 
-    def _finish(self, report: ReconfigReport, mark) -> None:
-        delta = self.sm.transport.stats.since(mark)
+    def _finish(self, report: ReconfigReport, before) -> None:
+        delta = self.sm.transport.stats.delta_since(before)
         report.lft_smps = delta.lft_update_smps
         report.serial_time = delta.serial_time
         report.pipelined_time = delta.pipelined_time(self.pipeline_window)

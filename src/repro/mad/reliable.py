@@ -27,9 +27,7 @@ get their own ``smp_retry`` span and the
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import List, Optional
 
 from repro.errors import (
     FaultInjectionError,
@@ -139,40 +137,11 @@ class ReliableSmpSender:
         is rejected (retrying a fenced-out write cannot succeed — the
         caller must re-run the SMInfo comparison), and lets
         :class:`~repro.errors.UnreachableTargetError` propagate untouched.
+        A fenced write without a generation is stamped with this sender's.
         """
-        return self.send_run((smp,))[0]
-
-    def send_run(self, smps: Sequence[Smp]) -> List[SmpResult]:
-        """Deliver a run (see :meth:`SmpTransport.send_run`), each packet
-        under the contract of :meth:`send`: a lost packet is recovered —
-        or the run aborted — before the next one leaves."""
-        if self.generation is not None:
-            for smp in smps:
-                if smp.generation is None and smp.is_fenced_write:
-                    smp.generation = self.generation
-        return self.transport.send_run(smps, on_loss=self._recover)
-
-    def send_lft_sweep(
-        self,
-        targets: Sequence[str],
-        blocks: Sequence[int],
-        entries: np.ndarray,
-        *,
-        directed: bool = True,
-        applied: Optional[List[int]] = None,
-    ) -> None:
-        """One SubnSet(LFT) per row (see
-        :meth:`SmpTransport.send_lft_sweep`), stamped with this sender's
-        generation and recovered packet by packet like :meth:`send`."""
-        self.transport.send_lft_sweep(
-            targets,
-            blocks,
-            entries,
-            directed=directed,
-            generation=self.generation,
-            on_loss=self._recover,
-            applied=applied,
-        )
+        if smp.generation is None and smp.is_fenced_write:
+            smp.generation = self.generation
+        return self.transport.send(smp, on_loss=self._recover)
 
     def deliver(self, plan: SmpPlan, *, applied: Optional[List[int]] = None) -> None:
         """:meth:`SmpTransport.deliver` of *plan*, stamped with this sender's

@@ -11,7 +11,8 @@ QP0. Two routing modes exist (paper section VI-A):
   usable by the paper's reconfiguration because switch LIDs never move when
   only VMs migrate (this removes ``r`` — equation (5)).
 
-An :class:`Smp` is a small record; the semantics of applying it live in
+An :class:`Smp` is one packet and an :class:`SmpPlan` many of them as a
+struct of arrays; the semantics of delivering them live in
 :mod:`repro.mad.transport`.
 """
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Any, Dict, Iterator, Optional, Sequence
 
 import numpy as np
@@ -186,6 +188,27 @@ class SmpPlan:
                 f"a plan of {sum(self.counts)} SMPs got {n} arguments and LFT"
                 f" payloads of shape {shape}, not ({n}, {LFT_BLOCK_SIZE})"
             )
+
+    @classmethod
+    def lft_sweep(
+        cls,
+        targets: Sequence[str],
+        blocks: Sequence[int],
+        entries: np.ndarray,
+        *,
+        directed: bool,
+        generation: Optional[int] = None,
+    ) -> "SmpPlan":
+        """One SubnSet(LFT) per row ``i``: the 64-entry payload
+        ``entries[i]`` into block ``blocks[i]`` of the switch
+        ``targets[i]``, with one plan row per stretch of consecutive
+        packets to one switch."""
+        runs = [(name, sum(1 for _ in run)) for name, run in groupby(targets)]
+        return cls(
+            [name for name, _ in runs], [SmpKind.LFT_BLOCK] * len(runs),
+            [count for _, count in runs], blocks,
+            np.asarray(entries, dtype=np.int16), directed, generation,
+        )
 
     @staticmethod
     def method_of(kind: SmpKind) -> SmpMethod:

@@ -9,22 +9,24 @@ The transport realizes the paper's cost decomposition (section VI-A):
   because every intermediate switch rewrites the packet header.
 
 The transport also owns the **SMP counters** used throughout the
-reproduction: total SMPs, LFT-update SMPs per reconfiguration, and per-kind
-tallies. ``pipelined_time``/``serial_time`` model the SM's LFT-update
+reproduction: total SMPs, LFT-update SMPs per reconfiguration, hops and
+serial time. ``pipelined_time``/``serial_time`` model the SM's LFT-update
 pipelining (section VI-B: "In practice, pipelining is used by OpenSM").
+
+An SMP leaves through :meth:`SmpTransport.send` (one packet whose reply
+matters) or :meth:`SmpTransport.deliver` (an :class:`~repro.mad.smp.SmpPlan`);
+both account through one :meth:`SmpTransport._book`.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field, replace
-from itertools import accumulate, groupby
-from operator import itemgetter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from itertools import accumulate
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import TopologyError, TransportError, UnreachableTargetError
+from repro.errors import TopologyError, UnreachableTargetError
 from repro.fabric.graph import bfs_distances
 from repro.fabric.node import HCA, Node, Switch
 from repro.fabric.topology import Topology
@@ -47,10 +49,10 @@ MAD_BYTES = 256
 class TransportStats:
     """Aggregated accounting of everything sent through a transport.
 
-    The scalar aggregates are always maintained. The per-SMP sample
-    list ``latencies`` only grows when ``record_samples`` is set, so
-    million-SMP runs stay bounded; the always-on per-SMP record lives in
-    the bounded :class:`repro.obs.flight.FlightRecorder` instead.
+    Scalars only, so million-SMP runs stay bounded: the per-SMP record
+    (kind, target, latency, outcome) lives in the bounded
+    :class:`repro.obs.flight.FlightRecorder`, and the per-kind totals in
+    the ``repro_smp_total{kind,routed}`` series.
     """
 
     total_smps: int = 0
@@ -70,21 +72,14 @@ class TransportStats:
     corrupted: int = 0
     #: Sim time spent waiting out retry timeouts (downtime inflation).
     retry_wait_seconds: float = 0.0
-    #: Slowest single SMP seen (maintained even without samples, so
-    #: ``pipelined_time`` keeps its lower bound).
+    #: Slowest single SMP seen (``pipelined_time``'s lower bound).
     max_latency: float = 0.0
-    by_kind: Counter = field(default_factory=Counter)
-    by_target: Counter = field(default_factory=Counter)
-    #: Opt in via ``SmpTransport(..., record_samples=True)``.
-    record_samples: bool = False
-    latencies: List[float] = field(default_factory=list)
 
     def mean_k(self) -> float:
-        """Average per-SMP traversal time — the paper's ``k``."""
-        if self.latencies:
-            return float(np.mean(self.latencies))
+        """Average per-SMP traversal time — the paper's ``k``. Retry
+        waits land in ``serial_time`` but are no packet's traversal."""
         if self.total_smps:
-            return self.serial_time / self.total_smps
+            return (self.serial_time - self.retry_wait_seconds) / self.total_smps
         return 0.0
 
     def pipelined_time(self, window: int) -> float:
@@ -98,54 +93,25 @@ class TransportStats:
             raise TopologyError("pipeline window must be >= 1")
         if not self.total_smps:
             return 0.0
-        floor = max(self.latencies) if self.latencies else self.max_latency
-        return max(self.serial_time / window, floor)
+        return max(self.serial_time / window, self.max_latency)
 
     def snapshot(self) -> "TransportStats":
         """A frozen copy, so callers can diff before/after an operation."""
-        return replace(
-            self,
-            by_kind=Counter(self.by_kind),
-            by_target=Counter(self.by_target),
-            latencies=list(self.latencies),
-        )
-
-    def mark(self) -> Tuple[Any, ...]:
-        """The counted scalars now (and how many samples there are): all
-        :meth:`since` needs, without copying the per-kind and per-target
-        tallies a :meth:`snapshot` carries."""
-        return (
-            *[getattr(self, name) for name in _COUNTED],
-            len(self.latencies),
-        )
-
-    def since(self, mark: Tuple[Any, ...]) -> "TransportStats":
-        """The scalars accumulated since *mark* — what an operation cost.
-
-        ``by_kind``, ``by_target`` and ``latencies`` stay empty (see
-        :meth:`delta_since`); ``max_latency`` is set so that
-        :meth:`pipelined_time` keeps its lower bound.
-        """
-        out = TransportStats(record_samples=self.record_samples)
-        for name, was in zip(_COUNTED, mark):
-            setattr(out, name, getattr(self, name) - was)
-        recent = self.latencies[mark[-1]:]
-        if recent:
-            out.max_latency = max(recent)
-        elif out.serial_time > 0:
-            # Without samples the slowest packet *of this window* is
-            # unknowable; the overall maximum capped by the window's serial
-            # sum is a tight, invariant-preserving bound (pipelined never
-            # exceeds serial).
-            out.max_latency = min(self.max_latency, out.serial_time)
-        return out
+        return replace(self)
 
     def delta_since(self, before: "TransportStats") -> "TransportStats":
-        """Stats accumulated since *before* was snapshot."""
-        out = self.since(before.mark())
-        out.by_kind = self.by_kind - before.by_kind
-        out.by_target = self.by_target - before.by_target
-        out.latencies = self.latencies[len(before.latencies):]
+        """The counts accumulated since *before* was snapshot — what an
+        operation cost.
+
+        The slowest packet *of this window* is not kept; the overall
+        maximum capped by the window's serial sum is a tight bound that
+        keeps :meth:`pipelined_time` from exceeding the serial time.
+        """
+        out = TransportStats(
+            **{name: getattr(self, name) - getattr(before, name) for name in _COUNTED}
+        )
+        if out.serial_time > 0:
+            out.max_latency = min(self.max_latency, out.serial_time)
         return out
 
 
@@ -156,6 +122,10 @@ _COUNTED = (
     "stale_rejected", "retransmissions", "corrupted", "retry_wait_seconds",
 )
 
+
+#: Called with a packet that came back not delivered and its result; what
+#: it returns replaces the result.
+OnLoss = Optional[Callable[[Smp, SmpResult], SmpResult]]
 
 #: The attribute names of a span's SMP event, in the order of a route row's
 #: span values.
@@ -169,10 +139,9 @@ class _Route:
     ``r`` per hop when directed) are the same for every packet. ``rx``
     (the target's endpoint counters) is filled by the first packet that
     arrives, so a target no packet reached keeps no counters. ``rows``
-    holds, per kind, what a booked row of that kind leaves besides its
-    times: the flight-event fields and the span-event values. A switch's
-    route is kept in :class:`SmpTransport`'s table for as long as the
-    distances it was worked out from.
+    keeps, per kind, the :meth:`row` of a delivered plan row of that kind.
+    A switch's route is kept in :class:`SmpTransport`'s table for as long
+    as the distances it was worked out from.
     """
 
     __slots__ = ("target", "directed", "hops", "latency", "rx", "rows")
@@ -187,14 +156,22 @@ class _Route:
         self.rx = None
         self.rows: Dict[SmpKind, Tuple[tuple, tuple]] = {}
 
-    def row(self, kind: SmpKind) -> Tuple[tuple, tuple]:
-        """Work out (and keep) the flight fields and span values of a
-        delivered row of *kind*: SubnSet for an LFT block, SubnGet else."""
-        label, lft = kind.name.lower(), kind is SmpKind.LFT_BLOCK
-        shared = (self.target.name, self.hops, self.directed, self.latency, lft)
-        method = SmpPlan.method_of(kind).name.lower()
-        row = self.rows[kind] = (
-            (label, method, *shared, "delivered"), (label, *shared),
+    def row(
+        self, kind: SmpKind, method: SmpMethod, latency: float, fault: str
+    ) -> Tuple[tuple, tuple]:
+        """What packets of *kind* sent with *method*, each taking
+        *latency* and coming back *fault*, leave besides their times: the
+        flight-event fields and the span-event values."""
+        label = kind.name.lower()
+        lft = kind is SmpKind.LFT_BLOCK and method is SmpMethod.SET
+        shared = (self.target.name, self.hops, self.directed, latency, lft)
+        return (label, method.name.lower(), *shared, fault), (label, *shared)
+
+    def booked(self, kind: SmpKind) -> Tuple[tuple, tuple]:
+        """Work out (and keep) the :meth:`row` of a delivered plan row of
+        *kind*: SubnSet for an LFT block, SubnGet else."""
+        row = self.rows[kind] = self.row(
+            kind, SmpPlan.method_of(kind), self.latency, "delivered"
         )
         return row
 
@@ -214,12 +191,11 @@ class SmpTransport:
         sm_node: Optional[Node] = None,
         hop_latency: float = DEFAULT_HOP_LATENCY,
         dr_overhead: float = DEFAULT_DR_OVERHEAD,
-        record_samples: bool = False,
     ) -> None:
         self.topology = topology
         self.hop_latency = hop_latency
         self.dr_overhead = dr_overhead
-        self.stats = TransportStats(record_samples=record_samples)
+        self.stats = TransportStats()
         self._sm_node = sm_node
         #: Optional fault injector (see :mod:`repro.faults`). None keeps
         #: the delivery path exactly as it always was — zero cost.
@@ -376,131 +352,62 @@ class SmpTransport:
 
     # -- delivery ------------------------------------------------------------
 
-    def send(self, smp: Smp) -> SmpResult:
-        """Deliver one SMP: the run of length one (see :meth:`send_run`)."""
-        return self.send_run((smp,))[0]
-
-    def send_run(
-        self,
-        smps: Sequence[Smp],
-        *,
-        on_loss: Optional[Callable[[Smp, SmpResult], SmpResult]] = None,
-    ) -> List[SmpResult]:
-        """Deliver a run of SMPs: apply, account for and time each in order.
-
-        A *run* is consecutive SMPs to one target in one routing mode
-        (anything else raises :class:`~repro.errors.TransportError`), so
-        the target, its liveness, the hop count and the ``k``/``r``
-        latency are worked out once. The result is bit for bit that of
-        one :meth:`send` per packet.
-
-        Beyond the transport's own counters, every delivery advances the
-        observability hub's sim clock, lands one structured event in the
-        SMP flight recorder, increments the labeled
-        ``repro_smp_total`` counter, and — when a span is open in this
-        context — attaches a per-SMP event to it.
+    def send(self, smp: Smp, *, on_loss: OnLoss = None) -> SmpResult:
+        """Deliver one SMP whose reply matters: apply it, then
+        :meth:`_book` it (counters, sim clock, flight ring, open span).
 
         With a fault injector attached a delivery may be dropped
-        (returned ``status`` is :attr:`~repro.mad.smp.SmpStatus.TIMEOUT`
-        and the effect is *not* applied), silently corrupted (SET-LFT
-        payload damaged in flight and applied damaged), or delayed. A
-        target that does not exist or has no live path from the SM raises
-        :class:`~repro.errors.UnreachableTargetError` before any packet
-        leaves — distinguishable from a timeout, so retry layers do not
-        burn their budget on a dead node.
+        (``status`` TIMEOUT, effect *not* applied), silently corrupted
+        (SET-LFT payload applied damaged), or delayed. A packet that
+        cannot be delivered raises before any counter moves:
+        :class:`~repro.errors.UnreachableTargetError` for a missing target
+        or one without a live path from the SM (not a timeout, so retry
+        layers do not burn their budget on it), and
+        :class:`~repro.errors.TopologyError` for an LFT block to a
+        non-switch or the PortInfo of a port the node does not have.
 
-        *on_loss*, when given, is called with each packet that comes back
-        not delivered and its result, before the next packet of the run
-        leaves; what it returns replaces the result (this is where
-        :class:`~repro.mad.reliable.ReliableSmpSender` retransmits).
+        *on_loss*, when given, is called with the packet and its result
+        when it comes back not delivered; what it returns replaces the
+        result (this is where :class:`~repro.mad.reliable.ReliableSmpSender`
+        retransmits).
         """
-        if not smps:
-            return []
-        head = smps[0]
-        for smp in smps:
-            if smp.target != head.target or smp.directed != head.directed:
-                raise TransportError(
-                    "a run of SMPs must address one target in one routing"
-                    f" mode, got {smp.target!r} after {head.target!r}"
-                )
-        run = self._open_run(head.target, head.directed)
-        # PMA accounting: a MAD leaves through the SM host's endpoint
-        # port whatever happens to it on the wire; arrival is counted in
-        # :meth:`_deliver` so dropped packets never show up as received.
+        route = self._route(smp.target, smp.directed)
+        # Port 1 stands in for a PortInfo without a port (the node's own
+        # one): every node has both.
+        self._refuse(route.target, smp.kind, (smp.payload.get("port", 1),))
+        # A MAD leaves the SM host's endpoint whatever happens to it on the
+        # wire, and before a PMA GET of that very port is answered; arrival
+        # is counted in :meth:`_deliver`, so a dropped packet never is.
         tx = self._endpoint_counters(self.sm_node)
-        results: List[SmpResult] = []
-        for smp in smps:
-            tx.xmit_packets += 1
-            tx.xmit_data += MAD_BYTES
-            data, status, fault, latency = self._on_the_wire(run, smp)
-            self._account(run, smp.kind, smp.method, latency, fault)
-            result = SmpResult(smp, run.hops, latency, data, status)
-            if on_loss is not None and status is not SmpStatus.DELIVERED:
-                result = on_loss(smp, result)
-            results.append(result)
-        return results
-
-    def send_lft_run(
-        self,
-        target: str,
-        blocks: Sequence[int],
-        entries: np.ndarray,
-        *,
-        directed: bool = True,
-        generation: Optional[int] = None,
-    ) -> None:
-        """The one-target :meth:`send_lft_sweep`: one SubnSet(LFT) per block."""
-        self.send_lft_sweep(
-            [target] * len(blocks), blocks, entries,
-            directed=directed, generation=generation,
-        )
-
-    def send_lft_sweep(
-        self,
-        targets: Sequence[str],
-        blocks: Sequence[int],
-        entries: np.ndarray,
-        *,
-        directed: bool = True,
-        generation: Optional[int] = None,
-        on_loss: Optional[Callable[[Smp, SmpResult], SmpResult]] = None,
-        applied: Optional[List[int]] = None,
-    ) -> None:
-        """Deliver one SubnSet(LFT) SMP per row, in row order.
-
-        Row ``i`` writes the 64-entry payload ``entries[i]`` into block
-        ``blocks[i]`` of the switch ``targets[i]``; *generation* is the
-        fence stamp of every packet (``None`` sends unfenced). This is
-        :meth:`deliver` of the plan with one row per stretch of
-        consecutive packets to one switch.
-        """
-        runs = [(name, sum(1 for _ in run)) for name, run in groupby(targets)]
-        plan = SmpPlan(
-            [name for name, _ in runs], [SmpKind.LFT_BLOCK] * len(runs),
-            [count for _, count in runs], blocks,
-            np.asarray(entries, dtype=np.int16), directed, generation,
-        )
-        self.deliver(plan, on_loss=on_loss, applied=applied)
+        tx.xmit_packets += 1
+        tx.xmit_data += MAD_BYTES
+        data, status, fault, latency = self._on_the_wire(route, smp)
+        row = route.row(smp.kind, smp.method, latency, fault)
+        self._book(route.directed, [row], [1], [latency])
+        metrics = get_hub().metrics
+        if fault in ("dropped", "corrupt", "delayed"):
+            metrics.counter("repro_faults_injected_total", action=fault).add(1)
+        if fault in ("dropped", "no-response"):
+            metrics.counter("repro_smp_timeouts_total", kind=row[0][0]).add(1)
+        result = SmpResult(smp, route.hops, latency, data, status)
+        if on_loss is not None and status is not SmpStatus.DELIVERED:
+            result = on_loss(smp, result)
+        return result
 
     def deliver(
-        self,
-        plan: SmpPlan,
-        *,
-        on_loss: Optional[Callable[[Smp, SmpResult], SmpResult]] = None,
+        self, plan: SmpPlan, *, on_loss: OnLoss = None,
         applied: Optional[List[int]] = None,
     ) -> None:
         """Deliver the packets of *plan* in order, dropping the replies.
 
-        Equivalent to one :meth:`send` per packet of ``plan.packets()``
-        (*on_loss* as in :meth:`send_run`), which is what happens whenever
-        a packet can come back lost or rejected: a fault injector is
-        attached, the plan's generation is behind the fabric's, or a row
-        is an SMInfo. Otherwise the plan is *booked*. A row does only what
-        it owns: its effect, its typed refusal, *applied* and the target's
-        endpoint counters; a switch's route (hops, ``k``/``r`` latency,
-        counters, event fields) comes from the table kept per topology
-        version. Both clocks take one add per packet in packet order; the
-        flight ring, the open span and every tally take one append per plan.
+        Equivalent to one :meth:`send` per packet of ``plan.packets()``,
+        which is what happens whenever a packet can come back lost or
+        rejected: a fault injector is attached, the plan's generation is
+        behind the fabric's, or a row is an SMInfo. Otherwise the plan is
+        *booked*: a row does only what it owns (its typed refusal, effect,
+        *applied* and the target's endpoint counters), a switch's route
+        comes from the table kept per topology version, and one
+        :meth:`_book` accounts for every row delivered.
 
         A row that cannot be delivered — its target missing or
         unreachable, an LFT block for a non-switch, the PortInfo of a port
@@ -517,37 +424,31 @@ class SmpTransport:
             or SmpKind.SM_INFO in plan.kinds
         ):
             for i, smp in enumerate(plan.packets()):
-                if self.send_run((smp,), on_loss=on_loss)[0].ok and applied is not None:
+                if self.send(smp, on_loss=on_loss).ok and applied is not None:
                     applied.append(i)
             return
 
-        st = self.stats
         directed = plan.directed
         routes = self._table(directed)
         #: Per delivered row: its route's flight fields and span values.
         rows: List[Tuple[tuple, tuple]] = []
         counts: List[int] = []
         latencies: List[float] = []
-        by_target: Dict[str, int] = {}
-        kinds: Dict[SmpKind, int] = {}
         route = None
-        hops = sent = 0
+        sent = 0
         try:
             for name, kind, count in zip(plan.targets, plan.kinds, plan.counts):
                 if not count:
                     continue
                 if route is None or name != route.target.name:
                     # A destination-routed target has its LID checked anew.
-                    route = (directed and routes.get(name)) or self._open_run(
+                    route = (directed and routes.get(name)) or self._route(
                         name, directed
                     )
                 target = route.target
                 end = sent + count
+                self._refuse(target, kind, plan.args[sent:end])
                 if kind is SmpKind.LFT_BLOCK:
-                    if not isinstance(target, Switch):
-                        raise TopologyError(
-                            f"LFT SMP addressed to non-switch {name!r}"
-                        )
                     if count == 1:
                         target.lft.load_block(plan.args[sent], plan.entries[sent])
                     else:
@@ -556,10 +457,6 @@ class SmpTransport:
                         )
                     if generation is not None:
                         self._fabric_generation = generation
-                elif kind is SmpKind.PORT_INFO:
-                    for num in plan.args[sent:end]:
-                        if num or not isinstance(target, Switch):
-                            target.port(num)
                 if applied is not None:
                     applied.extend(range(sent, end))
                 rx = route.rx
@@ -567,53 +464,63 @@ class SmpTransport:
                     rx = route.rx = self._endpoint_counters(target)
                 rx.rcv_packets += count
                 rx.rcv_data += count * MAD_BYTES
-                rows.append(route.rows.get(kind) or route.row(kind))
+                rows.append(route.rows.get(kind) or route.booked(kind))
                 counts.append(count)
                 latencies += [route.latency] * count
-                hops += count * route.hops
-                by_target[name] = by_target.get(name, 0) + count
-                kinds[kind] = kinds.get(kind, 0) + count
                 sent = end
         finally:
             if sent:
-                hub = get_hub()
-                # One float add per packet and per clock, in packet order:
-                # ``count * latency`` or any other summation rounds differently,
-                # and the pinned sim-second figures are compared bit for bit.
-                *_, st.serial_time = accumulate(latencies, initial=st.serial_time)
-                times = list(accumulate(latencies, initial=hub.now()))[1:]
-                hub.advance_to(times[-1])
-                hub.flight.record_rows(times, map(itemgetter(0), rows), counts)
-                sp = current_span()
-                if sp is not None:
-                    sp.record_rows(
-                        times, _SPAN_KEYS, map(itemgetter(1), rows), counts,
-                        kinds.get(SmpKind.LFT_BLOCK, 0),
-                    )
-                st.total_hops += hops
-                st.max_latency = max(st.max_latency, max(latencies))
-                if st.record_samples:
-                    st.latencies.extend(latencies)
-                st.by_target.update(by_target)
                 tx = self._endpoint_counters(self.sm_node)
                 tx.xmit_packets += sent
                 tx.xmit_data += sent * MAD_BYTES
-                st.total_smps += sent
-                if directed:
-                    st.directed_smps += sent
-                else:
-                    st.destination_routed_smps += sent
-                routed = "directed" if directed else "destination"
-                for kind, count in kinds.items():
-                    st.by_kind[kind] += count
-                    if kind is SmpKind.LFT_BLOCK:
-                        st.lft_update_smps += count
-                    hub.metrics.counter(
-                        "repro_smp_total", kind=kind.name.lower(), routed=routed
-                    ).add(count)
+                self._book(directed, rows, counts, latencies)
 
-    def _open_run(self, name: str, directed: bool) -> _Route:
-        """The route of a run of SMPs to *name*.
+    def _book(
+        self, directed: bool, rows: List[Tuple[tuple, tuple]],
+        counts: List[int], latencies: List[float],
+    ) -> None:
+        """Account for delivered packets in one routing mode: ``counts[i]``
+        of them leave the flight fields and span values ``rows[i]`` (see
+        :meth:`_Route.row`), packet ``p`` took ``latencies[p]``.
+
+        Both clocks take one add per packet in packet order: ``count *
+        latency`` or any other summation rounds differently, and the
+        pinned sim-second figures are compared bit for bit. The flight
+        ring and the open span take one append each, ``repro_smp_total``
+        one add per kind in first-appearance order.
+        """
+        st = self.stats
+        hub = get_hub()
+        *_, st.serial_time = accumulate(latencies, initial=st.serial_time)
+        times = list(accumulate(latencies, initial=hub.now()))[1:]
+        hub.advance_to(times[-1])
+        fields, values = zip(*rows)
+        hub.flight.record_rows(times, fields, counts)
+        kinds: Dict[str, int] = {}
+        hops = lft = 0
+        for (label, _, _, row_hops, _, _, update, _), count in zip(fields, counts):
+            kinds[label] = kinds.get(label, 0) + count
+            hops += count * row_hops
+            if update:
+                lft += count
+        sp = current_span()
+        if sp is not None:
+            sp.record_rows(times, _SPAN_KEYS, values, counts, lft)
+        sent = len(latencies)
+        st.total_smps += sent
+        st.lft_update_smps += lft
+        st.total_hops += hops
+        st.max_latency = max(st.max_latency, max(latencies))
+        if directed:
+            st.directed_smps += sent
+        else:
+            st.destination_routed_smps += sent
+        routed = "directed" if directed else "destination"
+        for label, count in kinds.items():
+            hub.metrics.counter("repro_smp_total", kind=label, routed=routed).add(count)
+
+    def _route(self, name: str, directed: bool) -> _Route:
+        """The route of SMPs to *name*.
 
         A switch's route comes from the table while the topology version
         holds. Anything else is resolved anew, because cabling an HCA does
@@ -651,7 +558,22 @@ class SmpTransport:
         """
         return node.port_counters(0 if isinstance(node, Switch) else 1)
 
-    def _deliver(self, run: _Route, smp: Smp, fault: str):
+    @staticmethod
+    def _refuse(target: Node, kind: SmpKind, ports: Sequence[int]) -> None:
+        """Raise the typed refusal of SMPs of *kind* to *target* — an LFT
+        block for a non-switch, the PortInfo of one of *ports* the node
+        does not have (0 is a switch's own) — before any counter moves."""
+        if kind is SmpKind.LFT_BLOCK:
+            if not isinstance(target, Switch):
+                raise TopologyError(
+                    f"LFT SMP addressed to non-switch {target.name!r}"
+                )
+        elif kind is SmpKind.PORT_INFO:
+            for num in ports:
+                if num or not isinstance(target, Switch):
+                    target.port(num)
+
+    def _deliver(self, route: _Route, smp: Smp, fault: str):
         """Apply one SMP that survived the wire, enforcing the fence.
 
         A fenced write (SET LFT/PortInfo carrying a generation) older
@@ -660,9 +582,9 @@ class SmpTransport:
         exactly how a stale master re-emerging after a partition heal is
         stopped from corrupting routing state.
         """
-        rx = run.rx
+        rx = route.rx
         if rx is None:
-            rx = run.rx = self._endpoint_counters(run.target)
+            rx = route.rx = self._endpoint_counters(route.target)
         rx.rcv_packets += 1
         rx.rcv_data += MAD_BYTES
         if smp.generation is not None and smp.is_fenced_write:
@@ -674,44 +596,44 @@ class SmpTransport:
                 ).add(1)
                 return None, SmpStatus.STALE_GENERATION, "stale-rejected"
             self._fabric_generation = smp.generation
-        return self._apply(smp, run.target), SmpStatus.DELIVERED, fault
+        return self._apply(smp, route.target), SmpStatus.DELIVERED, fault
 
-    def _on_the_wire(self, run: _Route, smp: Smp):
+    def _on_the_wire(self, route: _Route, smp: Smp):
         """One SMP's fate: lost to an SMInfo's dead far-end SM agent or to
         the fault injector on the wire (drop, silent corruption, delay),
         delivered otherwise. Returns ``(data, status, fault, latency)``."""
-        if smp.kind is SmpKind.SM_INFO and run.target.name in self._dead_sm_nodes:
+        if smp.kind is SmpKind.SM_INFO and route.target.name in self._dead_sm_nodes:
             # The node's port is up but its SM agent is dead: the MAD
             # arrives and nothing answers. No injector RNG is consumed,
             # so SM death events never shift the SMP fault sequence.
             self.stats.timeouts += 1
-            return None, SmpStatus.TIMEOUT, "no-response", run.latency
+            return None, SmpStatus.TIMEOUT, "no-response", route.latency
         if self._injector is None:
-            return *self._deliver(run, smp, "delivered"), run.latency
+            return *self._deliver(route, smp, "delivered"), route.latency
         decision = self._injector.decide(smp, now=get_hub().now())
         action = decision.action.value
         if action == "deliver":
-            return *self._deliver(run, smp, "delivered"), run.latency
+            return *self._deliver(route, smp, "delivered"), route.latency
         if action == "delay":
             return (
-                *self._deliver(run, smp, "delayed"),
-                run.latency + decision.delay_seconds,
+                *self._deliver(route, smp, "delayed"),
+                route.latency + decision.delay_seconds,
             )
         if action == "corrupt":
             # The damaged payload is applied — a *silent* failure only a
             # read-back (transactional distribution) can catch.
             damaged = self._injector.corrupt_entries(smp.payload["entries"])
             damaged = replace(smp, payload={**smp.payload, "entries": damaged})
-            data, status, fault = self._deliver(run, damaged, "delivered")
+            data, status, fault = self._deliver(route, damaged, "delivered")
             if status is SmpStatus.DELIVERED:
                 self.stats.corrupted += 1
                 fault = "corrupt"
                 # The receiving port accepted damaged symbols.
-                run.rx.symbol_errors += 1
-            return data, status, fault, run.latency
+                route.rx.symbol_errors += 1
+            return data, status, fault, route.latency
         # drop: the packet dies on the wire, the sender times out
         self.stats.timeouts += 1
-        return None, SmpStatus.TIMEOUT, "dropped", run.latency
+        return None, SmpStatus.TIMEOUT, "dropped", route.latency
 
     def _resolve_target(self, name: str, directed: bool) -> Node:
         """Look the target up and validate its liveness.
@@ -757,56 +679,10 @@ class SmpTransport:
         self.stats.retry_wait_seconds += seconds
         get_hub().advance(seconds)
 
-    def _account(
-        self, run: _Route, kind: SmpKind, method: SmpMethod, latency: float, fault: str
-    ) -> None:
-        """Book one packet of *run* — the packet-by-packet path: the
-        transport's counters, then the observability layer (sim clock,
-        flight recorder, span, metrics)."""
-        st = self.stats
-        lft_update = kind is SmpKind.LFT_BLOCK and method is SmpMethod.SET
-        st.total_smps += 1
-        st.total_hops += run.hops
-        if latency > st.max_latency:
-            st.max_latency = latency
-        if st.record_samples:
-            st.latencies.append(latency)
-        st.by_kind[kind] += 1
-        st.by_target[run.target.name] += 1
-        if run.directed:
-            st.directed_smps += 1
-        else:
-            st.destination_routed_smps += 1
-        if lft_update:
-            st.lft_update_smps += 1
-        st.serial_time += latency
-
-        hub = get_hub()
-        label = kind.name.lower()
-        time = (hub.advance(latency),)
-        shared = (run.target.name, run.hops, run.directed, latency, lft_update)
-        hub.flight.record_run(time, (label, method.name.lower(), *shared, fault))
-        sp = current_span()
-        if sp is not None:
-            sp.record_smps(time, dict(zip(_SPAN_KEYS, (label, *shared))))
-        hub.metrics.counter(
-            "repro_smp_total", kind=label,
-            routed="directed" if run.directed else "destination",
-        ).add(1)
-        if fault in ("dropped", "corrupt", "delayed"):
-            hub.metrics.counter(
-                "repro_faults_injected_total", action=fault
-            ).add(1)
-        if fault in ("dropped", "no-response"):
-            hub.metrics.counter("repro_smp_timeouts_total", kind=label).add(1)
-
     def _apply(self, smp: Smp, target: Node) -> Optional[Dict[str, object]]:
-        """Execute the management operation on the target node."""
+        """Execute the management operation on the target node (which
+        :meth:`_refuse` has let through)."""
         if smp.kind is SmpKind.LFT_BLOCK:
-            if not isinstance(target, Switch):
-                raise TopologyError(
-                    f"LFT SMP addressed to non-switch {target.name!r}"
-                )
             block = int(smp.payload["block"])
             if smp.method is SmpMethod.SET:
                 target.lft.load_block(block, smp.payload["entries"])

@@ -80,11 +80,6 @@ class FlightRecorder:
         self.seen += 1
         self._ring.append(event)
 
-    def record_run(self, times: Sequence[float], fields: tuple) -> None:
-        """Append one event per entry of *times*, all with *fields*: the
-        one-row :meth:`record_rows`."""
-        self.record_rows(times, (fields,), (len(times),))
-
     def record_rows(
         self, times: Sequence[float], fields: Iterable[tuple], counts: Iterable[int]
     ) -> None:

@@ -3,9 +3,10 @@
 A span brackets one logical operation (a migration, an LFT distribution,
 a path computation) with sim-time start/end, free-form attributes and
 timestamped events. Spans nest: the *current* span is carried in a
-context variable, so deeply nested callees (ultimately
-:meth:`repro.mad.transport.SmpTransport.send`) can attach per-SMP events
-to whatever operation is in flight without any parameter plumbing.
+context variable, so deeply nested callees (ultimately the one booking
+step of :mod:`repro.mad.transport`, behind ``send`` and ``deliver``) can
+attach per-SMP events (:meth:`Span.record_rows`) to whatever operation is
+in flight without any parameter plumbing.
 """
 
 from __future__ import annotations
@@ -104,19 +105,6 @@ class Span:
             self._events = []
         self._events.append(  # type: ignore[attr-defined]
             SpanEvent(time=time, name=name, attributes=attrs)
-        )
-
-    def record_smp(self, time: float, **attrs: Any) -> None:
-        """Record one SMP delivery under this span."""
-        self.record_smps((time,), attrs)
-
-    def record_smps(self, times: Sequence[float], attrs: Dict[str, Any]) -> None:
-        """Record one SMP delivery per entry of *times*, all with *attrs*:
-        the one-row :meth:`record_rows`."""
-        n = len(times)
-        self.record_rows(
-            times, tuple(attrs), (tuple(attrs.values()),), (n,),
-            n if attrs.get("lft_update") else 0,
         )
 
     def record_rows(

@@ -40,7 +40,7 @@ def discover_subnet(
 ) -> DiscoveryReport:
     """Breadth-first directed-route sweep from the SM node."""
     report = DiscoveryReport()
-    mark = transport.stats.mark()
+    before = transport.stats.snapshot()
     start: Node = transport.sm_node
 
     # One plan per sweep, two rows per node: its NodeInfo, then the
@@ -74,7 +74,7 @@ def discover_subnet(
         kinds = (SmpKind.NODE_INFO, SmpKind.PORT_INFO) * (len(targets) // 2)
         transport.deliver(SmpPlan(targets, kinds, counts, args))
 
-    cost = transport.stats.since(mark)
+    cost = transport.stats.delta_since(before)
     report.smps_sent = cost.total_smps
     report.serial_time = cost.serial_time
     report.switches.sort()

@@ -39,7 +39,7 @@ from repro.errors import (
 from repro.fabric.lft import lft_block_of
 from repro.fabric.node import Switch
 from repro.fabric.topology import Topology
-from repro.mad.smp import Smp, SmpKind, SmpMethod, make_set_lft_block
+from repro.mad.smp import Smp, SmpKind, SmpMethod, SmpPlan, make_set_lft_block
 from repro.mad.transport import SmpTransport
 from repro.obs.hub import get_hub, span
 from repro.sm.routing.base import RoutingTables
@@ -112,14 +112,14 @@ class LftDistributor:
         against the switches' current LFTs.
         """
         report = DistributionReport()
-        mark = self.transport.stats.mark()
+        before = self.transport.stats.snapshot()
         with span(
             "lft_distribution",
             mode="full" if force_full else "diff",
             switches=self.topology.num_switches,
         ) as sp:
             self._distribute_blocks(tables, report, force_full)
-            delta = self.transport.stats.since(mark)
+            delta = self.transport.stats.delta_since(before)
             report.smps_sent = delta.total_smps
             report.serial_time = delta.serial_time
             report.pipelined_time = delta.pipelined_time(self.pipeline_window)
@@ -204,9 +204,11 @@ class LftDistributor:
                         undo=undo, report=report,
                     )
             else:
-                self.sender.send_lft_sweep(
-                    [sw.name for sw in targets], blocks, entries,
-                    directed=self.DIRECTED,
+                self.sender.deliver(
+                    SmpPlan.lft_sweep(
+                        [sw.name for sw in targets], blocks, entries,
+                        directed=self.DIRECTED,
+                    )
                 )
         except TransportError as exc:
             self.rollback(undo, directed=self.DIRECTED)

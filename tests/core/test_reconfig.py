@@ -20,7 +20,6 @@ from repro.fabric.presets import scaled_fattree
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.mad.reliable import RetryPolicy
-from repro.mad.transport import SmpTransport
 from repro.obs import get_hub, reset_hub
 from repro.sm.subnet_manager import SubnetManager
 from repro.virt.cloud import CloudManager
@@ -242,7 +241,6 @@ FABRICS = {
 world_case = dict(
     fabric=st.sampled_from(["2l-small", "2l-small", "ring", "ring", "3l-small"]),
     destination_routed=st.booleans(),
-    samples=st.booleans(),
     resilience=st.sampled_from(["raw", "raw", "reliable", "transactional"]),
     faults=st.none()
     | st.tuples(
@@ -259,10 +257,9 @@ oracle_settings = settings(
 )
 
 
-def fresh_sm(fabric, samples):
+def fresh_sm(fabric):
     built = FABRICS[fabric]()
-    transport = SmpTransport(built.topology, record_samples=samples)
-    return built, SubnetManager(built.topology, built=built, transport=transport)
+    return built, SubnetManager(built.topology, built=built)
 
 
 def harden(sm, resilience, faults):
@@ -333,13 +330,13 @@ class TestKernelMatchesOracle:
         ),
     )
     def test_cloud_sequences(
-        self, monkeypatch, fabric, destination_routed, samples, resilience,
-        faults, scheme, vfs, minimal, ops,
+        self, monkeypatch, fabric, destination_routed, resilience, faults,
+        scheme, vfs, minimal, ops,
     ):
         monkeypatch.setattr("repro.obs.spans.MAX_EVENTS_PER_SPAN", SPAN_CAP)
 
         def play(oracle):
-            built, sm = fresh_sm(fabric, samples)
+            built, sm = fresh_sm(fabric)
             cloud = CloudManager(
                 built.topology, built=built, sm=sm, lid_scheme=scheme,
                 num_vfs=vfs, destination_routed_smps=destination_routed,
@@ -411,13 +408,12 @@ class TestKernelMatchesOracle:
         ),
     )
     def test_primitive_sequences(
-        self, monkeypatch, fabric, destination_routed, samples, resilience,
-        faults, ops,
+        self, monkeypatch, fabric, destination_routed, resilience, faults, ops,
     ):
         monkeypatch.setattr("repro.obs.spans.MAX_EVENTS_PER_SPAN", SPAN_CAP)
 
         def play(oracle):
-            built, sm = fresh_sm(fabric, samples)
+            built, sm = fresh_sm(fabric)
             topo = built.topology
             sm.assign_lids()
             hosts = [topo.hcas[0], topo.hcas[1], topo.hcas[len(topo.hcas) // 2], topo.hcas[-1]]
@@ -522,14 +518,14 @@ class TestKernelContract:
     def test_failed_restore_is_a_rollback_error(self, straddling):
         topo, sm, pf_lid, _, far = straddling
         rec = VSwitchReconfigurer(sm)
-        sweep = sm.transport.send_lft_sweep
+        deliver = sm.transport.deliver
 
         def die_after_the_sweep(*args, **kwargs):
-            sweep(*args, **kwargs)
+            deliver(*args, **kwargs)
             isolate(topo, topo.switches[0])
             raise UnreachableTargetError("gone")
 
-        sm.transport.send_lft_sweep = die_after_the_sweep
+        sm.transport.deliver = die_after_the_sweep
         with pytest.raises(ReconfigRollbackError):
             rec.copy_path(pf_lid, far)
 

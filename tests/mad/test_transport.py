@@ -21,20 +21,20 @@ from repro.errors import (
     SmpTimeoutError,
     StaleGenerationError,
     TopologyError,
-    TransportError,
     UnreachableTargetError,
 )
 from repro.fabric.builders import build_ring, build_two_level_fattree
 from repro.fabric.graph import bfs_distances
 from repro.fabric.node import Node, NodeType
+from repro.fabric.presets import scaled_fattree
 from repro.fabric.topology import Topology
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, ScriptedFault
 from repro.mad.reliable import ReliableSmpSender, RetryPolicy
 from repro.mad.smp import (
-    Smp, SmpKind, SmpMethod, SmpPlan, SmpStatus, make_set_lft_block,
+    Smp, SmpKind, SmpMethod, SmpPlan, make_set_lft_block,
 )
-from repro.mad.transport import SmpTransport
+from repro.mad.transport import SmpTransport, TransportStats
 from repro.obs import get_hub, reset_hub, span
 from repro.sm.discovery import discover_subnet
 from repro.sm.subnet_manager import SubnetManager
@@ -119,8 +119,9 @@ class TestAccounting:
         tr.send(make_set_lft_block("s1", 0, np.zeros(LFT_BLOCK_SIZE)))
         assert tr.stats.total_smps == 2
         assert tr.stats.lft_update_smps == 1
-        assert tr.stats.by_kind[SmpKind.LFT_BLOCK] == 1
-        assert tr.stats.by_target["s0"] == 1
+        flight = get_hub().flight
+        assert flight.by_kind() == {"node_info": 1, "lft_block": 1}
+        assert [e.target for e in flight] == ["s0", "s1"]
 
     def test_directed_vs_destination_counts(self):
         topo = line_topology()
@@ -132,37 +133,23 @@ class TestAccounting:
 
     def test_snapshot_delta(self):
         topo = line_topology()
-        tr = SmpTransport(topo, record_samples=True)
-        tr.send(Smp(SmpMethod.GET, SmpKind.NODE_INFO, "s0"))
+        tr = SmpTransport(topo)
+        tr.send(Smp(SmpMethod.GET, SmpKind.NODE_INFO, "s2"))
         before = tr.stats.snapshot()
-        tr.send(Smp(SmpMethod.GET, SmpKind.NODE_INFO, "s1"))
-        tr.send(Smp(SmpMethod.GET, SmpKind.NODE_INFO, "s2"))
-        delta = tr.stats.delta_since(before)
-        assert delta.total_smps == 2
-        assert len(delta.latencies) == 2
-
-    @pytest.mark.parametrize("samples", [False, True])
-    def test_scalar_mark_prices_what_a_snapshot_delta_prices(self, samples):
-        topo = line_topology()
-        tr = SmpTransport(topo, record_samples=samples)
-        tr.send(Smp(SmpMethod.GET, SmpKind.NODE_INFO, "s2"))
-        before, mark = tr.stats.snapshot(), tr.stats.mark()
-        assert tr.stats.since(mark) == tr.stats.delta_since(before)
+        assert tr.stats.delta_since(before) == TransportStats()
         tr.send(make_set_lft_block("s1", 0, np.zeros(LFT_BLOCK_SIZE)))
         tr.send(Smp(SmpMethod.GET, SmpKind.NODE_INFO, "s0", directed=False))
         tr.charge_wait(1e-3)
-        since, delta = tr.stats.since(mark), tr.stats.delta_since(before)
-        assert since.pipelined_time(2) == delta.pipelined_time(2)
-        assert since.max_latency == delta.max_latency
-        assert not since.by_kind and not since.latencies
-        assert delta.by_target == {"s1": 1, "s0": 1}
-        assert len(delta.latencies) == (2 if samples else 0)
-        for name in (
-            "total_smps", "lft_update_smps", "directed_smps",
-            "destination_routed_smps", "total_hops", "serial_time",
-            "retry_wait_seconds",
-        ):
-            assert getattr(since, name) == getattr(delta, name) != 0
+        delta = tr.stats.delta_since(before)
+        assert (delta.total_smps, delta.lft_update_smps) == (2, 1)
+        assert (delta.directed_smps, delta.destination_routed_smps) == (1, 1)
+        assert delta.total_hops == 2 + 1
+        assert delta.retry_wait_seconds == 1e-3
+        assert delta.serial_time == tr.stats.serial_time - before.serial_time
+        # The window's slowest packet is not kept: the overall maximum (the
+        # 3-hop NodeInfo before the window) capped by the window's serial sum.
+        assert delta.max_latency == min(tr.stats.max_latency, delta.serial_time)
+        assert delta.pipelined_time(2) <= delta.serial_time
 
     def test_mean_k(self):
         topo = line_topology()
@@ -171,11 +158,23 @@ class TestAccounting:
         tr.send(Smp(SmpMethod.GET, SmpKind.NODE_INFO, "s2"))  # 3 hops
         assert tr.stats.mean_k() == pytest.approx(2.0)
 
+    def test_mean_k_excludes_retry_waits(self):
+        """``k`` is a traversal time: on a lossy, retried run it is the
+        mean latency of the SMPs the flight ring saw, not of the serial
+        time, which also holds the waits before each retransmission."""
+        built = scaled_fattree("2l-small")
+        tr = SmpTransport(built.topology)
+        tr.set_fault_injector(FaultInjector(FaultPlan(seed=3, smp_drop_rate=0.2)))
+        discover_subnet(built.topology, ReliableSmpSender(tr, RetryPolicy(retries=6)))
+        flight = get_hub().flight
+        assert flight.dropped == 0 and tr.stats.retry_wait_seconds > 0
+        latencies = [e.latency for e in flight]
+        assert len(latencies) == tr.stats.total_smps
+        assert tr.stats.mean_k() == pytest.approx(sum(latencies) / len(latencies))
+
     def test_pipelined_time_bounds(self):
         topo = line_topology()
-        tr = SmpTransport(
-            topo, hop_latency=1.0, dr_overhead=0.0, record_samples=True
-        )
+        tr = SmpTransport(topo, hop_latency=1.0, dr_overhead=0.0)
         for _ in range(4):
             tr.send(Smp(SmpMethod.GET, SmpKind.NODE_INFO, "s1"))  # 2.0 each
         serial = tr.stats.serial_time
@@ -193,13 +192,16 @@ class TestAccounting:
 
 class TestSampleRecording:
     def test_samples_off_by_default(self):
+        """The stats keep no per-SMP samples; the flight ring keeps every
+        SMP's latency."""
         topo = line_topology()
         tr = SmpTransport(topo)
         for _ in range(3):
             tr.send(Smp(SmpMethod.GET, SmpKind.NODE_INFO, "s1"))
-        assert tr.stats.latencies == []
+        assert not hasattr(tr.stats, "latencies")
         assert tr.stats.total_smps == 3
         assert tr.stats.max_latency > 0
+        assert [e.latency for e in get_hub().flight] == [tr.stats.max_latency] * 3
 
     def test_pipelined_floor_without_samples(self):
         topo = line_topology()
@@ -207,14 +209,8 @@ class TestSampleRecording:
         for _ in range(4):
             tr.send(Smp(SmpMethod.GET, SmpKind.NODE_INFO, "s1"))  # 2.0 each
         # max_latency keeps the never-below-the-slowest-packet floor exact
-        # even without per-SMP samples.
+        # without per-SMP samples.
         assert tr.stats.pipelined_time(100) == pytest.approx(2.0)
-
-    def test_opt_in_records_samples(self):
-        topo = line_topology()
-        tr = SmpTransport(topo, record_samples=True)
-        tr.send(Smp(SmpMethod.GET, SmpKind.NODE_INFO, "s0"))
-        assert len(tr.stats.latencies) == 1
 
 
 class TestApplication:
@@ -273,6 +269,15 @@ class TestApplication:
         )
         assert res.data == {"vf": 1, "vguid": 0xBEEF}
 
+    def test_a_pma_get_reply_counts_its_own_packet(self):
+        topo = line_topology()
+        tr = SmpTransport(topo)
+        for target, port in (("s1", 0), ("h0", 1)):  # h0 hosts the SM
+            res = tr.send(Smp(SmpMethod.GET, SmpKind.PORT_COUNTERS, target))
+            assert res.data["ports"][port]["rcv_packets"] == 1
+        # The SM host's endpoint had sent both GETs when it answered.
+        assert res.data["ports"][1]["xmit_packets"] == 2
+
 
 # -- runs: one delivery path, bit-identical to packet-by-packet -------------
 
@@ -302,17 +307,11 @@ def build_world(fabric, size, *, lids):
     return built.topology, sm.transport
 
 
-def outcome_of(results):
-    return [
-        (
-            r.hops, r.latency, r.status,
-            None if r.data is None else {
-                k: v.tolist() if isinstance(v, np.ndarray) else v
-                for k, v in r.data.items()
-            },
-        )
-        for r in results
-    ]
+def send_each(sender, plan):
+    """The packets of *plan*, one ``send`` each: what ``deliver`` promises
+    to be equivalent to."""
+    for smp in plan.packets():
+        sender.send(smp)
 
 
 def play(world, act, monkeypatch, *, caps=(FLIGHT_CAPACITY, SPAN_CAP)):
@@ -330,34 +329,6 @@ def play(world, act, monkeypatch, *, caps=(FLIGHT_CAPACITY, SPAN_CAP)):
         except ReproError as exc:
             raised = (type(exc), str(exc))
     return observed(topo, tr, sp), out, raised
-
-
-def mixed_packets(rng, target, n, *, directed, generation, lft_ok):
-    """n packets of assorted kinds for one target."""
-    packets = []
-    for _ in range(n):
-        pick = rng.randrange(4 if lft_ok else 2)
-        if pick == 0:
-            packets.append(Smp(SmpMethod.GET, SmpKind.NODE_INFO, target, directed=directed))
-        elif pick == 1:
-            packets.append(
-                Smp(SmpMethod.GET, SmpKind.PORT_INFO, target,
-                    payload={"port": 1}, directed=directed)
-            )
-        elif pick == 2:
-            smp = make_set_lft_block(
-                target, rng.randrange(3),
-                np.array([rng.randrange(1, 4) for _ in range(LFT_BLOCK_SIZE)]),
-                directed=directed,
-            )
-            smp.generation = generation
-            packets.append(smp)
-        else:
-            packets.append(
-                Smp(SmpMethod.GET, SmpKind.LFT_BLOCK, target,
-                    payload={"block": rng.randrange(3)}, directed=directed)
-            )
-    return packets
 
 
 RUN_LENGTHS = st.sampled_from([0, 1, 2, 5, FLIGHT_CAPACITY + 3, 2 * FLIGHT_CAPACITY + 1])
@@ -379,8 +350,26 @@ run_settings = settings(
 )
 
 
+def run_rows(topo, pick, n, seed):
+    """:func:`plan_of` rows of one to three packets of assorted kinds, *n*
+    in all, every one to the same node: a switch for an even *pick*, an
+    HCA (no LFT rows) for an odd one."""
+    rng = random.Random(seed)
+    if pick % 2:
+        at, kinds = len(topo.switches) + pick % len(topo.hcas), [NODE, PORT]
+    else:
+        at, kinds = pick % len(topo.switches), [NODE, PORT, LFT]
+    rows = []
+    while n:
+        count = min(n, rng.randint(1, 3))
+        rows.append((at, rng.choice(kinds), count))
+        n -= count
+    return rows
+
+
 class TestRunEquivalence:
-    """A run leaves exactly what its packets, sent one by one, leave."""
+    """A run — consecutive packets to one node — delivered as a plan
+    leaves exactly what its packets, sent one by one, leave."""
 
     @run_settings
     @given(**run_case)
@@ -390,26 +379,16 @@ class TestRunEquivalence:
         def world():
             return build_world(fabric, size, lids=lids)
 
-        def packets(topo):
-            nodes = list(topo.switches) + list(topo.hcas)
-            node = nodes[pick % len(nodes)]
-            return mixed_packets(
-                random.Random(seed), node.name, n, directed=directed,
-                generation=generation, lft_ok=node.is_switch,
-            )
+        def run(topo):
+            rows = run_rows(topo, pick, n, seed)
+            return plan_of(topo, rows, seed, directed=directed, generation=generation)
 
-        as_run = play(
-            world, lambda topo, tr: outcome_of(tr.send_run(packets(topo))),
-            monkeypatch,
+        booked = play(world, lambda topo, tr: tr.deliver(run(topo)), monkeypatch)
+        assert booked == play(
+            world, lambda topo, tr: send_each(tr, run(topo)), monkeypatch
         )
-        one_by_one = play(
-            world,
-            lambda topo, tr: outcome_of([tr.send(s) for s in packets(topo)]),
-            monkeypatch,
-        )
-        assert as_run == one_by_one
-        assert as_run[0]["stats"]["total_smps"] == n + 1
-        assert as_run[0]["flight"][1] == n + 1
+        assert booked[0]["stats"]["total_smps"] == n + 1
+        assert booked[0]["flight"][1] == n + 1
 
     @run_settings
     @given(**run_case)
@@ -428,8 +407,11 @@ class TestRunEquivalence:
 
         def as_run(topo, tr):
             sw = topo.switches[pick % len(topo.switches)]
-            tr.send_lft_run(
-                sw.name, blocks, entries, directed=directed, generation=generation
+            tr.deliver(
+                SmpPlan.lft_sweep(
+                    [sw.name] * n, blocks, entries, directed=directed,
+                    generation=generation,
+                )
             )
 
         def one_by_one(topo, tr):
@@ -493,14 +475,12 @@ class TestRunEquivalence:
 
         def as_run(topo, tr):
             sw = topo.switches[pick % len(topo.switches)]
-            if reliable:
-                sender_of(tr).send_lft_sweep(
-                    [sw.name] * n, blocks, entries, directed=directed
+            sender_of(tr).deliver(
+                SmpPlan.lft_sweep(
+                    [sw.name] * n, blocks, entries, directed=directed,
+                    generation=None if reliable else generation,
                 )
-            else:
-                tr.send_lft_run(
-                    sw.name, blocks, entries, directed=directed, generation=generation
-                )
+            )
 
         def one_by_one(topo, tr):
             sw = topo.switches[pick % len(topo.switches)]
@@ -534,30 +514,19 @@ class TestRunEquivalence:
             )
             return topo, tr
 
-        def packets(topo):
-            nodes = list(topo.switches) + list(topo.hcas)
-            node = nodes[pick % len(nodes)]
-            return mixed_packets(
-                random.Random(seed), node.name, n, directed=directed,
-                generation=generation, lft_ok=node.is_switch,
-            )
+        def run(topo):
+            rows = run_rows(topo, pick, n, seed)
+            return plan_of(topo, rows, seed, directed=directed, generation=generation)
 
         def sender_of(tr):
             return ReliableSmpSender(tr, RetryPolicy(retries=1)) if reliable else tr
 
-        as_run = play(
-            world,
-            lambda topo, tr: outcome_of(sender_of(tr).send_run(packets(topo))),
-            monkeypatch,
+        booked = play(
+            world, lambda topo, tr: sender_of(tr).deliver(run(topo)), monkeypatch
         )
-        one_by_one = play(
-            world,
-            lambda topo, tr: outcome_of(
-                [sender_of(tr).send(s) for s in [*packets(topo)]]
-            ),
-            monkeypatch,
+        assert booked == play(
+            world, lambda topo, tr: send_each(sender_of(tr), run(topo)), monkeypatch
         )
-        assert as_run == one_by_one
 
 
 def isolate(topo, switch):
@@ -605,9 +574,11 @@ class TestSweepEquivalence:
 
         def as_sweep(topo, tr):
             applied.append([])
-            sender_of(tr).send_lft_sweep(
-                *sweep_rows(topo, groups, seed), directed=directed,
-                applied=applied[-1], **stamp,
+            sender_of(tr).deliver(
+                SmpPlan.lft_sweep(
+                    *sweep_rows(topo, groups, seed), directed=directed, **stamp
+                ),
+                applied=applied[-1],
             )
 
         def one_by_one(topo, tr):
@@ -710,13 +681,14 @@ class TestSweepEquivalence:
         topo.remove_link(topo.node("s1").port(2).link)
         entries = np.full((4, LFT_BLOCK_SIZE), 3, dtype=np.int16)
         applied = []
+        plan = SmpPlan.lft_sweep(
+            ["s0", "s1", "s2", "s0"], [0, 1, 0, 2], entries, directed=True
+        )
         with pytest.raises(UnreachableTargetError):
-            tr.send_lft_sweep(
-                ["s0", "s1", "s2", "s0"], [0, 1, 0, 2], entries, applied=applied
-            )
+            tr.deliver(plan, applied=applied)
         assert applied == [0, 1]
         assert tr.stats.total_smps == tr.stats.lft_update_smps == 2
-        assert tr.stats.by_target == {"s0": 1, "s1": 1}
+        assert [e.target for e in get_hub().flight] == ["s0", "s1"]
         assert topo.node("h0").port_counters(1).xmit_packets == 2
         assert topo.node("s0").lft.get(2 * LFT_BLOCK_SIZE) != 3
         assert not topo.node("s2").counters
@@ -730,7 +702,7 @@ class TestSweepEquivalence:
         entries = np.ones((2, LFT_BLOCK_SIZE), dtype=np.int16)
         for blocks, payload in (([0], entries), ([0, 1], entries[:1])):
             with pytest.raises(TopologyError):
-                tr.send_lft_sweep(["s0", "s1"], blocks, payload)
+                tr.deliver(SmpPlan.lft_sweep(["s0", "s1"], blocks, payload, directed=True))
         assert tr.stats.total_smps == 0
 
 
@@ -896,7 +868,7 @@ class TestPlanEquivalence:
         entries = np.full((3, LFT_BLOCK_SIZE), 2, dtype=np.int16)
         sender.deliver(SmpPlan(["s1", "s1"], [NODE, LFT], [1, 2], [0, 0, 1], entries))
         assert tr.fabric_generation == 7
-        assert tr.stats.by_kind == {NODE: 1, LFT: 2}
+        assert get_hub().flight.by_kind() == {"node_info": 1, "lft_block": 2}
         # A discovery sweep raises no fence: GETs are not fenced writes.
         ReliableSmpSender(tr, generation=9).deliver(
             SmpPlan(["s1", "s2"], [NODE, PORT], [1, 2], [0, 0, 1])
@@ -956,8 +928,9 @@ class TestPlanEquivalence:
             tr.deliver(plan, applied=applied)
         assert applied == [0, 1, 2]
         assert tr.stats.total_smps == 3
-        assert tr.stats.by_kind == {NODE: 1, PORT: 2}
-        assert tr.stats.by_target == {"s0": 1, "s1": 2}
+        assert [(e.kind, e.target) for e in get_hub().flight] == [
+            ("node_info", "s0"), ("port_info", "s1"), ("port_info", "s1"),
+        ]
         assert topo.node("h0").port_counters(1).xmit_packets == 3
         assert get_hub().flight.seen == 3
         assert topo.node("s1").port_counters(0).rcv_packets == 2
@@ -966,6 +939,40 @@ class TestPlanEquivalence:
         with pytest.raises(bad) as single:
             tr.send(list(plan.packets())[3 + (name == "s1")])
         assert str(raised.value) == str(single.value)
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            ("s2", NODE, 1, [0]),  # cut off below
+            ("ghost", PORT, 1, [1]),
+            ("h0", LFT, 2, [0, 1]),  # not a switch
+            ("s1", PORT, 2, [9, 1]),  # s1 has no port 9
+            ("h0", PORT, 1, [0]),  # an HCA has no port 0
+        ],
+    )
+    def test_a_refused_row_costs_what_its_packets_sent_one_by_one_cost(
+        self, monkeypatch, row
+    ):
+        """Nothing: a packet the transport refuses moves no counter on
+        either path, the SM host's and the target's PMA counters included."""
+        def world():
+            topo = line_topology()
+            tr = SmpTransport(topo)
+            tr.hops_to(topo.node("s2"))  # warm the distance cache, then cut s2 off
+            topo.remove_link(topo.node("s1").port(2).link)
+            return topo, tr
+
+        def plan():
+            name, kind, count, args = row
+            return SmpPlan(
+                ["s0", "s1", name, "s0"], [NODE, PORT, kind, NODE], [1, 2, count, 1],
+                [0, 0, 1, *args, 0],
+                np.full((4 + count, LFT_BLOCK_SIZE), 3, dtype=np.int16),
+            )
+
+        booked = play(world, lambda topo, tr: tr.deliver(plan()), monkeypatch)
+        assert booked == play(world, lambda topo, tr: send_each(tr, plan()), monkeypatch)
+        assert booked[2] is not None and booked[0]["stats"]["total_smps"] == 3
 
 
 class OneByOne:
@@ -1020,7 +1027,7 @@ def send_plan(code, rng, topo, tr, booked, grown, directed, generation):
         ]
         rows = sweep_rows(topo, groups, rng.random())
         if booked:
-            tr.send_lft_sweep(*rows, directed=directed, generation=generation)
+            tr.deliver(SmpPlan.lft_sweep(*rows, directed=directed, generation=generation))
             return
         for target, block, entries in zip(*rows):
             smp = make_set_lft_block(target, block, entries, directed=directed)
@@ -1224,7 +1231,7 @@ class TestRouteTableInvalidation:
         topo.remove_switch("s3")
         with pytest.raises(UnreachableTargetError, match="does not exist"):
             tr.deliver(probe)
-        assert tr.stats.by_target["s3"] == 1
+        assert [e.target for e in get_hub().flight] == ["s3"]
 
     def test_an_unbound_lid_refuses_a_routed_row_to_a_known_switch(self):
         built = build_two_level_fattree(3, 1, 2, switch_radix=6)
@@ -1238,7 +1245,7 @@ class TestRouteTableInvalidation:
             tr.deliver(probe)
         built.topology.bind_lid(sw.lid, sw.management_port)
         tr.deliver(probe)
-        assert tr.stats.by_target[sw.name] == 2
+        assert sum(e.target == sw.name for e in get_hub().flight) == 2
 
 
 class TestRunContract:
@@ -1246,9 +1253,8 @@ class TestRunContract:
         n = 3 * FLIGHT_CAPACITY
 
         def act(topo, tr):
-            tr.send_lft_run(
-                "s1", list(range(n)), np.ones((n, LFT_BLOCK_SIZE), dtype=np.int16)
-            )
+            entries = np.ones((n, LFT_BLOCK_SIZE), dtype=np.int16)
+            tr.deliver(SmpPlan.lft_sweep(["s1"] * n, list(range(n)), entries, directed=True))
 
         monkeypatch.setattr("repro.obs.spans.MAX_EVENTS_PER_SPAN", SPAN_CAP)
         reset_hub(flight_capacity=FLIGHT_CAPACITY)
@@ -1269,21 +1275,12 @@ class TestRunContract:
     def test_empty_runs_touch_nothing(self):
         topo = line_topology()
         tr = SmpTransport(topo)
-        assert tr.send_run([]) == []
-        tr.send_lft_run("nowhere", [], np.empty((0, LFT_BLOCK_SIZE), dtype=np.int16))
+        tr.deliver(SmpPlan([], [], [], []))
+        tr.deliver(SmpPlan(["nowhere"], [NODE], [0], []))
+        empty = np.empty((0, LFT_BLOCK_SIZE), dtype=np.int16)
+        tr.deliver(SmpPlan.lft_sweep([], [], empty, directed=True))
         assert tr.stats.total_smps == 0
         assert all(not node.counters for node in topo.switches + topo.hcas)
-
-    def test_run_must_keep_one_target_and_mode(self):
-        topo = line_topology()
-        tr = SmpTransport(topo)
-        for other in (
-            Smp(SmpMethod.GET, SmpKind.NODE_INFO, "s2"),
-            Smp(SmpMethod.GET, SmpKind.NODE_INFO, "s1", directed=False),
-        ):
-            with pytest.raises(TransportError):
-                tr.send_run([Smp(SmpMethod.GET, SmpKind.NODE_INFO, "s1"), other])
-        assert tr.stats.total_smps == 0
 
     @pytest.mark.parametrize("target", ["ghost", "h2"])
     def test_bad_target_raises_what_a_single_send_raises_before_accounting(
@@ -1296,7 +1293,8 @@ class TestRunContract:
             tr = SmpTransport(topo)
             with pytest.raises(TopologyError) as info:
                 if bulk:
-                    tr.send_lft_run(target, [0, 1], entries)
+                    plan = SmpPlan.lft_sweep([target] * 2, [0, 1], entries, directed=True)
+                    tr.deliver(plan)
                 else:
                     tr.send(make_set_lft_block(target, 0, entries[0]))
             errors.append((info.type, str(info.value)))
@@ -1310,11 +1308,10 @@ class TestRunContract:
         tr = SmpTransport(topo)
         tr.hops_to(topo.node("s2"))  # warm the distance cache, then cut s2 off
         topo.remove_link(topo.node("s1").port(2).link)
-        run = [Smp(SmpMethod.GET, SmpKind.NODE_INFO, "s2") for _ in range(3)]
         with pytest.raises(UnreachableTargetError) as as_run:
-            tr.send_run(run)
+            tr.deliver(SmpPlan(["s2"], [NODE], [3], [0, 0, 0]))
         with pytest.raises(UnreachableTargetError) as single:
-            tr.send(run[0])
+            tr.send(Smp(SmpMethod.GET, SmpKind.NODE_INFO, "s2"))
         assert str(as_run.value) == str(single.value)
         assert tr.stats.total_smps == 0
 
@@ -1326,18 +1323,22 @@ class TestRunContract:
         if lossy:
             tr.set_fault_injector(FaultInjector(FaultPlan(seed=1, smp_drop_rate=0.5)))
         with pytest.raises(TopologyError):
-            tr.send_lft_run("s1", [0, 1], np.ones(shape, dtype=np.int16))
+            entries = np.ones(shape, dtype=np.int16)
+            tr.deliver(SmpPlan.lft_sweep(["s1"] * 2, [0, 1], entries, directed=True))
         assert tr.stats.total_smps == 0
         assert not topo.node("s1").counters
 
     def test_stale_run_is_rejected_whole_and_counted_per_packet(self):
         topo = line_topology()
         tr = SmpTransport(topo)
-        old = np.full((3, LFT_BLOCK_SIZE), 2, dtype=np.int16)
-        tr.send_lft_run("s1", [0, 1, 2], old, generation=5)
+        def run(entries, generation):
+            return SmpPlan.lft_sweep(
+                ["s1"] * 3, [0, 1, 2], entries, directed=True, generation=generation
+            )
+
+        tr.deliver(run(np.full((3, LFT_BLOCK_SIZE), 2, dtype=np.int16), 5))
         assert tr.fabric_generation == 5
-        new = np.full((3, LFT_BLOCK_SIZE), 3, dtype=np.int16)
-        tr.send_lft_run("s1", [0, 1, 2], new, generation=4)
+        tr.deliver(run(np.full((3, LFT_BLOCK_SIZE), 3, dtype=np.int16), 4))
         assert tr.stats.stale_rejected == 3
         assert tr.stats.lft_update_smps == 6  # sent and accounted, not applied
         assert topo.node("s1").lft.get(10) == 2
@@ -1347,10 +1348,13 @@ class TestRunContract:
         topo = line_topology()
         tr = SmpTransport(topo)
         entries = np.full((3, LFT_BLOCK_SIZE), 2, dtype=np.int16)
-        ReliableSmpSender(tr, generation=5).send_lft_sweep(["s1"] * 3, [0, 1, 2], entries)
+        run = SmpPlan.lft_sweep(["s1"] * 3, [0, 1, 2], entries, directed=True)
+        ReliableSmpSender(tr, generation=5).deliver(run)
         stale = ReliableSmpSender(tr, generation=4)
         with pytest.raises(StaleGenerationError):
-            stale.send_lft_sweep(["s1"] * 3, [0, 1, 2], entries + 1)
+            stale.deliver(
+                SmpPlan.lft_sweep(["s1"] * 3, [0, 1, 2], entries + 1, directed=True)
+            )
         assert tr.stats.stale_rejected == 1
         assert tr.stats.total_smps == 4
 
@@ -1358,10 +1362,10 @@ class TestRunContract:
         topo = line_topology()
         tr = SmpTransport(topo)
         tr.set_fault_injector(FaultInjector(FaultPlan(seed=1, smp_drop_rate=1.0)))
-        results = tr.send_run(
-            [Smp(SmpMethod.GET, SmpKind.NODE_INFO, "s1") for _ in range(4)]
-        )
-        assert [r.status for r in results] == [SmpStatus.TIMEOUT] * 4
+        applied = []
+        tr.deliver(SmpPlan(["s1"], [NODE], [4], [0] * 4), applied=applied)
+        assert applied == [] and tr.stats.timeouts == 4
+        assert [e.status for e in get_hub().flight] == ["dropped"] * 4
         assert not topo.node("s1").counters
         assert topo.node("h0").port_counters(1).xmit_packets == 4
 
@@ -1369,11 +1373,12 @@ class TestRunContract:
         topo = line_topology()
         tr = SmpTransport(topo)
         tr.mark_sm_dead("h2")
-        run = [Smp(SmpMethod.GET, SmpKind.SM_INFO, "h2") for _ in range(2)]
-        assert [r.status for r in tr.send_run(run)] == [SmpStatus.TIMEOUT] * 2
-        assert tr.stats.timeouts == 2
+        run = SmpPlan(["h2"], [SmpKind.SM_INFO], [2], [0, 0])
+        applied = []
+        tr.deliver(run, applied=applied)
+        assert applied == [] and tr.stats.timeouts == 2
         with pytest.raises(SmpTimeoutError):
-            ReliableSmpSender(tr, RetryPolicy(retries=1)).send_run(run)
+            ReliableSmpSender(tr, RetryPolicy(retries=1)).deliver(run)
         # first packet + one retransmission, then the run is abandoned
         assert tr.stats.total_smps == 4
         assert tr.stats.retransmissions == 1
@@ -1392,8 +1397,8 @@ MAD = REPO / "src" / "repro" / "mad"
 
 
 class TestOneBookingLoopGuards:
-    """The CI guard greps of the "one delivery seam" job: the lossless
-    booking loop exists once, in ``SmpTransport.deliver``."""
+    """The CI guard greps of the "one delivery seam" job: an SMP leaves
+    through ``send`` or ``deliver``, and both book through one ``_book``."""
 
     @staticmethod
     def functions(path):
@@ -1404,7 +1409,7 @@ class TestOneBookingLoopGuards:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield node.name, lines[node.lineno - 1 : node.end_lineno]
 
-    def test_the_clocks_are_accumulated_in_deliver_only(self):
+    def test_the_clocks_are_accumulated_in_book_only(self):
         """One sequential accumulate per clock, and no vectorised
         stand-in for it (``cumsum``, ``np.sum``) anywhere beside it."""
         holders = {
@@ -1412,14 +1417,14 @@ class TestOneBookingLoopGuards:
             for name, body in self.functions(MAD / "transport.py")
             if any("accumulate(" in line for line in body)
         }
-        assert holders == {"deliver"}
+        assert holders == {"_book"}
         source = (MAD / "transport.py").read_text()
         assert source.count("accumulate(") == 2
         assert not re.search(r"cumsum|np\.sum|\.sum\(", source)
 
     def test_a_booked_plan_takes_one_flight_and_one_span_append(self):
-        """Both appends sit in ``deliver``, once each, and ``deliver``
-        makes no per-row observe call beside them."""
+        """Both appends sit in ``_book``, once each, and ``_book`` is what
+        ``send`` and ``deliver`` — and nothing else — call."""
         source = (MAD / "transport.py").read_text()
         assert source.count("flight.record_rows(") == 1
         assert source.count("sp.record_rows(") == 1
@@ -1428,18 +1433,36 @@ class TestOneBookingLoopGuards:
             name for name, body in bodies.items()
             if any(".record_rows(" in line for line in body)
         }
-        assert holders == {"deliver"}
-        assert not re.search(
-            r"_observe\(|record_run\(|record_smps\(", "\n".join(bodies["deliver"])
-        )
+        assert holders == {"_book"}
+        callers = {
+            name for name, body in bodies.items()
+            if any("self._book(" in line for line in body)
+        }
+        assert callers == {"send", "deliver"}
 
     def test_no_further_send_entry_point(self):
-        names = {
+        """``def send\\w*`` in ``mad/`` is exactly ``def send``, twice, and
+        the transport and the reliable sender deliver through exactly
+        ``send`` and ``deliver``."""
+        found = [
             match
             for path in sorted(MAD.glob("*.py"))
-            for match in re.findall(r"def (send_\w*)", path.read_text())
-        }
-        assert names <= {"send_run", "send_lft_run", "send_lft_sweep"}
+            for match in re.findall(r"def send\w*", path.read_text())
+        ]
+        assert found == ["def send"] * 2
+        for cls in (SmpTransport, ReliableSmpSender):
+            public = {name for name in dir(cls) if re.match(r"send|deliver", name)}
+            assert public == {"send", "deliver"}
+
+    def test_the_removed_names_stay_gone(self):
+        removed = re.compile(
+            r"send_run|send_lft_run|send_lft_sweep|record_samples|record_run"
+            r"|record_smps?\(|\.mark\(\)|\.since\("
+        )
+        for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+            assert not removed.search(path.read_text()), path
+        for path in sorted(MAD.glob("*.py")):
+            assert not re.search(r"by_kind|by_target", path.read_text()), path
 
     def test_discovery_builds_no_smp_and_sends_through_one_call(self):
         source = (REPO / "src" / "repro" / "sm" / "discovery.py").read_text()
@@ -1448,7 +1471,7 @@ class TestOneBookingLoopGuards:
         assert "transport.deliver(" in source
 
     def test_transport_does_not_grow(self):
-        assert len((MAD / "transport.py").read_text().splitlines()) <= 890
+        assert len((MAD / "transport.py").read_text().splitlines()) <= 770
 
     def test_the_per_node_walker_lives_with_the_oracles(self):
         assert (REPO / "tests" / "oracles" / "discovery.py").exists()

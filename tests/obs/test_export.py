@@ -84,7 +84,7 @@ class TestRenderers:
     def test_span_tree_indents_and_counts(self):
         with span("root", phase="demo") as root:
             with span("leaf") as leaf:
-                leaf.record_smp(0.0, lft_update=True)
+                leaf.record_rows([0.0], ("lft_update",), [(True,)], [1], 1)
         text = render_span_tree([root])
         lines = text.splitlines()
         assert lines[0].startswith("root @")

@@ -35,6 +35,12 @@ def _event(i, **overrides):
     return SmpFlightEvent(**base)
 
 
+def _smps(sp, times, lft_update):
+    """One SMP per entry of *times* under *sp*, all with *lft_update*."""
+    n = len(times)
+    sp.record_rows(times, ("lft_update",), [(lft_update,)], [n], n if lft_update else 0)
+
+
 class TestSpans:
     def test_nesting_via_context(self):
         with span("outer") as outer:
@@ -74,7 +80,7 @@ class TestSpans:
     def test_smp_counters_exact_past_event_cap(self):
         with span("big") as sp:
             for i in range(MAX_EVENTS_PER_SPAN + 5):
-                sp.record_smp(float(i), lft_update=(i % 2 == 0))
+                _smps(sp, [float(i)], i % 2 == 0)
         assert sp.smp_count == MAX_EVENTS_PER_SPAN + 5
         assert len(sp.events) == MAX_EVENTS_PER_SPAN
         assert sp.events_dropped == 5
@@ -87,9 +93,9 @@ class TestSpans:
             lambda *a: built.append(a) or SpanEvent(*a),
         )
         with span("big") as sp:
-            sp.record_smps([0.0] * (MAX_EVENTS_PER_SPAN - 1), {"lft_update": True})
-            sp.record_smps([1.0, 2.0, 3.0], {"lft_update": True})
-            sp.record_smp(4.0, lft_update=False)
+            _smps(sp, [0.0] * (MAX_EVENTS_PER_SPAN - 1), True)
+            _smps(sp, [1.0, 2.0, 3.0], True)
+            _smps(sp, [4.0], False)
         assert len(sp.events) == len(built) == MAX_EVENTS_PER_SPAN
         assert sp.events[-1].time == 1.0
         assert sp.events_dropped == 3
@@ -99,15 +105,12 @@ class TestSpans:
 
     def test_rows_are_smp_runs_laid_end_to_end(self, monkeypatch):
         monkeypatch.setattr("repro.obs.spans.MAX_EVENTS_PER_SPAN", 4)
-        lft, node = ("lft_block", True), ("node_info", False)
+        keys, lft, node = ("kind", "lft_update"), ("lft_block", True), ("node_info", False)
         with span("runs") as runs:
-            runs.record_smps([0.0, 1.0], dict(zip(("kind", "lft_update"), lft)))
-            runs.record_smps([2.0, 3.0, 4.0], dict(zip(("kind", "lft_update"), node)))
+            runs.record_rows([0.0, 1.0], keys, [lft], [2], 2)
+            runs.record_rows([2.0, 3.0, 4.0], keys, [node], [3], 0)
         with span("rows") as rows:
-            rows.record_rows(
-                [0.0, 1.0, 2.0, 3.0, 4.0], ("kind", "lft_update"), [lft, node],
-                [2, 3], 2,
-            )
+            rows.record_rows([0.0, 1.0, 2.0, 3.0, 4.0], keys, [lft, node], [2, 3], 2)
         assert rows.events == runs.events
         assert (rows.smp_count, rows.lft_smp_count, rows.events_dropped) == (
             runs.smp_count, runs.lft_smp_count, runs.events_dropped,
@@ -115,10 +118,9 @@ class TestSpans:
 
     def test_subtree_totals(self):
         with span("root") as root:
-            root.record_smp(0.0, lft_update=False)
+            _smps(root, [0.0], False)
             with span("child") as child:
-                child.record_smp(0.0, lft_update=True)
-                child.record_smp(0.0, lft_update=True)
+                _smps(child, [0.0, 0.0], True)
         assert root.total_smp_count() == 3
         assert root.total_lft_smp_count() == 2
         assert root.find("child") is child
@@ -142,7 +144,7 @@ class TestSpans:
         with span("outer") as outer:
             with span("bare") as bare:
                 pass
-            outer.record_smp(0.0, lft_update=True)
+            _smps(outer, [0.0], True)
         for sp in (outer, bare):
             assert sp._token is None
         assert not gc.is_tracked(bare._events)
@@ -195,15 +197,15 @@ class TestFlightRecorder:
             lambda *a: built.append(a) or SmpFlightEvent(*a),
         )
         as_run = FlightRecorder(capacity=3)
-        as_run.record_run(
+        as_run.record_rows(
             [float(i) for i in range(7)],
-            ("lft_block", "set", "s", 2, True, 1e-6, True, "delivered"),
+            [("lft_block", "set", "s", 2, True, 1e-6, True, "delivered")], [7],
         )
         assert list(as_run) == list(one_by_one)
         assert (as_run.seen, as_run.dropped) == (one_by_one.seen, one_by_one.dropped)
         assert len(built) == 3
         off = FlightRecorder(capacity=0)
-        off.record_run([1.0], ("lft_block", "set", "s", 2, True, 1e-6, True, "delivered"))
+        off.record_rows([1.0], [("lft_block", "set", "s", 2, True, 1e-6, True, "delivered")], [1])
         assert (off.seen, len(off), len(built)) == (0, 0, 3)
 
     def test_rows_are_runs_laid_end_to_end(self):
@@ -212,8 +214,8 @@ class TestFlightRecorder:
         times = [float(i) for i in range(7)]
         for capacity in (0, 3, 16):
             runs, rows = FlightRecorder(capacity), FlightRecorder(capacity)
-            runs.record_run(times[:2], a)
-            runs.record_run(times[2:], b)
+            runs.record_rows(times[:2], [a], [2])
+            runs.record_rows(times[2:], [b], [5])
             rows.record_rows(times, [a, b], [2, 5])
             assert list(rows) == list(runs)
             assert (rows.seen, rows.dropped) == (runs.seen, runs.dropped)

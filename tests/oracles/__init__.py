@@ -15,9 +15,9 @@ array implementation lives in ``src/repro``:
   candidate pass (oracle for :func:`repro.fabric.graph.candidate_table`);
 * :mod:`tests.oracles.reconfig` — the clone → diff → one-send-per-block
   vSwitch reconfigurer (oracle for the column-edit kernel of
-  :mod:`repro.core.reconfig` and, through it, for
-  :meth:`repro.mad.transport.SmpTransport.send_lft_sweep`);
-* :mod:`tests.oracles.discovery` — the per-node ``send_run`` discovery
+  :mod:`repro.core.reconfig` and, through it, for the LFT sweep
+  :meth:`repro.mad.smp.SmpPlan.lft_sweep` builds);
+* :mod:`tests.oracles.discovery` — the one-``send``-per-packet discovery
   walker (oracle for the one-plan sweep of
   :func:`repro.sm.discovery.discover_subnet` and, through it, for
   :meth:`repro.mad.transport.SmpTransport.deliver`);

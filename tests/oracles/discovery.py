@@ -1,8 +1,8 @@
 """The per-node discovery walker — oracle for the one-plan sweep.
 
 Walks the fabric breadth-first from the SM node and sends, node by node,
-one run of ``Smp`` objects (its NodeInfo GET, then the PortInfo GET of
-each connected port) through ``send_run``, exactly as
+``Smp`` objects (its NodeInfo GET, then the PortInfo GET of each
+connected port) one ``send`` at a time, as
 ``repro.sm.discovery.discover_subnet`` did before it built one
 ``SmpPlan`` per sweep and handed it to ``deliver``.
 """
@@ -25,8 +25,8 @@ __all__ = ["discover_per_node"]
 def discover_per_node(
     topology: Topology, transport: SmpTransport
 ) -> DiscoveryReport:
-    """Breadth-first directed-route sweep from the SM node, one run of
-    packets per node. *transport* may be a ``ReliableSmpSender``."""
+    """Breadth-first directed-route sweep from the SM node, one packet at
+    a time. *transport* may be a ``ReliableSmpSender``."""
     report = DiscoveryReport()
     before = transport.stats.snapshot()
     start: Node = transport.sm_node
@@ -39,8 +39,7 @@ def discover_per_node(
             report.switches.append(node.name)
         else:
             report.hcas.append(node.name)
-        # One run per node: its NodeInfo, then the PortInfo of each
-        # connected port.
+        # Per node: its NodeInfo, then the PortInfo of each connected port.
         gets = [Smp(SmpMethod.GET, SmpKind.NODE_INFO, node.name, directed=True)]
         for port in node.connected_ports():
             gets.append(
@@ -61,7 +60,8 @@ def discover_per_node(
             if peer.node.name not in seen:
                 seen.add(peer.node.name)
                 queue.append(peer.node)
-        transport.send_run(gets)
+        for smp in gets:
+            transport.send(smp)
 
     delta = transport.stats.delta_since(before)
     report.smps_sent = delta.total_smps

@@ -24,12 +24,10 @@ def observed(
 ) -> Dict[str, Any]:
     """The transport's stats, both clocks, the flight ring, the span tree
     under *root* (the whole forest without one), the metric exposition,
-    the order in which tally keys and counter series came to be, every
-    PMA counter, every hardware LFT and the fence."""
+    the order in which counter series came to be, every PMA counter, every
+    hardware LFT and the fence."""
     hub = get_hub()
     stats = dataclasses.asdict(tr.stats)
-    stats["by_kind"] = dict(tr.stats.by_kind)
-    stats["by_target"] = dict(tr.stats.by_target)
     spans = hub.all_spans() if root is None else list(root.iter_tree())
     return {
         "stats": stats,
@@ -47,11 +45,7 @@ def observed(
             for sp in spans
         ],
         "metrics": hub.metrics.render_prometheus(),
-        "order": (
-            list(tr.stats.by_kind),
-            list(tr.stats.by_target),
-            list(hub.metrics._counters),
-        ),
+        "order": list(hub.metrics._counters),
         "pma": {
             node.name: {n: c.as_dict() for n, c in sorted(node.counters.items())}
             for node in list(topo.switches) + list(topo.hcas)

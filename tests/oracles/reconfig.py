@@ -1,6 +1,6 @@
 """The packet-by-packet vSwitch reconfigurer — oracle for the column-edit
-kernel of :mod:`repro.core.reconfig` and for
-:meth:`repro.mad.transport.SmpTransport.send_lft_sweep`.
+kernel of :mod:`repro.core.reconfig` and for the LFT sweep
+:meth:`repro.mad.smp.SmpPlan.lft_sweep` builds.
 
 Algorithm 1 exactly as it was written before the sweep: per switch, clone
 the whole LFT, apply the edit to the clone, compare the affected 64-entry

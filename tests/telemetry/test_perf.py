@@ -8,7 +8,6 @@ from repro.fabric.builders import build_two_level_fattree
 from repro.fabric.node import PMA_COUNTER_WRAP
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.mad.smp import SmpKind
 from repro.obs import get_hub
 from repro.sim.engine import SimulationEngine
 from repro.sm.subnet_manager import SubnetManager
@@ -34,9 +33,7 @@ class TestSweepCost:
         assert report.nodes_swept == nodes
         assert report.smps == nodes
         assert sm.transport.stats.total_smps - before == nodes
-        assert (
-            sm.transport.stats.by_kind[SmpKind.PORT_COUNTERS] == nodes
-        )
+        assert len(get_hub().flight.of_kind("port_counters")) == nodes
         assert not report.missed
 
     def test_switches_only_when_hcas_excluded(self, sm):
