@@ -303,7 +303,8 @@ def _vl_pair_chunk(
     bounds: Tuple[int, int]
 ) -> Tuple[List[List[np.ndarray]], np.ndarray]:
     lo, hi = bounds
-    assert _VL_WORKER_STATE is not None
+    if _VL_WORKER_STATE is None:
+        raise StaticAnalysisError("per-VL worker has no state installed")
     return _pair_chunk_state(_VL_WORKER_STATE, lo, hi)
 
 

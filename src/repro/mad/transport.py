@@ -127,6 +127,9 @@ _COUNTED = (
 #: it returns replaces the result.
 OnLoss = Optional[Callable[[Smp, SmpResult], SmpResult]]
 
+#: Kinds a row is checked for, bound once (an enum member read is slow).
+_LFT, _PORT_INFO = SmpKind.LFT_BLOCK, SmpKind.PORT_INFO
+
 #: The attribute names of a span's SMP event, in the order of a route row's
 #: span values.
 _SPAN_KEYS = ("kind", "target", "hops", "directed", "latency", "lft_update")
@@ -140,11 +143,12 @@ class _Route:
     (the target's endpoint counters) is filled by the first packet that
     arrives, so a target no packet reached keeps no counters. ``rows``
     keeps, per kind, the :meth:`row` of a delivered plan row of that kind.
-    A switch's route is kept in :class:`SmpTransport`'s table for as long
-    as the distances it was worked out from.
+    :meth:`SmpTransport._route` keeps a route while its target keeps its
+    name and hop count, re-checked by ``via`` (an HCA's uplink switch,
+    else the target) and the distance row serial it was ``checked`` at.
     """
 
-    __slots__ = ("target", "directed", "hops", "latency", "rx", "rows")
+    __slots__ = ("target", "directed", "hops", "latency", "via", "checked", "rx", "rows")
 
     def __init__(
         self, target: Node, directed: bool, hops: int, latency: float
@@ -153,6 +157,7 @@ class _Route:
         self.directed = directed
         self.hops = hops
         self.latency = latency
+        self.via, self.checked = None, -1
         self.rx = None
         self.rows: Dict[SmpKind, Tuple[tuple, tuple]] = {}
 
@@ -213,8 +218,10 @@ class SmpTransport:
         self._sm_agent = None
         self._dist_cache: Optional[np.ndarray] = None
         self._dist_version: int = -1
-        #: Switch routes by name, one table per routing mode (indexed by
-        #: ``directed``); emptied whenever ``_dist_cache`` is dropped.
+        #: Moves whenever ``_dist_cache`` is dropped (see ``_Route.checked``).
+        self._dist_serial = 0
+        #: Routes by target name, one table per routing mode (indexed by
+        #: ``directed``), kept for the transport's lifetime.
         self._routes: Tuple[Dict[str, _Route], Dict[str, _Route]] = ({}, {})
         #: Duck-typed shared distance cache (anything with a
         #: ``row(switch_index) -> np.ndarray`` method — in practice the
@@ -246,16 +253,16 @@ class SmpTransport:
         self.invalidate_distances()
 
     def invalidate_distances(self) -> None:
-        """Drop the BFS cache after a topology mutation, and with it the
-        switch routes worked out from it."""
+        """Drop the BFS cache after a topology mutation (and re-check
+        every kept route against the next one before it is used)."""
         self._dist_cache = None
-        for table in self._routes:
-            table.clear()
+        self._dist_serial += 1
 
     def _table(self, directed: bool) -> Dict[str, _Route]:
-        """The switch routes of one routing mode, for this topology version."""
+        """The kept routes of one mode (a version move drops the distance row)."""
         if self._dist_version != self.topology.version:
             self.invalidate_distances()
+            self._dist_version = self.topology.version
         return self._routes[directed]
 
     # -- fault injection ------------------------------------------------------
@@ -308,17 +315,13 @@ class SmpTransport:
         return up
 
     def _switch_distances(self) -> np.ndarray:
-        version = self.topology.version
-        if self._dist_cache is None or self._dist_version != version:
-            self.invalidate_distances()
+        self._table(True)  # follows the topology version
+        if self._dist_cache is None:
             root = self._sm_root_switch().index
             if self._distance_source is not None:
                 self._dist_cache = self._distance_source.row(root)
             else:
-                self._dist_cache = bfs_distances(
-                    self.topology.fabric_view(), root
-                )
-            self._dist_version = version
+                self._dist_cache = bfs_distances(self.topology.fabric_view(), root)
         return self._dist_cache
 
     def hops_to(self, target: Node) -> int:
@@ -327,6 +330,11 @@ class SmpTransport:
         One hop from the SM's HCA onto its leaf switch, BFS hops across the
         fabric, plus one hop down to an HCA target.
         """
+        return self._hops(target)[0]
+
+    def _hops(self, target: Node) -> Tuple[int, Node]:
+        """:meth:`hops_to` *target*, and what the count hangs on besides
+        the distance row: an HCA's uplink switch, else *target* itself."""
         dist = self._switch_distances()
         base = 0 if isinstance(self.sm_node, Switch) else 1
         if isinstance(target, Switch):
@@ -334,21 +342,21 @@ class SmpTransport:
             if d < 0:
                 raise TopologyError(f"switch {target.name!r} unreachable from SM")
             if target is self.sm_node:
-                return 0
-            return base + d
+                return 0, target
+            return base + d, target
         if not isinstance(target, HCA):
             raise TopologyError(
                 f"SMP target {target.name!r} is neither a switch nor an HCA"
             )
         if target is self.sm_node:
-            return 0
+            return 0, target
         up = target.uplink_switch()
         if up is None:
             raise TopologyError(f"HCA {target.name!r} is not cabled to a switch")
         d = int(dist[up.index])
         if d < 0:
             raise TopologyError(f"HCA {target.name!r} unreachable from SM")
-        return base + d + 1
+        return base + d + 1, up
 
     # -- delivery ------------------------------------------------------------
 
@@ -405,8 +413,9 @@ class SmpTransport:
         rejected: a fault injector is attached, the plan's generation is
         behind the fabric's, or a row is an SMInfo. Otherwise the plan is
         *booked*: a row does only what it owns (its typed refusal, effect,
-        *applied* and the target's endpoint counters), a switch's route
-        comes from the table kept per topology version, and one
+        *applied* and the target's endpoint counters), its target's route
+        is the one :meth:`_route` keeps (re-checked only after the
+        distances moved, an HCA's cable moved, or for a live LID), and one
         :meth:`_book` accounts for every row delivered.
 
         A row that cannot be delivered — its target missing or
@@ -441,14 +450,15 @@ class SmpTransport:
                 if not count:
                     continue
                 if route is None or name != route.target.name:
-                    # A destination-routed target has its LID checked anew.
-                    route = (directed and routes.get(name)) or self._route(
-                        name, directed
-                    )
+                    # A checked directed route on no HCA cable serves as is.
+                    route = routes.get(name)
+                    if not (directed and route and route.via is route.target
+                            and route.checked == self._dist_serial):
+                        route = self._route(name, directed)
                 target = route.target
                 end = sent + count
                 self._refuse(target, kind, plan.args[sent:end])
-                if kind is SmpKind.LFT_BLOCK:
+                if kind is _LFT:
                     if count == 1:
                         target.lft.load_block(plan.args[sent], plan.entries[sent])
                     else:
@@ -520,32 +530,42 @@ class SmpTransport:
             hub.metrics.counter("repro_smp_total", kind=label, routed=routed).add(count)
 
     def _route(self, name: str, directed: bool) -> _Route:
-        """The route of SMPs to *name*.
+        """The route of SMPs to *name*, kept per target and routing mode.
 
-        A switch's route comes from the table while the topology version
-        holds. Anything else is resolved anew, because cabling an HCA does
-        not bump the version; and a destination-routed target has its live
-        LID checked every time, because binding a LID does not either.
+        A kept route serves while the distance row it was checked against
+        holds and, for an HCA, while it hangs off the same switch (cabling
+        an HCA does not bump the version); else it is checked again, and
+        kept if *name* still resolves to the same node at the same hop
+        count. A destination-routed target has its live LID checked on
+        every use: binding a LID does not bump the version either.
         """
         routes = self._table(directed)
         route = routes.get(name)
-        if route is not None:
+        if route is not None and route.checked == self._dist_serial and (
+            route.via is route.target or route.target.uplink_switch() is route.via
+        ):
             if not directed:
                 self._check_live_lid(route.target)
             return route
-        target = self._resolve_target(name, directed)
+        if name not in self.topology:
+            raise UnreachableTargetError(
+                f"SMP target {name!r} does not exist in the subnet"
+            )
+        target = self.topology.node(name)
+        if not directed:
+            self._check_live_lid(target)
         try:
-            hops = self.hops_to(target)
+            hops, via = self._hops(target)
         except TopologyError as exc:
             # "unreachable from SM" / "not cabled" — a dead path, not a
             # timeout; retry layers must not retransmit into it.
             raise UnreachableTargetError(str(exc)) from None
-        latency = hops * self.hop_latency
-        if directed:
-            latency += hops * self.dr_overhead
-        route = _Route(target, directed, hops, latency)
-        if isinstance(target, Switch):
-            routes[name] = route
+        if route is None or route.target is not target or route.hops != hops:
+            latency = hops * self.hop_latency
+            if directed:
+                latency += hops * self.dr_overhead
+            route = routes[name] = _Route(target, directed, hops, latency)
+        route.via, route.checked = via, self._dist_serial
         return route
 
     @staticmethod
@@ -563,14 +583,15 @@ class SmpTransport:
         """Raise the typed refusal of SMPs of *kind* to *target* — an LFT
         block for a non-switch, the PortInfo of one of *ports* the node
         does not have (0 is a switch's own) — before any counter moves."""
-        if kind is SmpKind.LFT_BLOCK:
+        if kind is _LFT:
             if not isinstance(target, Switch):
                 raise TopologyError(
                     f"LFT SMP addressed to non-switch {target.name!r}"
                 )
-        elif kind is SmpKind.PORT_INFO:
+        elif kind is _PORT_INFO:
+            have = target.ports
             for num in ports:
-                if num or not isinstance(target, Switch):
+                if num not in have and (num or not isinstance(target, Switch)):
                     target.port(num)
 
     def _deliver(self, route: _Route, smp: Smp, fault: str):
@@ -635,28 +656,13 @@ class SmpTransport:
         self.stats.timeouts += 1
         return None, SmpStatus.TIMEOUT, "dropped", route.latency
 
-    def _resolve_target(self, name: str, directed: bool) -> Node:
-        """Look the target up and validate its liveness.
-
-        Destination-routed SMPs additionally need the target to hold a
-        live (bound) LID — a packet addressed to an unbound LID has no
-        forwarding entry anywhere and can never arrive. The check only
-        applies once a LID manager has populated the registry; on a bare
-        fabric with no LIDs assigned at all, destination routing stays a
-        modeling convenience (and directed routing is what discovery
-        actually uses there, as on real fabrics).
-        """
-        if name not in self.topology:
-            raise UnreachableTargetError(
-                f"SMP target {name!r} does not exist in the subnet"
-            )
-        target = self.topology.node(name)
-        if not directed:
-            self._check_live_lid(target)
-        return target
-
     def _check_live_lid(self, target: Node) -> None:
-        """Refuse a destination-routed target without a bound LID."""
+        """Refuse a destination-routed target without a bound LID: a
+        packet addressed to an unbound LID has no forwarding entry anywhere
+        and can never arrive. The check only applies once a LID manager has
+        populated the registry; on a bare fabric destination routing stays
+        a modeling convenience (discovery routes directed, as on real
+        fabrics)."""
         if self.topology.num_lids:
             lid = target.lid
             if lid is None or self.topology.port_of_lid(lid) is None:

@@ -58,9 +58,12 @@ def discover_subnet(
             else:
                 report.hcas.append(node.name)
             ports = [0]
-            for port in node.connected_ports():
+            for port in node.ports.values():
+                link = port.link
+                if link is None:
+                    continue
                 ports.append(port.num)
-                peer = port.remote
+                peer = link.other_end(port)
                 if peer is None:
                     raise port.no_far_end()
                 if peer.node.name not in seen:

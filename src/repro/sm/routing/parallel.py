@@ -32,6 +32,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.errors import RoutingError
 from repro.fabric.graph import all_pairs_switch_distances, bfs_distances
 from repro.fabric.topology import SwitchFabricView
 
@@ -66,7 +67,8 @@ def _sweep_chunk(bounds: Tuple[int, int]) -> np.ndarray:
     """BFS rows for sources ``[lo, hi)`` against the installed view."""
     lo, hi = bounds
     view = _WORKER_VIEW
-    assert view is not None
+    if view is None:
+        raise RoutingError("BFS worker has no fabric view installed")
     out = np.empty((hi - lo, view.num_switches), dtype=np.int32)
     for i, s in enumerate(range(lo, hi)):
         out[i] = bfs_distances(view, s)

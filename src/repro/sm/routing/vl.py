@@ -65,11 +65,15 @@ class VlAssignment:
     def items(self) -> List[Tuple[Any, int]]:
         """Every assignment as a sorted list — the only sanctioned iteration
         order (tools.lint DET005 flags unsorted tuple-keyed dict loops)."""
-        if self.kind == "pair":
-            assert self.pair_to_vl is not None
-            return sorted(self.pair_to_vl.items())
-        assert self.lid_to_vl is not None
-        return sorted(self.lid_to_vl.items())
+        return sorted(self.backing().items())
+
+    def backing(self) -> Dict[Any, int]:
+        """The map of this assignment's kind (``pair_to_vl`` or
+        ``lid_to_vl``); raises :class:`RoutingError` once it is gone."""
+        backing = self.pair_to_vl if self.kind == "pair" else self.lid_to_vl
+        if backing is None:
+            raise RoutingError(f"{self.kind}-keyed assignment has no VL map")
+        return backing
 
     def data_items(self) -> List[Tuple[Any, int]]:
         """Sorted assignments excluding the management lane."""
@@ -176,13 +180,7 @@ def corrupt_assignment(
     entries = vl.data_items()
     if not entries:
         raise RoutingError("assignment has no data-VL entries to corrupt")
-    backing: Dict[Any, int]
-    if vl.kind == "pair":
-        assert vl.pair_to_vl is not None
-        backing = vl.pair_to_vl
-    else:
-        assert vl.lid_to_vl is not None
-        backing = vl.lid_to_vl
+    backing = vl.backing()
     key, old = entries[index % len(entries)]
     if mode == "remap":
         bogus = vl.num_vls + vl.max_vls

@@ -47,6 +47,13 @@ class SharedPortMigrationOutcome:
         return self.old_lid != self.new_lid
 
 
+def _held(lid: Optional[int], holder: str, error: type = MigrationError) -> int:
+    """*lid*, or the typed *error* for *holder* holding no LID."""
+    if lid is None:
+        raise error(f"{holder} holds no LID")
+    return lid
+
+
 class SharedPortFleet:
     """Hypervisors with Shared Port HCAs plus a minimal VM lifecycle."""
 
@@ -98,8 +105,7 @@ class SharedPortFleet:
         vf.guid = vm.vguid
         vm.attach_vf(vf, on)
         self.vms[name] = vm
-        assert vm.lid is not None
-        self.sa.register(vm.gid, vm.lid)
+        self.sa.register(vm.gid, _held(vm.lid, f"VM {name!r}", VirtError))
         return vm
 
     def co_residents(self, vm: VirtualMachine) -> List[str]:
@@ -120,8 +126,7 @@ class SharedPortFleet:
         dest = self._hca(dest_name)
         if src is dest:
             raise MigrationError("source and destination are the same node")
-        old_lid = vm.lid
-        assert old_lid is not None
+        old_lid = _held(vm.lid, f"VM {vm_name!r}")
         src_vf = vm.detach_vf()
         src_vf.detach()
         src_vf.release()
@@ -130,8 +135,7 @@ class SharedPortFleet:
         vm.attach_vf(dest_vf, dest_name)
         vm.state = VmState.RUNNING
         vm.migrations += 1
-        new_lid = vm.lid
-        assert new_lid is not None
+        new_lid = _held(vm.lid, f"VM {vm_name!r}")
         self.sa.register(vm.gid, new_lid)
         return SharedPortMigrationOutcome(
             vm_name=vm_name, old_lid=old_lid, new_lid=new_lid
@@ -149,23 +153,21 @@ class SharedPortFleet:
         dest = self._hca(dest_name)
         if src is dest:
             raise MigrationError("source and destination are the same node")
-        old_lid = vm.lid
-        assert old_lid is not None
+        old_lid = _held(vm.lid, f"VM {vm_name!r}")
 
         collateral = [
             n
             for n in sorted(set(src.active_vms()) | set(dest.active_vms()))
             if n != vm_name
         ]
-        src_lid, dest_lid = src.lid, dest.lid
-        assert src_lid is not None and dest_lid is not None
+        src_lid = _held(src.lid, f"hypervisor {vm.hypervisor_name!r}")
+        dest_lid = _held(dest.lid, f"hypervisor {dest_name!r}")
         src.lid, dest.lid = dest_lid, src_lid
         outcome = self.migrate_vm(vm_name, dest_name)
         # Re-publish every affected VM's (unchanged GID -> changed LID).
         for name in collateral:
             other = self.vms[name]
-            assert other.lid is not None
-            self.sa.register(other.gid, other.lid)
+            self.sa.register(other.gid, _held(other.lid, f"VM {name!r}"))
         return SharedPortMigrationOutcome(
             vm_name=vm_name,
             old_lid=old_lid,

@@ -34,6 +34,7 @@ from repro.analysis.static import (
     corrupt_vl_assignment,
     run_case,
 )
+from repro.analysis.static import vl_checks
 from repro.analysis.static.checks import FabricSnapshot
 from repro.analysis.static.suite import preset_builders
 
@@ -366,6 +367,19 @@ class TestMatrixAndCorruption:
             corrupt_vl_assignment(sm)
         for engine in VL_ENGINES:
             assert engine in str(exc.value)
+
+    def test_an_assignment_that_lost_its_map_is_a_typed_error(self):
+        vl = VlAssignment(kind="pair", num_vls=2, max_vls=8, pair_to_vl={(0, 1): 1})
+        vl.pair_to_vl = None
+        with pytest.raises(RoutingError, match="pair-keyed assignment has no VL map"):
+            vl.items()
+        with pytest.raises(RoutingError, match="no VL map"):
+            corrupt_assignment(vl, "drop")
+
+    def test_a_per_vl_worker_without_its_state_is_a_typed_error(self, monkeypatch):
+        monkeypatch.setattr(vl_checks, "_VL_WORKER_STATE", None)
+        with pytest.raises(StaticAnalysisError, match="no state installed"):
+            vl_checks._vl_pair_chunk((0, 1))
 
     def test_verify_subnet_accepts_vl_engines(self):
         # The end-to-end hook: verify_subnet must not report META notices

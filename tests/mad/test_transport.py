@@ -27,17 +27,19 @@ from repro.fabric.builders import build_ring, build_two_level_fattree
 from repro.fabric.graph import bfs_distances
 from repro.fabric.node import Node, NodeType
 from repro.fabric.presets import scaled_fattree
-from repro.fabric.topology import Topology
+from repro.fabric.topology import Topology, TopologyMutation
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, ScriptedFault
 from repro.mad.reliable import ReliableSmpSender, RetryPolicy
 from repro.mad.smp import (
     Smp, SmpKind, SmpMethod, SmpPlan, make_set_lft_block,
 )
+import repro.mad.transport as transport_module
 from repro.mad.transport import SmpTransport, TransportStats
 from repro.obs import get_hub, reset_hub, span
 from repro.sm.discovery import discover_subnet
 from repro.sm.subnet_manager import SubnetManager
+from repro.telemetry.perf import PerfManager
 from tests.oracles.observe import observed
 from tests.sm.test_mutation_properties import (
     ADD_SWITCH, REMOVE_LINK, REMOVE_SWITCH, RESTORE_LINK, free_switch_ports, plan_op,
@@ -1034,11 +1036,10 @@ def send_plan(code, rng, topo, tr, booked, grown, directed, generation):
             smp.generation = generation
             tr.send(smp)
     else:
-        # Switches first: an HCA row works its route out anew, and with it
-        # the distances, which would hide a stale switch route behind it.
-        names = [sw.name for sw in topo.switches]
+        # Every node in a drawn order: HCA routes are kept too, so an HCA
+        # row may come first after a move, or serve a stale route itself.
+        names = [node.name for node in list(topo.switches) + list(topo.hcas)]
         rng.shuffle(names)
-        names += [hca.name for hca in topo.hcas]
         names += [name for name in grown if name not in topo]
         n = len(names)
         sender.deliver(SmpPlan(names, [NODE] * n, [1] * n, [0] * n, directed=directed))
@@ -1094,14 +1095,21 @@ def move_routes(code, rng, sm, tr, removed, grown, cut):
         tr.hops_to(nodes[pick % len(nodes)])
 
 
+class KeepsNothing(dict):
+    """A route table that forgets every route it is handed."""
+
+    def __setitem__(self, name, route):
+        pass
+
+
 def route_world(fabric, steps, booked, caps):
     """Walk *steps* on one fabric and its one transport; return, per plan,
     everything it left behind and what it raised.
 
     *booked* delivers the plans as plans through a transport that keeps
-    its switch routes; otherwise they go out one send per packet through
-    a transport that resolves every route anew (``_table`` hands out an
-    empty table each time), the SM's own sweeps included.
+    its routes; otherwise they go out one send per packet through a
+    transport that resolves every route anew (its route tables keep
+    nothing), the SM's own sweeps included.
     """
     reset_hub(flight_capacity=caps[0])
     if fabric == "ring":  # distances move with every cable
@@ -1113,7 +1121,7 @@ def route_world(fabric, steps, booked, caps):
     sm.initial_configure(with_discovery=False)
     tr = sm.transport
     if not booked:
-        tr._table = lambda directed: {}
+        tr._routes = (KeepsNothing(), KeepsNothing())
     removed, grown, cut, seen = [], [], [], []
     for code, pick, directed, generation in steps:
         # What set-up and the SM's reconvergence timed on the wall clock
@@ -1246,6 +1254,109 @@ class TestRouteTableInvalidation:
         built.topology.bind_lid(sw.lid, sw.management_port)
         tr.deliver(probe)
         assert sum(e.target == sw.name for e in get_hub().flight) == 2
+
+    # What a bump keeps: every route whose target is still the same node at
+    # the same hop count, HCA routes included.
+
+    def test_a_kept_route_survives_a_bump_that_leaves_its_hop_count(self):
+        topo = line_topology()
+        tr = SmpTransport(topo)
+        probe = SmpPlan(["s2", "h2"], [NODE, NODE], [1, 1], [0, 0])
+        tr.deliver(probe)
+        kept = dict(tr._routes[True])
+        version = topo.version
+        s3 = topo.add_switch("s3", 4)
+        topo.connect(topo.node("s1"), 3, s3, 1)  # s2 and h2 stay where they are
+        tr.deliver(probe)
+        assert topo.version > version
+        assert tr._routes[True] == kept  # the very same two route objects
+        assert tr.stats.total_hops == 2 * (3 + 4)
+
+    def test_a_moved_hop_count_rebuilds_the_route(self):
+        topo = line_topology()
+        tr = SmpTransport(topo)
+        names = ["s1", "s2", "h2"]
+        probe = SmpPlan(names, [NODE] * 3, [1] * 3, [0] * 3)
+        tr.deliver(probe)  # 2, 3, 4 hops
+        kept = dict(tr._routes[True])
+        topo.connect(topo.node("s0"), 3, topo.node("s2"), 3)  # a bypass to s2
+        tr.deliver(probe)  # 2, 2, 3 hops
+        routes = tr._routes[True]
+        assert routes["s1"] is kept["s1"]
+        assert routes["s2"] is not kept["s2"] and routes["h2"] is not kept["h2"]
+        assert [routes[name].hops for name in names] == [2, 2, 3]
+        assert tr.stats.total_hops == (2 + 3 + 4) + (2 + 2 + 3)
+
+    def test_a_switch_removed_and_added_again_under_its_name_gets_a_new_route(self):
+        topo = line_topology()
+        tr = SmpTransport(topo)
+        probe = SmpPlan(["s3"], [NODE], [1], [0])
+        old = topo.add_switch("s3", 4)
+        topo.connect(topo.node("s2"), 3, old, 1)
+        tr.deliver(probe)
+        route = tr._routes[True]["s3"]
+        topo.remove_switch("s3")
+        new = topo.add_switch("s3", 4)
+        topo.connect(topo.node("s2"), 3, new, 1)  # same place, same hop count
+        tr.deliver(probe)
+        again = tr._routes[True]["s3"]
+        assert again is not route and again.target is new and again.hops == route.hops
+        # The second packet lands on the new switch's endpoint; the removed
+        # one was reset on its way out and counts nothing more.
+        assert (old.counters[0].rcv_packets, new.counters[0].rcv_packets) == (0, 1)
+
+    def test_a_perf_sweep_after_an_hca_is_recabled_without_a_bump_reads_the_right_node(self):
+        topo = line_topology()
+        sm = SubnetManager(topo, engine="minhop")
+        perf = PerfManager(sm)
+        perf.sweep()
+        h2, version = topo.node("h2"), topo.version
+        topo.remove_link(h2.port(1).link)
+        topo.connect(h2, 1, topo.node("s0"), 3)  # behind s0 now
+        assert topo.version == version
+        perf.sweep()
+        assert [e.hops for e in get_hub().flight if e.target == "h2"] == [4, 2]
+        assert perf.total("h2", 1, "rcv_packets") == h2.counters[1].rcv_packets == 2
+        assert sm.transport._routes[True]["h2"].target is h2
+
+    def test_a_sweep_after_a_cable_flap_builds_routes_for_the_moved_nodes_only(
+        self, monkeypatch
+    ):
+        built = scaled_fattree("3l-small")
+        topo = built.topology
+        sm = SubnetManager(topo, engine="minhop", built=built)
+        sm.initial_configure(with_discovery=False)
+        tr = sm.transport
+        discover_subnet(topo, tr)
+        built_for = []
+
+        class Counted(transport_module._Route):
+            __slots__ = ()
+
+            def __init__(self, target, *rest):
+                built_for.append(target.name)
+                super().__init__(target, *rest)
+
+        monkeypatch.setattr(transport_module, "_Route", Counted)
+        nodes = list(topo.switches) + list(topo.hcas)
+
+        def flap(kind, link):
+            hops = {node.name: tr.hops_to(node) for node in nodes}
+            link = sm.apply_topology_mutation(TopologyMutation.cable(kind, link))
+            moved = {node.name for node in nodes if tr.hops_to(node) != hops[node.name]}
+            return link, moved
+
+        for link in switch_links(topo):  # the first flap that moves a node
+            down, moved = flap("remove_link", link)
+            if moved:
+                break
+            flap("restore_link", down)
+        for kind in ("remove_link", "restore_link"):
+            if kind == "restore_link":
+                down, moved = flap(kind, down)
+            built_for.clear()
+            discover_subnet(topo, tr)
+            assert moved and sorted(built_for) == sorted(moved)
 
 
 class TestRunContract:
@@ -1469,6 +1580,27 @@ class TestOneBookingLoopGuards:
         assert "Smp(" not in source
         assert len(re.findall(r"transport\.\w+\(", source)) == 1
         assert "transport.deliver(" in source
+
+    def test_a_route_is_built_in_one_place(self):
+        """``_Route(`` is called once in ``src/repro``, in
+        ``SmpTransport._route``: a kept route is re-checked, never rebuilt
+        behind the table's back."""
+        found = []
+        for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            owners = {
+                id(node): f"{cls.name}.{method.name}"
+                for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                for method in cls.body if isinstance(method, ast.FunctionDef)
+                for node in ast.walk(method)
+            }
+            found += [
+                (path.name, owners.get(id(node)))
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_Route"
+            ]
+        assert found == [("transport.py", "SmpTransport._route")]
+        assert (MAD / "transport.py").read_text().count("_Route(") == 1
 
     def test_transport_does_not_grow(self):
         assert len((MAD / "transport.py").read_text().splitlines()) <= 770

@@ -5,7 +5,9 @@ The two must be indistinguishable (:func:`tests.oracles.observe.observed`:
 stats, both clocks bit for bit, the flight ring, span events and their cap, metric series and the order they
 were created in, PMA counters) on the preset fat-trees, on random regular
 graphs and after chains of live topology mutations, with and without a
-fault injector and a retransmitting sender.
+fault injector and a retransmitting sender — and sweep after sweep on one
+transport, whose routes outlive the mutations and HCA recabling between
+them, against the walker on a transport that keeps no route.
 """
 
 import pytest
@@ -25,9 +27,11 @@ from repro.mad.transport import SmpTransport
 from repro.obs import get_hub
 from repro.sm.discovery import discover_subnet
 from repro.sm.subnet_manager import SubnetManager
-from tests.mad.test_transport import FLIGHT_CAPACITY, SPAN_CAP, line_topology, play
+from tests.mad.test_transport import (
+    FLIGHT_CAPACITY, SPAN_CAP, KeepsNothing, line_topology, play,
+)
 from tests.oracles.discovery import discover_per_node
-from tests.sm.test_mutation_properties import plan_op
+from tests.sm.test_mutation_properties import free_switch_ports, plan_op
 
 FABRICS = {
     "2l-small": lambda seed: scaled_fattree("2l-small"),
@@ -56,7 +60,8 @@ def mutate(sm, ops):
             removed.append(mutation)
 
 
-def build_world(fabric, seed, *, ops=(), sm_pick=None, faults=None):
+def build_sm(fabric, seed, *, ops=(), sm_pick=None, faults=None):
+    """A configured subnet manager whose transport is ready to sweep."""
     built = FABRICS[fabric](seed)
     topo = built.topology
     sm = SubnetManager(topo, engine="minhop", built=built)
@@ -76,7 +81,12 @@ def build_world(fabric, seed, *, ops=(), sm_pick=None, faults=None):
         tr.set_sm_node(nodes[sm_pick % len(nodes)])
     if faults is not None:
         tr.set_fault_injector(FaultInjector(faults))
-    return topo, tr
+    return sm
+
+
+def build_world(fabric, seed, **options):
+    sm = build_sm(fabric, seed, **options)
+    return sm.topology, sm.transport
 
 
 def both_ways(world, sender_of, monkeypatch, caps=(FLIGHT_CAPACITY, SPAN_CAP)):
@@ -104,23 +114,79 @@ suite = settings(
 )
 
 
+#: The step code beyond the mutation suite's five: an HCA cable moved.
+RECABLE_HCA = 5
+
+
+def step(sm, tr, code, pick, removed, grown):
+    """Between two sweeps on one transport: a planned mutation (an op code
+    of the mutation property suite) or, for :data:`RECABLE_HCA`, an HCA
+    moved to another switch, which leaves the topology version alone."""
+    topo = sm.topology
+    if code == RECABLE_HCA:
+        hcas = [hca for hca in topo.hcas if hca is not tr.sm_node]
+        frees = free_switch_ports(topo)
+        if hcas and frees:
+            hca, (sw, num) = hcas[pick % len(hcas)], frees[pick % len(frees)]
+            topo.remove_link(hca.port(1).link)
+            topo.connect(hca, 1, sw, num)
+        return
+    mutation = plan_op(sm, code, pick, removed, grown, link_ops_only=False)
+    if mutation is None:
+        return
+    try:
+        sm.apply_topology_mutation(mutation)
+    except TopologyError:
+        return  # refused: nothing changed
+    if mutation.kind == "remove_link":
+        removed.append(mutation)
+
+
 class TestDiscoveryEqualsThePerNodeWalker:
     @suite
-    @given(**case)
-    def test_lossless(self, monkeypatch, fabric, seed, ops, sm_pick, caps):
-        sizes = []
+    @given(
+        **case,
+        between=st.lists(
+            st.tuples(st.integers(0, RECABLE_HCA), st.integers(0, 63)), max_size=3
+        ),
+    )
+    def test_lossless(self, monkeypatch, fabric, seed, ops, sm_pick, caps, between):
+        """Sweeps on one transport — kept routes — with mutations and HCA
+        recabling between them, against the walker on a transport that
+        keeps no route."""
+        sizes, sms = [], []
 
         def world():
-            topo, tr = build_world(fabric, seed, ops=ops, sm_pick=sm_pick)
+            sms.append(build_sm(fabric, seed, ops=ops, sm_pick=sm_pick))
+            topo = sms[-1].topology
             sizes.append((topo.num_switches + topo.num_hcas, len(topo.links)))
+            return topo, sms[-1].transport
+
+        def oracle_world():
+            topo, tr = world()
+            tr._routes = (KeepsNothing(), KeepsNothing())
             return topo, tr
 
-        state, report, raised = both_ways(world, lambda tr: tr, monkeypatch, caps)
+        def sweeps(discover):
+            def act(topo, tr):
+                reports = [discover(topo, tr)]
+                sm, removed, grown = sms[-1], [], []
+                for code, pick in between:
+                    step(sm, tr, code, pick, removed, grown)
+                    reports.append(discover(topo, tr))
+                return reports
+
+            return act
+
+        swept = play(world, sweeps(discover_subnet), monkeypatch, caps=caps)
+        walked = play(oracle_world, sweeps(discover_per_node), monkeypatch, caps=caps)
+        assert swept == walked
+        state, reports, raised = swept
         assert raised is None
         # One NodeInfo per node and one PortInfo per cable end.
         nodes, cables = sizes[0]
-        assert (report.num_nodes, report.smps_sent) == (nodes, nodes + 2 * cables)
-        assert state["spans"][0]["smps"] == (report.smps_sent, 0)
+        assert (reports[0].num_nodes, reports[0].smps_sent) == (nodes, nodes + 2 * cables)
+        assert state["spans"][0]["smps"] == (sum(r.smps_sent for r in reports), 0)
         assert state["flight"][1] == state["stats"]["total_smps"]
 
     @suite

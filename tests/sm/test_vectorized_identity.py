@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.constants import LFT_BLOCK_SIZE, LFT_UNSET
+from repro.errors import RoutingError
 from repro.fabric.builders.generic import (
     build_random_regular,
     build_ring,
@@ -137,6 +138,11 @@ class TestShardedIdentity:
         built = PRESETS["ftree-2l"]()
         state = RoutingState(built.topology, workers=3)
         assert state.router.workers == 3
+
+    def test_a_worker_without_its_view_is_a_typed_error(self, monkeypatch):
+        monkeypatch.setattr(parallel_mod, "_WORKER_VIEW", None)
+        with pytest.raises(RoutingError, match="no fabric view"):
+            parallel_mod._sweep_chunk((0, 1))
 
 
 class TestLftDiffEquivalence:

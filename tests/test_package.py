@@ -1,5 +1,8 @@
 """Package-level tests: public API surface, error hierarchy, constants."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -60,6 +63,18 @@ class TestErrorHierarchy:
         assert issubclass(errors.LidExhaustedError, errors.AddressingError)
         assert issubclass(errors.MigrationError, errors.VirtError)
         assert issubclass(errors.UnreachableLidError, errors.RoutingError)
+
+    def test_src_repro_guards_with_typed_errors_not_asserts(self):
+        """An ``assert`` vanishes under ``python -O``; a guard in
+        ``src/repro`` raises a typed ``repro.errors`` exception instead."""
+        src = Path(repro.__file__).resolve().parent
+        asserts = [
+            f"{path.relative_to(src)}:{node.lineno}"
+            for path in sorted(src.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Assert)
+        ]
+        assert asserts == []
 
     def test_catchable_as_repro_error(self):
         from repro.fabric.addressing import LidAllocator

@@ -3,7 +3,7 @@ experiment (paper sections I, III, IV-A)."""
 
 import pytest
 
-from repro.errors import MigrationError
+from repro.errors import MigrationError, VirtError
 from repro.fabric.presets import scaled_fattree
 from repro.virt.connections import ConnectionManager
 from repro.virt.shared_port_fleet import SharedPortFleet
@@ -49,6 +49,16 @@ class TestSharedPortFleet:
         a = sp_fleet.boot_vm(on="l1h1")
         b = sp_fleet.boot_vm(on="l1h1")
         assert sp_fleet.co_residents(a) == [b.name]
+
+    def test_a_hypervisor_without_a_lid_is_a_typed_error(self, sp_fleet):
+        sp_fleet.hcas["l1h1"].lid = None
+        with pytest.raises(VirtError, match="'spvm1' holds no LID"):
+            sp_fleet.boot_vm(on="l1h1")
+        vm = sp_fleet.boot_vm(on="l0h0")
+        with pytest.raises(MigrationError, match="'l1h1' holds no LID"):
+            sp_fleet.migrate_vm_with_lid_swap(vm.name, "l1h1")
+        with pytest.raises(MigrationError, match=f"{vm.name!r} holds no LID"):
+            sp_fleet.migrate_vm(vm.name, "l1h1")
 
 
 class TestConnectionManager:
