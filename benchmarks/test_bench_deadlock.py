@@ -9,16 +9,16 @@ union acyclic.
 
 from __future__ import annotations
 
-import pytest
-
+from repro.analysis.static import (
+    FabricSnapshot,
+    check_transition_deadlock,
+    check_vl_deadlock_freedom,
+)
+from repro.analysis.static.checks import _successor_matrices
 from repro.fabric.builders.generic import build_ring, build_torus_2d
 from repro.fabric.presets import scaled_fattree
-from repro.sm.deadlock import (
-    is_deadlock_free,
-    routing_dependencies,
-    transition_is_deadlock_free,
-)
 from repro.sm.routing.base import RoutingRequest
+from repro.sm.routing.cdg_array import dependency_keys
 from repro.sm.routing.registry import create_engine
 from repro.sm.subnet_manager import SubnetManager
 
@@ -28,61 +28,44 @@ def routed(built, engine):
     sm.assign_lids()
     req = RoutingRequest.from_topology(built.topology, built=built)
     tables = create_engine(engine).compute(req)
-    return req, tables
+    snap = FabricSnapshot.from_topology(built.topology, tables.ports, vl=tables.vl)
+    return snap, tables
 
 
 def test_dependency_extraction(benchmark):
     """Cost of building the CDG for a routed fat-tree."""
-    req, tables = routed(scaled_fattree("2l-small"), "minhop")
-    term_lids = [t.lid for t in req.terminals]
-    deps = benchmark(
-        lambda: routing_dependencies(tables.ports, req.view, term_lids)
-    )
-    assert len(deps) > 0
+    snap, _ = routed(scaled_fattree("2l-small"), "minhop")
+    cols = snap.terminal_lids
+    keys = benchmark(lambda: dependency_keys(_successor_matrices(snap, cols)[1]))
+    assert keys.size > 0
 
 
 def test_updn_transition_swap_stays_acyclic(benchmark):
     """Up*/Down* + swap: old/new union remains deadlock free."""
-    req, tables = routed(scaled_fattree("2l-small"), "updn")
-    term_lids = [t.lid for t in req.terminals]
-    a, b = term_lids[0], term_lids[-1]
-    new = tables.ports.copy()
-    new[:, [a, b]] = new[:, [b, a]]
+    built = scaled_fattree("2l-small")
+    old, tables = routed(built, "updn")
+    a, b = old.terminal_lids[0], old.terminal_lids[-1]
+    ports = tables.ports.copy()
+    ports[:, [a, b]] = ports[:, [b, a]]
+    new = FabricSnapshot.from_topology(built.topology, ports)
 
-    ok = benchmark(
-        lambda: transition_is_deadlock_free(
-            tables.ports, new, req.view, lids=term_lids
-        )
-    )
-    assert ok
+    findings = benchmark(lambda: check_transition_deadlock(old, new))
+    assert findings == []
 
 
 def test_minhop_swap_transition_on_torus_can_cycle(benchmark):
     """On a cyclic topology, minhop's transition union admits cycles —
     the residual risk the paper resolves with IB timeouts."""
-    req, tables = routed(build_torus_2d(3, 3, 2), "minhop")
-    term_lids = [t.lid for t in req.terminals]
+    snap, _ = routed(build_torus_2d(3, 3, 2), "minhop")
 
-    ok = benchmark(
-        lambda: transition_is_deadlock_free(
-            tables.ports, tables.ports.copy(), req.view, lids=term_lids
-        )
-    )
-    assert not ok
+    findings = benchmark(lambda: check_transition_deadlock(snap, snap))
+    assert [f.rule for f in findings] == ["CDG002"]
 
 
 def test_per_layer_check_dfsssp(benchmark):
     """DFSSSP stays deadlock free per virtual layer on a ring."""
-    req, tables = routed(build_ring(8, 2), "dfsssp")
-    term_lids = [t.lid for t in req.terminals]
+    snap, tables = routed(build_ring(8, 2), "dfsssp")
 
-    ok = benchmark(
-        lambda: is_deadlock_free(
-            tables.ports,
-            req.view,
-            lid_to_vl=tables.metadata["lid_to_vl"],
-            lids=term_lids,
-        )
-    )
-    assert ok
+    findings = benchmark(lambda: check_vl_deadlock_freedom(snap))
+    assert findings == []
     print(f"\nDFSSSP used {tables.num_vls} virtual lanes on the ring")

@@ -16,12 +16,15 @@ replaced is the oracle ``tests/oracles/delivery.py``).
 
 The deadlock checks extract the channel dependency set with the same
 successor matrices, as one sorted key array
-(:func:`repro.sm.deadlock.dependency_keys`), and hand it to the Kahn
-peel of :mod:`repro.sm.routing.cdg_array`; channels are decoded to
+(:func:`repro.sm.routing.cdg_array.dependency_keys`), and hand it to the
+Kahn peel of that module; channels are decoded to
 ``(a, b)`` switch pairs only to render a finding. By convention the CDG
 checks cover **terminal (endpoint) LIDs only**: traffic to switch
 management LIDs travels on VL15, which has dedicated buffering and so
-cannot participate in a data-VL credit cycle.
+cannot participate in a data-VL credit cycle. The legality checks read
+the same hops as ``a -> b -> c`` triples
+(:func:`~repro.sm.routing.cdg_array.two_hops`): :func:`_successor_matrices`
+is the one place ``src/repro`` follows a port matrix.
 """
 
 from __future__ import annotations
@@ -35,8 +38,7 @@ from repro.constants import LFT_UNSET
 from repro.errors import StaticAnalysisError
 from repro.fabric.graph import port_to_peer
 from repro.fabric.topology import SwitchFabricView, Topology
-from repro.sm.deadlock import dependency_keys
-from repro.sm.routing.cdg_array import find_cycle
+from repro.sm.routing.cdg_array import dependency_keys, find_cycle, two_hops
 from repro.sm.routing.vl import VlAssignment
 from repro.analysis.static.findings import Finding
 
@@ -76,7 +78,7 @@ class FabricSnapshot:
     #: :mod:`repro.analysis.static.vl_checks`.
     vl: Optional[VlAssignment] = None
     #: Dense ``(num_switches, 256)`` port -> peer-switch map (-1 = exit).
-    _p2p: Optional[np.ndarray] = None
+    _peer_of: Optional[np.ndarray] = None
 
     @property
     def num_switches(self) -> int:
@@ -160,11 +162,12 @@ class FabricSnapshot:
 
     # -- derived arrays ------------------------------------------------------
 
-    def port_to_peer(self) -> np.ndarray:
-        """Dense ``(n, 256)`` matrix: out-port -> neighbour switch (-1 exit)."""
-        if self._p2p is None:
-            self._p2p = port_to_peer(self.view)
-        return self._p2p
+    def peer_of(self) -> np.ndarray:
+        """The view's :func:`~repro.fabric.graph.port_to_peer` matrix,
+        built once per snapshot."""
+        if self._peer_of is None:
+            self._peer_of = port_to_peer(self.view)
+        return self._peer_of
 
     def select_lids(self, lids: Optional[Sequence[int]]) -> np.ndarray:
         """Validated LID column selection (default: every bound LID)."""
@@ -199,8 +202,7 @@ def _successor_matrices(
     k = cols.size
     sub = snap.ports[:, cols].astype(np.int64)  # (n, k)
     valid = sub != LFT_UNSET
-    p2p = snap.port_to_peer()
-    peer = p2p[
+    peer = snap.peer_of()[
         np.arange(n)[:, None], np.where(valid, sub, 0)
     ]  # (n, k); -1 = exits the switch graph
     succ = np.where(valid, np.where(peer >= 0, peer, n + _MISDELIVERED),
@@ -562,11 +564,7 @@ def check_updn_legality(
         )
     key = rank * n + np.arange(n, dtype=np.int64)
     _, nxt = _successor_matrices(snap, cols)
-    col = np.arange(cols.size, dtype=np.int64)[None, :]
-    a = np.broadcast_to(np.arange(n, dtype=np.int64)[:, None], nxt.shape)
-    b = nxt
-    c = np.where(b >= 0, nxt[np.clip(b, 0, None), col], -1)
-    mask = (b >= 0) & (c >= 0)
+    a, b, c, mask = two_hops(nxt)
     down_then_up = mask & (key[np.clip(b, 0, None)] > key[a]) & (
         np.where(c >= 0, key[np.clip(c, 0, None)], 0)
         < key[np.clip(b, 0, None)]
@@ -641,12 +639,7 @@ def check_dor_order(
     )
     if sel.size == 0:
         return []
-    _, nxt = _successor_matrices(snap, sel)
-    col = np.arange(sel.size, dtype=np.int64)[None, :]
-    a = np.broadcast_to(np.arange(n, dtype=np.int64)[:, None], nxt.shape)
-    b = nxt
-    c = np.where(b >= 0, nxt[np.clip(b, 0, None), col], -1)
-    mask = (b >= 0) & (c >= 0)
+    a, b, c, mask = two_hops(_successor_matrices(snap, sel)[1])
     ra, rb = a // cols_dim, np.clip(b, 0, None) // cols_dim
     rc = np.clip(c, 0, None) // cols_dim
     hop1_y = mask & (ra != rb)  # row changed: a Y-phase hop

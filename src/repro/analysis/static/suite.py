@@ -178,7 +178,7 @@ def inject_forwarding_loop(topology: Topology) -> str:
     a description of the corruption for the report header.
     """
     snap = FabricSnapshot.from_topology(topology)
-    p2p = snap.port_to_peer()
+    peer_of = snap.peer_of()
     for lid in snap.terminal_lids:
         dest = int(snap.dest_switch[lid])
         for s in range(snap.num_switches):
@@ -187,10 +187,10 @@ def inject_forwarding_loop(topology: Topology) -> str:
             out = int(snap.ports[s, lid])
             if out == LFT_UNSET:
                 continue
-            t = int(p2p[s, out])
+            t = int(peer_of[s, out])
             if t < 0 or t == dest:
                 continue
-            back_ports = np.where(p2p[t] == s)[0]
+            back_ports = np.where(peer_of[t] == s)[0]
             if back_ports.size == 0:
                 continue
             topology.switches[t].lft.set(int(lid), int(back_ports[0]))

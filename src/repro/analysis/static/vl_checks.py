@@ -27,9 +27,9 @@ kernels underneath), channel ids via the sorted
 the Kahn peel of :mod:`repro.sm.routing.cdg_array` — the same kernel
 that powers :class:`~repro.sm.routing.cdg_array.ArrayCdg`. The only
 Python loop is per *destination switch* (pair-keyed assignments) — never
-per edge — and that loop shards over worker processes exactly like
-:class:`~repro.sm.routing.parallel.ParallelRouter`, with a byte-identical
-serial fallback.
+per edge — and that loop shards over worker processes through the same
+:func:`~repro.sm.routing.parallel.shard_map` as the all-pairs BFS, with a
+byte-identical serial fallback.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ from typing import Any, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import StaticAnalysisError
-from repro.sm.routing.cdg_array import channel_ids, channel_table
+from repro.sm.routing.cdg_array import channel_ids, channel_table, two_hops
+from repro.sm.routing.parallel import shard_map
 from repro.sm.routing.vl import MANAGEMENT_VL, VlAssignment
 from repro.analysis.static.checks import (
     MAX_FINDINGS_PER_RULE,
@@ -63,13 +64,6 @@ __all__ = [
 #: Data lanes are tracked as bits of an int64 mask; IB's 4-bit VL field
 #: tops out at 15 anyway, so this bound is never the binding one.
 MAX_DATA_VLS = 62
-
-#: Below this many destination switches the sharded build is all overhead.
-_MIN_PARALLEL_DESTS = 64
-
-#: Shards per worker — small enough to amortize pickling, large enough to
-#: smooth uneven per-destination work (same constant as ParallelRouter).
-_CHUNKS_PER_WORKER = 4
 
 
 @dataclass
@@ -152,16 +146,12 @@ def _build_dest(
     lanes = np.zeros((n, 256), dtype=np.int64)
     if cols.size == 0:
         return PerVlDependencies(num_vls, c_count, tbl, keys_by_vl, lanes)
-    _, nxt = _successor_matrices(snap, cols)
-    col = np.arange(cols.size, dtype=np.int64)[None, :]
-    b = nxt
-    c = np.where(b >= 0, nxt[np.clip(b, 0, None), col], -1)
-    a = np.broadcast_to(np.arange(n, dtype=np.int64)[:, None], b.shape)
+    a, b, c, mask = two_hops(_successor_matrices(snap, cols)[1])
     # Columns on an invalid/management lane contribute nothing here; they
     # are VLC002/VLC003's findings, not silent dependency mass.
     in_range = (col_vl >= 0) & (col_vl < num_vls)
     hop = (b >= 0) & in_range[None, :]
-    dep = hop & (c >= 0)
+    dep = mask & in_range[None, :]
     if dep.any():
         cid1 = channel_ids(tbl, a[dep], b[dep], n)
         cid2 = channel_ids(tbl, b[dep], c[dep], n)
@@ -289,49 +279,6 @@ def _pair_chunk_state(
     return chunks, lanes
 
 
-# Module-global worker state, installed once per pool worker by the fork
-# initializer (same pattern as repro.sm.routing.parallel).
-_VL_WORKER_STATE: Optional[Tuple[Any, ...]] = None
-
-
-def _init_vl_worker(state: Tuple[Any, ...]) -> None:
-    global _VL_WORKER_STATE
-    _VL_WORKER_STATE = state
-
-
-def _vl_pair_chunk(
-    bounds: Tuple[int, int]
-) -> Tuple[List[List[np.ndarray]], np.ndarray]:
-    lo, hi = bounds
-    if _VL_WORKER_STATE is None:
-        raise StaticAnalysisError("per-VL worker has no state installed")
-    return _pair_chunk_state(_VL_WORKER_STATE, lo, hi)
-
-
-def _chunk_bounds(n: int, workers: int) -> List[Tuple[int, int]]:
-    chunks = min(max(workers * _CHUNKS_PER_WORKER, 1), n)
-    size = -(-n // chunks)  # ceil
-    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
-
-
-def _pair_chunks_sharded(
-    state: Tuple[Any, ...], total: int, workers: int
-) -> List[Tuple[List[List[np.ndarray]], np.ndarray]]:
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    ctx = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=ctx,
-        initializer=_init_vl_worker,
-        initargs=(state,),
-    ) as pool:
-        # Ordered map; the merge below is order-independent anyway
-        # (set union per lane, bitwise OR for lane tables).
-        return list(pool.map(_vl_pair_chunk, _chunk_bounds(total, workers)))
-
-
 def _build_pair(
     snap: FabricSnapshot,
     vl: VlAssignment,
@@ -342,17 +289,9 @@ def _build_pair(
     n = snap.num_switches
     num_vls = vl.num_vls
     state = _pair_state(snap, vl, tbl)
-    total = int(state[5].size)
-    results: List[Tuple[List[List[np.ndarray]], np.ndarray]]
-    if workers > 1 and total >= _MIN_PARALLEL_DESTS:
-        try:
-            results = _pair_chunks_sharded(state, total, workers)
-        except (OSError, PermissionError, ValueError, RuntimeError):
-            # Sandboxes without fork/pipes land here; the serial pass is
-            # the same computation, destination for destination.
-            results = [_pair_chunk_state(state, 0, total)]
-    else:
-        results = [_pair_chunk_state(state, 0, total)]
+    # The merge below is order-independent anyway (set union per lane,
+    # bitwise OR for lane tables).
+    results = shard_map(_pair_chunk_state, state, int(state[5].size), workers)
     keys_by_vl: List[np.ndarray] = []
     for v in range(num_vls):
         parts = [arr for chunks, _ in results for arr in chunks[v]]

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import List, Sequence, Set
 
 from repro.errors import ReconfigError
+from repro.fabric.graph import bfs_distances, port_to_peer
 from repro.fabric.lft import lft_block_of
 from repro.fabric.node import Port, Switch
 from repro.fabric.topology import Topology
@@ -121,33 +122,11 @@ def minimal_update_set(
     dest_leaf: Switch = attach.node
     delivery_port = attach.num
 
-    # (switch index, out port) -> peer switch index, inter-switch only.
-    p2p = {}
-    for sw in topology.switches:
-        for port in sw.connected_ports():
-            peer = port.remote
-            if peer is None:
-                raise port.no_far_end()
-            if isinstance(peer.node, Switch):
-                p2p[(sw.index, port.num)] = peer.node.index
-
-    # Hop distances from the destination leaf (plain BFS on objects: this
-    # is a planning call, not a hot path).
-    from collections import deque
-
-    n = len(topology.switches)
-    dist = [-1] * n
-    dist[dest_leaf.index] = 0
-    q = deque([dest_leaf.index])
-    adj: List[List[int]] = [[] for _ in range(n)]
-    for (s, _), t in sorted(p2p.items()):
-        adj[s].append(t)
-    while q:
-        cur = q.popleft()
-        for nb in adj[cur]:
-            if dist[nb] < 0:
-                dist[nb] = dist[cur] + 1
-                q.append(nb)
+    # Out port -> peer switch and hop distances from the destination leaf,
+    # both off the switch graph's CSR view.
+    view = topology.fabric_view()
+    peer_of = port_to_peer(view)
+    dist = bfs_distances(view, dest_leaf.index).tolist()
 
     updates: Set[int] = set()
     delivering: Set[int] = {dest_leaf.index}
@@ -171,8 +150,8 @@ def minimal_update_set(
                 cur = None  # loop: cannot deliver unaided
                 break
             seen.add(cur.index)
-            nxt = p2p.get((cur.index, cur.lft.get(vm_lid)))
-            if nxt is None:
+            nxt = int(peer_of[cur.index, cur.lft.get(vm_lid)])
+            if nxt < 0:
                 cur = None  # stale entry exits the fabric at the old host
                 break
             cur = switches[nxt]

@@ -2,7 +2,7 @@
 
 from repro.sim.dataplane import DataPlaneSimulator, DataPlaneStats
 from repro.sim.engine import SimulationEngine, replay_smp_pipeline
-from repro.sim.metrics import Counter, Histogram, MetricRegistry, Timer
+from repro.sim.metrics import Counter, MetricRegistry
 from repro.sim.trace import Trace, TraceRecord
 
 __all__ = [
@@ -11,9 +11,7 @@ __all__ = [
     "DataPlaneSimulator",
     "DataPlaneStats",
     "Counter",
-    "Histogram",
     "MetricRegistry",
-    "Timer",
     "Trace",
     "TraceRecord",
 ]

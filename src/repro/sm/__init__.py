@@ -1,12 +1,8 @@
-"""Subnet manager (OpenSM-like): discovery, LIDs, routing, LFT distribution,
-deadlock analysis."""
+"""Subnet manager (OpenSM-like): discovery, LIDs, routing, LFT distribution.
 
-from repro.sm.deadlock import (
-    find_cycle,
-    is_deadlock_free,
-    routing_dependencies,
-    transition_is_deadlock_free,
-)
+Deadlock analysis of a routing (CDG001/CDG002/VLC001-VLC004) lives in
+:mod:`repro.analysis.static`."""
+
 from repro.sm.discovery import DiscoveryReport, discover_subnet
 from repro.sm.lft_distribution import DistributionReport, LftDistributor
 from repro.sm.lid_manager import LidManager
@@ -14,10 +10,6 @@ from repro.sm.subnet_manager import ConfigureReport, SubnetManager
 from repro.sm.traps import FabricEventManager, TrapRecord, TrapType
 
 __all__ = [
-    "routing_dependencies",
-    "is_deadlock_free",
-    "transition_is_deadlock_free",
-    "find_cycle",
     "DiscoveryReport",
     "discover_subnet",
     "DistributionReport",

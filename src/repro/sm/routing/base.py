@@ -20,7 +20,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.constants import LFT_UNSET
-from repro.errors import RoutingError, UnreachableLidError
+from repro.errors import RoutingError
 from repro.fabric.graph import (
     all_pairs_switch_distances,
     bfs_distances,
@@ -63,13 +63,7 @@ class RoutingRequest:
     #: unchanged switch graph cost zero sweeps. ``None`` falls back to
     #: direct (still batched/vectorized) computation.
     state: Optional[RoutingState] = field(default=None, repr=False)
-    _terminal_map: Optional[Dict[Tuple[int, int], frozenset]] = field(
-        default=None, repr=False, compare=False
-    )
     _terminal_arrays: Optional[Tuple[np.ndarray, ...]] = field(
-        default=None, repr=False, compare=False
-    )
-    _port_maps: Optional[Tuple[dict, dict]] = field(
         default=None, repr=False, compare=False
     )
 
@@ -207,46 +201,6 @@ class RoutingRequest:
             ),
         )
 
-    def terminal_map(self) -> Dict[Tuple[int, int], frozenset]:
-        """``(switch_index, switch_port) -> {LIDs delivered there}``.
-
-        Built once per request — ``trace_path``/``validate`` call it per
-        hop, and rebuilding it per call made validation quadratic in the
-        number of terminals on large fabrics.
-        """
-        if self._terminal_map is None:
-            acc: Dict[Tuple[int, int], set] = {}
-            for t in self.terminals:
-                acc.setdefault((t.switch_index, t.switch_port), set()).add(
-                    t.lid
-                )
-            self._terminal_map = {
-                key: frozenset(lids) for key, lids in acc.items()
-            }
-        return self._terminal_map
-
-    def port_maps(self) -> Tuple[dict, dict]:
-        """``(port_to_neighbor, neighbor_via_port)`` dicts for this view.
-
-        Delegates to the shared cache only while the topology still serves
-        the exact view this request snapshot — a request may be traced long
-        after later mutations, and must keep describing *its* graph.
-        """
-        if (
-            self.state is not None
-            and getattr(self.state.topology, "_fabric_view", None) is self.view
-        ):
-            return self.state.port_maps()
-        if self._port_maps is None:
-            fwd: dict = {}
-            rev: dict = {}
-            for s in range(self.num_switches):
-                for nb, out in self.view.neighbors(s):
-                    fwd[(s, nb)] = out
-                    rev[(s, out)] = nb
-            self._port_maps = (fwd, rev)
-        return self._port_maps
-
 
 @dataclass
 class RoutingTables:
@@ -302,73 +256,11 @@ class RoutingTables:
         }
 
     def port_for(self, switch_index: int, lid: int) -> int:
-        """Output port on *switch_index* for destination *lid*."""
-        if lid > self.top_lid:
+        """Output port on *switch_index* for destination *lid*
+        (:data:`~repro.constants.LFT_UNSET` outside ``0..top_lid``)."""
+        if not 0 <= lid <= self.top_lid:
             return LFT_UNSET
         return int(self.ports[switch_index, lid])
-
-    def trace_path(
-        self,
-        request: RoutingRequest,
-        src_switch: int,
-        dest_lid: int,
-        *,
-        max_hops: int = 256,
-    ) -> List[int]:
-        """Follow the routing from *src_switch* to *dest_lid*.
-
-        Returns the list of switch indices visited (starting at
-        *src_switch*). Raises :class:`UnreachableLidError` on unprogrammed
-        entries and :class:`RoutingError` on loops. Used by the reference
-        validity checker and the skyline analysis.
-        """
-        # Both lookup maps are built once per request and shared across
-        # every traced path (validate() traces n * LIDs of them).
-        term_at = request.terminal_map()
-        _, neighbor_via_port = request.port_maps()
-        dest_switch = request.switch_lids.get(dest_lid)
-        path = [src_switch]
-        cur = src_switch
-        for _ in range(max_hops):
-            if dest_switch is not None and cur == dest_switch:
-                return path
-            out = self.port_for(cur, dest_lid)
-            if out == LFT_UNSET:
-                raise UnreachableLidError(
-                    f"switch {cur} has no route for LID {dest_lid}"
-                )
-            if out == 0 and dest_switch == cur:
-                return path
-            lids_here = term_at.get((cur, out))
-            if lids_here is not None:
-                # Delivered off the fabric; verify it is the right endpoint.
-                if dest_lid in lids_here:
-                    return path
-                raise RoutingError(
-                    f"LID {dest_lid} delivered to wrong endpoint at switch"
-                    f" {cur} port {out}"
-                )
-            nxt = neighbor_via_port.get((cur, out))
-            if nxt is None:
-                raise RoutingError(
-                    f"switch {cur} port {out} for LID {dest_lid} leads nowhere"
-                )
-            cur = nxt
-            path.append(cur)
-        raise RoutingError(
-            f"routing loop for LID {dest_lid} starting at switch {src_switch}:"
-            f" {path[:12]}..."
-        )
-
-    def validate(self, request: RoutingRequest) -> None:
-        """Reference checker: every LID reachable from every switch, loop-free.
-
-        Deliberately slow and obvious; used in tests, never in benchmarks.
-        """
-        all_lids = [t.lid for t in request.terminals] + list(request.switch_lids)
-        for src in range(request.num_switches):
-            for lid in all_lids:
-                self.trace_path(request, src, lid)
 
 
 class RoutingAlgorithm(abc.ABC):

@@ -6,8 +6,8 @@ sweep even when nothing about the *switch graph* had changed (VM churn,
 migrations, incremental reroutes). :class:`RoutingState` removes that cost:
 
 * **versioned caching** — the all-pairs switch distance matrix, single BFS
-  rows, the equal-cost candidate table and the port lookup maps are all
-  keyed by :attr:`repro.fabric.topology.Topology.version`, which only
+  rows and the equal-cost candidate table are all keyed by
+  :attr:`repro.fabric.topology.Topology.version`, which only
   switch-graph mutations bump. On an unchanged graph a repeat
   ``compute_routing`` performs **zero** BFS sweeps and builds no
   candidate row.
@@ -41,7 +41,6 @@ from repro.errors import RoutingError
 from repro.fabric.graph import (
     bfs_distances,
     candidate_table,
-    edge_sources,
     link_addition_affected_sources,
     link_failure_affected_sources,
     switch_addition_affected_sources,
@@ -131,7 +130,6 @@ class RoutingState:
         #: patched in place by repairs, so it is never handed out in
         #: ``RoutingTables.metadata``.
         self._cand: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._port_maps: Optional[Tuple[dict, dict]] = None
 
     # -- failure notifications ------------------------------------------------
 
@@ -245,45 +243,19 @@ class RoutingState:
             self.stats.candidate_hits += 1
         return self._cand
 
-    def port_maps(self) -> Tuple[dict, dict]:
-        """``(port_to_neighbor, neighbor_via_port)`` lookup dicts.
-
-        ``port_to_neighbor[(s, peer)]`` is the output port on ``s`` toward
-        adjacent switch ``peer``; ``neighbor_via_port[(s, port)]`` is the
-        switch reached through that port. Shared by DOR (forward lookup)
-        and ``RoutingTables.trace_path`` (reverse lookup).
-        """
-        self._sync()
-        if self._port_maps is None:
-            view = self.topology.fabric_view()
-            srcs = edge_sources(view)
-            fwd: dict = {}
-            rev: dict = {}
-            for s, peer, port in zip(
-                srcs.tolist(), view.peer.tolist(), view.out_port.tolist()
-            ):
-                fwd[(s, peer)] = port
-                rev[(s, port)] = peer
-            self._port_maps = (fwd, rev)
-        return self._port_maps
-
     # -- synchronization --------------------------------------------------------
-
-    def _drop_derived(self) -> None:
-        self._rows.clear()
-        self._port_maps = None
 
     def _invalidate(self) -> None:
         self._dist = None
         self._cand = None
-        self._drop_derived()
+        self._rows.clear()
 
     def _sync(self) -> None:
         v = self.topology.version
         if v == self._version:
             return
         events, self._pending = self._pending, []
-        self._drop_derived()
+        self._rows.clear()
         if self._dist is None:
             self._version = v
             return

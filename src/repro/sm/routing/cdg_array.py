@@ -2,10 +2,12 @@
 
 A dependency set is one sorted ``int64`` key array (``src * C + dst`` over
 channel ids ``0..C-1``). Everything that asks "is this CDG acyclic?" —
-the LASH/DFSSSP layer search, :mod:`repro.sm.deadlock`, the CDG/VLC rules
-of :mod:`repro.analysis.static` — goes through the same frontier Kahn
+the LASH/DFSSSP layer search and the CDG/VLC rules of
+:mod:`repro.analysis.static` — goes through the same frontier Kahn
 peel (:func:`_peel`): :func:`acyclic` reads its verdict,
 :func:`find_cycle` walks predecessors inside what the peel leaves over.
+The rules extract their keys from a next-switch matrix with
+:func:`two_hops` / :func:`dependency_keys`, which own the key format.
 The dict/DFS graph this replaced is the test oracle
 (``tests/oracles/cdg.py``).
 
@@ -48,11 +50,50 @@ from repro.errors import RoutingError
 from repro.fabric.graph import edge_sources
 from repro.fabric.topology import SwitchFabricView
 
-__all__ = ["ArrayCdg", "acyclic", "find_cycle", "channel_table", "channel_ids"]
+__all__ = [
+    "ArrayCdg",
+    "acyclic",
+    "find_cycle",
+    "channel_table",
+    "channel_ids",
+    "two_hops",
+    "dependency_keys",
+]
 
 #: A dependency set as a graph: ``(active, indptr, dst, indeg)`` — see
 #: :func:`_csr`.
 _Csr = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def two_hops(
+    nxt: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(a, b, c, mask)``: every two consecutive hops ``a -> b -> c``.
+
+    ``nxt[s, j]`` is the switch a packet for destination column ``j``
+    moves to from switch ``s`` (-1 when it leaves the switch graph). All
+    four arrays have ``nxt``'s shape: ``a`` is the row index, ``b`` is
+    ``nxt``, ``c`` the hop after ``b`` (-1 where there is none) and
+    ``mask`` marks the cells where both hops stay in the switch graph.
+    """
+    col = np.arange(nxt.shape[1], dtype=np.int64)[None, :]
+    b = nxt
+    c = np.where(b >= 0, nxt[np.clip(b, 0, None), col], -1)
+    a = np.broadcast_to(np.arange(nxt.shape[0], dtype=np.int64)[:, None], b.shape)
+    return a, b, c, (b >= 0) & (c >= 0)
+
+
+def dependency_keys(nxt: np.ndarray) -> np.ndarray:
+    """Sorted unique dependency keys of a next-switch matrix.
+
+    Channels are the codes ``a * n + b`` and every two consecutive hops
+    ``a -> b -> c`` (:func:`two_hops`) yield the key
+    ``(a*n + b) * n² + (b*n + c)``.
+    """
+    n = np.int64(nxt.shape[0])
+    a, b, c, mask = two_hops(nxt)
+    a, b, c = a[mask], b[mask], c[mask]
+    return np.unique(((a * n + b) * n + b) * n + c)
 
 
 def channel_table(view: SwitchFabricView) -> np.ndarray:

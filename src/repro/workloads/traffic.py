@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.constants import LFT_UNSET
 from repro.errors import RoutingError
+from repro.fabric.graph import port_to_peer
 from repro.sm.routing.base import RoutingRequest, RoutingTables
 
 __all__ = ["LinkLoadReport", "link_loads", "all_to_all_flows"]
@@ -67,27 +68,22 @@ def link_loads(
     Flows start at the source LID's attachment switch and follow the LFT
     entries for the destination LID until delivery. Only inter-switch hops
     are counted (the host links carry exactly one endpoint's traffic and
-    cannot be balanced).
+    cannot be balanced). A LID no terminal or switch owns is a
+    :class:`~repro.errors.RoutingError`, as source and as destination.
     """
     attach: Dict[int, int] = {
         t.lid: t.switch_index for t in request.terminals
     }
-    # (switch, out_port) -> neighbour switch, inter-switch ports only.
     view = request.view
-    degrees = np.diff(view.indptr)
-    edge_src = np.repeat(
-        np.arange(view.num_switches, dtype=np.int64), degrees
-    )
-    p2p: Dict[Tuple[int, int], int] = {
-        (int(edge_src[k]), int(view.out_port[k])): int(view.peer[k])
-        for k in range(len(view.peer))
-    }
+    peer_of = port_to_peer(view)
     loads: Dict[Tuple[int, int], int] = {}
     for src_lid, dst_lid in flows:
         try:
             cur = attach[src_lid]
         except KeyError:
-            raise RoutingError(f"source LID {src_lid} has no attachment")
+            raise RoutingError(f"source LID {src_lid} has no attachment") from None
+        if dst_lid not in attach and dst_lid not in request.switch_lids:
+            raise RoutingError(f"destination LID {dst_lid} is not bound")
         guard = 0
         while True:
             out = tables.port_for(cur, dst_lid)
@@ -95,8 +91,8 @@ def link_loads(
                 raise RoutingError(
                     f"no route at switch {cur} for LID {dst_lid}"
                 )
-            nxt = p2p.get((cur, out))
-            if nxt is None:
+            nxt = int(peer_of[cur, out])
+            if nxt < 0:
                 break  # delivered off-fabric
             loads[(cur, out)] = loads.get((cur, out), 0) + 1
             cur = nxt

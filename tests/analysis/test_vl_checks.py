@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.errors import RoutingError, StaticAnalysisError
 from repro.fabric.builders.generic import build_random_regular
 from repro.obs import get_hub, reset_hub
-from repro.sm.deadlock import is_deadlock_free
+from repro.sm.routing import parallel
 from repro.sm.routing.vl import MANAGEMENT_VL, VlAssignment, corrupt_assignment
 from repro.sm.subnet_manager import SubnetManager
 from repro.analysis.static import (
@@ -37,6 +37,7 @@ from repro.analysis.static import (
 from repro.analysis.static import vl_checks
 from repro.analysis.static.checks import FabricSnapshot
 from repro.analysis.static.suite import preset_builders
+from tests.oracles.cdg import routing_is_deadlock_free
 
 
 def bring_up(preset, engine):
@@ -131,21 +132,22 @@ class TestBuildPerVlDependencies:
         assert pv.num_vls == snap.vl.num_vls
         assert check_vl_deadlock_freedom(snap, deps=pv) == []
         if engine == "dfsssp":
-            # The dynamic oracle agrees lane-by-lane splitting is what
-            # makes this routing deadlock-free (scoped to terminal LIDs,
-            # like the oracle's own tests: VL15 management delivery is
-            # VLC002's concern, not a data-deadlock layer).
+            # The per-path oracle agrees lane-by-lane splitting is what
+            # makes this routing deadlock-free (scoped to terminal LIDs:
+            # VL15 management delivery is VLC002's concern, not a
+            # data-deadlock layer).
+            tables, request = sm.current_tables, sm.last_request
             term = snap.terminal_lids.tolist()
-            assert is_deadlock_free(
-                snap.ports,
-                snap.view,
-                lid_to_vl=snap.vl.lid_to_vl,
-                lids=term,
+            assert routing_is_deadlock_free(
+                tables, request, lids=term, vl=snap.vl
             )
-            assert not is_deadlock_free(snap.ports, snap.view, lids=term)
+            assert not routing_is_deadlock_free(tables, request, lids=term)
 
     @pytest.mark.parametrize("engine", VL_ENGINES)
-    def test_sharded_build_is_byte_identical(self, engine):
+    def test_sharded_build_is_byte_identical(self, engine, monkeypatch):
+        # torus4x4 has 16 destination switches: drop the spin-up threshold
+        # so the pool (or its sandbox fallback) actually runs.
+        monkeypatch.setattr(parallel, "_MIN_PARALLEL_SWITCHES", 1)
         sm = bring_up("torus4x4", engine)
         snap = snapshot(sm)
         serial = build_per_vl_dependencies(snap, workers=1)
@@ -377,9 +379,25 @@ class TestMatrixAndCorruption:
             corrupt_assignment(vl, "drop")
 
     def test_a_per_vl_worker_without_its_state_is_a_typed_error(self, monkeypatch):
-        monkeypatch.setattr(vl_checks, "_VL_WORKER_STATE", None)
-        with pytest.raises(StaticAnalysisError, match="no state installed"):
-            vl_checks._vl_pair_chunk((0, 1))
+        # The per-VL build runs on the one shard worker of the router.
+        sm = bring_up("ring6", "lash")
+        snap = snapshot(sm)
+        state = vl_checks._pair_state(
+            snap, snap.vl, vl_checks.channel_table(snap.view)
+        )
+        total = int(state[5].size)
+        monkeypatch.setattr(
+            parallel, "_WORKER", (vl_checks._pair_chunk_state, state)
+        )
+        keys, lanes = parallel._run_chunk((0, total))
+        serial_keys, serial_lanes = vl_checks._pair_chunk_state(state, 0, total)
+        assert np.array_equal(lanes, serial_lanes)
+        for got, want in zip(keys, serial_keys):
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        monkeypatch.setattr(parallel, "_WORKER", None)
+        with pytest.raises(RoutingError, match="no state installed"):
+            parallel._run_chunk((0, total))
 
     def test_verify_subnet_accepts_vl_engines(self):
         # The end-to-end hook: verify_subnet must not report META notices

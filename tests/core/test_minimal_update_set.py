@@ -134,6 +134,9 @@ class TestSoundness:
         sw = next(sw for sw in cloud.topology.switches if any(sw.free_ports()))
         bad = next(sw.free_ports())
         bad.link = Dangling()
+        # An out-of-band cable edit is announced, as the topology's
+        # contract asks; the walk then reads the rebuilt switch view.
+        cloud.topology.invalidate_fabric_view()
         with pytest.raises(TopologyError, match=f"port {bad.num} of .*no far end"):
             minimal_update_set(
                 cloud.topology, vm.lid, cloud.hypervisors[vm.hypervisor_name].uplink_port

@@ -13,6 +13,7 @@ from repro.sm.routing.registry import create_engine
 from repro.sm.subnet_manager import SubnetManager
 from repro.virt.cloud import CloudManager
 from repro.workloads.traffic import all_to_all_flows, link_loads
+from tests.oracles.delivery import validate
 
 
 def routed(built, engine="ftree"):
@@ -27,7 +28,7 @@ class TestOversubscribed:
         # 8 hosts per leaf, 4 uplinks: 2:1 oversubscription on radix 12.
         built = build_two_level_fattree(4, 8, 4, switch_radix=12)
         sm, req = routed(built)
-        sm.current_tables.validate(req)
+        validate(sm.current_tables, req)
 
     def test_oversubscription_shows_in_link_loads(self):
         balanced = build_two_level_fattree(4, 4, 4, switch_radix=8)
@@ -61,7 +62,7 @@ class TestParallelSpineCables:
             2, 4, 2, switch_radix=12, links_per_spine_pair=2
         )
         sm, req = routed(built)
-        sm.current_tables.validate(req)
+        validate(sm.current_tables, req)
         # A remote leaf should use more than 2 distinct up ports (2 spines
         # x 2 cables available).
         groups = req.terminals_by_switch()
@@ -84,5 +85,5 @@ class TestPartiallyPopulated:
                 hca = topo.add_hca(f"h{leaf_idx}_{i}")
                 topo.connect(leaf, 1 + i, hca, 1)
         sm, req = routed(built, engine="minhop")
-        sm.current_tables.validate(req)
+        validate(sm.current_tables, req)
         assert topo.num_hcas == 6

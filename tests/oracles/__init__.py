@@ -3,14 +3,17 @@
 Each module here is the slow, obviously-correct form of one idea whose
 array implementation lives in ``src/repro``:
 
-* :mod:`tests.oracles.cdg` — the dict/DFS channel dependency graph
-  (oracle for :mod:`repro.sm.routing.cdg_array` and the helpers of
-  :mod:`repro.sm.deadlock`);
+* :mod:`tests.oracles.cdg` — the dict/DFS channel dependency graph and
+  its per-path verdict ``routing_is_deadlock_free`` (oracles for
+  :mod:`repro.sm.routing.cdg_array` and the CDG001/VLC001 rules);
 * :mod:`tests.oracles.lash`, :mod:`tests.oracles.dfsssp` — the
   pure-Python LASH and DFSSSP engines (byte-identity oracles for the
   engines of :mod:`repro.sm.routing`);
-* :mod:`tests.oracles.delivery` — the per-path LFT walker (oracle for
-  the delivery half of :func:`repro.analysis.verification.verify_subnet`);
+* :mod:`tests.oracles.delivery` — the per-path LFT walkers: over the
+  hardware (oracle for the delivery half of
+  :func:`repro.analysis.verification.verify_subnet`) and over an engine's
+  tables, ``trace_path`` / ``validate`` (oracle for
+  :func:`repro.analysis.static.check_reachability`);
 * :mod:`tests.oracles.candidates` — the per-destination equal-cost
   candidate pass (oracle for :func:`repro.fabric.graph.candidate_table`);
 * :mod:`tests.oracles.reconfig` — the clone → diff → one-send-per-block

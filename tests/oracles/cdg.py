@@ -1,13 +1,31 @@
-"""The dict/DFS channel dependency graph — oracle for the array kernel."""
+"""The dict/DFS channel dependency graph — oracle for the array kernel.
+
+:func:`routing_is_deadlock_free` is the per-path form of the CDG001 /
+VLC001 verdicts: it walks every routed path with the delivery oracle's
+:func:`~tests.oracles.delivery.trace_path` and feeds each lane's
+:class:`ChannelDependencyGraph`.
+"""
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import DeadlockError
-from repro.sm.deadlock import Channel, Dependency
+from repro.sm.routing.base import RoutingRequest, RoutingTables
+from repro.sm.routing.vl import VlAssignment
+from tests.oracles.delivery import request_maps, trace_path
 
-__all__ = ["ChannelDependencyGraph"]
+__all__ = [
+    "Channel",
+    "Dependency",
+    "ChannelDependencyGraph",
+    "routing_is_deadlock_free",
+]
+
+#: A directed inter-switch channel.
+Channel = Tuple[int, int]
+#: A dependency between two consecutive channels.
+Dependency = Tuple[Channel, Channel]
 
 
 class ChannelDependencyGraph:
@@ -103,3 +121,43 @@ class ChannelDependencyGraph:
                     colour[node] = BLACK
                     stack.pop()
         return None
+
+
+def routing_is_deadlock_free(
+    tables: RoutingTables,
+    request: RoutingRequest,
+    *,
+    lids: Optional[Sequence[int]] = None,
+    vl: Optional[VlAssignment] = None,
+) -> bool:
+    """Duato's condition, one CDG per lane, built path by path.
+
+    Every path from every switch to every selected LID (default: all of
+    the request's LIDs) adds its consecutive channel pairs to the CDG of
+    its lane: lane 0 without *vl*, the destination LID's lane for a
+    dest-keyed assignment, the (source, destination) switch pair's lane
+    for a pair-keyed one. A path without a data lane (one the assignment
+    does not name) adds nothing, as in the per-VL checks.
+    """
+    if lids is None:
+        lids = [t.lid for t in request.terminals] + list(request.switch_lids)
+    dest_of = {t.lid: t.switch_index for t in request.terminals}
+    dest_of.update(request.switch_lids)
+    num_vls = 1 if vl is None else vl.num_vls
+    maps = request_maps(request)
+    layers: Dict[int, ChannelDependencyGraph] = {}
+    for lid in lids:
+        for src in range(request.num_switches):
+            if vl is None:
+                lane: Optional[int] = 0
+            elif vl.kind == "dest":
+                lane = (vl.lid_to_vl or {}).get(lid)
+            else:
+                lane = (vl.pair_to_vl or {}).get((src, dest_of[lid]))
+            if lane is None or not 0 <= lane < num_vls:
+                continue
+            path = trace_path(tables, request, src, lid, maps=maps)
+            cdg = layers.setdefault(lane, ChannelDependencyGraph())
+            for a, b, c in zip(path, path[1:], path[2:]):
+                cdg.add_dependency(((a, b), (b, c)))
+    return all(cdg.is_acyclic() for cdg in layers.values())

@@ -13,11 +13,10 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.errors import RoutingError
-from repro.sm.deadlock import Dependency
 from repro.sm.routing.base import RoutingRequest, RoutingTables
 from repro.sm.routing.lash import LashRouting
 from repro.sm.routing.vl import VlAssignment
-from tests.oracles.cdg import ChannelDependencyGraph
+from tests.oracles.cdg import ChannelDependencyGraph, Dependency
 
 __all__ = ["ReferenceLashRouting"]
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.engine import SimulationEngine, replay_smp_pipeline
-from repro.sim.metrics import Counter, Histogram, MetricRegistry, Timer
+from repro.sim.metrics import Counter, MetricRegistry
 from repro.sim.trace import Trace
 
 
@@ -107,45 +107,11 @@ class TestMetrics:
         with pytest.raises(SimulationError):
             c.add(-1)
 
-    def test_timer_context(self):
-        t = Timer("t")
-        with t:
-            pass
-        with t:
-            pass
-        assert len(t.laps) == 2
-        assert t.total >= 0
-        assert t.mean == pytest.approx(t.total / 2)
-
-    def test_histogram_stats(self):
-        h = Histogram("h")
-        h.observe_many([1.0, 2.0, 3.0, 4.0])
-        assert h.count == 4
-        assert h.mean == pytest.approx(2.5)
-        assert h.min == 1.0 and h.max == 4.0
-        assert h.percentile(50) == pytest.approx(2.5)
-
-    def test_histogram_validation(self):
-        h = Histogram("h")
-        with pytest.raises(SimulationError):
-            h.observe(float("nan"))
-        with pytest.raises(SimulationError):
-            h.percentile(200)
-
-    def test_empty_histogram(self):
-        h = Histogram("h")
-        assert h.mean == 0.0 and h.percentile(99) == 0.0
-
     def test_registry(self):
         reg = MetricRegistry()
         reg.counter("smps").add(3)
-        reg.histogram("lat").observe(1.5)
-        with reg.timer("work"):
-            pass
-        summary = reg.summary()
-        assert summary["smps.count"] == 3.0
-        assert summary["lat.mean"] == 1.5
-        assert "work.total_s" in summary
+        reg.gauge("vms").set(1.5)
+        assert reg.summary() == {"smps.count": 3.0, "vms.value": 1.5}
 
     def test_registry_reuses_instances(self):
         reg = MetricRegistry()

@@ -1,17 +1,25 @@
-"""Tests for the channel-dependency-graph deadlock analysis (section VI-C)."""
+"""Tests for the channel-dependency-graph deadlock analysis (section VI-C).
 
+An engine's tables are judged by the static rules (CDG001, CDG002,
+VLC001) on a snapshot of its port matrix; the CDG oracle's own
+transactional semantics are pinned in ``TestCdg``.
+"""
+
+import numpy as np
 import pytest
 
+from repro.analysis.static import (
+    FabricSnapshot,
+    check_deadlock_freedom,
+    check_transition_deadlock,
+    check_vl_deadlock_freedom,
+)
+from repro.analysis.static.checks import _successor_matrices
 from repro.errors import DeadlockError
 from repro.fabric.builders.generic import build_ring
 from repro.fabric.presets import scaled_fattree
-from repro.sm.deadlock import (
-    find_cycle,
-    is_deadlock_free,
-    routing_dependencies,
-    transition_is_deadlock_free,
-)
 from repro.sm.routing.base import RoutingRequest
+from repro.sm.routing.cdg_array import dependency_keys
 from repro.sm.routing.registry import create_engine
 from repro.sm.subnet_manager import SubnetManager
 from tests.oracles.cdg import ChannelDependencyGraph
@@ -21,6 +29,12 @@ def request_for(built):
     sm = SubnetManager(built.topology, built=built)
     sm.assign_lids()
     return RoutingRequest.from_topology(built.topology, built=built)
+
+
+def snapshot(built, tables, ports=None):
+    return FabricSnapshot.from_topology(
+        built.topology, tables.ports if ports is None else ports, vl=tables.vl
+    )
 
 
 class TestCdg:
@@ -68,76 +82,76 @@ class TestRoutingDeadlockFreedom:
         for built in [scaled_fattree("2l-small"), build_ring(6, 2)]:
             req = request_for(built)
             tables = create_engine("updn").compute(req)
-            assert is_deadlock_free(tables.ports, req.view)
+            snap = snapshot(built, tables)
+            assert check_deadlock_freedom(snap, lids=snap.lids) == []
 
     def test_minhop_on_ring_deadlocks(self):
         # The canonical example: minimal routing around a ring produces a
         # cyclic channel dependency.
-        req = request_for(build_ring(6, 2))
-        tables = create_engine("minhop").compute(req)
-        assert not is_deadlock_free(tables.ports, req.view)
-        assert find_cycle(tables.ports, req.view) is not None
+        built = build_ring(6, 2)
+        tables = create_engine("minhop").compute(request_for(built))
+        snap = snapshot(built, tables)
+        findings = check_deadlock_freedom(snap, lids=snap.lids)
+        assert [f.rule for f in findings] == ["CDG001"]
+        assert findings[0].detail["cycle"]
 
     def test_dfsssp_per_layer_freedom_on_ring(self):
-        req = request_for(build_ring(6, 2))
-        tables = create_engine("dfsssp").compute(req)
-        term_lids = [t.lid for t in req.terminals]
-        assert is_deadlock_free(
-            tables.ports,
-            req.view,
-            lid_to_vl=tables.metadata["lid_to_vl"],
-            lids=term_lids,
-        )
+        built = build_ring(6, 2)
+        tables = create_engine("dfsssp").compute(request_for(built))
+        assert tables.vl.kind == "dest"
+        assert check_vl_deadlock_freedom(snapshot(built, tables)) == []
 
     def test_minhop_terminal_traffic_on_fattree_free(self):
         # Host-to-host traffic in a fat-tree follows up/down paths.
-        req = request_for(scaled_fattree("2l-small"))
-        tables = create_engine("minhop").compute(req)
-        term_lids = [t.lid for t in req.terminals]
-        assert is_deadlock_free(tables.ports, req.view, lids=term_lids)
+        built = scaled_fattree("2l-small")
+        tables = create_engine("minhop").compute(request_for(built))
+        assert check_deadlock_freedom(snapshot(built, tables)) == []
 
     def test_dependencies_terminate_at_delivery(self):
-        req = request_for(scaled_fattree("2l-small"))
+        built = scaled_fattree("2l-small")
+        req = request_for(built)
         tables = create_engine("minhop").compute(req)
-        deps = routing_dependencies(
-            tables.ports, req.view, [req.terminals[0].lid]
-        )
+        snap = snapshot(built, tables)
+        lid = req.terminals[0].lid
+        _, nxt = _successor_matrices(snap, np.array([lid]))
+        n = snap.num_switches
+        keys = dependency_keys(nxt)
+        assert keys.size
         # 2-level fat-tree: longest chains are leaf->spine->leaf, so every
         # dependency's second channel ends at the destination leaf.
         dest = req.terminals[0].switch_index
-        for (_, b) in deps:
-            assert b[1] == dest
+        assert set(((keys % (n * n)) % n).tolist()) == {dest}
 
 
 class TestTransition:
     def test_identity_transition_free(self):
-        req = request_for(scaled_fattree("2l-small"))
-        tables = create_engine("updn").compute(req)
-        assert transition_is_deadlock_free(
-            tables.ports, tables.ports.copy(), req.view
-        )
+        built = scaled_fattree("2l-small")
+        tables = create_engine("updn").compute(request_for(built))
+        snap = snapshot(built, tables)
+        assert check_transition_deadlock(snap, snap, lids=snap.lids) == []
 
     def test_swap_transition_union_checked(self):
         # Swapping two LIDs between leaves mixes old and new entries; the
         # union of dependencies is what decides transition safety
         # (section VI-C). With up/down routing both old and new paths are
         # legal, so the union stays acyclic.
-        req = request_for(scaled_fattree("2l-small"))
+        built = scaled_fattree("2l-small")
+        req = request_for(built)
         tables = create_engine("updn").compute(req)
-        old = tables.ports.copy()
         new = tables.ports.copy()
         a = req.terminals[0].lid
         b = req.terminals[-1].lid
         new[:, [a, b]] = new[:, [b, a]]
-        term_lids = [t.lid for t in req.terminals]
-        assert transition_is_deadlock_free(old, new, req.view, lids=term_lids)
+        old_snap = snapshot(built, tables)
+        new_snap = snapshot(built, tables, new)
+        assert check_transition_deadlock(old_snap, new_snap) == []
 
     def test_transition_can_deadlock_on_ring(self):
         # Two minhop routings on a ring: each may be cyclic already; the
         # union certainly is — the risk the paper accepts and defers to IB
         # timeouts.
-        req = request_for(build_ring(6, 2))
-        tables = create_engine("minhop").compute(req)
-        assert not transition_is_deadlock_free(
-            tables.ports, tables.ports.copy(), req.view
-        )
+        built = build_ring(6, 2)
+        tables = create_engine("minhop").compute(request_for(built))
+        snap = snapshot(built, tables)
+        findings = check_transition_deadlock(snap, snap, lids=snap.lids)
+        assert [f.rule for f in findings] == ["CDG002"]

@@ -25,6 +25,7 @@ from repro.sm.routing.base import (
 )
 from repro.sm.routing.registry import available_engines, create_engine, register_engine
 from repro.sm.subnet_manager import SubnetManager
+from tests.oracles.delivery import trace_path, validate
 
 ALL_ENGINES = ("minhop", "ftree", "updn", "dfsssp", "lash")
 #: Engines usable on arbitrary (non-tree) topologies.
@@ -46,7 +47,7 @@ class TestValidityOnFatTree:
     @pytest.mark.parametrize("engine", ALL_ENGINES)
     def test_routes_deliver_everything(self, engine, ft_request):
         tables = create_engine(engine).compute(ft_request)
-        tables.validate(ft_request)
+        validate(tables, ft_request)
 
     @pytest.mark.parametrize("engine", ALL_ENGINES)
     def test_all_lids_programmed_on_all_switches(self, engine, ft_request):
@@ -80,7 +81,7 @@ class TestValidityOnIrregular:
     def test_engine_on_topology(self, engine, builder):
         req = request_for(builder())
         tables = create_engine(engine).compute(req)
-        tables.validate(req)
+        validate(tables, req)
 
     def test_ftree_rejects_unstructured(self):
         # A ring has no levels once built metadata is dropped.
@@ -98,7 +99,7 @@ class TestMinHop:
         dist = tables.metadata["switch_distances"]
         for t in ft_request.terminals[:10]:
             for src in range(ft_request.num_switches):
-                path = tables.trace_path(ft_request, src, t.lid)
+                path = trace_path(tables, ft_request, src, t.lid)
                 assert len(path) - 1 == dist[src, t.switch_index]
 
     def test_lid_mod_spreads_consecutive_lids(self, ft_request):
@@ -115,7 +116,7 @@ class TestMinHop:
         tables = create_engine("minhop", balance="least-loaded").compute(
             ft_request
         )
-        tables.validate(ft_request)
+        validate(tables, ft_request)
 
     def test_least_loaded_balances_evenly(self, ft_request):
         tables = create_engine("minhop", balance="least-loaded").compute(
@@ -162,7 +163,7 @@ class TestFatTreeEngine:
         # Full validation is expensive; spot-check paths from every pod.
         for src in range(0, req.num_switches, 7):
             for t in req.terminals[::29]:
-                tables.trace_path(req, src, t.lid)
+                trace_path(tables, req, src, t.lid)
 
 
 class TestUpDown:
@@ -171,7 +172,7 @@ class TestUpDown:
         rank = tables.metadata["rank"]
         for t in ft_request.terminals[::3]:
             for src in range(ft_request.num_switches):
-                path = tables.trace_path(ft_request, src, t.lid)
+                path = trace_path(tables, ft_request, src, t.lid)
                 gone_down = False
                 for a, b in zip(path, path[1:]):
                     going_down = (rank[b], b) > (rank[a], a)
@@ -182,7 +183,7 @@ class TestUpDown:
     def test_root_override(self, ft_request):
         tables = create_engine("updn", root_index=3).compute(ft_request)
         assert tables.metadata["root"] == 3
-        tables.validate(ft_request)
+        validate(tables, ft_request)
 
     def test_bad_root_rejected(self, ft_request):
         with pytest.raises(RoutingError):
@@ -211,7 +212,7 @@ class TestDfsssp:
     def test_works_on_ring(self):
         req = request_for(build_ring(6, 2))
         tables = create_engine("dfsssp").compute(req)
-        tables.validate(req)
+        validate(tables, req)
         # A ring needs >1 VL to stay deadlock free.
         assert tables.num_vls >= 2
 
@@ -237,7 +238,7 @@ class TestLash:
     def test_multiple_layers_on_ring(self):
         req = request_for(build_ring(6, 1))
         tables = create_engine("lash").compute(req)
-        tables.validate(req)
+        validate(tables, req)
         assert tables.num_vls >= 2
 
 

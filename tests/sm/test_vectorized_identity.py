@@ -116,7 +116,7 @@ class TestShardedIdentity:
     def test_chunk_bounds_cover_range(self):
         for workers in (1, 2, 3, 7):
             for n in (1, 5, 64, 97, 1620):
-                bounds = ParallelRouter(workers).chunk_bounds(n)
+                bounds = parallel_mod.chunk_bounds(n, workers)
                 assert bounds[0][0] == 0 and bounds[-1][1] == n
                 for (_, hi), (lo2, _) in zip(bounds, bounds[1:]):
                     assert hi == lo2
@@ -140,9 +140,10 @@ class TestShardedIdentity:
         assert state.router.workers == 3
 
     def test_a_worker_without_its_view_is_a_typed_error(self, monkeypatch):
-        monkeypatch.setattr(parallel_mod, "_WORKER_VIEW", None)
-        with pytest.raises(RoutingError, match="no fabric view"):
-            parallel_mod._sweep_chunk((0, 1))
+        # The one shard worker (all-pairs BFS and the per-VL build alike).
+        monkeypatch.setattr(parallel_mod, "_WORKER", None)
+        with pytest.raises(RoutingError, match="no state installed"):
+            parallel_mod._run_chunk((0, 1))
 
 
 class TestLftDiffEquivalence:

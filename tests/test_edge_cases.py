@@ -17,6 +17,7 @@ from repro.mad.transport import SmpTransport
 from repro.sm.lft_distribution import LftDistributor
 from repro.sm.routing.base import RoutingRequest
 from repro.sm.subnet_manager import SubnetManager
+from tests.oracles.delivery import trace_path
 
 
 class TestTransportEdges:
@@ -88,7 +89,7 @@ class TestTracePathEdges:
     def test_unprogrammed_raises_unreachable(self, routed):
         sm, req = routed
         with pytest.raises(UnreachableLidError):
-            sm.current_tables.trace_path(req, 0, 40000)
+            trace_path(sm.current_tables, req, 0, 40000)
 
     def test_wrong_endpoint_detected(self, routed):
         sm, req = routed
@@ -97,7 +98,7 @@ class TestTracePathEdges:
         # Misprogram LID t0 to exit at t1's port on t1's leaf.
         tables.ports[:, t0.lid] = tables.ports[:, t1.lid]
         with pytest.raises(RoutingError):
-            tables.trace_path(req, t1.switch_index, t0.lid)
+            trace_path(tables, req, t1.switch_index, t0.lid)
 
     def test_loop_detected(self, routed):
         sm, req = routed
@@ -111,7 +112,7 @@ class TestTracePathEdges:
         tables.ports[a, lid] = port_ab
         tables.ports[b, lid] = port_ba
         with pytest.raises(RoutingError, match="loop"):
-            tables.trace_path(req, a, lid)
+            trace_path(tables, req, a, lid)
 
     def test_dangling_port_detected(self, routed):
         sm, req = routed
@@ -119,7 +120,7 @@ class TestTracePathEdges:
         lid = req.terminals[0].lid
         tables.ports[0, lid] = 33  # nothing cabled there
         with pytest.raises(RoutingError, match="leads nowhere"):
-            tables.trace_path(req, 0, lid)
+            trace_path(tables, req, 0, lid)
 
 
 class TestDistributorEdges:

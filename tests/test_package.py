@@ -85,6 +85,50 @@ class TestErrorHierarchy:
             alloc.allocate()
 
 
+class TestOneWalkOfARoutingFunction:
+    """Every next-hop, CDG and path question about a port matrix goes
+    through the audit's successor kernel (tier-1 twin of the CI guard)."""
+
+    SRC = Path(repro.__file__).resolve().parent
+
+    def defining_files(self, name):
+        return sorted(
+            str(path.relative_to(self.SRC))
+            for path in self.SRC.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef) and node.name == name
+        )
+
+    def test_the_sm_deadlock_module_is_gone(self):
+        assert not (self.SRC / "sm" / "deadlock.py").exists()
+
+    def test_each_kernel_is_defined_once(self):
+        assert self.defining_files("dependency_keys") == ["sm/routing/cdg_array.py"]
+        assert self.defining_files("two_hops") == ["sm/routing/cdg_array.py"]
+        assert self.defining_files("port_to_peer") == ["fabric/graph.py"]
+
+    def test_no_hand_built_peer_maps(self):
+        hits = [
+            str(path.relative_to(self.SRC))
+            for path in sorted(self.SRC.rglob("*.py"))
+            if "p2p[(" in path.read_text() or "neighbor_via_port" in path.read_text()
+        ]
+        assert hits == []
+
+    def test_the_routing_classes_carry_no_walker(self):
+        walker = {"trace_path", "validate", "terminal_map", "port_maps"}
+        found = {}
+        for rel in ("sm/routing/base.py", "sm/routing/cache.py"):
+            for node in ast.walk(ast.parse((self.SRC / rel).read_text())):
+                if isinstance(node, ast.ClassDef) and node.name in (
+                    "RoutingTables", "RoutingRequest", "RoutingState"
+                ):
+                    found[node.name] = walker & {
+                        f.name for f in node.body if isinstance(f, ast.FunctionDef)
+                    }
+        assert found == {"RoutingTables": set(), "RoutingRequest": set(), "RoutingState": set()}
+
+
 class TestConstants:
     def test_lid_space(self):
         assert MAX_UNICAST_LID == 0xBFFF

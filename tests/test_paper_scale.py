@@ -13,6 +13,7 @@ from repro.fabric.presets import paper_fattree
 from repro.sm.routing.base import RoutingRequest
 from repro.sm.routing.registry import create_engine
 from repro.sm.subnet_manager import SubnetManager
+from tests.oracles.delivery import trace_path
 
 pytestmark = pytest.mark.slow
 
@@ -50,7 +51,7 @@ class TestPaperScale324:
         tables = sm.current_tables
         for src in range(0, request.num_switches, 5):
             for t in request.terminals[::37]:
-                tables.trace_path(request, src, t.lid)
+                trace_path(tables, request, src, t.lid)
 
 
 class TestPaperScale5832:
@@ -75,7 +76,7 @@ class TestPaperScale5832:
         # Spot-check deliveries from every layer of the tree.
         for src in (0, 400, 900):
             for t in request.terminals[::977]:
-                tables.trace_path(request, src, t.lid)
+                trace_path(tables, request, src, t.lid)
         # PCt at this scale stays interactive for the structured engine.
         assert tables.compute_seconds < 30
 

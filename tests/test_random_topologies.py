@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.static import FabricSnapshot, check_deadlock_freedom
 from repro.fabric.builders.generic import build_random_regular
 from repro.sm.routing.base import RoutingRequest
 from repro.sm.routing.registry import create_engine
@@ -17,6 +18,7 @@ from repro.sm.subnet_manager import SubnetManager
 from repro.core.reconfig import VSwitchReconfigurer
 from repro.core.skyline import minimal_update_set
 from repro.virt.cloud import CloudManager
+from tests.oracles.delivery import validate
 
 _settings = settings(
     max_examples=10,
@@ -41,15 +43,16 @@ class TestRandomTopologies:
     )
     def test_engines_valid_on_random_regular(self, seed, engine):
         built, sm, request = build_and_route(8, 3, seed, engine)
-        sm.current_tables.validate(request)
+        validate(sm.current_tables, request)
 
     @_settings
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_updn_deadlock_free_on_random_regular(self, seed):
-        from repro.sm.deadlock import is_deadlock_free
-
-        built, sm, request = build_and_route(8, 3, seed, "updn")
-        assert is_deadlock_free(sm.current_tables.ports, request.view)
+        built, sm, _ = build_and_route(8, 3, seed, "updn")
+        snap = FabricSnapshot.from_topology(
+            built.topology, sm.current_tables.ports
+        )
+        assert check_deadlock_freedom(snap, lids=snap.lids) == []
 
     @_settings
     @given(

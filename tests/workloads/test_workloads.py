@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import VirtError
+from repro.constants import LFT_UNSET
+from repro.errors import RoutingError, VirtError
 from repro.sm.routing.base import RoutingRequest
 from repro.workloads.churn import ChurnWorkload
 from repro.workloads.migration_patterns import (
@@ -137,8 +138,27 @@ class TestTraffic:
         assert reports["dyn"].imbalance >= reports["prep"].imbalance
 
     def test_unrouted_flow_rejected(self, routed_fattree):
-        from repro.errors import RoutingError
-
         built, sm, request = routed_fattree
         with pytest.raises(RoutingError):
             link_loads(sm.current_tables, request, [(1, 40000)])
+
+    def test_a_negative_lid_has_no_port(self, routed_fattree):
+        _, sm, _ = routed_fattree
+        tables = sm.current_tables
+        # Numpy would wrap -1 around to the top LID's programmed column.
+        assert tables.ports[0, -1] != LFT_UNSET
+        assert tables.port_for(0, -1) == LFT_UNSET
+
+    def test_an_unbound_destination_lid_is_rejected(self, routed_fattree):
+        _, sm, request = routed_fattree
+        src = request.terminals[0].lid
+        with pytest.raises(RoutingError, match="destination LID -1 is not bound"):
+            link_loads(sm.current_tables, request, [(src, -1)])
+
+    def test_an_unknown_source_lid_is_a_routing_error_alone(self, routed_fattree):
+        _, sm, request = routed_fattree
+        dst = request.terminals[0].lid
+        with pytest.raises(RoutingError, match="source LID 40000") as exc:
+            link_loads(sm.current_tables, request, [(40000, dst)])
+        # Raised from None: no KeyError chained behind it.
+        assert exc.value.__cause__ is None and exc.value.__suppress_context__
