@@ -142,7 +142,7 @@ def run(args: argparse.Namespace) -> int:
             print(
                 f"round {round_no}: {stats.injected} injected,"
                 f" {stats.delivered} delivered,"
-                f" {stats.dropped_timeout + stats.dropped_no_route} dropped;"
+                f" {stats.injected - stats.delivered - stats.in_flight} dropped;"
                 f" sweep {sweep.smps} SMPs"
                 f" ({sweep.retransmissions} retransmissions,"
                 f" {len(sweep.missed)} missed),"
@@ -178,6 +178,7 @@ def run(args: argparse.Namespace) -> int:
                 "delivered": harness.delivered,
                 "dropped_timeout": harness.dropped_timeout,
                 "dropped_no_route": harness.dropped_no_route,
+                "dropped_port255": harness.dropped_port255,
             },
             "sweeps": {
                 "count": harness.perf.sweeps,

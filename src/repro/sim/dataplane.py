@@ -22,19 +22,22 @@ is folded into the per-hop latency, which is all the reconfiguration
 experiments need.
 
 The kernel is struct-of-arrays: a packet is an index into parallel lists,
-a channel a dense id into another set, and each of the three fixed-delay
-event kinds (arrival from the host, arrival over a hop, HOQ expiry) rides
-one :class:`~repro.sim.engine.Lane` of the engine with one handler. The
-order of events is exactly that of one closure per event on a single heap.
+a channel a dense id into another set. Each of the three fixed-delay event
+kinds (arrival from the host, arrival over a hop, HOQ expiry) queues in its
+own FIFO of ``(time, seq, ...)`` tuples, seqs drawn from the engine's one
+counter, and :meth:`DataPlaneSimulator.run` is the one loop that merges the
+FIFO heads with the engine heap's head. The order of events is exactly that
+of one closure per event on a single heap.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.constants import LFT_DROP_PORT, LFT_UNSET
+from repro.constants import LFT_DROP_PORT
 from repro.errors import SimulationError
 from repro.fabric.node import Port, PortCounters, Switch
 from repro.fabric.topology import Topology
@@ -50,6 +53,8 @@ _DEAD = -2
 #: The counter slots of a dead channel: it transmits nothing, so they are
 #: never read (its expiry charges the switch port it points at).
 _NOWHERE = PortCounters()
+#: The head of an empty FIFO: later than every event.
+_NEVER = (math.inf, math.inf)
 
 
 @dataclass
@@ -58,13 +63,16 @@ class DataPlaneStats:
 
     ``dropped_by_port`` attributes every drop to the switch port whose
     forwarding decision caused it, keyed ``(switch_name, out_port,
-    reason)`` with reason one of ``timeout`` (HOQ lifetime), ``no_route``
-    (unset or dead-port LFT entry) and ``port255`` (intentional
-    invalidation, section VI-C) — the per-cause view telemetry discard
-    counters and the static analyzer's LFT002 findings cross-check
-    against. ``flows`` counts *delivered* packets per (src LID, dst LID)
-    pair; its total equals ``delivered`` exactly, which is what makes a
-    measured traffic matrix auditable against this struct.
+    reason)`` with reason one of ``timeout`` (HOQ lifetime spent waiting
+    for a credit, or a runaway loop), ``no_route`` (HOQ lifetime spent at
+    a dead port) and ``port255`` (the LFT entry is the drop port, charged
+    to port 0: an intentional invalidation, section VI-C, and also an
+    unprogrammed entry, since ``LFT_UNSET`` *is* the drop port) — the
+    per-cause view telemetry discard counters and the static analyzer's
+    LFT002 findings cross-check against. ``flows`` counts *delivered*
+    packets per (src LID, dst LID) pair; its total equals ``delivered``
+    exactly, which is what makes a measured traffic matrix auditable
+    against this struct.
     """
 
     injected: int = 0
@@ -91,7 +99,8 @@ class DataPlaneStats:
 
 
 class DataPlaneSimulator:
-    """Drives packets across a topology's switches under credit flow control."""
+    """Drives packets across a topology's switches under credit flow control
+    (in :meth:`run` only: ``engine.run()`` fires just the heap)."""
 
     def __init__(
         self,
@@ -149,6 +158,10 @@ class DataPlaneSimulator:
         self._waiters: List[Deque[int]] = []
         self._egress: List[PortCounters] = []
         self._ingress: List[PortCounters] = []
+        #: Host edge (HCA port, leaf port) -> its (transmit, receive)
+        #: counters, fetched on the first arrival over the edge. Kept per
+        #: edge: a LID re-bound between injections leaves by its new edge.
+        self._edge_counters: Dict[Tuple[Port, Port], Tuple[PortCounters, PortCounters]] = {}
 
         # Packets, indexed by packet id.
         self._src: List[int] = []
@@ -166,10 +179,12 @@ class DataPlaneSimulator:
         self._wait_start: List[Optional[float]] = []
         self._hops: List[int] = []
 
-        engine = self.engine
-        self._arrivals = engine.lane(self._on_arrival)
-        self._hop_arrivals = engine.lane(self._on_hop)
-        self._expiries = engine.lane(self._on_expiry)
+        # The event FIFOs, each sorted by (time, seq): host arrivals
+        # (time, seq, packet), hop arrivals (time, seq, packet, channel) and
+        # HOQ expiries (time, seq, packet, hop count, channel).
+        self._arrivals: Deque[Tuple[float, int, int]] = deque()
+        self._hop_arrivals: Deque[Tuple[float, int, int, int]] = deque()
+        self._expiries: Deque[Tuple[float, int, int, int, int]] = deque()
 
     # -- injection -----------------------------------------------------------
 
@@ -191,21 +206,32 @@ class DataPlaneSimulator:
         self, flows: List[Tuple[int, int]], delays: Sequence[float]
     ) -> range:
         # Sources and delays are checked before anything is booked.
-        sources = dict.fromkeys(src for src, _ in flows)
-        edges = {src: self._edge_of(src) for src in sources}
-        first, now = len(self._dst), self.engine.now
-        packets = range(first, first + len(flows))
-        self._arrivals.extend(delays, packets)
-        self._src.extend(src for src, _ in flows)
-        self._dst.extend(dst for _, dst in flows)
-        self._vl.extend(self.lid_to_vl.get(dst, 0) for _, dst in flows)
-        self._origin.extend(edges[src] for src, _ in flows)
-        self._at.extend(edges[src][1].node.index for src, _ in flows)
-        self._inject_time.extend(now + delay for delay in delays)
-        self._held.extend([-1] * len(flows))
-        self._wait_start.extend([None] * len(flows))
-        self._hops.extend([0] * len(flows))
-        self.stats.injected += len(flows)
+        edges = {src: self._edge_of(src) for src in dict.fromkeys(src for src, _ in flows)}
+        if min(delays, default=0.0) < 0:
+            raise SimulationError(f"cannot schedule {min(delays)}s in the past")
+        now, first, count = self.engine.now, len(self._dst), len(flows)
+        packets = range(first, first + count)
+        whens = [now + delay for delay in delays]
+        arrivals = self._arrivals
+        late = bool(arrivals and whens) and whens[0] < arrivals[-1][0]
+        arrivals.extend(zip(whens, self.engine._seq, packets))
+        if late or whens != sorted(whens):
+            # An early delay, or a burst behind a pending one: re-sorted by
+            # (time, seq), which is exactly a heap's order.
+            ordered = sorted(arrivals)
+            arrivals.clear()
+            arrivals.extend(ordered)
+        origins = [edges[src] for src, _ in flows]
+        self._src.extend([src for src, _ in flows])
+        self._dst.extend([dst for _, dst in flows])
+        self._vl.extend([self.lid_to_vl.get(dst, 0) for _, dst in flows])
+        self._origin.extend(origins)
+        self._at.extend([entry.node.index for _, entry in origins])
+        self._inject_time.extend(whens)
+        self._held.extend([-1] * count)
+        self._wait_start.extend([None] * count)
+        self._hops.extend([0] * count)
+        self.stats.injected += count
         return packets
 
     def _edge_of(self, src_lid: int) -> Tuple[Port, Port]:
@@ -216,82 +242,155 @@ class DataPlaneSimulator:
             raise SimulationError(f"source LID {src_lid} not behind a switch")
         return port, port.remote
 
+    # -- the burst loop ------------------------------------------------------
+
     def run(self, *, until: Optional[float] = None) -> DataPlaneStats:
-        """Run the event loop to completion (or *until*)."""
-        self.engine.run(until=until)
-        return self.stats
+        """Run the event loop to completion (or *until*).
 
-    # -- events --------------------------------------------------------------
-
-    def _on_arrival(self, pkt: int) -> None:
-        """The packet left its host: count the host edge, then forward."""
-        host, entry = self._origin[pkt]
-        self._cross(
-            host.node.port_counters(host.num), entry.node.port_counters(entry.num)
-        )
-        self._forward(pkt)
-
-    def _on_hop(self, crossing: Tuple[int, int]) -> None:
-        """The packet crossed a channel: release the old one, then forward."""
-        pkt, channel = crossing
-        self._release_held(pkt)
-        self._held[pkt] = channel
-        self._at[pkt] = self._next[channel]
-        hops = self._hops[pkt] = self._hops[pkt] + 1
-        if hops > self._max_hops:
-            self._drop(pkt, "timeout", None)  # runaway loop guard
-            return
-        self._forward(pkt)
-
-    def _on_expiry(self, hold: Tuple[int, int, int]) -> None:
-        """A head-of-queue lifetime ran out: drop the packet if it is still
-        where it was (the IB timeout that resolves deadlocks)."""
-        pkt, hops, channel = hold
-        if self._hops[pkt] != hops:
-            return
-        port = self._port_of[channel]
-        if self._next[channel] == _DEAD:
-            # The port transmits nothing: the packet sat at the head of
-            # its queue for the whole lifetime — charged as xmit-wait —
-            # and is discarded as unroutable.
-            sw = self._switches[self._at[pkt]]
-            sw.port_counters(port).add_wait(self.hoq_timeout)
-            self._drop(pkt, "no_route", port)
-        elif self._wait_start[pkt] is not None:
-            self._waiters[channel].remove(pkt)
-            # The full lifetime was spent blocked on this port.
-            self._egress[channel].add_wait(self.hoq_timeout)
-            self._wait_start[pkt] = None
-            self._drop(pkt, "timeout", port)
-
-    # -- movement ------------------------------------------------------------
-
-    def _forward(self, pkt: int) -> None:
-        """Packet sits at a switch: look up the LFT and try to advance."""
-        at = self._at[pkt]
-        out = self._switches[at].lft.get(self._dst[pkt])
-        if out == LFT_DROP_PORT or out == LFT_UNSET:
-            # Port 255 / unprogrammed: the partially-static reconfiguration
-            # of section VI-C intentionally drops this traffic.
-            self._drop(pkt, "port255" if out == LFT_DROP_PORT else "no_route", 0)
-            return
-        key = (at, out, self._vl[pkt])
-        channel = self._channel_of.get(key)
-        if channel is None:
-            channel = self._open(key)
-        nxt = self._next[channel]
-        if nxt == _HOST:
-            self._deliver(pkt, channel)
-        elif nxt >= 0 and self._credits[channel] > 0:
-            self._credits[channel] -= 1
-            self._advance(pkt, channel)
-        else:
-            # No credit, or a dead port: the packet holds the head of the
-            # queue until a credit comes back or its lifetime runs out.
-            if nxt >= 0:
-                self._waiters[channel].append(pkt)
-                self._wait_start[pkt] = self.engine.now
-            self._expiries.push(self.hoq_timeout, (pkt, self._hops[pkt], channel))
+        Each step fires the smallest of the three FIFO heads and the engine
+        heap's head by ``(time, seq)``: a heap event (a reconfiguration or
+        a PerfManager sweep landing mid-flight) through
+        :meth:`SimulationEngine.fire_head`, the data plane's own inline.
+        An event counts in ``events_processed`` once its body has returned.
+        """
+        engine, stats = self.engine, self.stats
+        heap, seq = engine._heap, engine._seq
+        arrivals, hop_q, exp_q = self._arrivals, self._hop_arrivals, self._expiries
+        flows, latencies, switches = stats.flows, stats.latencies, self._switches
+        src, dst, vl, origin, inject_time = self._src, self._dst, self._vl, self._origin, self._inject_time
+        at, held, wait_start, hop_count = self._at, self._held, self._wait_start, self._hops
+        channel_of, nxt_of, edge_counters = self._channel_of, self._next, self._edge_counters
+        credits, waiters, egress, ingress = self._credits, self._waiters, self._egress, self._ingress
+        hop_time, hoq, nbytes = self.hop_time, self.hoq_timeout, self.packet_bytes
+        now, events, max_hops = engine.now, engine.events_processed, self._max_hops
+        head: Tuple[Any, ...]
+        queue: Optional[Deque[Any]]
+        with engine.running(until) as horizon:
+            try:
+                while True:
+                    head, queue = (arrivals[0] if arrivals else _NEVER), arrivals
+                    if hop_q and hop_q[0] < head:
+                        head, queue = hop_q[0], hop_q
+                    if exp_q and exp_q[0] < head:
+                        head, queue = exp_q[0], exp_q
+                    if heap and heap[0] < head:
+                        head, queue = heap[0], None
+                    if head is _NEVER:
+                        break
+                    now = head[0]
+                    if now > horizon:
+                        now = horizon
+                        break
+                    events += 1  # taken back below if the body raises
+                    if queue is None:
+                        engine.fire_head()
+                        continue
+                    queue.popleft()
+                    pkt = head[2]
+                    if queue is exp_q:
+                        # A head-of-queue lifetime ran out: drop the packet if
+                        # it is still where it was (the IB timeout that
+                        # resolves deadlocks).
+                        if hop_count[pkt] != head[3]:
+                            continue
+                        channel = head[4]
+                        if nxt_of[channel] == _DEAD:
+                            # Nothing leaves a dead port: the whole lifetime
+                            # is xmit-wait, then the packet is discarded.
+                            port = self._port_of[channel]
+                            switches[at[pkt]].port_counters(port).add_wait(hoq)
+                            self._drop(pkt, "no_route", port)
+                        elif wait_start[pkt] is not None:
+                            waiters[channel].remove(pkt)
+                            egress[channel].add_wait(hoq)
+                            wait_start[pkt] = None
+                            self._drop(pkt, "timeout", self._port_of[channel])
+                        else:
+                            continue
+                    else:
+                        if queue is hop_q:
+                            # The packet crossed a channel: it holds that
+                            # one's credit now and frees the one it held.
+                            channel = head[3]
+                            freed, held[pkt] = held[pkt], channel
+                            if freed >= 0:
+                                if waiters[freed]:
+                                    self._grant(freed, now)
+                                else:
+                                    credits[freed] += 1
+                            here = at[pkt] = nxt_of[channel]
+                            hops = hop_count[pkt] = hop_count[pkt] + 1
+                        else:
+                            # The packet left its host: count the host edge.
+                            ends = origin[pkt]
+                            pair = edge_counters.get(ends)
+                            if pair is None:
+                                host, entry = ends
+                                pair = edge_counters[ends] = (
+                                    host.node.port_counters(host.num),
+                                    entry.node.port_counters(entry.num),
+                                )
+                            tx, rx = pair
+                            tx.xmit_packets += 1
+                            tx.xmit_data += nbytes
+                            rx.rcv_packets += 1
+                            rx.rcv_data += nbytes
+                            here, hops = at[pkt], 0
+                        if hops > max_hops:
+                            self._drop(pkt, "timeout", None)  # runaway loop guard
+                        else:
+                            # At a switch: read its LFT live (``lft.get`` for
+                            # a LID outside the array).
+                            lid, lft = dst[pkt], switches[here].lft
+                            entries = lft._ports
+                            out = entries.item(lid) if 0 <= lid < len(entries) else lft.get(lid)
+                            if out == LFT_DROP_PORT:
+                                # Port 255 — also what an unprogrammed entry
+                                # holds: section VI-C's drop.
+                                self._drop(pkt, "port255", 0)
+                            else:
+                                key = (here, out, vl[pkt])
+                                channel = channel_of.get(key)
+                                if channel is None:
+                                    channel = self._open(key)
+                                nxt = nxt_of[channel]
+                                if nxt == _DEAD or nxt >= 0 and not credits[channel]:
+                                    # The packet holds the head of the queue
+                                    # until a credit comes back or its
+                                    # lifetime ends.
+                                    if nxt >= 0:
+                                        waiters[channel].append(pkt)
+                                        wait_start[pkt] = now
+                                    exp_q.append((now + hoq, next(seq), pkt, hops, channel))
+                                    continue
+                                tx, rx = egress[channel], ingress[channel]
+                                tx.xmit_packets += 1
+                                tx.xmit_data += nbytes
+                                rx.rcv_packets += 1
+                                rx.rcv_data += nbytes
+                                if nxt >= 0:
+                                    # Credit acquired: the held one is freed
+                                    # on arrival.
+                                    credits[channel] -= 1
+                                    hop_q.append((now + hop_time, next(seq), pkt, channel))
+                                    continue
+                                stats.delivered += 1
+                                flow = (src[pkt], lid)
+                                flows[flow] = flows.get(flow, 0) + 1
+                                latencies.append(now + hop_time - inject_time[pkt])
+                    # Delivered or dropped: free the held credit.
+                    freed, held[pkt] = held[pkt], -1
+                    if freed >= 0:
+                        if waiters[freed]:
+                            self._grant(freed, now)
+                        else:
+                            credits[freed] += 1
+            except BaseException:
+                events -= 1
+                raise
+            finally:
+                engine._now, engine.events_processed = now, events
+        return stats
 
     def _open(self, key: Tuple[int, int, int]) -> int:
         """Give (switch, out port, VL) a channel id. A live port's counter
@@ -313,67 +412,35 @@ class DataPlaneSimulator:
         self._ingress.append(far.node.port_counters(far.num))
         return channel
 
-    def _advance(self, pkt: int, channel: int) -> None:
-        """Credit acquired: cross the channel (the old one is released on
-        arrival)."""
-        wait_start = self._wait_start[pkt]
-        if wait_start is not None:
-            # The packet queued for this credit: the blocked interval is
-            # the egress port's PortXmitWait.
-            self._egress[channel].add_wait(self.engine.now - wait_start)
-            self._wait_start[pkt] = None
-        self._cross(self._egress[channel], self._ingress[channel])
-        self._hop_arrivals.push(self.hop_time, (pkt, channel))
-
-    def _cross(self, tx: PortCounters, rx: PortCounters) -> None:
-        """PMA counters of one packet on a cable: transmit, then receive."""
+    def _grant(self, channel: int, now: float) -> None:
+        """Hand a freed credit straight to the channel's first waiter: it
+        crosses now, and its blocked interval is the egress PortXmitWait."""
+        waiter = self._waiters[channel].popleft()
+        tx, rx = self._egress[channel], self._ingress[channel]
+        tx.add_wait(now - self._wait_start[waiter])  # type: ignore[operator]
+        self._wait_start[waiter] = None
         tx.xmit_packets += 1
         tx.xmit_data += self.packet_bytes
         rx.rcv_packets += 1
         rx.rcv_data += self.packet_bytes
-
-    def _release_held(self, pkt: int) -> None:
-        if self._held[pkt] >= 0:
-            self._release(self._held[pkt])
-            self._held[pkt] = -1
-
-    def _release(self, channel: int) -> None:
-        """Return a credit, or hand it straight to the first waiter."""
-        waiters = self._waiters[channel]
-        if waiters:
-            self._advance(waiters.popleft(), channel)
-        else:
-            self._credits[channel] += 1
-
-    def _deliver(self, pkt: int, channel: int) -> None:
-        self._release_held(pkt)
-        # Host edge: transmit on the leaf's port, receive on the HCA port.
-        self._cross(self._egress[channel], self._ingress[channel])
-        stats = self.stats
-        stats.delivered += 1
-        flow = (self._src[pkt], self._dst[pkt])
-        stats.flows[flow] = stats.flows.get(flow, 0) + 1
-        stats.latencies.append(
-            self.engine.now + self.hop_time - self._inject_time[pkt]
-        )
+        self._hop_arrivals.append((now + self.hop_time, next(self.engine._seq), waiter, channel))
 
     def _drop(self, pkt: int, reason: str, port: Optional[int]) -> None:
+        """Count one drop at the packet's switch (the loop then frees its
+        credit). *port* None charges the LFT's port for the destination."""
         sw = self._switches[self._at[pkt]]
         if port is None:
             out = sw.lft.get(self._dst[pkt])
             port = out if 0 <= out <= sw.num_ports else 0
-        counters = sw.port_counters(port)
+        counters, stats = sw.port_counters(port), self.stats
         if reason == "timeout":
             counters.hoq_discards += 1
+            stats.dropped_timeout += 1
         else:
             counters.unroutable_discards += 1
-        stats = self.stats
+            if reason == "port255":
+                stats.dropped_port255 += 1
+            else:
+                stats.dropped_no_route += 1
         drop_key = (sw.name, port, reason)
         stats.dropped_by_port[drop_key] = stats.dropped_by_port.get(drop_key, 0) + 1
-        self._release_held(pkt)
-        if reason == "timeout":
-            stats.dropped_timeout += 1
-        elif reason == "port255":
-            stats.dropped_port255 += 1
-        else:
-            stats.dropped_no_route += 1

@@ -127,8 +127,13 @@ class TelemetryHarness:
 
     @property
     def dropped_no_route(self) -> int:
-        """Unroutable drops across all bursts."""
+        """Dead-port drops across all bursts."""
         return sum(b.dropped_no_route for b in self.bursts)
+
+    @property
+    def dropped_port255(self) -> int:
+        """Drop-port (LFT entry 255) drops across all bursts."""
+        return sum(b.dropped_port255 for b in self.bursts)
 
     def verify_matrix(self) -> bool:
         """Row sums must reproduce the delivered-packet totals exactly."""

@@ -3,9 +3,10 @@
 One ``Packet`` object per packet and one closure per event on the engine's
 heap (``arrive``, ``dead_port_drop``, ``maybe_timeout``), exactly as
 ``repro.sim.dataplane.DataPlaneSimulator`` was before its packets became
-parallel lists and its events rode three FIFO lanes. It schedules through
-``SimulationEngine.schedule`` only, so comparing the two also holds the
-engine's lane merge to the plain heap order. Two changes from the original:
+parallel lists and its events became tuples on the burst loop's own FIFOs.
+It schedules through ``SimulationEngine.schedule`` only, so comparing the
+two also holds the burst loop's merge of its FIFOs with the engine heap to
+the plain heap order. Two changes from the original:
 the ``label=`` keyword the engine no longer takes, and a rejected injection
 (``delay < 0``, ``spacing < 0``) raises before anything is booked.
 """

@@ -63,6 +63,21 @@ class TestBasics:
         assert stats.dropped_port255 == 1
         assert stats.in_flight == 0
 
+    def test_a_lid_beyond_every_table_drops_as_port255(self, small_fattree):
+        # LFT_UNSET == LFT_DROP_PORT: an entry past the table is the drop
+        # port, charged to port 0 of the source's leaf; ``no_route`` is
+        # only ever a dead port's HOQ expiry.
+        sm = routed_subnet(small_fattree)
+        topo = small_fattree.topology
+        host = topo.hcas[0]
+        assert all(40000 > sw.lft.top_lid for sw in topo.switches)
+        sim = DataPlaneSimulator(topo)
+        sim.inject(host.lid, 40000)
+        stats = sim.run()
+        leaf = host.ports[1].remote.node.name
+        assert stats.dropped_by_port == {(leaf, 0, "port255"): 1}
+        assert (stats.dropped_port255, stats.dropped_no_route) == (1, 0)
+
     def test_validation(self, small_fattree):
         topo = small_fattree.topology
         with pytest.raises(SimulationError):

@@ -303,6 +303,49 @@ class TestRejectedInjections:
         assert list(sim.inject_flows([(a, b), (b, a)])) == [1, 2]
 
 
+class TestBurstLoop:
+    """What the burst loop owes the engine it runs on."""
+
+    def test_run_from_a_heap_callback_raises(self, small_fattree):
+        sm = SubnetManager(small_fattree.topology, built=small_fattree)
+        sm.initial_configure(with_discovery=False)
+        a, b = (h.lid for h in small_fattree.topology.hcas[:2])
+        sim = DataPlaneSimulator(small_fattree.topology)
+        sim.inject_flows([(a, b), (b, a)])
+        errors = []
+
+        def nested():
+            try:
+                sim.run()
+            except SimulationError as exc:
+                errors.append(exc)
+
+        sim.engine.schedule(5e-7, nested)
+        stats = sim.run()
+        assert len(errors) == 1
+        assert (stats.delivered, stats.in_flight) == (2, 0)
+
+    def test_an_event_that_raises_is_not_counted(self):
+        # The packet's arrival at t = 0 is drawn first and counts; the
+        # swap of a LID with itself raises and does not.
+        sc = Scenario("2l-small", [(0, 5)], spacing=0.0, credits=1,
+                      hoq_timeout=1e-3, callbacks=[(0.0, "swap", 3, 3)])
+        out = assert_same(sc)
+        assert out["raised"] is not None
+        assert out["events"] == 1
+
+    def test_the_clock_ends_on_the_last_expiry_even_when_stale(self):
+        # Incast with one credit: packets wait, are granted long before
+        # their lifetime ends, and every expiry fires on a gone packet.
+        sc = Scenario("2l-small", [(i, 0) for i in range(1, 12)], spacing=1e-7,
+                      credits=1, hoq_timeout=1e-3)
+        out = assert_same(sc)
+        injected, delivered, _, timeouts, _, _ = out["stats"]
+        assert delivered == injected and timeouts == 0
+        assert max(out["latencies"]) < 1e-4
+        assert out["now"] > 1e-3
+
+
 class TestOneDataPlaneKernelGuards:
     """The CI guard greps of the "one data-plane kernel" job."""
 
@@ -315,6 +358,13 @@ class TestOneDataPlaneKernelGuards:
         ]
         assert not nested
         assert "engine.schedule(" not in text
+        assert "partial(" not in text
+
+    def test_no_engine_lane_is_left(self):
+        for path in SRC.rglob("*.py"):
+            text = path.read_text()
+            assert not re.search(r"^class Lane\b", text, re.M), path
+            assert ".lane(" not in text, path
 
     def test_heapq_is_the_engines_alone(self):
         users = {

@@ -76,6 +76,31 @@ class TestPerfCli:
         )
         assert "mad-drop=0.2" in capsys.readouterr().out
 
+    def test_a_burst_at_an_invalidated_lid_reports_its_drops(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Port-255 drops are neither timeouts nor dead ports: the round
+        # line and the export must count them all the same.
+        from repro.cli import perf
+        from repro.core.reconfig import VSwitchReconfigurer
+
+        build = perf.build_harness
+
+        def invalidated(args, **kwargs):
+            cloud, harness = build(args, **kwargs)
+            VSwitchReconfigurer(cloud.sm).invalidate_lid(harness.endpoints()[-1])
+            return cloud, harness
+
+        monkeypatch.setattr(perf, "build_harness", invalidated)
+        dash = tmp_path / "dash.json"
+        args = ["perf", "--sweeps", "1", "--hosts", "4", "--export", str(dash)]
+        assert main(args) == 0
+        # 4 hosts: the victim's 3 inbound flows die at the drop port.
+        assert "round 1: 12 injected, 9 delivered, 3 dropped;" in capsys.readouterr().out
+        data = json.loads(dash.read_text())["dataplane"]
+        assert data["injected"] - data["delivered"] == data["dropped_port255"] == 3
+        assert data["dropped_timeout"] == data["dropped_no_route"] == 0
+
     def test_unknown_profile_is_a_usage_error(self, capsys):
         assert main(["perf", "--profile", "nope"]) == 2
 
