@@ -66,6 +66,7 @@ class RoutingRequest:
     _terminal_arrays: Optional[Tuple[np.ndarray, ...]] = field(
         default=None, repr=False, compare=False
     )
+    _lid_arrays: Optional[Tuple[np.ndarray, np.ndarray]] = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_topology(
@@ -161,12 +162,6 @@ class RoutingRequest:
             return self.state.row(source)
         return bfs_distances(self.view, source)
 
-    def candidate_table(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Equal-cost candidates of every switch toward every switch."""
-        if self.state is not None:
-            return self.state.candidate_table()
-        return candidate_table(self.view, self.switch_distances())
-
     # -- cached lookup structures -------------------------------------------
 
     def terminal_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -190,16 +185,13 @@ class RoutingRequest:
     def lid_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(lids, dest_switch)`` of every LID: the terminals in
         :meth:`terminal_arrays` order, then the switch self-LIDs."""
-        lids, sws, _ = self.terminal_arrays()
-        count = len(self.switch_lids)
-        return (
-            np.concatenate(
-                [lids, np.fromiter(self.switch_lids, np.int64, count)]
-            ),
-            np.concatenate(
-                [sws, np.fromiter(self.switch_lids.values(), np.int64, count)]
-            ),
-        )
+        if self._lid_arrays is None:
+            lids, sws, _ = self.terminal_arrays()
+            self._lid_arrays = (
+                np.concatenate([lids, np.fromiter(self.switch_lids, np.int64)]),
+                np.concatenate([sws, np.fromiter(self.switch_lids.values(), np.int64)]),
+            )
+        return self._lid_arrays
 
 
 @dataclass
@@ -307,22 +299,34 @@ class RoutingAlgorithm(abc.ABC):
         table: Tuple[np.ndarray, np.ndarray],
         lids: np.ndarray,
         planes: np.ndarray,
-    ) -> None:
+        rows: Optional[np.ndarray] = None,
+    ) -> int:
         """Destination-indexed spreading over a candidate table.
 
         ``ports[s, lids[i]] = cand[s, planes[i], lids[i] % cnt[s, planes[i]]]``
-        for every switch ``s`` with candidates toward ``planes[i]``; cells
-        without any (the destination switch itself) keep what they hold.
-        Candidates stand in CSR row order, so the choice depends on the LID
-        and the cabling alone.
+        for every switch ``s`` of *rows* (ascending; default all) with candidates
+        toward ``planes[i]``; cells without any (the destination switch
+        itself) keep what they hold. Candidates stand in CSR row order, so
+        the choice depends on the LID and the cabling alone. One flat
+        gather; returns the number of cells gathered.
         """
         cand, cnt = table
-        count = cnt[:, planes]
-        pick = lids.astype(np.int32) % np.maximum(count, 1)
-        rows = np.arange(cand.shape[0])[:, None]
-        block = ports[:, lids]
-        np.copyto(block, cand[rows, planes, pick], where=count > 0)
-        ports[:, lids] = block
+        _, k, slots = cand.shape
+        index = np.int32 if cand.size < 2**31 else np.intp
+        order = np.argsort(lids)
+        lids, planes = lids[order], planes[order]
+        rows = np.arange(len(cand)) if rows is None else rows
+        count = cnt[rows][:, planes]
+        flat = np.remainder(lids.astype(index), np.maximum(count, 1), dtype=index)
+        flat += planes.astype(index) * slots
+        flat += (rows.astype(index) * (k * slots))[:, None]
+        values = cand.reshape(-1)[flat]
+        if len(rows) == len(ports) and len(lids) and lids[-1] - lids[0] == len(lids) - 1:
+            np.copyto(ports[:, lids[0] : lids[-1] + 1], values, where=count > 0)
+        else:
+            at = np.ix_(rows, lids)
+            ports[at] = np.where(count > 0, values, ports[at])
+        return values.size
 
 
 # bfs_distances / all_pairs_switch_distances / candidate_table live in

@@ -22,7 +22,8 @@ migrations, incremental reroutes). :class:`RoutingState` removes that cost:
   from-scratch recomputation, so the routing tables built from them are
   byte-identical — the property-based tests assert this. The candidate
   table is repaired with the matrix: only the destination planes of the
-  re-swept sources and the rows of the touched cables' ends are rebuilt.
+  re-swept sources and the rows of the touched cables' ends are rebuilt,
+  and MinHop's kept table fill is re-gathered at just those cells.
 
 All activity is counted in :class:`RoutingCacheStats`; the subnet manager
 exposes the counters as ``repro_routing_cache_*`` metrics and span
@@ -32,7 +33,7 @@ attributes so PCt savings are observable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -47,7 +48,11 @@ from repro.fabric.graph import (
     switch_removal_affected_sources,
 )
 from repro.fabric.topology import SwitchFabricView, Topology
+from repro.obs.spans import current_span
 from repro.sm.routing.parallel import ParallelRouter
+
+if TYPE_CHECKING:
+    from repro.sm.routing.base import RoutingAlgorithm, RoutingRequest
 
 __all__ = ["RoutingCacheStats", "RepairEvent", "RoutingState"]
 
@@ -72,6 +77,8 @@ class RoutingCacheStats:
     candidate_hits: int = 0
     #: Candidate-table requests that had to build the whole table.
     candidate_misses: int = 0
+    #: ``(switch, LID)`` cells MinHop's lid-mod fills gathered.
+    fill_cells: int = 0
 
     def snapshot(self) -> "RoutingCacheStats":
         """A frozen copy for before/after diffing."""
@@ -128,8 +135,14 @@ class RoutingState:
         #: ``(cand, cnt)`` of :func:`~repro.fabric.graph.candidate_table`
         #: over the whole matrix; exists only beside ``_dist`` and is
         #: patched in place by repairs, so it is never handed out in
-        #: ``RoutingTables.metadata``.
+        #: ``RoutingTables.metadata``; callers get ``_cand_view``.
         self._cand: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._cand_view: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        #: MinHop's last ``ports`` over ``_cand`` (dropped with it), what
+        #: it read besides, and the planes and rows repaired since.
+        self._kept_fill: Optional[np.ndarray] = None
+        self._fill_key: Tuple[object, ...] = ()
+        self._moved: Tuple[Set[int], Set[int]] = (set(), set())
 
     # -- failure notifications ------------------------------------------------
 
@@ -233,22 +246,61 @@ class RoutingState:
         destination switch (see :func:`repro.fabric.graph.candidate_table`).
 
         Built from :meth:`distances` on a miss, repaired with them after a
-        recorded mutation. Callers must treat both arrays as read-only.
+        recorded mutation. Both arrays are read-only views of the ones
+        repairs patch in place.
         """
         dist = self.distances()
-        if self._cand is None:
+        view = self._cand_view
+        if view is None:
             self.stats.candidate_misses += 1
-            self._cand = candidate_table(self.topology.fabric_view(), dist)
+            cand, cnt = self._cand = candidate_table(self.topology.fabric_view(), dist)
+            view = self._cand_view = (cand.view(), cnt.view())
+            for part in view:
+                part.flags.writeable = False
         else:
             self.stats.candidate_hits += 1
-        return self._cand
+        return view
+
+    def lid_mod_ports(self, request: RoutingRequest, engine: RoutingAlgorithm) -> np.ndarray:
+        """MinHop's ``ports`` over :meth:`candidate_table`, as a copy: the
+        last fill is kept under what it read besides the table (shape, LIDs,
+        their destinations, terminal exit ports) and, under an equal key,
+        re-gathered only at the planes' LID columns and rows repaired since."""
+        table = self.candidate_table()
+        lids, dests = request.lid_arrays()
+        exits = request.terminal_arrays()[2]
+        key = (request.num_switches, request.top_lid, lids.tobytes(), dests.tobytes(), exits.tobytes())
+        ports, (planes, rows) = self._kept_fill, self._moved
+        moved = "repaired" if planes or rows else "kept"
+        if ports is None or key != self._fill_key:
+            labels = ("rebuilt" if ports is None else moved, "full")
+            ports = engine._empty_tables(request)
+            engine._program_local_entries(ports, request)
+            cells = engine._assign_lid_mod(ports, table, lids, dests)
+        else:
+            labels = (moved, "refill" if planes or rows else "kept")
+            cols = np.isin(dests, sorted(planes))
+            cells = engine._assign_lid_mod(ports, table, lids[cols], dests[cols])
+            ends = np.array(sorted(rows), np.intp)
+            cells += engine._assign_lid_mod(ports, table, lids, dests, ends)
+        self._kept_fill, self._fill_key = ports, key
+        self._moved = (set(), set())
+        self.stats.fill_cells += cells
+        sp = current_span()
+        if sp is not None:
+            sp.set_attributes(candidate=labels[0], fill=labels[1], fill_cells=cells)
+        return ports.copy()
 
     # -- synchronization --------------------------------------------------------
 
     def _invalidate(self) -> None:
         self._dist = None
-        self._cand = None
+        self._drop_candidates()
         self._rows.clear()
+
+    def _drop_candidates(self) -> None:
+        """Forget the candidate table and the fill gathered from it."""
+        self._cand = self._cand_view = self._kept_fill = None
 
     def _sync(self) -> None:
         v = self.topology.version
@@ -408,12 +460,13 @@ class RoutingState:
         rebuilt for every destination — a column whose distances did not
         move still loses or gains the cable as a candidate there. A chain
         that re-indexed switches, or a table narrower than the new maximum
-        degree, drops the table for a lazy rebuild.
+        degree, drops the table for a lazy rebuild. The rebuilt planes and
+        rows are added to the moved set the kept fill is re-filled at.
         """
         if self._cand is None:
             return
         if any(ev.kind in ("switch", "switch_add") for ev in events):
-            self._cand = None
+            self._drop_candidates()
             return
         ends = sorted(
             {s for ev in events if ev.kind != "noop" for s in (ev.a, ev.b)}
@@ -424,7 +477,7 @@ class RoutingState:
         rows, row_cnt = candidate_table(view, dist, switches=ends)
         width = rows.shape[2]
         if width > cand.shape[2]:
-            self._cand = None
+            self._drop_candidates()
             return
         if len(srcs):
             cand[:, srcs, :width], cnt[:, srcs] = candidate_table(
@@ -436,3 +489,5 @@ class RoutingState:
         # need the rest padded by hand.
         cand[ends, :, width:] = LFT_UNSET
         cand[ends, :, :width], cnt[ends] = rows, row_cnt
+        self._moved[0].update(srcs.tolist())
+        self._moved[1].update(ends)

@@ -23,6 +23,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.errors import RoutingError
+from repro.fabric.graph import candidate_table
 from repro.sm.routing.base import (
     RoutingAlgorithm,
     RoutingRequest,
@@ -49,20 +50,20 @@ class MinHopRouting(RoutingAlgorithm):
         dist = request.switch_distances()
         if (dist < 0).any():
             raise RoutingError("switch graph is disconnected")
-        ports = self._empty_tables(request)
-        self._program_local_entries(ports, request)
-        if self.balance == "lid-mod":
-            # One gather over the cached candidate table, redone on every
-            # compute: LID churn can never stale it.
-            self._assign_lid_mod(
-                ports, request.candidate_table(), *request.lid_arrays()
-            )
+        if self.balance == "lid-mod" and request.state is not None:
+            ports = request.state.lid_mod_ports(request, self)  # kept, refilled or full
         else:
-            # Destination switch index -> LIDs that terminate there (or at
-            # an endpoint hanging off it).
-            self._assign_least_loaded(
-                request, dist, ports, request.dest_groups()
-            )
+            ports = self._empty_tables(request)
+            self._program_local_entries(ports, request)
+            if self.balance == "lid-mod":  # one full fill, the kept one's oracle
+                table = candidate_table(request.view, dist)
+                self._assign_lid_mod(ports, table, *request.lid_arrays())
+            else:
+                # Destination switch index -> LIDs that terminate there
+                # (or at an endpoint hanging off it).
+                self._assign_least_loaded(
+                    request, dist, ports, request.dest_groups()
+                )
 
         return RoutingTables(
             algorithm=self.name,

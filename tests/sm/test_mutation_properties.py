@@ -9,6 +9,12 @@ without sharded path-computation workers. Events the SM must *refuse*
 (a bridge cable or cut-vertex switch dying, an HCA's only cable, a leaf
 with hosts) are interleaved through every entry point: each raises,
 leaves the subnet exactly as it was, and the chain carries on.
+
+MinHop sequences also draw edits that change what its kept table fill
+read without bumping the topology version (an HCA re-cabled, LIDs bound
+and unbound, a switch LID re-assigned) and in-place edits of the tables
+it handed out; after every step the warm compute must equal a stateless
+one.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.errors import TopologyError
 from repro.fabric.builders.generic import build_random_regular
+from repro.fabric.lft import apply_column_op
 from repro.fabric.node import Switch
 from repro.fabric.presets import scaled_fattree
 from repro.fabric.topology import TopologyMutation
@@ -33,6 +40,8 @@ from tests.conftest import subnet_fingerprint as fingerprint
 REMOVE_LINK, RESTORE_LINK, ADD_LINK, ADD_SWITCH, REMOVE_SWITCH = range(5)
 # ... and two that pick an event the SM has to refuse.
 REFUSED_LINK, REFUSED_SWITCH = 5, 6
+# ... and, for minhop, edits of the fill's inputs and of its output.
+RECABLE_HCA, BIND_LID, UNBIND_LID, RELID_SWITCH, EDIT_TABLES = range(7, 12)
 
 
 def switch_links(topo):
@@ -227,12 +236,68 @@ def refused_event(sm, events, code, pick):
     return entries[(pick // 8) % len(entries)]
 
 
+def fill_edit(sm, code, pick, extra):
+    """Apply one edit the switch graph does not see; False if not viable.
+
+    *extra* holds the LIDs bound by earlier ``BIND_LID`` steps. The table
+    edit goes through :func:`apply_column_op` on ``current_tables`` as
+    the vSwitch reconfigurer records its column moves.
+    """
+    topo, lids = sm.topology, sm.lid_manager
+    if code == RECABLE_HCA:
+        movable = [
+            hca
+            for hca in topo.hcas
+            if next(hca.uplink_switch().free_ports(), None) is not None
+        ]
+        if not movable:
+            return False
+        hca = movable[pick % len(movable)]
+        leaf = hca.uplink_switch()
+        free = next(leaf.free_ports()).num
+        topo.remove_link(hca.port(1).link)
+        topo.connect(hca, 1, leaf, free)
+    elif code == BIND_LID:
+        extra.append(lids.assign_extra_lid(topo.hcas[pick % topo.num_hcas].port(1)))
+    elif code == UNBIND_LID:
+        if not extra:
+            return False
+        lids.release_lid(extra.pop(pick % len(extra)))
+    elif code == RELID_SWITCH:
+        sw = topo.switches[pick % topo.num_switches]
+        new = lids.assign_extra_lid(sw.management_port)
+        lids.release_lid(sw.lid)
+        sw.lid = new
+    else:
+        tables = sm.current_tables
+        top = tables.top_lid
+        op = {"op": "swap", "lid_a": 1 + pick % top, "lid_b": 1 + (pick * 7) % top}
+        tables.ports = apply_column_op(tables.ports, op)
+    return True
+
+
+def assert_warm_equals_cold(sm):
+    """The SM's (cached) compute equals a stateless one on the same subnet."""
+    warm = sm.compute_routing()
+    sm.distribute()
+    request = RoutingRequest.from_topology(sm.topology, built=sm.built)
+    cold = create_engine(warm.algorithm).compute(request)
+    assert warm.ports.shape == cold.ports.shape
+    assert warm.ports.tobytes() == cold.ports.tobytes()
+
+
 def run_sequence(sm, engine, ops, *, link_ops_only=False):
     events = FabricEventManager(sm)
     removed = []
     grown = []
+    extra = []
     performed = 0
     for code, pick in ops:
+        if code >= RECABLE_HCA:
+            if fill_edit(sm, code, pick, extra):
+                assert_warm_equals_cold(sm)
+                performed += 1
+            continue
         if code in (REFUSED_LINK, REFUSED_SWITCH):
             attempt = refused_event(sm, events, code, pick)
             before = fingerprint(sm)
@@ -253,6 +318,7 @@ def run_sequence(sm, engine, ops, *, link_ops_only=False):
         if mutation.kind == "remove_link":
             removed.append(mutation)
         events.pump(force=True)
+        assert_warm_equals_cold(sm)
         performed += 1
     # Warm (event-chain repaired) tables vs a from-scratch cold compute.
     # Compare with whatever algorithm the SM actually selected: a
@@ -279,12 +345,19 @@ ops_strategy = st.lists(
 )
 
 
+minhop_ops_strategy = st.lists(
+    st.tuples(st.integers(0, 11), st.integers(0, 63)),
+    min_size=1,
+    max_size=8,
+)
+
+
 @settings(
     max_examples=10,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(ops=ops_strategy, seed=st.integers(0, 3))
+@given(ops=minhop_ops_strategy, seed=st.integers(0, 3))
 @pytest.mark.parametrize("workers", (1, 2))
 def test_minhop_mutation_sequences_match_cold(ops, seed, workers):
     built = build_random_regular(8, 3, 2, seed=seed)

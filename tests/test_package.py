@@ -129,6 +129,52 @@ class TestOneWalkOfARoutingFunction:
         assert found == {"RoutingTables": set(), "RoutingRequest": set(), "RoutingState": set()}
 
 
+class TestOneLidModKernelOneKeptFill:
+    """MinHop's table fill has one kernel, a flat gather, and its kept
+    copy stays inside the routing cache (tier-1 twin of the CI guard)."""
+
+    SRC = Path(repro.__file__).resolve().parent
+
+    def sources(self):
+        return [
+            (str(path.relative_to(self.SRC)), path.read_text())
+            for path in sorted(self.SRC.rglob("*.py"))
+        ]
+
+    def test_one_lid_mod_kernel(self):
+        assert [
+            rel
+            for rel, text in self.sources()
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.FunctionDef) and node.name == "_assign_lid_mod"
+        ] == ["sm/routing/base.py"]
+
+    def test_no_three_index_candidate_gather(self):
+        hits = [
+            f"{rel}:{node.lineno}"
+            for rel, text in self.sources()
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "cand"
+            and isinstance(node.slice, ast.Tuple)
+            and len(node.slice.elts) == 3
+            and not any(isinstance(e, ast.Slice) for e in node.slice.elts)
+        ]
+        assert hits == []
+
+    def test_the_kept_fill_stays_in_the_routing_cache(self):
+        users = [rel for rel, text in self.sources() if "_kept_fill" in text]
+        assert users == ["sm/routing/cache.py"]
+        lines = [
+            line
+            for rel, text in self.sources()
+            for line in text.splitlines()
+            if "_kept_fill" in line and "metadata" in line
+        ]
+        assert lines == []
+
+
 class TestConstants:
     def test_lid_space(self):
         assert MAX_UNICAST_LID == 0xBFFF
