@@ -11,14 +11,13 @@ from __future__ import annotations
 
 from repro.analysis.static import (
     FabricSnapshot,
+    check_deadlock_freedom,
     check_transition_deadlock,
-    check_vl_deadlock_freedom,
+    lane_dependencies,
 )
-from repro.analysis.static.checks import _successor_matrices
 from repro.fabric.builders.generic import build_ring, build_torus_2d
 from repro.fabric.presets import scaled_fattree
 from repro.sm.routing.base import RoutingRequest
-from repro.sm.routing.cdg_array import dependency_keys
 from repro.sm.routing.registry import create_engine
 from repro.sm.subnet_manager import SubnetManager
 
@@ -35,8 +34,7 @@ def routed(built, engine):
 def test_dependency_extraction(benchmark):
     """Cost of building the CDG for a routed fat-tree."""
     snap, _ = routed(scaled_fattree("2l-small"), "minhop")
-    cols = snap.terminal_lids
-    keys = benchmark(lambda: dependency_keys(_successor_matrices(snap, cols)[1]))
+    (keys,) = benchmark(lambda: lane_dependencies(snap))
     assert keys.size > 0
 
 
@@ -66,6 +64,6 @@ def test_per_layer_check_dfsssp(benchmark):
     """DFSSSP stays deadlock free per virtual layer on a ring."""
     snap, tables = routed(build_ring(8, 2), "dfsssp")
 
-    findings = benchmark(lambda: check_vl_deadlock_freedom(snap))
+    findings = benchmark(lambda: check_deadlock_freedom(snap))
     assert findings == []
     print(f"\nDFSSSP used {tables.num_vls} virtual lanes on the ring")

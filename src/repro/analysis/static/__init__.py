@@ -3,8 +3,8 @@
 Layer 1 of the repository's static-analysis suite (layer 2 is the
 ``tools.lint`` determinism linter): given a topology and routing tables,
 prove loop-freedom, black-hole-freedom, reachability, deadlock-freedom
-(channel-dependency-graph acyclicity — per virtual lane for the VL
-engines), Up*/Down* and dimension-order legality, vSwitch LID-table
+(channel-dependency-graph acyclicity on every virtual lane; a single-VL
+engine is the one-lane case), Up*/Down* and dimension-order legality, vSwitch LID-table
 consistency, and section VI-D skyline disjointness for concurrent
 migrations. See docs/STATIC_ANALYSIS.md.
 """
@@ -17,20 +17,13 @@ from repro.analysis.static.analyzer import (
 )
 from repro.analysis.static.checks import (
     FabricSnapshot,
-    check_deadlock_freedom,
     check_dor_order,
     check_reachability,
     check_skyline_disjointness,
-    check_transition_deadlock,
     check_updn_legality,
     check_vswitch_lids,
 )
-from repro.analysis.static.findings import (
-    NOTICE_RULES,
-    RULES,
-    Finding,
-    StaticAnalysisReport,
-)
+from repro.analysis.static.findings import RULES, Finding, StaticAnalysisReport
 from repro.analysis.static.suite import (
     VL_ENGINES,
     FabricCheckCase,
@@ -42,19 +35,17 @@ from repro.analysis.static.suite import (
     run_matrix,
 )
 from repro.analysis.static.vl_checks import (
-    PerVlDependencies,
-    build_per_vl_dependencies,
+    check_deadlock_freedom,
+    check_transition_deadlock,
     check_vl_capacity,
     check_vl_consistency,
-    check_vl_deadlock_freedom,
-    check_vl_transition_deadlock,
+    lane_dependencies,
 )
 
 __all__ = [
     "Finding",
     "StaticAnalysisReport",
     "RULES",
-    "NOTICE_RULES",
     "FabricSnapshot",
     "FabricCheckCase",
     "FabricCheckResult",
@@ -75,10 +66,7 @@ __all__ = [
     "check_dor_order",
     "check_vswitch_lids",
     "check_skyline_disjointness",
-    "PerVlDependencies",
-    "build_per_vl_dependencies",
-    "check_vl_deadlock_freedom",
+    "lane_dependencies",
     "check_vl_consistency",
     "check_vl_capacity",
-    "check_vl_transition_deadlock",
 ]

@@ -22,7 +22,7 @@ CI run of ``repro check-fabric`` and an in-test
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,21 +31,19 @@ from repro.fabric.topology import Topology
 from repro.sm.routing.vl import VlAssignment
 from repro.analysis.static.checks import (
     FabricSnapshot,
-    check_deadlock_freedom,
     check_dor_order,
     check_reachability,
     check_skyline_disjointness,
-    check_transition_deadlock,
     check_updn_legality,
     check_vswitch_lids,
 )
-from repro.analysis.static.findings import Finding, StaticAnalysisReport
+from repro.analysis.static.findings import StaticAnalysisReport
 from repro.analysis.static.vl_checks import (
-    build_per_vl_dependencies,
+    check_deadlock_freedom,
+    check_transition_deadlock,
     check_vl_capacity,
     check_vl_consistency,
-    check_vl_deadlock_freedom,
-    check_vl_transition_deadlock,
+    lane_dependencies,
 )
 
 __all__ = [
@@ -83,7 +81,9 @@ def _grid_hints(metadata: dict, hints: dict) -> Optional[Tuple[int, int]]:
     return None
 
 
-def _emit_vl_metrics(fabric: str, vl, per_vl) -> None:
+def _emit_vl_metrics(
+    fabric: str, vl: VlAssignment, lanes: List[np.ndarray]
+) -> None:
     """Publish ``repro_static_vl_*`` gauges for one per-VL pass."""
     from repro.obs import get_hub
 
@@ -92,10 +92,10 @@ def _emit_vl_metrics(fabric: str, vl, per_vl) -> None:
     metrics.gauge("repro_static_vl_layers", fabric=fabric).set(
         float(vl.num_vls)
     )
-    for v, count in enumerate(per_vl.dependency_counts()):
+    for v, keys in enumerate(lanes):
         metrics.gauge(
             "repro_static_vl_dependencies", fabric=fabric, vl=str(v)
-        ).set(float(count))
+        ).set(float(keys.size))
 
 
 def analyze_fabric(
@@ -124,11 +124,10 @@ def analyze_fabric(
     the extra legality checks (``"updn"`` -> UPDN001, ``"dor"`` ->
     DOR001); ``metadata``/``hints`` supply their rank and grid inputs.
 
-    When ``metadata`` carries a VL assignment (LASH/DFSSSP), the
-    single-VL CDG001 pass is replaced by the per-VL rules VLC001-VLC003
-    — CDG001 would false-positive on lane-layered routing — and a
-    META002 notice records the downgrade. ``workers`` shards the per-VL
-    dependency construction (pair-keyed assignments on large fabrics).
+    The ``"cdg"`` check proves every data lane acyclic: CDG001 under the
+    trivial assignment, VLC001 when ``metadata`` carries a VL assignment
+    (LASH/DFSSSP), which also adds VLC002/VLC003. ``workers`` shards the
+    lane construction (pair-keyed assignments on large fabrics).
     """
     metadata = metadata or {}
     hints = hints or {}
@@ -143,33 +142,13 @@ def analyze_fabric(
         switches_analyzed=snap.num_switches,
     )
     report.extend("reachability", check_reachability(snap, lids=lids))
-    if vl is None:
-        report.extend("cdg", check_deadlock_freedom(snap, lids=lids))
-    else:
-        report.extend(
-            "cdg",
-            [
-                Finding(
-                    rule="META002",
-                    message=(
-                        f"single-VL CDG001 skipped:"
-                        f" {engine or 'the engine'} declares"
-                        f" {vl.num_vls} data VL(s) ({vl.kind}-keyed);"
-                        " per-VL checks cover deadlock freedom"
-                    ),
-                    detail={"num_vls": vl.num_vls, "kind": vl.kind},
-                )
-            ],
-        )
+    if vl is not None:
         report.extend("vl-consistency", check_vl_consistency(snap))
         report.extend("vl-capacity", check_vl_capacity(snap))
-        per_vl = build_per_vl_dependencies(snap, workers=workers)
-        report.extend(
-            "cdg-per-vl",
-            check_vl_deadlock_freedom(snap, deps=per_vl),
-        )
-        if emit_metrics:
-            _emit_vl_metrics(report.fabric, vl, per_vl)
+    lanes = lane_dependencies(snap, snap.scope(lids), workers=workers)
+    report.extend("cdg", check_deadlock_freedom(snap, lanes=lanes))
+    if vl is not None and emit_metrics:
+        _emit_vl_metrics(report.fabric, vl, lanes)
     if engine in _UPDN_ENGINES:
         rank = _updn_rank(snap, metadata, root_indices)
         if rank is not None:
@@ -217,7 +196,7 @@ def analyze_subnet(
     ``"recorded"`` reads the SM's last computed
     :class:`~repro.sm.routing.base.RoutingTables`. Either way the SM's
     recorded metadata supplies the VL assignment, so VL-routed fabrics
-    get the per-VL deadlock rules. ``snapshot`` is an already-built
+    are checked per lane. ``snapshot`` is an already-built
     snapshot of the selected source (see :func:`analyze_fabric`).
     """
     from repro.errors import StaticAnalysisError
@@ -290,32 +269,26 @@ def analyze_transition(
 ) -> StaticAnalysisReport:
     """Section VI-C: is the old/new routing *union* deadlock-free?
 
-    Both matrices must describe the current switch graph. The result's
-    CDG002 findings carry the offending dependency cycle. When either
-    side's metadata declares a VL assignment, the check generalizes to
-    the per-lane VLC004 rule: old and new dependencies must union
-    acyclically on every data VL (a side without an assignment
-    contributes its whole dependency set on lane 0).
+    Both matrices must describe the current switch graph. Old and new
+    dependencies must union acyclically on every data lane; a finding
+    carries the offending dependency cycle (CDG002 when neither side's
+    metadata declares a VL assignment, VLC004 otherwise).
     """
-    old_vl = VlAssignment.from_metadata(old_metadata)
-    new_vl = VlAssignment.from_metadata(new_metadata)
-    old = FabricSnapshot.from_topology(topology, old_ports, vl=old_vl)
-    new = FabricSnapshot.from_topology(topology, new_ports, vl=new_vl)
+    old = FabricSnapshot.from_topology(
+        topology, old_ports, vl=VlAssignment.from_metadata(old_metadata)
+    )
+    new = FabricSnapshot.from_topology(
+        topology, new_ports, vl=VlAssignment.from_metadata(new_metadata)
+    )
     report = StaticAnalysisReport(
         fabric=f"{topology.name}:transition",
         lids_analyzed=int(new.lids.size),
         switches_analyzed=new.num_switches,
     )
-    if old_vl is None and new_vl is None:
-        report.extend(
-            "transition-cdg",
-            check_transition_deadlock(old, new, lids=lids),
-        )
-    else:
-        report.extend(
-            "transition-cdg-per-vl",
-            check_vl_transition_deadlock(old, new, workers=workers),
-        )
+    report.extend(
+        "transition-cdg",
+        check_transition_deadlock(old, new, lids=lids, workers=workers),
+    )
     if emit_metrics:
         report.emit_metrics()
     return report

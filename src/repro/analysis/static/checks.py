@@ -14,17 +14,14 @@ per-path Python walk happens. This pass *is* the delivery half of
 :func:`repro.analysis.verification.verify_subnet` (the per-path walker it
 replaced is the oracle ``tests/oracles/delivery.py``).
 
-The deadlock checks extract the channel dependency set with the same
-successor matrices, as one sorted key array
-(:func:`repro.sm.routing.cdg_array.dependency_keys`), and hand it to the
-Kahn peel of that module; channels are decoded to
-``(a, b)`` switch pairs only to render a finding. By convention the CDG
-checks cover **terminal (endpoint) LIDs only**: traffic to switch
-management LIDs travels on VL15, which has dedicated buffering and so
-cannot participate in a data-VL credit cycle. The legality checks read
-the same hops as ``a -> b -> c`` triples
+The lane-indexed deadlock checks of
+:mod:`repro.analysis.static.vl_checks` build their channel dependencies
+from the same successor matrices, and the legality checks here read the
+same hops as ``a -> b -> c`` triples
 (:func:`~repro.sm.routing.cdg_array.two_hops`): :func:`_successor_matrices`
-is the one place ``src/repro`` follows a port matrix.
+is the one place ``src/repro`` follows a port matrix. By convention the
+CDG and legality checks cover **terminal (endpoint) LIDs only**
+(:meth:`FabricSnapshot.scope`).
 """
 
 from __future__ import annotations
@@ -38,15 +35,13 @@ from repro.constants import LFT_UNSET
 from repro.errors import StaticAnalysisError
 from repro.fabric.graph import port_to_peer
 from repro.fabric.topology import SwitchFabricView, Topology
-from repro.sm.routing.cdg_array import dependency_keys, find_cycle, two_hops
+from repro.sm.routing.cdg_array import two_hops
 from repro.sm.routing.vl import VlAssignment
 from repro.analysis.static.findings import Finding
 
 __all__ = [
     "FabricSnapshot",
     "check_reachability",
-    "check_deadlock_freedom",
-    "check_transition_deadlock",
     "check_updn_legality",
     "check_dor_order",
     "check_vswitch_lids",
@@ -74,8 +69,8 @@ class FabricSnapshot:
     terminal_lids: np.ndarray
     switch_names: List[str] = field(default_factory=list)
     #: The routing engine's virtual-lane assignment, when exported
-    #: (LASH/DFSSSP); drives the per-VL checks of
-    #: :mod:`repro.analysis.static.vl_checks`.
+    #: (LASH/DFSSSP); ``None`` is the trivial one-lane assignment. Drives
+    #: the lane-indexed checks of :mod:`repro.analysis.static.vl_checks`.
     vl: Optional[VlAssignment] = None
     #: Dense ``(num_switches, 256)`` port -> peer-switch map (-1 = exit).
     _peer_of: Optional[np.ndarray] = None
@@ -168,6 +163,12 @@ class FabricSnapshot:
         if self._peer_of is None:
             self._peer_of = port_to_peer(self.view)
         return self._peer_of
+
+    def scope(self, lids: Optional[Sequence[int]]) -> np.ndarray:
+        """The validated *lids*, by default the terminal LIDs: switch
+        self-LID traffic rides VL15, which has dedicated buffering and so
+        cannot take part in a data-VL credit cycle or path legality."""
+        return self.terminal_lids if lids is None else self.select_lids(lids)
 
     def select_lids(self, lids: Optional[Sequence[int]]) -> np.ndarray:
         """Validated LID column selection (default: every bound LID)."""
@@ -437,107 +438,6 @@ def check_reachability(
     return findings
 
 
-def _dependency_pairs(snap: FabricSnapshot, cols: np.ndarray) -> np.ndarray:
-    """Sorted unique dependency keys induced by the selected columns.
-
-    Channels are encoded ``a * n + b`` and a dependency ``from * n² + to``;
-    one exists whenever some destination routes ``a -> b`` then ``b -> c``.
-    """
-    return dependency_keys(_successor_matrices(snap, cols)[1])
-
-
-def _cycle_finding(
-    snap: FabricSnapshot,
-    keys: np.ndarray,
-    *,
-    rule: str,
-    context: str,
-    table: Optional[np.ndarray] = None,
-) -> List[Finding]:
-    """Peel the dependency set; render one cycle if any is left.
-
-    *keys* are sorted unique ``from * C + to``. Without *table* the
-    channel ids are the ``a * n + b`` codes themselves (``C = n²``); with
-    it they index that sorted code table (``C = len(table)``).
-    """
-    n = snap.num_switches
-    c = n * n if table is None else len(table)
-    ids = find_cycle(keys, c)
-    if ids is None:
-        return []
-    codes = ids if table is None else table[ids].tolist()
-    cycle = [(code // n, code % n) for code in codes]
-    channels = np.unique(np.concatenate([keys // c, keys % c])).size
-    rendered = " -> ".join(f"({a}->{b})" for a, b in cycle)
-    anchor = cycle[0][0]
-    return [
-        Finding(
-            rule=rule,
-            switch=anchor,
-            switch_name=snap.name_of(anchor),
-            message=(
-                f"{context}: channel dependency cycle {rendered}"
-                f" ({channels} channels,"
-                f" {keys.size} dependencies analysed)"
-            ),
-            detail={"cycle": [list(ch) for ch in cycle]},
-        )
-    ]
-
-
-def check_deadlock_freedom(
-    snap: FabricSnapshot, *, lids: Optional[Sequence[int]] = None
-) -> List[Finding]:
-    """CDG001: Duato's acyclicity condition over the data-VL destinations.
-
-    Defaults to terminal LIDs only — switch self-LID traffic rides VL15
-    and cannot hold data-VL credits (see module docstring).
-    """
-    cols = (
-        snap.select_lids(lids) if lids is not None else snap.terminal_lids
-    )
-    if cols.size == 0:
-        return []
-    return _cycle_finding(
-        snap,
-        _dependency_pairs(snap, cols),
-        rule="CDG001",
-        context="routing is deadlock-prone",
-    )
-
-
-def check_transition_deadlock(
-    old: FabricSnapshot,
-    new: FabricSnapshot,
-    *,
-    lids: Optional[Sequence[int]] = None,
-) -> List[Finding]:
-    """CDG002: the union CDG of an in-flight reconfiguration (section VI-C).
-
-    While switches are updated asynchronously some forward per the old
-    tables and some per the new, so the union of both dependency sets must
-    be acyclic for the transition to be provably deadlock-free.
-    """
-    if old.num_switches != new.num_switches:
-        raise StaticAnalysisError(
-            "transition analysis needs snapshots of the same switch graph"
-        )
-    cols_old = (
-        old.select_lids(lids) if lids is not None else old.terminal_lids
-    )
-    cols_new = (
-        new.select_lids(lids) if lids is not None else new.terminal_lids
-    )
-    return _cycle_finding(
-        new,
-        np.union1d(
-            _dependency_pairs(old, cols_old), _dependency_pairs(new, cols_new)
-        ),
-        rule="CDG002",
-        context="reconfiguration transition is deadlock-prone",
-    )
-
-
 def check_updn_legality(
     snap: FabricSnapshot,
     rank: np.ndarray,
@@ -551,9 +451,7 @@ def check_updn_legality(
     cables. A hop ``a -> b`` is *down* when ``key[b] > key[a]``; once a
     packet has moved down it must never move up again.
     """
-    cols = (
-        snap.select_lids(lids) if lids is not None else snap.terminal_lids
-    )
+    cols = snap.scope(lids)
     if cols.size == 0:
         return []
     n = snap.num_switches
@@ -634,9 +532,7 @@ def check_dor_order(
         raise StaticAnalysisError(
             f"grid {rows}x{cols_dim} does not match {n} switches"
         )
-    sel = (
-        snap.select_lids(lids) if lids is not None else snap.terminal_lids
-    )
+    sel = snap.scope(lids)
     if sel.size == 0:
         return []
     a, b, c, mask = two_hops(_successor_matrices(snap, sel)[1])

@@ -15,23 +15,23 @@ LFT001    forwarding loop: following the tables never leaves the fabric
 LFT002    black hole: an unprogrammed entry drops traffic mid-path
 LFT003    misdelivery: traffic exits the fabric at the wrong endpoint
 LFT004    unreachable LID: no switch can deliver the LID at all
-CDG001    channel-dependency cycle: the routing admits a deadlock
-CDG002    transition CDG cycle: the union of old+new routing admits one
+CDG001    channel-dependency cycle on a one-lane fabric: a deadlock
+CDG002    transition CDG cycle on one lane: the old+new union admits one
 UPDN001   down->up transition: an Up*/Down*-illegal hop sequence
 DOR001    dimension-order violation: a Y-phase hop followed by an X hop
 VSW001    vSwitch VF LID does not resolve to its hypervisor's PF port
 VSW002    vSwitch PF LID disagrees with the uplink port's LID
 SKY001    concurrent migrations with overlapping switch skylines
 VLC001    per-VL channel-dependency cycle: a data lane admits a deadlock
+          (CDG001 is its trivial-assignment case: every terminal on VL0)
 VLC002    VL assignment inconsistent: nonexistent lane or dangling entry
 VLC003    VL capacity violation: layer overflow or unassigned pair/LID
 VLC004    per-VL transition CDG cycle: old+new union deadlocks on a lane
-META001   suppression notice: per-rule finding cap reached (not a fault)
-META002   notice: single-VL CDG001 skipped, per-VL checks cover the CDG
+          (CDG002 when neither side exports an assignment)
+META001   suppression notice: per-rule finding cap reached
 ========  ==============================================================
 
-META-class rules are *notices*: they carry context, never fail a report
-(:attr:`StaticAnalysisReport.ok` ignores them).
+Every finding fails a report (:attr:`StaticAnalysisReport.ok`).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
-__all__ = ["Finding", "StaticAnalysisReport", "RULES", "NOTICE_RULES"]
+__all__ = ["Finding", "StaticAnalysisReport", "RULES"]
 
 #: rule id -> one-line description (kept in sync with the module docstring).
 RULES: Dict[str, str] = {
@@ -59,12 +59,7 @@ RULES: Dict[str, str] = {
     "VLC003": "VL capacity violation (layer overflow or unassigned pair)",
     "VLC004": "per-VL transition channel-dependency cycle (deadlock)",
     "META001": "per-rule finding cap reached; further findings suppressed",
-    "META002": "single-VL CDG001 skipped; per-VL checks cover deadlock freedom",
 }
-
-#: Rules that are informational notices, not faults: a report consisting
-#: only of these is still ``ok``.
-NOTICE_RULES = frozenset({"META002"})
 
 
 @dataclass(frozen=True)
@@ -106,19 +101,9 @@ class StaticAnalysisReport:
     switches_analyzed: int = 0
 
     @property
-    def faults(self) -> List[Finding]:
-        """Findings that constitute actual violations (notices excluded)."""
-        return [f for f in self.findings if f.rule not in NOTICE_RULES]
-
-    @property
-    def notices(self) -> List[Finding]:
-        """Informational findings (META002-class); never fail a report."""
-        return [f for f in self.findings if f.rule in NOTICE_RULES]
-
-    @property
     def ok(self) -> bool:
-        """True iff every executed check held (notices don't count)."""
-        return not self.faults
+        """True iff every executed check held."""
+        return not self.findings
 
     def findings_for(self, rule: str) -> List[Finding]:
         """All findings of one rule."""
@@ -145,23 +130,17 @@ class StaticAnalysisReport:
             f" checks: {', '.join(self.checks_run) or 'none'}"
         )
         if self.ok:
-            lines = [head, "  OK — all invariants hold"]
-            for f in self.notices:
-                lines.append(f"  note: {f.render()}")
-            return "\n".join(lines)
-        faults = self.faults
-        lines = [head, f"  {len(faults)} finding(s):"]
-        for f in faults[:max_findings]:
+            return f"{head}\n  OK — all invariants hold"
+        lines = [head, f"  {len(self.findings)} finding(s):"]
+        for f in self.findings[:max_findings]:
             lines.append(f"  - {f.render()}")
-        if len(faults) > max_findings:
-            lines.append(f"  ... and {len(faults) - max_findings} more")
-        for f in self.notices:
-            lines.append(f"  note: {f.render()}")
+        if len(self.findings) > max_findings:
+            lines.append(f"  ... and {len(self.findings) - max_findings} more")
         return "\n".join(lines)
 
     def failure_messages(self) -> List[str]:
-        """Faults rendered as flat strings (VerificationReport format)."""
-        return [f.render() for f in self.faults]
+        """Findings rendered as flat strings (VerificationReport format)."""
+        return [f.render() for f in self.findings]
 
     def emit_metrics(self) -> None:
         """Publish finding counts to the process-wide metrics registry."""
@@ -178,13 +157,12 @@ class StaticAnalysisReport:
         )
 
     def raise_if_failed(self) -> None:
-        """Raise :class:`~repro.errors.StaticAnalysisError` on faults."""
-        faults = self.faults
-        if faults:
+        """Raise :class:`~repro.errors.StaticAnalysisError` on findings."""
+        if self.findings:
             from repro.errors import StaticAnalysisError
 
-            shown = "; ".join(f.render() for f in faults[:5])
+            shown = "; ".join(f.render() for f in self.findings[:5])
             raise StaticAnalysisError(
-                f"static analysis found {len(faults)} violation(s):"
+                f"static analysis found {len(self.findings)} violation(s):"
                 f" {shown}"
             )

@@ -1,171 +1,120 @@
-"""Per-virtual-lane channel-dependency checks (VLC001-VLC004).
+"""Lane-indexed channel-dependency checks (CDG001/CDG002, VLC001-VLC004).
 
-The single-VL CDG001 check treats all traffic as sharing one buffer pool,
-so LASH- or DFSSSP-routed rings/tori — deadlock-free *by construction*
-through virtual-lane layering — looked deadlocked to PR 3's analyzer.
-This module rebuilds each data lane's channel-dependency graph from the
-engine's exported :class:`~repro.sm.routing.vl.VlAssignment` and proves
-Duato's condition per lane:
+Deadlock freedom is Duato's condition per data lane: every lane's
+channel-dependency graph must be acyclic. LASH and DFSSSP split traffic
+over lanes and export a :class:`~repro.sm.routing.vl.VlAssignment`; an
+engine that exports none (minhop, updn, ftree, dor) carries the trivial
+assignment — every terminal on lane 0 — and is the one-lane case of the
+same check:
 
-* **VLC001** — every data VL's CDG is acyclic (CDG001 generalized to
-  "acyclic on every lane").
+* **CDG001 / VLC001** — every data lane's CDG is acyclic. The rule reads
+  CDG001 under the trivial assignment, VLC001 (with ``detail["vl"]``)
+  otherwise.
 * **VLC002** — escape-channel sufficiency: every assignment references a
   lane that exists and is applied consistently along the whole path.
   (Routing is destination-based, so one assignment governs a path
-  end-to-end; the per-port lane table built here is the SL2VL-style
-  artifact switches would be programmed with.)
+  end-to-end.)
 * **VLC003** — capacity legality: layer count within ``max_vls`` and no
   terminal pair/LID left without an assignment.
-* **VLC004** — the §VI-C union-CDG transition check per lane: during a
-  reconfiguration, old and new dependency sets must union acyclically on
-  every data VL.
+* **CDG002 / VLC004** — the §VI-C union-CDG transition check per lane:
+  during a reconfiguration, old and new dependency sets must union
+  acyclically on every data VL (CDG002 when both sides are trivial).
 
-Construction rides the same machinery as the reachability checks: one
-:func:`~repro.analysis.static.checks._successor_matrices` pass (CSR
-kernels underneath), channel ids via the sorted
-:func:`~repro.sm.routing.cdg_array.channel_table`, and acyclicity via
-the Kahn peel of :mod:`repro.sm.routing.cdg_array` — the same kernel
-that powers :class:`~repro.sm.routing.cdg_array.ArrayCdg`. The only
-Python loop is per *destination switch* (pair-keyed assignments) — never
-per edge — and that loop shards over worker processes through the same
-:func:`~repro.sm.routing.parallel.shard_map` as the all-pairs BFS, with a
-byte-identical serial fallback.
+:func:`lane_dependencies` is the one dependency builder. It reads the
+hop relation from one
+:func:`~repro.analysis.static.checks._successor_matrices` pass, encodes
+keys like :func:`~repro.sm.routing.cdg_array.dependency_keys`
+(channels ``a * n + b``, dependencies ``from * n² + to``), and every
+lane is peeled by the one :func:`~repro.sm.routing.cdg_array.find_cycle`
+call of :func:`_lane_cycles`; channels are decoded to ``(a, b)`` switch
+pairs only to render a finding. By convention the lanes cover
+**terminal (endpoint) LIDs only**: traffic to switch management LIDs
+travels on VL15, which has dedicated buffering and so cannot take part
+in a data-VL credit cycle. The only Python loop is per *destination
+switch* (pair-keyed assignments) — never per edge — and it shards over
+worker processes through the same
+:func:`~repro.sm.routing.parallel.shard_map` as the all-pairs BFS, with
+a byte-identical serial fallback.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import StaticAnalysisError
-from repro.sm.routing.cdg_array import channel_ids, channel_table, two_hops
+from repro.sm.routing.cdg_array import dependency_keys, find_cycle
 from repro.sm.routing.parallel import shard_map
 from repro.sm.routing.vl import MANAGEMENT_VL, VlAssignment
 from repro.analysis.static.checks import (
     MAX_FINDINGS_PER_RULE,
     FabricSnapshot,
-    _cycle_finding,
-    _dependency_pairs,
     _successor_matrices,
 )
 from repro.analysis.static.findings import Finding
 
 __all__ = [
-    "PerVlDependencies",
-    "build_per_vl_dependencies",
-    "check_vl_deadlock_freedom",
+    "lane_dependencies",
+    "check_deadlock_freedom",
+    "check_transition_deadlock",
     "check_vl_consistency",
     "check_vl_capacity",
-    "check_vl_transition_deadlock",
 ]
 
 #: Data lanes are tracked as bits of an int64 mask; IB's 4-bit VL field
 #: tops out at 15 anyway, so this bound is never the binding one.
 MAX_DATA_VLS = 62
 
+_NO_KEYS = np.empty(0, dtype=np.int64)
 
-@dataclass
-class PerVlDependencies:
-    """Each data lane's dependency set, plus the per-port lane table.
+#: Question -> (rule and context under the trivial assignment, rule and
+#: per-lane context otherwise).
+_DEADLOCK_RULES = {
+    "routing": (
+        ("CDG001", "routing is deadlock-prone"),
+        ("VLC001", "data VL {v} is deadlock-prone"),
+    ),
+    "transition": (
+        ("CDG002", "reconfiguration transition is deadlock-prone"),
+        (
+            "VLC004",
+            "reconfiguration transition on data VL {v} is deadlock-prone",
+        ),
+    ),
+}
 
-    ``keys_by_vl[v]`` holds VL ``v``'s sorted unique dependency keys
-    (``from_cid * num_channels + to_cid`` over the dense channel ids of
-    ``channel_tbl``) — exactly the encoding the Kahn kernel consumes.
-    ``port_lanes`` is the SL2VL-style artifact: bit ``v`` of
-    ``port_lanes[s, p]`` is set iff some flow crosses switch ``s``'s port
-    ``p`` on data VL ``v``.
+
+def lane_dependencies(
+    snap: FabricSnapshot,
+    cols: Optional[np.ndarray] = None,
+    *,
+    workers: int = 1,
+) -> List[np.ndarray]:
+    """Each data lane's sorted unique dependency keys over *cols*.
+
+    *cols* defaults to the terminal LIDs. Without an assignment the
+    fabric is one lane. A dest-keyed assignment (DFSSSP) splits the
+    columns by ``lid_to_vl``; a column on a nonexistent lane or VL15
+    joins no lane (it is VLC002's or VLC003's finding, not silent
+    dependency mass). A pair-keyed assignment (LASH) needs per-path lane
+    attribution, see :func:`_pair_chunk_state`.
     """
-
-    num_vls: int
-    num_channels: int
-    #: Sorted unique cable keys (``src * n + peer``), shared by all lanes.
-    channel_tbl: np.ndarray
-    keys_by_vl: List[np.ndarray]
-    #: ``(num_switches, 256)`` int64 bitmask of data VLs per out port.
-    port_lanes: np.ndarray
-
-    def dependency_counts(self) -> List[int]:
-        """Dependencies per data lane (metrics feed)."""
-        return [int(k.size) for k in self.keys_by_vl]
-
-
-def _require_vl(snap: FabricSnapshot) -> VlAssignment:
+    if cols is None:
+        cols = snap.terminal_lids
     vl = snap.vl
-    if vl is None:
-        raise StaticAnalysisError(
-            "snapshot carries no VL assignment; single-VL fabrics are"
-            " covered by check_deadlock_freedom (CDG001)"
+    if vl is not None and vl.kind == "pair":
+        return _pair_lanes(snap, vl, cols, workers=workers)
+    nxt = _successor_matrices(snap, cols)[1]
+    picks: List[Any] = [slice(None)]
+    if vl is not None:
+        lane_of = vl.backing()
+        col_vl = np.asarray(
+            [lane_of.get(int(lid), -1) for lid in cols.tolist()],
+            dtype=np.int64,
         )
-    if vl.num_vls > MAX_DATA_VLS:
-        raise StaticAnalysisError(
-            f"{vl.num_vls} data VLs exceed the {MAX_DATA_VLS}-lane"
-            " analysis bound"
-        )
-    return vl
-
-
-def build_per_vl_dependencies(
-    snap: FabricSnapshot, *, workers: int = 1
-) -> PerVlDependencies:
-    """Split the fabric's channel dependencies by assigned data lane.
-
-    Dest-keyed assignments (DFSSSP) resolve in one fully vectorized
-    successor-matrix pass. Pair-keyed assignments (LASH) need per-path
-    lane attribution: for each destination's in-tree the source lane
-    masks are propagated root-ward in depth order (``bitwise_or.at``
-    scatters — no per-edge Python), which marks every tree edge with the
-    union of lanes crossing it; the per-destination loop shards over
-    *workers* processes when the fabric is large enough.
-    """
-    vl = _require_vl(snap)
-    tbl = channel_table(snap.view)
-    if vl.kind == "dest":
-        return _build_dest(snap, vl, tbl)
-    return _build_pair(snap, vl, tbl, workers=workers)
-
-
-# -- dest-keyed (DFSSSP) ------------------------------------------------------
-
-
-def _build_dest(
-    snap: FabricSnapshot, vl: VlAssignment, tbl: np.ndarray
-) -> PerVlDependencies:
-    n = snap.num_switches
-    num_vls = vl.num_vls
-    c_count = len(tbl)
-    cols = snap.terminal_lids
-    lid_map = vl.lid_to_vl or {}
-    col_vl = np.asarray(
-        [lid_map.get(int(lid), -1) for lid in cols.tolist()], dtype=np.int64
-    )
-    keys_by_vl: List[np.ndarray] = [
-        np.empty(0, dtype=np.int64) for _ in range(num_vls)
-    ]
-    lanes = np.zeros((n, 256), dtype=np.int64)
-    if cols.size == 0:
-        return PerVlDependencies(num_vls, c_count, tbl, keys_by_vl, lanes)
-    a, b, c, mask = two_hops(_successor_matrices(snap, cols)[1])
-    # Columns on an invalid/management lane contribute nothing here; they
-    # are VLC002/VLC003's findings, not silent dependency mass.
-    in_range = (col_vl >= 0) & (col_vl < num_vls)
-    hop = (b >= 0) & in_range[None, :]
-    dep = mask & in_range[None, :]
-    if dep.any():
-        cid1 = channel_ids(tbl, a[dep], b[dep], n)
-        cid2 = channel_ids(tbl, b[dep], c[dep], n)
-        enc = cid1 * np.int64(c_count) + cid2
-        dep_vl = np.broadcast_to(col_vl[None, :], b.shape)[dep]
-        for v in range(num_vls):
-            keys_by_vl[v] = np.unique(enc[dep_vl == v])
-    if hop.any():
-        prt = snap.ports[:, cols].astype(np.int64)
-        bit = np.int64(1) << np.broadcast_to(col_vl[None, :], b.shape)[hop]
-        np.bitwise_or.at(
-            lanes.reshape(-1), a[hop] * np.int64(256) + prt[hop], bit
-        )
-    return PerVlDependencies(num_vls, c_count, tbl, keys_by_vl, lanes)
+        picks = [col_vl == v for v in range(vl.num_vls)]
+    return [dependency_keys(nxt[:, pick]) for pick in picks]
 
 
 # -- pair-keyed (LASH) --------------------------------------------------------
@@ -189,42 +138,45 @@ def _tree_depths(parent: np.ndarray, n: int) -> np.ndarray:
 
 
 def _pair_state(
-    snap: FabricSnapshot, vl: VlAssignment, tbl: np.ndarray
+    snap: FabricSnapshot, vl: VlAssignment, cols: np.ndarray
 ) -> Tuple[Any, ...]:
-    """The picklable shard-invariant inputs of the pair-keyed build."""
-    n = snap.num_switches
-    term_sw = snap.dest_switch[snap.terminal_lids]
-    dests, first = np.unique(term_sw, return_index=True)
-    rep_cols = snap.terminal_lids[first]
-    if dests.size:
-        _, nxt = _successor_matrices(snap, rep_cols)
-        rep_ports = snap.ports[:, rep_cols].astype(np.int64)
-    else:
-        nxt = np.empty((n, 0), dtype=np.int64)
-        rep_ports = np.empty((n, 0), dtype=np.int64)
-    items = vl.items()
-    if items:
-        arr = np.asarray(
-            [[s, t, v] for (s, t), v in items], dtype=np.int64
+    """The picklable shard-invariant inputs of the pair-keyed build.
+
+    Each destination switch is walked once, through the first terminal
+    LID of *cols* it delivers.
+    """
+    if vl.num_vls > MAX_DATA_VLS:
+        raise StaticAnalysisError(
+            f"{vl.num_vls} data VLs exceed the {MAX_DATA_VLS}-lane"
+            " analysis bound"
         )
-        keep = (arr[:, 2] >= 0) & (arr[:, 2] < vl.num_vls)
-        arr = arr[keep]
-        order = np.lexsort((arr[:, 0], arr[:, 1]))
-        src_a, dst_a, vl_a = arr[order, 0], arr[order, 1], arr[order, 2]
-    else:
-        src_a = dst_a = vl_a = np.empty(0, dtype=np.int64)
-    return (n, vl.num_vls, tbl, nxt, rep_ports, dests, src_a, dst_a, vl_a)
+    cols = cols[np.isin(cols, snap.terminal_lids)]
+    dests, first = np.unique(snap.dest_switch[cols], return_index=True)
+    _, nxt = _successor_matrices(snap, cols[first])
+    # VlAssignment.items() returns a key-sorted list by contract.
+    arr = np.asarray(
+        [[s, t, v] for (s, t), v in vl.items()],  # noqa: DET005
+        dtype=np.int64,
+    ).reshape(-1, 3)
+    arr = arr[(arr[:, 2] >= 0) & (arr[:, 2] < vl.num_vls)]
+    order = np.lexsort((arr[:, 0], arr[:, 1]))
+    src_a, dst_a, vl_a = arr[order, 0], arr[order, 1], arr[order, 2]
+    return (snap.num_switches, vl.num_vls, nxt, dests, src_a, dst_a, vl_a)
 
 
 def _pair_chunk_state(
     state: Tuple[Any, ...], lo: int, hi: int
-) -> Tuple[List[List[np.ndarray]], np.ndarray]:
-    """Dependency keys and lane bits of destination shard ``[lo, hi)``."""
-    n, num_vls, tbl, nxt, rep_ports, dests, src_a, dst_a, vl_a = state
-    c_count = len(tbl)
+) -> List[List[np.ndarray]]:
+    """Per-lane dependency keys of destination shard ``[lo, hi)``.
+
+    For each destination's in-tree the source lane masks are propagated
+    root-ward in depth order (``bitwise_or.at`` scatters — no per-edge
+    Python), which marks every tree edge with the union of lanes
+    crossing it.
+    """
+    n, num_vls, nxt, dests, src_a, dst_a, vl_a = state
+    n2 = np.int64(n) * np.int64(n)
     chunks: List[List[np.ndarray]] = [[] for _ in range(num_vls)]
-    lanes = np.zeros((n, 256), dtype=np.int64)
-    flat = lanes.reshape(-1)
     for j in range(lo, hi):
         t = int(dests[j])
         s_lo = int(np.searchsorted(dst_a, t, side="left"))
@@ -255,96 +207,139 @@ def _pair_chunk_state(
             if live.any():
                 np.bitwise_or.at(mask, par[live], mask[nodes[live]])
         active = np.flatnonzero((parent >= 0) & (mask != 0))
-        if active.size == 0:
-            continue
-        np.bitwise_or.at(
-            flat,
-            active * np.int64(256) + rep_ports[active, j],
-            mask[active],
-        )
         b = parent[active]
         has2 = parent[b] >= 0
         a2, b2 = active[has2], b[has2]
         if not a2.size:
             continue
         c2 = parent[b2]
-        cid1 = channel_ids(tbl, a2, b2, n)
-        cid2 = channel_ids(tbl, b2, c2, n)
-        enc = cid1 * np.int64(c_count) + cid2
+        enc = (a2 * n + b2) * n2 + (b2 * n + c2)
         m = mask[a2]
         for v in range(num_vls):
             sel = ((m >> np.int64(v)) & 1).astype(bool)
             if sel.any():
                 chunks[v].append(enc[sel])
-    return chunks, lanes
+    return chunks
 
 
-def _build_pair(
+def _pair_lanes(
     snap: FabricSnapshot,
     vl: VlAssignment,
-    tbl: np.ndarray,
+    cols: np.ndarray,
     *,
     workers: int = 1,
-) -> PerVlDependencies:
-    n = snap.num_switches
-    num_vls = vl.num_vls
-    state = _pair_state(snap, vl, tbl)
-    # The merge below is order-independent anyway (set union per lane,
-    # bitwise OR for lane tables).
-    results = shard_map(_pair_chunk_state, state, int(state[5].size), workers)
-    keys_by_vl: List[np.ndarray] = []
-    for v in range(num_vls):
-        parts = [arr for chunks, _ in results for arr in chunks[v]]
-        keys_by_vl.append(
-            np.unique(np.concatenate(parts))
-            if parts
-            else np.empty(0, dtype=np.int64)
-        )
-    lanes = np.zeros((n, 256), dtype=np.int64)
-    for _, shard_lanes in results:
-        lanes |= shard_lanes
-    return PerVlDependencies(num_vls, len(tbl), tbl, keys_by_vl, lanes)
-
-
-# -- rule checks --------------------------------------------------------------
-
-
-def _with_vl_detail(findings: List[Finding], v: int) -> List[Finding]:
+) -> List[np.ndarray]:
+    state = _pair_state(snap, vl, cols)
+    # The merge is a set union per lane, so shard order cannot matter.
+    results = shard_map(_pair_chunk_state, state, int(state[3].size), workers)
     return [
-        replace(f, detail={**dict(f.detail), "vl": v}) for f in findings
+        np.unique(
+            np.concatenate([_NO_KEYS] + [a for r in results for a in r[v]])
+        )
+        for v in range(vl.num_vls)
     ]
 
 
-def check_vl_deadlock_freedom(
-    snap: FabricSnapshot,
-    *,
-    deps: Optional[PerVlDependencies] = None,
-    workers: int = 1,
-) -> List[Finding]:
-    """VLC001: Duato's acyclicity condition on every data lane.
+# -- deadlock rules -----------------------------------------------------------
 
-    Passing a prebuilt *deps* avoids recomputing the split when the
-    caller also feeds metrics from it.
-    """
-    _require_vl(snap)
-    pv = deps if deps is not None else build_per_vl_dependencies(
-        snap, workers=workers
-    )
+
+def _lane_cycles(
+    snap: FabricSnapshot,
+    lanes: Sequence[np.ndarray],
+    *,
+    trivial: bool,
+    question: str,
+) -> List[Finding]:
+    """Peel every lane; render one cycle per lane that keeps any."""
+    n = snap.num_switches
+    c = n * n
+    (rule, context), (lane_rule, lane_context) = _DEADLOCK_RULES[question]
     findings: List[Finding] = []
-    for v, keys in enumerate(pv.keys_by_vl):
-        findings.extend(
-            _with_vl_detail(
-                _cycle_finding(
-                    snap,
-                    keys,
-                    rule="VLC001",
-                    context=f"data VL {v} is deadlock-prone",
-                    table=pv.channel_tbl,
+    for v, keys in enumerate(lanes):
+        ids = find_cycle(keys, c)
+        if ids is None:
+            continue
+        cycle = [(code // n, code % n) for code in ids]
+        channels = np.unique(np.concatenate([keys // c, keys % c])).size
+        rendered = " -> ".join(f"({a}->{b})" for a, b in cycle)
+        detail: Dict[str, Any] = {"cycle": [list(ch) for ch in cycle]}
+        if not trivial:
+            rule, context = lane_rule, lane_context.format(v=v)
+            detail["vl"] = v
+        anchor = cycle[0][0]
+        findings.append(
+            Finding(
+                rule=rule,
+                switch=anchor,
+                switch_name=snap.name_of(anchor),
+                message=(
+                    f"{context}: channel dependency cycle {rendered}"
+                    f" ({channels} channels,"
+                    f" {keys.size} dependencies analysed)"
                 ),
-                v,
+                detail=detail,
             )
         )
     return findings
+
+
+def check_deadlock_freedom(
+    snap: FabricSnapshot,
+    *,
+    lids: Optional[Sequence[int]] = None,
+    lanes: Optional[List[np.ndarray]] = None,
+    workers: int = 1,
+) -> List[Finding]:
+    """CDG001/VLC001: Duato's acyclicity condition on every data lane.
+
+    *lids* scopes every lane (default: the terminal LIDs). A caller that
+    also feeds metrics passes the *lanes* it built with
+    :func:`lane_dependencies`; *workers* shards a pair-keyed build.
+    """
+    if lanes is None:
+        lanes = lane_dependencies(snap, snap.scope(lids), workers=workers)
+    return _lane_cycles(
+        snap, lanes, trivial=snap.vl is None, question="routing"
+    )
+
+
+def check_transition_deadlock(
+    old: FabricSnapshot,
+    new: FabricSnapshot,
+    *,
+    lids: Optional[Sequence[int]] = None,
+    workers: int = 1,
+) -> List[Finding]:
+    """CDG002/VLC004: the union CDG of an in-flight reconfiguration
+    (section VI-C) must be acyclic on every data lane.
+
+    While switches are updated asynchronously some forward per the old
+    tables and some per the new, but a flow's lane does not change
+    mid-flight — so for every lane the union of old and new dependencies
+    on that lane must be acyclic. A side without an assignment is one
+    lane, lane 0, which covers engine-change reconfigurations too.
+    """
+    if old.num_switches != new.num_switches:
+        raise StaticAnalysisError(
+            "transition analysis needs snapshots of the same switch graph"
+        )
+    sides = [
+        lane_dependencies(snap, snap.scope(lids), workers=workers)
+        for snap in (old, new)
+    ]
+    union = [
+        np.union1d(*(side[v] if v < len(side) else _NO_KEYS for side in sides))
+        for v in range(max(map(len, sides)))
+    ]
+    return _lane_cycles(
+        new,
+        union,
+        trivial=old.vl is None and new.vl is None,
+        question="transition",
+    )
+
+
+# -- assignment rules ---------------------------------------------------------
 
 
 def _capped(findings: List[Finding], rule: str) -> List[Finding]:
@@ -368,7 +363,9 @@ def check_vl_consistency(snap: FabricSnapshot) -> List[Finding]:
     nonexistent lane, a terminal riding the management lane (or vice
     versa), or an entry dangling off the fabric's terminal set.
     """
-    vl = _require_vl(snap)
+    vl = snap.vl
+    if vl is None:  # the trivial assignment holds by construction
+        return []
     findings: List[Finding] = []
     if vl.kind == "pair":
         term_set = set(
@@ -479,7 +476,9 @@ def check_vl_capacity(snap: FabricSnapshot) -> List[Finding]:
     that lost a whole layer should read as one actionable fault, not
     thousands of repeats.
     """
-    vl = _require_vl(snap)
+    vl = snap.vl
+    if vl is None:  # the trivial assignment holds by construction
+        return []
     findings: List[Finding] = []
     if vl.num_vls > vl.max_vls:
         findings.append(
@@ -558,74 +557,6 @@ def check_vl_capacity(snap: FabricSnapshot) -> List[Finding]:
                     "missing_lids": missing_sw[:32],
                     "missing_count": len(missing_sw),
                 },
-            )
-        )
-    return findings
-
-
-def _per_vl_dep_pairs(
-    snap: FabricSnapshot, *, workers: int = 1
-) -> List[np.ndarray]:
-    """Per-lane dependency keys in the global ``from * n² + to`` encoding
-    over ``a * n + b`` channel codes (old and new sides of a transition
-    need not share a cable table).
-
-    A snapshot without a VL assignment contributes its whole (single-VL)
-    dependency set on lane 0 — the conservative model for transitions
-    between a single-VL and a VL-routed configuration.
-    """
-    if snap.vl is None:
-        return [_dependency_pairs(snap, snap.terminal_lids)]
-    n2 = np.int64(snap.num_switches) ** 2
-    pv = build_per_vl_dependencies(snap, workers=workers)
-    c = np.int64(pv.num_channels)
-    # The cable table is sorted, so the re-encoded keys stay sorted.
-    return [
-        pv.channel_tbl[keys // c] * n2 + pv.channel_tbl[keys % c]
-        for keys in pv.keys_by_vl
-    ]
-
-
-def check_vl_transition_deadlock(
-    old: FabricSnapshot,
-    new: FabricSnapshot,
-    *,
-    workers: int = 1,
-) -> List[Finding]:
-    """VLC004: the §VI-C union CDG must be acyclic on every data lane.
-
-    While a reconfiguration is in flight some switches forward per the
-    old tables and some per the new, but a flow's lane does not change
-    mid-flight — so the deadlock-freedom obligation splits per VL: for
-    every data lane, the union of old and new dependencies on that lane
-    must be acyclic. Either side may be single-VL (its dependencies all
-    land on lane 0), which covers engine-change reconfigurations too.
-    """
-    if old.num_switches != new.num_switches:
-        raise StaticAnalysisError(
-            "transition analysis needs snapshots of the same switch graph"
-        )
-    old_sets = _per_vl_dep_pairs(old, workers=workers)
-    new_sets = _per_vl_dep_pairs(new, workers=workers)
-    none = np.empty(0, dtype=np.int64)
-    findings: List[Finding] = []
-    for v in range(max(len(old_sets), len(new_sets))):
-        union = np.union1d(
-            old_sets[v] if v < len(old_sets) else none,
-            new_sets[v] if v < len(new_sets) else none,
-        )
-        findings.extend(
-            _with_vl_detail(
-                _cycle_finding(
-                    new,
-                    union,
-                    rule="VLC004",
-                    context=(
-                        f"reconfiguration transition on data VL {v} is"
-                        " deadlock-prone"
-                    ),
-                ),
-                v,
             )
         )
     return findings

@@ -103,10 +103,8 @@ def _audit(sm: SubnetManager, *, delivery: bool, static: bool) -> VerificationRe
     else:
         report.failures.extend(_divergences(snap, tables))
     if static and tables is not None:
-        # Reachability is the static pass's first check. Faults only: META
-        # notices (e.g. "CDG001 superseded by per-VL checks" on
-        # LASH/DFSSSP fabrics) are context, not failures.
-        report.findings.extend(analyze_subnet(sm, snapshot=snap).faults)
+        # Reachability is the static pass's first check.
+        report.findings.extend(analyze_subnet(sm, snapshot=snap).findings)
     elif delivery:
         report.findings.extend(check_reachability(snap))
     return report

@@ -116,6 +116,7 @@ class StandbyReplica(InOrderConsumer):
             self.tables_payload = {
                 "algorithm": payload["algorithm"],
                 "ports": np.array(payload["ports"], dtype=np.int16),
+                "vl": payload.get("vl"),
             }
         elif kind == "lft":
             self.lft_blocks = dict(payload.get("blocks", {}))
@@ -141,9 +142,16 @@ class StandbyReplica(InOrderConsumer):
         """
         if self.tables_payload is None:
             return None
+        metadata: Dict[str, Any] = {
+            "replicated": True,
+            "replica": self.node_name,
+        }
+        vl = self.tables_payload.get("vl")
+        if vl is not None:
+            metadata["vl"] = vl.copy()
         return RoutingTables(
             algorithm=str(self.tables_payload["algorithm"]),
             ports=np.array(self.tables_payload["ports"], dtype=np.int16),
             compute_seconds=0.0,
-            metadata={"replicated": True, "replica": self.node_name},
+            metadata=metadata,
         )

@@ -327,6 +327,9 @@ class HighAvailabilityManager:
                     "algorithm": tables.algorithm,
                     "ports": tables.ports.copy(),
                     "compute_seconds": tables.compute_seconds,
+                    # The lanes the ports were routed with: a successor
+                    # without them would audit a VL-routed fabric as one lane.
+                    "vl": tables.vl.copy() if tables.vl is not None else None,
                 },
             )
         )

@@ -223,9 +223,9 @@ class RoutingTables:
     def vl(self) -> Optional[VlAssignment]:
         """The engine's exported virtual-lane assignment, if any.
 
-        ``None`` for single-VL engines (minhop/updn/ftree/dor); a
-        :class:`~repro.sm.routing.vl.VlAssignment` for LASH/DFSSSP. The
-        static analyzer keys its per-VL checks off this.
+        ``None`` for single-VL engines (minhop/updn/ftree/dor), which the
+        static analyzer checks as one lane; a
+        :class:`~repro.sm.routing.vl.VlAssignment` for LASH/DFSSSP.
         """
         return VlAssignment.from_metadata(self.metadata)
 

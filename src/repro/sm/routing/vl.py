@@ -11,10 +11,10 @@ a genuinely deadlocked MinHop one.
 
 :class:`VlAssignment` is the exported form both engines now attach to
 :class:`~repro.sm.routing.base.RoutingTables` (``metadata["vl"]``,
-alongside the raw ``pair_to_vl``/``lid_to_vl`` dicts older consumers
-read). The static suite's per-VL checks (VLC001-VLC004, see
-``repro.analysis.static.vl_checks``) consume it to rebuild each data
-lane's dependency graph and prove every layer acyclic.
+alongside the raw ``pair_to_vl``/``lid_to_vl`` dicts). The static
+suite's lane-indexed checks (``repro.analysis.static.vl_checks``)
+consume it to rebuild each data lane's dependency graph and prove every
+layer acyclic; an engine that exports none is the trivial one-lane case.
 """
 
 from __future__ import annotations
@@ -124,39 +124,10 @@ class VlAssignment:
     def from_metadata(
         cls, metadata: Optional[Dict[str, Any]]
     ) -> Optional["VlAssignment"]:
-        """The assignment an engine exported, or ``None`` (single-VL engine).
-
-        Prefers the first-class ``metadata["vl"]`` object; falls back to
-        reconstructing from a raw ``pair_to_vl``/``lid_to_vl`` dict so
-        hand-built metadata (tests, recorded runs predating the export)
-        still analyzes per-VL.
-        """
-        if not metadata:
-            return None
-        vl = metadata.get("vl")
-        if isinstance(vl, cls):
-            return vl
-        pair = metadata.get("pair_to_vl")
-        if pair is not None:
-            layers = [v for v in pair.values() if v != MANAGEMENT_VL]
-            num = max(layers) + 1 if layers else 1
-            return cls(
-                kind="pair",
-                num_vls=num,
-                max_vls=max(num, 8),
-                pair_to_vl=pair,
-            )
-        dest = metadata.get("lid_to_vl")
-        if dest is not None:
-            layers = [v for v in dest.values() if v != MANAGEMENT_VL]
-            num = max(layers) + 1 if layers else 1
-            return cls(
-                kind="dest",
-                num_vls=num,
-                max_vls=max(num, 8),
-                lid_to_vl=dest,
-            )
-        return None
+        """The assignment an engine exported as ``metadata["vl"]``, or
+        ``None`` — the trivial one-lane assignment of a single-VL engine."""
+        vl = (metadata or {}).get("vl")
+        return vl if isinstance(vl, cls) else None
 
 
 def corrupt_assignment(

@@ -18,7 +18,6 @@ from repro.analysis.static import (
     FabricSnapshot,
     check_deadlock_freedom,
     check_reachability,
-    check_vl_deadlock_freedom,
 )
 from repro.analysis.static.suite import default_cases, preset_builders
 from repro.constants import LFT_UNSET
@@ -147,7 +146,7 @@ class TestDeadlockFreedom:
         for vl in (tables.vl, collapsed(tables.vl)):
             snap = FabricSnapshot.from_topology(topology, tables.ports, vl=vl)
             free = routing_is_deadlock_free(tables, request, lids=terminal, vl=vl)
-            assert free == (check_vl_deadlock_freedom(snap) == [])
+            assert free == (check_deadlock_freedom(snap) == [])
             verdicts.append(free)
         # Collapsing the lanes brings back a ring's or torus's cycle on VL0.
         assert verdicts == [True, preset not in ("ring6", "torus4x4")]

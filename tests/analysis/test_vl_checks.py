@@ -1,11 +1,11 @@
-"""Tests for the per-VL channel-dependency checks (VLC001-VLC004).
+"""Tests for the lane-indexed channel-dependency checks (VLC001-VLC004).
 
 LASH and DFSSSP are deadlock-free *per virtual lane*, not on the union
-CDG, so PR 3's single-VL CDG001 check could not analyze them. These
-tests cover the whole per-VL pipeline: the engines' VlAssignment export,
-the per-lane dependency split (serial and sharded byte-identical), each
-VLC rule positive and negative, the analyzer/matrix wiring including the
-META002 notice semantics, and a hypothesis property: LASH on random
+CDG; a single-VL engine is the trivial one-lane case (CDG001/CDG002).
+These tests cover the whole per-lane pipeline: the engines' VlAssignment
+export, the per-lane dependency split (serial and sharded byte-identical),
+each VLC rule positive and negative, ``lids=`` scoping every lane, the
+analyzer/matrix wiring, and a hypothesis property: LASH on random
 3-regular graphs is clean, and each corruption mode is caught by exactly
 one rule.
 """
@@ -24,20 +24,21 @@ from repro.sm.subnet_manager import SubnetManager
 from repro.analysis.static import (
     VL_ENGINES,
     FabricCheckCase,
+    analyze_fabric,
     analyze_subnet,
     analyze_transition,
-    build_per_vl_dependencies,
+    check_deadlock_freedom,
+    check_transition_deadlock,
     check_vl_capacity,
     check_vl_consistency,
-    check_vl_deadlock_freedom,
-    check_vl_transition_deadlock,
     corrupt_vl_assignment,
+    lane_dependencies,
     run_case,
 )
 from repro.analysis.static import vl_checks
 from repro.analysis.static.checks import FabricSnapshot
 from repro.analysis.static.suite import preset_builders
-from tests.oracles.cdg import routing_is_deadlock_free
+from tests.oracles.cdg import lane_dependency_sets, routing_is_deadlock_free
 
 
 def bring_up(preset, engine):
@@ -87,11 +88,12 @@ class TestVlExport:
         assert sm.current_tables.vl is None
         assert sm.current_tables.vl_summary()["kind"] == "single"
 
-    def test_from_metadata_falls_back_to_raw_dicts(self):
-        vl = VlAssignment.from_metadata({"pair_to_vl": {(0, 1): 0, (1, 0): 1}})
-        assert vl.kind == "pair" and vl.num_vls == 2
-        vl = VlAssignment.from_metadata({"lid_to_vl": {4: 0, 9: MANAGEMENT_VL}})
-        assert vl.kind == "dest" and vl.num_vls == 1
+    def test_from_metadata_reads_only_the_exported_assignment(self):
+        vl = VlAssignment(kind="dest", num_vls=1, max_vls=8, lid_to_vl={4: 0})
+        assert VlAssignment.from_metadata({"vl": vl}) is vl
+        # Raw dicts alone are the trivial assignment: nothing exported.
+        assert VlAssignment.from_metadata({"pair_to_vl": {(0, 1): 0}}) is None
+        assert VlAssignment.from_metadata({"lid_to_vl": {4: 0}}) is None
         assert VlAssignment.from_metadata(None) is None
         assert VlAssignment.from_metadata({}) is None
 
@@ -119,18 +121,25 @@ class TestVlExport:
 
 
 class TestBuildPerVlDependencies:
-    def test_requires_vl_assignment(self):
-        sm = bring_up("ring6", "updn")
-        with pytest.raises(StaticAnalysisError):
-            build_per_vl_dependencies(snapshot(sm))
+    def test_trivial_assignment_is_one_lane(self):
+        sm = bring_up("ring6", "minhop")
+        snap = snapshot(sm)
+        assert snap.vl is None
+        lanes = lane_dependencies(snap)
+        assert len(lanes) == 1 and lanes[0].size
+        assert [f.rule for f in check_deadlock_freedom(snap, lanes=lanes)] == [
+            "CDG001"
+        ]
+        # The trivial assignment is consistent and within capacity.
+        assert check_vl_consistency(snap) == check_vl_capacity(snap) == []
 
     @pytest.mark.parametrize("engine", VL_ENGINES)
     def test_every_lane_acyclic_matches_oracle(self, engine):
         sm = bring_up("torus4x4", engine)
         snap = snapshot(sm)
-        pv = build_per_vl_dependencies(snap)
-        assert pv.num_vls == snap.vl.num_vls
-        assert check_vl_deadlock_freedom(snap, deps=pv) == []
+        lanes = lane_dependencies(snap)
+        assert len(lanes) == snap.vl.num_vls
+        assert check_deadlock_freedom(snap, lanes=lanes) == []
         if engine == "dfsssp":
             # The per-path oracle agrees lane-by-lane splitting is what
             # makes this routing deadlock-free (scoped to terminal LIDs:
@@ -150,21 +159,36 @@ class TestBuildPerVlDependencies:
         monkeypatch.setattr(parallel, "_MIN_PARALLEL_SWITCHES", 1)
         sm = bring_up("torus4x4", engine)
         snap = snapshot(sm)
-        serial = build_per_vl_dependencies(snap, workers=1)
-        sharded = build_per_vl_dependencies(snap, workers=4)
-        assert serial.num_vls == sharded.num_vls
-        for a, b in zip(serial.keys_by_vl, sharded.keys_by_vl):
+        serial = lane_dependencies(snap, workers=1)
+        sharded = lane_dependencies(snap, workers=4)
+        assert len(serial) == len(sharded)
+        for a, b in zip(serial, sharded):
             assert np.array_equal(a, b)
-        assert np.array_equal(serial.port_lanes, sharded.port_lanes)
 
-    def test_port_lanes_only_on_used_ports(self):
-        sm = bring_up("ring6", "lash")
-        pv = build_per_vl_dependencies(snapshot(sm))
-        used = pv.port_lanes != 0
-        # Every marked port is a real inter-switch or delivery port.
-        switches = sm.topology.switches
-        for s, p in zip(*np.nonzero(used)):
-            assert switches[int(s)].port(int(p)).remote is not None
+    @pytest.mark.parametrize("preset", ("ring6", "torus4x4", "2l-small"))
+    @pytest.mark.parametrize("engine", VL_ENGINES + ("minhop",))
+    def test_lanes_match_the_per_path_walk(self, preset, engine):
+        sm = bring_up(preset, engine)
+        tables, request = sm.current_tables, sm.last_request
+        vls = [None]
+        if tables.vl is not None:
+            vls = [tables.vl, tables.vl.copy()]
+            corrupt_assignment(vls[1], "collapse")
+        for vl in vls:
+            snap = snapshot(sm, vl=vl)
+            n, n2 = snap.num_switches, snap.num_switches**2
+            got = {
+                v: {
+                    ((f // n, f % n), (t // n, t % n))
+                    for f, t in zip((keys // n2).tolist(), (keys % n2).tolist())
+                }
+                for v, keys in enumerate(lane_dependencies(snap))
+                if keys.size
+            }
+            want = lane_dependency_sets(
+                tables, request, lids=snap.terminal_lids.tolist(), vl=vl
+            )
+            assert got == {v: deps for v, deps in want.items() if deps}
 
 
 class TestVlc001DeadlockFreedom:
@@ -172,7 +196,7 @@ class TestVlc001DeadlockFreedom:
     @pytest.mark.parametrize("engine", VL_ENGINES)
     def test_clean_fabric_has_no_findings(self, preset, engine):
         sm = bring_up(preset, engine)
-        assert check_vl_deadlock_freedom(snapshot(sm)) == []
+        assert check_deadlock_freedom(snapshot(sm)) == []
 
     @pytest.mark.parametrize("engine", VL_ENGINES)
     def test_collapsed_lanes_deadlock_on_a_ring(self, engine):
@@ -180,7 +204,7 @@ class TestVlc001DeadlockFreedom:
         vl = sm.current_tables.vl.copy()
         assert vl.num_vls >= 2, "a ring needs >= 2 lanes to break its cycle"
         corrupt_assignment(vl, "collapse")
-        findings = check_vl_deadlock_freedom(snapshot(sm, vl=vl))
+        findings = check_deadlock_freedom(snapshot(sm, vl=vl))
         assert rules_of(findings) == ["VLC001"]
         assert all(f.detail["vl"] == 0 for f in findings)
         # The finding carries a concrete cycle, like CDG001 does.
@@ -254,14 +278,14 @@ class TestVlc004Transition:
         sm = SubnetManager(built.topology, engine="dfsssp", built=built)
         sm.initial_configure()
         snap = snapshot(sm)
-        assert check_vl_transition_deadlock(snap, snap) == []
+        assert check_transition_deadlock(snap, snap) == []
 
     def test_collapse_poisons_the_union(self):
         sm = bring_up("ring6", "lash")
         good = snapshot(sm)
         bad_vl = sm.current_tables.vl.copy()
         corrupt_assignment(bad_vl, "collapse")
-        findings = check_vl_transition_deadlock(good, snapshot(sm, vl=bad_vl))
+        findings = check_transition_deadlock(good, snapshot(sm, vl=bad_vl))
         assert rules_of(findings) == ["VLC004"]
 
     def test_single_vl_side_lands_on_lane_zero(self):
@@ -280,24 +304,97 @@ class TestVlc004Transition:
         )
         # Must analyze without raising; both routings share the fabric's
         # up/down spanning structure, so the lane-0 union stays acyclic.
-        findings = check_vl_transition_deadlock(old_snap, new_snap)
+        findings = check_transition_deadlock(old_snap, new_snap)
         assert rules_of(findings) in ([], ["VLC004"])
+
+    def test_the_old_side_counts(self):
+        # A collapsed old side poisons the union although the new side is
+        # clean, on a VL-routed fabric and on a single-VL one.
+        sm = bring_up("ring6", "lash")
+        bad_vl = sm.current_tables.vl.copy()
+        corrupt_assignment(bad_vl, "collapse")
+        findings = check_transition_deadlock(snapshot(sm, vl=bad_vl), snapshot(sm))
+        assert rules_of(findings) == ["VLC004"]
+        built = preset_builders()["ring6"]()
+        old_sm = SubnetManager(built.topology, engine="minhop", built=built)
+        old_sm.initial_configure()
+        new_sm = SubnetManager(built.topology, engine="updn", built=built)
+        new_sm.compute_routing()
+        old_snap = snapshot(old_sm)
+        new_snap = FabricSnapshot.from_topology(
+            built.topology, new_sm.current_tables.ports
+        )
+        assert check_deadlock_freedom(new_snap) == []
+        findings = check_transition_deadlock(old_snap, new_snap)
+        assert rules_of(findings) == ["CDG002"]
 
     def test_analyze_transition_uses_per_vl_path(self):
         built = preset_builders()["ring6"]()
         sm = SubnetManager(built.topology, engine="lash", built=built)
         sm.initial_configure()
         tables = sm.current_tables
-        report = analyze_transition(
-            built.topology,
-            tables.ports,
-            tables.ports,
-            old_metadata=tables.metadata,
-            new_metadata=tables.metadata,
-            emit_metrics=False,
-        )
-        assert report.ok
-        assert "transition-cdg-per-vl" in report.checks_run
+        bad_vl = tables.vl.copy()
+        corrupt_assignment(bad_vl, "collapse")
+        reports = [
+            analyze_transition(
+                built.topology,
+                tables.ports,
+                tables.ports,
+                old_metadata=tables.metadata,
+                new_metadata=dict(tables.metadata, vl=vl),
+                emit_metrics=False,
+            )
+            for vl in (tables.vl, bad_vl)
+        ]
+        assert [r.checks_run for r in reports] == [["transition-cdg"]] * 2
+        assert reports[0].ok
+        assert rules_of(reports[1].findings) == ["VLC004"]
+        assert reports[1].findings[0].detail["vl"] == 0
+
+
+class TestLidsScopeEveryLane:
+    """``lids=`` scopes every lane, as it always scoped CDG001/CDG002."""
+
+    @pytest.mark.parametrize(
+        "engine,rules",
+        [(e, ("VLC001", "VLC004")) for e in VL_ENGINES]
+        + [("minhop", ("CDG001", "CDG002"))],
+    )
+    def test_one_destination_closes_no_cycle(self, engine, rules):
+        sm = bring_up("ring6", engine)
+        tables = sm.current_tables
+        metadata = dict(tables.metadata)
+        if tables.vl is not None:
+            metadata["vl"] = tables.vl.copy()
+            corrupt_assignment(metadata["vl"], "collapse")
+
+        def fabric(lids):
+            return analyze_fabric(
+                sm.topology,
+                ports=tables.ports,
+                metadata=metadata,
+                lids=lids,
+                emit_metrics=False,
+            ).findings
+
+        def transition(lids):
+            return analyze_transition(
+                sm.topology,
+                tables.ports,
+                tables.ports,
+                old_metadata=tables.metadata,
+                new_metadata=metadata,
+                lids=lids,
+                emit_metrics=False,
+            ).findings
+
+        # One destination's in-tree closes no cycle; unscoped, the collapsed
+        # lane (minhop's one lane) closes the ring.
+        lid = int(snapshot(sm).terminal_lids[0])
+        assert transition([lid]) == []
+        assert rules_of(fabric([lid])) == []
+        assert rules_of(transition(None)) == [rules[1]]
+        assert rules_of(fabric(None)) == [rules[0]]
 
 
 class TestAnalyzerWiring:
@@ -307,25 +404,25 @@ class TestAnalyzerWiring:
         sm = bring_up(preset, engine)
         report = analyze_subnet(sm, emit_metrics=False)
         assert report.ok, report.render()
-        for check in ("vl-consistency", "vl-capacity", "cdg-per-vl"):
-            assert check in report.checks_run
-        # CDG001 is skipped with a notice, not silently.
-        assert rules_of(report.notices) == ["META002"]
-        assert report.faults == []
+        assert report.checks_run == [
+            "reachability",
+            "vl-consistency",
+            "vl-capacity",
+            "cdg",
+        ]
+        assert report.findings == []
 
-    def test_notice_is_rendered_but_never_fails(self):
+    def test_a_clean_vl_fabric_renders_ok(self):
         sm = bring_up("ring6", "lash")
         report = analyze_subnet(sm, emit_metrics=False)
-        assert "META002" in report.render()
+        assert "OK — all invariants hold" in report.render()
         report.raise_if_failed()  # must not raise
 
     def test_single_vl_engine_still_runs_cdg001(self):
         sm = bring_up("ring6", "updn")
         report = analyze_subnet(sm, emit_metrics=False)
         assert report.ok
-        assert "cdg" in report.checks_run
-        assert "cdg-per-vl" not in report.checks_run
-        assert report.notices == []
+        assert report.checks_run == ["reachability", "cdg", "updn-legality"]
 
     def test_vl_metrics_are_published(self):
         reset_hub()
@@ -382,16 +479,13 @@ class TestMatrixAndCorruption:
         # The per-VL build runs on the one shard worker of the router.
         sm = bring_up("ring6", "lash")
         snap = snapshot(sm)
-        state = vl_checks._pair_state(
-            snap, snap.vl, vl_checks.channel_table(snap.view)
-        )
-        total = int(state[5].size)
+        state = vl_checks._pair_state(snap, snap.vl, snap.terminal_lids)
+        total = int(state[3].size)
         monkeypatch.setattr(
             parallel, "_WORKER", (vl_checks._pair_chunk_state, state)
         )
-        keys, lanes = parallel._run_chunk((0, total))
-        serial_keys, serial_lanes = vl_checks._pair_chunk_state(state, 0, total)
-        assert np.array_equal(lanes, serial_lanes)
+        keys = parallel._run_chunk((0, total))
+        serial_keys = vl_checks._pair_chunk_state(state, 0, total)
         for got, want in zip(keys, serial_keys):
             assert len(got) == len(want)
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -400,8 +494,8 @@ class TestMatrixAndCorruption:
             parallel._run_chunk((0, total))
 
     def test_verify_subnet_accepts_vl_engines(self):
-        # The end-to-end hook: verify_subnet must not report META notices
-        # as failures on a clean LASH fabric.
+        # The end-to-end hook: a clean LASH ring audits clean, lanes and
+        # all.
         from repro.analysis.verification import verify_subnet
 
         sm = bring_up("ring6", "lash")
@@ -438,7 +532,7 @@ class TestVlProperties:
             built.topology, tables.ports, vl=tables.vl
         )
         # Clean routing satisfies VLC001-VLC003.
-        assert check_vl_deadlock_freedom(snap) == []
+        assert check_deadlock_freedom(snap) == []
         assert check_vl_consistency(snap) == []
         assert check_vl_capacity(snap) == []
         # One corrupted assignment is caught by exactly one rule.
@@ -455,7 +549,7 @@ class TestVlProperties:
         )
         fired = set(
             rules_of(
-                check_vl_deadlock_freedom(bad)
+                check_deadlock_freedom(bad)
                 + check_vl_consistency(bad)
                 + check_vl_capacity(bad)
             )

@@ -1,9 +1,11 @@
 """The dict/DFS channel dependency graph — oracle for the array kernel.
 
-:func:`routing_is_deadlock_free` is the per-path form of the CDG001 /
-VLC001 verdicts: it walks every routed path with the delivery oracle's
-:func:`~tests.oracles.delivery.trace_path` and feeds each lane's
-:class:`ChannelDependencyGraph`.
+:func:`lane_dependency_sets` is the per-path form of
+``repro.analysis.static.lane_dependencies``: it walks every routed path
+with the delivery oracle's :func:`~tests.oracles.delivery.trace_path`
+and collects each lane's dependencies. :func:`routing_is_deadlock_free`
+feeds them to one :class:`ChannelDependencyGraph` per lane, the per-path
+form of the CDG001 / VLC001 verdicts.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ __all__ = [
     "Channel",
     "Dependency",
     "ChannelDependencyGraph",
+    "lane_dependency_sets",
     "routing_is_deadlock_free",
 ]
 
@@ -123,21 +126,21 @@ class ChannelDependencyGraph:
         return None
 
 
-def routing_is_deadlock_free(
+def lane_dependency_sets(
     tables: RoutingTables,
     request: RoutingRequest,
     *,
     lids: Optional[Sequence[int]] = None,
     vl: Optional[VlAssignment] = None,
-) -> bool:
-    """Duato's condition, one CDG per lane, built path by path.
+) -> Dict[int, Set[Dependency]]:
+    """Each lane's dependencies, built path by path.
 
     Every path from every switch to every selected LID (default: all of
-    the request's LIDs) adds its consecutive channel pairs to the CDG of
-    its lane: lane 0 without *vl*, the destination LID's lane for a
-    dest-keyed assignment, the (source, destination) switch pair's lane
-    for a pair-keyed one. A path without a data lane (one the assignment
-    does not name) adds nothing, as in the per-VL checks.
+    the request's LIDs) adds its consecutive channel pairs to its lane:
+    lane 0 without *vl*, the destination LID's lane for a dest-keyed
+    assignment, the (source, destination) switch pair's lane for a
+    pair-keyed one. A path without a data lane (one the assignment does
+    not name) adds nothing, as in the lane-indexed checks.
     """
     if lids is None:
         lids = [t.lid for t in request.terminals] + list(request.switch_lids)
@@ -145,7 +148,7 @@ def routing_is_deadlock_free(
     dest_of.update(request.switch_lids)
     num_vls = 1 if vl is None else vl.num_vls
     maps = request_maps(request)
-    layers: Dict[int, ChannelDependencyGraph] = {}
+    lanes: Dict[int, Set[Dependency]] = {}
     for lid in lids:
         for src in range(request.num_switches):
             if vl is None:
@@ -157,7 +160,24 @@ def routing_is_deadlock_free(
             if lane is None or not 0 <= lane < num_vls:
                 continue
             path = trace_path(tables, request, src, lid, maps=maps)
-            cdg = layers.setdefault(lane, ChannelDependencyGraph())
+            deps = lanes.setdefault(lane, set())
             for a, b, c in zip(path, path[1:], path[2:]):
-                cdg.add_dependency(((a, b), (b, c)))
-    return all(cdg.is_acyclic() for cdg in layers.values())
+                deps.add(((a, b), (b, c)))
+    return lanes
+
+
+def routing_is_deadlock_free(
+    tables: RoutingTables,
+    request: RoutingRequest,
+    *,
+    lids: Optional[Sequence[int]] = None,
+    vl: Optional[VlAssignment] = None,
+) -> bool:
+    """Duato's condition: one CDG per lane of :func:`lane_dependency_sets`."""
+    for deps in lane_dependency_sets(tables, request, lids=lids, vl=vl).values():
+        cdg = ChannelDependencyGraph()
+        for dep in sorted(deps):
+            cdg.add_dependency(dep)
+        if not cdg.is_acyclic():
+            return False
+    return True

@@ -12,7 +12,6 @@ from repro.analysis.static import (
     FabricSnapshot,
     check_deadlock_freedom,
     check_transition_deadlock,
-    check_vl_deadlock_freedom,
 )
 from repro.analysis.static.checks import _successor_matrices
 from repro.errors import DeadlockError
@@ -99,7 +98,7 @@ class TestRoutingDeadlockFreedom:
         built = build_ring(6, 2)
         tables = create_engine("dfsssp").compute(request_for(built))
         assert tables.vl.kind == "dest"
-        assert check_vl_deadlock_freedom(snapshot(built, tables)) == []
+        assert check_deadlock_freedom(snapshot(built, tables)) == []
 
     def test_minhop_terminal_traffic_on_fattree_free(self):
         # Host-to-host traffic in a fat-tree follows up/down paths.

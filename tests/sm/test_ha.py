@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.static.suite import preset_builders
 from repro.analysis.verification import verify_sm_consistency, verify_subnet
 from repro.core.reconfig import VSwitchReconfigurer
 from repro.errors import DistributionError, HighAvailabilityError
@@ -153,6 +154,32 @@ class TestLeaseDetection:
         assert report.sweep_mode == "heavy"
         assert report.path_compute_seconds > 0
         assert verify_sm_consistency(sm, static=False).ok
+
+
+class TestLightFailoverKeepsLanes:
+    @pytest.mark.parametrize("preset", ("ring6", "torus4x4"))
+    @pytest.mark.parametrize("engine", ("lash", "dfsssp"))
+    def test_successor_audits_the_lanes_it_inherited(self, preset, engine):
+        # A VL-routed ring or torus is cyclic on one lane: a successor that
+        # inherits the ports without the assignment reads CDG001.
+        built = preset_builders()[preset]()
+        sm = SubnetManager(built.topology, engine=engine, built=built)
+        sm.initial_configure()
+        ha = HighAvailabilityManager(sm)
+        hcas = built.topology.hcas
+        ha.register(hcas[0].name, guid=10, priority=10)
+        ha.register(hcas[1].name, guid=20, priority=5)
+        ha.bootstrap()
+        lanes = sm.current_tables.vl
+        assert verify_subnet(sm).ok
+        old_master = ha.master
+        ha.kill_master()
+        assert ha.failover(old_master).sweep_mode == "light"
+        inherited = sm.current_tables.vl
+        assert inherited is not None and inherited is not lanes
+        assert inherited.items() == lanes.items()
+        report = verify_subnet(sm)
+        assert report.ok, report.problems()
 
 
 class TestReplication:

@@ -175,6 +175,61 @@ class TestOneLidModKernelOneKeptFill:
         assert lines == []
 
 
+class TestOneDeadlockCheck:
+    """CDG001/CDG002 are the trivial-lane case of VLC001/VLC004: one
+    dependency builder, one cycle peel (tier-1 twin of the CI guard)."""
+
+    SRC = Path(repro.__file__).resolve().parent
+
+    def calls(self, name, root):
+        """``(file, enclosing function)`` of every call of *name*."""
+        found = []
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            for fn in ast.walk(tree):
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and name in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None),
+                    ):
+                        found.append((str(path.relative_to(self.SRC)), fn.name))
+        return found
+
+    def test_one_builder_one_peel(self):
+        assert [
+            str(path.relative_to(self.SRC))
+            for path in sorted(self.SRC.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef) and node.name == "lane_dependencies"
+        ] == ["analysis/static/vl_checks.py"]
+        assert self.calls("find_cycle", self.SRC) == [
+            ("analysis/static/vl_checks.py", "_lane_cycles")
+        ]
+        assert self.calls("dependency_keys", self.SRC / "analysis") == [
+            ("analysis/static/vl_checks.py", "lane_dependencies")
+        ]
+
+    def test_no_single_lane_twin(self):
+        gone = (
+            "check_vl_deadlock_freedom",
+            "check_vl_transition_deadlock",
+            "build_per_vl_dependencies",
+            "PerVlDependencies",
+            "port_lanes",
+            "META002",
+            "NOTICE_RULES",
+        )
+        hits = [
+            f"{path.relative_to(self.SRC)}: {name}"
+            for path in sorted(self.SRC.rglob("*.py"))
+            for name in gone
+            if name in path.read_text()
+        ]
+        assert hits == []
+
+
 class TestConstants:
     def test_lid_space(self):
         assert MAX_UNICAST_LID == 0xBFFF
