@@ -54,7 +54,7 @@ def build_cloud():
 
 def lft_snapshot(cloud):
     return {
-        sw.name: np.array(sw.lft.as_array(), copy=True)
+        sw.name: sw.topology.lft[sw.index].copy()
         for sw in cloud.topology.switches
     }
 

@@ -52,7 +52,7 @@ from repro.core import (
     vswitch_rc_time,
 )
 from repro.errors import ReproError
-from repro.fabric import LinearForwardingTable, Topology
+from repro.fabric import Topology
 from repro.fabric.builders import (
     build_three_level_fattree,
     build_two_level_fattree,
@@ -69,7 +69,6 @@ __all__ = [
     "ReproError",
     # substrate
     "Topology",
-    "LinearForwardingTable",
     "SubnetManager",
     "SharedPortHCA",
     "VSwitchHCA",

@@ -34,6 +34,7 @@ import numpy as np
 from repro.constants import LFT_UNSET
 from repro.errors import StaticAnalysisError
 from repro.fabric.graph import port_to_peer
+from repro.fabric.lft import widen
 from repro.fabric.topology import SwitchFabricView, Topology
 from repro.sm.routing.cdg_array import two_hops
 from repro.sm.routing.vl import VlAssignment
@@ -94,7 +95,9 @@ class FabricSnapshot:
         *,
         vl: Optional[VlAssignment] = None,
     ) -> "FabricSnapshot":
-        """Snapshot *topology*; ``ports`` defaults to the hardware LFTs.
+        """Snapshot *topology*; ``ports`` defaults to the hardware LFTs
+        (a read-only view of :attr:`Topology.lft`, valid until the next
+        hardware write).
 
         Passing an engine's ``RoutingTables.ports`` analyses the *intended*
         routing instead of the programmed one — both views matter: the SM's
@@ -102,8 +105,6 @@ class FabricSnapshot:
         ``vl`` carries the engine's virtual-lane assignment into the
         snapshot for the per-VL deadlock checks.
         """
-        switches = topology.switches
-        n = len(switches)
         terminals = topology.terminals()
         switch_lids = topology.switch_lids()
         all_lids = sorted(
@@ -117,17 +118,8 @@ class FabricSnapshot:
                 f" (e.g. {uncovered[:8]}); widen the table — those LIDs"
                 " would otherwise be silently skipped"
             )
-        if ports is None:
-            width = max(
-                [t.lid for t in terminals] + list(switch_lids) + [0]
-            ) + 1
-            width = max(
-                [width] + [len(sw.lft.as_array()) for sw in switches]
-            )
-            ports = np.full((n, width), LFT_UNSET, dtype=np.int16)
-            for sw in switches:
-                arr = sw.lft.as_array()
-                ports[sw.index, : len(arr)] = arr
+        if ports is None:  # a copy only when a bound LID lies beyond the store
+            ports = widen(topology.lft, all_lids[-1] if all_lids else 0)
         width = ports.shape[1]
         dest_switch = np.full(width, -1, dtype=np.int32)
         dest_port = np.full(width, -1, dtype=np.int32)
@@ -151,7 +143,7 @@ class FabricSnapshot:
                 sorted(t.lid for t in terminals if t.lid < width),
                 dtype=np.int64,
             ),
-            switch_names=[sw.name for sw in switches],
+            switch_names=[sw.name for sw in topology.switches],
             vl=vl,
         )
 

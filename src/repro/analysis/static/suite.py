@@ -193,7 +193,7 @@ def inject_forwarding_loop(topology: Topology) -> str:
             back_ports = np.where(peer_of[t] == s)[0]
             if back_ports.size == 0:
                 continue
-            topology.switches[t].lft.set(int(lid), int(back_ports[0]))
+            topology.set_lft(t, int(lid), int(back_ports[0]))
             return (
                 f"LID {int(lid)}: pointed {snap.name_of(t)} back at"
                 f" {snap.name_of(s)} (forwarding loop)"

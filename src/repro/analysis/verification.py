@@ -77,17 +77,19 @@ class VerificationReport:
 
 def _divergences(snap: FabricSnapshot, tables: RoutingTables) -> List[str]:
     """Cells where the hardware snapshot differs from the recorded tables,
-    over every bound LID (a LID beyond the recorded width reads unset)."""
-    lids = snap.lids
-    recorded = np.full((snap.num_switches, lids.size), LFT_UNSET, dtype=np.int64)
-    inside = lids < tables.ports.shape[1]
-    recorded[:, inside] = tables.ports[:, lids[inside]]
-    hardware = snap.ports[:, lids]
-    rows, cols = np.nonzero(hardware != recorded)
+    over every bound LID (a LID beyond the recorded width reads unset):
+    one compare, masked to the bound columns."""
+    hardware, recorded = snap.ports, tables.ports
+    width = min(hardware.shape[1], recorded.shape[1])
+    differ = hardware != LFT_UNSET
+    differ[:, :width] = hardware[:, :width] != recorded[:, :width]
+    bound = np.zeros(hardware.shape[1], dtype=bool)
+    bound[snap.lids] = True
+    rows, lids = np.nonzero(differ & bound)
     return [
-        f"LID {lids[j]} at {snap.name_of(s)}:"
-        f" hardware={hardware[s, j]} recorded={recorded[s, j]}"
-        for s, j in zip(rows.tolist(), cols.tolist())
+        f"LID {lid} at {snap.name_of(s)}: hardware={hardware[s, lid]}"
+        f" recorded={recorded[s, lid] if lid < width else LFT_UNSET}"
+        for s, lid in zip(rows.tolist(), lids.tolist())
     ]
 
 

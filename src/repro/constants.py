@@ -21,7 +21,7 @@ UNICAST_LID_COUNT: int = MAX_UNICAST_LID - MIN_UNICAST_LID + 1
 MIN_MULTICAST_LID: int = 0xC000
 
 #: Linear Forwarding Tables are read and written in blocks of 64 LIDs
-#: (paper sections V-C1 and VI-A): one SubnSet(LinearForwardingTable) SMP
+#: (paper sections V-C1 and VI-A): one SubnSet(LFT) SMP
 #: updates exactly one block.
 LFT_BLOCK_SIZE: int = 64
 

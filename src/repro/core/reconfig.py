@@ -248,13 +248,10 @@ class VSwitchReconfigurer:
 
     # -- the column-edit kernel ------------------------------------------------------
 
-    @staticmethod
-    def _entries(switches: Sequence[Switch], lids: Sequence[int]) -> np.ndarray:
-        """The hardware LFT entries ``[switch, lid]`` of a sweep."""
-        return np.array(
-            [[sw.lft.get(lid) for lid in lids] for sw in switches],
-            dtype=np.int16,
-        ).reshape(len(switches), len(lids))
+    def _entries(self, switches: Sequence[Switch], lids: Sequence[int]) -> np.ndarray:
+        """The hardware LFT entries ``[switch, lid]`` of a sweep, one
+        column gather."""
+        return self.sm.topology.lft_columns(lids)[[sw.index for sw in switches]]
 
     def _edit(
         self,
@@ -300,9 +297,7 @@ class VSwitchReconfigurer:
             ) + int(per_switch[i])
         targets = [switches[i] for i in owners.tolist()]
         blocks = blocks.tolist()
-        pre = np.array(
-            [sw.lft.get_block(block) for sw, block in zip(targets, blocks)]
-        )
+        pre = self.sm.topology.lft_blocks([sw.index for sw in targets], blocks)
         entries = pre.copy()
         entries[row_of, at_offset] = want[at_switch, at_lid]
         self._write(targets, blocks, entries, pre, undo)

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Sequence, Set
 
+import numpy as np
+
 from repro.errors import ReconfigError
 from repro.fabric.graph import bfs_distances, port_to_peer
 from repro.fabric.lft import lft_block_of
@@ -68,28 +70,19 @@ class MigrationSkyline:
 
 
 def swap_update_set(topology: Topology, lid_a: int, lid_b: int) -> Set[int]:
-    """Switch indices whose LFTs a swap of *lid_a*/*lid_b* would change.
+    """Switch indices whose LFTs a swap of *lid_a*/*lid_b* — or a copy of
+    template *lid_a* to target *lid_b* — would change: one column compare.
 
     A switch already forwarding both LIDs through the same port keeps its
     table — the section VI-B example where migrating within lids routed out
     the same port leaves upstream switches untouched.
     """
-    out: Set[int] = set()
-    for sw in topology.switches:
-        if sw.lft.get(lid_a) != sw.lft.get(lid_b):
-            out.add(sw.index)
-    return out
+    columns = topology.lft_columns([lid_a, lid_b])
+    return set(np.flatnonzero(columns[:, 0] != columns[:, 1]).tolist())
 
 
-def copy_update_set(
-    topology: Topology, template_lid: int, target_lid: int
-) -> Set[int]:
-    """Switch indices a copy of *template_lid* -> *target_lid* would touch."""
-    out: Set[int] = set()
-    for sw in topology.switches:
-        if sw.lft.get(template_lid) != sw.lft.get(target_lid):
-            out.add(sw.index)
-    return out
+#: A copy touches exactly the switches whose two entries differ, as a swap.
+copy_update_set = swap_update_set
 
 
 def minimal_update_set(
@@ -128,36 +121,21 @@ def minimal_update_set(
     peer_of = port_to_peer(view)
     dist = bfs_distances(view, dest_leaf.index).tolist()
 
-    updates: Set[int] = set()
-    delivering: Set[int] = {dest_leaf.index}
-    if dest_leaf.lft.get(vm_lid) != delivery_port:
-        updates.add(dest_leaf.index)
-
-    order = sorted(
-        (sw for sw in topology.switches if sw is not dest_leaf),
-        key=lambda sw: (dist[sw.index], sw.index),
-    )
-    switches = topology.switches
-    for sw in order:
+    stale = topology.lft_columns([vm_lid])[:, 0].tolist()
+    leaf = dest_leaf.index
+    updates: Set[int] = set() if stale[leaf] == delivery_port else {leaf}
+    delivering: Set[int] = {leaf}
+    for s in sorted(set(range(len(stale))) - {leaf}, key=lambda s: (dist[s], s)):
         # Follow stale entries through not-yet-classified switches until we
-        # hit the delivering region (free) or fail (must update).
-        cur = sw
-        seen = set()
-        while True:
-            if cur.index in delivering:
-                break
-            if cur.index in seen:
-                cur = None  # loop: cannot deliver unaided
-                break
-            seen.add(cur.index)
-            nxt = int(peer_of[cur.index, cur.lft.get(vm_lid)])
-            if nxt < 0:
-                cur = None  # stale entry exits the fabric at the old host
-                break
-            cur = switches[nxt]
-        if cur is None:
-            updates.add(sw.index)
-        delivering.add(sw.index)
+        # hit the delivering region (free) or fail (must update): a loop, or
+        # an entry that exits the fabric at the old host (-1).
+        cur, seen = s, set()
+        while cur >= 0 and cur not in delivering and cur not in seen:
+            seen.add(cur)
+            cur = int(peer_of[cur, stale[cur]])
+        if cur not in delivering:
+            updates.add(s)
+        delivering.add(s)
     return updates
 
 

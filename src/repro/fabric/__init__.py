@@ -10,7 +10,6 @@ from repro.fabric.addressing import (
     theoretical_vm_limit,
 )
 from repro.fabric.lft import (
-    LinearForwardingTable,
     blocks_covering,
     lft_block_of,
     min_blocks_for_lid_count,
@@ -27,7 +26,6 @@ __all__ = [
     "DEFAULT_SUBNET_PREFIX",
     "theoretical_hypervisor_limit",
     "theoretical_vm_limit",
-    "LinearForwardingTable",
     "lft_block_of",
     "blocks_covering",
     "min_blocks_for_lid_count",

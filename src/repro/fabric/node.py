@@ -12,13 +12,13 @@ import enum
 import itertools
 from typing import Dict, Iterator, List, Optional, TYPE_CHECKING
 
-from repro.constants import QP0, QP1
+from repro.constants import LFT_UNSET, QP0, QP1
 from repro.errors import TopologyError
 from repro.fabric.addressing import GUID
-from repro.fabric.lft import LinearForwardingTable
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fabric.link import Link
+    from repro.fabric.topology import Topology
 
 __all__ = [
     "NodeType",
@@ -257,15 +257,17 @@ class Switch(Node):
 
     The management port (port 0) holds the switch's own LID. The LFT maps
     destination LIDs to output ports and is programmed by the SM in 64-LID
-    blocks. ``counters`` holds PMA-style per-port traffic counters,
-    incremented by the data-plane simulator and queryable through the
-    performance manager.
+    blocks; it is row :attr:`index` of the owning topology's
+    :attr:`~repro.fabric.topology.Topology.lft`. ``counters`` holds
+    PMA-style per-port traffic counters, incremented by the data-plane
+    simulator and queryable through the performance manager.
     """
 
     def __init__(self, name: str, num_ports: int) -> None:
         super().__init__(name, NodeType.SWITCH, num_ports)
         self.management_port = Port(self, 0)
-        self.lft = LinearForwardingTable(top_lid=63)
+        #: The topology holding this switch's LFT row (None once detached).
+        self.topology: Optional["Topology"] = None
 
     @property
     def lid(self) -> Optional[int]:
@@ -277,19 +279,13 @@ class Switch(Node):
         self.management_port.lid = value
 
     def route(self, dest_lid: int) -> int:
-        """Output port for *dest_lid* per the current LFT."""
-        return self.lft.get(dest_lid)
-
-    def reset_forwarding(self) -> None:
-        """Drop all forwarding and counter state (clean detach).
-
-        Called when the switch leaves a subnet so stale LFT entries or
-        PMA counters can never leak into a later re-add of the same
-        hardware.
-        """
-        self.lft = LinearForwardingTable(top_lid=63)
-        for counters in self.counters.values():
-            counters.reset()
+        """Output port for *dest_lid* per the current LFT (LFT_UNSET if
+        not programmed, or once the switch left its topology)."""
+        if dest_lid < 0:
+            raise TopologyError(f"negative LID {dest_lid}")
+        if self.topology is None or dest_lid >= self.topology._lft.shape[1]:
+            return LFT_UNSET
+        return self.topology._lft.item(self.index, dest_lid)
 
     def attached_hcas(self) -> List["HCA"]:
         """HCAs plugged directly into this switch (defines a leaf switch)."""

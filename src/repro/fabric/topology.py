@@ -2,8 +2,9 @@
 
 Holds every node and cable of one IB subnet, maintains the LID -> port
 binding registry (several LIDs may bind to one physical HCA port — that is
-exactly what the vSwitch architecture does), and exports a compact
-integer-indexed view of the switch graph for the routing engines.
+exactly what the vSwitch architecture does), owns every switch's hardware
+LFT as one ``(switch, LID)`` matrix, and exports a compact integer-indexed
+view of the switch graph for the routing engines.
 """
 
 from __future__ import annotations
@@ -16,13 +17,16 @@ from typing import (
     List,
     NamedTuple,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
 
 import numpy as np
 
+from repro.constants import LFT_BLOCK_SIZE, LFT_UNSET, MAX_UNICAST_LID
 from repro.errors import TopologyError
+from repro.fabric.lft import check_blocks, widen
 from repro.fabric.link import Link
 from repro.fabric.node import HCA, Node, Port, Switch
 
@@ -207,7 +211,8 @@ class SwitchFabricView:
 
 
 class Topology:
-    """A mutable IB subnet: nodes, links, and the LID binding registry."""
+    """A mutable IB subnet: nodes, links, the LID binding registry and the
+    hardware LFTs."""
 
     def __init__(self, name: str = "subnet") -> None:
         self.name = name
@@ -218,6 +223,8 @@ class Topology:
         self._lid_to_port: Dict[int, Port] = {}
         self._fabric_view: Optional[SwitchFabricView] = None
         self._version = 0
+        #: Every switch's hardware LFT: row ``switch.index``, column LID.
+        self._lft = np.full((0, LFT_BLOCK_SIZE), LFT_UNSET, dtype=np.int16)
 
     @property
     def version(self) -> int:
@@ -243,7 +250,9 @@ class Topology:
         self._check_fresh_name(name)
         sw = Switch(name, num_ports)
         sw.index = len(self._switches)
+        sw.topology = self
         self._switches.append(sw)
+        self._lft = np.vstack([self._lft, np.full(self._lft.shape[1], LFT_UNSET, np.int16)])
         self._nodes[name] = sw
         self._touch_switch_graph()
         return sw
@@ -371,16 +380,84 @@ class Topology:
             self._links.remove(link)
         self._switches.remove(node)
         del self._nodes[node.name]
+        # Clean detach: a removed switch keeps no forwarding or counter
+        # state, so a later re-add (same name or same hardware) starts
+        # from scratch and round-trips to byte-identical routing.
+        self._lft = np.delete(self._lft, node.index, axis=0)
         for idx, sw in enumerate(self._switches):
             sw.index = idx
         node.index = -1
         node.lid = None
-        # Clean detach: a removed switch keeps no forwarding or counter
-        # state, so a later re-add (same name or same hardware) starts
-        # from scratch and round-trips to byte-identical routing.
-        node.reset_forwarding()
+        node.topology = None
+        for counters in node.counters.values():
+            counters.reset()
         self._touch_switch_graph()
         return node
+
+    # -- hardware LFTs ------------------------------------------------------
+
+    @property
+    def lft(self) -> np.ndarray:
+        """Read-only view of the hardware LFTs, ``lft[switch.index, lid]``,
+        whole 64-LID blocks wide (a LID beyond reads unset); valid until
+        the next hardware write, which may replace the matrix."""
+        view = self._lft.view()
+        view.flags.writeable = False
+        return view
+
+    def lft_columns(self, lids: Sequence[int]) -> np.ndarray:
+        """Copy of the ``(switch, len(lids))`` entries of *lids*."""
+        index = np.asarray(lids, dtype=np.intp)
+        if index.size and index.min() < 0:
+            raise TopologyError(f"negative LID {int(index.min())}")
+        out = np.full((len(self._switches), index.size), LFT_UNSET, np.int16)
+        inside = index < self._lft.shape[1]
+        out[:, inside] = self._lft[:, index[inside]]
+        return out
+
+    def lft_blocks(self, rows: Sequence[int], blocks: Sequence[int]) -> np.ndarray:
+        """Copy of block ``blocks[i]`` of switch row ``rows[i]``, one
+        64-entry row each (what SubnGet(LFT) returns)."""
+        check_blocks(blocks)
+        index = np.asarray(blocks, dtype=np.intp)
+        out = np.full((index.size, LFT_BLOCK_SIZE), LFT_UNSET, np.int16)
+        inside = index < self._lft.shape[1] // LFT_BLOCK_SIZE
+        table = self._lft.reshape(len(self._switches), -1, LFT_BLOCK_SIZE)
+        out[inside] = table[np.asarray(rows, dtype=np.intp)[inside], index[inside]]
+        return out
+
+    def load_lft_blocks(
+        self, row: int, blocks: Sequence[int], entries: np.ndarray
+    ) -> None:
+        """SubnSet(LFT): block ``blocks[i]`` of switch row *row* takes
+        ``entries[i]``, in order (a block named twice keeps its last row),
+        widening the store first. A few rows — the ``m' <= 2`` of a
+        reconfiguration — go in as slice copies, since one indexed
+        assignment costs as much as four; a distribution's ``m`` in one."""
+        if entries.shape != (len(blocks), LFT_BLOCK_SIZE):
+            raise TopologyError(
+                f"LFT block payload must have {LFT_BLOCK_SIZE} entries"
+            )
+        if len(blocks) < 4:
+            check_blocks(blocks)
+            for block, entry in zip(blocks, entries):
+                start = block * LFT_BLOCK_SIZE
+                self._lft = widen(self._lft, start)
+                self._lft[row, start : start + LFT_BLOCK_SIZE] = entry
+        else:
+            index = np.asarray(blocks, dtype=np.intp)
+            check_blocks([index.min(), index.max()])
+            self._lft = widen(self._lft, int(index.max()) * LFT_BLOCK_SIZE)
+            self._lft[row].reshape(-1, LFT_BLOCK_SIZE)[index] = entries
+
+    def set_lft(self, row: int, lid: int, port: int) -> None:
+        """Program one entry out of band (fault injection, tests)."""
+        if not 0 < lid <= MAX_UNICAST_LID:
+            raise TopologyError(f"LID {lid} outside unicast range")
+        if not 0 <= port <= 255:
+            raise TopologyError(f"port {port} outside 0-255")
+        self._lft = widen(self._lft, lid)
+        self._lft[row, lid] = port
 
     def _check_fresh_name(self, name: str) -> None:
         if name in self._nodes:

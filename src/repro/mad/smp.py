@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.constants import LFT_BLOCK_SIZE
 from repro.errors import TopologyError
+from repro.fabric.lft import check_blocks
 
 __all__ = [
     "SmpKind",
@@ -100,19 +101,18 @@ class Smp:
     generation: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.kind is SmpKind.LFT_BLOCK and self.method is SmpMethod.SET:
-            entries = self.payload.get("entries")
-            if entries is None or len(entries) != LFT_BLOCK_SIZE:
-                raise TopologyError(
-                    "SET LinearForwardingTable SMP needs a 64-entry payload"
-                )
-            if "block" not in self.payload:
-                raise TopologyError("SET LFT SMP needs a block index")
+        if self.kind is not SmpKind.LFT_BLOCK:
+            return
+        entries = self.payload.get("entries")
+        if self.method is SmpMethod.SET and (entries is None or len(entries) != LFT_BLOCK_SIZE):
+            raise TopologyError("SET LFT SMP needs a 64-entry payload")
+        if "block" not in self.payload:
+            raise TopologyError("LFT SMP needs a block index")
+        check_blocks([self.payload["block"]])
 
     @property
     def is_lft_update(self) -> bool:
-        """True for SubnSet(LinearForwardingTable) — the packets the paper
-        counts in Table I."""
+        """True for SubnSet(LFT) — the packets the paper counts in Table I."""
         return self.kind is SmpKind.LFT_BLOCK and self.method is SmpMethod.SET
 
     @property

@@ -459,12 +459,9 @@ class SmpTransport:
                 end = sent + count
                 self._refuse(target, kind, plan.args[sent:end])
                 if kind is _LFT:
-                    if count == 1:
-                        target.lft.load_block(plan.args[sent], plan.entries[sent])
-                    else:
-                        target.lft.load_blocks(
-                            plan.args[sent:end], plan.entries[sent:end]
-                        )
+                    self.topology.load_lft_blocks(
+                        target.index, plan.args[sent:end], plan.entries[sent:end]
+                    )
                     if generation is not None:
                         self._fabric_generation = generation
                 if applied is not None:
@@ -689,11 +686,12 @@ class SmpTransport:
         """Execute the management operation on the target node (which
         :meth:`_refuse` has let through)."""
         if smp.kind is SmpKind.LFT_BLOCK:
-            block = int(smp.payload["block"])
+            block, row = int(smp.payload["block"]), target.index
             if smp.method is SmpMethod.SET:
-                target.lft.load_block(block, smp.payload["entries"])
+                entries = np.reshape(smp.payload["entries"], (1, -1))
+                self.topology.load_lft_blocks(row, [block], entries)
                 return None
-            return {"block": block, "entries": target.lft.get_block(block)}
+            return {"block": block, "entries": self.topology.lft_blocks([row], [block])[0]}
 
         if smp.kind is SmpKind.PORT_INFO:
             port_num = int(smp.payload.get("port", 0 if isinstance(target, Switch) else 1))

@@ -170,9 +170,9 @@ def cloud_fingerprint(cloud: CloudManager) -> str:
     digest = hashlib.sha256(
         json.dumps(state, sort_keys=True).encode("utf-8")
     )
-    for sw in topology.switches:
+    for sw, row in zip(topology.switches, topology.lft):
         digest.update(sw.name.encode("utf-8"))
-        digest.update(sw.lft.as_array().tobytes())
+        digest.update(row.tobytes())
     return digest.hexdigest()
 
 

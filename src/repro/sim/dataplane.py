@@ -257,6 +257,7 @@ class DataPlaneSimulator:
         heap, seq = engine._heap, engine._seq
         arrivals, hop_q, exp_q = self._arrivals, self._hop_arrivals, self._expiries
         flows, latencies, switches = stats.flows, stats.latencies, self._switches
+        topology = self.topology
         src, dst, vl, origin, inject_time = self._src, self._dst, self._vl, self._origin, self._inject_time
         at, held, wait_start, hop_count = self._at, self._held, self._wait_start, self._hops
         channel_of, nxt_of, edge_counters = self._channel_of, self._next, self._edge_counters
@@ -339,11 +340,13 @@ class DataPlaneSimulator:
                         if hops > max_hops:
                             self._drop(pkt, "timeout", None)  # runaway loop guard
                         else:
-                            # At a switch: read its LFT live (``lft.get`` for
-                            # a LID outside the array).
-                            lid, lft = dst[pkt], switches[here].lft
-                            entries = lft._ports
-                            out = entries.item(lid) if 0 <= lid < len(entries) else lft.get(lid)
+                            # At a switch: its LFT row, read live (an event may
+                            # widen the store); a LID beyond it is unprogrammed.
+                            lid, lft = dst[pkt], topology._lft
+                            try:
+                                out = lft.item(here, lid) if lid >= 0 else switches[here].route(lid)
+                            except IndexError:
+                                out = LFT_DROP_PORT
                             if out == LFT_DROP_PORT:
                                 # Port 255 — also what an unprogrammed entry
                                 # holds: section VI-C's drop.
@@ -430,7 +433,7 @@ class DataPlaneSimulator:
         credit). *port* None charges the LFT's port for the destination."""
         sw = self._switches[self._at[pkt]]
         if port is None:
-            out = sw.lft.get(self._dst[pkt])
+            out = sw.route(self._dst[pkt])
             port = out if 0 <= out <= sw.num_ports else 0
         counters, stats = sw.port_counters(port), self.stats
         if reason == "timeout":

@@ -36,7 +36,7 @@ from repro.errors import (
     RoutingError,
     TransportError,
 )
-from repro.fabric.lft import lft_block_of
+from repro.fabric.lft import lft_block_of, widen
 from repro.fabric.node import Switch
 from repro.fabric.topology import Topology
 from repro.mad.smp import Smp, SmpKind, SmpMethod, SmpPlan, make_set_lft_block
@@ -144,33 +144,24 @@ class LftDistributor:
         Returns ``(send, desired)``: ``send[i, b]`` says whether block
         ``b`` goes to the ``i``-th switch and ``desired`` is the stacked
         (num_switches, n_blocks, 64) target LFT matrix. The whole diff is
-        three array ops — stack, block reshape, ``any`` reduction —
-        instead of a per-switch/per-block Python loop. Computing the plan
+        one compare against the hardware store in place, a block reshape
+        and an ``any`` reduction — no per-switch copy. Computing the plan
         up front is equivalent to the old interleaved diff-while-sending:
         a switch's LFT is only mutated by its *own* sends, so the pre-send
         state each old diff read is exactly the state read here.
         """
-        switches = self.topology.switches
-        # Widen to whichever is larger: the new routing or the largest
-        # existing table — stale entries above the new top LID must be
-        # cleared, not silently kept.
-        currents = [sw.lft.as_array() for sw in switches]
-        width = (lft_block_of(tables.top_lid) + 1) * LFT_BLOCK_SIZE
-        full_width = max([width] + [len(c) for c in currents])
-        n_blocks = full_width // LFT_BLOCK_SIZE
-        s = len(switches)
-        desired = np.full((s, full_width), LFT_UNSET, dtype=np.int16)
-        idx = [sw.index for sw in switches]
-        row_width = min(tables.ports.shape[1], full_width)
-        desired[:, :row_width] = tables.ports[idx, :row_width]
-        if force_full:
-            send = desired != LFT_UNSET
-        else:
-            cur = np.full((s, full_width), LFT_UNSET, dtype=np.int16)
-            for i, c in enumerate(currents):
-                cur[i, : len(c)] = c
-            send = cur != desired
-        shape = (s, n_blocks, LFT_BLOCK_SIZE)
+        # Widen to whichever is larger: the new routing or the hardware
+        # store — stale entries above the new top LID must be cleared, not
+        # silently kept.
+        hardware = self.topology.lft
+        s, width = hardware.shape
+        top = lft_block_of(max(width - 1, tables.top_lid)) * LFT_BLOCK_SIZE
+        desired = widen(tables.ports[:s], top + LFT_BLOCK_SIZE - 1)
+        # Beyond the store every hardware entry reads unset.
+        send = desired != LFT_UNSET
+        if not force_full:
+            send[:, :width] = desired[:, :width] != hardware
+        shape = (s, desired.shape[1] // LFT_BLOCK_SIZE, LFT_BLOCK_SIZE)
         return send.reshape(shape).any(axis=2), desired.reshape(shape)
 
     def _distribute_blocks(
@@ -238,7 +229,7 @@ class LftDistributor:
         pre-image is logged in *undo* once a SET was delivered; *report*
         counts the verified blocks and the re-syncs.
         """
-        pre = sw.lft.get_block(block)
+        pre = self.topology.lft_blocks([sw.index], [block])[0]
         recorded = undo is None
         for attempt in range(self.verify_attempts):
             if attempt and report is not None:

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.verification import verify_delivery, verify_subnet
+from repro.constants import LFT_UNSET
 from repro.fabric.builders.generic import build_ring, build_single_switch
 from repro.fabric.presets import scaled_fattree
 from repro.sm.subnet_manager import SubnetManager
@@ -87,7 +88,7 @@ class TestFixtures:
         sm = configured(build_single_switch(4))
         assert_agree(sm)
         victim = sm.topology.terminals()[0]
-        sm.topology.switches[0].lft.set(victim.lid, victim.switch_port % 4 + 1)
+        sm.topology.set_lft(0, victim.lid, victim.switch_port % 4 + 1)
         assert_agree(sm)
         assert faulty_lids(sm.topology) == [victim.lid]
 
@@ -117,17 +118,14 @@ class TestRandomCorruptions:
         switches = sm.topology.switches
         lids = sm.topology.bound_lids()
         for sw_draw, lid_draw, port in cells:
-            lft = switches[sw_draw % len(switches)].lft
+            row = sw_draw % len(switches)
             lid = lids[lid_draw % len(lids)]
-            if port is None:
-                lft.clear(lid)
-            else:
-                lft.set(lid, port)
+            sm.topology.set_lft(row, lid, LFT_UNSET if port is None else port)
         assert_agree(sm)
         # Consistency against the cell-by-cell compare it replaced.
         recorded = sm.current_tables
         differing = sum(
-            sw.lft.get(lid) != recorded.port_for(sw.index, lid)
+            sw.route(lid) != recorded.port_for(sw.index, lid)
             for sw in switches
             for lid in lids
         )

@@ -98,10 +98,10 @@ class TestReachability:
         victim = next(
             sw
             for sw in small_fattree.topology.switches
-            if sw.lft.get(lid) != LFT_UNSET
+            if sw.route(lid) != LFT_UNSET
             and sw.index != snapshot(small_fattree).dest_switch[lid]
         )
-        victim.lft.clear(lid)
+        small_fattree.topology.set_lft(victim.index, lid, LFT_UNSET)
         findings = check_reachability(snapshot(small_fattree))
         assert any(
             f.rule == "LFT002" and f.lid == lid and f.switch == victim.index
@@ -166,7 +166,7 @@ class TestReviewRegressions:
         snap0 = snapshot(small_fattree)
         lid = int(snap0.terminal_lids[0])
         dest = small_fattree.topology.switches[int(snap0.dest_switch[lid])]
-        dest.lft.clear(lid)
+        small_fattree.topology.set_lft(dest.index, lid, LFT_UNSET)
         findings = check_reachability(snapshot(small_fattree))
         mine = [f for f in findings if f.lid == lid]
         # Every source now funnels into the hole, so it aggregates as
@@ -194,8 +194,8 @@ class TestReviewRegressions:
                 ix for ix in leaves if ix != int(snap0.dest_switch[lid])
             )
             sw = small_fattree.topology.switches[other]
-            if sw.lft.get(lid) != LFT_UNSET:
-                sw.lft.clear(lid)
+            if sw.route(lid) != LFT_UNSET:
+                small_fattree.topology.set_lft(sw.index, lid, LFT_UNSET)
                 broken.append(lid)
             if len(broken) == 4:
                 break

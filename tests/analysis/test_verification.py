@@ -8,9 +8,10 @@ from repro.analysis.verification import (
     verify_sm_consistency,
     verify_subnet,
 )
+from repro.constants import LFT_UNSET
 from repro.core.reconfig import VSwitchReconfigurer
 from repro.errors import ReproError, StaticAnalysisError, TopologyError
-from repro.fabric.lft import LinearForwardingTable
+from repro.fabric.node import Switch
 from repro.fabric.presets import scaled_fattree
 from repro.sm.routing.base import RoutingTables
 from repro.sm.subnet_manager import SubnetManager
@@ -31,13 +32,13 @@ def healthy_sm(small_fattree):
 
 def nonsense_port(sm):
     victim = sm.topology.bound_lids()[-1]
-    sm.topology.switches[3].lft.set(victim, 33)
+    sm.topology.set_lft(3, victim, 33)
     return victim
 
 
 def unprogrammed(sm):
     victim = sm.topology.bound_lids()[-1]
-    sm.topology.switches[0].lft.clear(victim)
+    sm.topology.set_lft(0, victim, LFT_UNSET)
     return victim
 
 
@@ -53,8 +54,8 @@ def leaf_spine_loop(sm):
     port_to_leaf = next(
         p.num for p in spine.connected_ports() if p.remote.node is leaf
     )
-    leaf.lft.set(victim, port_to_spine)
-    spine.lft.set(victim, port_to_leaf)
+    topo.set_lft(leaf.index, victim, port_to_spine)
+    topo.set_lft(spine.index, victim, port_to_leaf)
     return victim
 
 
@@ -62,7 +63,7 @@ def sm_divergence(sm):
     sw = sm.topology.switches[2]
     victim = sm.topology.bound_lids()[0]
     recorded = sm.current_tables.port_for(sw.index, victim)
-    sw.lft.set(victim, recorded % 30 + 1)  # some other port, always
+    sm.topology.set_lft(sw.index, victim, recorded % 30 + 1)  # some other port, always
     return victim
 
 
@@ -79,7 +80,7 @@ class TestHealthySubnet:
     def test_one_snapshot_and_no_cell_lookups(self, healthy_sm, monkeypatch):
         # The audit reads the hardware once, into arrays: one snapshot, and
         # not a single per-cell LFT / routing-table lookup.
-        calls = {"snapshot": 0, "lft.get": 0, "port_for": 0}
+        calls = {"snapshot": 0, "route": 0, "port_for": 0}
 
         def counting(name, wrapped):
             def call(*args, **kwargs):
@@ -95,16 +96,12 @@ class TestHealthySubnet:
                 counting("snapshot", FabricSnapshot.from_topology.__func__)
             ),
         )
-        monkeypatch.setattr(
-            LinearForwardingTable,
-            "get",
-            counting("lft.get", LinearForwardingTable.get),
-        )
+        monkeypatch.setattr(Switch, "route", counting("route", Switch.route))
         monkeypatch.setattr(
             RoutingTables, "port_for", counting("port_for", RoutingTables.port_for)
         )
         assert verify_subnet(healthy_sm).ok
-        assert calls == {"snapshot": 1, "lft.get": 0, "port_for": 0}
+        assert calls == {"snapshot": 1, "route": 0, "port_for": 0}
 
     def test_after_migrations_still_ok(self, small_fattree):
         cloud = make_cloud(small_fattree, num_vfs=3)

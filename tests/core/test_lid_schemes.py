@@ -119,7 +119,7 @@ class TestDynamic:
         vsw = vswitches[0]
         report = scheme.boot_vm(vsw, "vm1")
         for sw in built.topology.switches:
-            assert sw.lft.get(report.lid) == sw.lft.get(vsw.pf_lid)
+            assert sw.route(report.lid) == sw.route(vsw.pf_lid)
 
     def test_vm_boot_costs_at_most_one_smp_per_switch(self):
         # Section V-B: "One SMP per switch is needed to be sent".
@@ -150,7 +150,7 @@ class TestDynamic:
         report = scheme.migrate_lid(boot.lid, src, src_vf, dest, dest_vf)
         assert report.mode == "copy"
         for sw in built.topology.switches:
-            assert sw.lft.get(boot.lid) == sw.lft.get(dest.pf_lid)
+            assert sw.route(boot.lid) == sw.route(dest.pf_lid)
         assert sm.topology.port_of_lid(boot.lid) is dest.uplink_port
         assert src_vf.lid is None
 

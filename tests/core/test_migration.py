@@ -77,7 +77,7 @@ class TestMigrationFlow:
         cur = cloud.hypervisors["l5h0"].uplink_port.remote.node
         hops = 0
         while cur is not dest_leaf:
-            out = cur.lft.get(lid)
+            out = cur.route(lid)
             nxt = None
             for port in cur.connected_ports():
                 if port.num == out:
@@ -86,7 +86,7 @@ class TestMigrationFlow:
             cur = nxt
             hops += 1
             assert hops < 10
-        assert dest_leaf.lft.get(lid) == cloud.hypervisors[
+        assert dest_leaf.route(lid) == cloud.hypervisors[
             "l3h3"
         ].uplink_port.remote.num
 
@@ -212,7 +212,7 @@ class TestMinimalIntraLeaf:
         lid = vm.lid
         cloud.live_migrate(vm.name, "l0h1")
         leaf = cloud.hypervisors["l0h1"].uplink_port.remote.node
-        assert leaf.lft.get(lid) == cloud.hypervisors["l0h1"].uplink_port.remote.num
+        assert leaf.route(lid) == cloud.hypervisors["l0h1"].uplink_port.remote.num
 
 
 class TestListeners:

@@ -14,7 +14,7 @@ from tests.conftest import make_cloud
 def cloud_state(cloud):
     """Everything a rollback must restore, hashable for comparison."""
     lfts = {
-        sw.name: np.array(sw.lft.as_array(), copy=True)
+        sw.name: sw.topology.lft[sw.index].copy()
         for sw in cloud.topology.switches
     }
     vfs = {

@@ -40,10 +40,10 @@ def mixture_delivers(topology, vm_lid, template_lid, updates, dest_port):
                 out = (
                     delivery_port
                     if cur is dest_leaf
-                    else cur.lft.get(template_lid)
+                    else cur.route(template_lid)
                 )
             else:
-                out = cur.lft.get(vm_lid)  # stale entry
+                out = cur.route(vm_lid)  # stale entry
             if cur is dest_leaf and out == delivery_port:
                 break  # delivered at the right host port
             nxt = p2p.get((cur.index, out))

@@ -95,13 +95,13 @@ class TestFig5Swap:
     def test_entries_exchanged_everywhere(self, paper_scenario):
         topo, sm, scheme, vs = paper_scenario
         before = {
-            sw.name: (sw.lft.get(2), sw.lft.get(12)) for sw in topo.switches
+            sw.name: (sw.route(2), sw.route(12)) for sw in topo.switches
         }
         VSwitchReconfigurer(sm).swap_lids(2, 12)
         for sw in topo.switches:
             b2, b12 = before[sw.name]
-            assert sw.lft.get(2) == b12
-            assert sw.lft.get(12) == b2
+            assert sw.route(2) == b12
+            assert sw.route(12) == b2
 
     def test_cross_block_swap_needs_two_smps(self, paper_scenario):
         # "If the LID of VF3 on hypervisor 3 was 64 or greater, then two
@@ -125,8 +125,8 @@ class TestSectionVIBExample:
         topo, sm, scheme, vs = paper_scenario
         spine_a = topo.node("spineA")
         spine_b = topo.node("spineB")
-        assert spine_a.lft.get(2) == spine_a.lft.get(6)
-        assert spine_b.lft.get(2) == spine_b.lft.get(6)
+        assert spine_a.route(2) == spine_a.route(6)
+        assert spine_b.route(2) == spine_b.route(6)
         report = VSwitchReconfigurer(sm).swap_lids(2, 6)
         assert "spineA" not in report.blocks_per_switch
         assert "spineB" not in report.blocks_per_switch

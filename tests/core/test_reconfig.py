@@ -49,12 +49,12 @@ class TestSwap:
         built, sm, h_a, h_b, lid_a, lid_b = configured
         leaf_a = h_a.uplink_switch()
         leaf_b = h_b.uplink_switch()
-        port_before = leaf_a.lft.get(lid_a)
+        port_before = leaf_a.route(lid_a)
         rec = VSwitchReconfigurer(sm)
         report = rec.swap_lids(lid_a, lid_b)
         assert report.mode == "swap"
         # On leaf_a the entry for lid_a now points where lid_b used to go.
-        assert leaf_a.lft.get(lid_b) == port_before
+        assert leaf_a.route(lid_b) == port_before
 
     def test_swap_smps_bounded_by_two_per_switch(self, configured):
         built, sm, *_, lid_a, lid_b = configured
@@ -75,23 +75,19 @@ class TestSwap:
 
     def test_swap_is_balance_preserving_involution(self, configured):
         built, sm, h_a, h_b, lid_a, lid_b = configured
-        snapshot = {
-            sw.name: sw.lft.as_array().copy()
-            for sw in built.topology.switches
-        }
+        snapshot = built.topology.lft.copy()
         rec = VSwitchReconfigurer(sm)
         rec.swap_lids(lid_a, lid_b)
         rec.swap_lids(lid_a, lid_b)
-        for sw in built.topology.switches:
-            assert (sw.lft.as_array() == snapshot[sw.name]).all()
+        assert (built.topology.lft == snapshot).all()
 
     def test_swap_keeps_tables_in_sync(self, configured):
         built, sm, h_a, h_b, lid_a, lid_b = configured
         rec = VSwitchReconfigurer(sm)
         rec.swap_lids(lid_a, lid_b)
         for sw in built.topology.switches:
-            assert sw.lft.get(lid_a) == sm.current_tables.port_for(sw.index, lid_a)
-            assert sw.lft.get(lid_b) == sm.current_tables.port_for(sw.index, lid_b)
+            assert sw.route(lid_a) == sm.current_tables.port_for(sw.index, lid_a)
+            assert sw.route(lid_b) == sm.current_tables.port_for(sw.index, lid_b)
 
     def test_swap_self_rejected(self, configured):
         _, sm, *_, lid_a, _ = configured
@@ -126,7 +122,7 @@ class TestCopy:
         report = rec.copy_path(pf_lid, lid_a)
         assert report.mode == "copy"
         for sw in built.topology.switches:
-            assert sw.lft.get(lid_a) == sw.lft.get(pf_lid)
+            assert sw.route(lid_a) == sw.route(pf_lid)
 
     def test_copy_one_smp_per_switch_max(self, configured):
         built, sm, h_a, h_b, lid_a, lid_b = configured
@@ -144,7 +140,7 @@ class TestCopy:
         rec.copy_path(h_b.port(1).lid, fresh)
         assert sm.current_tables.port_for(0, fresh) == built.topology.switches[
             0
-        ].lft.get(fresh)
+        ].route(fresh)
 
     def test_copy_identical_is_free(self, configured):
         built, sm, h_a, h_b, lid_a, lid_b = configured
@@ -175,7 +171,7 @@ class TestInvalidate:
         report = VSwitchReconfigurer(sm).invalidate_lid(lid_a)
         assert report.mode == "invalidate"
         for sw in built.topology.switches:
-            assert sw.lft.get(lid_a) == LFT_DROP_PORT
+            assert sw.route(lid_a) == LFT_DROP_PORT
 
     def test_invalidate_costs_one_smp_per_switch(self, configured):
         built, sm, *_, lid_a, _ = configured
@@ -483,7 +479,7 @@ class TestKernelContract:
     ):
         topo, sm, pf_lid, _, far = straddling
         isolate(topo, topo.switches[4])
-        before = {sw.name: sw.lft.as_array().tobytes() for sw in topo.switches}
+        before = topo.lft.copy()
         sent = sm.transport.stats.total_smps
         get_hub().flight.clear()
         with pytest.raises(UnreachableTargetError):
@@ -495,9 +491,8 @@ class TestKernelContract:
         assert [e.target for e in events] == earlier + earlier[::-1]
         assert all(e.lft_update for e in events)
         assert sm.transport.stats.total_smps == sent + 8
-        for sw in topo.switches:
-            assert sw.lft.get(far) == 255
-            assert sw.lft.as_array().tobytes()[: len(before[sw.name])] == before[sw.name]
+        assert all(sw.route(far) == 255 for sw in topo.switches)
+        assert (topo.lft[:, : before.shape[1]] == before).all()
 
     def test_rollback_sends_the_restores_the_oracle_sends(self, straddling):
         def play(make):

@@ -42,7 +42,7 @@ class TestUpdateSets:
         # Under minhop lid-mod, two VF LIDs of one hypervisor may still use
         # different spine paths; assert only that the leaf itself agrees.
         leaf = cloud.hypervisors["l0h0"].uplink_port.remote.node
-        assert leaf.lft.get(lid_a) == leaf.lft.get(lid_b)
+        assert leaf.route(lid_a) == leaf.route(lid_b)
         assert leaf.index not in swap_update_set(cloud.topology, lid_a, lid_b)
 
 

@@ -1,4 +1,5 @@
-"""Tests for Linear Forwarding Tables and the 64-LID block machinery."""
+"""Tests for the hardware LFT store, the column edit and the 64-LID block
+machinery."""
 
 import numpy as np
 import pytest
@@ -11,12 +12,17 @@ from repro.constants import (
 )
 from repro.errors import TopologyError
 from repro.fabric.lft import (
-    LinearForwardingTable,
     apply_column_op,
     blocks_covering,
     lft_block_of,
     min_blocks_for_lid_count,
+    widen,
 )
+from repro.fabric.topology import Topology
+from repro.mad.transport import SmpTransport
+from repro.sm.lft_distribution import LftDistributor
+from repro.sm.routing.base import RoutingTables
+from tests.oracles.lft import LinearForwardingTable
 
 
 class TestBlockArithmetic:
@@ -77,173 +83,209 @@ class TestMinBlocks:
             min_blocks_for_lid_count(-1)
 
 
+def store(num_switches=2):
+    """A topology whose hardware LFT store has *num_switches* rows."""
+    topo = Topology()
+    for i in range(num_switches):
+        topo.add_switch(f"s{i}", 4)
+    return topo
+
+
+def changed_blocks(before, after):
+    """Per row, the 64-LID blocks where *after* differs from *before*
+    (the narrower one padded with unset entries)."""
+    width = max(before.shape[1], after.shape[1])
+    a, b = widen(before, width - 1), widen(after, width - 1)
+    mask = (a != b).reshape(len(a), -1, LFT_BLOCK_SIZE).any(axis=2)
+    return [np.flatnonzero(row).tolist() for row in mask]
+
+
+def diff_plan(topo, ports, force_full=False):
+    """The blocks a distribution of *ports* would send, per switch."""
+    distributor = LftDistributor(topo, SmpTransport(topo))
+    send, _ = distributor._diff_plan(RoutingTables("test", ports), force_full)
+    return [np.flatnonzero(row).tolist() for row in send]
+
+
 class TestLftBasics:
     def test_fresh_table_is_unprogrammed(self):
-        lft = LinearForwardingTable(top_lid=100)
-        assert lft.get(5) == LFT_UNSET
-        assert not lft.is_programmed(5)
+        topo = store()
+        assert topo.lft.shape == (2, LFT_BLOCK_SIZE)
+        assert (topo.lft == LFT_UNSET).all()
+        assert topo.switches[0].route(5) == LFT_UNSET
 
     def test_set_get(self):
-        lft = LinearForwardingTable(top_lid=100)
-        lft.set(5, 3)
-        assert lft.get(5) == 3
-        assert lft.is_programmed(5)
+        topo = store()
+        topo.set_lft(0, 5, 3)
+        assert topo.switches[0].route(5) == 3
+        assert topo.switches[1].route(5) == LFT_UNSET
 
     def test_get_beyond_capacity_is_unset(self):
-        lft = LinearForwardingTable(top_lid=63)
-        assert lft.get(10_000) == LFT_UNSET
+        topo = store()
+        assert topo.switches[0].route(10_000) == LFT_UNSET
+        assert (topo.lft_columns([3, 10_000]) == LFT_UNSET).all()
+        assert (topo.lft_blocks([0, 1], [0, 700]) == LFT_UNSET).all()
 
     def test_set_grows_capacity(self):
-        lft = LinearForwardingTable(top_lid=63)
-        lft.set(200, 7)
-        assert lft.get(200) == 7
-        assert lft.num_blocks == 4  # blocks 0..3 cover LID 200
+        # Widening is fabric-wide and in whole blocks: blocks 0..3 cover
+        # LID 200 on every switch.
+        topo = store()
+        topo.set_lft(0, 200, 7)
+        assert topo.switches[0].route(200) == 7
+        assert topo.lft.shape == (2, 4 * LFT_BLOCK_SIZE)
+        assert topo.switches[1].route(200) == LFT_UNSET
 
     def test_set_lid_zero_rejected(self):
-        lft = LinearForwardingTable()
         with pytest.raises(TopologyError):
-            lft.set(0, 1)
+            store().set_lft(0, 0, 1)
 
     def test_set_bad_port_rejected(self):
-        lft = LinearForwardingTable()
         with pytest.raises(TopologyError):
-            lft.set(1, 256)
+            store().set_lft(0, 1, 256)
 
     def test_clear(self):
-        lft = LinearForwardingTable(top_lid=100)
-        lft.set(9, 2)
-        lft.clear(9)
-        assert not lft.is_programmed(9)
+        topo = store()
+        topo.set_lft(0, 9, 2)
+        topo.set_lft(0, 9, LFT_UNSET)
+        assert topo.switches[0].route(9) == LFT_UNSET
 
     def test_drop_forwards_to_port_255(self):
         # Section VI-C: port 255 drops traffic toward a migrating LID.
-        lft = LinearForwardingTable(top_lid=100)
-        lft.drop(8)
-        assert lft.get(8) == LFT_DROP_PORT
+        ports = store().lft.copy()
+        ports[:, 8] = 3
+        apply_column_op(ports, {"op": "invalidate", "lid": 8})
+        assert (ports[:, 8] == LFT_DROP_PORT).all()
 
     def test_programmed_lids(self):
-        lft = LinearForwardingTable(top_lid=100)
-        lft.set(3, 1)
-        lft.set(99, 2)
-        assert list(lft.programmed_lids()) == [3, 99]
+        topo = store()
+        topo.set_lft(0, 3, 1)
+        topo.set_lft(0, 99, 2)
+        assert np.flatnonzero(topo.lft[0] != LFT_UNSET).tolist() == [3, 99]
 
 
 class TestSwap:
+    """Section V-C1 on the column edit every LFT copy takes."""
+
+    @staticmethod
+    def swap(entries, lid_a, lid_b):
+        topo = store(1)
+        for lid, port in entries.items():
+            topo.set_lft(0, lid, port)
+        before = topo.lft.copy()
+        after = apply_column_op(
+            before.copy(), {"op": "swap", "lid_a": lid_a, "lid_b": lid_b}
+        )
+        return after, changed_blocks(before, after)[0]
+
     def test_swap_same_block_touches_one_block(self):
-        lft = LinearForwardingTable(top_lid=100)
-        lft.set(2, 2)
-        lft.set(12, 4)
-        assert lft.swap(2, 12) == (0,)
-        assert lft.get(2) == 4
-        assert lft.get(12) == 2
+        after, blocks = self.swap({2: 2, 12: 4}, 2, 12)
+        assert blocks == [0]
+        assert (after[0, 2], after[0, 12]) == (4, 2)
 
     def test_swap_cross_block_touches_two_blocks(self):
-        lft = LinearForwardingTable(top_lid=100)
-        lft.set(2, 2)
-        lft.set(64, 4)
-        assert lft.swap(2, 64) == (0, 1)
+        _, blocks = self.swap({2: 2, 64: 4}, 2, 64)
+        assert blocks == [0, 1]
 
     def test_swap_equal_entries_is_noop(self):
         # Section VI-B: a switch already forwarding both LIDs through the
         # same port needs no update.
-        lft = LinearForwardingTable(top_lid=100)
-        lft.set(2, 2)
-        lft.set(12, 2)
-        assert lft.swap(2, 12) == ()
+        _, blocks = self.swap({2: 2, 12: 2}, 2, 12)
+        assert blocks == []
 
     def test_swap_is_involution(self):
-        lft = LinearForwardingTable(top_lid=100)
-        lft.set(5, 1)
-        lft.set(9, 3)
-        lft.swap(5, 9)
-        lft.swap(5, 9)
-        assert lft.get(5) == 1 and lft.get(9) == 3
+        ports = np.full((1, LFT_BLOCK_SIZE), LFT_UNSET, dtype=np.int16)
+        ports[0, 5], ports[0, 9] = 1, 3
+        op = {"op": "swap", "lid_a": 5, "lid_b": 9}
+        apply_column_op(apply_column_op(ports, op), op)
+        assert (ports[0, 5], ports[0, 9]) == (1, 3)
 
 
 class TestCopyEntry:
     def test_copy_touches_at_most_one_block(self):
-        lft = LinearForwardingTable(top_lid=200)
-        lft.set(1, 6)
-        assert lft.copy_entry(1, 130) == (2,)
-        assert lft.get(130) == 6
+        before = store(1).lft.copy()
+        before[0, 1] = 6
+        after = apply_column_op(
+            before.copy(), {"op": "copy", "template_lid": 1, "target_lid": 130}
+        )
+        assert changed_blocks(before, after) == [[2]]
+        assert after[0, 130] == 6
 
     def test_copy_equal_is_noop(self):
-        lft = LinearForwardingTable(top_lid=100)
-        lft.set(1, 6)
-        lft.set(50, 6)
-        assert lft.copy_entry(1, 50) == ()
+        before = store(1).lft.copy()
+        before[0, [1, 50]] = 6
+        after = apply_column_op(
+            before.copy(), {"op": "copy", "template_lid": 1, "target_lid": 50}
+        )
+        assert changed_blocks(before, after) == [[]]
 
 
 class TestBlocksAndDiff:
     def test_load_and_get_block_roundtrip(self):
-        lft = LinearForwardingTable(top_lid=200)
-        block = np.full(LFT_BLOCK_SIZE, 9, dtype=np.int16)
-        lft.load_block(1, block)
-        assert np.array_equal(lft.get_block(1), block)
+        topo = store()
+        block = np.full((1, LFT_BLOCK_SIZE), 9, dtype=np.int16)
+        topo.load_lft_blocks(1, [1], block)
+        assert np.array_equal(topo.lft_blocks([1], [1]), block)
+        assert (topo.lft_blocks([0], [1]) == LFT_UNSET).all()
 
     def test_load_block_wrong_size_rejected(self):
-        lft = LinearForwardingTable()
         with pytest.raises(TopologyError):
-            lft.load_block(0, np.zeros(10, dtype=np.int16))
+            store().load_lft_blocks(0, [0], np.zeros((1, 10), dtype=np.int16))
 
     def test_load_blocks_is_load_block_per_row_in_order(self):
         rows = np.arange(4 * LFT_BLOCK_SIZE, dtype=np.int16).reshape(4, -1) % 7
-        blocks = [5, 0, 2, 5]  # grows the table; block 5 keeps its last row
-        one_by_one = LinearForwardingTable(top_lid=100)
-        for block, row in zip(blocks, rows):
-            one_by_one.load_block(block, row)
-        at_once = LinearForwardingTable(top_lid=100)
-        at_once.load_blocks(blocks, rows)
-        assert at_once == one_by_one
-        assert at_once.top_lid == one_by_one.top_lid
-        assert np.array_equal(at_once.get_block(5), rows[3])
-        at_once.load_blocks([], np.empty((0, LFT_BLOCK_SIZE), dtype=np.int16))
-        assert at_once == one_by_one
+        blocks = [5, 0, 2, 5]  # grows the store; block 5 keeps its last row
+        for n in (4, 3):  # one indexed assignment, then slice copies
+            topo = store()
+            topo.load_lft_blocks(1, blocks[:n], rows[:n])
+            oracle = LinearForwardingTable()
+            oracle.load_blocks(blocks[:n], rows[:n])
+            assert np.array_equal(topo.lft[1], oracle.as_array())
+            assert (topo.lft[0] == LFT_UNSET).all()
+        topo.load_lft_blocks(1, [], np.empty((0, LFT_BLOCK_SIZE), dtype=np.int16))
+        assert np.array_equal(topo.lft[1], oracle.as_array())
+        topo.load_lft_blocks(1, blocks, rows)
+        assert np.array_equal(topo.lft_blocks([1], [5])[0], rows[3])
 
     def test_load_blocks_wrong_shape_rejected(self):
-        lft = LinearForwardingTable()
+        topo = store()
         for bad in (np.zeros((2, 10)), np.zeros((1, LFT_BLOCK_SIZE)), np.zeros(LFT_BLOCK_SIZE)):
             with pytest.raises(TopologyError):
-                lft.load_blocks([0, 1], bad.astype(np.int16))
+                topo.load_lft_blocks(0, [0, 1], bad.astype(np.int16))
 
     def test_diff_blocks_counts_changed_blocks_only(self):
-        a = LinearForwardingTable(top_lid=300)
-        b = a.clone()
-        b.set(10, 1)  # block 0
-        b.set(130, 2)  # block 2
-        assert a.diff_blocks(b) == [0, 2]
+        topo = store()
+        ports = np.full((2, 3 * LFT_BLOCK_SIZE), LFT_UNSET, dtype=np.int16)
+        ports[0, 10] = 1  # block 0
+        ports[0, 130] = 2  # block 2
+        assert diff_plan(topo, ports) == [[0, 2], []]
 
     def test_diff_blocks_empty_when_equal(self):
-        a = LinearForwardingTable(top_lid=100)
-        a.set(3, 3)
-        b = a.clone()
-        assert a.diff_blocks(b) == []
-        assert a == b
+        topo = store()
+        topo.set_lft(0, 3, 3)
+        assert diff_plan(topo, topo.lft.copy()) == [[], []]
 
     def test_diff_handles_different_capacities(self):
-        a = LinearForwardingTable(top_lid=63)
-        b = LinearForwardingTable(top_lid=300)
-        b.set(200, 5)
-        assert a.diff_blocks(b) == [3]
+        # A store wider than the routing: the stale block is cleared too.
+        topo = store()
+        topo.set_lft(1, 200, 5)
+        ports = np.full((2, LFT_BLOCK_SIZE), LFT_UNSET, dtype=np.int16)
+        assert diff_plan(topo, ports) == [[], [3]]
 
     def test_used_blocks(self):
-        lft = LinearForwardingTable(top_lid=300)
-        lft.set(1, 1)
-        lft.set(260, 1)
-        assert lft.used_blocks() == [0, 4]
+        ports = np.full((2, 5 * LFT_BLOCK_SIZE), LFT_UNSET, dtype=np.int16)
+        ports[0, [1, 260]] = 1
+        assert diff_plan(store(), ports, force_full=True) == [[0, 4], []]
 
     def test_clone_is_independent(self):
-        a = LinearForwardingTable(top_lid=100)
-        a.set(1, 1)
-        b = a.clone()
-        b.set(1, 2)
-        assert a.get(1) == 1
+        topo = store()
+        topo.set_lft(0, 1, 1)
+        topo.lft_columns([1])[0, 0] = 2
+        topo.lft_blocks([0], [0])[0, 1] = 2
+        assert topo.switches[0].route(1) == 1
 
     def test_as_array_readonly(self):
-        lft = LinearForwardingTable(top_lid=100)
-        arr = lft.as_array()
         with pytest.raises(ValueError):
-            arr[1] = 5
+            store().lft[0, 1] = 5
 
 
 class TestApplyColumnOp:

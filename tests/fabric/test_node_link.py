@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.constants import LFT_UNSET
 from repro.errors import TopologyError
 from repro.fabric.link import Link
 from repro.fabric.node import HCA, NodeType, QueuePair, Switch
+from repro.fabric.topology import Topology
 
 
 class TestQueuePair:
@@ -51,9 +53,11 @@ class TestSwitch:
         assert sw.lid == 42
 
     def test_route_uses_lft(self):
-        sw = Switch("sw", 4)
-        sw.lft.set(9, 3)
+        topo = Topology()
+        sw = topo.add_switch("sw", 4)
+        topo.set_lft(sw.index, 9, 3)
         assert sw.route(9) == 3
+        assert Switch("detached", 4).route(9) == LFT_UNSET
 
     def test_is_switch(self):
         assert Switch("sw", 2).is_switch

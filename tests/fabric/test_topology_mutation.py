@@ -107,7 +107,7 @@ class TestRemoveSwitchCleanDetach:
         topo = ring()
         victim = topo.node("s2")
         assert isinstance(victim, Switch)
-        victim.lft.set(5, 3)
+        topo.set_lft(victim.index, 5, 3)
         victim.port_counters(1).xmit_packets = 99
         # Detach its hosts first (leaf removal is refused otherwise).
         for hca in victim.attached_hcas():
@@ -119,7 +119,8 @@ class TestRemoveSwitchCleanDetach:
         assert victim.lid is None
         from repro.constants import LFT_UNSET
 
-        assert victim.lft.get(5) == LFT_UNSET  # table dropped
+        assert victim.route(5) == LFT_UNSET  # row dropped with the switch
+        assert victim.topology is None and topo.lft.shape[0] == topo.num_switches
         assert victim.port_counters(1).xmit_packets == 0
         assert all(
             victim not in (p.node for p in link.ends) for link in topo.links

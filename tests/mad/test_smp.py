@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.constants import LFT_BLOCK_SIZE
+from repro.constants import LFT_BLOCK_SIZE, LFT_BLOCKS_FULL_SUBNET
 from repro.errors import TopologyError
 from repro.mad.smp import Smp, SmpKind, SmpMethod, make_set_lft_block
 
@@ -26,6 +26,19 @@ class TestSmp:
                 "sw",
                 payload={"entries": np.zeros(LFT_BLOCK_SIZE, dtype=np.int16)},
             )
+
+    @pytest.mark.parametrize("method", [SmpMethod.SET, SmpMethod.GET])
+    @pytest.mark.parametrize("block", [-1, LFT_BLOCKS_FULL_SUBNET, 100_000])
+    def test_lft_block_outside_the_lid_space_is_refused(self, method, block):
+        # Block 100000 would otherwise widen every switch's table to
+        # 6.4 M entries; block -1 would write the table's tail.
+        payload = {"block": block}
+        if method is SmpMethod.SET:
+            payload["entries"] = np.zeros(LFT_BLOCK_SIZE, dtype=np.int16)
+        with pytest.raises(TopologyError, match="outside"):
+            Smp(method, SmpKind.LFT_BLOCK, "sw", payload=payload)
+        last = dict(payload, block=LFT_BLOCKS_FULL_SUBNET - 1)
+        assert Smp(method, SmpKind.LFT_BLOCK, "sw", payload=last).kind is SmpKind.LFT_BLOCK
 
     def test_get_lft_needs_no_entries(self):
         smp = Smp(SmpMethod.GET, SmpKind.LFT_BLOCK, "sw", payload={"block": 0})

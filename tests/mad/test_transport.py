@@ -221,16 +221,29 @@ class TestApplication:
         tr = SmpTransport(topo)
         entries = np.full(LFT_BLOCK_SIZE, 3, dtype=np.int16)
         tr.send(make_set_lft_block("s1", 0, entries))
-        assert topo.node("s1").lft.get(10) == 3
+        assert topo.node("s1").route(10) == 3
 
     def test_get_lft_reads_back(self):
         topo = line_topology()
         tr = SmpTransport(topo)
-        topo.node("s0").lft.set(5, 2)
+        topo.set_lft(topo.node("s0").index, 5, 2)
         res = tr.send(
             Smp(SmpMethod.GET, SmpKind.LFT_BLOCK, "s0", payload={"block": 0})
         )
         assert res.data["entries"][5] == 2
+
+    def test_plan_row_with_an_out_of_range_block_is_refused_unbooked(self):
+        topo = line_topology()
+        tr = SmpTransport(topo)
+        entries = np.full((2, LFT_BLOCK_SIZE), 3, dtype=np.int16)
+        with pytest.raises(TopologyError, match="outside"):
+            tr.deliver(
+                SmpPlan.lft_sweep(["s0", "s1"], [0, 768], entries, directed=True)
+            )
+        # The row before it landed and was booked; its own did neither.
+        assert topo.node("s0").route(10) == 3
+        assert tr.stats.lft_update_smps == 1
+        assert topo.lft.shape[1] == LFT_BLOCK_SIZE
 
     def test_lft_smp_to_hca_rejected(self):
         topo = line_topology()
@@ -692,7 +705,7 @@ class TestSweepEquivalence:
         assert tr.stats.total_smps == tr.stats.lft_update_smps == 2
         assert [e.target for e in get_hub().flight] == ["s0", "s1"]
         assert topo.node("h0").port_counters(1).xmit_packets == 2
-        assert topo.node("s0").lft.get(2 * LFT_BLOCK_SIZE) != 3
+        assert topo.node("s0").route(2 * LFT_BLOCK_SIZE) != 3
         assert not topo.node("s2").counters
 
     @pytest.mark.parametrize("lossy", [False, True])
@@ -1452,7 +1465,7 @@ class TestRunContract:
         tr.deliver(run(np.full((3, LFT_BLOCK_SIZE), 3, dtype=np.int16), 4))
         assert tr.stats.stale_rejected == 3
         assert tr.stats.lft_update_smps == 6  # sent and accounted, not applied
-        assert topo.node("s1").lft.get(10) == 2
+        assert topo.node("s1").route(10) == 2
         assert tr.fabric_generation == 5
 
     def test_reliable_sender_aborts_a_stale_run_at_its_first_packet(self):

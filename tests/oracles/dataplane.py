@@ -179,7 +179,7 @@ class ClosureDataPlane:
             return
         assert pkt.at_switch is not None
         sw = self._switches[pkt.at_switch]
-        out = sw.lft.get(pkt.dst_lid)
+        out = sw.route(pkt.dst_lid)
         if out == LFT_DROP_PORT or out == LFT_UNSET:
             # Port 255 / unprogrammed: the partially-static reconfiguration
             # of section VI-C intentionally drops this traffic.
@@ -306,7 +306,7 @@ class ClosureDataPlane:
         if pkt.at_switch is not None:
             sw = self._switches[pkt.at_switch]
             if port is None:
-                out = sw.lft.get(pkt.dst_lid)
+                out = sw.route(pkt.dst_lid)
                 port = out if 0 <= out <= sw.num_ports else 0
             counters = sw.port_counters(port)
             if reason == "timeout":

@@ -56,12 +56,12 @@ def walk_delivery(topology: Topology) -> List[Tuple[int, str]]:
             hops = 0
             while True:
                 if cur.index == dest_sw:
-                    if dest_port != 0 and cur.lft.get(lid) != dest_port:
+                    if dest_port != 0 and cur.route(lid) != dest_port:
                         faults.append(
                             (lid, f"wrong delivery port at {cur.name}")
                         )
                     break
-                out = cur.lft.get(lid)
+                out = cur.route(lid)
                 if out == LFT_UNSET:
                     faults.append((lid, f"unroutable at {cur.name}"))
                     break

@@ -50,6 +50,6 @@ def observed(
             node.name: {n: c.as_dict() for n, c in sorted(node.counters.items())}
             for node in list(topo.switches) + list(topo.hcas)
         },
-        "lfts": {sw.name: sw.lft.as_array().tobytes() for sw in topo.switches},
+        "lfts": {sw.name: row.tobytes() for sw, row in zip(topo.switches, topo.lft)},
         "generation": tr.fabric_generation,
     }

@@ -16,13 +16,14 @@ from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.constants import LFT_BLOCK_SIZE, LFT_DROP_PORT
+from repro.constants import LFT_DROP_PORT
 from repro.core.reconfig import ReconfigReport
 from repro.errors import ReconfigError, ReconfigRollbackError, TransportError
-from repro.fabric.lft import lft_block_of
+from repro.fabric.lft import lft_block_of, widen
 from repro.mad.smp import Smp, SmpKind, SmpMethod, make_set_lft_block
 from repro.obs.hub import get_hub, span
 from repro.sm.subnet_manager import SubnetManager
+from tests.oracles.lft import LinearForwardingTable
 
 __all__ = ["PacketByPacketReconfigurer"]
 
@@ -82,11 +83,11 @@ class PacketByPacketReconfigurer:
         with span("lft_swap", lid_a=lid_a, lid_b=lid_b):
             try:
                 for sw in self._switch_sweep(limit_switches):
-                    pa, pb = sw.lft.get(lid_a), sw.lft.get(lid_b)
+                    pa, pb = sw.route(lid_a), sw.route(lid_b)
                     if pa == pb:
                         continue  # same forwarding port: switch keeps balance
                     blocks = sorted({lft_block_of(lid_a), lft_block_of(lid_b)})
-                    desired = sw.lft.clone()
+                    desired = self._hardware(sw)
                     desired.swap(lid_a, lid_b)
                     self._send_blocks(sw, desired, blocks, report, undo)
             except TransportError:
@@ -122,10 +123,10 @@ class PacketByPacketReconfigurer:
         with span("lft_copy", template_lid=template_lid, target_lid=target_lid):
             try:
                 for sw in self._switch_sweep(limit_switches):
-                    src_port = sw.lft.get(template_lid)
-                    if sw.lft.get(target_lid) == src_port:
+                    src_port = sw.route(template_lid)
+                    if sw.route(target_lid) == src_port:
                         continue
-                    desired = sw.lft.clone()
+                    desired = self._hardware(sw)
                     desired.copy_entry(template_lid, target_lid)
                     self._send_blocks(sw, desired, [block], report, undo)
             except TransportError:
@@ -176,11 +177,11 @@ class PacketByPacketReconfigurer:
                     changed = [
                         (tpl, tgt)
                         for tpl, tgt in pairs
-                        if sw.lft.get(tgt) != sw.lft.get(tpl)
+                        if sw.route(tgt) != sw.route(tpl)
                     ]
                     if not changed:
                         continue
-                    desired = sw.lft.clone()
+                    desired = self._hardware(sw)
                     for tpl, tgt in changed:
                         desired.copy_entry(tpl, tgt)
                     blocks = sorted({lft_block_of(tgt) for _, tgt in changed})
@@ -224,14 +225,14 @@ class PacketByPacketReconfigurer:
             affected = [
                 sw
                 for sw in self._switch_sweep(limit_switches)
-                if sw.lft.get(lid_a) != sw.lft.get(lid_b)
+                if sw.route(lid_a) != sw.route(lid_b)
             ]
             try:
                 # Phase 1: invalidate the moving LIDs on the affected
                 # switches.
                 with span("invalidate_phase"):
                     for sw in affected:
-                        desired = sw.lft.clone()
+                        desired = self._hardware(sw)
                         desired.drop(lid_a)
                         desired.drop(lid_b)
                         blocks = sorted(
@@ -244,7 +245,7 @@ class PacketByPacketReconfigurer:
                 tbl = self.sm.current_tables
                 with span("swap_phase"):
                     for sw in affected:
-                        desired = sw.lft.clone()
+                        desired = self._hardware(sw)
                         if tbl is not None and max(lid_a, lid_b) <= tbl.top_lid:
                             pa = tbl.port_for(sw.index, lid_a)
                             pb = tbl.port_for(sw.index, lid_b)
@@ -277,9 +278,9 @@ class PacketByPacketReconfigurer:
         with span("lft_invalidate", lid=lid):
             try:
                 for sw in self.sm.topology.switches:
-                    if sw.lft.get(lid) == LFT_DROP_PORT:
+                    if sw.route(lid) == LFT_DROP_PORT:
                         continue
-                    desired = sw.lft.clone()
+                    desired = self._hardware(sw)
                     desired.drop(lid)
                     self._send_blocks(sw, desired, [block], report, undo)
             except TransportError:
@@ -302,7 +303,7 @@ class PacketByPacketReconfigurer:
         smps = 0
         blocks = {lft_block_of(lid_a), lft_block_of(lid_b)}
         for sw in self.sm.topology.switches:
-            if sw.lft.get(lid_a) != sw.lft.get(lid_b):
+            if sw.route(lid_a) != sw.route(lid_b):
                 n_prime += 1
                 smps += len(blocks)
         return n_prime, smps
@@ -311,11 +312,15 @@ class PacketByPacketReconfigurer:
         """(n', total SMPs) a copy would cost, without performing it."""
         n_prime = 0
         for sw in self.sm.topology.switches:
-            if sw.lft.get(template_lid) != sw.lft.get(target_lid):
+            if sw.route(template_lid) != sw.route(target_lid):
                 n_prime += 1
         return n_prime, n_prime
 
     # -- internals ------------------------------------------------------------------
+
+    def _hardware(self, sw) -> LinearForwardingTable:
+        """A per-switch table holding *sw*'s hardware row."""
+        return LinearForwardingTable.of(self.sm.topology.lft[sw.index])
 
     def _check_lid_known(self, lid: int) -> None:
         if self.sm.topology.port_of_lid(lid) is None:
@@ -361,7 +366,7 @@ class PacketByPacketReconfigurer:
         # exist (the cloud layer builds them at scheme construction).
         verified = self.sm.distributor.transactional
         for block in blocks:
-            pre = np.array(sw.lft.get_block(block), dtype=np.int16, copy=True)
+            pre = self._hardware(sw).get_block(block)
             entries = desired.get_block(block)
             if np.array_equal(pre, entries):
                 continue
@@ -530,10 +535,7 @@ class PacketByPacketReconfigurer:
         tbl = self.sm.current_tables
         if tbl is None:
             return
-        if max(template_lid, target_lid) > tbl.top_lid:
-            self._grow_tables(max(template_lid, target_lid))
-            tbl = self.sm.current_tables
-            assert tbl is not None
+        tbl.ports = widen(tbl.ports, max(template_lid, target_lid))
         rows = (
             slice(None)
             if limit_switches is None
@@ -553,18 +555,3 @@ class PacketByPacketReconfigurer:
                     ),
                 }
             )
-
-    def _grow_tables(self, lid: int) -> None:
-        tbl = self.sm.current_tables
-        assert tbl is not None
-        if lid <= tbl.top_lid:
-            return
-        from repro.constants import LFT_UNSET
-
-        n_blocks = lft_block_of(lid) + 1
-        width = n_blocks * LFT_BLOCK_SIZE
-        grown = np.full(
-            (tbl.ports.shape[0], width), LFT_UNSET, dtype=tbl.ports.dtype
-        )
-        grown[:, : tbl.ports.shape[1]] = tbl.ports
-        tbl.ports = grown

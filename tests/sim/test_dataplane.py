@@ -70,7 +70,7 @@ class TestBasics:
         sm = routed_subnet(small_fattree)
         topo = small_fattree.topology
         host = topo.hcas[0]
-        assert all(40000 > sw.lft.top_lid for sw in topo.switches)
+        assert topo.lft.shape[1] <= 40000
         sim = DataPlaneSimulator(topo)
         sim.inject(host.lid, 40000)
         stats = sim.run()

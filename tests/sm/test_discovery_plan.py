@@ -73,7 +73,7 @@ def build_sm(fabric, seed, *, ops=(), sm_pick=None, faults=None):
     tr = sm.transport
     # Raise the fence, so a sender of generation 0 discovers as a stale master.
     sw = topo.switches[0]
-    fence = make_set_lft_block(sw.name, 0, sw.lft.get_block(0))
+    fence = make_set_lft_block(sw.name, 0, topo.lft_blocks([sw.index], [0])[0])
     fence.generation = FENCE
     tr.send(fence)
     if sm_pick is not None:

@@ -29,7 +29,7 @@ from repro.sm.subnet_manager import SubnetManager
 
 def lft_snapshot(sm):
     return {
-        sw.name: np.array(sw.lft.as_array(), copy=True)
+        sw.name: sw.topology.lft[sw.index].copy()
         for sw in sm.topology.switches
     }
 
@@ -254,7 +254,7 @@ class TestReplication:
             assert np.array_equal(replica.routing_tables().ports, recorded)
             for sw in sm.topology.switches:
                 for lid in touched:
-                    assert sw.lft.get(lid) == recorded[sw.index, lid]
+                    assert sw.route(lid) == recorded[sw.index, lid]
 
     def test_standby_the_ring_truncated_past_pays_the_heavy_sweep(self):
         """A standby that fell further behind than the journal's ring

@@ -175,7 +175,7 @@ class TestDistribution:
         tables = sm.current_tables
         for sw in small_fattree.topology.switches:
             for lid in small_fattree.topology.bound_lids():
-                assert sw.lft.get(lid) == tables.port_for(sw.index, lid)
+                assert sw.route(lid) == tables.port_for(sw.index, lid)
 
 
 class TestSubnetManagerFlows:

@@ -92,14 +92,14 @@ class TestSafeSwap:
         running.distribute()
         rec = VSwitchReconfigurer(running)
         before = {
-            sw.name: (sw.lft.get(lid_a), sw.lft.get(lid_b))
+            sw.name: (sw.route(lid_a), sw.route(lid_b))
             for sw in topo.switches
         }
         rec.safe_swap_lids(lid_a, lid_b)
         for sw in topo.switches:
             pa, pb = before[sw.name]
-            assert sw.lft.get(lid_a) == pb
-            assert sw.lft.get(lid_b) == pa
+            assert sw.route(lid_a) == pb
+            assert sw.route(lid_b) == pa
 
     def test_safe_swap_validates_lids(self, running):
         rec = VSwitchReconfigurer(running)

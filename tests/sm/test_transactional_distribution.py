@@ -16,7 +16,7 @@ from repro.sm.subnet_manager import SubnetManager
 
 def lft_snapshot(sm):
     return {
-        sw.name: np.array(sw.lft.as_array(), copy=True)
+        sw.name: sw.topology.lft[sw.index].copy()
         for sw in sm.topology.switches
     }
 

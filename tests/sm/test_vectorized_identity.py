@@ -161,7 +161,7 @@ class TestLftDiffEquivalence:
         }
         expected = {}
         for sw in sm.topology.switches:
-            current = sw.lft.as_array()
+            current = sw.topology.lft[sw.index]
             full_width = max(width, len(current))
             desired = np.full(full_width, LFT_UNSET, dtype=np.int16)
             row = tables.ports[sw.index]
@@ -199,8 +199,8 @@ class TestLftDiffEquivalence:
         # Corrupt one block on one switch; only that block may be resent.
         sw = sm.topology.switches[2]
         block = 0
-        entries = np.array(sw.lft.get_block(block), dtype=np.int16)
-        entries[0] = 1 if entries[0] != 1 else 2
-        sw.lft.load_block(block, entries)
+        entries = sm.topology.lft_blocks([sw.index], [block])
+        entries[0, 0] = 1 if entries[0, 0] != 1 else 2
+        sm.topology.load_lft_blocks(sw.index, [block], entries)
         self._plans_match(sm, tables, False)
         assert sm.distributor.pending_blocks(tables) == 1

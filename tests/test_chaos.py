@@ -32,7 +32,7 @@ def tiny_cloud(lid_scheme="prepopulated"):
 
 def lft_snapshot(cloud):
     return {
-        sw.name: np.array(sw.lft.as_array(), copy=True)
+        sw.name: sw.topology.lft[sw.index].copy()
         for sw in cloud.topology.switches
     }
 

@@ -129,11 +129,11 @@ class TestDistributorEdges:
         sm.initial_configure(with_discovery=False)
         # Plant a stale entry far above the routed LID range.
         sw = small_fattree.topology.switches[0]
-        sw.lft.set(5000, 3)
+        small_fattree.topology.set_lft(sw.index, 5000, 3)
         dist = LftDistributor(small_fattree.topology, sm.transport)
         report = dist.distribute(sm.current_tables)
         # The distributor must clear the stale block, not ignore it.
-        assert sw.lft.get(5000) == LFT_UNSET
+        assert sw.route(5000) == LFT_UNSET
         assert report.smps_sent >= 1
 
     def test_bad_pipeline_window(self, small_fattree):

@@ -40,11 +40,11 @@ def assert_all_routable(cloud):
                 if cur.index == dest_sw:
                     if dest_port == 0:
                         break
-                    assert cur.lft.get(lid) == dest_port, (
+                    assert cur.route(lid) == dest_port, (
                         f"LID {lid} misdelivered at destination leaf"
                     )
                     break
-                out = cur.lft.get(lid)
+                out = cur.route(lid)
                 assert out != LFT_UNSET, f"LID {lid} unroutable at {cur.name}"
                 nxt = None
                 for p in cur.connected_ports():
@@ -115,15 +115,12 @@ class TestLongRunningCloud:
         built = scaled_fattree("2l-small")
         cloud = make_cloud(built, lid_scheme="prepopulated", num_vfs=3)
         vm = cloud.boot_vm(on="l0h0")
-        snapshot = {
-            sw.name: sw.lft.as_array().copy() for sw in cloud.topology.switches
-        }
+        snapshot = cloud.topology.lft.copy()
         cloud.live_migrate(vm.name, "l4h2")
         cloud.live_migrate(vm.name, "l0h0")
         # Swap-based migration is an involution: the original VF at the
         # destination got its LID back, so all LFTs are restored exactly.
-        for sw in cloud.topology.switches:
-            assert (sw.lft.as_array() == snapshot[sw.name]).all()
+        assert (cloud.topology.lft == snapshot).all()
 
     def test_many_vms_one_hypervisor_distinct_paths(self):
         # The LMC-like property (section V-A): VMs on one hypervisor are
@@ -132,7 +129,7 @@ class TestLongRunningCloud:
         cloud = make_cloud(built, lid_scheme="prepopulated", num_vfs=4)
         vms = [cloud.boot_vm(on="l0h0") for _ in range(4)]
         remote_leaf = cloud.hypervisors["l5h0"].uplink_port.remote.node
-        up_ports = {remote_leaf.lft.get(vm.lid) for vm in vms}
+        up_ports = {remote_leaf.route(vm.lid) for vm in vms}
         assert len(up_ports) > 1
 
 

@@ -230,6 +230,63 @@ class TestOneDeadlockCheck:
         assert hits == []
 
 
+class TestOneHardwareLftStore:
+    """Every switch's LFT is a row of ``Topology._lft`` (tier-1 twin of the
+    CI guard "one hardware LFT store")."""
+
+    SRC = Path(repro.__file__).resolve().parent
+
+    def sources(self):
+        for path in sorted(self.SRC.rglob("*.py")):
+            yield str(path.relative_to(self.SRC)), path.read_text()
+
+    def test_no_per_switch_table(self):
+        assert [
+            (name, line.strip())
+            for name, text in self.sources()
+            for line in text.splitlines()
+            if "LinearForwardingTable" in line
+        ] == [("mad/smp.py", 'LFT_BLOCK = "LinearForwardingTable"')]
+        for gone in ("_ensure_capacity", "reset_forwarding", ".lft.get", ".lft.set"):
+            assert [name for name, text in self.sources() if gone in text] == []
+
+    def test_one_owner_one_raw_reader(self):
+        assigned = [name for name, text in self.sources() if "._lft = " in text]
+        assert assigned == ["fabric/topology.py"]
+        readers = {
+            name
+            for name, text in self.sources()
+            if "._lft" in text and not name.startswith("fabric/")
+        }
+        assert readers == {"sim/dataplane.py"}
+
+    def test_columns_grow_through_widen_only(self):
+        tree = ast.parse((self.SRC / "fabric" / "topology.py").read_text())
+        writes = set()
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Attribute) and t.attr == "_lft"
+                    for t in node.targets
+                ):
+                    func = node.value.func
+                    writes.add((fn.name, getattr(func, "attr", None) or func.id))
+        # The empty store, a row per added / removed switch; columns only
+        # ever through widen.
+        assert sorted(w for w in writes if w[1] != "widen") == [
+            ("__init__", "full"),
+            ("add_switch", "vstack"),
+            ("remove_switch", "delete"),
+        ]
+        assert [
+            name
+            for name, text in self.sources()
+            if "def widen(" in text
+        ] == ["fabric/lft.py"]
+
+
 class TestConstants:
     def test_lid_space(self):
         assert MAX_UNICAST_LID == 0xBFFF

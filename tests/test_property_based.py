@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from repro.constants import LFT_BLOCK_SIZE, LFT_UNSET, MAX_UNICAST_LID
 from repro.fabric.addressing import LidAllocator
 from repro.fabric.lft import (
-    LinearForwardingTable,
+    apply_column_op,
     lft_block_of,
     min_blocks_for_lid_count,
 )
 from repro.sim.engine import replay_smp_pipeline
+from tests.fabric.test_lft import changed_blocks, diff_plan, store
 from tests.oracles.cdg import ChannelDependencyGraph
 
 lids = st.integers(min_value=1, max_value=2000)
@@ -19,27 +20,32 @@ ports = st.integers(min_value=0, max_value=254)
 
 
 class TestLftProperties:
+    """Section V-C1's ``m' <= 2`` (swap) and ``m' <= 1`` (copy) on the
+    column edit every LFT copy takes, and the store's block I/O."""
+
+    @staticmethod
+    def programmed(entries):
+        topo = store(1)
+        for lid, port in entries.items():
+            topo.set_lft(0, lid, port)
+        return topo.lft.copy()
+
     @given(a=lids, b=lids, pa=ports, pb=ports)
     def test_swap_is_involution(self, a, b, pa, pb):
         if a == b:
             return
-        lft = LinearForwardingTable(top_lid=2048)
-        lft.set(a, pa)
-        lft.set(b, pb)
-        lft.swap(a, b)
-        lft.swap(a, b)
-        assert lft.get(a) == pa and lft.get(b) == pb
+        table = self.programmed({a: pa, b: pb})
+        op = {"op": "swap", "lid_a": a, "lid_b": b}
+        apply_column_op(apply_column_op(table, op), op)
+        assert table[0, a] == pa and table[0, b] == pb
 
     @given(a=lids, b=lids, pa=ports, pb=ports)
     def test_swap_changes_at_most_two_blocks(self, a, b, pa, pb):
         if a == b:
             return
-        lft = LinearForwardingTable(top_lid=2048)
-        lft.set(a, pa)
-        lft.set(b, pb)
-        before = lft.clone()
-        lft.swap(a, b)
-        changed = before.diff_blocks(lft)
+        before = self.programmed({a: pa, b: pb})
+        after = apply_column_op(before.copy(), {"op": "swap", "lid_a": a, "lid_b": b})
+        (changed,) = changed_blocks(before, after)
         assert len(changed) <= 2
         for blk in changed:
             assert blk in (lft_block_of(a), lft_block_of(b))
@@ -48,26 +54,22 @@ class TestLftProperties:
     def test_copy_changes_at_most_one_block(self, a, b, pa):
         if a == b:
             return
-        lft = LinearForwardingTable(top_lid=2048)
-        lft.set(a, pa)
-        before = lft.clone()
-        lft.copy_entry(a, b)
-        changed = before.diff_blocks(lft)
+        before = self.programmed({a: pa})
+        op = {"op": "copy", "template_lid": a, "target_lid": b}
+        after = apply_column_op(before.copy(), op)
+        (changed,) = changed_blocks(before, after)
         assert len(changed) <= 1
-        assert lft.get(b) == pa
+        assert after[0, b] == pa
 
     @given(st.dictionaries(lids, ports, max_size=50))
     def test_diff_blocks_equals_block_cover_of_changes(self, entries):
-        base = LinearForwardingTable(top_lid=2048)
-        other = base.clone()
-        for lid, port in entries.items():
-            other.set(lid, port)
+        other = self.programmed(entries)
         real_changes = {
             lft_block_of(lid)
             for lid, port in entries.items()
             if port != LFT_UNSET
         }
-        assert set(base.diff_blocks(other)) == real_changes
+        assert diff_plan(store(1), other) == [sorted(real_changes)]
 
     @given(st.integers(min_value=0, max_value=49151))
     def test_min_blocks_monotone_and_tight(self, n):
@@ -82,10 +84,10 @@ class TestLftProperties:
         values=st.lists(ports, min_size=64, max_size=64),
     )
     def test_load_get_block_roundtrip(self, block, values):
-        lft = LinearForwardingTable(top_lid=2048)
-        payload = np.asarray(values, dtype=np.int16)
-        lft.load_block(block, payload)
-        assert np.array_equal(lft.get_block(block), payload)
+        topo = store(1)
+        payload = np.asarray([values], dtype=np.int16)
+        topo.load_lft_blocks(0, [block], payload)
+        assert np.array_equal(topo.lft_blocks([0], [block]), payload)
 
 
 class TestLidAllocatorProperties:

@@ -84,12 +84,12 @@ class TestRandomTopologies:
                 cur = start
                 hops = 0
                 while cur is not attach.node:
-                    nxt = p2p.get((cur.index, cur.lft.get(lid)))
+                    nxt = p2p.get((cur.index, cur.route(lid)))
                     assert nxt is not None
                     cur = switches[nxt]
                     hops += 1
                     assert hops <= len(switches)
-                assert cur.lft.get(lid) == attach.num
+                assert cur.route(lid) == attach.num
 
     @_settings
     @given(
@@ -124,9 +124,9 @@ class TestRandomTopologies:
                 if cur is attach.node:
                     break
                 out = (
-                    cur.lft.get(template)
+                    cur.route(template)
                     if cur.index in updates
-                    else cur.lft.get(vm_lid)
+                    else cur.route(vm_lid)
                 )
                 nxt = p2p.get((cur.index, out))
                 assert nxt is not None, (

@@ -33,8 +33,8 @@ def _walk(topology, start_switch, lid, max_hops=32):
         port = topology.port_of_lid(lid)
         attach = port.remote
         if attach is not None and attach.node is cur:
-            return cur.lft.get(lid) == attach.num
-        out = cur.lft.get(lid)
+            return cur.route(lid) == attach.num
+        out = cur.route(lid)
         if out == LFT_UNSET:
             return False
         nxt = None
@@ -122,7 +122,7 @@ class CloudMachine(RuleBasedStateMachine):
         for sw in self.cloud.topology.switches:
             for vm in self.cloud.vms.values():
                 if vm.lid is not None:
-                    assert sw.lft.get(vm.lid) == tables.port_for(
+                    assert sw.route(vm.lid) == tables.port_for(
                         sw.index, vm.lid
                     )
 

@@ -29,7 +29,7 @@ def evac_cloud(*, lid_scheme="dynamic", retries=8, vms_on_source=3):
 
 def snapshot(cloud):
     lfts = {
-        sw.name: np.array(sw.lft.as_array(), copy=True)
+        sw.name: sw.topology.lft[sw.index].copy()
         for sw in cloud.topology.switches
     }
     vms = {
