@@ -2,15 +2,16 @@
 """Fig. 7 reproduction: path computation time across routing engines.
 
 Times the Fat-Tree, MinHop, DFSSSP and LASH engines on the four fat-tree
-shapes of the paper (scaled twins by default; set REPRO_PAPER_SCALE=1 for
-the true 324/648/5832/11664-node instances — the 3-level DFSSSP/LASH runs
-then take hours, just as the originals took 625 s and 39145 s) and prints
-the measured series next to the paper's published values.
+shapes of the paper (scaled twins by default; pass --paper-scale for the
+true 324/648/5832/11664-node instances — the whole sweep then takes a few
+minutes, where the originals' 3-level DFSSSP/LASH bars alone took 625 s
+and 39145 s) and prints the measured series next to the paper's published
+values.
 
-Run:  python examples/routing_comparison.py
+Run:  python examples/routing_comparison.py [--paper-scale]
 """
 
-import os
+import sys
 
 from repro.analysis.experiments import FIG7_ENGINES, run_fig7
 from repro.analysis.figures import PAPER_FIG7_SECONDS, render_fig7
@@ -19,18 +20,16 @@ from repro.fabric.presets import SCALED_TO_PAPER
 
 
 def main() -> None:
-    paper_scale = os.environ.get("REPRO_PAPER_SCALE", "") == "1"
+    paper_scale = "--paper-scale" in sys.argv[1:]
     if paper_scale:
-        engines = FIG7_ENGINES
-        print("running at PAPER SCALE (this takes a long time)")
+        print("running at PAPER SCALE (a few minutes)")
     else:
-        engines = FIG7_ENGINES
         print(
             "running on scaled-down structural twins"
-            " (REPRO_PAPER_SCALE=1 for the full instances)"
+            " (--paper-scale for the full instances)"
         )
 
-    series = run_fig7(engines=engines)
+    series = run_fig7(engines=FIG7_ENGINES, paper_scale=paper_scale)
     print("\n=== measured path computation time (PCt) ===")
     print(render_fig7(series))
 

@@ -11,12 +11,10 @@ from repro.analysis.experiments import (
     fig7_topologies,
     measure_path_computation,
     measured_full_reconfig_smps,
-    paper_scale_enabled,
     run_fig7,
     table1_for_topology,
 )
 from repro.analysis.figures import PAPER_FIG7_SECONDS, Fig7Series, render_fig7
-from repro.analysis.report import generate_report
 from repro.analysis.static import (
     Finding,
     StaticAnalysisReport,
@@ -38,13 +36,11 @@ __all__ = [
     "fig7_topologies",
     "measure_path_computation",
     "measured_full_reconfig_smps",
-    "paper_scale_enabled",
     "run_fig7",
     "table1_for_topology",
     "PAPER_FIG7_SECONDS",
     "Fig7Series",
     "render_fig7",
-    "generate_report",
     "Finding",
     "StaticAnalysisReport",
     "analyze_fabric",

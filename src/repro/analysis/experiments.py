@@ -6,7 +6,6 @@ each returns structured results so callers can render, assert or sweep.
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -24,9 +23,7 @@ from repro.sm.routing.registry import create_engine
 from repro.sm.subnet_manager import SubnetManager
 
 __all__ = [
-    "paper_scale_enabled",
     "fig7_topologies",
-    "fig7_budget_seconds",
     "measure_path_computation",
     "run_fig7",
     "table1_for_topology",
@@ -39,39 +36,10 @@ FIG7_ENGINES: Tuple[str, ...] = ("ftree", "minhop", "dfsssp", "lash")
 #: Default wall-clock budget of one full Fig. 7 sweep, seconds.
 DEFAULT_FIG7_BUDGET = 1800.0
 
-#: Sentinel distinguishing "caller passed nothing" from an explicit None
-#: (= unlimited) for :func:`run_fig7`'s ``budget_seconds``.
-_BUDGET_UNSET = object()
 
-
-def fig7_budget_seconds() -> Optional[float]:
-    """Wall-clock budget for one Fig. 7 sweep, or ``None`` for unlimited.
-
-    ``REPRO_FIG7_BUDGET`` overrides the default; ``0``/``off``/``none``
-    disables the guard entirely.
-    """
-    raw = os.environ.get("REPRO_FIG7_BUDGET", "").strip().lower()
-    if not raw:
-        return DEFAULT_FIG7_BUDGET
-    if raw in ("0", "off", "none", "unlimited"):
-        return None
-    return float(raw)
-
-
-def paper_scale_enabled() -> bool:
-    """Whether benchmarks should use the paper's full-size topologies.
-
-    Controlled by the ``REPRO_PAPER_SCALE`` environment variable; the
-    default (off) uses structurally identical scaled-down fat-trees so a
-    benchmark run stays interactive (see DESIGN.md).
-    """
-    return os.environ.get("REPRO_PAPER_SCALE", "").strip() in ("1", "true", "yes")
-
-
-def fig7_topologies(*, paper_scale: Optional[bool] = None) -> List[BuiltTopology]:
+def fig7_topologies(*, paper_scale: bool = False) -> List[BuiltTopology]:
     """The four Fig. 7 fat-trees (full size or scaled twins)."""
-    scale = paper_scale_enabled() if paper_scale is None else paper_scale
-    if scale:
+    if paper_scale:
         return [paper_fattree(n) for n in PAPER_FATTREE_NODES]
     return [scaled_fattree(p) for p in SCALED_TO_PAPER]
 
@@ -119,21 +87,19 @@ def measure_path_computation(
 def run_fig7(
     *,
     engines: Sequence[str] = FIG7_ENGINES,
-    paper_scale: Optional[bool] = None,
+    paper_scale: bool = False,
     workers: int = 1,
-    budget_seconds: object = _BUDGET_UNSET,
+    budget_seconds: Optional[float] = DEFAULT_FIG7_BUDGET,
 ) -> List[Fig7Series]:
     """The full Fig. 7 sweep: all four topologies, all engines.
 
-    A wall-clock *budget* (default :func:`fig7_budget_seconds`) guards the
+    A wall-clock *budget* (``None`` = unlimited) guards the
     paper-scale sizes: before each engine runs, its time is projected from
     the previous size's measurement with the engine-agnostic
     ``(switches ratio)^2`` growth of the all-pairs work, and rows that
     cannot fit are *skipped with a printed message* instead of hanging the
     sweep. Skipped cells render as ``-``.
     """
-    if budget_seconds is _BUDGET_UNSET:
-        budget_seconds = fig7_budget_seconds()
     start = time.perf_counter()
     prev_times: Dict[str, float] = {}
     prev_switches = 0
@@ -153,7 +119,7 @@ def run_fig7(
                         f"fig7: skipping {name} on {topo.name}: projected"
                         f" ~{est:.0f}s with {elapsed:.0f}s already spent"
                         f" would exceed the {budget_seconds:.0f}s budget"
-                        " (set REPRO_FIG7_BUDGET to raise or disable)"
+                        " (raise or disable it: budget_seconds, repro fig7 --budget)"
                     )
                     continue
             keep.append(name)

@@ -2,9 +2,8 @@
 
 ::
 
-    python -m repro table1                # Table I, paper-exact
+    python -m repro claims [--paper-scale] [--json]  # the paper's claims
     python -m repro fig7 [--paper-scale]  # path-computation sweep
-    python -m repro cost-model            # equations (1)-(5) sweep
     python -m repro migrate-demo          # end-to-end migration walkthrough
     python -m repro check-fabric          # static verification matrix
     python -m repro chaos [--inject SPEC] # churn under injected faults
@@ -33,14 +32,12 @@ from typing import Callable, Dict, List, Optional
 from repro.cli import (
     chaos,
     check_fabric,
-    cost_model,
+    claims,
     fig7,
     metrics,
     migrate_demo,
     perf,
-    report,
     serve,
-    table1,
     top,
     trace,
 )
@@ -51,10 +48,8 @@ __all__ = ["main", "build_parser", "RUN_COMMANDS"]
 #: Commands that execute a run (and therefore reset the observability hub
 #: and support ``--record``), by name ...
 RUN_COMMANDS: Dict[str, ModuleType] = {
-    "table1": table1,
+    "claims": claims,
     "fig7": fig7,
-    "cost-model": cost_model,
-    "report": report,
     "migrate-demo": migrate_demo,
     "check-fabric": check_fabric,
     "chaos": chaos,

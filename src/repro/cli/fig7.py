@@ -32,8 +32,8 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=None,
         help=(
-            "wall-clock budget in seconds; rows projected to exceed it are"
-            " skipped with a message (default: REPRO_FIG7_BUDGET or 1800)"
+            "wall-clock budget in seconds (0 = unlimited); rows projected to"
+            " exceed it are skipped with a message (default: 1800)"
         ),
     )
 

@@ -2,9 +2,9 @@
 
 ``paper_fattree(nodes)`` reconstructs the exact instances behind Fig. 7 and
 Table I (36-port switches). ``scaled_fattree(profile)`` provides structurally
-identical but smaller instances used as benchmark defaults so a
-pytest-benchmark run stays interactive; set ``REPRO_PAPER_SCALE=1`` (read by
-the benchmarks, not here) to use the full-size ones.
+identical but smaller instances, the defaults of the claim register and
+the test suite; ``repro claims --paper-scale`` and ``repro fig7
+--paper-scale`` use the full-size ones.
 """
 
 from __future__ import annotations

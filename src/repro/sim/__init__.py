@@ -1,9 +1,8 @@
-"""Discrete-event engine, metrics and traces."""
+"""Discrete-event engine, the data plane and metrics."""
 
 from repro.sim.dataplane import DataPlaneSimulator, DataPlaneStats
 from repro.sim.engine import SimulationEngine, replay_smp_pipeline
 from repro.sim.metrics import Counter, MetricRegistry
-from repro.sim.trace import Trace, TraceRecord
 
 __all__ = [
     "SimulationEngine",
@@ -12,6 +11,4 @@ __all__ = [
     "DataPlaneStats",
     "Counter",
     "MetricRegistry",
-    "Trace",
-    "TraceRecord",
 ]

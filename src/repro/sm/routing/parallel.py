@@ -14,7 +14,7 @@ out over a ``ProcessPoolExecutor``, with two hard guarantees:
   the serial path runs over the whole range, so :class:`ParallelRouter`'s
   sharded matrix is byte-identical to the serial one — not just equal,
   the same dtype and values in the same places. The byte-identity tests
-  assert this per preset.
+  check this per preset.
 
 * **Graceful fallback** — worker pools need ``fork``/pipes/semaphores the
   execution sandbox may deny. A missing ``fork`` start method retries with

@@ -9,7 +9,6 @@ from repro.workloads.migration_patterns import (
     INTRA_POD,
     MigrationPlanner,
 )
-from repro.workloads.scenario import Scenario, ScenarioSummary
 from repro.workloads.serve import ServiceChaosReport, ServiceChaosRunner
 from repro.workloads.traffic import LinkLoadReport, all_to_all_flows, link_loads
 
@@ -23,8 +22,6 @@ __all__ = [
     "INTRA_POD",
     "INTER_POD",
     "ANY",
-    "Scenario",
-    "ScenarioSummary",
     "ServiceChaosReport",
     "ServiceChaosRunner",
     "LinkLoadReport",

@@ -7,7 +7,6 @@ from repro.analysis.experiments import (
     fig7_topologies,
     measure_path_computation,
     measured_full_reconfig_smps,
-    paper_scale_enabled,
     table1_for_topology,
 )
 from repro.analysis.figures import PAPER_FIG7_SECONDS, Fig7Series, render_fig7
@@ -43,16 +42,10 @@ class TestFig7Harness:
         assert "vswitch-reconfig" in text
         assert "0.0000s" in text
 
-    def test_fig7_topologies_scaled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PAPER_SCALE", raising=False)
-        assert not paper_scale_enabled()
+    def test_fig7_topologies_scaled_by_default(self):
         tops = fig7_topologies()
         assert len(tops) == 4
         assert all(t.topology.num_hcas <= 1000 for t in tops)
-
-    def test_paper_scale_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PAPER_SCALE", "1")
-        assert paper_scale_enabled()
 
     def test_paper_values_table_complete(self):
         for engine in FIG7_ENGINES:

@@ -1,11 +1,10 @@
-"""Tests for the discrete-event engine, metrics and traces."""
+"""Tests for the discrete-event engine and metrics."""
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.engine import SimulationEngine, replay_smp_pipeline
 from repro.sim.metrics import Counter, MetricRegistry
-from repro.sim.trace import Trace
 
 
 class TestEngine:
@@ -116,18 +115,3 @@ class TestMetrics:
     def test_registry_reuses_instances(self):
         reg = MetricRegistry()
         assert reg.counter("a") is reg.counter("a")
-
-
-class TestTrace:
-    def test_emit_and_filter(self):
-        tr = Trace()
-        tr.emit(0.0, "boot", vm="vm1")
-        tr.emit(1.0, "migrate", vm="vm1", dest="h2")
-        tr.emit(2.0, "boot", vm="vm2")
-        assert len(tr) == 3
-        assert len(tr.of_kind("boot")) == 2
-        assert tr.last("migrate").detail["dest"] == "h2"
-        assert tr.kinds() == ["boot", "migrate"]
-
-    def test_last_empty(self):
-        assert Trace().last() is None

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -24,10 +26,11 @@ class TestParser:
 
 class TestCommands:
     def test_table1(self, capsys):
-        assert main(["table1"]) == 0
-        out = capsys.readouterr().out
-        for token in ("216", "336960", "3240", "99.04%"):
-            assert token in out
+        assert main(["claims", "--json"]) == 0
+        rows = {r["id"]: r for r in json.loads(capsys.readouterr().out)}
+        assert rows["table1"]["observed"]["11664"] == [1620, 13284, 208, 336960, 1, 3240]
+        assert rows["improvement-quotes"]["observed"][-1] == 99.04
+        assert all(r["holds"] for r in rows.values())
 
     def test_fig7_minhop_only(self, capsys):
         assert main(["fig7", "--engines", "minhop"]) == 0
@@ -37,9 +40,10 @@ class TestCommands:
         assert "0.0000s" in out
 
     def test_cost_model(self, capsys):
-        assert main(["cost-model"]) == 0
+        assert main(["claims"]) == 0
         out = capsys.readouterr().out
-        assert "11664" in out and "ratio" in out
+        assert "rct-gap" in out and "(4.5, 8.25, 80.25, 156.0)" in out
+        assert "fig7-shape" not in out
 
     @pytest.mark.parametrize("scheme", ["prepopulated", "dynamic"])
     def test_migrate_demo(self, capsys, scheme):
@@ -84,7 +88,7 @@ class TestObservabilityCommands:
 
     def test_trace_tree_only(self, capsys, tmp_path):
         rec = tmp_path / "run"
-        assert main(["table1", "--record", str(rec)]) == 0
+        assert main(["fig7", "--engines", "minhop", "--record", str(rec)]) == 0
         capsys.readouterr()
         assert main(["trace", str(rec), "--tree-only"]) == 0
         out = capsys.readouterr().out

@@ -43,8 +43,8 @@ class TestOnSrc:
     def test_every_module_earns_a_caller(self):
         assert check(SRC) == []
 
-    def test_allowlist_is_exactly_the_scenario_module(self):
-        assert set(ALLOWLIST) == {"repro.workloads.scenario"}
+    def test_allowlist_is_empty(self):
+        assert ALLOWLIST == {}
 
     def test_cli_entry_is_clean(self, capsys):
         assert main([str(SRC)]) == 0

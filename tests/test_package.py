@@ -287,6 +287,30 @@ class TestOneHardwareLftStore:
         ] == ["fabric/lft.py"]
 
 
+class TestOneClaimsRegister:
+    """The paper's claims are rows of ``repro.analysis.claims`` (tier-1
+    twin of the CI guard "one claims register")."""
+
+    ROOT = Path(repro.__file__).resolve().parents[2]
+
+    def test_no_legacy_bench_files(self):
+        assert sorted(self.ROOT.glob("benchmarks/test_bench_*.py")) == []
+        assert sorted(self.ROOT.glob("BENCH_*.json")) == []
+
+    def test_no_paper_scale_environment_switch(self):
+        assert [
+            str(path.relative_to(self.ROOT))
+            for tree in ("src/repro", "examples")
+            for path in sorted((self.ROOT / tree).rglob("*.py"))
+            if "REPRO_PAPER_SCALE" in path.read_text()
+        ] == []
+
+    def test_the_register_writes_nothing(self):
+        text = (self.ROOT / "src" / "repro" / "analysis" / "claims.py").read_text()
+        for call in ("open(", "write_text", "write_bytes", "json.dump("):
+            assert call not in text
+
+
 class TestConstants:
     def test_lid_space(self):
         assert MAX_UNICAST_LID == 0xBFFF

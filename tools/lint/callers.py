@@ -25,11 +25,7 @@ from typing import Dict, List, Sequence, Set, Tuple
 __all__ = ["ALLOWLIST", "callers", "check", "main"]
 
 #: Caller-less modules that may stay for now, each with the reason.
-ALLOWLIST = {
-    "repro.workloads.scenario": (
-        "the plan-file item replaces Scenario.business_day with plan files"
-    ),
-}
+ALLOWLIST: Dict[str, str] = {}
 
 #: Entry points besides the registered CLI commands.
 _ENTRY_POINTS = ("repro.__main__",)
