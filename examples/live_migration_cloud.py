@@ -63,7 +63,7 @@ def vswitch_migration(scheme: str) -> None:
             f" n'={report.switches_updated},"
             f" LFT SMPs={report.reconfig.lft_smps},"
             f" addr SMPs={report.address_update_smps},"
-            f" reconfig={report.reconfig.total_seconds_serial * 1e6:.1f} us,"
+            f" reconfig={report.reconfig.serial_time * 1e6:.1f} us,"
             f" downtime~{report.downtime_seconds:.2f} s (VF detach/attach bound)"
         )
     others = [v for v in vms[1:]]

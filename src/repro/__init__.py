@@ -44,7 +44,6 @@ from repro.core import (
     LiveMigrationOrchestrator,
     MigrationReport,
     PrepopulatedLidScheme,
-    ReconfigReport,
     VSwitchReconfigurer,
     paper_table1,
     table1_row,
@@ -58,7 +57,7 @@ from repro.fabric.builders import (
     build_two_level_fattree,
 )
 from repro.fabric.presets import paper_fattree, scaled_fattree
-from repro.sm import SubnetManager
+from repro.sm import LftReport, SubnetManager
 from repro.sriov import SharedPortHCA, VSwitchHCA
 from repro.virt import CloudManager
 
@@ -70,6 +69,7 @@ __all__ = [
     # substrate
     "Topology",
     "SubnetManager",
+    "LftReport",
     "SharedPortHCA",
     "VSwitchHCA",
     "build_two_level_fattree",
@@ -80,7 +80,6 @@ __all__ = [
     "PrepopulatedLidScheme",
     "DynamicLidScheme",
     "VSwitchReconfigurer",
-    "ReconfigReport",
     "LiveMigrationOrchestrator",
     "MigrationReport",
     "CloudManager",

@@ -22,7 +22,7 @@ from repro.core.migration import (
     MigrationReport,
     MigrationTimingModel,
 )
-from repro.core.reconfig import ReconfigReport, VSwitchReconfigurer
+from repro.core.reconfig import VSwitchReconfigurer
 from repro.core.skyline import (
     MigrationSkyline,
     admit_concurrent,
@@ -45,7 +45,6 @@ __all__ = [
     "PrepopulatedLidScheme",
     "DynamicLidScheme",
     "VmBootReport",
-    "ReconfigReport",
     "VSwitchReconfigurer",
     "MigrationSkyline",
     "plan_skyline",

@@ -22,10 +22,11 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ReconfigError, TransportError
+from repro.sm.lft_distribution import LftReport
 from repro.sm.subnet_manager import SubnetManager
 from repro.sriov.base import VirtualFunction
 from repro.sriov.vswitch import VSwitchHCA
-from repro.core.reconfig import ReconfigReport, VSwitchReconfigurer
+from repro.core.reconfig import VSwitchReconfigurer
 
 __all__ = [
     "VmBootReport",
@@ -43,7 +44,7 @@ class VmBootReport:
     vf_name: str
     lid: int
     lft_smps: int = 0
-    reconfig: Optional[ReconfigReport] = None
+    reconfig: Optional[LftReport] = None
 
 
 @dataclass
@@ -57,7 +58,7 @@ class VmBootBatchReport:
     """
 
     boots: List[VmBootReport] = field(default_factory=list)
-    reconfig: Optional[ReconfigReport] = None
+    reconfig: Optional[LftReport] = None
     ideal_lft_smps: int = 0
 
     @property
@@ -147,7 +148,7 @@ class LidScheme(abc.ABC):
         dest_vf: VirtualFunction,
         *,
         limit_switches=None,
-    ) -> ReconfigReport:
+    ) -> LftReport:
         """Move *vm_lid* from ``src_vf`` to ``dest_vf`` in the LFTs and the
         LID registry (step b of Algorithm 1).
 
@@ -200,7 +201,7 @@ class PrepopulatedLidScheme(LidScheme):
         dest_vf: VirtualFunction,
         *,
         limit_switches=None,
-    ) -> ReconfigReport:
+    ) -> LftReport:
         """Swap the VM's LID with the destination VF's prepopulated LID.
 
         After the swap the destination VF carries ``vm_lid`` and the source
@@ -316,7 +317,7 @@ class DynamicLidScheme(LidScheme):
         dest_vf: VirtualFunction,
         *,
         limit_switches=None,
-    ) -> ReconfigReport:
+    ) -> LftReport:
         """Copy the destination PF's entry onto the VM's LID everywhere.
 
         Exactly one LID is involved, so at most one SMP per switch is ever

@@ -32,9 +32,9 @@ from repro.errors import (
 )
 from repro.mad.smp import Smp, SmpKind, SmpMethod
 from repro.core.lid_schemes import LidScheme
-from repro.core.reconfig import ReconfigReport
 from repro.core.skyline import MigrationSkyline, plan_skyline
 from repro.obs.hub import get_hub, span
+from repro.sm.lft_distribution import LftReport
 from repro.sm.subnet_manager import SubnetManager
 from repro.virt.hypervisor import Hypervisor
 from repro.virt.vm import VirtualMachine, VmState
@@ -74,7 +74,7 @@ class MigrationReport:
     vm_lid: int
     mode: str
     skyline: MigrationSkyline
-    reconfig: ReconfigReport
+    reconfig: LftReport
     address_update_smps: int = 0  # step (a) SMPs to the hypervisors
     copy_seconds: float = 0.0
     downtime_seconds: float = 0.0
@@ -190,7 +190,7 @@ class LiveMigrationOrchestrator:
             address_update_smps = 0
             outcome = "completed"
             failure: Optional[str] = None
-            reconfig = ReconfigReport(mode=mode)
+            reconfig = LftReport(mode=mode)
             try:
                 # Step 2+3a: the SM learns about the migration and updates
                 # the participating hypervisors' VF addresses — one SMP
@@ -305,7 +305,7 @@ class LiveMigrationOrchestrator:
                 downtime = (
                     self.timing.vf_detach_seconds
                     + self.timing.final_pause_seconds
-                    + reconfig.total_seconds_serial
+                    + reconfig.serial_time
                     + self.timing.vf_attach_seconds
                 )
             else:

@@ -21,77 +21,53 @@ Path computation time is zero by construction — the headline result.
 Every operation here is one **column edit**: "these LID columns take
 these per-switch ports". One kernel (:meth:`VSwitchReconfigurer._edit`)
 compares the affected entries, keeps the ``n'`` switches where they
-differ, builds only the changed 64-entry blocks and hands them to the
-transport as one multi-target sweep
-(:meth:`repro.mad.smp.SmpPlan.lft_sweep`, delivered by
-:meth:`repro.mad.transport.SmpTransport.deliver`).
+differ and builds only the changed 64-entry blocks. Those rows go out
+through the SM's one LFT write transaction,
+:meth:`repro.sm.lft_distribution.LftDistributor.update`, which sends
+them, rolls a failed edit back and prices it in an
+:class:`~repro.sm.lft_distribution.LftReport`.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.constants import LFT_BLOCK_SIZE, LFT_DROP_PORT
-from repro.errors import ReconfigError, ReconfigRollbackError, TransportError
+from repro.errors import ReconfigError, ReconfigRollbackError
 from repro.fabric.lft import apply_column_op
 from repro.fabric.node import Switch
-from repro.mad.smp import SmpPlan
 from repro.obs.hub import get_hub, span
+from repro.sm.lft_distribution import LftReport
 from repro.sm.subnet_manager import SubnetManager
 
-__all__ = ["ReconfigReport", "VSwitchReconfigurer"]
+__all__ = ["VSwitchReconfigurer"]
 
-
-@dataclass
-class ReconfigReport:
-    """Cost accounting of one LFT reconfiguration — the paper's
-    ``vSwitch RC_t = n' * m' * k`` quantities."""
-
-    mode: str = ""
-    lft_smps: int = 0
-    switches_updated: int = 0  # n'
-    blocks_per_switch: Dict[str, int] = field(default_factory=dict)
-    serial_time: float = 0.0
-    pipelined_time: float = 0.0
-    path_compute_seconds: float = 0.0  # identically 0 — kept for symmetry
-
-    @property
-    def max_blocks_on_one_switch(self) -> int:
-        """The realized ``m'`` (0 if nothing changed)."""
-        return max(self.blocks_per_switch.values(), default=0)
-
-    @property
-    def total_seconds_serial(self) -> float:
-        """End-to-end reconfiguration time, serial SMPs."""
-        return self.path_compute_seconds + self.serial_time
+#: ``repro_vswitch_*{mode}`` gauge and the report field it publishes.
+_GAUGES = (
+    ("repro_vswitch_lft_smps", "lft_smps"),
+    ("repro_vswitch_switches_updated", "switches_updated"),
+    ("repro_vswitch_m_prime", "max_blocks_on_one_switch"),
+    ("repro_vswitch_serial_seconds", "serial_time"),
+    ("repro_vswitch_pipelined_seconds", "pipelined_time"),
+)
 
 
 class VSwitchReconfigurer:
     """Executes the paper's swap/copy LFT updates against a live subnet.
 
     Operates on the switches' actual LFTs (the hardware state), keeps the
-    SM's recorded routing function consistent, and accounts every SMP
-    through the SM's transport. ``destination_routed`` selects the
-    equation-(5) optimization of sending the LFT updates with
-    destination-based routing instead of directed routing.
+    SM's recorded routing function consistent, and writes and prices every
+    edit through the SM's :class:`~repro.sm.lft_distribution.LftDistributor`.
+    ``destination_routed`` selects the equation-(5) optimization of sending
+    the LFT updates with destination-based routing instead of directed
+    routing.
     """
 
-    def __init__(
-        self,
-        sm: SubnetManager,
-        *,
-        destination_routed: bool = False,
-        pipeline_window: int = 8,
-    ) -> None:
-        if pipeline_window < 1:
-            raise ReconfigError("pipeline window must be >= 1")
+    def __init__(self, sm: SubnetManager, *, destination_routed: bool = False) -> None:
         self.sm = sm
         self.destination_routed = destination_routed
-        self.pipeline_window = pipeline_window
 
     # -- public operations ---------------------------------------------------
 
@@ -101,7 +77,7 @@ class VSwitchReconfigurer:
         lid_b: int,
         *,
         limit_switches: Optional[Set[int]] = None,
-    ) -> ReconfigReport:
+    ) -> LftReport:
         """Prepopulated-LIDs migration: swap two LID entries on all switches.
 
         Implements UPDATELFTBLOCKSONALLSWITCHES of Algorithm 1 for the
@@ -113,12 +89,12 @@ class VSwitchReconfigurer:
         special case — which is validated here.
         """
         lids = self._check_swap(lid_a, lid_b, limit_switches)
-        with self._reconfiguration(
-            "swap", "lft_swap", lid_a=lid_a, lid_b=lid_b
-        ) as (report, undo):
+        report = LftReport(mode="swap")
+        with self._update(report, "lft_swap", lid_a=lid_a, lid_b=lid_b) as write:
             switches = self._switch_sweep(limit_switches)
             have = self._entries(switches, lids)
-            self._edit(switches, lids, have, have[:, ::-1], report, undo)
+            self._edit(switches, lids, have, have[:, ::-1], write)
+        self._gauges(report)
         self._record(limit_switches, op="swap", lid_a=lid_a, lid_b=lid_b)
         return report
 
@@ -128,7 +104,7 @@ class VSwitchReconfigurer:
         target_lid: int,
         *,
         limit_switches: Optional[Set[int]] = None,
-    ) -> ReconfigReport:
+    ) -> LftReport:
         """Dynamic-assignment migration/creation: *target_lid* inherits
         *template_lid*'s forwarding port on every switch (V-C2).
 
@@ -146,7 +122,7 @@ class VSwitchReconfigurer:
         pairs: List[Tuple[int, int]],
         *,
         limit_switches: Optional[Set[int]] = None,
-    ) -> ReconfigReport:
+    ) -> LftReport:
         """Batched :meth:`copy_path`: program many (template, target)
         copies in one sweep, coalescing SMPs per (switch, block).
 
@@ -160,7 +136,7 @@ class VSwitchReconfigurer:
         as a template.
         """
         if not pairs:
-            return ReconfigReport(mode="copy-batch")
+            return LftReport(mode="copy-batch")
         return self._copy(
             pairs, limit_switches, "copy-batch", "lft_copy_batch",
             {"pairs": len(pairs)},
@@ -172,7 +148,7 @@ class VSwitchReconfigurer:
         lid_b: int,
         *,
         limit_switches: Optional[Set[int]] = None,
-    ) -> ReconfigReport:
+    ) -> LftReport:
         """The section VI-C *partially-static* swap.
 
         Before the actual entry swap, the LIDs being moved are pointed at
@@ -185,9 +161,8 @@ class VSwitchReconfigurer:
         invalidation SMP per affected (switch, changed block).
         """
         lids = self._check_swap(lid_a, lid_b, limit_switches)
-        with self._reconfiguration(
-            "safe-swap", "lft_safe_swap", lid_a=lid_a, lid_b=lid_b
-        ) as (report, undo):
+        report = LftReport(mode="safe-swap")
+        with self._update(report, "lft_safe_swap", lid_a=lid_a, lid_b=lid_b) as write:
             switches = self._switch_sweep(limit_switches)
             have = self._entries(switches, lids)
             differ = have[:, 0] != have[:, 1]
@@ -196,7 +171,7 @@ class VSwitchReconfigurer:
             # Phase 1: invalidate the moving LIDs on the affected switches.
             with span("invalidate_phase"):
                 dropped = np.full_like(ports, LFT_DROP_PORT)
-                self._edit(affected, lids, ports, dropped, report, undo)
+                self._edit(affected, lids, ports, dropped, write)
             # Phase 2: program the swapped entries — the pre-invalidation
             # ports as the SM's tables recorded them.
             tbl = self.sm.current_tables
@@ -206,25 +181,23 @@ class VSwitchReconfigurer:
             with span("swap_phase"):
                 self._edit(
                     affected, lids, self._entries(affected, lids),
-                    ports[:, ::-1], report, undo,
+                    ports[:, ::-1], write,
                 )
-            # blocks_per_switch was incremented per phase; n' is the number of
-            # distinct switches, not phase-entries.
-            report.switches_updated = len(affected)
+        self._gauges(report)
         self._record(limit_switches, op="swap", lid_a=lid_a, lid_b=lid_b)
         return report
 
-    def invalidate_lid(self, lid: int) -> ReconfigReport:
+    def invalidate_lid(self, lid: int) -> LftReport:
         """Partially-static pre-step (section VI-C): forward *lid* to port
         255 on every switch so in-flight traffic toward the migrating VM is
         dropped rather than risking a transition deadlock."""
-        with self._reconfiguration(
-            "invalidate", "lft_invalidate", lid=lid
-        ) as (report, undo):
+        report = LftReport(mode="invalidate")
+        with self._update(report, "lft_invalidate", lid=lid) as write:
             switches = self.sm.topology.switches
             have = self._entries(switches, (lid,))
             dropped = np.full_like(have, LFT_DROP_PORT)
-            self._edit(switches, (lid,), have, dropped, report, undo)
+            self._edit(switches, (lid,), have, dropped, write)
+        self._gauges(report)
         self._record(None, op="invalidate", lid=lid)
         return report
 
@@ -259,104 +232,50 @@ class VSwitchReconfigurer:
         lids: Sequence[int],
         have: np.ndarray,
         want: np.ndarray,
-        report: Optional[ReconfigReport] = None,
-        undo: Optional[List[Tuple[Switch, int, np.ndarray]]] = None,
+        write: Optional[Callable[..., None]] = None,
     ) -> Tuple[int, int]:
         """The LFT columns *lids* take the per-switch ports *want*.
 
         ``have[s, l]`` is what ``switches[s]`` forwards ``lids[l]`` to now.
-        Only where it differs from ``want[s, l]`` does anything happen:
-        the ``n'`` switches with a difference each get one
-        ``SubnSet(LFT)`` per 64-entry block that holds one, in switch
-        order and ascending blocks. Returns ``(n', SMPs)``; without a
-        *report* nothing is sent (the prediction). Otherwise the blocks
-        go out as one sweep — or, when the SM runs transactionally, as
-        verified writes block by block — *report* is charged, and the
-        pre-image of every delivered block lands in *undo*, also when
-        the sweep dies half-way with a transport error.
+        Only where it differs from ``want[s, l]`` does a block change: the
+        ``n'`` switches with a difference each get one row per 64-entry
+        block that holds one, in switch order and ascending blocks, handed
+        to *write* (an :meth:`~repro.sm.lft_distribution.LftDistributor.update`
+        transaction's) as ``(switch rows, blocks, entries, pre-images)``.
+        Returns ``(n', SMPs)``; without *write* nothing is built or sent
+        (the prediction).
         """
         at_switch, at_lid = np.nonzero(have != want)
-        if not at_switch.size:
-            return 0, 0
         at_block, at_offset = np.divmod(np.asarray(lids)[at_lid], LFT_BLOCK_SIZE)
-        n_blocks = int(at_block.max()) + 1
+        n_blocks = int(at_block.max()) + 1 if at_block.size else 1
         # One row per distinct (switch, block) that holds a difference.
         keys, row_of = np.unique(
             at_switch * n_blocks + at_block, return_inverse=True
         )
         owners, blocks = np.divmod(keys, n_blocks)
-        per_switch = np.bincount(owners, minlength=len(switches))
-        hit = np.flatnonzero(per_switch)
-        if report is None:
-            return hit.size, keys.size
-        for i in hit.tolist():
-            name = switches[i].name
-            report.switches_updated += 1
-            report.blocks_per_switch[name] = report.blocks_per_switch.get(
-                name, 0
-            ) + int(per_switch[i])
-        targets = [switches[i] for i in owners.tolist()]
-        blocks = blocks.tolist()
-        pre = self.sm.topology.lft_blocks([sw.index for sw in targets], blocks)
-        entries = pre.copy()
-        entries[row_of, at_offset] = want[at_switch, at_lid]
-        self._write(targets, blocks, entries, pre, undo)
-        return hit.size, keys.size
+        if write is not None:
+            rows = [switches[i].index for i in owners.tolist()]
+            blocks = blocks.tolist()
+            pre = self.sm.topology.lft_blocks(rows, blocks)
+            entries = pre.copy()
+            entries[row_of, at_offset] = want[at_switch, at_lid]
+            write(rows, blocks, entries, pre)
+        return len(set(owners.tolist())), keys.size
 
-    def _write(
-        self,
-        targets: List[Switch],
-        blocks: List[int],
-        entries: np.ndarray,
-        pre: np.ndarray,
-        undo: List[Tuple[Switch, int, np.ndarray]],
-    ) -> None:
-        # Read the resilience state off the SM at send time: a later
-        # enable_resilience() call upgrades reconfigurers that already
-        # exist (the cloud layer builds them at scheme construction).
-        distributor = self.sm.distributor
-        directed = not self.destination_routed
-        if distributor.transactional:
-            for sw, block, row in zip(targets, blocks, entries):
-                distributor.write_block_verified(
-                    sw, block, row, directed=directed, undo=undo
-                )
-            return
-        applied: List[int] = []
-        try:
-            distributor.sender.deliver(
-                SmpPlan.lft_sweep(
-                    [sw.name for sw in targets], blocks, entries, directed=directed
-                ),
-                applied=applied,
-            )
-        finally:
-            undo.extend((targets[i], blocks[i], pre[i]) for i in applied)
+    def _update(self, report: LftReport, name: str, **attributes: int):
+        """The SM's one LFT write transaction in span *name*: a transport
+        failure re-raises (:class:`ReconfigRollbackError` if a restore fails)."""
+        return self.sm.distributor.update(
+            report, name, directed=not self.destination_routed,
+            error=ReconfigRollbackError, **attributes,
+        )
 
-    @contextmanager
-    def _reconfiguration(
-        self, mode: str, name: str, **attributes: int
-    ) -> Iterator[Tuple[ReconfigReport, List[Tuple[Switch, int, np.ndarray]]]]:
-        """The shell every operation shares: a span *name*, an undo log
-        that turns a mid-flight transport failure into a clean "nothing
-        happened" (the caller sees the original :class:`TransportError`
-        and every switch holds its pre-reconfiguration entries;
-        :class:`ReconfigRollbackError` if the restores themselves fail),
-        and a report priced from the transport's counters."""
-        report = ReconfigReport(mode=mode)
-        undo: List[Tuple[Switch, int, np.ndarray]] = []
-        before = self.sm.transport.stats.snapshot()
-        with span(name, **attributes):
-            try:
-                yield report, undo
-            except TransportError:
-                self.sm.distributor.rollback(
-                    undo,
-                    directed=not self.destination_routed,
-                    error=ReconfigRollbackError,
-                )
-                raise
-            self._finish(report, before)
+    @staticmethod
+    def _gauges(report: LftReport) -> None:
+        """The ``repro_vswitch_*`` gauges of a priced edit."""
+        metrics = get_hub().metrics
+        for series, field in _GAUGES:
+            metrics.gauge(series, mode=report.mode).set(getattr(report, field))
 
     # -- internals ------------------------------------------------------------------
 
@@ -378,7 +297,7 @@ class VSwitchReconfigurer:
         mode: str,
         name: str,
         attributes: Dict[str, int],
-    ) -> ReconfigReport:
+    ) -> LftReport:
         templates = [template for template, _ in pairs]
         targets = [target for _, target in pairs]
         sources, seen = set(templates), set()
@@ -393,16 +312,17 @@ class VSwitchReconfigurer:
             self._check_lid_known(template_lid)
         if limit_switches is not None:
             self._check_limit_safe(templates, limit_switches)
-        with self._reconfiguration(mode, name, **attributes) as (report, undo):
+        report = LftReport(mode=mode)
+        with self._update(report, name, **attributes) as write:
             switches = self._switch_sweep(limit_switches)
             self._edit(
                 switches,
                 targets,
                 self._entries(switches, targets),
                 self._entries(switches, templates),
-                report,
-                undo,
+                write,
             )
+        self._gauges(report)
         for template_lid, target_lid in pairs:
             self._record(
                 limit_switches,
@@ -417,13 +337,10 @@ class VSwitchReconfigurer:
             raise ReconfigError(f"LID {lid} is not bound anywhere in the subnet")
 
     def _switch_sweep(self, limit_switches: Optional[Set[int]]):
+        switches = self.sm.topology.switches
         if limit_switches is None:
-            return self.sm.topology.switches
-        return [
-            sw
-            for sw in self.sm.topology.switches
-            if sw.index in limit_switches
-        ]
+            return switches
+        return [sw for sw in switches if sw.index in limit_switches]
 
     def _check_limit_safe(self, lids, limit_switches: Set[int]) -> None:
         """A skyline-limited update is only correct when every involved LID
@@ -438,28 +355,6 @@ class VSwitchReconfigurer:
                     f"LID {lid} does not attach within the limited switch"
                     " set; a restricted update would strand traffic"
                 )
-
-    def _finish(self, report: ReconfigReport, before) -> None:
-        delta = self.sm.transport.stats.delta_since(before)
-        report.lft_smps = delta.lft_update_smps
-        report.serial_time = delta.serial_time
-        report.pipelined_time = delta.pipelined_time(self.pipeline_window)
-        metrics = get_hub().metrics
-        metrics.gauge("repro_vswitch_lft_smps", mode=report.mode).set(
-            report.lft_smps
-        )
-        metrics.gauge("repro_vswitch_switches_updated", mode=report.mode).set(
-            report.switches_updated
-        )
-        metrics.gauge("repro_vswitch_m_prime", mode=report.mode).set(
-            report.max_blocks_on_one_switch
-        )
-        metrics.gauge("repro_vswitch_serial_seconds", mode=report.mode).set(
-            report.serial_time
-        )
-        metrics.gauge("repro_vswitch_pipelined_seconds", mode=report.mode).set(
-            report.pipelined_time
-        )
 
     def _record(self, limit_switches: Optional[Set[int]], **op: object) -> None:
         """Land the edit the switches just took on the SM's recorded

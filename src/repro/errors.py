@@ -118,7 +118,9 @@ class FaultInjectionError(ReproError):
 
 
 class DistributionError(ReproError):
-    """A transactional LFT distribution could not complete nor roll back."""
+    """An LFT distribution could not complete. Raised once every applied
+    block write was rolled back (the switches hold the old routing), and
+    also when a restore fails (the subnet may then be inconsistent)."""
 
 
 class ReconfigRollbackError(ReconfigError):

@@ -172,7 +172,8 @@ class HighAvailabilityManager:
 
         Attaches this manager as the transport's SMInfo agent and as the
         subnet manager's replication hook, and makes sure the SM sends
-        through a generation-stamping reliable sender.
+        through a generation-stamping reliable sender (so its LFT writes
+        are read-back verified).
         """
         if not self._participants:
             raise HighAvailabilityError("no SM candidates registered")
@@ -183,10 +184,9 @@ class HighAvailabilityManager:
         self.sm.ha = self
         if not isinstance(self.sm.smp_sender, ReliableSmpSender):
             # The HA protocol needs MAD retransmission semantics: leases,
-            # handshakes and replication are all loss-sensitive.
-            self.sm.enable_resilience(
-                transactional=self.sm.distributor.transactional
-            )
+            # handshakes and replication are all loss-sensitive. From here
+            # on every LFT write is read-back verified.
+            self.sm.enable_resilience()
         winner = min(alive, key=SmParticipant.election_key)
         self._promote(winner)
         for p in self.participants():

@@ -21,16 +21,23 @@ from repro.errors import RoutingError, TopologyError
 from repro.fabric.link import Link
 from repro.fabric.node import Switch
 from repro.fabric.topology import Topology, TopologyMutation
+from repro.mad.reliable import ReliableSmpSender
 from repro.mad.transport import SmpTransport
 from repro.obs.hub import get_hub, span
 from repro.sm.discovery import DiscoveryReport, discover_subnet
-from repro.sm.lft_distribution import DistributionReport, LftDistributor
+from repro.sm.lft_distribution import LftDistributor, LftReport
 from repro.sm.lid_manager import LidManager
 from repro.sm.routing.base import RoutingAlgorithm, RoutingRequest, RoutingTables
 from repro.sm.routing.cache import RoutingCacheStats, RoutingState
 from repro.sm.routing.registry import create_engine
 
-__all__ = ["ConfigureReport", "SubnetManager"]
+__all__ = ["ConfigureReport", "SubnetManager", "path_computations"]
+
+
+def path_computations() -> int:
+    """Routing computations run so far (``repro_path_computations_total``):
+    an operation that leaves it unchanged computed no path (PCt = 0)."""
+    return get_hub().metrics.counter("repro_path_computations_total").value
 
 
 @dataclass
@@ -46,7 +53,7 @@ class ConfigureReport:
     """
 
     path_compute_seconds: float = 0.0  # PC_t
-    distribution: DistributionReport = field(default_factory=DistributionReport)
+    distribution: LftReport = field(default_factory=LftReport)
     discovery: Optional[DiscoveryReport] = None
     #: SMInfo handshake SMPs spent negotiating a failover (heartbeats,
     #: HANDOVER/ACKNOWLEDGE, fencing probe). Zero outside failovers.
@@ -67,7 +74,7 @@ class ConfigureReport:
     @property
     def lft_smps(self) -> int:
         """SubnSet(LFT) SMPs sent (the n*m term)."""
-        return self.distribution.smps_sent
+        return self.distribution.lft_smps
 
     @property
     def control_smps(self) -> int:
@@ -104,7 +111,6 @@ class SubnetManager:
         engine: Union[str, RoutingAlgorithm] = "minhop",
         built: Optional[object] = None,
         transport: Optional[SmpTransport] = None,
-        pipeline_window: int = 8,
         fallback_engine: Optional[str] = None,
         workers: int = 1,
     ) -> None:
@@ -130,9 +136,7 @@ class SubnetManager:
         self.routing_state = RoutingState(topology, workers=workers)
         self.transport.set_distance_source(self.routing_state)
         self.lid_manager = LidManager(topology)
-        self.distributor = LftDistributor(
-            topology, self.transport, pipeline_window=pipeline_window
-        )
+        self.distributor = LftDistributor(topology, self.transport)
         self.current_tables: Optional[RoutingTables] = None
         self.last_request: Optional[RoutingRequest] = None
         #: High-availability manager, once attached (see
@@ -143,27 +147,23 @@ class SubnetManager:
 
     # -- resilience -----------------------------------------------------------
 
-    def enable_resilience(self, policy=None, *, transactional: bool = True):
+    def enable_resilience(self, policy=None):
         """Turn on the lossy-fabric survival kit.
 
         Wraps the transport in a retransmitting
         :class:`~repro.mad.reliable.ReliableSmpSender` (MAD timeout +
         capped exponential backoff; *policy* is a
-        :class:`~repro.mad.reliable.RetryPolicy`) and, unless
-        ``transactional=False``, flips the distributor into
-        read-back-verified, complete-or-rollback mode. Without faults
-        injected the reliable path sends exactly the same SMPs as before
-        (retries only ever trigger on a timeout), so enabling this on a
-        healthy fabric changes no report. Returns the sender.
+        :class:`~repro.mad.reliable.RetryPolicy`), which also makes every
+        LFT write read-back verified, complete-or-rollback
+        (:attr:`LftDistributor.transactional`). Without faults injected
+        the retries never trigger, so the only extra SMPs on a healthy
+        fabric are the read-backs. Returns the sender.
         """
-        from repro.mad.reliable import ReliableSmpSender
-
         if not isinstance(self.smp_sender, ReliableSmpSender):
             self.smp_sender = ReliableSmpSender(self.transport, policy)
         elif policy is not None:
             self.smp_sender.policy = policy
         self.distributor.sender = self.smp_sender
-        self.distributor.transactional = transactional
         return self.smp_sender
 
     # -- configuration steps -------------------------------------------------
@@ -226,7 +226,7 @@ class SubnetManager:
             self.ha.note_tables(tables)
         return tables
 
-    def distribute(self, *, force_full: bool = False) -> DistributionReport:
+    def distribute(self, *, force_full: bool = False) -> LftReport:
         """Send the current tables to the switches."""
         if self.current_tables is None:
             raise RoutingError("no routing computed yet")

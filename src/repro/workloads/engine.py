@@ -157,9 +157,8 @@ class StepRunner:
         self.sm = cloud.sm
         self.plan = plan
         self.injector = FaultInjector(plan)
-        # MAD retries + complete-or-rollback distribution: on a healthy
-        # fabric this sends exactly the SMPs the bare path would.
-        self.sm.enable_resilience(retry_policy, transactional=True)
+        # MAD retries + read-back-verified, complete-or-rollback LFT writes.
+        self.sm.enable_resilience(retry_policy)
         self.steps = 0
         self.report: Any = None
 

@@ -5,6 +5,7 @@ import pytest
 from repro.core.migration import MigrationTimingModel
 from repro.errors import MigrationError
 from repro.mad.smp import SmpKind
+from repro.sm.subnet_manager import path_computations
 from repro.virt.vm import VmState
 
 
@@ -62,8 +63,9 @@ class TestMigrationFlow:
     def test_zero_path_computation(self, prepopulated_cloud):
         cloud = prepopulated_cloud
         vm = cloud.boot_vm(on="l0h0")
-        report = cloud.live_migrate(vm.name, "l3h3")
-        assert report.reconfig.path_compute_seconds == 0.0
+        computed = path_computations()
+        cloud.live_migrate(vm.name, "l3h3")
+        assert path_computations() == computed
 
     def test_communication_survives_migration(self, prepopulated_cloud):
         # Traffic from a third node must reach the VM at its new location
@@ -186,7 +188,7 @@ class TestTiming:
         cloud = prepopulated_cloud
         vm = cloud.boot_vm(on="l0h0")
         report = cloud.live_migrate(vm.name, "l3h3")
-        assert report.reconfig.total_seconds_serial < 0.001 * report.downtime_seconds
+        assert report.reconfig.serial_time < 0.001 * report.downtime_seconds
 
 
 class TestMinimalIntraLeaf:

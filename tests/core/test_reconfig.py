@@ -21,7 +21,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.mad.reliable import RetryPolicy
 from repro.obs import get_hub, reset_hub
-from repro.sm.subnet_manager import SubnetManager
+from repro.sm.subnet_manager import SubnetManager, path_computations
 from repro.virt.cloud import CloudManager
 from tests.oracles.observe import observed
 from tests.oracles.reconfig import PacketByPacketReconfigurer
@@ -101,8 +101,9 @@ class TestSwap:
 
     def test_zero_path_computation(self, configured):
         _, sm, *_, lid_a, lid_b = configured
-        report = VSwitchReconfigurer(sm).swap_lids(lid_a, lid_b)
-        assert report.path_compute_seconds == 0.0
+        computed = path_computations()
+        VSwitchReconfigurer(sm).swap_lids(lid_a, lid_b)
+        assert path_computations() == computed
 
     def test_predict_matches_execution(self, configured):
         _, sm, *_, lid_a, lid_b = configured
@@ -237,7 +238,7 @@ FABRICS = {
 world_case = dict(
     fabric=st.sampled_from(["2l-small", "2l-small", "ring", "ring", "3l-small"]),
     destination_routed=st.booleans(),
-    resilience=st.sampled_from(["raw", "raw", "reliable", "transactional"]),
+    resilience=st.sampled_from(["raw", "raw", "transactional"]),
     faults=st.none()
     | st.tuples(
         st.integers(0, 10**6),
@@ -263,10 +264,8 @@ def harden(sm, resilience, faults):
     start the observability record afresh and set the delivery regime of
     the world — retransmission, read-back, loss."""
     reset_hub(flight_capacity=FLIGHT_CAPACITY)
-    if resilience != "raw":
-        sm.enable_resilience(
-            RetryPolicy(retries=2), transactional=resilience == "transactional"
-        )
+    if resilience == "transactional":
+        sm.enable_resilience(RetryPolicy(retries=2))
     if faults is not None:
         seed, drop, corrupt, delay = faults
         sm.transport.set_fault_injector(
@@ -286,7 +285,7 @@ def isolate(topo, switch):
 
 
 def told(report):
-    """A ReconfigReport in comparable form, ``blocks_per_switch`` order
+    """An LftReport in comparable form, ``blocks_per_switch`` order
     included."""
     return dataclasses.asdict(report), list(report.blocks_per_switch)
 

@@ -103,7 +103,7 @@ def changed_blocks(before, after):
 def diff_plan(topo, ports, force_full=False):
     """The blocks a distribution of *ports* would send, per switch."""
     distributor = LftDistributor(topo, SmpTransport(topo))
-    send, _ = distributor._diff_plan(RoutingTables("test", ports), force_full)
+    send = distributor._diff_plan(RoutingTables("test", ports), force_full)[0]
     return [np.flatnonzero(row).tolist() for row in send]
 
 

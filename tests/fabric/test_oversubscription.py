@@ -10,7 +10,7 @@ import pytest
 from repro.fabric.builders.fattree import build_two_level_fattree
 from repro.sm.routing.base import RoutingRequest
 from repro.sm.routing.registry import create_engine
-from repro.sm.subnet_manager import SubnetManager
+from repro.sm.subnet_manager import SubnetManager, path_computations
 from repro.virt.cloud import CloudManager
 from repro.workloads.traffic import all_to_all_flows, link_loads
 from tests.oracles.delivery import validate
@@ -51,8 +51,9 @@ class TestOversubscribed:
         cloud.adopt_all_hcas()
         cloud.bring_up_subnet()
         vm = cloud.boot_vm(on="l0h0")
+        computed = path_computations()
         report = cloud.live_migrate(vm.name, "l3h7")
-        assert report.reconfig.path_compute_seconds == 0.0
+        assert path_computations() == computed
         assert report.reconfig.lft_smps >= 1
 
 

@@ -5,9 +5,10 @@ kernel of :mod:`repro.core.reconfig` and for the LFT sweep
 Algorithm 1 exactly as it was written before the sweep: per switch, clone
 the whole LFT, apply the edit to the clone, compare the affected 64-entry
 blocks, and ``send`` one ``SubnSet(LFT)`` packet per changed block (SET
-then GET, up to three rounds, in transactional mode), keeping an undo log
-of the delivered writes and restoring it newest-first on a transport
-error. The report is priced with ``snapshot()``/``delta_since()``.
+then GET, up to three rounds, when the SM is resilient), keeping an undo
+log of the delivered writes and restoring it newest-first on a transport
+error. The :class:`~repro.sm.lft_distribution.LftReport` is priced with
+``snapshot()``/``delta_since()`` and its pricing lands on the span.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ from typing import List, Optional, Set, Tuple
 import numpy as np
 
 from repro.constants import LFT_DROP_PORT
-from repro.core.reconfig import ReconfigReport
 from repro.errors import ReconfigError, ReconfigRollbackError, TransportError
 from repro.fabric.lft import lft_block_of, widen
 from repro.mad.smp import Smp, SmpKind, SmpMethod, make_set_lft_block
 from repro.obs.hub import get_hub, span
+from repro.sm.lft_distribution import PIPELINE_WINDOW, LftReport
 from repro.sm.subnet_manager import SubnetManager
 from tests.oracles.lft import LinearForwardingTable
 
@@ -43,13 +44,9 @@ class PacketByPacketReconfigurer:
         sm: SubnetManager,
         *,
         destination_routed: bool = False,
-        pipeline_window: int = 8,
     ) -> None:
-        if pipeline_window < 1:
-            raise ReconfigError("pipeline window must be >= 1")
         self.sm = sm
         self.destination_routed = destination_routed
-        self.pipeline_window = pipeline_window
 
     # -- public operations ---------------------------------------------------
 
@@ -59,7 +56,7 @@ class PacketByPacketReconfigurer:
         lid_b: int,
         *,
         limit_switches: Optional[Set[int]] = None,
-    ) -> ReconfigReport:
+    ) -> LftReport:
         """Prepopulated-LIDs migration: swap two LID entries on all switches.
 
         Implements UPDATELFTBLOCKSONALLSWITCHES of Algorithm 1 for the
@@ -77,10 +74,10 @@ class PacketByPacketReconfigurer:
         self._check_lid_known(lid_b)
         if limit_switches is not None:
             self._check_limit_safe((lid_a, lid_b), limit_switches)
-        report = ReconfigReport(mode="swap")
+        report = LftReport(mode="swap")
         before = self.sm.transport.stats.snapshot()
         undo: List[Tuple] = []
-        with span("lft_swap", lid_a=lid_a, lid_b=lid_b):
+        with span("lft_swap", lid_a=lid_a, lid_b=lid_b) as sp:
             try:
                 for sw in self._switch_sweep(limit_switches):
                     pa, pb = sw.route(lid_a), sw.route(lid_b)
@@ -93,7 +90,7 @@ class PacketByPacketReconfigurer:
             except TransportError:
                 self._rollback_blocks(undo)
                 raise
-            self._finish(report, before)
+            self._finish(report, before, sp)
         self._record_swap(lid_a, lid_b, limit_switches)
         return report
 
@@ -103,7 +100,7 @@ class PacketByPacketReconfigurer:
         target_lid: int,
         *,
         limit_switches: Optional[Set[int]] = None,
-    ) -> ReconfigReport:
+    ) -> LftReport:
         """Dynamic-assignment migration/creation: *target_lid* inherits
         *template_lid*'s forwarding port on every switch (V-C2).
 
@@ -116,11 +113,11 @@ class PacketByPacketReconfigurer:
         self._check_lid_known(template_lid)
         if limit_switches is not None:
             self._check_limit_safe((template_lid,), limit_switches)
-        report = ReconfigReport(mode="copy")
+        report = LftReport(mode="copy")
         before = self.sm.transport.stats.snapshot()
         block = lft_block_of(target_lid)
         undo: List[Tuple] = []
-        with span("lft_copy", template_lid=template_lid, target_lid=target_lid):
+        with span("lft_copy", template_lid=template_lid, target_lid=target_lid) as sp:
             try:
                 for sw in self._switch_sweep(limit_switches):
                     src_port = sw.route(template_lid)
@@ -132,7 +129,7 @@ class PacketByPacketReconfigurer:
             except TransportError:
                 self._rollback_blocks(undo)
                 raise
-            self._finish(report, before)
+            self._finish(report, before, sp)
         self._record_copy(template_lid, target_lid, limit_switches)
         return report
 
@@ -141,7 +138,7 @@ class PacketByPacketReconfigurer:
         pairs: List[Tuple[int, int]],
         *,
         limit_switches: Optional[Set[int]] = None,
-    ) -> ReconfigReport:
+    ) -> LftReport:
         """Batched :meth:`copy_path`: program many (template, target)
         copies in one sweep, coalescing SMPs per (switch, block).
 
@@ -153,7 +150,7 @@ class PacketByPacketReconfigurer:
         rolls every applied block back and re-raises.
         """
         if not pairs:
-            return ReconfigReport(mode="copy-batch")
+            return LftReport(mode="copy-batch")
         seen: Set[int] = set()
         for template_lid, target_lid in pairs:
             if template_lid == target_lid:
@@ -168,10 +165,10 @@ class PacketByPacketReconfigurer:
             self._check_limit_safe(
                 tuple(t for t, _ in pairs), limit_switches
             )
-        report = ReconfigReport(mode="copy-batch")
+        report = LftReport(mode="copy-batch")
         before = self.sm.transport.stats.snapshot()
         undo: List[Tuple] = []
-        with span("lft_copy_batch", pairs=len(pairs)):
+        with span("lft_copy_batch", pairs=len(pairs)) as sp:
             try:
                 for sw in self._switch_sweep(limit_switches):
                     changed = [
@@ -189,7 +186,7 @@ class PacketByPacketReconfigurer:
             except TransportError:
                 self._rollback_blocks(undo)
                 raise
-            self._finish(report, before)
+            self._finish(report, before, sp)
         for template_lid, target_lid in pairs:
             self._record_copy(template_lid, target_lid, limit_switches)
         return report
@@ -200,7 +197,7 @@ class PacketByPacketReconfigurer:
         lid_b: int,
         *,
         limit_switches: Optional[Set[int]] = None,
-    ) -> ReconfigReport:
+    ) -> LftReport:
         """The section VI-C *partially-static* swap.
 
         Before the actual entry swap, the LIDs being moved are pointed at
@@ -218,10 +215,10 @@ class PacketByPacketReconfigurer:
         self._check_lid_known(lid_b)
         if limit_switches is not None:
             self._check_limit_safe((lid_a, lid_b), limit_switches)
-        report = ReconfigReport(mode="safe-swap")
+        report = LftReport(mode="safe-swap")
         before = self.sm.transport.stats.snapshot()
         undo: List[Tuple] = []
-        with span("lft_safe_swap", lid_a=lid_a, lid_b=lid_b):
+        with span("lft_safe_swap", lid_a=lid_a, lid_b=lid_b) as sp:
             affected = [
                 sw
                 for sw in self._switch_sweep(limit_switches)
@@ -263,19 +260,19 @@ class PacketByPacketReconfigurer:
             # blocks_per_switch was incremented per phase; n' is the number of
             # distinct switches, not phase-entries.
             report.switches_updated = len(affected)
-            self._finish(report, before)
+            self._finish(report, before, sp)
         self._record_swap(lid_a, lid_b, limit_switches)
         return report
 
-    def invalidate_lid(self, lid: int) -> ReconfigReport:
+    def invalidate_lid(self, lid: int) -> LftReport:
         """Partially-static pre-step (section VI-C): forward *lid* to port
         255 on every switch so in-flight traffic toward the migrating VM is
         dropped rather than risking a transition deadlock."""
-        report = ReconfigReport(mode="invalidate")
+        report = LftReport(mode="invalidate")
         before = self.sm.transport.stats.snapshot()
         block = lft_block_of(lid)
         undo: List[Tuple] = []
-        with span("lft_invalidate", lid=lid):
+        with span("lft_invalidate", lid=lid) as sp:
             try:
                 for sw in self.sm.topology.switches:
                     if sw.route(lid) == LFT_DROP_PORT:
@@ -286,7 +283,7 @@ class PacketByPacketReconfigurer:
             except TransportError:
                 self._rollback_blocks(undo)
                 raise
-            self._finish(report, before)
+            self._finish(report, before, sp)
         if self.sm.current_tables is not None:
             tbl = self.sm.current_tables
             if lid <= tbl.top_lid:
@@ -357,7 +354,7 @@ class PacketByPacketReconfigurer:
         sw,
         desired,
         blocks: List[int],
-        report: ReconfigReport,
+        report: LftReport,
         undo: Optional[List[Tuple]] = None,
     ) -> None:
         sent = 0
@@ -371,7 +368,7 @@ class PacketByPacketReconfigurer:
             if np.array_equal(pre, entries):
                 continue
             if verified:
-                self._write_block_verified(sw, block, entries, pre, undo)
+                self._write_block_verified(sw, block, entries, pre, undo, report)
             else:
                 result = self.sm.smp_sender.send(
                     make_set_lft_block(
@@ -390,15 +387,16 @@ class PacketByPacketReconfigurer:
                 report.blocks_per_switch.get(sw.name, 0) + sent
             )
 
-    #: Read-back rounds per block when the SM runs transactionally.
+    #: Read-back rounds per block when the SM is resilient.
     VERIFY_ATTEMPTS = 3
 
     def _write_block_verified(
-        self, sw, block: int, entries, pre, undo: Optional[List[Tuple]]
+        self, sw, block: int, entries, pre, undo: Optional[List[Tuple]],
+        report: Optional[LftReport] = None,
     ) -> None:
         """Write one block and prove it landed intact.
 
-        Mirrors the distributor's transactional mode for the migration
+        Mirrors the distributor's verified writes for the migration
         fast path: a SubnGet(LFT) read-back compares the switch's block
         against the desired entries, and a mismatch — an in-flight
         corruption silently applied — is re-synced. Exhausting the
@@ -408,6 +406,8 @@ class PacketByPacketReconfigurer:
         directed = not self.destination_routed
         recorded = False
         for attempt in range(self.VERIFY_ATTEMPTS):
+            if attempt and report is not None:
+                report.resyncs += 1
             result = self.sm.smp_sender.send(
                 make_set_lft_block(sw.name, block, entries, directed=directed)
             )
@@ -431,6 +431,8 @@ class PacketByPacketReconfigurer:
                     np.asarray(entries, dtype=np.int16),
                 )
             ):
+                if report is not None:
+                    report.verified_blocks += 1
                 return
         raise TransportError(
             f"switch {sw.name!r} block {block} failed read-back"
@@ -469,11 +471,17 @@ class PacketByPacketReconfigurer:
                     " subnet may be inconsistent"
                 ) from exc
 
-    def _finish(self, report: ReconfigReport, before) -> None:
+    def _finish(self, report: LftReport, before, sp) -> None:
         delta = self.sm.transport.stats.delta_since(before)
+        report.smps_sent = delta.total_smps
         report.lft_smps = delta.lft_update_smps
         report.serial_time = delta.serial_time
-        report.pipelined_time = delta.pipelined_time(self.pipeline_window)
+        report.pipelined_time = delta.pipelined_time(PIPELINE_WINDOW)
+        sp.set_attributes(
+            smps_sent=report.smps_sent,
+            switches_updated=report.switches_updated,
+            m=report.max_blocks_on_one_switch,
+        )
         metrics = get_hub().metrics
         metrics.gauge("repro_vswitch_lft_smps", mode=report.mode).set(
             report.lft_smps

@@ -44,7 +44,7 @@ def build_ha_sm(*, retries=1, lease_misses=2, journal_capacity=2048):
     """Configured fat-tree SM with three registered HA participants."""
     built = scaled_fattree("2l-small")
     sm = SubnetManager(built.topology, engine="minhop", built=built)
-    sm.enable_resilience(RetryPolicy(retries=retries), transactional=True)
+    sm.enable_resilience(RetryPolicy(retries=retries))
     sm.initial_configure(with_discovery=False)
     ha = HighAvailabilityManager(
         sm, lease_misses=lease_misses, journal_capacity=journal_capacity

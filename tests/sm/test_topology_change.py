@@ -166,7 +166,7 @@ class TestIncrementalRepair:
 class TestHaReplication:
     def build_ha(self):
         built, sm = make_sm()
-        sm.enable_resilience(RetryPolicy(retries=1), transactional=True)
+        sm.enable_resilience(RetryPolicy(retries=1))
         ha = HighAvailabilityManager(sm, lease_misses=2)
         hcas = built.topology.hcas
         ha.register(hcas[0].name, guid=10, priority=10)

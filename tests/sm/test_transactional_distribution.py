@@ -11,6 +11,8 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, ScriptedFault
 from repro.mad.reliable import ReliableSmpSender, RetryPolicy
 from repro.obs import get_hub
+from repro.sm.ha import HighAvailabilityManager
+from repro.sm.routing.registry import create_engine
 from repro.sm.subnet_manager import SubnetManager
 
 
@@ -53,6 +55,24 @@ class TestResilienceWiring:
         sm = fresh_sm(resilient=False)
         assert sm.smp_sender is sm.transport
         assert sm.distributor.transactional is False
+
+    def test_transactional_follows_the_sender(self):
+        sm = fresh_sm(resilient=False)
+        with pytest.raises(AttributeError):
+            sm.distributor.transactional = True
+        sm.enable_resilience()
+        assert sm.distributor.transactional is True
+
+    def test_lft_smps_counts_lft_writes_not_read_backs(self):
+        sm = fresh_sm()
+        report = sm.initial_configure(with_discovery=False)
+        # 12 switches, one block each: 12 SubnSet(LFT), each read back.
+        assert sm.transport.stats.lft_update_smps == report.lft_smps == 12
+        assert report.distribution.smps_sent == 24
+        gauge = get_hub().metrics.gauge(
+            "repro_reconfig_lft_smps", phase="initial_configure"
+        )
+        assert gauge.value == 12
 
 
 class TestVerifiedDistribution:
@@ -157,3 +177,54 @@ class TestRollback:
         from repro.analysis.verification import verify_sm_consistency
 
         assert verify_sm_consistency(sm, static=False).ok
+
+
+def interrupted_diff(sm):
+    """Reroute *sm* with updn and name the middle switch of the pending
+    diff; returns (victim, hardware LFTs before the diff)."""
+    sm.engine = create_engine("updn")
+    tables = sm.compute_routing()
+    send = sm.distributor._diff_plan(tables, False)[0]
+    diff = [sw.name for sw, row in zip(sm.topology.switches, send) if row.any()]
+    assert len(diff) >= 3
+    return diff[len(diff) // 2], lft_snapshot(sm)
+
+
+class TestEveryUpdateRollsBack:
+    def test_ha_bootstrap_makes_a_bare_sm_verify_and_roll_back(self):
+        built = scaled_fattree("2l-small")
+        sm = SubnetManager(built.topology, engine="minhop", built=built)
+        sm.initial_configure()
+        ha = HighAvailabilityManager(sm)
+        for guid, hca in enumerate(built.topology.hcas[:3], start=1):
+            ha.register(hca.name, guid=guid, priority=10 - guid)
+        ha.bootstrap()
+        victim, before = interrupted_diff(sm)
+        sm.transport.set_fault_injector(
+            FaultInjector(
+                FaultPlan(
+                    scripted=(
+                        ScriptedFault(target=victim, kind="lft_block", count=50),
+                    )
+                )
+            )
+        )
+        with pytest.raises(DistributionError) as failed:
+            sm.distribute()
+        sm.transport.set_fault_injector(None)
+        applied = int(re.search(r"rolled back (\d+) applied", str(failed.value))[1])
+        assert lfts_equal(before, lft_snapshot(sm))
+        assert applied > 0
+
+    def test_bare_sweep_restores_the_blocks_it_delivered(self):
+        sm = fresh_sm(resilient=False)
+        sm.initial_configure(with_discovery=False)
+        victim, before = interrupted_diff(sm)
+        node = sm.topology.node(victim)
+        for port in list(node.connected_ports()):
+            sm.topology.remove_link(port.link)
+        with pytest.raises(DistributionError) as failed:
+            sm.distribute()
+        applied = int(re.search(r"rolled back (\d+) applied", str(failed.value))[1])
+        assert lfts_equal(before, lft_snapshot(sm))
+        assert applied > 0

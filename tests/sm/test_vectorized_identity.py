@@ -153,7 +153,7 @@ class TestLftDiffEquivalence:
         distributor = sm.distributor
         top_lid = tables.top_lid
         width = (lft_block_of(top_lid) + 1) * LFT_BLOCK_SIZE
-        send, _ = distributor._diff_plan(tables, force_full)
+        send = distributor._diff_plan(tables, force_full)[0]
         got = {
             sw.name: np.flatnonzero(row).tolist()
             for sw, row in zip(sm.topology.switches, send)

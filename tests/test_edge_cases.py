@@ -136,13 +136,6 @@ class TestDistributorEdges:
         assert sw.route(5000) == LFT_UNSET
         assert report.smps_sent >= 1
 
-    def test_bad_pipeline_window(self, small_fattree):
-        sm = SubnetManager(small_fattree.topology, built=small_fattree)
-        with pytest.raises(RoutingError):
-            LftDistributor(
-                small_fattree.topology, sm.transport, pipeline_window=0
-            )
-
 
 class TestEngineGuards:
     def test_engine_running_twice_rejected(self):

@@ -13,6 +13,7 @@ from repro.errors import TopologyError
 from repro.fabric.node import Switch
 from repro.fabric.presets import scaled_fattree
 from repro.sim.dataplane import DataPlaneSimulator
+from repro.sm.subnet_manager import path_computations
 from repro.workloads.migration_patterns import ANY, MigrationPlanner
 from tests.conftest import make_cloud
 
@@ -82,8 +83,9 @@ class TestFailuresDuringOperation:
         link = inter_switch_links(cloud.topology)[3]
         cloud.sm.handle_link_failure(link)
         plan = planner.plan_one(ANY)
-        report = cloud.live_migrate(*plan)
-        assert report.reconfig.path_compute_seconds == 0.0
+        computed = path_computations()
+        cloud.live_migrate(*plan)
+        assert path_computations() == computed
         assert all_vms_deliverable(cloud)
 
     def test_failure_reroute_preserves_vm_lids(self):

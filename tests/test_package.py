@@ -1,6 +1,7 @@
 """Package-level tests: public API surface, error hierarchy, constants."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -309,6 +310,40 @@ class TestOneClaimsRegister:
         text = (self.ROOT / "src" / "repro" / "analysis" / "claims.py").read_text()
         for call in ("open(", "write_text", "write_bytes", "json.dump("):
             assert call not in text
+
+
+class TestOneLftUpdatePath:
+    """An LFT change reaches the switches through ``LftDistributor.update``
+    alone and is priced in one ``LftReport`` (tier-1 twin of the CI guard
+    "one LFT update path")."""
+
+    ROOT = Path(repro.__file__).resolve().parents[2]
+    #: The guard's own patterns live here, the oracles keep their packets.
+    EXEMPT = ("tests/oracles/", "tests/test_package.py")
+
+    def hits(self, pattern, *trees):
+        return [
+            (rel, line.strip())
+            for tree in trees
+            for path in sorted((self.ROOT / tree).rglob("*.py"))
+            if not (rel := path.relative_to(self.ROOT).as_posix()).startswith(self.EXEMPT)
+            for line in path.read_text().splitlines()
+            if re.search(pattern, line)
+        ]
+
+    def test_one_writer(self):
+        writers = self.hits(
+            r"SmpPlan\.lft_sweep\(|write_block_verified\(|\.rollback\(", "src/repro"
+        )
+        assert {rel for rel, _ in writers} == {"src/repro/sm/lft_distribution.py"}
+
+    def test_one_report_and_no_write_knobs(self):
+        assert self.hits(
+            r"ReconfigReport|DistributionReport|transactional=", "src", "examples", "tests"
+        ) == []
+        assert self.hits(
+            r"pipeline_window\s*[=:]|\.pipeline_window", "src", "examples", "tests"
+        ) == []
 
 
 class TestConstants:

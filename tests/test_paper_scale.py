@@ -12,7 +12,7 @@ from repro.fabric.lft import min_blocks_for_lid_count
 from repro.fabric.presets import paper_fattree
 from repro.sm.routing.base import RoutingRequest
 from repro.sm.routing.registry import create_engine
-from repro.sm.subnet_manager import SubnetManager
+from repro.sm.subnet_manager import SubnetManager, path_computations
 from tests.oracles.delivery import trace_path
 
 pytestmark = pytest.mark.slow
@@ -41,9 +41,10 @@ class TestPaperScale324:
         lid_b = sm.lid_manager.assign_extra_lid(topo.hcas[-1].port(1))
         sm.compute_routing()
         sm.distribute()
+        computed = path_computations()
         report = VSwitchReconfigurer(sm).swap_lids(lid_a, lid_b)
         assert 1 <= report.lft_smps <= 2 * 36
-        assert report.path_compute_seconds == 0.0
+        assert path_computations() == computed
 
     def test_routing_spot_validated(self, routed_324):
         built, sm = routed_324
