@@ -26,6 +26,7 @@ from repro.fabric.topology import SwitchFabricView
 
 __all__ = [
     "bfs_distances",
+    "bfs_rows",
     "bfs_tree",
     "all_pairs_switch_distances",
     "candidate_table",
@@ -38,16 +39,43 @@ __all__ = [
 ]
 
 
+#: Edge ends one batch of :func:`bfs_rows` expands at most: beyond about
+#: this many its level temporaries leave the cache, and a batch sweeps
+#: slower than its rows one by one (a 972-switch fat-tree takes 5 a batch).
+_BFS_BATCH_EDGES = 1 << 17
+
+
 def bfs_distances(view: SwitchFabricView, source: int) -> np.ndarray:
-    """Hop distances from *source* to every switch (frontier-vectorized BFS)."""
+    """Hop distances from *source* to every switch: one row of :func:`bfs_rows`."""
+    return bfs_rows(view, [source])[0]
+
+
+def bfs_rows(view: SwitchFabricView, sources: Sequence[int]) -> np.ndarray:
+    """``(len(sources), n)`` hop distances, row ``i`` from ``sources[i]``
+    (-1 where unreachable): one frontier-vectorized BFS over all the rows.
+
+    Cell ``i * n + s`` is switch ``s`` as seen from ``sources[i]``; a
+    level expands the CSR rows of every frontier cell at once, so a batch
+    of sources pays the per-level cost once.
+    """
     n = view.num_switches
-    dist = np.full(n, -1, dtype=np.int32)
-    dist[source] = 0
-    frontier = np.array([source], dtype=np.int64)
+    sources = np.asarray(sources, dtype=np.int64).reshape(-1)
+    step = max(1, _BFS_BATCH_EDGES // max(view.peer.size, 1))
+    if sources.size > step:
+        return np.concatenate(
+            [bfs_rows(view, sources[i : i + step]) for i in range(0, sources.size, step)]
+        )
+    many = sources.size > 1
+    dist = np.full((sources.size, n), -1, dtype=np.int32)
+    flat = dist.reshape(-1)
+    frontier = np.arange(sources.size, dtype=np.int64) * n + sources
+    flat[frontier] = 0
     d = 0
     while frontier.size:
-        starts = view.indptr[frontier]
-        ends = view.indptr[frontier + 1]
+        # A lone row's cells are its switches: no row offset to strip.
+        nodes = frontier % n if many else frontier
+        starts = view.indptr[nodes]
+        ends = view.indptr[nodes + 1]
         counts = ends - starts
         total = int(counts.sum())
         if total == 0:
@@ -55,15 +83,17 @@ def bfs_distances(view: SwitchFabricView, source: int) -> np.ndarray:
         # Expand CSR slices: absolute edge indices for the whole frontier.
         offsets = np.repeat(np.cumsum(counts) - counts, counts)
         idx = np.repeat(starts, counts) + (np.arange(total) - offsets)
-        nbrs = view.peer[idx]
-        fresh = nbrs[dist[nbrs] < 0]
+        cells = view.peer[idx]
+        if many:
+            cells = cells + np.repeat(frontier - nodes, counts)
+        fresh = cells[flat[cells] < 0]
         if fresh.size == 0:
             break
         d += 1
-        dist[fresh] = d
-        # Deduplicate the next frontier without a sort: every switch at
+        flat[fresh] = d
+        # Deduplicate the next frontier without a sort: every cell at
         # distance d was just stamped, so select them by value.
-        frontier = np.flatnonzero(dist == d)
+        frontier = np.flatnonzero(flat == d)
     return dist
 
 
@@ -143,6 +173,14 @@ def port_to_peer(view: SwitchFabricView) -> np.ndarray:
     return p2p
 
 
+#: ``(edge, destination)`` cells one batch of :func:`candidate_table`
+#: compares at most, and the fewest switches worth a batch: laying fewer
+#: CSR rows end to end costs more than the calls it saves, so a switch
+#: whose plane is that large (every destination of a big fabric) goes
+#: alone, while a repair's few planes batch many switches.
+_CANDIDATE_BATCH_CELLS, _CANDIDATE_BATCH_MIN = 1 << 16, 8
+
+
 def candidate_table(
     view: SwitchFabricView,
     cols: np.ndarray,
@@ -161,8 +199,10 @@ def candidate_table(
     so partial builds can be written into a full table. A destination
     switch itself, and a switch that cannot reach it, has zero candidates.
 
-    Works switch-major: one ``(degree, k)`` comparison, rank and scatter
-    per switch, so the scratch never exceeds one switch's plane.
+    Works in batches of switches whose ``(degree, k)`` comparisons fit
+    :data:`_CANDIDATE_BATCH_CELLS` (one switch a batch when fewer than
+    :data:`_CANDIDATE_BATCH_MIN` would): one comparison, rank and scatter
+    per batch, so the scratch never exceeds one batch's planes.
     """
     if view.out_port.max(initial=0) >= LFT_UNSET:
         raise RoutingError(
@@ -176,20 +216,44 @@ def candidate_table(
     k = cols.shape[1]
     cand = np.full((len(rows), k, width), LFT_UNSET, dtype=np.uint8)
     cnt = np.zeros((len(rows), k), dtype=np.uint8)
+    per = _CANDIDATE_BATCH_CELLS // max(k * width, 1)
+    if per < _CANDIDATE_BATCH_MIN:
+        per = 1
     # Flat slot of (destination j, rank r) inside one switch's plane.
     base = np.arange(k, dtype=np.int32) * width - 1
-    for i, s in enumerate(rows):
-        lo, hi = bounds[s], bounds[s + 1]
-        if lo == hi:
-            continue
-        own = cols[s]
-        good = cols[view.peer[lo:hi]] == own - 1
+    for i in range(0, len(rows), per):
+        if per == 1:
+            # One switch: its CSR slice, its own distances broadcast.
+            s = rows[i]
+            lo, hi = bounds[s], bounds[s + 1]
+            if lo == hi:
+                continue
+            edges, own = slice(lo, hi), cols[s]
+        else:
+            # The batch's CSR rows end to end, each edge with its switch's row.
+            sel = np.asarray(rows[i : i + per], dtype=np.int64)
+            d = view.indptr[sel + 1] - view.indptr[sel]
+            ends = np.cumsum(d)
+            if not ends[-1]:
+                continue  # a batch of switches without cables
+            edges = np.repeat(view.indptr[sel] - (ends - d), d) + np.arange(ends[-1])
+            own = np.repeat(cols[sel], d, axis=0)
+        good = cols[view.peer[edges]] == own - 1
         good &= own > 0
         rank = np.cumsum(good, axis=0, dtype=np.int32)
-        cnt[i] = rank[-1]
+        if per == 1:
+            cnt[i] = rank[-1]
+        else:
+            # Count up to each switch's last edge; ranks restart per switch,
+            # each in its own plane of the batch.
+            upto = rank[ends - 1]
+            upto[ends == 0] = 0
+            cnt[i : i + per] = np.diff(upto, axis=0, prepend=0)
+            rank -= np.repeat(upto - cnt[i : i + per], d, axis=0)
+            rank += np.repeat(np.arange(len(d), dtype=np.int32) * (k * width), d)[:, None]
         rank += base
-        ports = np.broadcast_to(out_port[lo:hi, None], good.shape)
-        cand[i].reshape(-1)[rank[good]] = ports[good]
+        ports = np.broadcast_to(out_port[edges, None], good.shape)
+        cand[i : i + per].reshape(-1)[rank[good]] = ports[good]
     return cand, cnt
 
 

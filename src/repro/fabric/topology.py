@@ -239,8 +239,12 @@ class Topology:
         """
         return self._version
 
-    def _touch_switch_graph(self) -> None:
-        self._fabric_view = None
+    def _touch_switch_graph(self, cable: Optional[Link] = None) -> None:
+        """Bump :attr:`version` once. A plugged or unplugged
+        switch-to-switch *cable* patches the cached view's two rows;
+        anything else drops the view for a rebuild."""
+        view = self._fabric_view
+        self._fabric_view = None if cable is None or view is None else _patched_view(view, cable)
         self._version += 1
 
     # -- construction -----------------------------------------------------
@@ -283,7 +287,7 @@ class Topology:
             # Only switch-to-switch cables appear in the fabric view; HCA
             # cabling (VM churn) leaves the switch graph — and hence every
             # version-keyed routing cache — untouched.
-            self._touch_switch_graph()
+            self._touch_switch_graph(link)
         return link
 
     def add_link(
@@ -322,7 +326,7 @@ class Topology:
         link.disconnect()
         self._links.remove(link)
         if fabric_cable:
-            self._touch_switch_graph()
+            self._touch_switch_graph(link)
         return link
 
     def restore_link(self, link: Link, *, latency: Optional[float] = None) -> Link:
@@ -427,20 +431,21 @@ class Topology:
         return out
 
     def load_lft_blocks(
-        self, row: int, blocks: Sequence[int], entries: np.ndarray
+        self, rows: Union[int, Sequence[int]], blocks: Sequence[int], entries: np.ndarray
     ) -> None:
-        """SubnSet(LFT): block ``blocks[i]`` of switch row *row* takes
-        ``entries[i]``, in order (a block named twice keeps its last row),
-        widening the store first. A few rows — the ``m' <= 2`` of a
-        reconfiguration — go in as slice copies, since one indexed
-        assignment costs as much as four; a distribution's ``m`` in one."""
+        """SubnSet(LFT): block ``blocks[i]`` of switch row ``rows[i]`` (of
+        row *rows* for all, given one) takes ``entries[i]``, in order (a
+        block named twice keeps its last row), widening the store first. A
+        few blocks — the ``m' <= 2`` of a reconfiguration — go in as slice
+        copies, since one indexed assignment costs as much as four; a
+        distribution's ``m`` or a delivered plan's blocks in one."""
         if entries.shape != (len(blocks), LFT_BLOCK_SIZE):
             raise TopologyError(
                 f"LFT block payload must have {LFT_BLOCK_SIZE} entries"
             )
         if len(blocks) < 4:
             check_blocks(blocks)
-            for block, entry in zip(blocks, entries):
+            for row, block, entry in zip(np.broadcast_to(rows, len(blocks)), blocks, entries):
                 start = block * LFT_BLOCK_SIZE
                 self._lft = widen(self._lft, start)
                 self._lft[row, start : start + LFT_BLOCK_SIZE] = entry
@@ -448,7 +453,7 @@ class Topology:
             index = np.asarray(blocks, dtype=np.intp)
             check_blocks([index.min(), index.max()])
             self._lft = widen(self._lft, int(index.max()) * LFT_BLOCK_SIZE)
-            self._lft[row].reshape(-1, LFT_BLOCK_SIZE)[index] = entries
+            self._lft.reshape(len(self._switches), -1, LFT_BLOCK_SIZE)[rows, index] = entries
 
     def set_lft(self, row: int, lid: int, port: int) -> None:
         """Program one entry out of band (fault injection, tests)."""
@@ -556,7 +561,10 @@ class Topology:
     # -- routing-engine views ----------------------------------------------
 
     def fabric_view(self) -> SwitchFabricView:
-        """CSR view of the switch graph (cached until topology mutates)."""
+        """CSR view of the switch graph. Built once; a switch-to-switch
+        cable plugged or unplugged then patches it into a new view instead
+        of a rebuild, while adding or removing a switch, or
+        :meth:`invalidate_fabric_view`, drops it for one."""
         if self._fabric_view is None:
             self._fabric_view = self._build_fabric_view()
         return self._fabric_view
@@ -656,3 +664,39 @@ class Topology:
             f" {self.num_hcas} HCAs, {len(self._links)} links,"
             f" {self.num_lids} LIDs>"
         )
+
+
+def _patched_view(view: SwitchFabricView, cable: Link) -> Optional[SwitchFabricView]:
+    """*view* with switch-to-switch *cable* added (it is plugged) or taken
+    out (it is not): one entry in each end's CSR row, at its port's place
+    in port order — what :meth:`Topology._build_fabric_view` gives. The
+    arrays are new, so *view* stays a frozen snapshot. None when *view*
+    does not hold the cable's ends as expected (an out-of-band change it
+    was never told about): the caller then rebuilds."""
+    plugged = cable.a.link is cable
+    # (row, port, peer, peer port) of both ends, in row order: two
+    # insertions at one flat position then land in row order too.
+    ends = sorted(
+        (near.node.index, near.num, far.node.index, far.num)
+        for near, far in (cable.ends, cable.ends[::-1])
+    )
+    indptr = view.indptr.copy()
+    at = []
+    for row, port, _, _ in ends:
+        lo, hi = view.indptr[row], view.indptr[row + 1]
+        ports = view.out_port[lo:hi]
+        slot = int(np.searchsorted(ports, port))
+        if (slot < ports.size and int(ports[slot]) == port) == plugged:
+            return None
+        at.append(lo + slot)
+        indptr[row + 1 :] += 1 if plugged else -1
+    columns = (view.peer, view.out_port, view.in_port, view.link_latency)
+    if plugged:
+        entries = [(peer, port, far, cable.latency) for _, port, peer, far in ends]
+        peer, out_port, in_port, latency = (
+            np.insert(a, at, [entry[i] for entry in entries])
+            for i, a in enumerate(columns)
+        )
+    else:
+        peer, out_port, in_port, latency = (np.delete(a, at) for a in columns)
+    return SwitchFabricView(view.num_switches, indptr, peer, out_port, in_port, latency)

@@ -26,8 +26,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.constants import LFT_BLOCKS_FULL_SUBNET
 from repro.errors import TopologyError, UnreachableTargetError
 from repro.fabric.graph import bfs_distances
+from repro.fabric.lft import check_blocks
 from repro.fabric.node import HCA, Node, Switch
 from repro.fabric.topology import Topology
 from repro.mad.smp import Smp, SmpKind, SmpMethod, SmpPlan, SmpResult, SmpStatus
@@ -83,12 +85,9 @@ class TransportStats:
         return 0.0
 
     def pipelined_time(self, window: int) -> float:
-        """LFT-distribution time with *window* outstanding SMPs.
-
-        With serial issue the total is ``sum(t_i)`` (equation (2)); an SM
-        that keeps ``window`` requests in flight finishes in roughly
-        ``sum(t_i)/window`` bounded below by the slowest single packet.
-        """
+        """LFT-distribution time with *window* outstanding SMPs: serial
+        issue takes ``sum(t_i)`` (equation (2)), ``window`` requests in
+        flight roughly ``sum(t_i)/window``, never below the slowest packet."""
         if window < 1:
             raise TopologyError("pipeline window must be >= 1")
         if not self.total_smps:
@@ -144,22 +143,26 @@ class _Route:
     arrives, so a target no packet reached keeps no counters. ``rows``
     keeps, per kind, the :meth:`row` of a delivered plan row of that kind.
     :meth:`SmpTransport._route` keeps a route while its target keeps its
-    name and hop count, re-checked by ``via`` (an HCA's uplink switch,
-    else the target) and the distance row serial it was ``checked`` at.
+    name and hop count: it :meth:`serves` at the distance row serial it
+    was ``checked`` at, which :meth:`SmpTransport._recheck` moves on by
+    ``via`` (an HCA's uplink switch, else the target), and for an HCA
+    while the ``cable`` it was checked on is plugged.
     """
 
-    __slots__ = ("target", "directed", "hops", "latency", "via", "checked", "rx", "rows")
+    __slots__ = ("target", "directed", "hops", "latency", "via", "cable", "checked", "rx", "rows")
 
-    def __init__(
-        self, target: Node, directed: bool, hops: int, latency: float
-    ) -> None:
+    def __init__(self, target: Node, directed: bool, hops: int, latency: float) -> None:
         self.target = target
         self.directed = directed
         self.hops = hops
         self.latency = latency
-        self.via, self.checked = None, -1
-        self.rx = None
+        self.via = self.cable = self.rx = None
+        self.checked = -1
         self.rows: Dict[SmpKind, Tuple[tuple, tuple]] = {}
+
+    def serves(self, serial: int) -> bool:
+        """Checked at distance row *serial*, and still on its cable."""
+        return self.checked == serial and (self.cable is None or self.cable.a.link is self.cable)
 
     def row(
         self, kind: SmpKind, method: SmpMethod, latency: float, fault: str
@@ -175,9 +178,7 @@ class _Route:
     def booked(self, kind: SmpKind) -> Tuple[tuple, tuple]:
         """Work out (and keep) the :meth:`row` of a delivered plan row of
         *kind*: SubnSet for an LFT block, SubnGet else."""
-        row = self.rows[kind] = self.row(
-            kind, SmpPlan.method_of(kind), self.latency, "delivered"
-        )
+        self.rows[kind] = row = self.row(kind, SmpPlan.method_of(kind), self.latency, "delivered")
         return row
 
 
@@ -223,11 +224,9 @@ class SmpTransport:
         #: Routes by target name, one table per routing mode (indexed by
         #: ``directed``), kept for the transport's lifetime.
         self._routes: Tuple[Dict[str, _Route], Dict[str, _Route]] = ({}, {})
-        #: Duck-typed shared distance cache (anything with a
-        #: ``row(switch_index) -> np.ndarray`` method — in practice the
-        #: subnet manager's :class:`repro.sm.routing.cache.RoutingState`).
-        #: With one attached, the SM and the transport stop computing the
-        #: same BFS twice.
+        #: Duck-typed shared distance cache (``row(switch_index) ->
+        #: np.ndarray``; the SM's :class:`repro.sm.routing.cache.RoutingState`),
+        #: so the SM and the transport do not compute the same BFS twice.
         self._distance_source = None
 
     # -- SM attachment and hop distances ------------------------------------
@@ -284,13 +283,10 @@ class SmpTransport:
         return self._fabric_generation
 
     def set_sm_agent(self, agent) -> None:
-        """Attach (or detach with ``None``) an SMInfo agent.
-
-        The agent answers SMInfo MADs with per-candidate state: it must
-        provide ``sminfo(node_name) -> dict`` for GETs and
-        ``handle_sminfo_set(node_name, payload) -> dict`` for SETs. With
-        no agent attached the legacy stub replies are kept.
-        """
+        """Attach (or detach with ``None``) an SMInfo agent answering with
+        per-candidate state: ``sminfo(node_name) -> dict`` for GETs and
+        ``handle_sminfo_set(node_name, payload) -> dict`` for SETs (with
+        none attached the stub replies are kept)."""
         self._sm_agent = agent
 
     def mark_sm_dead(self, node_name: str) -> None:
@@ -322,7 +318,26 @@ class SmpTransport:
                 self._dist_cache = self._distance_source.row(root)
             else:
                 self._dist_cache = bfs_distances(self.topology.fabric_view(), root)
+            self._recheck(self._dist_cache)
         return self._dist_cache
+
+    def _recheck(self, dist: np.ndarray) -> None:
+        """Check every kept route against a new distance row in one pass,
+        one gather of *dist* at the routes' ``via`` switches: a route whose
+        hop count holds serves at the new serial. The rest — the SM host's
+        own, one whose switch is gone, or whose count moved — go back
+        through :meth:`_route` when next used."""
+        sm = self.sm_node
+        base = 0 if isinstance(sm, Switch) else 1
+        kept = [
+            route for table in self._routes for route in table.values()
+            if route.target is not sm and isinstance(route.via, Switch) and route.via.index >= 0
+        ]
+        d = dist[[route.via.index for route in kept]]
+        off = d + [base + (route.via is not route.target) - route.hops for route in kept]
+        for route, held in zip(kept, ((d >= 0) & (off == 0)).tolist()):
+            if held:
+                route.checked = self._dist_serial
 
     def hops_to(self, target: Node) -> int:
         """Hop count from the SM host to *target*.
@@ -336,20 +351,18 @@ class SmpTransport:
         """:meth:`hops_to` *target*, and what the count hangs on besides
         the distance row: an HCA's uplink switch, else *target* itself."""
         dist = self._switch_distances()
+        if target is self.sm_node:
+            return 0, target
         base = 0 if isinstance(self.sm_node, Switch) else 1
         if isinstance(target, Switch):
             d = int(dist[target.index])
             if d < 0:
                 raise TopologyError(f"switch {target.name!r} unreachable from SM")
-            if target is self.sm_node:
-                return 0, target
             return base + d, target
         if not isinstance(target, HCA):
             raise TopologyError(
                 f"SMP target {target.name!r} is neither a switch nor an HCA"
             )
-        if target is self.sm_node:
-            return 0, target
         up = target.uplink_switch()
         if up is None:
             raise TopologyError(f"HCA {target.name!r} is not cabled to a switch")
@@ -368,16 +381,13 @@ class SmpTransport:
         (``status`` TIMEOUT, effect *not* applied), silently corrupted
         (SET-LFT payload applied damaged), or delayed. A packet that
         cannot be delivered raises before any counter moves:
-        :class:`~repro.errors.UnreachableTargetError` for a missing target
-        or one without a live path from the SM (not a timeout, so retry
-        layers do not burn their budget on it), and
-        :class:`~repro.errors.TopologyError` for an LFT block to a
-        non-switch or the PortInfo of a port the node does not have.
-
-        *on_loss*, when given, is called with the packet and its result
-        when it comes back not delivered; what it returns replaces the
-        result (this is where :class:`~repro.mad.reliable.ReliableSmpSender`
-        retransmits).
+        :class:`~repro.errors.UnreachableTargetError` for a missing or
+        unreachable target (not a timeout: retry layers do not burn their
+        budget on it), :class:`~repro.errors.TopologyError` for an LFT
+        block to a non-switch or the PortInfo of a port the node lacks.
+        *on_loss*, when given, is called with a packet that came back not
+        delivered and its result, and what it returns replaces the result
+        (the :class:`~repro.mad.reliable.ReliableSmpSender` retransmits).
         """
         route = self._route(smp.target, smp.directed)
         # Port 1 stands in for a PortInfo without a port (the node's own
@@ -412,19 +422,18 @@ class SmpTransport:
         which is what happens whenever a packet can come back lost or
         rejected: a fault injector is attached, the plan's generation is
         behind the fabric's, or a row is an SMInfo. Otherwise the plan is
-        *booked*: a row does only what it owns (its typed refusal, effect,
-        *applied* and the target's endpoint counters), its target's route
-        is the one :meth:`_route` keeps (re-checked only after the
-        distances moved, an HCA's cable moved, or for a live LID), and one
+        *booked*: a row does only what it owns (its typed refusal and the
+        target's endpoint counters) on the route :meth:`_route` keeps, its
+        LFT blocks are written with the plan's in one assignment, and one
         :meth:`_book` accounts for every row delivered.
 
         A row that cannot be delivered — its target missing or
-        unreachable, an LFT block for a non-switch, the PortInfo of a port
-        the node does not have — raises when its turn comes: the rows
-        before it are delivered and accounted, its own are not. The index
-        of every packet delivered is appended to *applied* (when given) as
-        the plan proceeds, so a caller with an undo log knows what to
-        restore after such an error.
+        unreachable, an LFT block for a non-switch or out of range, the
+        PortInfo of a port the node does not have — raises when its turn
+        comes: the rows before it are delivered (their LFT blocks in one
+        write) and accounted, its own are not. The index of every packet
+        delivered is appended to *applied* (when given), so a caller with
+        an undo log knows what to restore after such an error.
         """
         generation = plan.generation
         if (
@@ -437,12 +446,23 @@ class SmpTransport:
                     applied.append(i)
             return
 
+        # The plan's LFT blocks are checked first, at once: the row holding
+        # the first one out of range is refused when its turn comes.
+        refused = len(plan.args)
+        if _LFT in plan.kinds:
+            blocks = np.asarray(plan.args)
+            out = (blocks < 0) | (blocks >= LFT_BLOCKS_FULL_SUBNET)
+            out &= np.repeat([kind is _LFT for kind in plan.kinds], plan.counts)
+            refused = int(out.argmax()) if out.any() else refused
         directed = plan.directed
         routes = self._table(directed)
-        #: Per delivered row: its route's flight fields and span values.
+        serial = self._dist_serial
+        #: Per delivered row: its route's flight fields and span values,
+        #: and its switch row if it writes LFT blocks (-1 if not).
         rows: List[Tuple[tuple, tuple]] = []
         counts: List[int] = []
         latencies: List[float] = []
+        lft: List[int] = []
         route = None
         sent = 0
         try:
@@ -450,22 +470,16 @@ class SmpTransport:
                 if not count:
                     continue
                 if route is None or name != route.target.name:
-                    # A checked directed route on no HCA cable serves as is.
+                    # A checked directed route serves as is.
                     route = routes.get(name)
-                    if not (directed and route and route.via is route.target
-                            and route.checked == self._dist_serial):
+                    if not (directed and route and route.serves(serial)):
                         route = self._route(name, directed)
                 target = route.target
                 end = sent + count
                 self._refuse(target, kind, plan.args[sent:end])
-                if kind is _LFT:
-                    self.topology.load_lft_blocks(
-                        target.index, plan.args[sent:end], plan.entries[sent:end]
-                    )
-                    if generation is not None:
-                        self._fabric_generation = generation
-                if applied is not None:
-                    applied.extend(range(sent, end))
+                if end > refused and kind is _LFT:
+                    check_blocks(plan.args[sent:end])
+                lft.append(target.index if kind is _LFT else -1)
                 rx = route.rx
                 if rx is None:
                     rx = route.rx = self._endpoint_counters(target)
@@ -476,6 +490,19 @@ class SmpTransport:
                 latencies += [route.latency] * count
                 sent = end
         finally:
+            if max(lft, default=-1) >= 0:
+                # Every LFT block before the refused row, in one write; the
+                # plan's own payloads when every row is LFT (no copy).
+                at = np.repeat(lft, counts)
+                blocks, entries = np.asarray(plan.args[:sent]), plan.entries[:sent]
+                if at.min() < 0:
+                    keep = at >= 0
+                    at, blocks, entries = at[keep], blocks[keep], entries[keep]
+                self.topology.load_lft_blocks(at, blocks, entries)
+                if generation is not None:
+                    self._fabric_generation = generation
+            if applied is not None:
+                applied.extend(range(sent))
             if sent:
                 tx = self._endpoint_counters(self.sm_node)
                 tx.xmit_packets += sent
@@ -529,18 +556,15 @@ class SmpTransport:
     def _route(self, name: str, directed: bool) -> _Route:
         """The route of SMPs to *name*, kept per target and routing mode.
 
-        A kept route serves while the distance row it was checked against
-        holds and, for an HCA, while it hangs off the same switch (cabling
-        an HCA does not bump the version); else it is checked again, and
-        kept if *name* still resolves to the same node at the same hop
-        count. A destination-routed target has its live LID checked on
-        every use: binding a LID does not bump the version either.
+        A kept route serves while it :meth:`_Route.serves` (cabling an HCA
+        does not bump the version); else it is checked again, and kept if
+        *name* still resolves to the same node at the same hop count. A
+        destination-routed target has its live LID checked on every use:
+        binding a LID does not bump the version either.
         """
         routes = self._table(directed)
         route = routes.get(name)
-        if route is not None and route.checked == self._dist_serial and (
-            route.via is route.target or route.target.uplink_switch() is route.via
-        ):
+        if route is not None and route.serves(self._dist_serial):
             if not directed:
                 self._check_live_lid(route.target)
             return route
@@ -563,6 +587,7 @@ class SmpTransport:
                 latency += hops * self.dr_overhead
             route = routes[name] = _Route(target, directed, hops, latency)
         route.via, route.checked = via, self._dist_serial
+        route.cable = None if via is target else target.ports[1].link
         return route
 
     @staticmethod
@@ -592,14 +617,10 @@ class SmpTransport:
                     target.port(num)
 
     def _deliver(self, route: _Route, smp: Smp, fault: str):
-        """Apply one SMP that survived the wire, enforcing the fence.
-
-        A fenced write (SET LFT/PortInfo carrying a generation) older
-        than the fabric's generation is rejected without effect — the
-        switch answers with a bad status instead of applying it, which is
-        exactly how a stale master re-emerging after a partition heal is
-        stopped from corrupting routing state.
-        """
+        """Apply one SMP that survived the wire, enforcing the fence: a
+        fenced write (SET LFT/PortInfo carrying a generation) older than
+        the fabric's is rejected without effect, with a bad status — how a
+        stale master re-emerging after a partition heal is stopped."""
         rx = route.rx
         if rx is None:
             rx = route.rx = self._endpoint_counters(route.target)
@@ -626,17 +647,12 @@ class SmpTransport:
             # so SM death events never shift the SMP fault sequence.
             self.stats.timeouts += 1
             return None, SmpStatus.TIMEOUT, "no-response", route.latency
-        if self._injector is None:
-            return *self._deliver(route, smp, "delivered"), route.latency
-        decision = self._injector.decide(smp, now=get_hub().now())
-        action = decision.action.value
+        decision = None if self._injector is None else self._injector.decide(smp, now=get_hub().now())
+        action = "deliver" if decision is None else decision.action.value
         if action == "deliver":
             return *self._deliver(route, smp, "delivered"), route.latency
         if action == "delay":
-            return (
-                *self._deliver(route, smp, "delayed"),
-                route.latency + decision.delay_seconds,
-            )
+            return *self._deliver(route, smp, "delayed"), route.latency + decision.delay_seconds
         if action == "corrupt":
             # The damaged payload is applied — a *silent* failure only a
             # read-back (transactional distribution) can catch.
@@ -654,12 +670,10 @@ class SmpTransport:
         return None, SmpStatus.TIMEOUT, "dropped", route.latency
 
     def _check_live_lid(self, target: Node) -> None:
-        """Refuse a destination-routed target without a bound LID: a
-        packet addressed to an unbound LID has no forwarding entry anywhere
-        and can never arrive. The check only applies once a LID manager has
+        """Refuse a destination-routed target without a bound LID: no
+        forwarding entry anywhere leads to it. Only once a LID manager has
         populated the registry; on a bare fabric destination routing stays
-        a modeling convenience (discovery routes directed, as on real
-        fabrics)."""
+        a modeling convenience (discovery routes directed, as real SMs do)."""
         if self.topology.num_lids:
             lid = target.lid
             if lid is None or self.topology.port_of_lid(lid) is None:
@@ -671,10 +685,10 @@ class SmpTransport:
     def charge_wait(self, seconds: float) -> None:
         """Account a retry-timeout wait: sim time passes, nothing is sent.
 
-        Used by :class:`~repro.mad.reliable.ReliableSmpSender` between
-        retransmissions; the wait lands in ``serial_time`` (it *is*
-        control-plane wall time — the downtime inflation chaos runs
-        measure) and separately in ``retry_wait_seconds``.
+        The :class:`~repro.mad.reliable.ReliableSmpSender` waits between
+        retransmissions; the wait lands in ``serial_time`` (control-plane
+        wall time, the downtime inflation chaos runs measure) and in
+        ``retry_wait_seconds``.
         """
         if seconds <= 0:
             return
@@ -684,85 +698,72 @@ class SmpTransport:
 
     def _apply(self, smp: Smp, target: Node) -> Optional[Dict[str, object]]:
         """Execute the management operation on the target node (which
-        :meth:`_refuse` has let through)."""
-        if smp.kind is SmpKind.LFT_BLOCK:
-            block, row = int(smp.payload["block"]), target.index
-            if smp.method is SmpMethod.SET:
-                entries = np.reshape(smp.payload["entries"], (1, -1))
-                self.topology.load_lft_blocks(row, [block], entries)
-                return None
-            return {"block": block, "entries": self.topology.lft_blocks([row], [block])[0]}
+        :meth:`_refuse` has let through): its kind's row of :data:`_EFFECTS`."""
+        return _EFFECTS[smp.kind](self, target, smp.method is SmpMethod.SET, smp.payload)
 
-        if smp.kind is SmpKind.PORT_INFO:
-            port_num = int(smp.payload.get("port", 0 if isinstance(target, Switch) else 1))
-            port = (
-                target.management_port
-                if isinstance(target, Switch) and port_num == 0
-                else target.port(port_num)
-            )
-            if smp.method is SmpMethod.SET:
-                if "lid" in smp.payload:
-                    port.lid = smp.payload["lid"]
-                return None
-            return {"lid": port.lid, "port": port_num}
 
-        if smp.kind is SmpKind.NODE_INFO:
-            return {
-                "name": target.name,
-                "node_type": target.node_type.value,
-                "num_ports": target.num_ports,
-                "node_guid": target.node_guid,
-            }
+# -- what a delivered SMP does, per kind: (transport, target, SET?, payload)
+# -> the reply's data. A plan's packets are SubnGets without effect but its
+# LFT blocks, which deliver writes through the same load_lft_blocks.
 
-        if smp.kind is SmpKind.VGUID:
-            # Alias-GUID programming: the effect is applied by the SR-IOV
-            # layer (the HCA firmware equivalent); the transport only
-            # accounts and times the packet. Carry the payload back so the
-            # caller can apply it.
-            return dict(smp.payload)
 
-        if smp.kind is SmpKind.SM_INFO:
-            if self._sm_agent is not None:
-                if smp.method is SmpMethod.SET:
-                    return self._sm_agent.handle_sminfo_set(
-                        target.name, dict(smp.payload)
-                    )
-                return self._sm_agent.sminfo(target.name)
-            return {"sm": self.sm_node.name}
+def _lft_block(tr: SmpTransport, target: Node, is_set: bool, payload) -> Optional[dict]:
+    block, row = int(payload["block"]), target.index
+    if is_set:
+        tr.topology.load_lft_blocks(row, [block], np.reshape(payload["entries"], (1, -1)))
+        return None
+    return {"block": block, "entries": tr.topology.lft_blocks([row], [block])[0]}
 
-        if smp.kind is SmpKind.NOTICE:
-            # A trap notice riding VL15 to the SM: the transport only
-            # times and accounts the MAD; the trap pipeline that sent it
-            # decides what to do with the event.
-            return dict(smp.payload)
 
-        if smp.kind is SmpKind.PORT_COUNTERS:
-            # PMA PortCounters: the attribute the PerfManager sweeps.
-            port_sel = smp.payload.get("port")
-            if smp.method is SmpMethod.SET:
-                if smp.payload.get("reset"):
-                    if port_sel is None:
-                        for num in sorted(target.counters):
-                            target.counters[num].reset()
-                    else:
-                        target.port_counters(int(port_sel)).reset()
-                return None
-            if port_sel is not None:
-                num = int(port_sel)
-                return {
-                    "node": target.name,
-                    "ports": {num: target.port_counters(num).pma_view()},
-                }
-            # All ports that have ever counted anything, plus the MAD
-            # endpoint port itself (which this GET is incrementing).
-            low = 0 if isinstance(target, Switch) else 1
-            return {
-                "node": target.name,
-                "ports": {
-                    num: target.counters[num].pma_view()
-                    for num in sorted(target.counters)
-                    if low <= num <= target.num_ports
-                },
-            }
+def _port_info(tr: SmpTransport, target: Node, is_set: bool, payload) -> Optional[dict]:
+    switch = isinstance(target, Switch)
+    num = int(payload.get("port", 0 if switch else 1))
+    port = target.management_port if switch and num == 0 else target.port(num)
+    if not is_set:
+        return {"lid": port.lid, "port": num}
+    if "lid" in payload:
+        port.lid = payload["lid"]
+    return None
 
-        raise TopologyError(f"unhandled SMP kind {smp.kind}")  # pragma: no cover
+
+def _sm_info(tr: SmpTransport, target: Node, is_set: bool, payload) -> dict:
+    agent = tr._sm_agent
+    if agent is None:
+        return {"sm": tr.sm_node.name}
+    if is_set:
+        return agent.handle_sminfo_set(target.name, dict(payload))
+    return agent.sminfo(target.name)
+
+
+def _port_counters(tr: SmpTransport, target: Node, is_set: bool, payload) -> Optional[dict]:
+    """PMA PortCounters, the attribute the PerfManager sweeps: a SET may
+    reset one port or all; a GET reads one port, or every port that has
+    counted anything plus the MAD endpoint port this GET is counting on."""
+    sel, low = payload.get("port"), 0 if isinstance(target, Switch) else 1
+    nums = sorted(target.counters) if sel is None else [int(sel)]
+    if is_set:
+        for num in nums if payload.get("reset") else ():
+            target.port_counters(num).reset()
+        return None
+    nums = [num for num in nums if sel is not None or low <= num <= target.num_ports]
+    return {"node": target.name, "ports": {n: target.port_counters(n).pma_view() for n in nums}}
+
+
+def _echo(tr: SmpTransport, target: Node, is_set: bool, payload) -> dict:
+    """VGUID (the SR-IOV layer applies alias GUIDs), NOTICE (the trap
+    pipeline acts on it): only timed and accounted, payload carried back."""
+    return dict(payload)
+
+
+_EFFECTS = {
+    SmpKind.LFT_BLOCK: _lft_block,
+    SmpKind.PORT_INFO: _port_info,
+    SmpKind.NODE_INFO: lambda tr, target, is_set, payload: {
+        "name": target.name, "node_type": target.node_type.value,
+        "num_ports": target.num_ports, "node_guid": target.node_guid,
+    },
+    SmpKind.VGUID: _echo,
+    SmpKind.SM_INFO: _sm_info,
+    SmpKind.NOTICE: _echo,
+    SmpKind.PORT_COUNTERS: _port_counters,
+}

@@ -21,9 +21,11 @@ migrations, incremental reroutes). :class:`RoutingState` removes that cost:
   all ``n`` sources. Repaired matrices are *exactly* equal to a
   from-scratch recomputation, so the routing tables built from them are
   byte-identical — the property-based tests assert this. The candidate
-  table is repaired with the matrix: only the destination planes of the
-  re-swept sources and the rows of the touched cables' ends are rebuilt,
-  and MinHop's kept table fill is re-gathered at just those cells.
+  table is repaired with the matrix: in the destination planes of the
+  re-swept sources only the switches near a moved distance are rebuilt,
+  and the rows of the touched cables' ends whole; MinHop's kept table
+  fill is re-gathered at those planes and rows (and at the LID columns
+  a migration or a binding moved).
 
 All activity is counted in :class:`RoutingCacheStats`; the subnet manager
 exposes the counters as ``repro_routing_cache_*`` metrics and span
@@ -41,6 +43,7 @@ from repro.constants import LFT_UNSET
 from repro.errors import RoutingError
 from repro.fabric.graph import (
     bfs_distances,
+    bfs_rows,
     candidate_table,
     link_addition_affected_sources,
     link_failure_affected_sources,
@@ -79,6 +82,9 @@ class RoutingCacheStats:
     candidate_misses: int = 0
     #: ``(switch, LID)`` cells MinHop's lid-mod fills gathered.
     fill_cells: int = 0
+    #: Candidate-table rows incremental repairs rebuilt: the switches near
+    #: a moved distance (for the re-swept planes) and the cable ends.
+    candidate_rows: int = 0
 
     def snapshot(self) -> "RoutingCacheStats":
         """A frozen copy for before/after diffing."""
@@ -141,7 +147,7 @@ class RoutingState:
         #: MinHop's last ``ports`` over ``_cand`` (dropped with it), what
         #: it read besides, and the planes and rows repaired since.
         self._kept_fill: Optional[np.ndarray] = None
-        self._fill_key: Tuple[object, ...] = ()
+        self._fill_key = np.empty((2, 0), dtype=np.int64)
         self._moved: Tuple[Set[int], Set[int]] = (set(), set())
 
     # -- failure notifications ------------------------------------------------
@@ -262,27 +268,38 @@ class RoutingState:
         return view
 
     def lid_mod_ports(self, request: RoutingRequest, engine: RoutingAlgorithm) -> np.ndarray:
-        """MinHop's ``ports`` over :meth:`candidate_table`, as a copy: the
-        last fill is kept under what it read besides the table (shape, LIDs,
-        their destinations, terminal exit ports) and, under an equal key,
-        re-gathered only at the planes' LID columns and rows repaired since."""
+        """MinHop's ``ports`` over :meth:`candidate_table`, as a copy.
+
+        The last fill is kept with what it read besides the table: its
+        shape and, per LID column, the destination switch and exit port
+        (0 for a switch's own LID, -1 for an unbound column). Under an
+        equal shape it is re-gathered only at the LID columns whose
+        destination or exit moved (a migrated, bound or released LID),
+        then at the planes' LID columns and the rows repaired since."""
         table = self.candidate_table()
         lids, dests = request.lid_arrays()
         exits = request.terminal_arrays()[2]
-        key = (request.num_switches, request.top_lid, lids.tobytes(), dests.tobytes(), exits.tobytes())
+        key = np.full((2, request.top_lid + 1), -1, dtype=np.int64)
+        key[0, lids] = dests
+        key[1, lids] = 0
+        key[1, lids[: len(exits)]] = exits
         ports, (planes, rows) = self._kept_fill, self._moved
         moved = "repaired" if planes or rows else "kept"
-        if ports is None or key != self._fill_key:
+        if ports is None or ports.shape != (request.num_switches, key.shape[1]):
             labels = ("rebuilt" if ports is None else moved, "full")
             ports = engine._empty_tables(request)
             engine._program_local_entries(ports, request)
             cells = engine._assign_lid_mod(ports, table, lids, dests)
         else:
-            labels = (moved, "refill" if planes or rows else "kept")
-            cols = np.isin(dests, sorted(planes))
+            # Columns to refill whole: LFT_UNSET, the local entry, the gather.
+            changed = (key != self._fill_key).any(axis=0)
+            ports[:, changed] = LFT_UNSET
+            engine._program_local_entries(ports, request)
+            cols = changed[lids] | np.isin(dests, sorted(planes))
             cells = engine._assign_lid_mod(ports, table, lids[cols], dests[cols])
             ends = np.array(sorted(rows), np.intp)
             cells += engine._assign_lid_mod(ports, table, lids, dests, ends)
+            labels = (moved, "refill" if changed.any() or planes or rows else "kept")
         self._kept_fill, self._fill_key = ports, key
         self._moved = (set(), set())
         self.stats.fill_cells += cells
@@ -431,15 +448,14 @@ class RoutingState:
         if dist.shape[0] != view.num_switches:
             return False
         srcs = np.flatnonzero(affected)
-        for s in srcs:
-            dist[s] = bfs_distances(view, int(s))
+        dist[srcs] = bfs_rows(view, srcs)
         # Unaffected rows still hold placeholder entries toward switches
         # added by this chain; hop distances are symmetric, so their
         # freshly swept rows fill those columns exactly.
         for w in dirty:
             dist[:, w] = dist[w, :]
-        self._dist = dist
-        self._repair_candidates(events, view, dist, srcs)
+        old, self._dist = self._dist, dist
+        self._repair_candidates(events, view, old, dist, srcs)
         self.stats.bfs_sweeps += len(srcs)
         self.stats.sources_repaired += len(srcs)
         self.stats.repairs += 1
@@ -449,19 +465,23 @@ class RoutingState:
         self,
         events: List[RepairEvent],
         view: SwitchFabricView,
+        old: np.ndarray,
         dist: np.ndarray,
         srcs: np.ndarray,
     ) -> None:
         """Bring the candidate table in line with the repaired *dist*.
 
         Distances are symmetric, so the re-swept rows *srcs* are exactly
-        the destination columns that changed: their planes are rebuilt for
-        every switch. Both ends of every removed or added cable are
+        the destination columns that can have changed. In their planes a
+        switch's candidates move only where its own distance or a
+        neighbour's did, so the rows rebuilt there are the switches whose
+        distance to a re-swept plane moved (*old* against *dist*) and
+        their neighbours. Both ends of every removed or added cable are
         rebuilt for every destination — a column whose distances did not
         move still loses or gains the cable as a candidate there. A chain
         that re-indexed switches, or a table narrower than the new maximum
-        degree, drops the table for a lazy rebuild. The rebuilt planes and
-        rows are added to the moved set the kept fill is re-filled at.
+        degree, drops the table for a lazy rebuild. The re-swept planes and
+        the end rows are added to the moved set the kept fill is re-filled at.
         """
         if self._cand is None:
             return
@@ -479,9 +499,14 @@ class RoutingState:
         if width > cand.shape[2]:
             self._drop_candidates()
             return
-        if len(srcs):
-            cand[:, srcs, :width], cnt[:, srcs] = candidate_table(
-                view, dist[:, srcs]
+        near = (old[:, srcs] != dist[:, srcs]).any(axis=1)
+        near[view.peer[np.repeat(near, np.diff(view.indptr))]] = True
+        near[ends] = False  # rebuilt whole below
+        plane_rows = np.flatnonzero(near)
+        if len(plane_rows):
+            at = plane_rows[:, None]
+            cand[at, srcs, :width], cnt[at, srcs] = candidate_table(
+                view, dist[:, srcs], switches=plane_rows.tolist()
             )
         # The kernel pads to the view's maximum degree; a table built
         # before that degree shrank is wider. Only a switch that lost a
@@ -489,5 +514,6 @@ class RoutingState:
         # need the rest padded by hand.
         cand[ends, :, width:] = LFT_UNSET
         cand[ends, :, :width], cnt[ends] = rows, row_cnt
+        self.stats.candidate_rows += len(plane_rows) + len(ends)
         self._moved[0].update(srcs.tolist())
         self._moved[1].update(ends)

@@ -135,6 +135,10 @@ class SubnetManager:
         #: incremental post-failure repair state all live here.
         self.routing_state = RoutingState(topology, workers=workers)
         self.transport.set_distance_source(self.routing_state)
+        #: Routing-cache stats as of the last ``repro_routing_*`` counter
+        #: update: a compute publishes the cache work done since, the
+        #: repair a discovery sweep's distance row pulled included.
+        self._published = self.routing_state.stats.snapshot()
         self.lid_manager = LidManager(topology)
         self.distributor = LftDistributor(topology, self.transport)
         self.current_tables: Optional[RoutingTables] = None
@@ -204,6 +208,7 @@ class SubnetManager:
                 cache_hit=delta["misses"] == 0,
                 bfs_sweeps=delta["bfs_sweeps"],
                 sources_repaired=delta["sources_repaired"],
+                candidate_rows=delta["candidate_rows"],
                 workers=self.routing_state.router.workers,
                 compute_mode=self.routing_state.router.last_mode,
             )
@@ -212,14 +217,17 @@ class SubnetManager:
         metrics.gauge(
             "repro_path_compute_seconds", engine=self.engine.name
         ).set(tables.compute_seconds)
+        work = self.routing_state.stats.delta_since(self._published)
+        self._published = self.routing_state.stats.snapshot()
         for series, key in (
             ("repro_routing_cache_hits_total", "hits"),
             ("repro_routing_cache_misses_total", "misses"),
             ("repro_routing_cache_repairs_total", "repairs"),
             ("repro_routing_bfs_sweeps_total", "bfs_sweeps"),
             ("repro_routing_repair_sources_total", "sources_repaired"),
+            ("repro_routing_candidate_rows_total", "candidate_rows"),
         ):
-            metrics.counter(series).add(delta[key])
+            metrics.counter(series).add(work[key])
         self.current_tables = tables
         self.last_request = request
         if self.ha is not None:

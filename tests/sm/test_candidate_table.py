@@ -17,6 +17,8 @@ distance matrix.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -27,6 +29,7 @@ from repro.constants import LFT_UNSET
 from repro.errors import RoutingError, TopologyError
 from repro.fabric.builders.fattree import BuiltTopology
 from repro.fabric.builders.generic import build_random_regular, build_ring
+from repro.fabric import graph as graph_module
 from repro.fabric.graph import (
     all_pairs_switch_distances,
     bfs_distances,
@@ -34,6 +37,7 @@ from repro.fabric.graph import (
 )
 from repro.fabric.presets import scaled_fattree
 from repro.fabric.topology import SwitchFabricView, Topology, TopologyMutation
+from repro.obs import get_hub
 from repro.sm.routing import cache as cache_module
 from repro.sm.routing.base import RoutingRequest
 from repro.sm.routing.cache import RepairEvent, RoutingState
@@ -106,20 +110,48 @@ def link_mutation(kind, a, port_a, b, port_b):
 # -- (i) kernel vs oracle ------------------------------------------------------
 
 
+#: The kernel's batch sizings: as for real fabrics, one switch a batch
+#: (the path a big fabric's every-destination build takes), every switch
+#: in one batch.
+BATCHINGS = {
+    "default": (graph_module._CANDIDATE_BATCH_CELLS, graph_module._CANDIDATE_BATCH_MIN),
+    "switch-a-batch": (1, 8),
+    "one-batch": (1 << 40, 1),
+}
+
+
+@contextmanager
+def batched(name):
+    old = graph_module._CANDIDATE_BATCH_CELLS, graph_module._CANDIDATE_BATCH_MIN
+    graph_module._CANDIDATE_BATCH_CELLS, graph_module._CANDIDATE_BATCH_MIN = BATCHINGS[name]
+    try:
+        yield
+    finally:
+        graph_module._CANDIDATE_BATCH_CELLS, graph_module._CANDIDATE_BATCH_MIN = old
+
+
+@pytest.fixture(params=sorted(BATCHINGS))
+def batching(request):
+    with batched(request.param):
+        yield
+
+
 @pytest.mark.parametrize("preset", PRESETS)
 def test_kernel_matches_oracle_on_presets(preset):
     view = preset_builders()[preset]().topology.fabric_view()
     dist = all_pairs_switch_distances(view)
-    cand, cnt = candidate_table(view, dist)
     ref_cand, ref_cnt = oracle_table(view, dist)
-    assert cand.dtype == cnt.dtype == np.uint8
-    assert np.array_equal(cnt, ref_cnt)
-    assert np.array_equal(cand, ref_cand)
-    # A partial build is the same rows, at the same width.
     some = list(range(0, view.num_switches, 3))
-    part_cand, part_cnt = candidate_table(view, dist[:, ::2], switches=some)
-    assert np.array_equal(part_cand, ref_cand[some][:, ::2])
-    assert np.array_equal(part_cnt, ref_cnt[some][:, ::2])
+    for name in sorted(BATCHINGS):
+        with batched(name):
+            cand, cnt = candidate_table(view, dist)
+            # A partial build is the same rows, at the same width.
+            part_cand, part_cnt = candidate_table(view, dist[:, ::2], switches=some)
+        assert cand.dtype == cnt.dtype == np.uint8
+        assert np.array_equal(cnt, ref_cnt), name
+        assert np.array_equal(cand, ref_cand), name
+        assert np.array_equal(part_cand, ref_cand[some][:, ::2]), name
+        assert np.array_equal(part_cnt, ref_cnt[some][:, ::2]), name
 
 
 @settings(max_examples=25, deadline=None)
@@ -134,10 +166,33 @@ def test_kernel_matches_oracle_on_random_regular(n, degree, seed):
         n += 1
     view = build_random_regular(n, degree, 0, seed=seed).topology.fabric_view()
     dist = all_pairs_switch_distances(view)
-    cand, cnt = candidate_table(view, dist)
     ref_cand, ref_cnt = oracle_table(view, dist)
-    assert np.array_equal(cnt, ref_cnt)
-    assert np.array_equal(cand, ref_cand)
+    for name in sorted(BATCHINGS):
+        with batched(name):
+            cand, cnt = candidate_table(view, dist)
+        assert np.array_equal(cnt, ref_cnt), name
+        assert np.array_equal(cand, ref_cand), name
+
+
+def test_switches_without_cables_in_a_batch(batching):
+    """Islands at the head, middle and tail of the switch order, and a
+    batch of islands only: no candidates, and the cabled switches' ranks
+    still restart per switch."""
+    view = SwitchFabricView(
+        num_switches=5,
+        indptr=np.array([0, 0, 2, 2, 4, 4]),
+        peer=np.array([3, 3, 1, 1], dtype=np.int32),
+        out_port=np.array([1, 2, 3, 4], dtype=np.int32),
+        in_port=np.array([3, 4, 1, 2], dtype=np.int32),
+        link_latency=np.zeros(4),
+    )
+    dist = all_pairs_switch_distances(view)
+    ref_cand, ref_cnt = oracle_table(view, dist)
+    for rows in ([0, 1, 2, 3, 4], [0, 1, 2], [4, 3, 0, 1], [0, 2, 4], []):
+        cand, cnt = candidate_table(view, dist, switches=rows)
+        assert np.array_equal(cnt, ref_cnt[rows])
+        assert np.array_equal(cand, ref_cand[rows])
+    assert candidate_table(view, dist)[1][1, 3] == 2  # the parallel pair
 
 
 def test_unreachable_and_own_cells_have_no_candidates():
@@ -282,6 +337,22 @@ def test_live_table_equals_rebuild_after_mutation_chains(fabric, engine, steps):
     if engine == "ftree" and not is_tree:
         pytest.skip("ftree needs tree levels")
     run_chain(configured(build(), engine), steps)
+
+
+@pytest.mark.parametrize("fabric", sorted(CHAIN_FABRICS))
+@settings(
+    max_examples=12,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(steps=steps_strategy)
+def test_live_table_equals_rebuild_after_every_step(fabric, steps):
+    """The SM's own cadence — every event converged before the next, so
+    every repair chain is one event long: after each step the table's
+    scoped rows (moved distances, their neighbours, the cable ends) must
+    equal a full rebuild, cand and cnt."""
+    build, _ = CHAIN_FABRICS[fabric]
+    run_chain(configured(build()), [(code, pick, True) for code, pick, _ in steps])
 
 
 # -- (iii) the pitfalls, by name -----------------------------------------------------
@@ -457,12 +528,47 @@ def test_cable_failure_builds_repaired_planes_and_two_rows(kernel_calls):
     )
     del kernel_calls[:]
     before = sm.routing_state.stats.snapshot()
+    dist_before = sm.routing_state.distances()
     sm.handle_link_failure(link)
-    repaired = sm.routing_state.stats.delta_since(before)["sources_repaired"]
+    delta = sm.routing_state.stats.delta_since(before)
+    repaired = delta["sources_repaired"]
     assert 0 < repaired < n
+    # Columns outside the re-swept planes never move, so the switches
+    # whose distance to one of them moved are the rows that differ.
+    view = built.topology.fabric_view()
+    near = (dist_before != sm.routing_state.distances()).any(axis=1)
+    near[view.peer[np.repeat(near, np.diff(view.indptr))]] = True
+    near[list(link.switch_ends)] = False
+    rows = int(near.sum())
+    assert 0 < rows < n - 2
     # One call for the two cable ends over every destination, one for the
-    # planes of the re-swept sources over every switch.
-    assert kernel_calls == [(n, 2), (repaired, n)]
+    # planes of the re-swept sources over the switches near a moved
+    # distance: those whose distance moved and their neighbours.
+    assert kernel_calls == [(n, 2), (repaired, rows)]
+    assert delta["candidate_rows"] == rows + 2
+
+
+def test_candidate_rows_are_published_beside_sources_repaired():
+    """A repair inside a path computation reports the rows it rebuilt on
+    the ``path_compute`` span and in ``repro_routing_candidate_rows_total``."""
+    built = scaled_fattree("3l-small")
+    sm = configured(built)
+    link = next(
+        link
+        for link in built.topology.links
+        if all(end.node in built.topology.switches for end in link.ends)
+    )
+    sm.apply_topology_mutation(
+        link_mutation("remove_link", link.a.node, link.a.num, link.b.node, link.b.num)
+    )
+    before = sm.routing_state.stats.snapshot()
+    sm.compute_routing()
+    delta = sm.routing_state.stats.delta_since(before)
+    hub = get_hub()
+    span = [s for s in hub.all_spans() if s.name == "path_compute"][-1]
+    assert span.attributes["candidate_rows"] == delta["candidate_rows"] > 2
+    assert span.attributes["sources_repaired"] == delta["sources_repaired"] > 0
+    assert "repro_routing_candidate_rows_total" in hub.metrics.render_prometheus()
 
 
 def test_noop_events_touch_nothing(kernel_calls):

@@ -1,13 +1,13 @@
 """MinHop's kept table fill beside the candidate table.
 
 The routing state keeps MinHop's last ``ports`` matrix and, under an
-unchanged fill key (matrix shape, LIDs with their destination switches,
-terminal exit ports), re-gathers only the LID columns of the destination
-planes and the rows the candidate-table repair rebuilt. These tests pin
-what the ``path_compute`` span reports for each path, the fill-cell count
-of a repair, the read-only candidate table, and the two inputs a version
-counter cannot see: a re-cabled HCA and an in-place edit of the tables
-handed out.
+unchanged shape, refills only the LID columns whose destination switch or
+exit port moved, then re-gathers the LID columns of the repaired
+destination planes and the rows the candidate-table repair rebuilt. These
+tests pin what the ``path_compute`` span reports for each path, the
+fill-cell count of a repair, the read-only candidate table, and the
+inputs a version counter cannot see: a re-cabled HCA, a migrated LID and
+an in-place edit of the tables handed out.
 """
 
 from __future__ import annotations
@@ -107,7 +107,9 @@ class TestSpanReportsTheFillPath:
 
 
 class TestFillInputsWithoutAVersion:
-    def test_recabled_hca_forces_a_full_fill(self):
+    def test_recabled_hca_refills_its_lid_columns(self):
+        """A re-cabled HCA moves its LIDs' exit port: their columns are
+        refilled whole, on every switch, and nothing else."""
         sm = make_sm()
         link = leaf_spine_link(sm)
         leaf = link.a.node if link.a.node.name.startswith("leaf") else link.b.node
@@ -119,6 +121,27 @@ class TestFillInputsWithoutAVersion:
         version = sm.topology.version
         sm.compute_routing()
         assert sm.topology.version == version
+        moved = [lid for lid in sm.topology.bound_lids()
+                 if sm.topology.port_of_lid(lid).node is hca]
+        assert last_fill(sm) == ("kept", "refill", sm.topology.num_switches * len(moved))
+        assert_equals_fresh(sm)
+
+    def test_migrated_lid_refills_its_column(self):
+        """A LID re-bound to another leaf's host changes its destination
+        switch: the kept fill survives, with that one column refilled."""
+        sm = make_sm()
+        topo = sm.topology
+        hosts = [t.hca_port for t in topo.terminals()]
+        far = next(p for p in hosts if p.remote.node is not hosts[0].remote.node)
+        lid = sm.lid_manager.assign_extra_lid(hosts[0])
+        sm.compute_routing()
+        topo.rebind_lid(lid, far)
+        sm.compute_routing()
+        assert last_fill(sm) == ("kept", "refill", topo.num_switches)
+        assert_equals_fresh(sm)
+        # Releasing the top LID narrows the tables: a new shape, a full fill.
+        sm.lid_manager.release_lid(lid)
+        sm.compute_routing()
         assert last_fill(sm)[:2] == ("kept", "full")
         assert_equals_fresh(sm)
 

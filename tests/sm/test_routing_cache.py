@@ -424,6 +424,29 @@ class TestObservability:
         assert spans[-1].attributes.get("cache_hit") is True
         assert spans[-1].attributes.get("bfs_sweeps") == 0
 
+    def test_counters_include_the_repair_discovery_pulled(self):
+        """A converge's discovery sweep pulls the repaired distance row
+        before the path computation: the ``repro_routing_*`` counters the
+        compute publishes still count that repair."""
+        from repro.obs import get_hub
+
+        built, sm = make_sm("minhop")
+        link = next(
+            link for link in built.topology.links
+            if isinstance(link.a.node, Switch) and isinstance(link.b.node, Switch)
+        )
+        metrics = get_hub().metrics
+        names = ("repro_routing_cache_repairs_total", "repro_routing_repair_sources_total",
+                 "repro_routing_candidate_rows_total")
+        before = [metrics.counter(name).value for name in names]
+        stats = sm.routing_state.stats.snapshot()
+        sm.handle_link_failure(link)
+        work = sm.routing_state.stats.delta_since(stats)
+        assert work["repairs"] == 1 and work["sources_repaired"] > 0
+        assert [metrics.counter(name).value - b for name, b in zip(names, before)] == [
+            work["repairs"], work["sources_repaired"], work["candidate_rows"],
+        ]
+
 
 # -- property-based equivalence under random failures + churn -----------------
 

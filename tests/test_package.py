@@ -176,6 +176,48 @@ class TestOneLidModKernelOneKeptFill:
         assert lines == []
 
 
+class TestOneBfsKernelOneViewBuilder:
+    """Hop distances come from one multi-source BFS, and the CSR view of
+    the switch graph is built in one place (tier-1 twin of the CI guard
+    "one BFS-distance kernel, one view builder")."""
+
+    SRC = Path(repro.__file__).resolve().parent
+
+    def sources(self):
+        for path in sorted(self.SRC.rglob("*.py")):
+            yield str(path.relative_to(self.SRC)), ast.parse(path.read_text())
+
+    def calls(self, name):
+        """``(file, enclosing function)`` of every call of *name*."""
+        found = []
+        for rel, tree in self.sources():
+            owner = {}
+            for fn in ast.walk(tree):
+                if isinstance(fn, ast.FunctionDef):
+                    for node in ast.walk(fn):
+                        owner.setdefault(id(node), fn.name)
+            found += [
+                (rel, owner.get(id(node)))
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            ]
+        return sorted(found)
+
+    def test_bfs_rows_is_defined_once_and_one_source_is_its_case(self):
+        assert [
+            rel
+            for rel, tree in self.sources()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "bfs_rows"
+        ] == ["fabric/graph.py"]
+        assert ("fabric/graph.py", "bfs_distances") in self.calls("bfs_rows")
+
+    def test_the_view_is_built_by_fabric_view_alone(self):
+        assert self.calls("_build_fabric_view") == [("fabric/topology.py", "fabric_view")]
+        assert {rel for rel, _ in self.calls("SwitchFabricView")} == {"fabric/topology.py"}
+
+
 class TestOneDeadlockCheck:
     """CDG001/CDG002 are the trivial-lane case of VLC001/VLC004: one
     dependency builder, one cycle peel (tier-1 twin of the CI guard)."""
