@@ -10,8 +10,9 @@ the credit-based data-plane simulator:
 1. minimal routing on a ring deadlocks under crossing traffic — the
    head-of-queue timeout drops the wedged packets and the rest deliver;
 2. Up*/Down* on the same ring: zero timeouts by construction;
-3. DFSSSP's virtual-lane split: same cyclic fabric, zero timeouts, because
-   each lane has its own credits;
+3. DFSSSP's and LASH's virtual-lane splits: same cyclic fabric, zero
+   timeouts, because each lane has its own credits (the simulator reads
+   the engine's lane plane, ``tables.lanes``);
 4. the port-255 partially-static mitigation drops exactly the migrating
    VM's traffic and nothing else.
 
@@ -25,13 +26,10 @@ from repro.sim.dataplane import DataPlaneSimulator
 from repro.sm.subnet_manager import SubnetManager
 
 
-def ring_experiment(engine: str, *, lid_to_vl=None, label: str = "") -> None:
+def ring_experiment(engine: str, *, label: str = "") -> None:
     built = build_ring(6, 1)
     sm = SubnetManager(built.topology, built=built, engine=engine)
     sm.initial_configure(with_discovery=False)
-    vls = lid_to_vl
-    if engine == "dfsssp" and vls is None:
-        vls = sm.current_tables.metadata["lid_to_vl"]
     topo = built.topology
     lids = [h.lid for h in topo.hcas]
     flows = [(lids[i], lids[(i + 3) % 6]) for i in range(6)] * 4
@@ -40,7 +38,7 @@ def ring_experiment(engine: str, *, lid_to_vl=None, label: str = "") -> None:
         channel_credits=1,
         hop_time=1e-6,
         hoq_timeout=50e-6,
-        lid_to_vl=vls,
+        lanes=sm.current_tables.lanes,
     )
     sim.inject_flows(flows)
     stats = sim.run()
@@ -75,6 +73,7 @@ def main() -> None:
     ring_experiment("minhop", label="minhop (cyclic CDG)")
     ring_experiment("updn", label="up*/down* (acyclic CDG)")
     ring_experiment("dfsssp", label="dfsssp (VL-separated)")
+    ring_experiment("lash", label="lash (VL-separated)")
     print()
     port255_experiment()
 

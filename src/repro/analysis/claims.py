@@ -342,7 +342,7 @@ def _transition_deadlock(paper_scale: bool) -> Dict[str, List[str]]:
         SubnetManager(built.topology, built=built, engine=engine).assign_lids()
         request = RoutingRequest.from_topology(built.topology, built=built)
         tables = create_engine(engine).compute(request)
-        return FabricSnapshot.from_topology(built.topology, tables.ports, vl=tables.vl), tables
+        return FabricSnapshot.from_topology(built.topology, tables.ports, tables=tables), tables
 
     built = scaled_fattree("2l-small")
     old, tables = routed(built, "updn")

@@ -77,7 +77,7 @@ def measure_path_computation(
         )
         tables = engine.timed_compute(request)
         series.record(name, tables.compute_seconds)
-        series.record_vls(name, tables.vl_summary())
+        series.record_vls(name, tables)
     # The vSwitch reconfiguration performs zero path computation for any
     # topology and any engine — the paper's headline Fig. 7 bar.
     series.record("vswitch-reconfig", 0.0)

@@ -5,9 +5,10 @@ side-by-side comparison."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.analysis.tables import render_table
+from repro.sm.routing.base import RoutingTables
 
 __all__ = ["Fig7Series", "PAPER_FIG7_SECONDS", "render_fig7"]
 
@@ -33,18 +34,18 @@ class Fig7Series:
     num_nodes: int
     num_switches: int
     seconds_by_engine: Dict[str, float] = field(default_factory=dict)
-    #: Engine -> :meth:`RoutingTables.vl_summary` dict, for the VL engines
-    #: (LASH layer counts at scale are a Fig. 7 reporting artifact).
-    vls_by_engine: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    #: Engine -> data lanes opened, for the VL engines (LASH layer
+    #: counts at scale are a Fig. 7 reporting artifact).
+    vls_by_engine: Dict[str, int] = field(default_factory=dict)
 
     def record(self, engine: str, seconds: float) -> None:
         """Store one engine's PCt."""
         self.seconds_by_engine[engine] = seconds
 
-    def record_vls(self, engine: str, summary: Optional[Dict[str, Any]]) -> None:
-        """Store one engine's lane-usage summary (multi-VL engines only)."""
-        if summary and summary.get("kind") in ("pair", "dest"):
-            self.vls_by_engine[engine] = summary
+    def record_vls(self, engine: str, tables: RoutingTables) -> None:
+        """Store one engine's lane count (lane-plane engines only)."""
+        if tables.lanes is not None:
+            self.vls_by_engine[engine] = tables.num_vls
 
 
 def render_fig7(series: Sequence[Fig7Series]) -> str:
@@ -72,7 +73,7 @@ def render_fig7(series: Sequence[Fig7Series]) -> str:
             cell = f"{s.seconds_by_engine[e]:.4f}s"
             vls = s.vls_by_engine.get(e)
             if vls:
-                cell += f" [{vls['num_vls']}VL]"
+                cell += f" [{vls}VL]"
             cells.append(cell)
         rows.append([e] + cells)
     rows.append(["vswitch-reconfig"] + ["0.0000s"] * len(series))

@@ -21,14 +21,13 @@ CI run of ``repro check-fabric`` and an in-test
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.fabric.graph import bfs_distances
 from repro.fabric.topology import Topology
-from repro.sm.routing.vl import VlAssignment
+from repro.sm.routing.base import RoutingTables
 from repro.analysis.static.checks import (
     FabricSnapshot,
     check_dor_order,
@@ -82,7 +81,7 @@ def _grid_hints(metadata: dict, hints: dict) -> Optional[Tuple[int, int]]:
 
 
 def _emit_vl_metrics(
-    fabric: str, vl: VlAssignment, lanes: List[np.ndarray]
+    fabric: str, num_vls: int, lanes: List[np.ndarray]
 ) -> None:
     """Publish ``repro_static_vl_*`` gauges for one per-VL pass."""
     from repro.obs import get_hub
@@ -90,7 +89,7 @@ def _emit_vl_metrics(
     metrics = get_hub().metrics
     metrics.counter("repro_static_vl_checks_total").add(1)
     metrics.gauge("repro_static_vl_layers", fabric=fabric).set(
-        float(vl.num_vls)
+        float(num_vls)
     )
     for v, keys in enumerate(lanes):
         metrics.gauge(
@@ -104,7 +103,7 @@ def analyze_fabric(
     ports: Optional[np.ndarray] = None,
     snapshot: Optional[FabricSnapshot] = None,
     engine: Optional[str] = None,
-    metadata: Optional[dict] = None,
+    tables: Optional[RoutingTables] = None,
     hints: Optional[dict] = None,
     root_indices: Sequence[int] = (),
     vswitches: Sequence[object] = (),
@@ -113,7 +112,6 @@ def analyze_fabric(
     lids: Optional[Sequence[int]] = None,
     fabric: Optional[str] = None,
     emit_metrics: bool = True,
-    workers: int = 1,
 ) -> StaticAnalysisReport:
     """Run every applicable static check over one fabric state.
 
@@ -122,33 +120,33 @@ def analyze_fabric(
     already holds the :class:`FabricSnapshot` of that state passes it as
     ``snapshot`` and nothing is re-read from the switches. ``engine`` selects
     the extra legality checks (``"updn"`` -> UPDN001, ``"dor"`` ->
-    DOR001); ``metadata``/``hints`` supply their rank and grid inputs.
+    DOR001); the engine's ``tables.metadata`` and ``hints`` supply their
+    rank and grid inputs.
 
-    The ``"cdg"`` check proves every data lane acyclic: CDG001 under the
-    trivial assignment, VLC001 when ``metadata`` carries a VL assignment
-    (LASH/DFSSSP), which also adds VLC002/VLC003. ``workers`` shards the
-    lane construction (pair-keyed assignments on large fabrics).
+    The ``"cdg"`` check proves every data lane acyclic: CDG001 without a
+    lane plane, VLC001 when ``tables`` carries one (LASH/DFSSSP), which
+    also adds VLC002/VLC003.
     """
-    metadata = metadata or {}
+    metadata = tables.metadata if tables is not None else {}
     hints = hints or {}
-    vl = VlAssignment.from_metadata(metadata)
     if snapshot is None:
-        snap = FabricSnapshot.from_topology(topology, ports, vl=vl)
+        snap = FabricSnapshot.from_topology(topology, ports, tables=tables)
     else:
-        snap = replace(snapshot, vl=vl)
+        snap = snapshot.with_lanes(tables)
+    planed = snap.lanes is not None
     report = StaticAnalysisReport(
         fabric=fabric or topology.name,
         lids_analyzed=int(snap.lids.size),
         switches_analyzed=snap.num_switches,
     )
     report.extend("reachability", check_reachability(snap, lids=lids))
-    if vl is not None:
+    if planed:
         report.extend("vl-consistency", check_vl_consistency(snap))
         report.extend("vl-capacity", check_vl_capacity(snap))
-    lanes = lane_dependencies(snap, snap.scope(lids), workers=workers)
+    lanes = lane_dependencies(snap, snap.scope(lids))
     report.extend("cdg", check_deadlock_freedom(snap, lanes=lanes))
-    if vl is not None and emit_metrics:
-        _emit_vl_metrics(report.fabric, vl, lanes)
+    if planed and emit_metrics:
+        _emit_vl_metrics(report.fabric, snap.num_vls, lanes)
     if engine in _UPDN_ENGINES:
         rank = _updn_rank(snap, metadata, root_indices)
         if rank is not None:
@@ -187,7 +185,6 @@ def analyze_subnet(
     skylines: Sequence[object] = (),
     lids: Optional[Sequence[int]] = None,
     emit_metrics: bool = True,
-    workers: int = 1,
 ) -> StaticAnalysisReport:
     """Analyse a live subnet manager's fabric.
 
@@ -195,8 +192,8 @@ def analyze_subnet(
     switches' programmed LFTs — the state packets actually follow;
     ``"recorded"`` reads the SM's last computed
     :class:`~repro.sm.routing.base.RoutingTables`. Either way the SM's
-    recorded metadata supplies the VL assignment, so VL-routed fabrics
-    are checked per lane. ``snapshot`` is an already-built
+    recorded tables supply the lane plane, so VL-routed fabrics are
+    checked per lane. ``snapshot`` is an already-built
     snapshot of the selected source (see :func:`analyze_fabric`).
     """
     from repro.errors import StaticAnalysisError
@@ -215,7 +212,6 @@ def analyze_subnet(
             f"unknown analysis source {source!r}; use 'hardware' or 'recorded'"
         )
     engine = getattr(getattr(sm, "engine", None), "name", None)
-    metadata = dict(tables.metadata) if tables is not None else {}
     request = getattr(sm, "last_request", None)
     hints = dict(getattr(request, "hints", {}) or {})
     roots = list(getattr(request, "root_indices", []) or [])
@@ -224,7 +220,7 @@ def analyze_subnet(
         ports=ports,
         snapshot=snapshot,
         engine=engine,
-        metadata=metadata,
+        tables=tables,
         hints=hints,
         root_indices=roots,
         vswitches=vswitches,
@@ -233,7 +229,6 @@ def analyze_subnet(
         lids=lids,
         fabric=f"{sm.topology.name}:{source}",
         emit_metrics=emit_metrics,
-        workers=workers,
     )
 
 
@@ -261,25 +256,20 @@ def analyze_transition(
     old_ports: np.ndarray,
     new_ports: np.ndarray,
     *,
-    old_metadata: Optional[dict] = None,
-    new_metadata: Optional[dict] = None,
+    old_tables: Optional[RoutingTables] = None,
+    new_tables: Optional[RoutingTables] = None,
     lids: Optional[Sequence[int]] = None,
     emit_metrics: bool = True,
-    workers: int = 1,
 ) -> StaticAnalysisReport:
     """Section VI-C: is the old/new routing *union* deadlock-free?
 
     Both matrices must describe the current switch graph. Old and new
     dependencies must union acyclically on every data lane; a finding
     carries the offending dependency cycle (CDG002 when neither side's
-    metadata declares a VL assignment, VLC004 otherwise).
+    tables carry a lane plane, VLC004 otherwise).
     """
-    old = FabricSnapshot.from_topology(
-        topology, old_ports, vl=VlAssignment.from_metadata(old_metadata)
-    )
-    new = FabricSnapshot.from_topology(
-        topology, new_ports, vl=VlAssignment.from_metadata(new_metadata)
-    )
+    old = FabricSnapshot.from_topology(topology, old_ports, tables=old_tables)
+    new = FabricSnapshot.from_topology(topology, new_ports, tables=new_tables)
     report = StaticAnalysisReport(
         fabric=f"{topology.name}:transition",
         lids_analyzed=int(new.lids.size),
@@ -287,7 +277,7 @@ def analyze_transition(
     )
     report.extend(
         "transition-cdg",
-        check_transition_deadlock(old, new, lids=lids, workers=workers),
+        check_transition_deadlock(old, new, lids=lids),
     )
     if emit_metrics:
         report.emit_metrics()

@@ -26,18 +26,18 @@ CDG and legality checks cover **terminal (endpoint) LIDs only**
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.constants import LFT_UNSET
+from repro.constants import LFT_UNSET, NO_LANE
 from repro.errors import StaticAnalysisError
 from repro.fabric.graph import port_to_peer
 from repro.fabric.lft import widen
 from repro.fabric.topology import SwitchFabricView, Topology
+from repro.sm.routing.base import RoutingTables
 from repro.sm.routing.cdg_array import two_hops
-from repro.sm.routing.vl import VlAssignment
 from repro.analysis.static.findings import Finding
 
 __all__ = [
@@ -69,10 +69,13 @@ class FabricSnapshot:
     #: Endpoint (non-switch) LIDs, ascending — the data-VL destinations.
     terminal_lids: np.ndarray
     switch_names: List[str] = field(default_factory=list)
-    #: The routing engine's virtual-lane assignment, when exported
-    #: (LASH/DFSSSP); ``None`` is the trivial one-lane assignment. Drives
+    #: The routing engine's lane plane (LASH/DFSSSP), fitted to
+    #: ``ports``' columns; ``None`` is the trivial one-lane case. Drives
     #: the lane-indexed checks of :mod:`repro.analysis.static.vl_checks`.
-    vl: Optional[VlAssignment] = None
+    lanes: Optional[np.ndarray] = None
+    #: Data lanes the engine opened, and its configured ceiling.
+    num_vls: int = 1
+    max_vls: int = 1
     #: Dense ``(num_switches, 256)`` port -> peer-switch map (-1 = exit).
     _peer_of: Optional[np.ndarray] = None
 
@@ -87,13 +90,26 @@ class FabricSnapshot:
             return self.switch_names[switch_index]
         return None
 
+    def with_lanes(self, tables: Optional[RoutingTables]) -> "FabricSnapshot":
+        """This snapshot with the lane plane of *tables* (none without
+        one), widened or cut to the port matrix's columns."""
+        if tables is None or tables.lanes is None:
+            return replace(self, lanes=None, num_vls=1, max_vls=1)
+        width = self.ports.shape[1]
+        return replace(
+            self,
+            lanes=widen(tables.lanes, width - 1, NO_LANE)[:, :width],
+            num_vls=tables.num_vls,
+            max_vls=tables.max_vls,
+        )
+
     @classmethod
     def from_topology(
         cls,
         topology: Topology,
         ports: Optional[np.ndarray] = None,
         *,
-        vl: Optional[VlAssignment] = None,
+        tables: Optional[RoutingTables] = None,
     ) -> "FabricSnapshot":
         """Snapshot *topology*; ``ports`` defaults to the hardware LFTs
         (a read-only view of :attr:`Topology.lft`, valid until the next
@@ -102,8 +118,8 @@ class FabricSnapshot:
         Passing an engine's ``RoutingTables.ports`` analyses the *intended*
         routing instead of the programmed one — both views matter: the SM's
         function must be correct, and the switches must agree with it.
-        ``vl`` carries the engine's virtual-lane assignment into the
-        snapshot for the per-VL deadlock checks.
+        ``tables`` carries the engine's lane plane into the snapshot for
+        the per-VL checks (:meth:`with_lanes`).
         """
         terminals = topology.terminals()
         switch_lids = topology.switch_lids()
@@ -144,8 +160,7 @@ class FabricSnapshot:
                 dtype=np.int64,
             ),
             switch_names=[sw.name for sw in topology.switches],
-            vl=vl,
-        )
+        ).with_lanes(tables)
 
     # -- derived arrays ------------------------------------------------------
 

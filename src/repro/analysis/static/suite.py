@@ -202,23 +202,22 @@ def inject_forwarding_loop(topology: Topology) -> str:
 
 
 def corrupt_vl_assignment(sm: object, *, mode: str = "remap") -> str:
-    """Corrupt one entry of the SM's recorded VL assignment in place.
+    """Corrupt one LID column of the SM's recorded lane plane in place.
 
-    The negative mode of the per-VL checks: ``"remap"`` points an entry
-    at a nonexistent lane (VLC002 fires), ``"drop"`` removes one (VLC003
+    The negative mode of the per-VL checks: ``"remap"`` points a column
+    at a nonexistent lane (VLC002 fires), ``"drop"`` clears one (VLC003
     fires), ``"collapse"`` squashes all layers onto VL0 (VLC001 fires on
     cyclic topologies). Returns a description for the report header.
     """
     from repro.sm.routing.vl import corrupt_assignment
 
     tables = getattr(sm, "current_tables", None)
-    vl = tables.vl if tables is not None else None
-    if vl is None:
+    if tables is None or tables.lanes is None:
         raise StaticAnalysisError(
-            "engine exports no VL assignment to corrupt; --corrupt-vl"
+            "engine exports no lane plane to corrupt; --corrupt-vl"
             f" applies to the VL engines {list(VL_ENGINES)}"
         )
-    return corrupt_assignment(vl, mode)
+    return corrupt_assignment(tables, mode)
 
 
 def run_case(
@@ -227,15 +226,12 @@ def run_case(
     inject_fault: bool = False,
     corrupt_vl: bool = False,
     emit_metrics: bool = True,
-    workers: int = 1,
 ) -> FabricCheckResult:
     """Build the preset, bring the subnet up, analyse per ``case.source``."""
     from repro.sm.subnet_manager import SubnetManager
 
     built = preset_builders()[case.preset]()
-    sm = SubnetManager(
-        built.topology, built=built, engine=case.engine, workers=workers
-    )
+    sm = SubnetManager(built.topology, built=built, engine=case.engine)
     if case.source == "recorded":
         if inject_fault:
             raise StaticAnalysisError(
@@ -252,9 +248,7 @@ def run_case(
     if corrupt_vl:
         desc = corrupt_vl_assignment(sm)
         injected = f"{injected}; {desc}" if injected else desc
-    report = analyze_subnet(
-        sm, source=case.source, emit_metrics=emit_metrics, workers=workers
-    )
+    report = analyze_subnet(sm, source=case.source, emit_metrics=emit_metrics)
     return FabricCheckResult(case=case, report=report, injected=injected)
 
 
@@ -264,7 +258,6 @@ def run_matrix(
     inject_fault: bool = False,
     corrupt_vl: bool = False,
     emit_metrics: bool = True,
-    workers: int = 1,
 ) -> List[FabricCheckResult]:
     """Run every matrix cell (default: :func:`default_cases`)."""
     if cases is None:
@@ -275,7 +268,6 @@ def run_matrix(
             inject_fault=inject_fault,
             corrupt_vl=corrupt_vl,
             emit_metrics=emit_metrics,
-            workers=workers,
         )
         for c in cases
     ]

@@ -36,16 +36,10 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         "--corrupt-vl",
         action="store_true",
         help=(
-            "corrupt one virtual-lane assignment after bring-up; the"
-            " per-VL rules (VLC001/VLC002) must fire (exits non-zero;"
+            "corrupt one LID column of the lane plane after bring-up;"
+            " the per-VL rules (VLC001/VLC002) must fire (exits non-zero;"
             " VL engines only)"
         ),
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="shard all-pairs path computation over N processes",
     )
     parser.add_argument(
         "--max-findings",
@@ -79,7 +73,6 @@ def run(args: argparse.Namespace) -> int:
             case,
             inject_fault=args.inject_fault,
             corrupt_vl=args.corrupt_vl,
-            workers=args.workers,
         )
         cell = f"{case.preset:>10} x {case.engine:<7}"
         if result.injected is not None:

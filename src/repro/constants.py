@@ -38,6 +38,14 @@ LFT_DROP_PORT: int = 255
 #: Sentinel stored in LFT arrays for "entry never programmed".
 LFT_UNSET: int = 255
 
+#: Virtual lane of switch-destined (management) traffic: IB's VL15, with
+#: dedicated buffering outside every data-VL credit cycle.
+MANAGEMENT_VL: int = 15
+
+#: Sentinel stored in a lane plane for "this (switch, LID) cell has no
+#: virtual lane".
+NO_LANE: int = -1
+
 #: Default number of SR-IOV Virtual Functions enabled per HCA. The paper's
 #: running example (section V-A) uses the Mellanox ConnectX-3 default of 16
 #: (the hardware supports up to 126).

@@ -102,6 +102,10 @@ class LidScheme(abc.ABC):
     def _initialize_vswitch(self, vsw: VSwitchHCA) -> None:
         """Policy-specific VF LID setup."""
 
+    def bring_up_lids(self) -> int:
+        """LIDs :meth:`initialize` will take beyond the base LIDs."""
+        return 0
+
     @abc.abstractmethod
     def boot_vm(self, vsw: VSwitchHCA, vm_name: str) -> VmBootReport:
         """Attach a new VM to a free VF and make its LID routable."""
@@ -175,6 +179,10 @@ class PrepopulatedLidScheme(LidScheme):
         for vf in vsw.vfs:
             if vf.lid is None:
                 vf.lid = self.sm.lid_manager.assign_extra_lid(vsw.uplink_port)
+
+    def bring_up_lids(self) -> int:
+        """One LID per VF that has none yet."""
+        return sum(vf.lid is None for vsw in self.vswitches for vf in vsw.vfs)
 
     def boot_vm(self, vsw: VSwitchHCA, vm_name: str) -> VmBootReport:
         """Find an available VM slot (== an available VF); zero SMPs.

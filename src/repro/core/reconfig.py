@@ -358,20 +358,21 @@ class VSwitchReconfigurer:
 
     def _record(self, limit_switches: Optional[Set[int]], **op: object) -> None:
         """Land the edit the switches just took on the SM's recorded
-        routing function and hand the same record to the standby SMs —
-        both through :func:`~repro.fabric.lft.apply_column_op`, so the
-        replicas hold what the master holds. A skyline-limited edit
-        carries its switch rows; an edit beyond the recorded matrix that
-        does not grow it is neither recorded nor replicated."""
+        routing function — both planes, ports and lanes — and hand the
+        same record to the standby SMs, all through
+        :func:`~repro.fabric.lft.apply_column_op`, so the replicas hold
+        what the master holds. A skyline-limited edit carries its switch
+        rows; an edit beyond the recorded matrix that does not grow it is
+        neither recorded nor replicated."""
         tbl = self.sm.current_tables
         if tbl is None:
             return
         op["switches"] = (
             None if limit_switches is None else sorted(limit_switches)
         )
-        ports = apply_column_op(tbl.ports, op)
-        if ports is None:
+        planes = apply_column_op(tbl.ports, op, tbl.lanes)
+        if planes is None:
             return
-        tbl.ports = ports
+        tbl.ports, tbl.lanes = planes
         if self.sm.ha is not None:
             self.sm.ha.note_vswitch(op)

@@ -11,12 +11,14 @@ Every LFT of the fabric — the hardware store
 :attr:`repro.fabric.topology.Topology.lft`, the SM's recorded routing and
 its replicas — is one ``int16`` ``(switch, LID)`` matrix, widened in whole
 blocks by :func:`widen`, so block diffing is a reshape-and-compare rather
-than a Python loop (see DESIGN.md performance notes).
+than a Python loop (see DESIGN.md performance notes). A VL-routed
+function carries a second ``int8`` plane of the same shape, the data lane
+of every (source switch, LID) cell; a column edit moves both planes.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from repro.constants import (
     LFT_BLOCKS_FULL_SUBNET,
     LFT_DROP_PORT,
     LFT_UNSET,
+    NO_LANE,
 )
 from repro.errors import TopologyError
 
@@ -55,14 +58,15 @@ def check_blocks(blocks: Sequence[int]) -> None:
         )
 
 
-def widen(ports: np.ndarray, lid: int) -> np.ndarray:
+def widen(ports: np.ndarray, lid: int, fill: int = LFT_UNSET) -> np.ndarray:
     """*ports* if its columns reach *lid*, else a copy widened in whole
-    64-LID blocks of :data:`~repro.constants.LFT_UNSET` to cover it."""
+    64-LID blocks of *fill* (:data:`~repro.constants.LFT_UNSET`) to
+    cover it."""
     if lid < ports.shape[1]:
         return ports
     grown = np.full(
         (ports.shape[0], (lft_block_of(lid) + 1) * LFT_BLOCK_SIZE),
-        LFT_UNSET,
+        fill,
         dtype=ports.dtype,
     )
     grown[:, : ports.shape[1]] = ports
@@ -91,26 +95,35 @@ def min_blocks_for_lid_count(num_lids: int) -> int:
 
 
 def apply_column_op(
-    ports: np.ndarray, op: Mapping[str, Any]
-) -> Optional[np.ndarray]:
-    """Land one vSwitch column edit on a recorded ``ports[switch, lid]``.
+    ports: np.ndarray,
+    op: Mapping[str, Any],
+    lanes: Optional[np.ndarray] = None,
+) -> Optional[Tuple[np.ndarray, Optional[np.ndarray]]]:
+    """Land one vSwitch column edit on a recorded ``ports[switch, lid]``
+    and, for a VL-routed function, its ``lanes[switch, lid]`` plane.
 
     *op* is the record the SM master journals for its standbys, and the
     master's own ``current_tables`` take the edit through this function
     too, so a replica that applied every record holds the master's
-    matrix. ``op["op"]`` names the edit of Algorithm 1:
+    planes. ``op["op"]`` names the edit of Algorithm 1:
 
     * ``"swap"`` exchanges columns ``lid_a`` and ``lid_b``;
     * ``"copy"`` gives ``target_lid`` the column of ``template_lid``,
-      first widening the matrix (whole 64-LID blocks of
-      :data:`~repro.constants.LFT_UNSET`) when either LID lies beyond it;
-    * ``"invalidate"`` points column ``lid`` at the drop port.
+      first widening the matrices (whole 64-LID blocks of
+      :data:`~repro.constants.LFT_UNSET` ports and
+      :data:`~repro.constants.NO_LANE` lanes) when either LID lies
+      beyond them;
+    * ``"invalidate"`` points column ``lid`` at the drop port (its lanes
+      stay: the LID is still bound).
 
     ``op.get("switches")`` limits the edit to those switch rows (the
-    section VI-D skyline); absent or ``None`` means every switch. The
-    edit is made in place and the matrix returned — a new, wider one
-    after growth — or ``None`` when a swap or invalidate names a LID
-    beyond the matrix, in which case nothing was touched.
+    section VI-D skyline); absent or ``None`` means every switch. Both
+    planes move on the same rows: a row whose port entry keeps the old
+    path keeps that path's lane (an intra-leaf edit on DFSSSP leaves the
+    column's tree above the leaf, and its lane, where they were). The
+    edit is made in place and the ``(ports, lanes)`` pair returned — new,
+    wider matrices after growth — or ``None`` when a swap or invalidate
+    names a LID beyond the matrix, in which case nothing was touched.
     """
     kind = op["op"]
     switches = op.get("switches")
@@ -118,20 +131,29 @@ def apply_column_op(
     if kind == "copy":
         template, target = int(op["template_lid"]), int(op["target_lid"])
         ports = widen(ports, max(template, target))
-        ports[rows, target] = ports[rows, template]
-        return ports
+        if lanes is not None:
+            lanes = widen(lanes, max(template, target), NO_LANE)
+        for plane in _planes(ports, lanes):
+            plane[rows, target] = plane[rows, template]
+        return ports, lanes
     if kind == "swap":
         lid_a, lid_b = int(op["lid_a"]), int(op["lid_b"])
         if max(lid_a, lid_b) >= ports.shape[1]:
             return None
-        col_a = ports[rows, lid_a].copy()
-        ports[rows, lid_a] = ports[rows, lid_b]
-        ports[rows, lid_b] = col_a
-        return ports
+        for plane in _planes(ports, lanes):
+            col_a = plane[rows, lid_a].copy()
+            plane[rows, lid_a] = plane[rows, lid_b]
+            plane[rows, lid_b] = col_a
+        return ports, lanes
     if kind == "invalidate":
         lid = int(op["lid"])
         if lid >= ports.shape[1]:
             return None
         ports[rows, lid] = LFT_DROP_PORT
-        return ports
+        return ports, lanes
     raise TopologyError(f"unknown LFT column op {kind!r}")
+
+
+def _planes(ports: np.ndarray, lanes: Optional[np.ndarray]) -> List[np.ndarray]:
+    """The planes a column edit moves: the ports, and the lanes if any."""
+    return [ports] if lanes is None else [ports, lanes]

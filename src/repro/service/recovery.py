@@ -134,7 +134,8 @@ def cloud_fingerprint(cloud: CloudManager) -> str:
 
     Two clouds with equal fingerprints place every tenant's VMs on the
     same hypervisors and VFs with the same LIDs, and forward every LID
-    identically on every switch — the byte-identity the crash-recovery
+    identically on every switch on the same lanes (VL-routed fabrics
+    only) — the byte-identity the crash-recovery
     property is stated over. Sim-clock and transport accounting are
     deliberately excluded (a recovered run retries more, but must land
     in the same state).
@@ -173,6 +174,9 @@ def cloud_fingerprint(cloud: CloudManager) -> str:
     for sw, row in zip(topology.switches, topology.lft):
         digest.update(sw.name.encode("utf-8"))
         digest.update(row.tobytes())
+    tables = cloud.sm.current_tables
+    if tables is not None and tables.lanes is not None:
+        digest.update(tables.lanes.tobytes())
     return digest.hexdigest()
 
 

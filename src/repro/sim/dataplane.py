@@ -37,6 +37,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.constants import LFT_DROP_PORT
 from repro.errors import SimulationError
 from repro.fabric.node import Port, PortCounters, Switch
@@ -110,7 +112,7 @@ class DataPlaneSimulator:
         channel_credits: int = 1,
         hop_time: float = 1e-6,
         hoq_timeout: float = 1e-3,
-        lid_to_vl: Optional[Dict[int, int]] = None,
+        lanes: Optional[np.ndarray] = None,
         packet_bytes: int = 256,
     ) -> None:
         if channel_credits < 1:
@@ -128,11 +130,13 @@ class DataPlaneSimulator:
         #: is bandwidth-abstract; a fixed MTU-sized payload keeps byte
         #: counters proportional to packet counters).
         self.packet_bytes = packet_bytes
-        #: Destination LID -> virtual lane. Each VL has its own credit pool
-        #: per physical channel, so traffic on different lanes never blocks
-        #: each other — the mechanism behind DFSSSP/LASH deadlock freedom.
-        #: Missing LIDs ride VL 0.
-        self.lid_to_vl = dict(lid_to_vl or {})
+        #: The routing's lane plane (``RoutingTables.lanes``): a packet
+        #: rides ``lanes[entry switch, dst]``. Each VL has its own credit
+        #: pool per physical channel, so traffic on different lanes never
+        #: blocks each other — the mechanism behind DFSSSP/LASH deadlock
+        #: freedom. Without a plane, or from a cell without a lane, a
+        #: packet rides VL 0.
+        self.lanes = lanes
         self.stats = DataPlaneStats()
 
         # Static maps from the physical graph.
@@ -224,7 +228,9 @@ class DataPlaneSimulator:
         origins = [edges[src] for src, _ in flows]
         self._src.extend([src for src, _ in flows])
         self._dst.extend([dst for _, dst in flows])
-        self._vl.extend([self.lid_to_vl.get(dst, 0) for _, dst in flows])
+        self._vl.extend(
+            [0] * count if self.lanes is None else self._lanes_of(flows, origins)
+        )
         self._origin.extend(origins)
         self._at.extend([entry.node.index for _, entry in origins])
         self._inject_time.extend(whens)
@@ -233,6 +239,17 @@ class DataPlaneSimulator:
         self._hops.extend([0] * count)
         self.stats.injected += count
         return packets
+
+    def _lanes_of(
+        self, flows: List[Tuple[int, int]], origins: List[Tuple[Port, Port]]
+    ) -> List[int]:
+        """Each flow's VL: its entry switch's lane cell toward *dst*."""
+        lanes = self.lanes
+        width = lanes.shape[1]
+        return [
+            max(int(lanes[entry.node.index, dst]), 0) if dst < width else 0
+            for (_, dst), (_, entry) in zip(flows, origins)
+        ]
 
     def _edge_of(self, src_lid: int) -> Tuple[Port, Port]:
         port = self.topology.port_of_lid(src_lid)

@@ -112,11 +112,14 @@ class StandbyReplica(InOrderConsumer):
         elif kind == "tables":
             # Deep-copy: the journal entry (and every other replica)
             # shares this payload object; later vSwitch ops mutate our
-            # private port array only.
+            # private planes only.
+            lanes = payload["lanes"]
             self.tables_payload = {
                 "algorithm": payload["algorithm"],
                 "ports": np.array(payload["ports"], dtype=np.int16),
-                "vl": payload.get("vl"),
+                "lanes": None if lanes is None else lanes.copy(),
+                "num_vls": payload["num_vls"],
+                "max_vls": payload["max_vls"],
             }
         elif kind == "lft":
             self.lft_blocks = dict(payload.get("blocks", {}))
@@ -126,10 +129,11 @@ class StandbyReplica(InOrderConsumer):
             # successor pre-migration routing and the light sweep would
             # *revert* the moves.
             self.vswitch = payload
-            if self.tables_payload is not None:
-                ports = apply_column_op(self.tables_payload["ports"], payload)
-                if ports is not None:
-                    self.tables_payload["ports"] = ports
+            tables = self.tables_payload
+            if tables is not None:
+                planes = apply_column_op(tables["ports"], payload, tables["lanes"])
+                if planes is not None:
+                    tables["ports"], tables["lanes"] = planes
         elif kind == "topology":
             self.topology_mutations.append(dict(payload))
 
@@ -142,16 +146,13 @@ class StandbyReplica(InOrderConsumer):
         """
         if self.tables_payload is None:
             return None
-        metadata: Dict[str, Any] = {
-            "replicated": True,
-            "replica": self.node_name,
-        }
-        vl = self.tables_payload.get("vl")
-        if vl is not None:
-            metadata["vl"] = vl.copy()
+        lanes = self.tables_payload["lanes"]
         return RoutingTables(
             algorithm=str(self.tables_payload["algorithm"]),
             ports=np.array(self.tables_payload["ports"], dtype=np.int16),
             compute_seconds=0.0,
-            metadata=metadata,
+            num_vls=int(self.tables_payload["num_vls"]),
+            metadata={"replicated": True, "replica": self.node_name},
+            lanes=None if lanes is None else lanes.copy(),
+            max_vls=int(self.tables_payload["max_vls"]),
         )

@@ -327,9 +327,11 @@ class HighAvailabilityManager:
                     "algorithm": tables.algorithm,
                     "ports": tables.ports.copy(),
                     "compute_seconds": tables.compute_seconds,
-                    # The lanes the ports were routed with: a successor
-                    # without them would audit a VL-routed fabric as one lane.
-                    "vl": tables.vl.copy() if tables.vl is not None else None,
+                    # The lane plane the ports were routed with: a successor
+                    # without it would audit a VL-routed fabric as one lane.
+                    "lanes": None if tables.lanes is None else tables.lanes.copy(),
+                    "num_vls": tables.num_vls,
+                    "max_vls": tables.max_vls,
                 },
             )
         )

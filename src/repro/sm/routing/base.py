@@ -28,7 +28,6 @@ from repro.fabric.graph import (
 )
 from repro.fabric.topology import SwitchFabricView, Terminal, Topology
 from repro.sm.routing.cache import RoutingState
-from repro.sm.routing.vl import VlAssignment
 
 __all__ = [
     "RoutingRequest",
@@ -201,6 +200,13 @@ class RoutingTables:
     ``ports`` has shape ``(num_switches, top_lid + 1)``; unroutable entries
     hold :data:`~repro.constants.LFT_UNSET`. ``compute_seconds`` is the
     engine's path-computation time — the paper's ``PCt`` (Fig. 7).
+
+    ``lanes`` is the VL engines' second plane, of ``ports``' shape:
+    ``lanes[s, lid]`` is the data VL that traffic from source switch ``s``
+    to ``lid`` rides on (see :mod:`repro.sm.routing.vl`). ``None`` for
+    single-VL engines (minhop/updn/ftree/dor), which the static analyzer
+    checks as one lane. ``num_vls`` lanes are open, of a ``max_vls``
+    ceiling.
     """
 
     algorithm: str
@@ -208,6 +214,8 @@ class RoutingTables:
     compute_seconds: float = 0.0
     num_vls: int = 1
     metadata: Dict[str, Any] = field(default_factory=dict)
+    lanes: Optional[np.ndarray] = None
+    max_vls: int = 1
 
     @property
     def num_switches(self) -> int:
@@ -218,34 +226,6 @@ class RoutingTables:
     def top_lid(self) -> int:
         """Largest representable LID."""
         return self.ports.shape[1] - 1
-
-    @property
-    def vl(self) -> Optional[VlAssignment]:
-        """The engine's exported virtual-lane assignment, if any.
-
-        ``None`` for single-VL engines (minhop/updn/ftree/dor), which the
-        static analyzer checks as one lane; a
-        :class:`~repro.sm.routing.vl.VlAssignment` for LASH/DFSSSP.
-        """
-        return VlAssignment.from_metadata(self.metadata)
-
-    def vl_summary(self) -> Dict[str, Any]:
-        """Lane usage summary (VLs used, pairs per VL, max layer).
-
-        Engines that export no assignment summarize as a single data lane
-        (``kind: "single"``) so Fig. 7 report rows stay uniform.
-        """
-        vl = self.vl
-        if vl is not None:
-            return vl.vl_summary()
-        return {
-            "kind": "single",
-            "num_vls": self.num_vls,
-            "max_vls": self.num_vls,
-            "assignments": 0,
-            "pairs_per_vl": {},
-            "max_layer": max(self.num_vls - 1, 0),
-        }
 
     def port_for(self, switch_index: int, lid: int) -> int:
         """Output port on *switch_index* for destination *lid*

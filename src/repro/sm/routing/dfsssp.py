@@ -44,7 +44,7 @@ from repro.sm.routing.base import (
     RoutingTables,
 )
 from repro.sm.routing.cdg_array import ArrayCdg, channel_ids, channel_table
-from repro.sm.routing.vl import MANAGEMENT_VL, VlAssignment
+from repro.sm.routing.vl import MANAGEMENT_VL, NO_LANE
 
 __all__ = ["DFSSSPRouting", "MANAGEMENT_VL"]
 
@@ -83,7 +83,7 @@ class DFSSSPRouting(RoutingAlgorithm):
             dests.append((lid, sw))
         dests.sort()
 
-        lid_to_vl: Dict[int, int] = {}
+        dest_lanes = np.full(len(dests), MANAGEMENT_VL, dtype=np.int8)
         num_vls_used = 1
 
         esrc = edge_sources(view)
@@ -91,31 +91,25 @@ class DFSSSPRouting(RoutingAlgorithm):
         cid_edge = channel_ids(table, esrc, view.peer, n)
         layers = [ArrayCdg(len(table)) for _ in range(self.max_vls)]
         sweep = _LevelSweep(request, esrc)
-        for lid, dest_sw in dests:
+        for i, (lid, dest_sw) in enumerate(dests):
             parent_edge = sweep.tree(weights, dest_sw)
             self._apply_tree(request, view, ports, lid, dest_sw, parent_edge)
             sweep.update_weights(weights, rev, dest_sw, parent_edge)
             if lid in terminal_lids:
                 vl = self._assign_layer(layers, esrc, cid_edge, rev, parent_edge)
-                lid_to_vl[lid] = vl
+                dest_lanes[i] = vl
                 num_vls_used = max(num_vls_used, vl + 1)
-            else:
-                lid_to_vl[lid] = MANAGEMENT_VL
 
+        # One lane per destination column, in every source row.
+        lanes = np.full(ports.shape, NO_LANE, dtype=np.int8)
+        lanes[:, [lid for lid, _ in dests]] = dest_lanes
         return RoutingTables(
             algorithm=self.name,
             ports=ports,
             num_vls=num_vls_used,
-            metadata={
-                "lid_to_vl": lid_to_vl,
-                "edge_weights": weights,
-                "vl": VlAssignment(
-                    kind="dest",
-                    num_vls=num_vls_used,
-                    max_vls=self.max_vls,
-                    lid_to_vl=lid_to_vl,
-                ),
-            },
+            metadata={"edge_weights": weights},
+            lanes=lanes,
+            max_vls=self.max_vls,
         )
 
     def _apply_tree(

@@ -25,7 +25,7 @@ oracle ``tests/oracles/lash.py``: same tables, same VL assignments
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from repro.sm.routing.base import (
     RoutingTables,
 )
 from repro.sm.routing.cdg_array import ArrayCdg, channel_ids, channel_table
-from repro.sm.routing.vl import VlAssignment
+from repro.sm.routing.vl import MANAGEMENT_VL, NO_LANE
 
 __all__ = ["LashRouting"]
 
@@ -85,7 +85,10 @@ class LashRouting(RoutingAlgorithm):
         layers = [
             ArrayCdg(len(table), mode="kahn") for _ in range(self.max_vls)
         ]
-        pair_to_vl: Dict[Tuple[int, int], int] = {}
+        # layer[s, t]: the lane of switch pair (s, t); a switch's own
+        # terminals ride lane 0 (their path crosses no channel).
+        layer = np.full((n, n), NO_LANE, dtype=np.int8)
+        layer[terminal_switches, terminal_switches] = 0
         num_vls_used = 1
         for t in terminal_switches:
             nxt = trees[t]
@@ -110,7 +113,7 @@ class LashRouting(RoutingAlgorithm):
                 d2 = np.asarray(chain[1:], dtype=np.int64)
                 for vl, cdg in enumerate(layers):
                     if cdg.try_add(d1, d2):
-                        pair_to_vl[(s, t)] = vl
+                        layer[s, t] = vl
                         num_vls_used = max(num_vls_used, vl + 1)
                         break
                 else:
@@ -118,17 +121,17 @@ class LashRouting(RoutingAlgorithm):
                         f"LASH exceeded {self.max_vls} layers at pair {(s, t)}"
                     )
 
+        # lanes[s, lid] = layer(s, switch(lid)); switch self-LIDs carry
+        # management traffic on VL15 from every row.
+        lids, dest = request.lid_arrays()
+        k = len(request.terminals)
+        lanes = np.full(ports.shape, NO_LANE, dtype=np.int8)
+        lanes[:, lids[:k]] = layer[:, dest[:k]]
+        lanes[:, lids[k:]] = MANAGEMENT_VL
         return RoutingTables(
             algorithm=self.name,
             ports=ports,
             num_vls=num_vls_used,
-            metadata={
-                "pair_to_vl": pair_to_vl,
-                "vl": VlAssignment(
-                    kind="pair",
-                    num_vls=num_vls_used,
-                    max_vls=self.max_vls,
-                    pair_to_vl=pair_to_vl,
-                ),
-            },
+            lanes=lanes,
+            max_vls=self.max_vls,
         )

@@ -1,11 +1,9 @@
 """Sharded per-switch work: the one worker pool of ``src/repro``.
 
 The all-pairs distance matrix behind every engine's path computation is
-``n`` independent single-source BFS sweeps, and the per-VL dependency
-build of :mod:`repro.analysis.static.vl_checks` is one independent pass
-per destination switch — both embarrassingly parallel by switch.
-:func:`shard_map` cuts such a range into contiguous chunks and fans them
-out over a ``ProcessPoolExecutor``, with two hard guarantees:
+``n`` independent single-source BFS sweeps — embarrassingly parallel by
+switch. :func:`shard_map` cuts such a range into contiguous chunks and
+fans them out over a ``ProcessPoolExecutor``, with two hard guarantees:
 
 * **Determinism** — chunks are fixed contiguous slices of the range,
   computed without any randomness (:func:`chunk_bounds`), and returned in
@@ -46,8 +44,8 @@ R = TypeVar("R")
 #: amortize the per-chunk dispatch cost.
 _CHUNKS_PER_WORKER = 4
 
-#: Below this many switches (BFS sources, or destination switches of the
-#: per-VL build) the pool spin-up costs more than it saves.
+#: Below this many switches (BFS sources) the pool spin-up costs more
+#: than it saves.
 _MIN_PARALLEL_SWITCHES = 64
 
 # Worker-process state, installed by the pool initializer.

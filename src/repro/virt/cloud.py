@@ -16,6 +16,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from repro.errors import (
     CapacityError,
     DuplicateResourceError,
+    LidExhaustedError,
     TransportError,
     UnknownResourceError,
     VirtError,
@@ -160,7 +161,23 @@ class CloudManager:
         ]
 
     def bring_up_subnet(self) -> ConfigureReport:
-        """Full subnet bring-up: LIDs (base + scheme), routing, LFTs."""
+        """Full subnet bring-up: LIDs (base + scheme), routing, LFTs.
+
+        A LID space too small for the bring-up is refused up front with
+        :class:`~repro.errors.LidExhaustedError`: no SMP is sent and no
+        LID is taken.
+        """
+        topology = self.topology
+        demand = (
+            sum(sw.lid is None for sw in topology.switches)
+            + sum(hca.port(1).lid is None for hca in topology.hcas)
+            + self.scheme.bring_up_lids()
+        )
+        free = self.sm.lid_manager.allocator.free_count
+        if demand > free:
+            raise LidExhaustedError(
+                f"bring-up needs {demand} LIDs but only {free} are free"
+            )
 
         def assign() -> None:
             self.sm.assign_lids()

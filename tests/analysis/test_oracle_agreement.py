@@ -10,6 +10,8 @@ LIDs under random cell corruption, and deadlock freedom (CDG001 on the
 terminal LIDs, VLC001 per lane).
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -117,9 +119,9 @@ class TestRandomCorruptions:
         )
 
 
-def collapsed(vl):
-    """The assignment with every layer squashed onto VL0."""
-    out = vl.copy()
+def collapsed(tables):
+    """*tables* with every layer of the lane plane squashed onto VL0."""
+    out = replace(tables, lanes=tables.lanes.copy())
     corrupt_assignment(out, "collapse")
     return out
 
@@ -143,9 +145,11 @@ class TestDeadlockFreedom:
         topology, tables, request = routed(preset, engine)
         terminal = FabricSnapshot.from_topology(topology).terminal_lids.tolist()
         verdicts = []
-        for vl in (tables.vl, collapsed(tables.vl)):
-            snap = FabricSnapshot.from_topology(topology, tables.ports, vl=vl)
-            free = routing_is_deadlock_free(tables, request, lids=terminal, vl=vl)
+        for planed in (tables, collapsed(tables)):
+            snap = FabricSnapshot.from_topology(topology, tables.ports, tables=planed)
+            free = routing_is_deadlock_free(
+                tables, request, lids=terminal, lanes=planed.lanes, num_vls=planed.num_vls
+            )
             assert free == (check_deadlock_freedom(snap) == [])
             verdicts.append(free)
         # Collapsing the lanes brings back a ring's or torus's cycle on VL0.

@@ -2,13 +2,15 @@
 
 LASH and DFSSSP are deadlock-free *per virtual lane*, not on the union
 CDG; a single-VL engine is the trivial one-lane case (CDG001/CDG002).
-These tests cover the whole per-lane pipeline: the engines' VlAssignment
-export, the per-lane dependency split (serial and sharded byte-identical),
-each VLC rule positive and negative, ``lids=`` scoping every lane, the
+These tests cover the whole per-lane pipeline: the engines' lane-plane
+export, the per-lane dependency split against the per-path walk, each
+VLC rule positive and negative, ``lids=`` scoping every lane, the
 analyzer/matrix wiring, and a hypothesis property: LASH on random
 3-regular graphs is clean, and each corruption mode is caught by exactly
 one rule.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,8 +20,8 @@ from hypothesis import strategies as st
 from repro.errors import RoutingError, StaticAnalysisError
 from repro.fabric.builders.generic import build_random_regular
 from repro.obs import get_hub, reset_hub
-from repro.sm.routing import parallel
-from repro.sm.routing.vl import MANAGEMENT_VL, VlAssignment, corrupt_assignment
+from repro.sm.routing.base import RoutingTables
+from repro.sm.routing.vl import MANAGEMENT_VL, NO_LANE, corrupt_assignment
 from repro.sm.subnet_manager import SubnetManager
 from repro.analysis.static import (
     VL_ENGINES,
@@ -35,7 +37,6 @@ from repro.analysis.static import (
     lane_dependencies,
     run_case,
 )
-from repro.analysis.static import vl_checks
 from repro.analysis.static.checks import FabricSnapshot
 from repro.analysis.static.suite import preset_builders
 from tests.oracles.cdg import lane_dependency_sets, routing_is_deadlock_free
@@ -48,11 +49,24 @@ def bring_up(preset, engine):
     return sm
 
 
-def snapshot(sm, vl=None):
-    tables = sm.current_tables
+def snapshot(sm, tables=None):
     return FabricSnapshot.from_topology(
-        sm.topology, vl=tables.vl if vl is None else vl
+        sm.topology, tables=sm.current_tables if tables is None else tables
     )
+
+
+def corrupted(tables, mode, index=0):
+    """A copy of *tables* whose lane plane took one corruption."""
+    out = replace(tables, lanes=tables.lanes.copy())
+    corrupt_assignment(out, mode, index=index)
+    return out
+
+
+def with_cell(tables, lid, value, rows=slice(None)):
+    """A copy of *tables* with ``lanes[rows, lid] = value``."""
+    out = replace(tables, lanes=tables.lanes.copy())
+    out.lanes[rows, lid] = value
+    return out
 
 
 def rules_of(findings):
@@ -63,60 +77,67 @@ class TestVlExport:
     def test_lash_exports_pair_assignment(self):
         sm = bring_up("ring6", "lash")
         tables = sm.current_tables
-        vl = tables.vl
-        assert vl is not None and vl.kind == "pair"
-        assert vl.num_vls >= 1 and vl.num_vls <= vl.max_vls
-        # The raw dict older consumers read is still there and agrees.
-        assert tables.metadata["pair_to_vl"] is vl.pair_to_vl
-        summary = tables.vl_summary()
-        assert summary["kind"] == "pair"
-        assert summary["assignments"] == len(vl.pair_to_vl)
-        assert sum(summary["pairs_per_vl"].values()) == summary["assignments"]
+        lanes = tables.lanes
+        assert lanes.shape == tables.ports.shape and lanes.dtype == np.int8
+        assert 1 <= tables.num_vls <= tables.max_vls
+        snap = snapshot(sm)
+        term = snap.terminal_lids
+        dest = snap.dest_switch[term]
+        # lanes[s, lid] = layer(s, switch(lid)): LIDs behind one switch
+        # share a column, and a switch's own terminals ride lane 0.
+        for lid, t in zip(term.tolist(), dest.tolist()):
+            same = term[dest == t]
+            assert (lanes[:, same] == lanes[:, [lid]]).all()
+            assert lanes[t, lid] == 0
+        used = lanes[:, term]
+        assert ((used >= 0) & (used < tables.num_vls)).all()
 
     def test_dfsssp_exports_dest_assignment(self):
         sm = bring_up("ring6", "dfsssp")
-        vl = sm.current_tables.vl
-        assert vl is not None and vl.kind == "dest"
-        switch_lids = set(sm.topology.switch_lids())
-        for lid in switch_lids:
-            assert vl.lid_to_vl[lid] == MANAGEMENT_VL
-        # data_items() excludes the management lane.
-        assert all(v != MANAGEMENT_VL for _, v in vl.data_items())
+        lanes = sm.current_tables.lanes
+        for lid in sm.topology.switch_lids():
+            assert (lanes[:, lid] == MANAGEMENT_VL).all()
+        # One lane per column; terminal columns ride data lanes only.
+        assert (lanes == lanes[:1]).all()
+        term = snapshot(sm).terminal_lids
+        assert (lanes[:, term] != MANAGEMENT_VL).all()
 
     def test_single_vl_engine_exports_nothing(self):
         sm = bring_up("ring6", "updn")
-        assert sm.current_tables.vl is None
-        assert sm.current_tables.vl_summary()["kind"] == "single"
+        assert sm.current_tables.lanes is None
+        assert snapshot(sm).lanes is None
 
     def test_from_metadata_reads_only_the_exported_assignment(self):
-        vl = VlAssignment(kind="dest", num_vls=1, max_vls=8, lid_to_vl={4: 0})
-        assert VlAssignment.from_metadata({"vl": vl}) is vl
-        # Raw dicts alone are the trivial assignment: nothing exported.
-        assert VlAssignment.from_metadata({"pair_to_vl": {(0, 1): 0}}) is None
-        assert VlAssignment.from_metadata({"lid_to_vl": {4: 0}}) is None
-        assert VlAssignment.from_metadata(None) is None
-        assert VlAssignment.from_metadata({}) is None
+        # Only the plane counts: a dict left in the metadata is the
+        # trivial assignment.
+        sm = bring_up("ring6", "updn")
+        tables = replace(
+            sm.current_tables, metadata={"lid_to_vl": {4: 0}, "vl": object()}
+        )
+        assert snapshot(sm, tables).lanes is None
+        assert check_vl_consistency(snapshot(sm, tables)) == []
 
     def test_corrupt_index_wraps_and_copy_isolates(self):
-        vl = VlAssignment(
-            kind="dest", num_vls=2, max_vls=8, lid_to_vl={1: 0, 2: 1}
+        lanes = np.array([[NO_LANE, 0, 1, MANAGEMENT_VL]] * 2, dtype=np.int8)
+        tables = RoutingTables(
+            "t", np.zeros((2, 4), np.int16), num_vls=2, lanes=lanes, max_vls=8
         )
-        clone = vl.copy()
+        clone = replace(tables, lanes=lanes.copy())
         desc = corrupt_assignment(clone, "remap", index=7)
-        assert "nonexistent" in desc
-        assert vl.lid_to_vl == {1: 0, 2: 1}  # original untouched
+        assert "nonexistent" in desc and "LID 2" in desc
+        assert (clone.lanes[:, 2] == 10).all()
+        assert lanes[0].tolist() == [NO_LANE, 0, 1, MANAGEMENT_VL]
         with pytest.raises(RoutingError):
             corrupt_assignment(clone, "telepathy")
 
     def test_malformed_assignments_are_routing_errors(self):
-        with pytest.raises(RoutingError):
-            VlAssignment(kind="bogus", num_vls=1, max_vls=8)
-        with pytest.raises(RoutingError):
-            VlAssignment(kind="pair", num_vls=1, max_vls=8)
-        with pytest.raises(RoutingError):
-            VlAssignment(kind="dest", num_vls=1, max_vls=8)
-        empty = VlAssignment(kind="dest", num_vls=1, max_vls=8, lid_to_vl={})
-        with pytest.raises(RoutingError):
+        no_plane = RoutingTables("t", np.zeros((2, 4), np.int16))
+        with pytest.raises(RoutingError, match="no lane plane"):
+            corrupt_assignment(no_plane)
+        empty = replace(
+            no_plane, lanes=np.full((2, 4), MANAGEMENT_VL, np.int8), max_vls=8
+        )
+        with pytest.raises(RoutingError, match="no data-VL cells"):
             corrupt_assignment(empty)
 
 
@@ -124,7 +145,7 @@ class TestBuildPerVlDependencies:
     def test_trivial_assignment_is_one_lane(self):
         sm = bring_up("ring6", "minhop")
         snap = snapshot(sm)
-        assert snap.vl is None
+        assert snap.lanes is None
         lanes = lane_dependencies(snap)
         assert len(lanes) == 1 and lanes[0].size
         assert [f.rule for f in check_deadlock_freedom(snap, lanes=lanes)] == [
@@ -138,7 +159,7 @@ class TestBuildPerVlDependencies:
         sm = bring_up("torus4x4", engine)
         snap = snapshot(sm)
         lanes = lane_dependencies(snap)
-        assert len(lanes) == snap.vl.num_vls
+        assert len(lanes) == snap.num_vls
         assert check_deadlock_freedom(snap, lanes=lanes) == []
         if engine == "dfsssp":
             # The per-path oracle agrees lane-by-lane splitting is what
@@ -148,34 +169,20 @@ class TestBuildPerVlDependencies:
             tables, request = sm.current_tables, sm.last_request
             term = snap.terminal_lids.tolist()
             assert routing_is_deadlock_free(
-                tables, request, lids=term, vl=snap.vl
+                tables, request, lids=term, lanes=snap.lanes, num_vls=snap.num_vls
             )
             assert not routing_is_deadlock_free(tables, request, lids=term)
-
-    @pytest.mark.parametrize("engine", VL_ENGINES)
-    def test_sharded_build_is_byte_identical(self, engine, monkeypatch):
-        # torus4x4 has 16 destination switches: drop the spin-up threshold
-        # so the pool (or its sandbox fallback) actually runs.
-        monkeypatch.setattr(parallel, "_MIN_PARALLEL_SWITCHES", 1)
-        sm = bring_up("torus4x4", engine)
-        snap = snapshot(sm)
-        serial = lane_dependencies(snap, workers=1)
-        sharded = lane_dependencies(snap, workers=4)
-        assert len(serial) == len(sharded)
-        for a, b in zip(serial, sharded):
-            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("preset", ("ring6", "torus4x4", "2l-small"))
     @pytest.mark.parametrize("engine", VL_ENGINES + ("minhop",))
     def test_lanes_match_the_per_path_walk(self, preset, engine):
         sm = bring_up(preset, engine)
         tables, request = sm.current_tables, sm.last_request
-        vls = [None]
-        if tables.vl is not None:
-            vls = [tables.vl, tables.vl.copy()]
-            corrupt_assignment(vls[1], "collapse")
-        for vl in vls:
-            snap = snapshot(sm, vl=vl)
+        planes = [tables]
+        if tables.lanes is not None:
+            planes.append(corrupted(tables, "collapse"))
+        for planed in planes:
+            snap = snapshot(sm, planed)
             n, n2 = snap.num_switches, snap.num_switches**2
             got = {
                 v: {
@@ -186,7 +193,8 @@ class TestBuildPerVlDependencies:
                 if keys.size
             }
             want = lane_dependency_sets(
-                tables, request, lids=snap.terminal_lids.tolist(), vl=vl
+                tables, request, lids=snap.terminal_lids.tolist(),
+                lanes=planed.lanes, num_vls=planed.num_vls,
             )
             assert got == {v: deps for v, deps in want.items() if deps}
 
@@ -201,10 +209,10 @@ class TestVlc001DeadlockFreedom:
     @pytest.mark.parametrize("engine", VL_ENGINES)
     def test_collapsed_lanes_deadlock_on_a_ring(self, engine):
         sm = bring_up("ring6", engine)
-        vl = sm.current_tables.vl.copy()
-        assert vl.num_vls >= 2, "a ring needs >= 2 lanes to break its cycle"
-        corrupt_assignment(vl, "collapse")
-        findings = check_deadlock_freedom(snapshot(sm, vl=vl))
+        assert sm.current_tables.num_vls >= 2, "a ring needs >= 2 lanes to break its cycle"
+        findings = check_deadlock_freedom(
+            snapshot(sm, corrupted(sm.current_tables, "collapse"))
+        )
         assert rules_of(findings) == ["VLC001"]
         assert all(f.detail["vl"] == 0 for f in findings)
         # The finding carries a concrete cycle, like CDG001 does.
@@ -215,35 +223,45 @@ class TestVlc002Consistency:
     @pytest.mark.parametrize("engine", VL_ENGINES)
     def test_remap_to_nonexistent_lane_caught(self, engine):
         sm = bring_up("ring6", engine)
-        vl = sm.current_tables.vl.copy()
-        corrupt_assignment(vl, "remap")
-        findings = check_vl_consistency(snapshot(sm, vl=vl))
+        bad = corrupted(sm.current_tables, "remap")
+        findings = check_vl_consistency(snapshot(sm, bad))
         assert rules_of(findings) == ["VLC002"]
+        # The whole column went wrong: one finding, naming no one source.
+        assert len(findings) == 1 and findings[0].switch is None
+
+    def test_one_wrong_source_row_is_named(self):
+        # A lane is the source's choice: one wrong cell names its switch.
+        sm = bring_up("ring6", "lash")
+        lid = int(snapshot(sm).terminal_lids[0])
+        bad = with_cell(sm.current_tables, lid, 9, rows=4)
+        (finding,) = check_vl_consistency(snapshot(sm, bad))
+        assert (finding.rule, finding.lid, finding.switch) == ("VLC002", lid, 4)
+        assert "from 1 source switch(es)" in finding.message
 
     def test_terminal_on_management_lane_caught(self):
         sm = bring_up("ring6", "dfsssp")
-        vl = sm.current_tables.vl.copy()
-        lid = vl.data_items()[0][0]
-        vl.lid_to_vl[lid] = MANAGEMENT_VL
-        findings = check_vl_consistency(snapshot(sm, vl=vl))
+        lid = int(snapshot(sm).terminal_lids[0])
+        bad = with_cell(sm.current_tables, lid, MANAGEMENT_VL)
+        findings = check_vl_consistency(snapshot(sm, bad))
         assert rules_of(findings) == ["VLC002"]
         assert any("management" in f.message for f in findings)
 
     def test_switch_self_lid_on_data_lane_caught(self):
         sm = bring_up("ring6", "dfsssp")
-        vl = sm.current_tables.vl.copy()
         sw_lid = next(iter(sm.topology.switch_lids()))
-        vl.lid_to_vl[sw_lid] = 0
-        findings = check_vl_consistency(snapshot(sm, vl=vl))
+        bad = with_cell(sm.current_tables, sw_lid, 0)
+        findings = check_vl_consistency(snapshot(sm, bad))
         assert rules_of(findings) == ["VLC002"]
 
-    def test_dangling_lid_caught(self):
+    def test_a_lane_on_an_unbound_lid_is_not_a_finding(self):
+        # A stopped VM's LID keeps its columns, ports and lanes alike;
+        # neither carries anyone's traffic.
         sm = bring_up("ring6", "dfsssp")
-        vl = sm.current_tables.vl.copy()
-        vl.lid_to_vl[40961] = 0
-        findings = check_vl_consistency(snapshot(sm, vl=vl))
-        assert rules_of(findings) == ["VLC002"]
-        assert any("not bound" in f.message for f in findings)
+        snap = snapshot(sm)
+        unbound = snap.ports.shape[1] - 1
+        assert unbound not in snap.lids.tolist()
+        snap.lanes[:, unbound] = 0
+        assert check_vl_consistency(snap) == []
 
     def test_clean_fabrics_pass(self):
         for engine in VL_ENGINES:
@@ -255,9 +273,9 @@ class TestVlc003Capacity:
     @pytest.mark.parametrize("engine", VL_ENGINES)
     def test_dropped_assignment_caught(self, engine):
         sm = bring_up("ring6", engine)
-        vl = sm.current_tables.vl.copy()
-        corrupt_assignment(vl, "drop")
-        findings = check_vl_capacity(snapshot(sm, vl=vl))
+        findings = check_vl_capacity(
+            snapshot(sm, corrupted(sm.current_tables, "drop"))
+        )
         assert rules_of(findings) == ["VLC003"]
         # Missing entries aggregate: one actionable finding, not N.
         assert len(findings) == 1
@@ -265,9 +283,9 @@ class TestVlc003Capacity:
 
     def test_layer_overflow_caught(self):
         sm = bring_up("ring6", "lash")
-        vl = sm.current_tables.vl.copy()
-        vl.num_vls = vl.max_vls + 1
-        findings = check_vl_capacity(snapshot(sm, vl=vl))
+        tables = sm.current_tables
+        bad = replace(tables, num_vls=tables.max_vls + 1)
+        findings = check_vl_capacity(snapshot(sm, bad))
         assert "VLC003" in rules_of(findings)
         assert any("max_vls" in f.message for f in findings)
 
@@ -283,9 +301,8 @@ class TestVlc004Transition:
     def test_collapse_poisons_the_union(self):
         sm = bring_up("ring6", "lash")
         good = snapshot(sm)
-        bad_vl = sm.current_tables.vl.copy()
-        corrupt_assignment(bad_vl, "collapse")
-        findings = check_transition_deadlock(good, snapshot(sm, vl=bad_vl))
+        bad = corrupted(sm.current_tables, "collapse")
+        findings = check_transition_deadlock(good, snapshot(sm, bad))
         assert rules_of(findings) == ["VLC004"]
 
     def test_single_vl_side_lands_on_lane_zero(self):
@@ -294,13 +311,13 @@ class TestVlc004Transition:
         old_sm = SubnetManager(built.topology, engine="updn", built=built)
         old_sm.initial_configure()
         old_snap = snapshot(old_sm)
-        assert old_snap.vl is None
+        assert old_snap.lanes is None
         new_sm = SubnetManager(built.topology, engine="dfsssp", built=built)
         new_sm.compute_routing()
         new_snap = FabricSnapshot.from_topology(
             built.topology,
             new_sm.current_tables.ports,
-            vl=new_sm.current_tables.vl,
+            tables=new_sm.current_tables,
         )
         # Must analyze without raising; both routings share the fabric's
         # up/down spanning structure, so the lane-0 union stays acyclic.
@@ -311,9 +328,8 @@ class TestVlc004Transition:
         # A collapsed old side poisons the union although the new side is
         # clean, on a VL-routed fabric and on a single-VL one.
         sm = bring_up("ring6", "lash")
-        bad_vl = sm.current_tables.vl.copy()
-        corrupt_assignment(bad_vl, "collapse")
-        findings = check_transition_deadlock(snapshot(sm, vl=bad_vl), snapshot(sm))
+        bad = corrupted(sm.current_tables, "collapse")
+        findings = check_transition_deadlock(snapshot(sm, bad), snapshot(sm))
         assert rules_of(findings) == ["VLC004"]
         built = preset_builders()["ring6"]()
         old_sm = SubnetManager(built.topology, engine="minhop", built=built)
@@ -333,18 +349,16 @@ class TestVlc004Transition:
         sm = SubnetManager(built.topology, engine="lash", built=built)
         sm.initial_configure()
         tables = sm.current_tables
-        bad_vl = tables.vl.copy()
-        corrupt_assignment(bad_vl, "collapse")
         reports = [
             analyze_transition(
                 built.topology,
                 tables.ports,
                 tables.ports,
-                old_metadata=tables.metadata,
-                new_metadata=dict(tables.metadata, vl=vl),
+                old_tables=tables,
+                new_tables=new,
                 emit_metrics=False,
             )
-            for vl in (tables.vl, bad_vl)
+            for new in (tables, corrupted(tables, "collapse"))
         ]
         assert [r.checks_run for r in reports] == [["transition-cdg"]] * 2
         assert reports[0].ok
@@ -363,16 +377,13 @@ class TestLidsScopeEveryLane:
     def test_one_destination_closes_no_cycle(self, engine, rules):
         sm = bring_up("ring6", engine)
         tables = sm.current_tables
-        metadata = dict(tables.metadata)
-        if tables.vl is not None:
-            metadata["vl"] = tables.vl.copy()
-            corrupt_assignment(metadata["vl"], "collapse")
+        bad = tables if tables.lanes is None else corrupted(tables, "collapse")
 
         def fabric(lids):
             return analyze_fabric(
                 sm.topology,
                 ports=tables.ports,
-                metadata=metadata,
+                tables=bad,
                 lids=lids,
                 emit_metrics=False,
             ).findings
@@ -382,8 +393,8 @@ class TestLidsScopeEveryLane:
                 sm.topology,
                 tables.ports,
                 tables.ports,
-                old_metadata=tables.metadata,
-                new_metadata=metadata,
+                old_tables=tables,
+                new_tables=bad,
                 lids=lids,
                 emit_metrics=False,
             ).findings
@@ -432,13 +443,6 @@ class TestAnalyzerWiring:
         assert "repro_static_vl_layers" in rendered
         assert "repro_static_vl_dependencies" in rendered
 
-    def test_workers_give_identical_report(self):
-        sm = bring_up("torus4x4", "lash")
-        one = analyze_subnet(sm, emit_metrics=False, workers=1)
-        four = analyze_subnet(sm, emit_metrics=False, workers=4)
-        assert one.ok and four.ok
-        assert one.checks_run == four.checks_run
-
 
 class TestMatrixAndCorruption:
     @pytest.mark.parametrize("preset", ("ring6", "torus4x4"))
@@ -466,32 +470,6 @@ class TestMatrixAndCorruption:
             corrupt_vl_assignment(sm)
         for engine in VL_ENGINES:
             assert engine in str(exc.value)
-
-    def test_an_assignment_that_lost_its_map_is_a_typed_error(self):
-        vl = VlAssignment(kind="pair", num_vls=2, max_vls=8, pair_to_vl={(0, 1): 1})
-        vl.pair_to_vl = None
-        with pytest.raises(RoutingError, match="pair-keyed assignment has no VL map"):
-            vl.items()
-        with pytest.raises(RoutingError, match="no VL map"):
-            corrupt_assignment(vl, "drop")
-
-    def test_a_per_vl_worker_without_its_state_is_a_typed_error(self, monkeypatch):
-        # The per-VL build runs on the one shard worker of the router.
-        sm = bring_up("ring6", "lash")
-        snap = snapshot(sm)
-        state = vl_checks._pair_state(snap, snap.vl, snap.terminal_lids)
-        total = int(state[3].size)
-        monkeypatch.setattr(
-            parallel, "_WORKER", (vl_checks._pair_chunk_state, state)
-        )
-        keys = parallel._run_chunk((0, total))
-        serial_keys = vl_checks._pair_chunk_state(state, 0, total)
-        for got, want in zip(keys, serial_keys):
-            assert len(got) == len(want)
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
-        monkeypatch.setattr(parallel, "_WORKER", None)
-        with pytest.raises(RoutingError, match="no state installed"):
-            parallel._run_chunk((0, total))
 
     def test_verify_subnet_accepts_vl_engines(self):
         # The end-to-end hook: a clean LASH ring audits clean, lanes and
@@ -529,23 +507,22 @@ class TestVlProperties:
         sm.compute_routing()
         tables = sm.current_tables
         snap = FabricSnapshot.from_topology(
-            built.topology, tables.ports, vl=tables.vl
+            built.topology, tables.ports, tables=tables
         )
         # Clean routing satisfies VLC001-VLC003.
         assert check_deadlock_freedom(snap) == []
         assert check_vl_consistency(snap) == []
         assert check_vl_capacity(snap) == []
         # One corrupted assignment is caught by exactly one rule.
-        vl = tables.vl.copy()
-        corrupt_assignment(vl, mode, index=victim)
-        if mode == "collapse" and tables.vl.num_vls < 2:
+        bad_tables = corrupted(tables, mode, index=victim)
+        if mode == "collapse" and tables.num_vls < 2:
             # Everything already fit on one layer; collapsing is the
             # identity and the fabric must still verify clean.
             expected = set()
         else:
             expected = {CORRUPTION_RULE[mode]}
         bad = FabricSnapshot.from_topology(
-            built.topology, tables.ports, vl=vl
+            built.topology, tables.ports, tables=bad_tables
         )
         fired = set(
             rules_of(

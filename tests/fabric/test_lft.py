@@ -9,6 +9,7 @@ from repro.constants import (
     LFT_BLOCKS_FULL_SUBNET,
     LFT_DROP_PORT,
     LFT_UNSET,
+    NO_LANE,
 )
 from repro.errors import TopologyError
 from repro.fabric.lft import (
@@ -172,7 +173,7 @@ class TestSwap:
         for lid, port in entries.items():
             topo.set_lft(0, lid, port)
         before = topo.lft.copy()
-        after = apply_column_op(
+        after, _ = apply_column_op(
             before.copy(), {"op": "swap", "lid_a": lid_a, "lid_b": lid_b}
         )
         return after, changed_blocks(before, after)[0]
@@ -196,7 +197,7 @@ class TestSwap:
         ports = np.full((1, LFT_BLOCK_SIZE), LFT_UNSET, dtype=np.int16)
         ports[0, 5], ports[0, 9] = 1, 3
         op = {"op": "swap", "lid_a": 5, "lid_b": 9}
-        apply_column_op(apply_column_op(ports, op), op)
+        apply_column_op(apply_column_op(ports, op)[0], op)
         assert (ports[0, 5], ports[0, 9]) == (1, 3)
 
 
@@ -204,7 +205,7 @@ class TestCopyEntry:
     def test_copy_touches_at_most_one_block(self):
         before = store(1).lft.copy()
         before[0, 1] = 6
-        after = apply_column_op(
+        after, _ = apply_column_op(
             before.copy(), {"op": "copy", "template_lid": 1, "target_lid": 130}
         )
         assert changed_blocks(before, after) == [[2]]
@@ -213,7 +214,7 @@ class TestCopyEntry:
     def test_copy_equal_is_noop(self):
         before = store(1).lft.copy()
         before[0, [1, 50]] = 6
-        after = apply_column_op(
+        after, _ = apply_column_op(
             before.copy(), {"op": "copy", "template_lid": 1, "target_lid": 50}
         )
         assert changed_blocks(before, after) == [[]]
@@ -298,7 +299,7 @@ class TestApplyColumnOp:
     def test_swap_exchanges_two_columns_in_place(self):
         ports = self.matrix()
         out = apply_column_op(ports, {"op": "swap", "lid_a": 1, "lid_b": 2})
-        assert out is ports
+        assert out[0] is ports and out[1] is None
         assert ports[:, 1].tolist() == [2, 6, 10]
         assert ports[:, 2].tolist() == [1, 5, 9]
 
@@ -313,12 +314,12 @@ class TestApplyColumnOp:
     def test_copy_within_the_matrix(self):
         ports = self.matrix()
         op = {"op": "copy", "template_lid": 3, "target_lid": 0, "switches": None}
-        assert apply_column_op(ports, op) is ports
+        assert apply_column_op(ports, op)[0] is ports
         assert ports[:, 0].tolist() == [3, 7, 11]
 
     def test_copy_beyond_the_matrix_grows_it_in_unset_blocks(self):
         ports = self.matrix()
-        grown = apply_column_op(
+        grown, _ = apply_column_op(
             ports, {"op": "copy", "template_lid": 1, "target_lid": 70}
         )
         assert grown is not ports and grown.dtype == ports.dtype
@@ -349,3 +350,39 @@ class TestApplyColumnOp:
     def test_unknown_op_is_a_typed_error(self):
         with pytest.raises(TopologyError, match="unknown LFT column op"):
             apply_column_op(self.matrix(), {"op": "rotate"})
+
+    @staticmethod
+    def plane():
+        return (np.arange(12, dtype=np.int8) % 5).reshape(3, 4)
+
+    def test_lanes_move_on_the_rows_the_ports_move(self):
+        # A row whose port entry keeps the old path keeps that path's lane.
+        ports, lanes = self.matrix(), self.plane()
+        op = {"op": "swap", "lid_a": 1, "lid_b": 2, "switches": [0]}
+        out = apply_column_op(ports, op, lanes)
+        assert out[0] is ports and out[1] is lanes
+        assert ports[:, 1].tolist() == [2, 5, 9]
+        assert lanes[:, 1].tolist() == [2, 0, 4]
+        assert lanes[:, 2].tolist() == [1, 1, 0]
+        op = {"op": "copy", "template_lid": 3, "target_lid": 0, "switches": [2]}
+        apply_column_op(ports, op, lanes)
+        assert ports[:, 0].tolist() == [0, 4, 11]
+        assert lanes[:, 0].tolist() == [0, 4, 1]
+        apply_column_op(ports, {"op": "swap", "lid_a": 0, "lid_b": 3}, lanes)
+        assert lanes[:, 0].tolist() == self.plane()[:, 3].tolist()
+        assert lanes[:, 3].tolist() == [0, 4, 1]
+
+    def test_a_copy_that_widens_the_ports_widens_the_lanes(self):
+        grown, lanes = apply_column_op(
+            self.matrix(),
+            {"op": "copy", "template_lid": 1, "target_lid": 70},
+            self.plane(),
+        )
+        assert lanes.shape == grown.shape and lanes.dtype == np.int8
+        assert lanes[:, 70].tolist() == self.plane()[:, 1].tolist()
+        assert (np.delete(lanes[:, 4:], 70 - 4, axis=1) == NO_LANE).all()
+
+    def test_invalidate_keeps_the_lanes(self):
+        lanes = self.plane()
+        apply_column_op(self.matrix(), {"op": "invalidate", "lid": 2}, lanes)
+        assert np.array_equal(lanes, self.plane())

@@ -13,8 +13,9 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import DeadlockError
+import numpy as np
+
 from repro.sm.routing.base import RoutingRequest, RoutingTables
-from repro.sm.routing.vl import VlAssignment
 from tests.oracles.delivery import request_maps, trace_path
 
 __all__ = [
@@ -131,39 +132,31 @@ def lane_dependency_sets(
     request: RoutingRequest,
     *,
     lids: Optional[Sequence[int]] = None,
-    vl: Optional[VlAssignment] = None,
+    lanes: Optional[np.ndarray] = None,
+    num_vls: int = 1,
 ) -> Dict[int, Set[Dependency]]:
     """Each lane's dependencies, built path by path.
 
     Every path from every switch to every selected LID (default: all of
     the request's LIDs) adds its consecutive channel pairs to its lane:
-    lane 0 without *vl*, the destination LID's lane for a dest-keyed
-    assignment, the (source, destination) switch pair's lane for a
-    pair-keyed one. A path without a data lane (one the assignment does
-    not name) adds nothing, as in the lane-indexed checks.
+    lane 0 without a *lanes* plane, else ``lanes[source, lid]``. A path
+    without a data lane (``0 .. num_vls - 1``) adds nothing, as in the
+    lane-indexed checks.
     """
     if lids is None:
         lids = [t.lid for t in request.terminals] + list(request.switch_lids)
-    dest_of = {t.lid: t.switch_index for t in request.terminals}
-    dest_of.update(request.switch_lids)
-    num_vls = 1 if vl is None else vl.num_vls
     maps = request_maps(request)
-    lanes: Dict[int, Set[Dependency]] = {}
+    out: Dict[int, Set[Dependency]] = {}
     for lid in lids:
         for src in range(request.num_switches):
-            if vl is None:
-                lane: Optional[int] = 0
-            elif vl.kind == "dest":
-                lane = (vl.lid_to_vl or {}).get(lid)
-            else:
-                lane = (vl.pair_to_vl or {}).get((src, dest_of[lid]))
-            if lane is None or not 0 <= lane < num_vls:
+            lane = 0 if lanes is None else int(lanes[src, lid])
+            if not 0 <= lane < num_vls:
                 continue
             path = trace_path(tables, request, src, lid, maps=maps)
-            deps = lanes.setdefault(lane, set())
+            deps = out.setdefault(lane, set())
             for a, b, c in zip(path, path[1:], path[2:]):
                 deps.add(((a, b), (b, c)))
-    return lanes
+    return out
 
 
 def routing_is_deadlock_free(
@@ -171,10 +164,13 @@ def routing_is_deadlock_free(
     request: RoutingRequest,
     *,
     lids: Optional[Sequence[int]] = None,
-    vl: Optional[VlAssignment] = None,
+    lanes: Optional[np.ndarray] = None,
+    num_vls: int = 1,
 ) -> bool:
     """Duato's condition: one CDG per lane of :func:`lane_dependency_sets`."""
-    for deps in lane_dependency_sets(tables, request, lids=lids, vl=vl).values():
+    for deps in lane_dependency_sets(
+        tables, request, lids=lids, lanes=lanes, num_vls=num_vls
+    ).values():
         cdg = ChannelDependencyGraph()
         for dep in sorted(deps):
             cdg.add_dependency(dep)

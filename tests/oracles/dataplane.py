@@ -17,6 +17,8 @@ import itertools
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.constants import LFT_DROP_PORT, LFT_UNSET
 from repro.errors import SimulationError
 from repro.fabric.node import Switch
@@ -49,6 +51,8 @@ class Packet:
         #: not blocked) — the source of the PortXmitWait counter.
         self.wait_start: Optional[float] = None
         self.hops = 0
+        #: Virtual lane, fixed at injection from the lane plane.
+        self.vl = 0
         self.dropped = False
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -76,7 +80,7 @@ class ClosureDataPlane:
         channel_credits: int = 1,
         hop_time: float = 1e-6,
         hoq_timeout: float = 1e-3,
-        lid_to_vl: Optional[Dict[int, int]] = None,
+        lanes: Optional[np.ndarray] = None,
         packet_bytes: int = 256,
     ) -> None:
         if channel_credits < 1:
@@ -94,11 +98,11 @@ class ClosureDataPlane:
         #: is bandwidth-abstract; a fixed MTU-sized payload keeps byte
         #: counters proportional to packet counters).
         self.packet_bytes = packet_bytes
-        #: Destination LID -> virtual lane. Each VL has its own credit pool
-        #: per physical channel, so traffic on different lanes never blocks
-        #: each other — the mechanism behind DFSSSP/LASH deadlock freedom.
-        #: Missing LIDs ride VL 0.
-        self.lid_to_vl = dict(lid_to_vl or {})
+        #: The routing's lane plane: a packet rides ``lanes[entry switch,
+        #: dst]`` (VL 0 without a plane or from a cell without a lane).
+        #: Each VL has its own credit pool per physical channel, so
+        #: traffic on different lanes never blocks each other.
+        self.lanes = lanes
         self.stats = DataPlaneStats()
 
         # Static maps from the physical graph.
@@ -138,6 +142,9 @@ class ClosureDataPlane:
         pkt = Packet(src_lid, dst_lid, 0.0)
         self.stats.injected += 1
         leaf = entry.node.index
+        pkt.vl = 0
+        if self.lanes is not None and dst_lid < self.lanes.shape[1]:
+            pkt.vl = max(int(self.lanes[leaf, dst_lid]), 0)
         host_port, entry_port = port, entry
 
         def arrive() -> None:
@@ -206,8 +213,7 @@ class ClosureDataPlane:
 
             self.engine.schedule(self.hoq_timeout, dead_port_drop)
             return
-        vl = self.lid_to_vl.get(pkt.dst_lid, 0)
-        vkey = (key[0], key[1], vl)
+        vkey = (key[0], key[1], pkt.vl)
         channel = self._channels.get(vkey)
         if channel is None:
             channel = self._channels[vkey] = _Channel(self.channel_credits)

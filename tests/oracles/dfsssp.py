@@ -17,7 +17,7 @@ import numpy as np
 from repro.errors import RoutingError
 from repro.sm.routing.base import RoutingRequest, RoutingTables
 from repro.sm.routing.dfsssp import DFSSSPRouting, _reverse_edge_index
-from repro.sm.routing.vl import MANAGEMENT_VL, VlAssignment
+from repro.sm.routing.vl import MANAGEMENT_VL, NO_LANE
 from tests.oracles.cdg import ChannelDependencyGraph
 
 __all__ = ["ReferenceDFSSSPRouting"]
@@ -57,20 +57,16 @@ class ReferenceDFSSSPRouting(DFSSSPRouting):
             else:
                 lid_to_vl[lid] = MANAGEMENT_VL
 
+        lanes = np.full(ports.shape, NO_LANE, dtype=np.int8)
+        for lid, vl in lid_to_vl.items():
+            lanes[:, lid] = vl
         return RoutingTables(
             algorithm=self.name,
             ports=ports,
             num_vls=num_vls_used,
-            metadata={
-                "lid_to_vl": lid_to_vl,
-                "edge_weights": weights,
-                "vl": VlAssignment(
-                    kind="dest",
-                    num_vls=num_vls_used,
-                    max_vls=self.max_vls,
-                    lid_to_vl=lid_to_vl,
-                ),
-            },
+            metadata={"edge_weights": weights},
+            lanes=lanes,
+            max_vls=self.max_vls,
         )
 
 

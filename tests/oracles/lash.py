@@ -15,7 +15,7 @@ import numpy as np
 from repro.errors import RoutingError
 from repro.sm.routing.base import RoutingRequest, RoutingTables
 from repro.sm.routing.lash import LashRouting
-from repro.sm.routing.vl import VlAssignment
+from repro.sm.routing.vl import MANAGEMENT_VL, NO_LANE
 from tests.oracles.cdg import ChannelDependencyGraph, Dependency
 
 __all__ = ["ReferenceLashRouting"]
@@ -64,19 +64,21 @@ class ReferenceLashRouting(LashRouting):
                         f"LASH exceeded {self.max_vls} layers at pair {(s, t)}"
                     )
 
+        lanes = np.full(ports.shape, NO_LANE, dtype=np.int8)
+        for lid in request.switch_lids:
+            lanes[:, lid] = MANAGEMENT_VL
+        for term in request.terminals:
+            t = term.switch_index
+            lanes[t, term.lid] = 0
+            for s in terminal_switches:
+                if s != t:
+                    lanes[s, term.lid] = pair_to_vl[(s, t)]
         return RoutingTables(
             algorithm=self.name,
             ports=ports,
             num_vls=num_vls_used,
-            metadata={
-                "pair_to_vl": pair_to_vl,
-                "vl": VlAssignment(
-                    kind="pair",
-                    num_vls=num_vls_used,
-                    max_vls=self.max_vls,
-                    pair_to_vl=pair_to_vl,
-                ),
-            },
+            lanes=lanes,
+            max_vls=self.max_vls,
         )
 
 

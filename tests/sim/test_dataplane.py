@@ -182,7 +182,7 @@ class TestVirtualLanes:
         built = build_ring(6, 1)
         sm = SubnetManager(built.topology, built=built, engine="dfsssp")
         sm.initial_configure(with_discovery=False)
-        lid_to_vl = sm.current_tables.metadata["lid_to_vl"]
+        lanes = sm.current_tables.lanes
         assert sm.current_tables.num_vls >= 2
         topo = built.topology
         lids = [h.lid for h in topo.hcas]
@@ -192,12 +192,38 @@ class TestVirtualLanes:
             channel_credits=1,
             hop_time=1e-6,
             hoq_timeout=50e-6,
-            lid_to_vl=lid_to_vl,
+            lanes=lanes,
         )
         sim.inject_flows(flows)
         stats = sim.run()
         assert stats.dropped_timeout == 0
         assert stats.delivered == stats.injected
+
+    def test_lash_layers_keep_the_same_ring_deadlock_free(self):
+        # LASH layers per (source, destination) switch pair: a packet rides
+        # its entry switch's cell of the plane, so the crossing flows
+        # spread over more than one lane and no head-of-queue timeout
+        # fires. The same routes on one lane deadlock.
+        built = build_ring(6, 1)
+        sm = SubnetManager(built.topology, built=built, engine="lash")
+        sm.initial_configure(with_discovery=False)
+        lanes = sm.current_tables.lanes
+        topo = built.topology
+        lids = [h.lid for h in topo.hcas]
+        flows = [(lids[i], lids[(i + 3) % 6]) for i in range(6)] * 4
+        entry = {lid: topo.port_of_lid(lid).remote.node.index for lid in lids}
+        assert len({int(lanes[entry[s], d]) for s, d in flows}) > 1
+        runs = []
+        for plane in (lanes, None):
+            sim = DataPlaneSimulator(
+                topo, channel_credits=1, hop_time=1e-6, hoq_timeout=50e-6,
+                lanes=plane,
+            )
+            sim.inject_flows(flows)
+            runs.append(sim.run())
+        assert runs[0].dropped_timeout == 0
+        assert runs[0].delivered == runs[0].injected == 24
+        assert runs[1].dropped_timeout > 0
 
     def test_same_routes_without_vls_deadlock(self):
         # Ablation: identical DFSSSP routes but all traffic forced onto one

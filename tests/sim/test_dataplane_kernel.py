@@ -9,7 +9,7 @@ counters in creation order, a mid-burst ``PerfManager`` store and its
 reports, and whatever error the run raised.
 
 Scenarios cover the §VI-C deadlock on a minhop ring (HOQ drops), DFSSSP
-with its ``lid_to_vl``, 2- and 3-level fat-trees, random flows, spacing,
+with its lane plane, 2- and 3-level fat-trees, random flows, spacing,
 credits and HOQ lifetimes, port-255 invalidation, an unrouted LID, a dead
 port (a cable removed after routing), LID swaps / path copies /
 invalidations landing mid-flight, out-of-order ``inject(delay=)``, and
@@ -46,6 +46,7 @@ SRC = ROOT / "src" / "repro"
 FABRICS = {
     "ring6-minhop": (lambda: build_ring(6, 1), "minhop"),
     "ring6-dfsssp": (lambda: build_ring(6, 1), "dfsssp"),
+    "ring6-lash": (lambda: build_ring(6, 1), "lash"),
     "2l-small": (lambda: scaled_fattree("2l-small"), "minhop"),
     "3l-small": (lambda: scaled_fattree("3l-small"), "minhop"),
 }
@@ -97,7 +98,7 @@ def play(simulator, sc: Scenario):
         channel_credits=sc.credits,
         hop_time=1e-6,
         hoq_timeout=sc.hoq_timeout,
-        lid_to_vl=sm.current_tables.metadata.get("lid_to_vl"),
+        lanes=sm.current_tables.lanes,
     )
     perf = None
     raised = None
@@ -223,6 +224,13 @@ class TestKernelEqualsTheClosureSimulator:
 
     def test_dfsssp_lanes_keep_the_same_ring_deadlock_free(self):
         sc = Scenario("ring6-dfsssp", [(i, i + 3) for i in range(6)] * 4,
+                      spacing=0.0, credits=1, hoq_timeout=5e-5)
+        out = assert_same(sc)
+        injected, delivered, _, timeouts, _, _ = out["stats"]
+        assert timeouts == 0 and delivered == injected
+
+    def test_lash_lanes_keep_the_same_ring_deadlock_free(self):
+        sc = Scenario("ring6-lash", [(i, i + 3) for i in range(6)] * 4,
                       spacing=0.0, credits=1, hoq_timeout=5e-5)
         out = assert_same(sc)
         injected, delivered, _, timeouts, _, _ = out["stats"]

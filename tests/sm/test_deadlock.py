@@ -32,7 +32,7 @@ def request_for(built):
 
 def snapshot(built, tables, ports=None):
     return FabricSnapshot.from_topology(
-        built.topology, tables.ports if ports is None else ports, vl=tables.vl
+        built.topology, tables.ports if ports is None else ports, tables=tables
     )
 
 
@@ -97,7 +97,8 @@ class TestRoutingDeadlockFreedom:
     def test_dfsssp_per_layer_freedom_on_ring(self):
         built = build_ring(6, 2)
         tables = create_engine("dfsssp").compute(request_for(built))
-        assert tables.vl.kind == "dest"
+        # DFSSSP's plane gives every destination column one lane.
+        assert (tables.lanes == tables.lanes[:1]).all()
         assert check_deadlock_freedom(snapshot(built, tables)) == []
 
     def test_minhop_terminal_traffic_on_fattree_free(self):

@@ -170,14 +170,14 @@ class TestLightFailoverKeepsLanes:
         ha.register(hcas[0].name, guid=10, priority=10)
         ha.register(hcas[1].name, guid=20, priority=5)
         ha.bootstrap()
-        lanes = sm.current_tables.vl
+        lanes = sm.current_tables.lanes
         assert verify_subnet(sm).ok
         old_master = ha.master
         ha.kill_master()
         assert ha.failover(old_master).sweep_mode == "light"
-        inherited = sm.current_tables.vl
+        inherited = sm.current_tables.lanes
         assert inherited is not None and inherited is not lanes
-        assert inherited.items() == lanes.items()
+        assert np.array_equal(inherited, lanes)
         report = verify_subnet(sm)
         assert report.ok, report.problems()
 

@@ -150,7 +150,7 @@ class TestFillInputsWithoutAVersion:
         edited = sm.current_tables
         lid_a, lid_b = sm.last_request.lid_arrays()[0][[0, -1]]
         op = {"op": "swap", "lid_a": int(lid_a), "lid_b": int(lid_b), "switches": None}
-        assert apply_column_op(edited.ports, op) is edited.ports
+        assert apply_column_op(edited.ports, op)[0] is edited.ports
         sm.compute_routing()
         assert last_fill(sm) == ("kept", "kept", 0)
         assert_equals_fresh(sm)

@@ -272,7 +272,7 @@ def fill_edit(sm, code, pick, extra):
         tables = sm.current_tables
         top = tables.top_lid
         op = {"op": "swap", "lid_a": 1 + pick % top, "lid_b": 1 + (pick * 7) % top}
-        tables.ports = apply_column_op(tables.ports, op)
+        tables.ports, tables.lanes = apply_column_op(tables.ports, op, tables.lanes)
     return True
 
 

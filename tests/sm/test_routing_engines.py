@@ -197,11 +197,14 @@ class TestDfsssp:
 
     def test_vl_assignment_covers_all_lids(self, ft_request):
         tables = create_engine("dfsssp").compute(ft_request)
-        vl = tables.metadata["lid_to_vl"]
+        lanes = tables.lanes
+        assert lanes.shape == tables.ports.shape and lanes.dtype == np.int8
         for t in ft_request.terminals:
-            assert t.lid in vl
+            # One lane per destination column, in every source row.
+            assert (lanes[:, t.lid] == lanes[0, t.lid]).all()
+            assert 0 <= lanes[0, t.lid] < tables.num_vls
         for lid in ft_request.switch_lids:
-            assert vl[lid] == 15  # management lane
+            assert (lanes[:, lid] == 15).all()  # management lane
 
     def test_weights_grow(self, ft_request):
         tables = create_engine("dfsssp").compute(ft_request)
@@ -225,10 +228,17 @@ class TestDfsssp:
 class TestLash:
     def test_layers_assigned_per_leaf_pair(self, ft_request):
         tables = create_engine("lash").compute(ft_request)
-        pair_to_vl = tables.metadata["pair_to_vl"]
-        leaf_switches = {t.switch_index for t in ft_request.terminals}
-        expected = len(leaf_switches) * (len(leaf_switches) - 1)
-        assert len(pair_to_vl) == expected
+        leaf_switches = sorted({t.switch_index for t in ft_request.terminals})
+        terminal_lids = [t.lid for t in ft_request.terminals]
+        lanes = tables.lanes[:, terminal_lids]
+        # Every leaf row holds a lane toward every terminal LID (its own
+        # terminals on lane 0); no other row does.
+        assert (lanes[leaf_switches] >= 0).all()
+        others = np.setdiff1d(np.arange(tables.num_switches), leaf_switches)
+        assert (lanes[others] == -1).all()
+        # One layer per leaf pair: the LIDs behind one leaf share a column.
+        for t in ft_request.terminals:
+            assert lanes[t.switch_index, terminal_lids.index(t.lid)] == 0
 
     def test_single_layer_on_fattree(self, ft_request):
         # Leaf-to-leaf shortest paths in a fat-tree are up/down => acyclic.

@@ -58,7 +58,9 @@ def request_for(built):
 def assert_tables_identical(a, b, label):
     assert a.ports.dtype == b.ports.dtype, label
     assert np.array_equal(a.ports, b.ports), label
-    assert a.num_vls == b.num_vls, label
+    assert a.num_vls == b.num_vls and a.max_vls == b.max_vls, label
+    assert a.lanes.dtype == b.lanes.dtype, label
+    assert np.array_equal(a.lanes, b.lanes), label
     assert set(a.metadata) == set(b.metadata), label
     for k in a.metadata:
         va, vb = a.metadata[k], b.metadata[k]

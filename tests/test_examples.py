@@ -43,7 +43,7 @@ class TestExamples:
     def test_deadlock_timeouts(self, capsys):
         out = run_example("deadlock_timeouts.py", capsys)
         assert "broken by timeouts" in out
-        assert out.count("deadlock never formed") == 2
+        assert out.count("deadlock never formed") == 3
 
     def test_fabric_management(self, capsys):
         out = run_example("fabric_management.py", capsys)

@@ -273,6 +273,30 @@ class TestOneDeadlockCheck:
         assert hits == []
 
 
+class TestOneLaneStore:
+    """A VL assignment is one int8 plane beside the ports, and the static
+    analysis shards nothing (tier-1 twin of the CI guard)."""
+
+    SRC = Path(repro.__file__).resolve().parent
+
+    def files_with(self, needle, root=None):
+        return [
+            str(path.relative_to(self.SRC))
+            for path in sorted((root or self.SRC).rglob("*.py"))
+            if needle in path.read_text()
+        ]
+
+    def test_no_second_shape_of_a_lane_assignment(self):
+        for shape in ("VlAssignment", "pair_to_vl", "lid_to_vl"):
+            assert self.files_with(shape) == [], shape
+
+    def test_only_the_routing_pool_shards(self):
+        assert self.files_with("shard_map(") == ["sm/routing/parallel.py"]
+
+    def test_the_static_analysis_has_no_workers(self):
+        assert self.files_with("workers", self.SRC / "analysis" / "static") == []
+
+
 class TestOneHardwareLftStore:
     """Every switch's LFT is a row of ``Topology._lft`` (tier-1 twin of the
     CI guard "one hardware LFT store")."""

@@ -36,7 +36,7 @@ class TestLftProperties:
             return
         table = self.programmed({a: pa, b: pb})
         op = {"op": "swap", "lid_a": a, "lid_b": b}
-        apply_column_op(apply_column_op(table, op), op)
+        apply_column_op(apply_column_op(table, op)[0], op)
         assert table[0, a] == pa and table[0, b] == pb
 
     @given(a=lids, b=lids, pa=ports, pb=ports)
@@ -44,7 +44,7 @@ class TestLftProperties:
         if a == b:
             return
         before = self.programmed({a: pa, b: pb})
-        after = apply_column_op(before.copy(), {"op": "swap", "lid_a": a, "lid_b": b})
+        after, _ = apply_column_op(before.copy(), {"op": "swap", "lid_a": a, "lid_b": b})
         (changed,) = changed_blocks(before, after)
         assert len(changed) <= 2
         for blk in changed:
@@ -56,7 +56,7 @@ class TestLftProperties:
             return
         before = self.programmed({a: pa})
         op = {"op": "copy", "template_lid": a, "target_lid": b}
-        after = apply_column_op(before.copy(), op)
+        after, _ = apply_column_op(before.copy(), op)
         (changed,) = changed_blocks(before, after)
         assert len(changed) <= 1
         assert after[0, b] == pa

@@ -273,3 +273,51 @@ class TestLeafAffinity:
             for vm in vms
         }
         assert len(leaves) == 2
+
+
+class TestBringUpLidCeiling:
+    """A bring-up the LID space cannot hold is refused before it starts."""
+
+    @staticmethod
+    def cloud(scheme, ceiling):
+        from repro.fabric.addressing import LidAllocator
+        from repro.fabric.presets import scaled_fattree
+        from repro.sm.lid_manager import LidManager
+        from repro.sm.subnet_manager import SubnetManager
+
+        built = scaled_fattree("2l-small")
+        topo = built.topology
+        sm = SubnetManager(topo, built=built)
+        sm.lid_manager = LidManager(
+            topo, allocator=LidAllocator(first=1, last=ceiling)
+        )
+        cloud = CloudManager(topo, sm=sm, lid_scheme=scheme, num_vfs=2)
+        cloud.adopt_all_hcas()
+        demand = topo.num_switches + topo.num_hcas
+        if scheme == "prepopulated":
+            demand += 2 * topo.num_hcas
+        return cloud, demand
+
+    @pytest.mark.parametrize("scheme", ["prepopulated", "dynamic"])
+    def test_refused_with_the_lid_space_as_it_was(self, scheme):
+        from repro.errors import LidExhaustedError
+
+        _, demand = self.cloud(scheme, 1)
+        cloud, _ = self.cloud(scheme, demand - 1)
+        allocator = cloud.sm.lid_manager.allocator
+        stats = cloud.sm.transport.stats.snapshot()
+        with pytest.raises(LidExhaustedError, match=f"needs {demand} LIDs"):
+            cloud.bring_up_subnet()
+        assert allocator.allocated_count == 0
+        assert allocator.free_count == demand - 1
+        assert list(cloud.topology.bound_lids()) == []
+        assert cloud.sm.transport.stats.delta_since(stats).total_smps == 0
+        assert cloud.sm.current_tables is None
+
+    @pytest.mark.parametrize("scheme", ["prepopulated", "dynamic"])
+    def test_a_ceiling_equal_to_the_demand_brings_up(self, scheme):
+        _, demand = self.cloud(scheme, 1)
+        cloud, _ = self.cloud(scheme, demand)
+        cloud.bring_up_subnet()
+        assert cloud.sm.lid_manager.allocator.free_count == 0
+        assert cloud.sm.lid_manager.lids_consumed == demand

@@ -26,10 +26,10 @@ DET004    ``==`` / ``!=`` against a float literal in cost-model code —
           accumulated float error makes exact comparison flaky
 DET005    iteration over a tuple-keyed dict (``for (a, b), v in
           d.items()`` / ``for (a, b) in d.keys()``) without ``sorted()``
-          in ordering-critical routing/analysis modules — LASH's
-          ``pair_to_vl`` and friends feed SMP streams and findings, and
-          plain dict order follows insertion order, which differs
-          between the serial and sharded construction paths
+          in ordering-critical routing/analysis modules — switch-pair
+          keyed maps feed SMP streams and findings, and plain dict
+          order follows insertion order, which differs between the
+          serial and sharded construction paths
 ========  ==============================================================
 
 Suppress a finding with a trailing ``# noqa: DET00x`` comment (blanket
