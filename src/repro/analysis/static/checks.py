@@ -121,44 +121,29 @@ class FabricSnapshot:
         ``tables`` carries the engine's lane plane into the snapshot for
         the per-VL checks (:meth:`with_lanes`).
         """
-        terminals = topology.terminals()
-        switch_lids = topology.switch_lids()
-        all_lids = sorted(
-            [t.lid for t in terminals] + list(switch_lids)
-        )
-        if ports is not None and all_lids and all_lids[-1] >= ports.shape[1]:
-            uncovered = [lid for lid in all_lids if lid >= ports.shape[1]]
+        lid_switch, lid_port = topology.terminals()
+        top = lid_port.size - 1
+        if ports is not None and top >= ports.shape[1]:
+            uncovered = np.flatnonzero(lid_port[ports.shape[1] :] >= 0) + ports.shape[1]
             raise StaticAnalysisError(
                 f"supplied port table is {ports.shape[1]} columns wide but"
-                f" the fabric binds {len(uncovered)} LID(s) beyond it"
-                f" (e.g. {uncovered[:8]}); widen the table — those LIDs"
+                f" the fabric binds {uncovered.size} LID(s) beyond it"
+                f" (e.g. {uncovered[:8].tolist()}); widen the table — those LIDs"
                 " would otherwise be silently skipped"
             )
         if ports is None:  # a copy only when a bound LID lies beyond the store
-            ports = widen(topology.lft, all_lids[-1] if all_lids else 0)
-        width = ports.shape[1]
-        dest_switch = np.full(width, -1, dtype=np.int32)
-        dest_port = np.full(width, -1, dtype=np.int32)
-        for t in terminals:
-            if t.lid < width:
-                dest_switch[t.lid] = t.switch_index
-                dest_port[t.lid] = t.switch_port
-        for lid, sw_idx in switch_lids.items():
-            if lid < width:
-                dest_switch[lid] = sw_idx
-                dest_port[lid] = 0
+            ports = widen(topology.lft, top)
+        dest_switch = np.full(ports.shape[1], -1, dtype=np.int32)
+        dest_port = np.full(ports.shape[1], -1, dtype=np.int32)
+        dest_switch[: top + 1] = lid_switch
+        dest_port[: top + 1] = lid_port
         return cls(
             view=topology.fabric_view(),
             ports=ports,
             dest_switch=dest_switch,
             dest_port=dest_port,
-            lids=np.asarray(
-                [lid for lid in all_lids if lid < width], dtype=np.int64
-            ),
-            terminal_lids=np.asarray(
-                sorted(t.lid for t in terminals if t.lid < width),
-                dtype=np.int64,
-            ),
+            lids=np.flatnonzero(dest_port >= 0),
+            terminal_lids=np.flatnonzero(dest_port > 0),
             switch_names=[sw.name for sw in topology.switches],
         ).with_lanes(tables)
 

@@ -85,8 +85,8 @@ class VSwitchReconfigurer:
 
         ``limit_switches`` restricts the update to a skyline subset (the
         section VI-D minimal reconfiguration). Only safe when every LID
-        involved attaches *within* the limited region — the intra-leaf
-        special case — which is validated here.
+        involved attaches at one switch *within* the limited region — the
+        intra-leaf special case — which is validated here.
         """
         lids = self._check_swap(lid_a, lid_b, limit_switches)
         report = LftReport(mode="swap")
@@ -311,7 +311,7 @@ class VSwitchReconfigurer:
             seen.add(target_lid)
             self._check_lid_known(template_lid)
         if limit_switches is not None:
-            self._check_limit_safe(templates, limit_switches)
+            self._check_limit_safe(templates + targets, limit_switches)
         report = LftReport(mode=mode)
         with self._update(report, name, **attributes) as write:
             switches = self._switch_sweep(limit_switches)
@@ -344,17 +344,17 @@ class VSwitchReconfigurer:
 
     def _check_limit_safe(self, lids, limit_switches: Set[int]) -> None:
         """A skyline-limited update is only correct when every involved LID
-        terminates inside the limited region: switches outside keep stale
-        entries, which still deliver only if they point toward the region.
-        That is guaranteed for the intra-leaf case (both hypervisors behind
-        one leaf), which is what we validate."""
-        for lid in lids:
-            attach = self.sm.topology.port_of_lid(lid).remote
-            if attach is None or attach.node.index not in limit_switches:
-                raise ReconfigError(
-                    f"LID {lid} does not attach within the limited switch"
-                    " set; a restricted update would strand traffic"
-                )
+        attaches at one switch inside the limited region: switches outside
+        keep their old entries, which still deliver only if they lead to
+        where every moved LID still terminates. That is the intra-leaf
+        case (both hypervisors behind one leaf), which is what we
+        validate."""
+        where = {self.sm.topology.attachment(lid)[0] for lid in lids}
+        if len(where) > 1 or not where <= limit_switches:
+            raise ReconfigError(
+                f"LIDs {sorted(lids)} do not attach at one switch within the"
+                " limited switch set; a restricted update would strand traffic"
+            )
 
     def _record(self, limit_switches: Optional[Set[int]], **op: object) -> None:
         """Land the edit the switches just took on the SM's recorded

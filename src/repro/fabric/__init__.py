@@ -16,7 +16,7 @@ from repro.fabric.lft import (
 )
 from repro.fabric.link import Link
 from repro.fabric.node import HCA, Node, NodeType, Port, PortCounters, QueuePair, Switch
-from repro.fabric.topology import SwitchFabricView, Terminal, Topology
+from repro.fabric.topology import SwitchFabricView, Topology
 
 __all__ = [
     "GID",
@@ -38,6 +38,5 @@ __all__ = [
     "PortCounters",
     "Switch",
     "Topology",
-    "Terminal",
     "SwitchFabricView",
 ]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.errors import TopologyError
 from repro.fabric.node import Port, Switch
@@ -34,6 +34,9 @@ class Link:
         self.a = a
         self.b = b
         self.latency = latency
+        #: Called with this link once it is unplugged: the topology that
+        #: cabled an HCA keeps where its LIDs attach through it.
+        self.on_unplug: Optional[Callable[["Link"], None]] = None
         a.link = self
         b.link = self
 
@@ -60,6 +63,8 @@ class Link:
         """Unplug the cable from both ports."""
         self.a.link = None
         self.b.link = None
+        if self.on_unplug is not None:
+            self.on_unplug(self)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

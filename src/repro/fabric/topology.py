@@ -2,9 +2,10 @@
 
 Holds every node and cable of one IB subnet, maintains the LID -> port
 binding registry (several LIDs may bind to one physical HCA port — that is
-exactly what the vSwitch architecture does), owns every switch's hardware
-LFT as one ``(switch, LID)`` matrix, and exports a compact integer-indexed
-view of the switch graph for the routing engines.
+exactly what the vSwitch architecture does) and the terminal table of where
+each LID attaches to the switch fabric, owns every switch's hardware LFT as
+one ``(switch, LID)`` matrix, and exports a compact integer-indexed view of
+the switch graph for the routing engines.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from typing import (
     Dict,
     Iterator,
     List,
-    NamedTuple,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
@@ -30,7 +31,7 @@ from repro.fabric.lft import check_blocks, widen
 from repro.fabric.link import Link
 from repro.fabric.node import HCA, Node, Port, Switch
 
-__all__ = ["Topology", "TopologyMutation", "Terminal", "SwitchFabricView"]
+__all__ = ["Topology", "TopologyMutation", "SwitchFabricView"]
 
 #: Mutation kinds :class:`TopologyMutation` describes (the runtime
 #: topology-change vocabulary shared by the SM, the trap pipeline, the
@@ -136,21 +137,6 @@ class TopologyMutation:
         return f"remove_switch {self.a}"
 
 
-class Terminal(NamedTuple):
-    """A routable endpoint LID and where it attaches to the switch fabric.
-
-    ``switch_index``/``switch_port`` give the leaf switch (dense index) and
-    the port *on that switch* through which the LID is reached. Multiple
-    terminals may share the same attachment point — e.g. all the VF LIDs of
-    one vSwitch-enabled hypervisor.
-    """
-
-    lid: int
-    switch_index: int
-    switch_port: int
-    hca_port: Port
-
-
 @dataclass(frozen=True)
 class SwitchFabricView:
     """Compact CSR adjacency of the switch-to-switch graph.
@@ -221,6 +207,14 @@ class Topology:
         self._hcas: List[HCA] = []
         self._links: List[Link] = []
         self._lid_to_port: Dict[int, Port] = {}
+        #: The terminal table over the unicast LID space: the switch each
+        #: LID attaches to and its exit port there (0 for a switch's own
+        #: LID), both -1 for an unbound or unattached LID. Written only by
+        #: the LID registry, HCA cabling and switch removal.
+        self._lid_switch = np.full(MAX_UNICAST_LID + 1, -1, np.int32)
+        self._lid_port = np.full(MAX_UNICAST_LID + 1, -1, np.int16)
+        #: HCAs with no cable on any port, kept by the same writers.
+        self._uncabled: Set[HCA] = set()
         self._fabric_view: Optional[SwitchFabricView] = None
         self._version = 0
         #: Every switch's hardware LFT: row ``switch.index``, column LID.
@@ -267,6 +261,7 @@ class Topology:
         hca = HCA(name, num_ports)
         hca.index = len(self._hcas)
         self._hcas.append(hca)
+        self._uncabled.add(hca)
         self._nodes[name] = hca
         return hca
 
@@ -288,6 +283,11 @@ class Topology:
             # cabling (VM churn) leaves the switch graph — and hence every
             # version-keyed routing cache — untouched.
             self._touch_switch_graph(link)
+        else:
+            # However the cable is later pulled (remove_link or a raw
+            # Link.disconnect), the table hears of it.
+            link.on_unplug = self._reattach
+            self._reattach(link)
         return link
 
     def add_link(
@@ -363,7 +363,7 @@ class Topology:
         re-indexed densely. Only switches with no HCAs attached (spines,
         aggregation, core) can be removed — a dead leaf strands its hosts,
         which must be handled at the virtualization layer instead. The
-        switch's own LID (if bound) must be released by the caller first.
+        switch's own LIDs (if bound) must be released by the caller first.
         """
         node = self._resolve(ref)
         if not isinstance(node, Switch):
@@ -372,9 +372,10 @@ class Topology:
             raise TopologyError(
                 f"{node.name!r} still has HCAs attached; evacuate them first"
             )
-        if node.lid is not None and node.lid in self._lid_to_port:
+        held = np.flatnonzero(self._lid_switch == node.index)
+        if held.size:
             raise TopologyError(
-                f"{node.name!r} still holds LID {node.lid}; release it first"
+                f"{node.name!r} still holds LID {held[0]}; release it first"
             )
         for port in list(node.connected_ports()):
             link = port.link
@@ -388,6 +389,7 @@ class Topology:
         # state, so a later re-add (same name or same hardware) starts
         # from scratch and round-trips to byte-identical routing.
         self._lft = np.delete(self._lft, node.index, axis=0)
+        self._lid_switch[self._lid_switch > node.index] -= 1
         for idx, sw in enumerate(self._switches):
             sw.index = idx
         node.index = -1
@@ -527,23 +529,56 @@ class Topology:
         """Register that *lid* is reachable at *port*.
 
         Several LIDs may bind to the same HCA port (vSwitch), but one LID
-        binds to exactly one port.
+        binds to exactly one port, and only a unicast LID binds at all.
         """
+        if not 0 < lid <= MAX_UNICAST_LID:
+            raise TopologyError(f"LID {lid} outside unicast range")
         if lid in self._lid_to_port:
             raise TopologyError(f"LID {lid} already bound to a port")
-        self._lid_to_port[lid] = port
+        self._place(lid, port)
 
     def unbind_lid(self, lid: int) -> None:
         """Remove *lid* from the registry."""
         if lid not in self._lid_to_port:
             raise TopologyError(f"LID {lid} is not bound")
         del self._lid_to_port[lid]
+        self._lid_switch[lid] = self._lid_port[lid] = -1
 
     def rebind_lid(self, lid: int, port: Port) -> None:
         """Atomically move *lid* to a new port (a migrated VM's LID)."""
         if lid not in self._lid_to_port:
             raise TopologyError(f"LID {lid} is not bound")
+        self._place(lid, port)
+
+    def _place(self, lid: int, port: Port) -> None:
+        if isinstance(port.node, Switch) and port.num:
+            raise TopologyError(f"{port!r} carries no LID; a switch's LIDs live on port 0")
         self._lid_to_port[lid] = port
+        self._attach(lid, port)
+
+    def _reattach(self, cable: Link) -> None:
+        """Re-read the attachment of every LID bound to an end of the HCA
+        *cable* just plugged or unplugged, and whether its HCA is cabled."""
+        for end in cable.ends:
+            if not isinstance(end.node, Switch):
+                self._attach([lid for lid, port in self._lid_to_port.items() if port is end], end)
+                if any(p.is_connected for p in end.node.ports.values()):
+                    self._uncabled.discard(end.node)
+                else:
+                    self._uncabled.add(end.node)
+
+    def _attach(self, lids, port: Port) -> None:
+        """Point the table at where *port* attaches, for the *lids* bound to
+        it: port 0 of its own switch, else the switch port at the far end
+        of the HCA port's cable; -1 when no switch is there."""
+        if isinstance(port.node, Switch):
+            switch, exit_port = port.node.index, 0
+        elif port.link is None or not isinstance(port.remote.node, Switch):
+            switch = exit_port = -1
+        else:
+            switch, exit_port = port.remote.node.index, port.remote.num
+        self._lid_switch[lids] = switch
+        self._lid_port[lids] = exit_port
 
     def port_of_lid(self, lid: int) -> Optional[Port]:
         """The port a LID is bound to, or None."""
@@ -600,40 +635,43 @@ class Topology:
             link_latency=np.array(latencies, dtype=np.float64),
         )
 
-    def terminals(self) -> List[Terminal]:
-        """Every bound endpoint LID with its switch attachment point.
+    def terminals(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The terminal table up to the highest bound LID: ``lid_switch``,
+        the switch each LID attaches to, and ``lid_port``, its exit port
+        there (0 for a switch's own LID); both -1 for an unbound LID.
+        Read-only views of the live table: copy them to keep a snapshot.
 
-        Switch self-LIDs are excluded — they are handled separately because
-        they terminate *at* a switch rather than through a switch port.
+        Raises :class:`TopologyError` when a bound LID does not attach to
+        a switch: it cannot be routed.
         """
-        out: List[Terminal] = []
-        for lid in sorted(self._lid_to_port):
+        attached = self._lid_port >= 0
+        count = np.count_nonzero(attached)
+        if count < len(self._lid_to_port):
+            bound = np.fromiter(self._lid_to_port, np.int64, len(self._lid_to_port))
+            lid = int(bound[~attached[bound]][0])
             port = self._lid_to_port[lid]
-            if isinstance(port.node, Switch) and port.num == 0:
-                continue  # switch management LID
-            attach = port.remote
-            if attach is None or not isinstance(attach.node, Switch):
-                raise TopologyError(
-                    f"LID {lid} bound to {port!r} which is not attached to a"
-                    " switch; cannot route"
-                )
-            out.append(
-                Terminal(
-                    lid=lid,
-                    switch_index=attach.node.index,
-                    switch_port=attach.num,
-                    hca_port=port,
-                )
+            if not port.is_connected:
+                raise TopologyError(f"LID {lid} bound to unplugged {port!r}")
+            raise TopologyError(
+                f"LID {lid} bound to {port!r} which is not attached to a"
+                " switch; cannot route"
             )
-        return out
+        end = attached.size - int(attached[::-1].argmax()) if count else 1
+        views = self._lid_switch[:end], self._lid_port[:end]
+        for view in views:
+            view.flags.writeable = False
+        return views
 
-    def switch_lids(self) -> Dict[int, int]:
-        """Mapping LID -> switch dense index for switch self-LIDs."""
-        out: Dict[int, int] = {}
-        for lid, port in self._lid_to_port.items():
-            if isinstance(port.node, Switch) and port.num == 0:
-                out[lid] = port.node.index
-        return out
+    def switch_lids(self) -> np.ndarray:
+        """Every switch self-LID, ascending."""
+        return np.flatnonzero(self._lid_port == 0)
+
+    def attachment(self, lid: int) -> Tuple[int, int]:
+        """One LID's row of the terminal table: ``(switch, exit port)``,
+        ``(-1, -1)`` when it is unbound, unattached or not unicast."""
+        if not 0 < lid <= MAX_UNICAST_LID:
+            return -1, -1
+        return int(self._lid_switch[lid]), int(self._lid_port[lid])
 
     # -- validation ---------------------------------------------------------
 
@@ -643,20 +681,16 @@ class Topology:
         Raises :class:`TopologyError` on dangling HCAs, switch islands, or
         LIDs bound to unplugged ports.
         """
-        for hca in self._hcas:
-            if not any(p.is_connected for p in hca.ports.values()):
-                raise TopologyError(f"HCA {hca.name!r} has no cable")
+        if self._uncabled:
+            hca = min(self._uncabled, key=lambda h: h.index)
+            raise TopologyError(f"HCA {hca.name!r} has no cable")
         missing = self.fabric_view().unreached()
         if missing:
             names = [self._switches[i].name for i in missing[:5]]
             raise TopologyError(
                 f"switch fabric is disconnected; unreachable: {names}"
             )
-        for lid, port in self._lid_to_port.items():
-            if isinstance(port.node, Switch) and port.num == 0:
-                continue
-            if not port.is_connected:
-                raise TopologyError(f"LID {lid} bound to unplugged {port!r}")
+        self.terminals()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -52,12 +52,11 @@ class Span:
     #: What :attr:`events` holds once read. Until then an SMP is kept as
     #: ``(time, keys, values)``: a tuple of atoms leaves the cyclic GC's
     #: books at its first collection, an event object and its dict never
-    #: do — and a run records 10^5 of them that are seldom looked at.
-    #: Like :attr:`children` it is the shared empty tuple until the first
-    #: append: most spans keep neither, and a list would stay on the
-    #: GC's books for the whole run.
+    #: do — and a run records 10^5 of them that are seldom looked at. It
+    #: is the shared empty tuple until the first append and a tuple again
+    #: once the span ends, so a closed span keeps no list on the GC's
+    #: books for the rest of the run.
     _events: Sequence[Any] = field(default=(), repr=False)
-    children: Sequence["Span"] = ()
     #: Exact per-span SMP tallies, maintained even when the discrete event
     #: list is capped.
     smp_count: int = 0
@@ -66,13 +65,18 @@ class Span:
     #: The context-variable token of an open span (see
     #: :meth:`repro.obs.hub.ObsHub.start_span`); ``None`` once it ended.
     _token: Any = field(default=None, repr=False, compare=False)
+    #: The children as a chain (first, last, next sibling) rather than a
+    #: list: a span with children keeps no container either.
+    _first: Optional["Span"] = field(default=None, repr=False, compare=False)
+    _last: Optional["Span"] = field(default=None, repr=False, compare=False)
+    _next: Optional["Span"] = field(default=None, repr=False, compare=False)
 
     @property
     def events(self) -> List[SpanEvent]:
         """The span's events, oldest first."""
         events = self._events
-        if not events:
-            events = self._events = []
+        if type(events) is not list:
+            events = self._events = list(events)
         for i, event in enumerate(events):
             if type(event) is tuple:
                 time, keys, values = event
@@ -91,18 +95,19 @@ class Span:
 
     def add_child(self, child: "Span") -> None:
         """Nest *child* under this span."""
-        if self.children:
-            self.children.append(child)  # type: ignore[attr-defined]
+        if self._last is None:
+            self._first = child
         else:
-            self.children = [child]
+            self._last._next = child
+        self._last = child
 
     def add_event(self, name: str, time: float, **attrs: Any) -> None:
         """Record one timestamped event (bounded per span)."""
         if len(self._events) >= MAX_EVENTS_PER_SPAN:
             self.events_dropped += 1
             return
-        if not self._events:
-            self._events = []
+        if type(self._events) is not list:
+            self._events = list(self._events)
         self._events.append(  # type: ignore[attr-defined]
             SpanEvent(time=time, name=name, attributes=attrs)
         )
@@ -132,8 +137,8 @@ class Span:
             self.events_dropped += n - room
             if not room:
                 return
-        if not self._events:
-            self._events = []
+        if type(self._events) is not list:
+            self._events = list(self._events)
         rows = chain.from_iterable(map(repeat, values, counts))
         self._events.extend(  # type: ignore[attr-defined]
             islice(zip(times, repeat(keys), rows), room)
@@ -142,6 +147,8 @@ class Span:
     def end(self, time: float) -> None:
         """Close the span at *time*."""
         self.end_time = time
+        if self._events:
+            self._events = tuple(self._events)
 
     # -- queries -------------------------------------------------------------
 
@@ -156,6 +163,18 @@ class Span:
         if self.end_time is None:
             return 0.0
         return self.end_time - self.start_time
+
+    @property
+    def children(self) -> Sequence["Span"]:
+        """The nested spans, oldest first (the empty tuple if none)."""
+        if self._first is None:
+            return ()
+        out = []
+        child: Optional[Span] = self._first
+        while child is not None:
+            out.append(child)
+            child = child._next
+        return out
 
     def iter_tree(self) -> Iterator["Span"]:
         """This span and every descendant, depth-first."""

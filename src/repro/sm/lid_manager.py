@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.errors import AddressingError
+from repro.errors import AddressingError, TopologyError
 from repro.fabric.addressing import LidAllocator
 from repro.fabric.node import Port
 from repro.fabric.topology import Topology
@@ -72,7 +72,7 @@ class LidManager:
             self.allocator.assign(lid)
         try:
             self.topology.bind_lid(lid, port)
-        except Exception:
+        except TopologyError:
             self.allocator.release(lid)
             raise
         return lid
@@ -95,7 +95,7 @@ class LidManager:
         try:
             for lid in lids:
                 self.topology.bind_lid(lid, port)
-        except Exception:
+        except TopologyError:
             for lid in lids:
                 if self.topology.port_of_lid(lid) is port:
                     self.topology.unbind_lid(lid)

@@ -1,7 +1,7 @@
 """Routing engine infrastructure.
 
 A routing engine consumes a :class:`RoutingRequest` (compact switch graph +
-endpoint terminals) and produces :class:`RoutingTables`: one output port per
+terminal table) and produces :class:`RoutingTables`: one output port per
 (switch, destination LID). The subnet manager then diffs these against the
 switches' current LFTs to derive the SubnSet(LFT) SMPs to send.
 
@@ -26,7 +26,7 @@ from repro.fabric.graph import (
     bfs_distances,
     candidate_table,
 )
-from repro.fabric.topology import SwitchFabricView, Terminal, Topology
+from repro.fabric.topology import SwitchFabricView, Topology
 from repro.sm.routing.cache import RoutingState
 
 __all__ = [
@@ -43,16 +43,17 @@ __all__ = [
 class RoutingRequest:
     """Everything a routing engine needs to compute paths.
 
-    ``terminals`` lists every endpoint LID with its attachment switch/port;
-    ``switch_lids`` maps switch self-LIDs to switch indices. ``level`` (when
-    the topology was built by a fat-tree builder) maps switch index -> tree
-    level for engines that exploit structure (ftree, Up*/Down* root choice).
+    ``lid_switch``/``lid_port`` are a copy of the topology's terminal
+    table up to ``top_lid``: the switch each LID attaches to and its exit
+    port there (0 for a switch's own LID; -1 for an unbound LID).
+    ``level`` (when the topology was built by a fat-tree builder) maps
+    switch index -> tree level for engines that exploit structure (ftree,
+    Up*/Down* root choice).
     """
 
     view: SwitchFabricView
-    terminals: List[Terminal]
-    switch_lids: Dict[int, int]
-    top_lid: int
+    lid_switch: np.ndarray
+    lid_port: np.ndarray
     level: Optional[Dict[int, int]] = None
     root_indices: List[int] = field(default_factory=list)
     #: Builder parameters (e.g. mesh rows/cols) for structure-aware engines.
@@ -62,10 +63,6 @@ class RoutingRequest:
     #: unchanged switch graph cost zero sweeps. ``None`` falls back to
     #: direct (still batched/vectorized) computation.
     state: Optional[RoutingState] = field(default=None, repr=False)
-    _terminal_arrays: Optional[Tuple[np.ndarray, ...]] = field(
-        default=None, repr=False, compare=False
-    )
-    _lid_arrays: Optional[Tuple[np.ndarray, np.ndarray]] = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_topology(
@@ -80,10 +77,8 @@ class RoutingRequest:
         *built* may be a :class:`~repro.fabric.builders.fattree.BuiltTopology`
         whose level/root metadata is translated to dense switch indices.
         """
-        terminals = topology.terminals()
-        switch_lids = topology.switch_lids()
-        lids = [t.lid for t in terminals] + list(switch_lids)
-        if not lids:
+        lid_switch, lid_port = topology.terminals()
+        if lid_port.size == 1:
             raise RoutingError("no LIDs assigned; run LID assignment first")
         level = None
         roots: List[int] = []
@@ -108,9 +103,8 @@ class RoutingRequest:
             hints = dict(getattr(built, "params", {}) or {})
         return cls(
             view=topology.fabric_view(),
-            terminals=terminals,
-            switch_lids=switch_lids,
-            top_lid=max(lids),
+            lid_switch=lid_switch.copy(),
+            lid_port=lid_port.copy(),
             level=level,
             root_indices=roots,
             hints=hints,
@@ -123,29 +117,21 @@ class RoutingRequest:
         return self.view.num_switches
 
     @property
-    def num_lids(self) -> int:
-        """Total consumed LIDs."""
-        return len(self.terminals) + len(self.switch_lids)
+    def top_lid(self) -> int:
+        """The highest bound LID: the tables' last column."""
+        return self.lid_port.size - 1
 
-    def terminals_by_switch(self) -> Dict[int, List[Terminal]]:
-        """Group endpoint terminals by their attachment switch index."""
-        groups: Dict[int, List[Terminal]] = {}
-        for t in self.terminals:
-            groups.setdefault(t.switch_index, []).append(t)
-        return groups
+    @property
+    def lids(self) -> np.ndarray:
+        """Every bound LID, ascending."""
+        return np.flatnonzero(self.lid_port >= 0)
 
-    def dest_groups(self) -> Dict[int, List[int]]:
-        """Destination switch index -> every LID terminating there.
-
-        Covers endpoint terminals and switch self-LIDs — the grouping every
-        destination-routed engine iterates.
-        """
-        groups: Dict[int, List[int]] = {}
-        for t in self.terminals:
-            groups.setdefault(t.switch_index, []).append(t.lid)
-        for lid, sw in self.switch_lids.items():
-            groups.setdefault(sw, []).append(lid)
-        return groups
+    def dest_groups(self) -> Dict[int, np.ndarray]:
+        """Destination switch index -> every LID terminating there,
+        ascending: the endpoint LIDs attached to it and its own LIDs —
+        the grouping every destination-routed engine iterates."""
+        lids = self.lids
+        return group_lids(lids, self.lid_switch[lids])
 
     # -- shared-cache accessors (fall back to direct computation) -----------
 
@@ -161,36 +147,13 @@ class RoutingRequest:
             return self.state.row(source)
         return bfs_distances(self.view, source)
 
-    # -- cached lookup structures -------------------------------------------
 
-    def terminal_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(lids, switch_indices, switch_ports)`` of every terminal."""
-        if self._terminal_arrays is None:
-            lids = np.fromiter(
-                (t.lid for t in self.terminals), dtype=np.int64,
-                count=len(self.terminals),
-            )
-            sws = np.fromiter(
-                (t.switch_index for t in self.terminals), dtype=np.int64,
-                count=len(self.terminals),
-            )
-            prts = np.fromiter(
-                (t.switch_port for t in self.terminals), dtype=np.int16,
-                count=len(self.terminals),
-            )
-            self._terminal_arrays = (lids, sws, prts)
-        return self._terminal_arrays
-
-    def lid_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(lids, dest_switch)`` of every LID: the terminals in
-        :meth:`terminal_arrays` order, then the switch self-LIDs."""
-        if self._lid_arrays is None:
-            lids, sws, _ = self.terminal_arrays()
-            self._lid_arrays = (
-                np.concatenate([lids, np.fromiter(self.switch_lids, np.int64)]),
-                np.concatenate([sws, np.fromiter(self.switch_lids.values(), np.int64)]),
-            )
-        return self._lid_arrays
+def group_lids(lids: np.ndarray, switches: np.ndarray) -> Dict[int, np.ndarray]:
+    """``switch -> lids[switches == switch]`` for every switch present,
+    ascending, each group in *lids*' order: one stable argsort + split."""
+    order = np.argsort(switches, kind="stable")
+    keys, starts = np.unique(switches[order], return_index=True)
+    return dict(zip(keys.tolist(), np.split(lids[order], starts[1:])))
 
 
 @dataclass
@@ -264,14 +227,12 @@ class RoutingAlgorithm(abc.ABC):
     ) -> None:
         """Fill the entries every engine agrees on.
 
-        Terminal LIDs exit at their attachment ports on their own leaf
+        Endpoint LIDs exit at their attachment ports on their own leaf
         switch; a switch's own LID maps to port 0 (the management port).
-        One fancy-indexed scatter per class of entry.
+        One fancy-indexed scatter of the terminal table.
         """
-        lids, sws, prts = request.terminal_arrays()
-        ports[sws, lids] = prts
-        lids, dest = request.lid_arrays()
-        ports[dest[len(prts):], lids[len(prts):]] = 0
+        lids = request.lids
+        ports[request.lid_switch[lids], lids] = request.lid_port[lids]
 
     @staticmethod
     def _assign_lid_mod(

@@ -271,18 +271,15 @@ class RoutingState:
         """MinHop's ``ports`` over :meth:`candidate_table`, as a copy.
 
         The last fill is kept with what it read besides the table: its
-        shape and, per LID column, the destination switch and exit port
-        (0 for a switch's own LID, -1 for an unbound column). Under an
+        shape and the request's terminal table, the destination switch and
+        exit port of every LID column. Under an
         equal shape it is re-gathered only at the LID columns whose
         destination or exit moved (a migrated, bound or released LID),
         then at the planes' LID columns and the rows repaired since."""
         table = self.candidate_table()
-        lids, dests = request.lid_arrays()
-        exits = request.terminal_arrays()[2]
-        key = np.full((2, request.top_lid + 1), -1, dtype=np.int64)
-        key[0, lids] = dests
-        key[1, lids] = 0
-        key[1, lids[: len(exits)]] = exits
+        key = np.stack([request.lid_switch, request.lid_port])
+        lids = request.lids
+        dests = request.lid_switch[lids]
         ports, (planes, rows) = self._kept_fill, self._moved
         moved = "repaired" if planes or rows else "kept"
         if ports is None or ports.shape != (request.num_switches, key.shape[1]):

@@ -75,15 +75,11 @@ class DFSSSPRouting(RoutingAlgorithm):
         # onto the dedicated management lane (VL15); like the production
         # implementation we keep data-VL layering to endpoint destinations
         # and tag switch LIDs with the management lane.
-        terminal_lids = {t.lid for t in request.terminals}
-        dests: List[Tuple[int, int]] = []  # (lid, dest switch)
-        for t in request.terminals:
-            dests.append((t.lid, t.switch_index))
-        for lid, sw in request.switch_lids.items():
-            dests.append((lid, sw))
-        dests.sort()
+        lids = request.lids
+        terminal = (request.lid_port[lids] > 0).tolist()
+        dests = zip(lids.tolist(), request.lid_switch[lids].tolist())
 
-        dest_lanes = np.full(len(dests), MANAGEMENT_VL, dtype=np.int8)
+        dest_lanes = np.full(len(lids), MANAGEMENT_VL, dtype=np.int8)
         num_vls_used = 1
 
         esrc = edge_sources(view)
@@ -95,14 +91,14 @@ class DFSSSPRouting(RoutingAlgorithm):
             parent_edge = sweep.tree(weights, dest_sw)
             self._apply_tree(request, view, ports, lid, dest_sw, parent_edge)
             sweep.update_weights(weights, rev, dest_sw, parent_edge)
-            if lid in terminal_lids:
+            if terminal[i]:
                 vl = self._assign_layer(layers, esrc, cid_edge, rev, parent_edge)
                 dest_lanes[i] = vl
                 num_vls_used = max(num_vls_used, vl + 1)
 
         # One lane per destination column, in every source row.
         lanes = np.full(ports.shape, NO_LANE, dtype=np.int8)
-        lanes[:, [lid for lid, _ in dests]] = dest_lanes
+        lanes[:, lids] = dest_lanes
         return RoutingTables(
             algorithm=self.name,
             ports=ports,

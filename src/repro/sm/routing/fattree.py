@@ -26,6 +26,7 @@ from repro.sm.routing.base import (
     RoutingAlgorithm,
     RoutingRequest,
     RoutingTables,
+    group_lids,
 )
 
 __all__ = ["FatTreeRouting"]
@@ -73,20 +74,15 @@ class FatTreeRouting(RoutingAlgorithm):
         # terminal, plus the self-LIDs of level-0 switches (routing toward a
         # leaf switch is identical to routing toward a host below it — the
         # leaf's own LFT entry is port 0, set by _program_local_entries).
-        leaf_groups: Dict[int, List[int]] = {}
-        for t in request.terminals:
-            leaf_groups.setdefault(t.switch_index, []).append(t.lid)
-        for lid, dest_sw in request.switch_lids.items():
-            if level[dest_sw] == 0:
-                leaf_groups.setdefault(dest_sw, []).append(lid)
+        lids = request.lids
+        dest = request.lid_switch[lids]
+        leafward = (request.lid_port[lids] > 0) | (level[dest] == 0)
+        leaf_lids = lids[leafward]
+        leaf_groups = group_lids(leaf_lids, dest[leafward])
 
         # Up entries do not depend on the destination leaf: every switch
         # with up ports spreads all of these LIDs by lid % up_count, one
         # 1-D gather per switch ...
-        leaf_lids = np.array(
-            [lid for group in leaf_groups.values() for lid in group],
-            dtype=np.int64,
-        )
         for s, lst in enumerate(up_ports):
             if lst:
                 ports[s, leaf_lids] = np.array(sorted(lst))[leaf_lids % len(lst)]
@@ -109,10 +105,7 @@ class FatTreeRouting(RoutingAlgorithm):
         # Upper-level switch self-LIDs: equal-cost min-hop columns
         # (management traffic is not bandwidth critical); their candidates
         # are one kernel call and one gather.
-        lids, dest = (
-            a[len(request.terminals):] for a in request.lid_arrays()
-        )
-        upper = level[dest] > 0
+        upper = ~leafward
         if upper.any():
             dests, planes = np.unique(dest[upper], return_inverse=True)
             cols = self._columns_toward(request, level, dests)

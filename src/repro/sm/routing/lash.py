@@ -78,7 +78,10 @@ class LashRouting(RoutingAlgorithm):
         # terminal-bearing (leaf) switches need data-VL layering; paths to
         # switch self-LIDs carry management traffic on VL15 (as in
         # :mod:`repro.sm.routing.dfsssp`).
-        terminal_switches = sorted({t.switch_index for t in request.terminals})
+        exits = request.lid_port > 0
+        bearing = np.zeros(view.num_switches, dtype=bool)
+        bearing[request.lid_switch[exits]] = True
+        terminal_switches = np.flatnonzero(bearing).tolist()
         table = channel_table(view)
         # "kahn" mode = a full acyclicity test per pair attempt, the
         # published LASH cost model (and what keeps it Fig. 7's slowest).
@@ -123,11 +126,9 @@ class LashRouting(RoutingAlgorithm):
 
         # lanes[s, lid] = layer(s, switch(lid)); switch self-LIDs carry
         # management traffic on VL15 from every row.
-        lids, dest = request.lid_arrays()
-        k = len(request.terminals)
         lanes = np.full(ports.shape, NO_LANE, dtype=np.int8)
-        lanes[:, lids[:k]] = layer[:, dest[:k]]
-        lanes[:, lids[k:]] = MANAGEMENT_VL
+        lanes[:, exits] = layer[:, request.lid_switch[exits]]
+        lanes[:, request.lid_port == 0] = MANAGEMENT_VL
         return RoutingTables(
             algorithm=self.name,
             ports=ports,

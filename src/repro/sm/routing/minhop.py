@@ -18,7 +18,7 @@ Two balancing policies are provided:
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -57,7 +57,8 @@ class MinHopRouting(RoutingAlgorithm):
             self._program_local_entries(ports, request)
             if self.balance == "lid-mod":  # one full fill, the kept one's oracle
                 table = candidate_table(request.view, dist)
-                self._assign_lid_mod(ports, table, *request.lid_arrays())
+                lids = request.lids
+                self._assign_lid_mod(ports, table, lids, request.lid_switch[lids])
             else:
                 # Destination switch index -> LIDs that terminate there
                 # (or at an endpoint hanging off it).
@@ -76,16 +77,15 @@ class MinHopRouting(RoutingAlgorithm):
         request: RoutingRequest,
         dist: np.ndarray,
         ports: np.ndarray,
-        dest_groups: Dict[int, List[int]],
+        dest_groups: Dict[int, np.ndarray],
     ) -> None:
         view = request.view
         n = request.num_switches
         # load[(switch, port)] = number of destination LIDs routed via it.
         load: Dict[tuple, int] = {}
-        for dest_sw in sorted(dest_groups):
-            lids = sorted(dest_groups[dest_sw])
+        for dest_sw, lids in dest_groups.items():  # both ascending
             col = dist[:, dest_sw]
-            for lid in lids:
+            for lid in lids.tolist():
                 for s in range(n):
                     if col[s] <= 0:
                         continue

@@ -71,19 +71,18 @@ def link_loads(
     cannot be balanced). A LID no terminal or switch owns is a
     :class:`~repro.errors.RoutingError`, as source and as destination.
     """
-    attach: Dict[int, int] = {
-        t.lid: t.switch_index for t in request.terminals
-    }
+    def exit_of(lid: int) -> int:  # -1: unbound
+        return int(request.lid_port[lid]) if 0 <= lid <= request.top_lid else -1
+
     view = request.view
     peer_of = port_to_peer(view)
     loads: Dict[Tuple[int, int], int] = {}
     for src_lid, dst_lid in flows:
-        try:
-            cur = attach[src_lid]
-        except KeyError:
-            raise RoutingError(f"source LID {src_lid} has no attachment") from None
-        if dst_lid not in attach and dst_lid not in request.switch_lids:
+        if exit_of(src_lid) <= 0:
+            raise RoutingError(f"source LID {src_lid} has no attachment")
+        if exit_of(dst_lid) < 0:
             raise RoutingError(f"destination LID {dst_lid} is not bound")
+        cur = int(request.lid_switch[src_lid])
         guard = 0
         while True:
             out = tables.port_for(cur, dst_lid)

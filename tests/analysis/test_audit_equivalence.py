@@ -21,6 +21,7 @@ from tests.analysis.test_verification import (
     sm_divergence,
 )
 from tests.oracles.delivery import faulty_lids
+from tests.oracles.terminals import terminals
 
 _settings = settings(
     max_examples=40,
@@ -87,7 +88,7 @@ class TestFixtures:
         # at the destination switch's own entry.
         sm = configured(build_single_switch(4))
         assert_agree(sm)
-        victim = sm.topology.terminals()[0]
+        victim = terminals(sm.topology)[0]
         sm.topology.set_lft(0, victim.lid, victim.switch_port % 4 + 1)
         assert_agree(sm)
         assert faulty_lids(sm.topology) == [victim.lid]

@@ -28,6 +28,7 @@ from repro.sm.routing.vl import corrupt_assignment
 from repro.sm.subnet_manager import SubnetManager
 from tests.oracles.cdg import routing_is_deadlock_free
 from tests.oracles.delivery import request_maps, trace_path, validate
+from tests.oracles.terminals import endpoints, switch_lids
 
 CASES = [(c.preset, c.engine) for c in default_cases()]
 
@@ -46,7 +47,7 @@ def routed(preset, engine):
 
 
 def oracle_faulty_lids(tables, request):
-    lids = [t.lid for t in request.terminals] + list(request.switch_lids)
+    lids = [t.lid for t in endpoints(request)] + list(switch_lids(request))
     maps = request_maps(request)
     bad = set()
     for lid in lids:
@@ -76,7 +77,7 @@ class TestDelivery:
     @pytest.mark.parametrize("preset,engine", CASES)
     def test_a_black_hole_fails_both(self, preset, engine):
         topology, tables, request = routed(preset, engine)
-        t = request.terminals[-1]
+        t = endpoints(request)[-1]
         tables.ports[(t.switch_index + 1) % request.num_switches, t.lid] = LFT_UNSET
         with pytest.raises(RoutingError):
             validate(tables, request)
@@ -109,7 +110,7 @@ class TestRandomCorruptions:
     )
     def test_oracle_and_kernel_name_the_same_lids(self, preset, engine, cells):
         topology, tables, request = routed(preset, engine)
-        lids = [t.lid for t in request.terminals] + list(request.switch_lids)
+        lids = [t.lid for t in endpoints(request)] + list(switch_lids(request))
         for sw_draw, lid_draw, port in cells:
             tables.ports[sw_draw % request.num_switches, lids[lid_draw % len(lids)]] = (
                 LFT_UNSET if port is None else port

@@ -206,6 +206,19 @@ class TestLimitedSweep:
         with pytest.raises(ReconfigError):
             rec.swap_lids(lid_a, lid_b, limit_switches={leaf_a.index})
 
+    def test_a_limit_spanning_two_attachment_leaves_is_refused(self, configured):
+        """Both LIDs inside the limit is not enough: the switches outside
+        it keep routing each LID toward its old leaf, where the swapped
+        entry now points elsewhere — so the swap is refused up front."""
+        built, sm, h_a, h_b, lid_a, lid_b = configured
+        limit = {h_a.uplink_switch().index, h_b.uplink_switch().index}
+        before = built.topology.lft.copy()
+        sent = sm.transport.stats.total_smps
+        with pytest.raises(ReconfigError, match="at one switch"):
+            VSwitchReconfigurer(sm).swap_lids(lid_a, lid_b, limit_switches=limit)
+        assert sm.transport.stats.total_smps == sent
+        assert (built.topology.lft == before).all()
+
     def test_intra_leaf_limited_swap(self, configured):
         built, sm, h_a, h_b, lid_a, lid_b = configured
         topo = built.topology
@@ -220,6 +233,21 @@ class TestLimitedSweep:
         report = rec.swap_lids(lid_a, lid_c, limit_switches={leaf.index})
         assert report.switches_updated == 1
         assert report.lft_smps == 1
+
+    def test_the_limit_check_reads_only_the_lids_it_moves(self, configured):
+        """A LID stranded elsewhere in the subnet does not refuse an
+        intra-leaf limited swap: only the swapped LIDs' rows are read."""
+        built, sm, h_a, h_b, lid_a, lid_b = configured
+        topo = built.topology
+        lid_c = sm.lid_manager.assign_extra_lid(topo.hcas[1].port(1))
+        sm.compute_routing()
+        sm.distribute()
+        topo.remove_link(h_b.port(1).link)  # lid_b now attaches nowhere
+        leaf = h_a.uplink_switch()
+        report = VSwitchReconfigurer(sm).swap_lids(lid_a, lid_c, limit_switches={leaf.index})
+        assert report.lft_smps == 1
+        with pytest.raises(ReconfigError, match="at one switch"):
+            VSwitchReconfigurer(sm).swap_lids(lid_a, lid_b, limit_switches={leaf.index})
 
 
 # -- the column-edit kernel against the packet-by-packet oracle -------------

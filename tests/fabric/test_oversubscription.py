@@ -14,6 +14,7 @@ from repro.sm.subnet_manager import SubnetManager, path_computations
 from repro.virt.cloud import CloudManager
 from repro.workloads.traffic import all_to_all_flows, link_loads
 from tests.oracles.delivery import validate
+from tests.oracles.terminals import by_switch, endpoints
 
 
 def routed(built, engine="ftree"):
@@ -36,7 +37,7 @@ class TestOversubscribed:
         loads = {}
         for name, built in (("1:1", balanced), ("2:1", oversub)):
             sm, req = routed(built)
-            lids = [t.lid for t in req.terminals]
+            lids = [t.lid for t in endpoints(req)]
             loads[name] = link_loads(
                 sm.current_tables, req, all_to_all_flows(lids)
             ).max_load
@@ -66,7 +67,7 @@ class TestParallelSpineCables:
         validate(sm.current_tables, req)
         # A remote leaf should use more than 2 distinct up ports (2 spines
         # x 2 cables available).
-        groups = req.terminals_by_switch()
+        groups = by_switch(req)
         leaf, terms = next(iter(groups.items()))
         other = next(l for l in groups if l != leaf)
         up_ports = {sm.current_tables.port_for(other, t.lid) for t in terms}

@@ -136,12 +136,10 @@ class TestViews:
         topo.bind_lid(1, s0.management_port)
         topo.bind_lid(3, h0.port(1))
         topo.bind_lid(4, h1.port(1))
-        terms = topo.terminals()
-        assert [(t.lid, t.switch_index, t.switch_port) for t in terms] == [
-            (3, 0, 1),
-            (4, 1, 1),
-        ]
-        assert topo.switch_lids() == {1: 0}
+        lid_switch, lid_port = topo.terminals()
+        assert lid_switch.tolist() == [-1, 0, -1, 0, 1]
+        assert lid_port.tolist() == [-1, 0, -1, 1, 1]
+        assert topo.switch_lids().tolist() == [1]
 
     def test_terminal_on_unattached_port_rejected(self):
         topo = Topology()
@@ -155,6 +153,47 @@ class TestValidation:
     def test_valid_topology_passes(self):
         topo, *_ = tiny()
         topo.validate()
+
+    def test_an_unplugged_hca_fails_whether_or_not_it_holds_lids(self):
+        topo, s0, s1, h0, h1 = tiny()
+        for lid, port in enumerate((s0.management_port, s1.management_port, h0.port(1)), 1):
+            topo.bind_lid(lid, port)
+        topo.validate()  # h1 holds no LID
+        topo.bind_lid(4, h1.port(1))
+        topo.validate()
+        topo.remove_link(h1.port(1).link)
+        with pytest.raises(TopologyError, match="'h1' has no cable"):
+            topo.validate()
+
+    def test_an_hca_cable_pulled_out_of_band_fails(self):
+        """A raw ``Link.disconnect()`` bypasses the topology's methods;
+        the table and the uncabled HCAs must still hear of it."""
+        topo, s0, s1, h0, h1 = tiny()
+        topo.bind_lid(1, s0.management_port)
+        topo.bind_lid(2, s1.management_port)
+        topo.bind_lid(3, h0.port(1))
+        h0.port(1).link.disconnect()
+        assert topo.attachment(3) == (-1, -1)
+        with pytest.raises(TopologyError, match="LID 3 bound to unplugged"):
+            topo.terminals()
+        with pytest.raises(TopologyError, match="'h0' has no cable"):
+            topo.validate()
+        topo.connect(h0, 1, s0, 1)
+        assert topo.attachment(3) == (0, 1)
+        topo.validate()
+
+    def test_a_two_port_hca_with_one_live_cable_still_strands_the_lids_of_the_other(self):
+        topo = Topology()
+        s = topo.add_switch("s", 4)
+        h = topo.add_hca("h", num_ports=2)
+        topo.connect(h, 1, s, 1)
+        topo.connect(h, 2, s, 2)
+        topo.bind_lid(1, s.management_port)
+        topo.bind_lid(2, h.port(2))
+        topo.validate()
+        h.port(2).link.disconnect()
+        with pytest.raises(TopologyError, match="LID 2 bound to unplugged"):
+            topo.validate()
 
     def test_dangling_hca_fails(self):
         topo = Topology()

@@ -153,6 +153,31 @@ class TestSpans:
         assert [e.time for e in outer.events] == [0.0]
         assert outer.children == [bare]
 
+    def test_a_closed_span_with_events_and_children_keeps_no_container(self):
+        """Children are a chain through the spans themselves, and a closed
+        span's SMP triples sit in a tuple: once the collector has let go
+        of the triples (they are older than the span's end; a fresh row
+        of values takes it one pass more), the tuple leaves its books at
+        its first collection."""
+        with span("outer") as outer:
+            _smps(outer, [0.0, 1.0], True)
+            for name in ("a", "b", "c"):
+                with span(name):
+                    pass
+            gc.collect()
+            gc.collect()
+            assert not any(gc.is_tracked(triple) for triple in outer._events)
+            assert type(outer._events) is list and gc.is_tracked(outer._events)
+        assert type(outer._events) is tuple
+        gc.collect()
+        assert not gc.is_tracked(outer._events)
+        assert [c.name for c in outer.children] == ["a", "b", "c"]
+        assert not [
+            ref for ref in gc.get_referents(outer)
+            if type(ref) in (list, dict) and gc.is_tracked(ref)
+        ]
+        assert [e.time for e in outer.events] == [0.0, 1.0]
+
     def test_reset_hub_clears_everything(self):
         with span("stale"):
             get_hub().advance(1.0)

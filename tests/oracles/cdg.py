@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.sm.routing.base import RoutingRequest, RoutingTables
 from tests.oracles.delivery import request_maps, trace_path
+from tests.oracles.terminals import endpoints, switch_lids
 
 __all__ = [
     "Channel",
@@ -144,7 +145,7 @@ def lane_dependency_sets(
     lane-indexed checks.
     """
     if lids is None:
-        lids = [t.lid for t in request.terminals] + list(request.switch_lids)
+        lids = [t.lid for t in endpoints(request)] + list(switch_lids(request))
     maps = request_maps(request)
     out: Dict[int, Set[Dependency]] = {}
     for lid in lids:

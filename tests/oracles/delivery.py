@@ -19,6 +19,7 @@ from repro.errors import ReproError, RoutingError, UnreachableLidError
 from repro.fabric.node import Switch
 from repro.fabric.topology import Topology
 from repro.sm.routing.base import RoutingRequest, RoutingTables
+from tests.oracles.terminals import endpoints, switch_lids
 
 __all__ = ["walk_delivery", "faulty_lids", "request_maps", "trace_path", "validate"]
 
@@ -94,7 +95,7 @@ def request_maps(request: RoutingRequest) -> Maps:
     """``(switch, port) -> {LIDs delivered there}`` and ``(switch, port)
     -> neighbour switch`` of the request's own snapshot."""
     acc: Dict[Tuple[int, int], set] = {}
-    for t in request.terminals:
+    for t in endpoints(request):
         acc.setdefault((t.switch_index, t.switch_port), set()).add(t.lid)
     via: Dict[Tuple[int, int], int] = {}
     for s in range(request.num_switches):
@@ -122,7 +123,8 @@ def trace_path(
     term_at, neighbor_via_port = (
         maps if maps is not None else request_maps(request)
     )
-    dest_switch = request.switch_lids.get(dest_lid)
+    own = 0 <= dest_lid <= request.top_lid and request.lid_port[dest_lid] == 0
+    dest_switch = int(request.lid_switch[dest_lid]) if own else None
     path = [src_switch]
     cur = src_switch
     for _ in range(max_hops):
@@ -157,7 +159,7 @@ def trace_path(
 
 def validate(tables: RoutingTables, request: RoutingRequest) -> None:
     """Every LID reachable from every switch, loop-free; raises otherwise."""
-    all_lids = [t.lid for t in request.terminals] + list(request.switch_lids)
+    all_lids = [t.lid for t in endpoints(request)] + list(switch_lids(request))
     maps = request_maps(request)
     for src in range(request.num_switches):
         for lid in all_lids:

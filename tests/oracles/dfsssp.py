@@ -19,6 +19,7 @@ from repro.sm.routing.base import RoutingRequest, RoutingTables
 from repro.sm.routing.dfsssp import DFSSSPRouting, _reverse_edge_index
 from repro.sm.routing.vl import MANAGEMENT_VL, NO_LANE
 from tests.oracles.cdg import ChannelDependencyGraph
+from tests.oracles.terminals import endpoints, switch_lids
 
 __all__ = ["ReferenceDFSSSPRouting"]
 
@@ -33,11 +34,12 @@ class ReferenceDFSSSPRouting(DFSSSPRouting):
         weights = np.ones(len(view.peer), dtype=np.float64)
         rev = _reverse_edge_index(view)
 
-        terminal_lids = {t.lid for t in request.terminals}
+        terminals = endpoints(request)
+        terminal_lids = {t.lid for t in terminals}
         dests: List[Tuple[int, int]] = []  # (lid, dest switch)
-        for t in request.terminals:
+        for t in terminals:
             dests.append((t.lid, t.switch_index))
-        for lid, sw in request.switch_lids.items():
+        for lid, sw in switch_lids(request).items():
             dests.append((lid, sw))
         dests.sort()
 

@@ -17,6 +17,7 @@ from repro.sm.routing.base import RoutingRequest, RoutingTables
 from repro.sm.routing.lash import LashRouting
 from repro.sm.routing.vl import MANAGEMENT_VL, NO_LANE
 from tests.oracles.cdg import ChannelDependencyGraph, Dependency
+from tests.oracles.terminals import endpoints, switch_lids
 
 __all__ = ["ReferenceLashRouting"]
 
@@ -30,10 +31,11 @@ class ReferenceLashRouting(LashRouting):
         self._program_local_entries(ports, request)
 
         # Destination switch -> LIDs terminating there.
+        terminals, own_lids = endpoints(request), switch_lids(request)
         dest_groups: Dict[int, List[int]] = {}
-        for t in request.terminals:
+        for t in terminals:
             dest_groups.setdefault(t.switch_index, []).append(t.lid)
-        for lid, sw in request.switch_lids.items():
+        for lid, sw in own_lids.items():
             dest_groups.setdefault(sw, []).append(lid)
 
         trees: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
@@ -44,7 +46,7 @@ class ReferenceLashRouting(LashRouting):
                 mask = nxt >= 0
                 ports[mask, lid] = port_arr[mask]
 
-        terminal_switches = sorted({t.switch_index for t in request.terminals})
+        terminal_switches = sorted({t.switch_index for t in terminals})
         layers = [ChannelDependencyGraph() for _ in range(self.max_vls)]
         pair_to_vl: Dict[Tuple[int, int], int] = {}
         num_vls_used = 1
@@ -65,9 +67,9 @@ class ReferenceLashRouting(LashRouting):
                     )
 
         lanes = np.full(ports.shape, NO_LANE, dtype=np.int8)
-        for lid in request.switch_lids:
+        for lid in own_lids:
             lanes[:, lid] = MANAGEMENT_VL
-        for term in request.terminals:
+        for term in terminals:
             t = term.switch_index
             lanes[t, term.lid] = 0
             for s in terminal_switches:

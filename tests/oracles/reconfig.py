@@ -112,7 +112,7 @@ class PacketByPacketReconfigurer:
             raise ReconfigError("template and target LIDs must differ")
         self._check_lid_known(template_lid)
         if limit_switches is not None:
-            self._check_limit_safe((template_lid,), limit_switches)
+            self._check_limit_safe((template_lid, target_lid), limit_switches)
         report = LftReport(mode="copy")
         before = self.sm.transport.stats.snapshot()
         block = lft_block_of(target_lid)
@@ -163,7 +163,7 @@ class PacketByPacketReconfigurer:
             self._check_lid_known(template_lid)
         if limit_switches is not None:
             self._check_limit_safe(
-                tuple(t for t, _ in pairs), limit_switches
+                tuple(t for pair in pairs for t in pair), limit_switches
             )
         report = LftReport(mode="copy-batch")
         before = self.sm.transport.stats.snapshot()
@@ -334,20 +334,21 @@ class PacketByPacketReconfigurer:
 
     def _check_limit_safe(self, lids, limit_switches: Set[int]) -> None:
         """A skyline-limited update is only correct when every involved LID
-        terminates inside the limited region: switches outside keep stale
-        entries, which still deliver only if they point toward the region.
-        That is guaranteed for the intra-leaf case (both hypervisors behind
-        one leaf), which is what we validate."""
+        (a copy's targets too) attaches at one switch inside the limited
+        region: switches outside keep their old entries, which still
+        deliver only if every moved LID still terminates where they lead.
+        That is the intra-leaf case (both hypervisors behind one leaf),
+        which is what we validate."""
+        where = set()
         for lid in lids:
             port = self.sm.topology.port_of_lid(lid)
-            if port is None:
-                raise ReconfigError(f"LID {lid} is not bound")
-            attach = port.remote
-            if attach is None or attach.node.index not in limit_switches:
-                raise ReconfigError(
-                    f"LID {lid} does not attach within the limited switch"
-                    " set; a restricted update would strand traffic"
-                )
+            attach = None if port is None else port.remote
+            where.add(-1 if attach is None else attach.node.index)
+        if len(where) > 1 or not where <= limit_switches:
+            raise ReconfigError(
+                f"LIDs {sorted(lids)} do not attach at one switch within the"
+                " limited switch set; a restricted update would strand traffic"
+            )
 
     def _send_blocks(
         self,

@@ -45,6 +45,7 @@ from repro.sm.routing.fattree import FatTreeRouting
 from repro.sm.routing.registry import create_engine
 from repro.sm.subnet_manager import SubnetManager
 from tests.oracles.candidates import equal_cost_candidates
+from tests.oracles.terminals import attachments, terminals
 from tests.sm.test_mutation_properties import plan_op
 
 PRESETS = sorted(set(preset_builders()) - {"paper-5832"})
@@ -235,7 +236,10 @@ def test_minhop_picks_csr_order_candidate_lid_mod_count(preset):
     view = built.topology.fabric_view()
     dist = all_pairs_switch_distances(view)
     ports = sm.current_tables.ports
-    for dest_sw, lids in sm.last_request.dest_groups().items():
+    groups = {}
+    for lid, (dest_sw, _) in attachments(built.topology).items():
+        groups.setdefault(dest_sw, []).append(lid)
+    for dest_sw, lids in groups.items():
         cand, counts = equal_cost_candidates(view, dist[:, dest_sw])
         for s in range(view.num_switches):
             if s == dest_sw:
@@ -303,7 +307,7 @@ def run_chain(sm, steps):
             if extra and pick % 2:
                 sm.lid_manager.release_lid(extra.pop())
             else:
-                terms = topo.terminals()
+                terms = terminals(topo)
                 port = topo.port_of_lid(terms[pick % len(terms)].lid)
                 extra.append(sm.lid_manager.assign_extra_lid(port))
         else:
@@ -511,7 +515,7 @@ def test_warm_compute_builds_no_candidate_row(kernel_calls):
     assert kernel_calls == [(n, n)]  # the cold build, once
     del kernel_calls[:]
     sm.compute_routing()
-    port = sm.topology.port_of_lid(sm.topology.terminals()[0].lid)
+    port = sm.topology.port_of_lid(terminals(sm.topology)[0].lid)
     sm.lid_manager.assign_extra_lid(port)  # LID churn: still warm
     sm.compute_routing()
     assert kernel_calls == []

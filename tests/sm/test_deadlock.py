@@ -22,6 +22,7 @@ from repro.sm.routing.cdg_array import dependency_keys
 from repro.sm.routing.registry import create_engine
 from repro.sm.subnet_manager import SubnetManager
 from tests.oracles.cdg import ChannelDependencyGraph
+from tests.oracles.terminals import endpoints
 
 
 def request_for(built):
@@ -112,14 +113,14 @@ class TestRoutingDeadlockFreedom:
         req = request_for(built)
         tables = create_engine("minhop").compute(req)
         snap = snapshot(built, tables)
-        lid = req.terminals[0].lid
+        lid = endpoints(req)[0].lid
         _, nxt = _successor_matrices(snap, np.array([lid]))
         n = snap.num_switches
         keys = dependency_keys(nxt)
         assert keys.size
         # 2-level fat-tree: longest chains are leaf->spine->leaf, so every
         # dependency's second channel ends at the destination leaf.
-        dest = req.terminals[0].switch_index
+        dest = endpoints(req)[0].switch_index
         assert set(((keys % (n * n)) % n).tolist()) == {dest}
 
 
@@ -139,8 +140,8 @@ class TestTransition:
         req = request_for(built)
         tables = create_engine("updn").compute(req)
         new = tables.ports.copy()
-        a = req.terminals[0].lid
-        b = req.terminals[-1].lid
+        a = endpoints(req)[0].lid
+        b = endpoints(req)[-1].lid
         new[:, [a, b]] = new[:, [b, a]]
         old_snap = snapshot(built, tables)
         new_snap = snapshot(built, tables, new)

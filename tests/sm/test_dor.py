@@ -9,6 +9,7 @@ from repro.sm.routing.base import RoutingRequest
 from repro.sm.routing.registry import create_engine
 from repro.sm.subnet_manager import SubnetManager
 from tests.oracles.delivery import trace_path, validate
+from tests.oracles.terminals import endpoints
 
 
 def request_for(built):
@@ -36,7 +37,7 @@ class TestMesh:
         tables = create_engine("dor").compute(req)
         # From (0,0) toward a terminal at (2,2): first hop must go along
         # the row (to (0,1)), never down first.
-        dest = next(t for t in req.terminals if t.switch_index == 8)
+        dest = next(t for t in endpoints(req) if t.switch_index == 8)
         path = trace_path(tables, req, 0, dest.lid)
         assert path[1] == 1  # (0,1), not (1,0) which is index 3
 
@@ -64,7 +65,7 @@ class TestTorus:
         req = request_for(build_torus_2d(3, 5, 1))
         tables = create_engine("dor").compute(req)
         # (0,0) -> (0,4): the wrap (1 hop) beats walking the row (4 hops).
-        dest = next(t for t in req.terminals if t.switch_index == 4)
+        dest = next(t for t in endpoints(req) if t.switch_index == 4)
         path = trace_path(tables, req, 0, dest.lid)
         assert len(path) == 2
 

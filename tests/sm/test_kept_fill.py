@@ -22,6 +22,7 @@ from repro.obs import get_hub
 from repro.sm.routing.base import RoutingRequest
 from repro.sm.routing.registry import create_engine
 from repro.sm.subnet_manager import SubnetManager
+from tests.oracles.terminals import terminals
 
 
 def make_sm():
@@ -58,16 +59,16 @@ def refill_cells(sm, before, link_ends):
     the cable's two end rows."""
     after = sm.routing_state.distances()
     changed = np.flatnonzero((before != after).any(axis=1))
-    lids, dests = sm.last_request.lid_arrays()
-    moved_lids = int(np.isin(dests, changed).sum())
+    request = sm.last_request
+    lids = request.lids
+    moved_lids = int(np.isin(request.lid_switch[lids], changed).sum())
     return after.shape[0] * moved_lids + len(link_ends) * len(lids)
 
 
 class TestSpanReportsTheFillPath:
     def test_cold_compute_builds_and_fills_everything(self):
         sm = make_sm()
-        lids, _ = sm.last_request.lid_arrays()
-        assert last_fill(sm) == ("rebuilt", "full", 12 * len(lids))
+        assert last_fill(sm) == ("rebuilt", "full", 12 * len(sm.last_request.lids))
 
     def test_unchanged_graph_keeps_table_and_fill(self):
         sm = make_sm()
@@ -80,8 +81,7 @@ class TestSpanReportsTheFillPath:
     def test_switch_removal_rebuilds_and_fills_everything(self):
         sm = make_sm()
         sm.handle_switch_failure(sm.topology.node("spine0"))
-        lids, _ = sm.last_request.lid_arrays()
-        assert last_fill(sm) == ("rebuilt", "full", 11 * len(lids))
+        assert last_fill(sm) == ("rebuilt", "full", 11 * len(sm.last_request.lids))
         assert_equals_fresh(sm)
 
     def test_link_flap_repairs_and_refills_the_moved_cells(self):
@@ -131,7 +131,7 @@ class TestFillInputsWithoutAVersion:
         switch: the kept fill survives, with that one column refilled."""
         sm = make_sm()
         topo = sm.topology
-        hosts = [t.hca_port for t in topo.terminals()]
+        hosts = [topo.port_of_lid(t.lid) for t in terminals(topo)]
         far = next(p for p in hosts if p.remote.node is not hosts[0].remote.node)
         lid = sm.lid_manager.assign_extra_lid(hosts[0])
         sm.compute_routing()
@@ -148,7 +148,7 @@ class TestFillInputsWithoutAVersion:
     def test_in_place_edit_of_the_last_tables_does_not_leak(self):
         sm = make_sm()
         edited = sm.current_tables
-        lid_a, lid_b = sm.last_request.lid_arrays()[0][[0, -1]]
+        lid_a, lid_b = sm.last_request.lids[[0, -1]]
         op = {"op": "swap", "lid_a": int(lid_a), "lid_b": int(lid_b), "switches": None}
         assert apply_column_op(edited.ports, op)[0] is edited.ports
         sm.compute_routing()

@@ -29,6 +29,7 @@ from repro.sm.routing.cache import RoutingState
 from repro.sm.routing.registry import create_engine
 from repro.sm.subnet_manager import SubnetManager
 from tests.oracles.delivery import trace_path
+from tests.oracles.terminals import endpoints, terminals
 
 #: Engines that opt into the shared cache on arbitrary topologies.
 CACHED_ENGINES = ("minhop", "updn")
@@ -149,7 +150,7 @@ class TestWarmCache:
         topo = built.topology
         # VM-churn stand-in: extra LIDs come and go on HCA ports, exactly
         # what boot/shutdown does under the vSwitch schemes.
-        port = topo.terminals()[0]
+        port = terminals(topo)[0]
         hca_port = topo.port_of_lid(port.lid)
         extra = sm.lid_manager.assign_extra_lid(hca_port)
         before = sm.routing_state.stats.snapshot()
@@ -403,7 +404,7 @@ class TestRequestCaches:
         built, sm = make_sm("minhop")
         tables = sm.current_tables
         request = sm.last_request
-        t = request.terminals[0]
+        t = endpoints(request)[0]
         path_before = trace_path(tables, request, 0, t.lid)
         # Mutate the topology after the fact: the old request must keep
         # describing the graph it was computed on.
@@ -493,7 +494,7 @@ def test_cached_tables_equal_scratch_after_random_churn(engine, data):
                 # Leaf/hosted guard tightened elsewhere; never expected here.
                 raise
         elif op == "boot":
-            terms = topo.terminals()
+            terms = terminals(topo)
             t = terms[data.draw(st.integers(0, len(terms) - 1))]
             port = topo.port_of_lid(t.lid)
             extra_lids.append(sm.lid_manager.assign_extra_lid(port))

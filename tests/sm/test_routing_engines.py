@@ -26,6 +26,7 @@ from repro.sm.routing.base import (
 from repro.sm.routing.registry import available_engines, create_engine, register_engine
 from repro.sm.subnet_manager import SubnetManager
 from tests.oracles.delivery import trace_path, validate
+from tests.oracles.terminals import by_switch, endpoints, switch_lids
 
 ALL_ENGINES = ("minhop", "ftree", "updn", "dfsssp", "lash")
 #: Engines usable on arbitrary (non-tree) topologies.
@@ -52,8 +53,8 @@ class TestValidityOnFatTree:
     @pytest.mark.parametrize("engine", ALL_ENGINES)
     def test_all_lids_programmed_on_all_switches(self, engine, ft_request):
         tables = create_engine(engine).compute(ft_request)
-        lids = [t.lid for t in ft_request.terminals] + list(
-            ft_request.switch_lids
+        lids = [t.lid for t in endpoints(ft_request)] + list(
+            switch_lids(ft_request)
         )
         sub = tables.ports[:, lids]
         assert (sub != LFT_UNSET).all()
@@ -97,7 +98,7 @@ class TestMinHop:
     def test_paths_are_minimal(self, ft_request):
         tables = create_engine("minhop").compute(ft_request)
         dist = tables.metadata["switch_distances"]
-        for t in ft_request.terminals[:10]:
+        for t in endpoints(ft_request)[:10]:
             for src in range(ft_request.num_switches):
                 path = trace_path(tables, ft_request, src, t.lid)
                 assert len(path) - 1 == dist[src, t.switch_index]
@@ -106,7 +107,7 @@ class TestMinHop:
         # The LMC-like multipathing of section V-A: consecutive LIDs on one
         # leaf leave a remote leaf through different up ports.
         tables = create_engine("minhop").compute(ft_request)
-        groups = ft_request.terminals_by_switch()
+        groups = by_switch(ft_request)
         leaf, terms = next(iter(groups.items()))
         other_leaf = next(l for l in groups if l != leaf)
         ports = {tables.port_for(other_leaf, t.lid) for t in terms}
@@ -123,9 +124,9 @@ class TestMinHop:
             ft_request
         )
         # Up-port usage at one leaf should be near-uniform across spines.
-        groups = ft_request.terminals_by_switch()
+        groups = by_switch(ft_request)
         leaf = next(iter(groups))
-        all_lids = [t.lid for t in ft_request.terminals if t.switch_index != leaf]
+        all_lids = [t.lid for t in endpoints(ft_request) if t.switch_index != leaf]
         counts = {}
         for lid in all_lids:
             p = tables.port_for(leaf, lid)
@@ -141,7 +142,7 @@ class TestFatTreeEngine:
     def test_down_paths_unique(self, ft_request):
         tables = create_engine("ftree").compute(ft_request)
         # From a spine, every LID of one leaf exits the same (unique) port.
-        groups = ft_request.terminals_by_switch()
+        groups = by_switch(ft_request)
         leaf, terms = next(iter(groups.items()))
         level = tables.metadata["levels"]
         spines = [s for s in range(ft_request.num_switches) if level[s] == 1]
@@ -151,7 +152,7 @@ class TestFatTreeEngine:
 
     def test_up_ports_spread_by_lid(self, ft_request):
         tables = create_engine("ftree").compute(ft_request)
-        groups = ft_request.terminals_by_switch()
+        groups = by_switch(ft_request)
         leaf, terms = next(iter(groups.items()))
         other = next(l for l in groups if l != leaf)
         ports = {tables.port_for(other, t.lid) for t in terms}
@@ -162,7 +163,7 @@ class TestFatTreeEngine:
         tables = create_engine("ftree").compute(req)
         # Full validation is expensive; spot-check paths from every pod.
         for src in range(0, req.num_switches, 7):
-            for t in req.terminals[::29]:
+            for t in endpoints(req)[::29]:
                 trace_path(tables, req, src, t.lid)
 
 
@@ -170,7 +171,7 @@ class TestUpDown:
     def test_no_down_up_turns(self, ft_request):
         tables = create_engine("updn").compute(ft_request)
         rank = tables.metadata["rank"]
-        for t in ft_request.terminals[::3]:
+        for t in endpoints(ft_request)[::3]:
             for src in range(ft_request.num_switches):
                 path = trace_path(tables, ft_request, src, t.lid)
                 gone_down = False
@@ -199,11 +200,11 @@ class TestDfsssp:
         tables = create_engine("dfsssp").compute(ft_request)
         lanes = tables.lanes
         assert lanes.shape == tables.ports.shape and lanes.dtype == np.int8
-        for t in ft_request.terminals:
+        for t in endpoints(ft_request):
             # One lane per destination column, in every source row.
             assert (lanes[:, t.lid] == lanes[0, t.lid]).all()
             assert 0 <= lanes[0, t.lid] < tables.num_vls
-        for lid in ft_request.switch_lids:
+        for lid in switch_lids(ft_request):
             assert (lanes[:, lid] == 15).all()  # management lane
 
     def test_weights_grow(self, ft_request):
@@ -228,8 +229,8 @@ class TestDfsssp:
 class TestLash:
     def test_layers_assigned_per_leaf_pair(self, ft_request):
         tables = create_engine("lash").compute(ft_request)
-        leaf_switches = sorted({t.switch_index for t in ft_request.terminals})
-        terminal_lids = [t.lid for t in ft_request.terminals]
+        leaf_switches = sorted({t.switch_index for t in endpoints(ft_request)})
+        terminal_lids = [t.lid for t in endpoints(ft_request)]
         lanes = tables.lanes[:, terminal_lids]
         # Every leaf row holds a lane toward every terminal LID (its own
         # terminals on lane 0); no other row does.
@@ -237,7 +238,7 @@ class TestLash:
         others = np.setdiff1d(np.arange(tables.num_switches), leaf_switches)
         assert (lanes[others] == -1).all()
         # One layer per leaf pair: the LIDs behind one leaf share a column.
-        for t in ft_request.terminals:
+        for t in endpoints(ft_request):
             assert lanes[t.switch_index, terminal_lids.index(t.lid)] == 0
 
     def test_single_layer_on_fattree(self, ft_request):

@@ -18,6 +18,7 @@ from repro.sm.lft_distribution import LftDistributor
 from repro.sm.routing.base import RoutingRequest
 from repro.sm.subnet_manager import SubnetManager
 from tests.oracles.delivery import trace_path
+from tests.oracles.terminals import endpoints
 
 
 class TestTransportEdges:
@@ -93,7 +94,7 @@ class TestTracePathEdges:
 
     def test_wrong_endpoint_detected(self, routed):
         sm, req = routed
-        t0, t1 = req.terminals[0], req.terminals[1]
+        t0, t1 = endpoints(req)[0], endpoints(req)[1]
         tables = sm.current_tables
         # Misprogram LID t0 to exit at t1's port on t1's leaf.
         tables.ports[:, t0.lid] = tables.ports[:, t1.lid]
@@ -103,7 +104,7 @@ class TestTracePathEdges:
     def test_loop_detected(self, routed):
         sm, req = routed
         tables = sm.current_tables
-        lid = req.terminals[0].lid
+        lid = endpoints(req)[0].lid
         view = req.view
         # Point two switches at each other.
         a = 0
@@ -117,7 +118,7 @@ class TestTracePathEdges:
     def test_dangling_port_detected(self, routed):
         sm, req = routed
         tables = sm.current_tables
-        lid = req.terminals[0].lid
+        lid = endpoints(req)[0].lid
         tables.ports[0, lid] = 33  # nothing cabled there
         with pytest.raises(RoutingError, match="leads nowhere"):
             trace_path(tables, req, 0, lid)

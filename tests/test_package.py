@@ -354,6 +354,38 @@ class TestOneHardwareLftStore:
         ] == ["fabric/lft.py"]
 
 
+class TestOneTerminalTable:
+    """Where a LID attaches is ``Topology``'s terminal table, read through
+    ``Topology.terminals()`` (tier-1 twin of the CI guard "one terminal
+    table")."""
+
+    SRC = Path(repro.__file__).resolve().parent
+    REBUILDS = re.compile(
+        r"Terminal\(|terminal_arrays|lid_arrays|terminals_by_switch"
+        r"|port_of_lid\([^)]*\)\.remote"
+    )
+
+    def sources(self):
+        for path in sorted(self.SRC.rglob("*.py")):
+            yield str(path.relative_to(self.SRC)), path.read_text()
+
+    def test_no_rebuild_of_the_attachment(self):
+        assert [
+            (name, line.strip())
+            for name, text in self.sources()
+            for line in text.splitlines()
+            if self.REBUILDS.search(line)
+        ] == []
+
+    def test_the_registry_is_read_by_the_topology_alone(self):
+        assert [name for name, text in self.sources() if "_lid_to_port" in text] == [
+            "fabric/topology.py"
+        ]
+
+    def test_terminal_left_the_package(self):
+        assert "Terminal" not in repro.fabric.__all__
+
+
 class TestOneClaimsRegister:
     """The paper's claims are rows of ``repro.analysis.claims`` (tier-1
     twin of the CI guard "one claims register")."""

@@ -14,6 +14,7 @@ from repro.sm.routing.base import RoutingRequest
 from repro.sm.routing.registry import create_engine
 from repro.sm.subnet_manager import SubnetManager, path_computations
 from tests.oracles.delivery import trace_path
+from tests.oracles.terminals import endpoints
 
 pytestmark = pytest.mark.slow
 
@@ -51,7 +52,7 @@ class TestPaperScale324:
         request = RoutingRequest.from_topology(built.topology, built=built)
         tables = sm.current_tables
         for src in range(0, request.num_switches, 5):
-            for t in request.terminals[::37]:
+            for t in endpoints(request)[::37]:
                 trace_path(tables, request, src, t.lid)
 
 
@@ -76,7 +77,7 @@ class TestPaperScale5832:
         tables = create_engine("ftree").timed_compute(request)
         # Spot-check deliveries from every layer of the tree.
         for src in (0, 400, 900):
-            for t in request.terminals[::977]:
+            for t in endpoints(request)[::977]:
                 trace_path(tables, request, src, t.lid)
         # PCt at this scale stays interactive for the structured engine.
         assert tables.compute_seconds < 30

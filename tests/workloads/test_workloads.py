@@ -15,6 +15,7 @@ from repro.workloads.migration_patterns import (
 )
 from repro.workloads.traffic import all_to_all_flows, link_loads
 from tests.conftest import make_cloud
+from tests.oracles.terminals import endpoints
 
 
 class TestChurn:
@@ -111,7 +112,7 @@ class TestTraffic:
 
     def test_link_loads_balanced_fattree(self, routed_fattree):
         built, sm, request = routed_fattree
-        lids = [t.lid for t in request.terminals]
+        lids = [t.lid for t in endpoints(request)]
         report = link_loads(sm.current_tables, request, all_to_all_flows(lids))
         assert report.max_load > 0
         # MinHop with lid-mod spreads uniform all-to-all quite evenly.
@@ -151,14 +152,14 @@ class TestTraffic:
 
     def test_an_unbound_destination_lid_is_rejected(self, routed_fattree):
         _, sm, request = routed_fattree
-        src = request.terminals[0].lid
+        src = endpoints(request)[0].lid
         with pytest.raises(RoutingError, match="destination LID -1 is not bound"):
             link_loads(sm.current_tables, request, [(src, -1)])
 
     def test_an_unknown_source_lid_is_a_routing_error_alone(self, routed_fattree):
         _, sm, request = routed_fattree
-        dst = request.terminals[0].lid
+        dst = endpoints(request)[0].lid
         with pytest.raises(RoutingError, match="source LID 40000") as exc:
             link_loads(sm.current_tables, request, [(40000, dst)])
-        # Raised from None: no KeyError chained behind it.
-        assert exc.value.__cause__ is None and exc.value.__suppress_context__
+        # No lookup error chained behind it, shown or suppressed.
+        assert exc.value.__cause__ is None and exc.value.__context__ is None
